@@ -150,7 +150,11 @@ def _initial_state(cfg):
 
 
 def _prepared_state(cfg):
+    """The run's starting state.  A snapshot restart continues the run it
+    came from: its state and its t are used as stored, not regularized."""
     raw = _initial_state(cfg)
+    if cfg.init.snapshot is not None:
+        return raw
     m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
     return sv.regularize_initial_data(
         raw.rho, m0, raw.theta, raw.d, cfg.reg,

@@ -47,6 +47,18 @@ class PositivityLoss(SolverFailure):
     """A substep would push density or temperature meaningfully negative."""
 
 
+class NonFiniteState(SolverFailure):
+    """A substep met NaN or infinite values.  Never retried with a smaller
+    dt; the message names the substep and, once known, the step's t and dt."""
+
+    def __init__(self, substep, t=None, dt=None):
+        self.substep, self.t, self.dt = substep, t, dt
+        msg = f"non-finite values in the {substep} substep"
+        if t is not None:
+            msg += f" of the step from t={t:.17g} with dt={dt:.17g}"
+        super().__init__(msg)
+
+
 class PicardDivergence(SolverFailure):
     """The per-step Picard coupling loop did not reach tolerance."""
 

@@ -21,11 +21,15 @@ Conventions that the rest of the package relies on:
   fields of opposite parity along axis ``a``;
 * :func:`dealias` projects in the field's own basis; pairing any nodal array
   against a dealiased field reads only the kept band, so the projection can
-  be moved across a nodal inner product exactly.
+  be moved across a nodal inner product exactly;
+* the per-grid constants of these operators (derivative wavenumbers and
+  Laplace symbols) are built once per grid into a read-only
+  :class:`SpectralPlan`, which raw-array kernels share with the field API.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -331,16 +335,86 @@ def _freqs(grid, ax, par):
     return k * np.pi / length
 
 
+def _readonly(a):
+    a.flags.writeable = False
+    return a
+
+
+class SpectralPlan:
+    """Read-only constants of the spectral operators on one grid.
+
+    ``shifts[a]`` is ``(w, lo, hi)`` for axis ``a``: the derivative
+    wavenumbers ``k pi / L_a``, k = 1..N_a-1, shaped to broadcast along that
+    axis, and the index tuples of its slots 0..N_a-2 and 1..N_a-1.  Slot k of
+    a cosine axis and slot k-1 of a sine axis both hold frequency k, so the
+    derivative along ``a`` maps ``c[hi]`` to ``-w * c[hi]`` in slots ``lo``
+    (cosine to sine) and ``c[lo]`` to ``w * c[lo]`` in slots ``hi`` (sine to
+    cosine).  Both rules hold for normalized amplitudes and for the raw
+    coefficients of :func:`r2r_forward` alike.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        shifts = []
+        for ax, (n, length) in enumerate(zip(grid.shape, grid.extents)):
+            shape = [1] * grid.dim
+            shape[ax] = n - 1
+            w = (np.arange(1, n) * (np.pi / length)).reshape(shape)
+            lo = (slice(None),) * ax + (slice(0, n - 1),)
+            hi = (slice(None),) * ax + (slice(1, n),)
+            shifts.append((_readonly(w), lo, hi))
+        self.shifts = tuple(shifts)
+        self._symbols = {}
+
+    def symbol(self, parity):
+        """Laplacian eigenvalues sum_a (k_a pi / L_a)^2 in coefficient order."""
+        sym = self._symbols.get(parity)
+        if sym is None:
+            grid = self.grid
+            sym = np.zeros(grid.shape)
+            for ax, par in enumerate(parity):
+                shape = [1] * grid.dim
+                shape[ax] = grid.shape[ax]
+                sym = sym + (_freqs(grid, ax, par) ** 2).reshape(shape)
+            sym = self._symbols[parity] = _readonly(sym)
+        return sym
+
+
+@functools.lru_cache(maxsize=32)
+def spectral_plan(grid):
+    """The shared :class:`SpectralPlan` of ``grid`` (cached per grid)."""
+    return SpectralPlan(grid)
+
+
 def laplace_symbol(grid, parity):
-    """Array of (positive) Laplacian eigenvalues sum_a (k_a pi / L_a)^2."""
-    parity = _normalize_parity(parity, grid.dim)
-    total = np.zeros(grid.shape)
-    for ax, par in enumerate(parity):
-        w = _freqs(grid, ax, par) ** 2
-        shape = [1] * grid.dim
-        shape[ax] = grid.shape[ax]
-        total = total + w.reshape(shape)
-    return total
+    """Read-only array of (positive) Laplacian eigenvalues
+    sum_a (k_a pi / L_a)^2."""
+    return spectral_plan(grid).symbol(_normalize_parity(parity, grid.dim))
+
+
+def r2r_forward(values, sine_axis=None):
+    """Raw type-II coefficients of a nodal array: DST along ``sine_axis``,
+    DCT along every other axis, in scipy's unnormalized convention.
+
+    Slot layout is that of :func:`coeffs`; the raw coefficients differ from
+    the amplitudes by a diagonal factor, so any operator diagonal in
+    coefficient space (the shifts and symbols of :class:`SpectralPlan`)
+    applies to them unchanged.
+    """
+    if sine_axis is None:
+        return sfft.dctn(values, type=2)
+    c = sfft.dst(values, type=2, axis=sine_axis)
+    others = [ax for ax in range(c.ndim) if ax != sine_axis]
+    return sfft.dctn(c, type=2, axes=others, overwrite_x=True) if others else c
+
+
+def r2r_inverse(c, sine_axis=None):
+    """Nodal values from raw coefficients; inverse of :func:`r2r_forward`."""
+    if sine_axis is None:
+        return sfft.idctn(c, type=2)
+    v = sfft.idst(c, type=2, axis=sine_axis)
+    others = [ax for ax in range(v.ndim) if ax != sine_axis]
+    return sfft.idctn(v, type=2, axes=others, overwrite_x=True) if others else v
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +423,20 @@ def laplace_symbol(grid, parity):
 
 def deriv(f, axis):
     """Exact spectral derivative along one axis; parity flips on that axis."""
-    grid = f.grid
-    n = grid.shape[axis]
+    w, lo, hi = spectral_plan(f.grid).shifts[axis]
     c = coeffs(f)
     out = np.zeros_like(c)
-    move = np.moveaxis(out, axis, 0)
-    cm = np.moveaxis(c, axis, 0)
-    w = np.pi / grid.extents[axis]
     if f.parity[axis] == COS:
         # cos k -> -k sin k, k = 1..N-1 (sine slot k-1)
-        k = np.arange(1, n)
-        move[: n - 1] = -cm[1:] * (k * w).reshape((-1,) + (1,) * (grid.dim - 1))
+        out[lo] = -c[hi] * w
         new_par = SIN
     else:
         # sin m -> m cos m, m = 1..N-1 (Nyquist slot is zero)
-        m = np.arange(1, n)
-        move[1:] = cm[: n - 1] * (m * w).reshape((-1,) + (1,) * (grid.dim - 1))
+        out[hi] = c[lo] * w
         new_par = COS
     parity = list(f.parity)
     parity[axis] = new_par
-    return field_from_coeffs(grid, parity, out)
+    return field_from_coeffs(f.grid, parity, out)
 
 
 def gradient(f):

@@ -211,10 +211,8 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
         dub = deriv(s.u[b], b).values
         terms.append((p.gas_const * q * dub,
                       _term_parity(grid, frozenset(range(dim)) - {b})))
-    kappa_field = ScalarField(grid, neumann(dim),
-                              cst.heat_conductivity(s.theta.values, p),
-                              project=False)
-    terms.append((sv._conduction_apply(s.theta.values, kappa_field, grid),
+    kappa = cst.heat_conductivity(s.theta.values, p)
+    terms.append((sv._conduction_apply(s.theta.values, kappa, grid),
                   cos_par))
     if any(fc is not _zero for fc in case.u):
         grad_u = np.stack([

@@ -20,6 +20,7 @@ Key discrete facts this file relies on (established in fields.py):
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from . import constitutive as cst
 from .errors import (
     GridMismatch,
     InvalidInitialData,
+    NonFiniteState,
     PicardDivergence,
     PositivityLoss,
     SingularMassMatrix,
@@ -45,10 +47,14 @@ from .fields import (
     divergence,
     inner,
     integrate_values,
+    laplace_symbol,
     laplacian,
     neumann,
+    r2r_forward,
+    r2r_inverse,
     smooth,
     solve_helmholtz,
+    spectral_plan,
 )
 from .params import PhysParams, RegParams
 
@@ -192,6 +198,7 @@ class GalerkinBasis:
         self.phi = phi
         self.grad = grad
         self._phi_flat = phi.reshape(n_modes, -1)
+        self._stiffness = {}
 
     def project(self, component_values):
         """L2 projection of nodal component arrays onto the basis; returns
@@ -221,7 +228,13 @@ class GalerkinBasis:
         return weighted @ self._phi_flat.T
 
     def stiffness(self, p: PhysParams):
-        """Viscous form K with U^T K U = <S(u):grad u> exactly."""
+        """Viscous form K with U^T K U = <S(u):grad u> exactly.
+
+        Built once per basis and viscosity pair; the result is read-only.
+        """
+        key = (p.mu, p.lam)
+        if key in self._stiffness:
+            return self._stiffness[key]
         dim = self.grid.dim
         g = self.grad.reshape(self.n, dim, -1)
         w = self.grid.weight
@@ -235,7 +248,10 @@ class GalerkinBasis:
             for e in range(dim):
                 K[:, c, :, e] += p.mu * cross[:, e, :, c]
                 K[:, c, :, e] += p.lam * cross[:, c, :, e]
-        return K.reshape(n * dim, n * dim)
+        K = K.reshape(n * dim, n * dim)
+        K.flags.writeable = False
+        self._stiffness[key] = K
+        return K
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +274,8 @@ def _density_update(rho, u, eps, dt, dealias_on=True, source=None):
         rhs = rhs + ScalarField(rho.grid, rho.parity, dt * source)
     rho_new = solve_helmholtz(rhs, 1.0, eps * dt) if eps > 0 else rhs
     lo = float(rho_new.values.min())
+    if not math.isfinite(lo):
+        raise NonFiniteState("density")
     if lo < -_REJECT_SLACK * max(rho.norm_inf(), 1e-300):
         raise PositivityLoss(f"density undershoot {lo:g}")
     return rho_new, m
@@ -304,6 +322,8 @@ def _director_update(d, u, dt, p: PhysParams, dealias_on=True, source=None,
             comps.append(solve_helmholtz(rhs, 1.0, kappa * dt))
         new_vals = np.stack([c.values for c in comps])
         gap = float(np.abs(new_vals - lag).max())
+        if not math.isfinite(gap):
+            raise NonFiniteState("director")
         lag = new_vals
         d_new = comps
         if gap <= tol * scale:
@@ -329,88 +349,125 @@ def step_director(d, u, dt, sigma0=None, p: PhysParams = None,
     return d_new
 
 
-def _conduction_apply(theta_vals, kappa_field, grid):
-    """Nodal values of -div(kappa grad theta) for the cosine field theta."""
-    fld = ScalarField(grid, neumann(grid.dim), theta_vals, project=False)
-    out = np.zeros(grid.shape)
-    for b in range(grid.dim):
-        flux = kappa_field * deriv(fld, b)
-        out -= deriv(flux, b).values
-    return out
+def _conduction_apply(theta_vals, kappa_vals, grid):
+    """Nodal values of -div(kappa grad theta) for a cosine-parity theta.
+
+    Fused on raw arrays: one forward transform of theta; per axis the
+    gradient as an index shift and wavenumber product, one mixed inverse
+    transform, the nodal product with kappa and one mixed forward transform
+    of the flux; the divergence summed in coefficient space; one inverse
+    transform.  The flux's sine Nyquist slot is never read, which is exactly
+    the projection a stored sine field would apply.
+    """
+    c = r2r_forward(theta_vals)
+    div = np.zeros_like(c)
+    for a, (w, lo, hi) in enumerate(spectral_plan(grid).shifts):
+        grad = np.zeros_like(c)
+        grad[lo] = -w * c[hi]
+        flux = r2r_forward(kappa_vals * r2r_inverse(grad, a), a)
+        div[hi] += w * flux[lo]
+    return -r2r_inverse(div)
 
 
 def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
-    x = x0.copy()
-    r = b - apply_op(x)
+    """Preconditioned conjugate gradients from ``x0`` to the relative
+    residual ``tol``."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    z = precond(r)
-    pvec = z.copy()
-    rz = float(np.sum(r * z))
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * bnorm:
+    x = x0.copy()
+    r = b - apply_op(x)
+    pvec = rz = None
+    for it in range(max_iter + 1):
+        rnorm = float(np.linalg.norm(r))
+        if not math.isfinite(rnorm):
+            raise NonFiniteState("temperature")
+        if rnorm <= tol * bnorm:
             return x
+        if it == max_iter:
+            break
+        z = precond(r)
+        rz_new = float(np.sum(r * z))
+        pvec = z if pvec is None else z + (rz_new / rz) * pvec
+        rz = rz_new
         ap = apply_op(pvec)
         alpha = rz / float(np.sum(pvec * ap))
         x += alpha * pvec
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        z = precond(r)
-        rz_new = float(np.sum(r * z))
-        pvec = z + (rz_new / rz) * pvec
-        rz = rz_new
     raise SolverFailure("conjugate gradients stalled in the heat solve")
 
 
-def _temperature_update(theta, rho_prev, rho_new, u, m, source_sq, reg, p,
-                        dt, dealias_on=True, source=None):
+class _FrozenHeat:
+    """The parts of the heat operator that stay fixed over one step.
+
+    kappa(theta^n), theta^n^alpha, the old-time part of the right-hand side
+    and the preconditioner symbol ``cbar + kbar * lambda``.  ``cbar`` is the
+    mean of the step-fixed part of the diagonal coefficient c0,
+    (delta + rho^n) / dt + delta * theta^n^alpha; the swept part,
+    R rho div u, has nearly zero mean, and mass conservation keeps the mean
+    of the new density equal to that of rho^n.
+    """
+
+    def __init__(self, theta, rho_prev, reg, p, dt):
+        grid = theta.grid
+        th_n = theta.values
+        self.theta = theta
+        self.th_alpha = np.maximum(th_n, 0.0) ** p.cond_growth
+        self.kappa = cst.heat_conductivity(th_n, p)
+        self.rhs = (reg.delta + rho_prev.values) * th_n / dt
+        cbar = ((reg.delta + float(rho_prev.values.mean())) / dt
+                + reg.delta * float(self.th_alpha.mean()))
+        self.symbol = cbar + float(self.kappa.mean()) * laplace_symbol(
+            grid, neumann(grid.dim))
+
+    def precondition(self, vals):
+        """Solve (cbar - kbar * Laplacian) z = vals with Neumann data."""
+        return r2r_inverse(r2r_forward(vals) / self.symbol)
+
+
+def _temperature_update(frozen, rho_new, u, m, source_sq, reg, p, dt, guess,
+                        dealias_on=True, source=None):
     """Implicit update of the conserved variable (delta + rho) theta.
 
-    source_sq holds the nodal director heating |relaxation|^2 (coefficient
-    applied here); sinks are lagged-coefficient implicit so positivity holds.
+    ``frozen`` carries the step-fixed parts of the operator (built once per
+    step by :class:`_FrozenHeat`).  The conjugate-gradient solve is warm
+    started from ``guess``: theta^n on the first Picard sweep and the
+    previous sweep's temperature after that.  source_sq holds the nodal
+    director heating |relaxation|^2 (coefficient applied here); sinks are
+    lagged-coefficient implicit so positivity holds.
     """
+    theta = frozen.theta
     grid = theta.grid
     delta = reg.delta
     th_n = theta.values
-    th_alpha = np.maximum(th_n, 0.0) ** p.cond_growth
 
-    div_u = divergence(u).values
-    c0 = (delta + rho_new.values) / dt + delta * th_alpha \
+    grad_u = np.stack([
+        np.stack([deriv(uc, a).values for uc in u]) for a in range(grid.dim)
+    ])
+    div_u = sum(grad_u[a, a] for a in range(grid.dim))
+    c0 = (delta + rho_new.values) / dt + delta * frozen.th_alpha \
         + p.gas_const * rho_new.values * div_u
-    if float(c0.min()) <= 0.0:
+    lo = float(c0.min())
+    if not math.isfinite(lo):
+        raise NonFiniteState("temperature")
+    if lo <= 0.0:
         raise PositivityLoss("temperature operator lost positivity")
 
-    kappa_field = ScalarField(
-        grid, neumann(grid.dim),
-        cst.heat_conductivity(th_n, p), project=False)
-
-    rhs = (delta + rho_prev.values) * th_n / dt
+    rhs = frozen.rhs.copy()
     for b, mb in enumerate(m):
         flux = theta * mb
         if dealias_on:
             flux = dealias(flux)
         rhs -= deriv(flux, b).values
-    grad_u = np.stack([
-        np.stack([deriv(uc, a).values for uc in u]) for a in range(grid.dim)
-    ])
     rhs += (1.0 - delta) * cst.stress_power(grad_u, p)
     rhs += p.elastic_coupling * p.relax_rate * source_sq
     if source is not None:
         rhs = rhs + source
 
-    kbar = float(kappa_field.values.mean())
-    cbar = float(c0.mean())
-
     def apply_op(vals):
-        return c0 * vals + _conduction_apply(vals, kappa_field, grid)
+        return c0 * vals + _conduction_apply(vals, frozen.kappa, grid)
 
-    def precond(vals):
-        fld = ScalarField(grid, neumann(grid.dim), vals, project=False)
-        return solve_helmholtz(fld, cbar, kbar).values
-
-    sol = _pcg(apply_op, precond, rhs, th_n, tol=1e-13)
+    sol = _pcg(apply_op, frozen.precondition, rhs, guess, tol=1e-13)
     lo = float(sol.min())
     if lo < -_REJECT_SLACK * max(float(np.abs(th_n).max()), 1e-300):
         raise PositivityLoss(f"temperature undershoot {lo:g}")
@@ -425,8 +482,9 @@ def step_temperature(theta, rho, u, d, reg, dt, p: PhysParams,
         laplacian(d[k]).values
         for k in range(3)
     ]) - cst.gl_force(np.stack([c.values for c in d]), p.penalty_scale)
-    return _temperature_update(theta, rho, rho, u, m, np.sum(gt * gt, axis=0),
-                               reg, p, dt, dealias_on, source)
+    return _temperature_update(_FrozenHeat(theta, rho, reg, p, dt), rho, u, m,
+                               np.sum(gt * gt, axis=0), reg, p, dt,
+                               theta.values, dealias_on, source)
 
 
 def _momentum_forces(u_minus, rho_prev, rho_new, m, theta_new, d_prev,
@@ -548,15 +606,17 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     grad_d_prev = [[deriv(s.d[k], a) for a in range(grid.dim)]
                    for k in range(3)]
     U0 = basis.project([c.values for c in s.u])
+    heat = _FrozenHeat(s.theta, s.rho, reg, p, dt)
 
     u_minus, U_minus = s.u, U0
+    theta_new = s.theta
     deal = cfg.dealias
     for it in range(1, cfg.picard_max + 1):
         rho_new, m = _density_update(s.rho, u_minus, reg.eps, dt, deal, src_rho)
         d_new, gtilde, _ = _director_update(s.d, u_minus, dt, p, deal, src_dir)
         gsq = np.sum(gtilde * gtilde, axis=0)
-        theta_new = _temperature_update(s.theta, s.rho, rho_new, u_minus, m,
-                                        gsq, reg, p, dt, deal, src_th)
+        theta_new = _temperature_update(heat, rho_new, u_minus, m, gsq, reg,
+                                        p, dt, theta_new.values, deal, src_th)
         u_entered = u_minus
         u_new, U_new = _momentum_update(u_minus, U0, s.rho, rho_new, m,
                                         theta_new, s.d, grad_d_prev, gtilde,
@@ -624,7 +684,8 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     """One time step of the fully coupled scheme.
 
     Returns (new_state, StepRecord).  On a positivity rejection the step is
-    retried with a halved dt, up to ten times.
+    retried with a halved dt, up to ten times; non-finite data is never
+    retried, and its error names the substep, t and dt.
     """
     if basis is None:
         basis = GalerkinBasis(s.grid, reg.n_modes)
@@ -639,6 +700,8 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
             return state, record
         except PositivityLoss:
             dt *= 0.5
+        except NonFiniteState as exc:
+            raise NonFiniteState(exc.substep, s.t, dt) from exc
     raise StepUnderflow("step rejected after 10 dt halvings")
 
 

@@ -148,6 +148,40 @@ def test_rerun_outputs_byte_identical(tmp_path):
         assert a == b
 
 
+RESTART_CFG = """\
+grid.dim = 2
+grid.shape = 32
+grid.extents = 2.0
+solver.dt = 1e-3
+solver.t_end = 0.01
+reg.eps = 1e-2
+reg.delta = 1e-3
+reg.n_modes = 8
+init.preset = director-twist
+init.amplitude = 0.6
+output.dir = {out}
+output.cadence = 1
+"""
+
+
+def test_restart_from_snapshot_continues_the_run(tmp_path):
+    """Ten steps in one run and 5 + 5 with a restart from the fifth
+    snapshot end on byte-identical snapshots."""
+    whole = _write(tmp_path, "whole.cfg",
+                   RESTART_CFG.format(out=tmp_path / "whole"))
+    assert cli.main(["run", whole]) == 0
+    restart = _write(tmp_path, "restart.cfg",
+                     RESTART_CFG.format(out=tmp_path / "second")
+                     + f"init.snapshot = {tmp_path / 'whole'}"
+                       "/snap_000005.dat\n")
+    assert cli.main(["run", restart]) == 0
+    second = sorted(os.listdir(tmp_path / "second"))
+    assert second[-1] == "snap_000005.dat"
+    a = (tmp_path / "whole" / "snap_000010.dat").read_bytes()
+    b = (tmp_path / "second" / "snap_000005.dat").read_bytes()
+    assert a == b
+
+
 def test_solve_out_overrides_output_dir(tmp_path, monkeypatch):
     cfg = _run_cfg(tmp_path)
     override = tmp_path / "elsewhere"

@@ -261,6 +261,43 @@ def test_helmholtz_solve():
 # boundary behavior
 # ---------------------------------------------------------------------------
 
+def test_laplace_symbol_cached_and_read_only():
+    grid = fields.Grid((32, 16), (2.0, 1.0))
+    for parity in ((fields.COS, fields.COS), (fields.SIN, fields.COS)):
+        sym = fields.laplace_symbol(grid, parity)
+        assert sym is fields.laplace_symbol(fields.Grid((32, 16), (2.0, 1.0)),
+                                            parity)
+        with pytest.raises(ValueError):
+            sym[0, 0] = 1.0
+    for w, _, _ in fields.spectral_plan(grid).shifts:
+        with pytest.raises(ValueError):
+            w.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("grid", [grid1(), grid2()])
+def test_r2r_round_trip_and_slot_layout(grid):
+    """Raw coefficients invert exactly and differ from :func:`coeffs` by a
+    diagonal factor, so the plan's shifts and symbols apply to both."""
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(grid.shape)
+    for sine_axis in [None] + list(range(grid.dim)):
+        back = fields.r2r_inverse(fields.r2r_forward(vals, sine_axis),
+                                  sine_axis)
+        assert np.allclose(back, vals, rtol=0, atol=1e-14)
+    f = random_field(grid, fields.neumann(grid.dim))
+    raw = fields.r2r_forward(f.values)
+    amp = fields.coeffs(f)
+    scale = np.ones(grid.shape)
+    for ax, n in enumerate(grid.shape):
+        factor = np.full(n, float(n))
+        factor[0] *= 2.0  # cosine slot 0 carries the halved mean
+        shape = [1] * grid.dim
+        shape[ax] = n
+        scale = scale * factor.reshape(shape)
+    assert np.allclose(raw, amp * scale, rtol=0,
+                       atol=1e-14 * np.abs(raw).max())
+
+
 def test_dirichlet_fields_vanish_on_boundary():
     for g in (grid1(), grid2()):
         f = random_field(g, fields.dirichlet(g.dim))

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlcflow.errors import (InvalidInitialData, PositivityLoss,
-                            SingularMassMatrix, ValidationError)
+from nlcflow import constitutive as cst
+from nlcflow.errors import (InvalidInitialData, NonFiniteState,
+                            PositivityLoss, SingularMassMatrix,
+                            ValidationError)
 from nlcflow.fields import (Grid, ScalarField, VectorField, constant_field,
-                            from_function, coeffs, dirichlet, neumann,
-                            integrate)
+                            from_function, coeffs, deriv, dirichlet,
+                            neumann, integrate, solve_helmholtz)
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
@@ -61,6 +63,16 @@ def test_mass_matrix_vacuum_is_singular(grid2d):
     basis = sv.GalerkinBasis(grid2d, 4)
     with pytest.raises(SingularMassMatrix):
         sv._checked_mass_matrix(basis, np.zeros(grid2d.shape))
+
+
+def test_stiffness_built_once_and_read_only(grid2d):
+    basis = sv.GalerkinBasis(grid2d, 4)
+    p = PhysParams(mu=0.7, lam=0.3)
+    K = basis.stiffness(p)
+    assert basis.stiffness(PhysParams(mu=0.7, lam=0.3, gamma=3.0)) is K
+    assert basis.stiffness(PhysParams(mu=0.5)) is not K
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
 
 
 def test_stiffness_matches_stress_power_quadrature(grid2d):
@@ -224,6 +236,139 @@ def test_temperature_operator_positivity_guard(grid2d):
     s = equilibrium_state(grid2d)
     with pytest.raises(PositivityLoss):
         sv.step_temperature(s.theta, s.rho, u, s.d, reg, 1e-2, p)
+
+
+# ---------------------------------------------------------------------------
+# heat-solve kernel: fused conduction operator, preconditioner, CG
+# ---------------------------------------------------------------------------
+
+KERNEL_GRIDS = [Grid((32,), (2.0,)), Grid((32, 32), (2.0, 2.0)),
+                Grid((32, 16), (2.0, 1.0))]
+
+
+def _heat_data(grid, seed=3):
+    """A smooth positive temperature, its conductivity and a random field."""
+    rng = np.random.default_rng(seed)
+    mesh = grid.mesh()
+    theta = 1.0 + 0.3 * np.prod(
+        [np.cos(np.pi * x / L) for x, L in zip(mesh, grid.extents)], axis=0) \
+        + 0.05 * rng.standard_normal(grid.shape)
+    return theta, cst.heat_conductivity(theta, PhysParams()), \
+        rng.standard_normal(grid.shape)
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["1d", "square", "32x16"])
+def test_conduction_apply_matches_composed_operator(grid):
+    theta, kappa, _ = _heat_data(grid)
+    th = ScalarField(grid, neumann(grid.dim), theta, project=False)
+    kf = ScalarField(grid, neumann(grid.dim), kappa, project=False)
+    composed = np.zeros(grid.shape)
+    for b in range(grid.dim):
+        composed -= deriv(kf * deriv(th, b), b).values
+    fused = sv._conduction_apply(theta, kappa, grid)
+    assert np.abs(fused - composed).max() <= 1e-13 * np.abs(composed).max()
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["1d", "square", "32x16"])
+def test_conduction_apply_symmetric_positive_semidefinite(grid):
+    theta, kappa, x = _heat_data(grid)
+
+    def pair(a, b):
+        return grid.weight * float(np.sum(a * b))
+
+    ax = sv._conduction_apply(x, kappa, grid)
+    at = sv._conduction_apply(theta, kappa, grid)
+    scale = grid.weight * np.linalg.norm(ax) * np.linalg.norm(theta)
+    assert abs(pair(ax, theta) - pair(x, at)) <= 1e-13 * scale
+    assert pair(x, ax) > 0.0 and pair(theta, at) > 0.0
+    # constants span the kernel
+    ones = sv._conduction_apply(np.ones(grid.shape), kappa, grid)
+    assert np.abs(ones).max() <= 1e-13 * np.abs(ax).max()
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["1d", "square", "32x16"])
+def test_heat_preconditioner_matches_helmholtz(grid):
+    reg = RegParams(eps=1e-2, delta=1e-3, n_modes=2)
+    theta, _, r = _heat_data(grid)
+    rho = from_function(grid, lambda *xs: 1.0 + 0.2 * np.cos(np.pi * xs[0]))
+    th = ScalarField(grid, neumann(grid.dim), theta, project=False)
+    frozen = sv._FrozenHeat(th, rho, reg, PhysParams(), 1e-3)
+    cbar = (reg.delta + rho.values.mean()) / 1e-3 \
+        + reg.delta * frozen.th_alpha.mean()
+    ref = solve_helmholtz(ScalarField(grid, neumann(grid.dim), r,
+                                      project=False),
+                          cbar, frozen.kappa.mean()).values
+    got = frozen.precondition(r)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _heat_system(grid):
+    theta, kappa, _ = _heat_data(grid)
+    c0 = 1e3 * (1.0 + 0.1 * theta)
+    frozen = sv._FrozenHeat(
+        ScalarField(grid, neumann(grid.dim), theta, project=False),
+        constant_field(grid, 1.0), RegParams(), PhysParams(), 1e-3)
+    calls = []
+
+    def apply_op(v):
+        calls.append(1)
+        return c0 * v + sv._conduction_apply(v, kappa, grid)
+
+    return apply_op, frozen.precondition, theta, calls
+
+
+def test_pcg_warm_and_cold_starts_agree():
+    grid = KERNEL_GRIDS[2]
+    apply_op, precond, theta, calls = _heat_system(grid)
+    b = apply_op(theta)
+    cold = sv._pcg(apply_op, precond, b, np.zeros(grid.shape), tol=1e-13)
+    cold_calls = len(calls)
+    warm_start = theta + 1e-6 * np.cos(3 * np.pi * grid.mesh()[0] / 2.0)
+    warm = sv._pcg(apply_op, precond, b, warm_start, tol=1e-13)
+    assert len(calls) - cold_calls < cold_calls
+    assert np.abs(warm - cold).max() <= 1e-12 * np.abs(theta).max()
+    assert np.abs(warm - theta).max() <= 1e-12 * np.abs(theta).max()
+
+
+def test_pcg_zero_rhs_returns_before_any_apply():
+    grid = KERNEL_GRIDS[1]
+    apply_op, precond, theta, calls = _heat_system(grid)
+    x = sv._pcg(apply_op, precond, np.zeros(grid.shape), theta, tol=1e-13)
+    assert not calls
+    assert not np.any(x)
+
+
+def test_pcg_nonfinite_residual_raises():
+    grid = KERNEL_GRIDS[1]
+    apply_op, precond, theta, calls = _heat_system(grid)
+    b = apply_op(theta)
+    b[3, 4] = np.nan
+    with pytest.raises(NonFiniteState, match="temperature"):
+        sv._pcg(apply_op, precond, b, theta, tol=1e-13)
+    assert len(calls) == 2  # the call building b, then b - A x0 only
+
+
+@pytest.mark.parametrize("target,substep", [("theta", "temperature"),
+                                            ("d", "director")])
+def test_nonfinite_state_named_and_not_halved(grid2d, target, substep):
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    s = bump_state(grid2d)
+    field_ = s.theta if target == "theta" else s.d[1]
+    field_.values[5, 7] = np.nan
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    with pytest.raises(NonFiniteState, match=substep) as info:
+        sv.step_coupled(s, reg, cfg, p)
+    assert info.value.substep == substep
+    assert info.value.t == 0.0 and info.value.dt == cfg.dt
+    assert "t=0 " in str(info.value) and "dt=0.001" in str(info.value)
+
+
+def test_density_guard_catches_nonfinite(grid2d):
+    s = bump_state(grid2d)
+    s.rho.values[2, 2] = np.nan
+    with pytest.raises(NonFiniteState, match="density"):
+        sv.step_density(s.rho, s.u, 1e-2, 1e-3)
 
 
 # ---------------------------------------------------------------------------
