@@ -194,8 +194,7 @@ def cmd_run(config_path):
     residuals = {}
     for b_id in cfg.output.residuals:
         rows = dg.renormalized_continuity_residual(
-            states, records, cfg.reg.eps, b_id,
-            dealias_on=cfg.solver.dealias)
+            states, records, cfg.reg.eps, b_id)
         per_step, _ = dg.residual_series_max(rows)
         residuals[b_id] = per_step
 

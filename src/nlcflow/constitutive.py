@@ -1,6 +1,6 @@
-"""Pointwise constitutive laws: pressures, viscous stress, heat conduction,
-director potential and force, entropy, and the truncation/renormalization
-kernels used by the diagnostics.
+"""Pointwise constitutive laws: pressures, viscous stress, heat
+conductivity, director potential, force and stress, and the soft truncation
+pair used by the renormalized diagnostics.
 
 All scalar laws accept floats or numpy arrays and return the matching kind.
 Nonnegative inputs are enforced up to a relative slack of 1e-12 (tiny
@@ -10,13 +10,10 @@ negative undershoots from spectral projections are clipped to zero).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import NegativeInput, NonPositiveInput
-from .fields import ScalarField, gradient
+from .errors import NegativeInput
 from .params import PhysParams
 
 _SLACK = 1e-12
@@ -116,28 +113,6 @@ def heat_conductivity(theta, p: PhysParams):
     return _unwrap(p.cond_floor * (1.0 + t ** p.cond_growth), ts)
 
 
-def kappa_primitive(theta, p: PhysParams):
-    """Primitive K(theta) = cond_floor * (theta + theta**(alpha+1)/(alpha+1)),
-    so that grad K(theta) = kappa(theta) grad theta."""
-    t, ts = _wrap(theta)
-    t = _clip_nonneg(t, "theta")
-    a = p.cond_growth
-    return _unwrap(p.cond_floor * (t + t ** (a + 1.0) / (a + 1.0)), ts)
-
-
-def heat_flux(theta_field: ScalarField, p: PhysParams):
-    """Fourier flux q = -kappa(theta) grad theta as a list of fields (one per
-    axis, sine parity along the differentiated axis)."""
-    if p.cond_floor == 0.0:
-        warnings.warn("cond_floor == 0 gives a degenerate (zero) heat flux",
-                      stacklevel=2)
-    kap = heat_conductivity(theta_field.values, p) if p.cond_floor else 0.0
-    out = []
-    for g in gradient(theta_field):
-        out.append(ScalarField(g.grid, g.parity, -kap * g.values))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # director potential
 
@@ -179,61 +154,6 @@ def ericksen_stress(grad_d, potential):
     for a in range(dim):
         out[a, a] = out[a, a] - iso
     return out
-
-
-# ---------------------------------------------------------------------------
-# entropy and renormalization kernels
-
-def entropy(rho, theta):
-    """Specific entropy log(theta) - log(rho); both arguments must be
-    strictly positive."""
-    r, rs = _wrap(rho)
-    t, ts = _wrap(theta)
-    if np.min(r) <= 0.0:
-        raise NonPositiveInput("rho must be strictly positive for entropy")
-    if np.min(t) <= 0.0:
-        raise NonPositiveInput("theta must be strictly positive for entropy")
-    return _unwrap(np.log(t) - np.log(r), rs and ts)
-
-
-def _kappa_h_integral(theta, omega, p: PhysParams):
-    """Integral of kappa(z) * omega / (omega + z) over z in (0, theta)."""
-    a = p.cond_growth
-    kf = p.cond_floor
-    if float(a).is_integer() and a >= 1:
-        n = int(a)
-        t = np.asarray(theta, dtype=float)
-        log_term = np.log1p(t / omega)
-        poly = np.zeros_like(t)
-        for j in range(1, n + 1):
-            poly += (-omega) ** (n - j) * t ** j / j
-        return kf * omega * ((1.0 + (-omega) ** n) * log_term + poly)
-
-    def one(th):
-        val, _ = quad(lambda z: kf * (1.0 + z ** a) * omega / (omega + z),
-                      0.0, th, limit=200)
-        return val
-
-    return np.vectorize(one)(np.asarray(theta, dtype=float))
-
-
-def renorm_kernels(theta, omega, p: PhysParams):
-    """Kernels for the renormalized heat balance at cutoff omega > 0:
-
-    h(theta)  = omega / (omega + theta)
-    H(theta)  = omega * log(1 + theta / omega)   (primitive of h)
-    K_h(theta) = integral of kappa * h            (conduction under h)
-
-    Returns the triple (h, H, K_h) evaluated at theta.
-    """
-    if not omega > 0:
-        raise NonPositiveInput("omega must be positive")
-    t, ts = _wrap(theta)
-    t = _clip_nonneg(t, "theta")
-    h = omega / (omega + t)
-    big_h = omega * np.log1p(t / omega)
-    k_h = _kappa_h_integral(t, omega, p)
-    return _unwrap(h, ts), _unwrap(big_h, ts), _unwrap(np.asarray(k_h), ts)
 
 
 # ---------------------------------------------------------------------------

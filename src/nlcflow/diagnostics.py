@@ -14,25 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constitutive as cst
+from . import solver as sv
 from .errors import GridMismatch, MismatchedSnapshots, NonPositiveTemperature
 from .fields import (
     ScalarField,
-    boundary_max_abs,
-    dealias,
     dealias_values,
     deriv,
     dirichlet,
-    divergence,
-    gradient,
     inner,
     integrate,
     integrate_values,
-    inverse_laplacian_neumann,
     laplacian,
     neumann,
 )
 from .params import PhysParams, RegParams
-from .solver import GalerkinBasis
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +86,21 @@ def total_energy(s, reg: RegParams, p: PhysParams):
     return sum(parts.values()), parts
 
 
-def dissipation_parts(s, reg: RegParams, p: PhysParams):
-    """Instantaneous nonnegative dissipation functionals of one state."""
-    grid = s.grid
-    dim = grid.dim
-    grad_u = np.stack([
-        np.stack([deriv(uc, a).values for uc in s.u]) for a in range(dim)
-    ])
+def _rate_fields(s, p: PhysParams):
+    """The velocity gradient and the director relaxation field
+    laplace d - f(d) of one state, shared by the dissipation and the
+    entropy production."""
     d_vals = np.stack([c.values for c in s.d])
     relax = np.stack([laplacian(s.d[k]).values for k in range(3)]) \
         - cst.gl_force(d_vals, p.penalty_scale)
+    return sv._velocity_gradient(s.u), relax
+
+
+def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
+    """Instantaneous nonnegative dissipation functionals of one state;
+    ``rates`` is :func:`_rate_fields` of ``s`` when already at hand."""
+    grid = s.grid
+    grad_u, relax = _rate_fields(s, p) if rates is None else rates
     theta = np.maximum(s.theta.values, 0.0)
     grad_rho2 = np.zeros(grid.shape)
     for g in _grad_arrays(s.rho):
@@ -168,10 +168,11 @@ def entropy_total(s):
     return integrate_values(s.grid, out)
 
 
-def entropy_production(s, p: PhysParams):
+def entropy_production(s, p: PhysParams, rates=None):
     """Quadrature and pointwise minimum of the production integrand
     kappa(theta)|grad theta|^2/theta^2 + S:grad u / theta + coupled director
-    relaxation |laplace d - f(d)|^2 / theta."""
+    relaxation |laplace d - f(d)|^2 / theta; ``rates`` is
+    :func:`_rate_fields` of ``s`` when already at hand."""
     grid = s.grid
     theta = s.theta.values
     if float(theta.min()) <= 0.0:
@@ -179,41 +180,12 @@ def entropy_production(s, p: PhysParams):
     grad_t2 = np.zeros(grid.shape)
     for g in _grad_arrays(s.theta):
         grad_t2 += g ** 2
-    grad_u = np.stack([
-        np.stack([deriv(uc, a).values for uc in s.u]) for a in range(grid.dim)
-    ])
-    d_vals = np.stack([c.values for c in s.d])
-    relax = np.stack([laplacian(s.d[k]).values for k in range(3)]) \
-        - cst.gl_force(d_vals, p.penalty_scale)
+    grad_u, relax = _rate_fields(s, p) if rates is None else rates
     integrand = (cst.heat_conductivity(theta, p) * grad_t2 / theta ** 2
                  + cst.stress_power(grad_u, p) / theta
                  + p.elastic_coupling * p.relax_rate
                  * np.sum(relax * relax, axis=0) / theta)
     return integrate_values(grid, integrand), float(integrand.min())
-
-
-_DOMINANCE_CACHE = {}
-
-
-def entropy_dominance_constant(gamma):
-    """Smallest C (within 1%) with |z log z| <= C (1 + z^gamma) for z >= 0."""
-    key = round(float(gamma), 12)
-    if key not in _DOMINANCE_CACHE:
-        z = np.concatenate([np.linspace(1e-12, 10.0, 200001),
-                            np.geomspace(10.0, 1e6, 20001)])
-        ratio = np.abs(z * np.log(z)) / (1.0 + z ** gamma)
-        _DOMINANCE_CACHE[key] = float(ratio.max()) * 1.01
-    return _DOMINANCE_CACHE[key]
-
-
-def check_entropy_dominance(rho_values, gamma):
-    """Max over nodes of |rho log rho| - C(1 + rho^gamma); <= 0 up to slack."""
-    c = entropy_dominance_constant(gamma)
-    rho = np.maximum(np.asarray(rho_values, dtype=float), 0.0)
-    val = np.zeros_like(rho)
-    mask = rho > 0
-    val[mask] = np.abs(rho[mask] * np.log(rho[mask]))
-    return float((val - c * (1.0 + rho ** gamma)).max()), c
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +218,19 @@ def pressure_weight(states, dts, reg: RegParams, p: PhysParams):
     return total
 
 
-def make_record(s, reg: RegParams, p: PhysParams, dt=None, step=None):
+def make_record(s, reg: RegParams, p: PhysParams, dt=None):
     e_total, parts = total_energy(s, reg, p)
     incr = 0.0
     if dt is not None:
         incr = dt * pressure_weight_density(s, reg, p)
-    _, prod_min = entropy_production(s, p)
+    rates = _rate_fields(s, p)
+    _, prod_min = entropy_production(s, p, rates)
     return DiagRecord(
         t=s.t,
         mass=integrate(s.rho),
         energy_total=e_total,
         energy_parts=parts,
-        dissipation_parts=dissipation_parts(s, reg, p),
+        dissipation_parts=dissipation_parts(s, reg, p, rates),
         entropy_total=entropy_total(s),
         entropy_production_min=prod_min,
         director_sup=director_sup(s),
@@ -269,30 +242,13 @@ def trajectory_records(states, step_records, reg, p):
     """DiagRecords for a (states, records) pair as returned by the solver."""
     out = [make_record(states[0], reg, p)]
     for s, rec in zip(states[1:], step_records[1:]):
-        out.append(make_record(s, reg, p, dt=rec.dt, step=rec))
+        out.append(make_record(s, reg, p, dt=rec.dt))
     return out
 
 
 # ---------------------------------------------------------------------------
 # auxiliary operators
 # ---------------------------------------------------------------------------
-
-def bogovskii_surrogate(h):
-    """Gradient-of-potential right inverse of the divergence.
-
-    Returns the component list of B[h] = grad(inverse_laplacian(h)); each
-    component has sine parity along its own axis, so the normal trace
-    vanishes on the boundary.  The tangential trace does not (documented
-    limitation of the surrogate); query it with `tangential_trace`.
-    """
-    pot = inverse_laplacian_neumann(h)
-    return gradient(pot)
-
-
-def tangential_trace(components):
-    """Max boundary magnitude of each component over faces it is tangent to."""
-    return max(boundary_max_abs(c) for c in components)
-
 
 def oscillation_defect(rho_seq, rho_ref, gamma):
     """sup over k in {1,2,4,8} of the time-averaged space quadrature of
@@ -397,7 +353,7 @@ def _truncation_triple(kind):
 
 
 def renormalized_continuity_residual(states, step_records, eps, b_id,
-                                     battery=None, dealias_on=True):
+                                     battery=None):
     """Per-step weak residuals of the renormalized mass balance.
 
     The discrete form pairs, for each step n -> n+1 and test function psi:
@@ -408,9 +364,10 @@ def renormalized_continuity_residual(states, step_records, eps, b_id,
       + eps <grad b(rho'), grad psi>                  (diffusion, implicit)
       + eps <b''(rho') |grad rho'|^2, psi>            (renormalization burn)
 
-    where u is the lagged velocity the step actually used.  For b = identity
-    this telescopes against the scheme to roundoff.  Returns a list (steps)
-    of dicts test-id -> residual.
+    where u is the lagged velocity the step actually used and P_sin the
+    2/3 rule when the step applied it.  For b = identity this telescopes
+    against the scheme to roundoff.  Returns a list (steps) of dicts
+    test-id -> residual.
     """
     grid = states[0].grid
     if battery is None:
@@ -419,21 +376,19 @@ def renormalized_continuity_residual(states, step_records, eps, b_id,
     out = []
     for s_prev, s_next, rec in zip(states[:-1], states[1:], step_records[1:]):
         dt = rec.dt
-        u_lag = rec.extra["u_lag"]
+        u_lag = rec.u_lag
         rho_n = s_prev.rho.values
         rho_p = s_next.rho
         db = (b(rho_p.values) - b(rho_n)) / dt
         flux = []
         for a in range(grid.dim):
-            vals = b(rho_n) * u_lag[a]
-            if dealias_on:
+            vals = b(rho_n) * u_lag[a].values
+            if rec.dealias:
                 vals = dealias_values(grid, vals, dirichlet(grid.dim))
             flux.append(vals)
         div_u = np.zeros(grid.shape)
         for a in range(grid.dim):
-            fld = ScalarField(grid, dirichlet(grid.dim), u_lag[a],
-                              project=False)
-            div_u += deriv(fld, a).values
+            div_u += deriv(u_lag[a], a).values
         dil = (bp(rho_n) * rho_n - b(rho_n)) * div_u
         b_next = ScalarField(grid, neumann(grid.dim), b(rho_p.values),
                              project=False)
@@ -469,7 +424,7 @@ def residual_series_max(rows):
 # ---------------------------------------------------------------------------
 
 def _sine_battery(grid, count=3):
-    basis = GalerkinBasis(grid, count)
+    basis = sv.GalerkinBasis(grid, count)
     out = []
     for i, tpl in enumerate(basis.modes):
         name = "sin" + "".join(str(m) for m in tpl)
@@ -479,34 +434,18 @@ def _sine_battery(grid, count=3):
     return out
 
 
-def _lagged_velocity_fields(grid, u_lag):
-    return [ScalarField(grid, dirichlet(grid.dim), v, project=False)
-            for v in u_lag]
-
-
-def _recompute_transport(d_prev, u_fields, dealias_on=True):
-    """The dealiased director transport arrays the step used."""
-    grid = d_prev.grid
-    out = []
-    for k in range(3):
-        adv = np.zeros(grid.shape)
-        for b, ub in enumerate(u_fields):
-            adv += ub.values * deriv(d_prev[k], b).values
-        if dealias_on:
-            adv = dealias_values(grid, adv, neumann(grid.dim))
-        out.append(adv)
-    return np.stack(out)
-
-
 def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
     """Post-hoc weak residuals against the fixed test battery.
 
     Momentum residuals use the standalone conservative placements, so they
-    decay first order in dt.  Heat and director residuals are rebuilt from
-    the exact operations the step performed (the lagged velocity is read off
-    the step record) and stay at solver-tolerance level; the heat entry is
-    the signed defect rhs-of-balance minus lhs so a one-sided check of the
-    limiting inequality is possible.
+    decay first order in dt.  Heat and director residuals evaluate the
+    step's own kernels at the accepted state (the lagged velocity and the
+    dealiasing setting are read off the step record) and stay at
+    solver-tolerance level.  The heat entry pairs the nodal residual
+    rhs - (c0 theta' - div(kappa grad theta')) of the solved balance with a
+    positive test function, so its sign is that of the defect
+    rhs-of-balance minus lhs and a one-sided check of the limiting
+    inequality is possible.
     """
     grid = states[0].grid
     dim = grid.dim
@@ -520,15 +459,12 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
     for s_prev, s_next, rec in zip(states[:-1], states[1:], step_records[1:]):
         dt = rec.dt
         rho_n, rho_p = s_prev.rho, s_next.rho
-        th_n, th_p = s_prev.theta, s_next.theta
-        u_lag = _lagged_velocity_fields(grid, rec.extra["u_lag"])
+        th_p = s_next.theta
+        u_lag = rec.u_lag
 
         # --- momentum against retained sine modes, one residual per mode
-        grad_u_p = [[deriv(uc, a).values for a in range(dim)]
-                    for uc in s_next.u]
-        stress = cst.viscous_stress(
-            np.stack([np.stack([grad_u_p[c][a] for c in range(dim)])
-                      for a in range(dim)]), p)
+        grad_u_p = sv._velocity_gradient(s_next.u)
+        stress = cst.viscous_stress(grad_u_p, p)
         pressure = cst.pressure(rho_p.values, th_p.values, p) \
             + cst.artificial_pressure(rho_p.values, reg.delta, reg.beta)
         d_vals = np.stack([c.values for c in s_next.d])
@@ -554,65 +490,40 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
                         grid, erick[a, c] * gphi[a])
                     if reg.eps > 0:
                         val += reg.eps * integrate_values(
-                            grid, deriv(s_next.u[c], a).values
-                            * grad_rho_p[a] * phi)
+                            grid, grad_u_p[a, c] * grad_rho_p[a] * phi)
                 val -= integrate_values(grid, pressure * gphi[c])
                 worst = max(worst, abs(val))
             push(f"mom_{name}", worst)
 
-        # --- heat: signed defect of the exact discrete balance
-        m_flux = [dealias(rho_n * ub) for ub in u_lag]
-        div_u_lag = divergence(u_lag).values
-        grad_u_lag = np.stack([
-            np.stack([deriv(uc, a).values for uc in u_lag])
-            for a in range(dim)
-        ])
-        kappa_field = ScalarField(grid, neumann(dim),
-                                  cst.heat_conductivity(th_n.values, p),
-                                  project=False)
-        th_alpha = np.maximum(th_n.values, 0.0) ** p.cond_growth
-        w_arr = _recompute_transport(s_prev.d, u_lag)
-        gtilde = np.stack([
-            ((s_next.d[k].values - s_prev.d[k].values) / dt + w_arr[k])
-            / p.relax_rate for k in range(3)
-        ])
-        gsq = np.sum(gtilde * gtilde, axis=0)
-        c0 = (reg.delta + rho_p.values) / dt + reg.delta * th_alpha \
-            + p.gas_const * rho_p.values * div_u_lag
-        cond_flux = [(kappa_field * deriv(th_p, b)).values
-                     for b in range(dim)]
-        conv_flux = [dealias(th_n * mb).values for mb in m_flux]
-        heating = (1.0 - reg.delta) * cst.stress_power(grad_u_lag, p) \
-            + p.elastic_coupling * p.relax_rate * gsq
+        # --- heat: signed defect of the solved discrete balance
+        heat = sv._FrozenHeat(s_prev.theta, rho_n, reg, p, dt)
+        m = sv._mass_flux(rho_n, u_lag, rec.dealias)
+        w = sv._director_transport(u_lag, sv._director_gradient(s_prev.d),
+                                   rec.dealias)
+        gtilde = sv._director_relaxation(s_next.d, s_prev.d, w, dt, p)
+        c0, rhs = sv._heat_system(heat, rho_p, sv._velocity_gradient(u_lag),
+                                  m, np.sum(gtilde * gtilde, axis=0), reg, p,
+                                  dt, rec.dealias)
+        defect = rhs - heat.apply(c0, th_p.values)
         for name, psi in cos_tests:
             shifted = 1.0 + 0.5 * psi.values / max(
                 1.0, float(np.abs(psi.values).max()))
-            shifted_field = ScalarField(grid, neumann(dim), shifted)
-            grad_psi = [deriv(shifted_field, a).values for a in range(dim)]
-            lhs = integrate_values(
-                grid, (c0 * th_p.values
-                       - (reg.delta + rho_n.values) * th_n.values / dt)
-                * shifted)
-            for a in range(dim):
-                lhs -= integrate_values(grid, conv_flux[a] * grad_psi[a])
-                lhs += integrate_values(grid, cond_flux[a] * grad_psi[a])
-            rhs = integrate_values(grid, heating * shifted)
-            push(f"heat_{name}", rhs - lhs)
+            push(f"heat_{name}", integrate_values(grid, defect * shifted))
 
         # --- director: exact discrete balance against the cosine battery
         f_pair = cst.gl_force_two_point(
             np.stack([c.values for c in s_prev.d]),
             np.stack([c.values for c in s_next.d]), p.penalty_scale)
         for name, psi in cos_tests:
+            grad_psi = [deriv(psi, a).values for a in range(dim)]
             worst = 0.0
             for k in range(3):
                 val = integrate_values(
                     grid, ((s_next.d[k].values - s_prev.d[k].values) / dt
-                           + w_arr[k]) * psi.values)
+                           + w[k]) * psi.values)
                 for a in range(dim):
                     val += p.relax_rate * integrate_values(
-                        grid, deriv(s_next.d[k], a).values
-                        * deriv(psi, a).values)
+                        grid, grad_d[a, k] * grad_psi[a])
                 val += p.relax_rate * integrate_values(
                     grid, f_pair[k] * psi.values)
                 worst = max(worst, abs(val))

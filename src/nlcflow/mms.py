@@ -194,30 +194,22 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
     if case.drho_dt is not None:
         terms.append((case.drho_dt(mesh, t) * s.theta.values, cos_par))
     m = sv._mass_flux(s.rho, s.u, dealias_on)
-    from .fields import dealias as _dealias
-    for b in range(dim):
-        flux = s.theta * m[b]
-        if dealias_on:
-            flux = _dealias(flux)
-        terms.append((deriv(flux, b).values,
-                      _term_parity(grid, frozenset(range(dim)) - {b})))
+    for b, term in enumerate(sv._heat_convection(s.theta, m, dealias_on)):
+        terms.append((term, _term_parity(grid, frozenset(range(dim)) - {b})))
     if reg.delta > 0:
         terms.append((reg.delta * np.maximum(s.theta.values, 0.0)
                       ** (p.cond_growth + 1.0), cos_par))
     # R rho theta div u and the stress-power heating, term by term so each
     # addend carries a definite parity
+    grad_u = sv._velocity_gradient(s.u)
     q = (s.rho * s.theta).values
     for b in range(dim):
-        dub = deriv(s.u[b], b).values
-        terms.append((p.gas_const * q * dub,
+        terms.append((p.gas_const * q * grad_u[b, b],
                       _term_parity(grid, frozenset(range(dim)) - {b})))
     kappa = cst.heat_conductivity(s.theta.values, p)
     terms.append((sv._conduction_apply(s.theta.values, kappa, grid),
                   cos_par))
     if any(fc is not _zero for fc in case.u):
-        grad_u = np.stack([
-            np.stack([deriv(uc, a).values for uc in s.u]) for a in range(dim)
-        ])
         terms.append((-(1.0 - reg.delta) * cst.stress_power(grad_u, p),
                       _term_parity(grid, frozenset())))
     return terms
@@ -244,10 +236,11 @@ def _momentum_terms(case, grid, reg, p, t, dealias_on):
         # full force assembly on the run grid; single mixed-parity array is
         # fine because no restriction will happen
         m = sv._mass_flux(s.rho, s.u, dealias_on)
-        grad_d = [[deriv(s.d[k], a) for a in range(dim)] for k in range(3)]
         gtilde = np.zeros((3,) + grid.shape)
-        force = sv._momentum_forces(s.u, s.rho, s.rho, m, s.theta, s.d,
-                                    grad_d, gtilde, reg, p, dealias_on)
+        force = sv._momentum_forces(s.u, sv._velocity_gradient(s.u), s.rho,
+                                    s.rho, m, s.theta,
+                                    sv._director_gradient(s.d), gtilde, reg,
+                                    p, dealias_on)
         div_u = divergence(s.u)
         for c in range(dim):
             arr = s.rho.values * case.du_dt[c](mesh, t)

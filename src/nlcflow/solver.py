@@ -19,9 +19,8 @@ Key discrete facts this file relies on (established in fields.py):
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +124,8 @@ class StepRecord:
     eps_beta_interp: float
     eps_gamma_direct: float  # gamma <rho^{gamma-2} |grad rho|^2>
     eps_beta_direct: float
-    extra: dict = field(default_factory=dict)
+    u_lag: VectorField       # velocity the accepted sweep was frozen at
+    dealias: bool            # whether the step applied the 2/3 rule
 
 
 @dataclass
@@ -281,31 +281,53 @@ def _density_update(rho, u, eps, dt, dealias_on=True, source=None):
     return rho_new, m
 
 
-def step_density(rho, u, eps, dt, dealias_on=True, source=None):
-    """Advance the mass balance one step: explicit dealiased transport,
-    implicit artificial diffusion.  Conserves the total mass to roundoff."""
-    rho_new, _ = _density_update(rho, u, eps, dt, dealias_on, source)
-    return rho_new
+def _velocity_gradient(u):
+    """Nodal velocity gradient G[a, c] = d u_c / d x_a."""
+    return np.stack([
+        np.stack([deriv(uc, a).values for uc in u]) for a in range(u.grid.dim)
+    ])
 
 
-def _director_update(d, u, dt, p: PhysParams, dealias_on=True, source=None,
-                     tol=1e-13, max_iter=100):
-    """Implicit-diffusion director step with a two-point penalty force.
+def _director_gradient(d):
+    """Nodal director gradient D[k, a] = d d_k / d x_a."""
+    return np.stack([
+        np.stack([deriv(dk, a).values for a in range(d.grid.dim)]) for dk in d
+    ])
 
-    Returns (d_new, gtilde, w) where gtilde is the nodal relaxation field
-    (diffusion minus penalty force, exact by construction of the solve) and
-    w the dealiased transport term.
-    """
-    grid = d.grid
-    kappa = p.relax_rate
-    w_arrays = []
+
+def _director_transport(u, grad_d, dealias_on):
+    """Transport arrays w_k = u . grad d_k, dealiased when the step is."""
+    grid = u.grid
+    out = []
     for k in range(3):
         adv = np.zeros(grid.shape)
         for b, ub in enumerate(u):
-            adv += ub.values * deriv(d[k], b).values
+            adv += ub.values * grad_d[k, b]
         if dealias_on:
             adv = dealias_values(grid, adv, neumann(grid.dim))
-        w_arrays.append(adv)
+        out.append(adv)
+    return np.stack(out)
+
+
+def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
+    """Nodal relaxation field ((d' - d)/dt + w) / relax_rate of a step."""
+    return np.stack([
+        ((d_new[k].values - d_prev[k].values) / dt + w[k]) / p.relax_rate
+        for k in range(3)
+    ])
+
+
+def _director_update(d, u, grad_d, dt, p: PhysParams, dealias_on=True,
+                     source=None, tol=1e-13, max_iter=100):
+    """Implicit-diffusion director step with a two-point penalty force.
+
+    ``grad_d`` is the gradient of ``d`` (see :func:`_director_gradient`).
+    Returns (d_new, gtilde) where gtilde is the nodal relaxation field
+    (diffusion minus penalty force, exact by construction of the solve).
+    """
+    grid = d.grid
+    kappa = p.relax_rate
+    w = _director_transport(u, grad_d, dealias_on)
 
     dn_vals = np.stack([c.values for c in d])
     lag = dn_vals.copy()
@@ -315,7 +337,7 @@ def _director_update(d, u, dt, p: PhysParams, dealias_on=True, source=None,
         force = cst.gl_force_two_point(dn_vals, lag, p.penalty_scale)
         comps = []
         for k in range(3):
-            rhs_vals = dn_vals[k] - dt * (w_arrays[k] + kappa * force[k])
+            rhs_vals = dn_vals[k] - dt * (w[k] + kappa * force[k])
             if source is not None:
                 rhs_vals = rhs_vals + dt * source[k]
             rhs = ScalarField(grid, neumann(grid.dim), rhs_vals, project=False)
@@ -331,22 +353,7 @@ def _director_update(d, u, dt, p: PhysParams, dealias_on=True, source=None,
     else:
         raise SolverFailure("director fixed point did not settle")
 
-    gtilde = np.stack([
-        ((d_new[k].values - dn_vals[k]) / dt + w_arrays[k]) / kappa
-        for k in range(3)
-    ])
-    return VectorField.director(d_new), gtilde, np.stack(w_arrays)
-
-
-def step_director(d, u, dt, sigma0=None, p: PhysParams = None,
-                  dealias_on=True, source=None):
-    """Advance the director equation one step."""
-    if p is None:
-        p = PhysParams(penalty_scale=1.0 if sigma0 is None else sigma0)
-    elif sigma0 is not None and sigma0 != p.penalty_scale:
-        p = dataclasses.replace(p, penalty_scale=sigma0)
-    d_new, _, _ = _director_update(d, u, dt, p, dealias_on, source)
-    return d_new
+    return VectorField.director(d_new), _director_relaxation(d_new, d, w, dt, p)
 
 
 def _conduction_apply(theta_vals, kappa_vals, grid):
@@ -424,84 +431,93 @@ class _FrozenHeat:
         """Solve (cbar - kbar * Laplacian) z = vals with Neumann data."""
         return r2r_inverse(r2r_forward(vals) / self.symbol)
 
+    def apply(self, c0, vals):
+        """The heat operator c0 * theta - div(kappa(theta^n) grad theta)."""
+        return c0 * vals + _conduction_apply(vals, self.kappa, self.theta.grid)
 
-def _temperature_update(frozen, rho_new, u, m, source_sq, reg, p, dt, guess,
-                        dealias_on=True, source=None):
+
+def _heat_convection(theta, m, dealias_on):
+    """Per-axis divergence terms d_b P[theta m_b] of the convective flux."""
+    out = []
+    for b, mb in enumerate(m):
+        flux = theta * mb
+        if dealias_on:
+            flux = dealias(flux)
+        out.append(deriv(flux, b).values)
+    return out
+
+
+def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
+                 dealias_on=True, source=None):
+    """Diagonal coefficient c0 and right-hand side of the implicit balance
+    ``frozen.apply(c0, theta') = rhs`` for the conserved variable
+    (delta + rho) theta.
+
+    ``grad_u`` is the gradient of the lagged velocity (see
+    :func:`_velocity_gradient`) and ``m`` the step's mass flux.  source_sq
+    holds the nodal director heating |relaxation|^2 (coefficient applied
+    here); the sink is lagged-coefficient implicit so positivity holds.
+    """
+    delta = reg.delta
+    div_u = sum(grad_u[a, a] for a in range(rho_new.grid.dim))
+    c0 = (delta + rho_new.values) / dt + delta * frozen.th_alpha \
+        + p.gas_const * rho_new.values * div_u
+    rhs = frozen.rhs.copy()
+    for term in _heat_convection(frozen.theta, m, dealias_on):
+        rhs -= term
+    rhs += (1.0 - delta) * cst.stress_power(grad_u, p)
+    rhs += p.elastic_coupling * p.relax_rate * source_sq
+    if source is not None:
+        rhs = rhs + source
+    return c0, rhs
+
+
+def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
+                        guess, dealias_on=True, source=None):
     """Implicit update of the conserved variable (delta + rho) theta.
 
     ``frozen`` carries the step-fixed parts of the operator (built once per
-    step by :class:`_FrozenHeat`).  The conjugate-gradient solve is warm
-    started from ``guess``: theta^n on the first Picard sweep and the
-    previous sweep's temperature after that.  source_sq holds the nodal
-    director heating |relaxation|^2 (coefficient applied here); sinks are
-    lagged-coefficient implicit so positivity holds.
+    step by :class:`_FrozenHeat`) and :func:`_heat_system` assembles the
+    rest.  The conjugate-gradient solve is warm started from ``guess``:
+    theta^n on the first Picard sweep and the previous sweep's temperature
+    after that.
     """
-    theta = frozen.theta
-    grid = theta.grid
-    delta = reg.delta
-    th_n = theta.values
-
-    grad_u = np.stack([
-        np.stack([deriv(uc, a).values for uc in u]) for a in range(grid.dim)
-    ])
-    div_u = sum(grad_u[a, a] for a in range(grid.dim))
-    c0 = (delta + rho_new.values) / dt + delta * frozen.th_alpha \
-        + p.gas_const * rho_new.values * div_u
+    c0, rhs = _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
+                           dealias_on, source)
     lo = float(c0.min())
     if not math.isfinite(lo):
         raise NonFiniteState("temperature")
     if lo <= 0.0:
         raise PositivityLoss("temperature operator lost positivity")
 
-    rhs = frozen.rhs.copy()
-    for b, mb in enumerate(m):
-        flux = theta * mb
-        if dealias_on:
-            flux = dealias(flux)
-        rhs -= deriv(flux, b).values
-    rhs += (1.0 - delta) * cst.stress_power(grad_u, p)
-    rhs += p.elastic_coupling * p.relax_rate * source_sq
-    if source is not None:
-        rhs = rhs + source
-
-    def apply_op(vals):
-        return c0 * vals + _conduction_apply(vals, frozen.kappa, grid)
-
-    sol = _pcg(apply_op, frozen.precondition, rhs, guess, tol=1e-13)
+    sol = _pcg(lambda vals: frozen.apply(c0, vals), frozen.precondition,
+               rhs, guess, tol=1e-13)
     lo = float(sol.min())
+    th_n = frozen.theta.values
     if lo < -_REJECT_SLACK * max(float(np.abs(th_n).max()), 1e-300):
         raise PositivityLoss(f"temperature undershoot {lo:g}")
-    return ScalarField(grid, neumann(grid.dim), sol, project=False)
+    return ScalarField(rho_new.grid, neumann(rho_new.grid.dim), sol,
+                       project=False)
 
 
-def step_temperature(theta, rho, u, d, reg, dt, p: PhysParams,
-                     dealias_on=True, source=None):
-    """Standalone heat-balance step with coefficients frozen at the inputs."""
-    m = _mass_flux(rho, u, dealias_on)
-    gt = np.stack([
-        laplacian(d[k]).values
-        for k in range(3)
-    ]) - cst.gl_force(np.stack([c.values for c in d]), p.penalty_scale)
-    return _temperature_update(_FrozenHeat(theta, rho, reg, p, dt), rho, u, m,
-                               np.sum(gt * gt, axis=0), reg, p, dt,
-                               theta.values, dealias_on, source)
-
-
-def _momentum_forces(u_minus, rho_prev, rho_new, m, theta_new, d_prev,
+def _momentum_forces(u_minus, grad_u, rho_prev, rho_new, m, theta_new,
                      grad_d_prev, gtilde, reg, p, dealias_on):
     """Nodal force arrays G_c whose pairings with the velocity are the exact
-    summation-by-parts partners of the scalar-equation fluxes."""
+    summation-by-parts partners of the scalar-equation fluxes.
+
+    ``grad_u`` and ``grad_d_prev`` are the gradients of ``u_minus`` and of
+    the old director (see :func:`_velocity_gradient`,
+    :func:`_director_gradient`)."""
     grid = rho_prev.grid
     dim = grid.dim
     eps, delta = reg.eps, reg.delta
 
-    grad_u = [[deriv(uc, a) for a in range(dim)] for uc in u_minus]
     force = [np.zeros(grid.shape) for _ in range(dim)]
 
     # transport of momentum: -sum_b m_b d_b u_a
     for a in range(dim):
         for b in range(dim):
-            force[a] -= m[b].values * grad_u[a][b].values
+            force[a] -= m[b].values * grad_u[b, a]
 
     # compensation for the nonconservative discrete time derivative
     if eps > 0:
@@ -510,7 +526,7 @@ def _momentum_forces(u_minus, rho_prev, rho_new, m, theta_new, d_prev,
         for a in range(dim):
             force[a] -= eps * lap_rho * u_minus[a].values
             for b in range(dim):
-                force[a] -= eps * grad_rho[b].values * grad_u[a][b].values
+                force[a] -= eps * grad_rho[b].values * grad_u[b, a]
 
     # elastic + artificial pressure via the convex enthalpy
     bp = cst.convex_pressure_enthalpy(rho_new.values, p.gamma)
@@ -535,15 +551,16 @@ def _momentum_forces(u_minus, rho_prev, rho_new, m, theta_new, d_prev,
         if dealias_on:
             gk = dealias_values(grid, gk, neumann(dim))
         for a in range(dim):
-            force[a] -= nu * grad_d_prev[k][a].values * gk
+            force[a] -= nu * grad_d_prev[k, a] * gk
     return force
 
 
-def _momentum_update(u_minus, U_prev, rho_prev, rho_new, m, theta_new,
-                     d_prev, grad_d_prev, gtilde, reg, basis, dt, p,
+def _momentum_update(u_minus, grad_u, U_prev, rho_prev, rho_new, m,
+                     theta_new, grad_d_prev, gtilde, reg, basis, dt, p,
                      mass_mat, stiff, dealias_on=True, source=None):
-    force = _momentum_forces(u_minus, rho_prev, rho_new, m, theta_new,
-                             d_prev, grad_d_prev, gtilde, reg, p, dealias_on)
+    force = _momentum_forces(u_minus, grad_u, rho_prev, rho_new, m,
+                             theta_new, grad_d_prev, gtilde, reg, p,
+                             dealias_on)
     if source is not None:
         force = [f + s for f, s in zip(force, source)]
     F = basis.pair(force)
@@ -572,29 +589,11 @@ def _checked_mass_matrix(basis, rho_values):
     return mass
 
 
-def step_momentum(u, rho, theta, d, reg, basis, dt, p: PhysParams,
-                  dealias_on=True, source=None):
-    """Standalone momentum step with all coupling coefficients frozen at the
-    inputs (the coupled driver threads the freshly updated fields instead)."""
-    _, m = _density_update(rho, u, reg.eps, dt, dealias_on)
-    grad_d = [[deriv(d[k], a) for a in range(rho.grid.dim)] for k in range(3)]
-    gtilde = np.stack([laplacian(d[k]).values for k in range(3)]) \
-        - cst.gl_force(np.stack([c.values for c in d]), p.penalty_scale)
-    mass = _checked_mass_matrix(basis, rho.values)
-    stiff = basis.stiffness(p)
-    U_prev = basis.project([c.values for c in u])
-    u_new, _ = _momentum_update(u, U_prev, rho, rho, m, theta, d, grad_d,
-                                gtilde, reg, basis, dt, p, mass, stiff,
-                                dealias_on, source)
-    return u_new
-
-
 # ---------------------------------------------------------------------------
 # coupled step and time loop
 # ---------------------------------------------------------------------------
 
 def _picard_advance(s, reg, cfg, p, basis, dt, sources):
-    grid = s.grid
     t_new = s.t + dt
     src_rho = sources.density(t_new) if sources and sources.density else None
     src_mom = sources.momentum(t_new) if sources and sources.momentum else None
@@ -603,8 +602,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
 
     mass = _checked_mass_matrix(basis, s.rho.values)
     stiff = basis.stiffness(p)
-    grad_d_prev = [[deriv(s.d[k], a) for a in range(grid.dim)]
-                   for k in range(3)]
+    grad_d_prev = _director_gradient(s.d)
     U0 = basis.project([c.values for c in s.u])
     heat = _FrozenHeat(s.theta, s.rho, reg, p, dt)
 
@@ -612,14 +610,16 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     theta_new = s.theta
     deal = cfg.dealias
     for it in range(1, cfg.picard_max + 1):
+        grad_u = _velocity_gradient(u_minus)
         rho_new, m = _density_update(s.rho, u_minus, reg.eps, dt, deal, src_rho)
-        d_new, gtilde, _ = _director_update(s.d, u_minus, dt, p, deal, src_dir)
+        d_new, gtilde = _director_update(s.d, u_minus, grad_d_prev, dt, p,
+                                         deal, src_dir)
         gsq = np.sum(gtilde * gtilde, axis=0)
-        theta_new = _temperature_update(heat, rho_new, u_minus, m, gsq, reg,
+        theta_new = _temperature_update(heat, rho_new, grad_u, m, gsq, reg,
                                         p, dt, theta_new.values, deal, src_th)
         u_entered = u_minus
-        u_new, U_new = _momentum_update(u_minus, U0, s.rho, rho_new, m,
-                                        theta_new, s.d, grad_d_prev, gtilde,
+        u_new, U_new = _momentum_update(u_minus, grad_u, U0, s.rho, rho_new,
+                                        m, theta_new, grad_d_prev, gtilde,
                                         reg, basis, dt, p, mass, stiff,
                                         deal, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
@@ -631,22 +631,21 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
             f"velocity iterates did not settle in {cfg.picard_max} sweeps")
 
     new_state = State(t_new, rho_new, u_new, theta_new, d_new)
-    record = _make_step_record(s, new_state, u_entered, U_new, stiff, gsq,
-                               reg, p, dt, it)
+    record = _make_step_record(new_state, heat, u_entered, grad_u, U_new,
+                               stiff, gsq, reg, p, dt, it, deal)
     return new_state, record
 
 
-def _make_step_record(s_old, s_new, u_lag, U_new, stiff, gsq, reg, p, dt, iters):
-    grid = s_old.grid
+def _make_step_record(s_new, heat, u_lag, grad_lag, U_new, stiff, gsq, reg,
+                      p, dt, iters, dealias_on):
+    """Ledger of an accepted step; ``grad_lag`` is the gradient of the
+    lagged velocity ``u_lag`` of the last sweep."""
+    grid = s_new.grid
     dim = grid.dim
     visc_prime = float(U_new.reshape(-1) @ stiff @ U_new.reshape(-1))
-    grad_lag = np.stack([
-        np.stack([deriv(uc, a).values for uc in u_lag]) for a in range(dim)
-    ])
     visc_lag = integrate_values(grid, cst.stress_power(grad_lag, p))
     director_sq = integrate_values(grid, gsq)
-    th_alpha = np.maximum(s_old.theta.values, 0.0) ** p.cond_growth
-    theta_sink = integrate_values(grid, th_alpha * s_new.theta.values)
+    theta_sink = integrate_values(grid, heat.th_alpha * s_new.theta.values)
 
     rho = s_new.rho
     grad_rho = [deriv(rho, b) for b in range(dim)]
@@ -675,7 +674,7 @@ def _make_step_record(s_old, s_new, u_lag, U_new, stiff, gsq, reg, p, dt, iters)
         eps_beta_interp=interp_form(reg.beta) if reg.delta > 0 else 0.0,
         eps_gamma_direct=direct_form(p.gamma),
         eps_beta_direct=direct_form(reg.beta) if reg.delta > 0 else 0.0,
-        extra={"u_lag": [c.values.copy() for c in u_lag]},
+        u_lag=u_lag, dealias=dealias_on,
     )
 
 

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
 
 from nlcflow import constitutive as cst
-from nlcflow.errors import NegativeInput, NonPositiveInput, ValidationError
-from nlcflow.fields import Grid, ScalarField, constant_field, from_function
+from nlcflow.errors import NegativeInput, ValidationError
 from nlcflow.params import PhysParams, RegParams
 
 
@@ -94,44 +92,6 @@ def test_heat_conductivity_values():
         2.0, P(cond_growth=3.0, cond_floor=0.5, cond_cap=0.5)) == pytest.approx(4.5)
 
 
-def test_kappa_primitive():
-    p = P(cond_growth=2.0, cond_floor=1.0)
-    assert cst.kappa_primitive(0.0, p) == 0.0
-    assert cst.kappa_primitive(1.0, p) == pytest.approx(4.0 / 3.0)
-    t = np.linspace(0.1, 4.0, 17)
-    h = 1e-6
-    fd = (cst.kappa_primitive(t + h, p) - cst.kappa_primitive(t - h, p)) / (2 * h)
-    np.testing.assert_allclose(fd, cst.heat_conductivity(t, p), rtol=1e-7)
-
-
-def test_heat_flux_constant_is_zero():
-    grid = Grid((16, 16), (2 * np.pi, 2 * np.pi))
-    theta = constant_field(grid, 3.0)
-    q = cst.heat_flux(theta, P())
-    for comp in q:
-        assert comp.norm_inf() < 1e-13
-
-
-def test_heat_flux_single_mode_oracle():
-    grid = Grid((32,), (2.0,))
-    L = 2.0
-    theta = from_function(grid, lambda x: 2.0 + 0.5 * np.cos(np.pi * x / L))
-    p = P(cond_growth=2.0, cond_floor=0.7, cond_cap=0.7)
-    q = cst.heat_flux(theta, p)[0]
-    x = grid.axis_nodes[0]
-    tv = 2.0 + 0.5 * np.cos(np.pi * x / L)
-    expect = -0.7 * (1.0 + tv ** 2) * (-0.5 * np.pi / L * np.sin(np.pi * x / L))
-    np.testing.assert_allclose(q.values, expect, atol=1e-12)
-
-
-def test_heat_flux_degenerate_warns():
-    grid = Grid((16,), (1.0,))
-    theta = from_function(grid, lambda x: 1.0 + 0.1 * np.cos(np.pi * x))
-    with pytest.warns(UserWarning):
-        q = cst.heat_flux(theta, P(cond_floor=0.0, cond_cap=0.0))
-    assert q[0].norm_inf() == 0.0
-
-
 # ---------------------------------------------------------------- director
 
 def test_gl_potential_and_force_pins():
@@ -202,68 +162,6 @@ def test_ericksen_stress_symmetry_and_trace():
     mag2 = np.einsum("ak...,ak...->...", g, g)
     np.testing.assert_allclose(np.einsum("aa...->...", s),
                                mag2 - 2.0 * (0.5 * mag2 + fv), rtol=1e-13)
-
-
-# ---------------------------------------------------------------- entropy
-
-def test_entropy_values():
-    assert cst.entropy(1.0, 1.0) == 0.0
-    assert cst.entropy(math.e, 1.0) == pytest.approx(-1.0)
-    assert cst.entropy(1.0, math.e) == pytest.approx(1.0)
-    with pytest.raises(NonPositiveInput):
-        cst.entropy(0.0, 1.0)
-    with pytest.raises(NonPositiveInput):
-        cst.entropy(1.0, -0.2)
-
-
-# ---------------------------------------------------------------- kernels
-
-def test_renorm_kernels_basic():
-    p = P(cond_growth=2.0, cond_floor=1.0)
-    h, H, K = cst.renorm_kernels(0.0, 1.0, p)
-    assert (h, H, K) == (1.0, 0.0, 0.0)
-    h, H, K = cst.renorm_kernels(math.e - 1.0, 1.0, p)
-    assert H == pytest.approx(1.0, rel=1e-13)
-    assert h == pytest.approx(1.0 / math.e, rel=1e-13)
-
-
-def test_renorm_kernels_integer_alpha_vs_quadrature():
-    p = P(cond_growth=2.0, cond_floor=0.8, cond_cap=0.8)
-    omega = 0.37
-    for theta in [0.1, 1.0, 4.0, 9.5]:
-        _, _, got = cst.renorm_kernels(theta, omega, p)
-        want, _ = quad(lambda z: 0.8 * (1 + z ** 2) * omega / (omega + z),
-                       0.0, theta, limit=200)
-        assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_renorm_kernels_fractional_alpha():
-    p = P(cond_growth=2.5, cond_floor=1.0)
-    omega = 1.2
-    theta = np.array([0.5, 2.0, 7.0])
-    _, _, got = cst.renorm_kernels(theta, omega, p)
-    for th, g in zip(theta, got):
-        z = np.linspace(0.0, th, 20001)
-        ref = simpson(1.0 * (1 + z ** 2.5) * omega / (omega + z), x=z)
-        assert g == pytest.approx(ref, rel=1e-8)
-
-
-def test_renorm_kernel_derivatives():
-    p = P(cond_growth=3.0, cond_floor=0.5, cond_cap=0.5)
-    omega = 0.9
-    t = np.linspace(0.2, 6.0, 13)
-    h = 1e-6
-    _, Hp, Kp = cst.renorm_kernels(t + h, omega, p)
-    _, Hm, Km = cst.renorm_kernels(t - h, omega, p)
-    hh, _, _ = cst.renorm_kernels(t, omega, p)
-    np.testing.assert_allclose((Hp - Hm) / (2 * h), hh, rtol=1e-7)
-    np.testing.assert_allclose((Kp - Km) / (2 * h),
-                               cst.heat_conductivity(t, p) * hh, rtol=1e-7)
-
-
-def test_renorm_kernels_need_positive_cutoff():
-    with pytest.raises(NonPositiveInput):
-        cst.renorm_kernels(1.0, 0.0, P())
 
 
 # ---------------------------------------------------------------- truncation

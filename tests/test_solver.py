@@ -100,7 +100,7 @@ def test_density_diffusion_mode_decay():
     eps, dt = 0.05, 1e-3
     rho = from_function(grid, lambda x: 1.0 + 0.3 * np.cos(np.pi * x / 2.0))
     u = VectorField.velocity([constant_field(grid, 0.0, dirichlet(1))])
-    rho1 = sv.step_density(rho, u, eps, dt)
+    rho1, _ = sv._density_update(rho, u, eps, dt)
     lam = (np.pi / 2.0) ** 2
     expect = 0.3 / (1.0 + eps * dt * lam)
     got = coeffs(rho1)[1] / coeffs(constant_field(grid, 1.0))[0] \
@@ -123,7 +123,7 @@ def test_density_transport_conserves_mass(grid2d):
     m0 = integrate(rho)
     r = rho
     for _ in range(5):
-        r = sv.step_density(r, u, 0.02, 1e-3)
+        r, _ = sv._density_update(r, u, 0.02, 1e-3)
     assert abs(integrate(r) - m0) <= 1e-13 * abs(m0)
 
 
@@ -136,12 +136,17 @@ def test_density_positivity_rejection():
     U[0, 0] = 20.0
     u = basis.reconstruct(U)
     with pytest.raises(PositivityLoss):
-        sv.step_density(rho, u, 0.0, 0.05)
+        sv._density_update(rho, u, 0.0, 0.05)
 
 
 # ---------------------------------------------------------------------------
 # director substep
 # ---------------------------------------------------------------------------
+
+def _director_step(d, u, dt, p=PhysParams()):
+    d_new, _ = sv._director_update(d, u, sv._director_gradient(d), dt, p)
+    return d_new
+
 
 def test_director_unit_constant_fixed_point(grid2d):
     d = VectorField.director([constant_field(grid2d, 1.0),
@@ -149,7 +154,7 @@ def test_director_unit_constant_fixed_point(grid2d):
                               constant_field(grid2d, 0.0)])
     u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2)),
                               constant_field(grid2d, 0.0, dirichlet(2))])
-    d1 = sv.step_director(d, u, 1e-2)
+    d1 = _director_step(d, u, 1e-2)
     for c1, c0 in zip(d1, d):
         assert np.array_equal(c1.values, c0.values)
 
@@ -158,7 +163,7 @@ def test_director_zero_fixed_point(grid2d):
     d = VectorField.director([constant_field(grid2d, 0.0)] * 3)
     u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2)),
                               constant_field(grid2d, 0.0, dirichlet(2))])
-    d1 = sv.step_director(d, u, 1e-2)
+    d1 = _director_step(d, u, 1e-2)
     assert max(c.norm_inf() for c in d1) == 0.0
 
 
@@ -174,28 +179,26 @@ def test_director_relaxation_ode_oracle(grid2d):
                               constant_field(grid2d, 0.0)])
     steps = int(round(T / dt))
     for _ in range(steps):
-        d = sv.step_director(d, u, dt, sigma0=sigma0)
+        d = _director_step(d, u, dt, PhysParams(penalty_scale=sigma0))
     eta_num = float(d[0].values.flat[0])
     sol = solve_ivp(lambda t, y: -(y ** 2 - 1.0) * y / sigma0 ** 2,
                     (0.0, T), [eta0], rtol=1e-12, atol=1e-14)
     assert abs(eta_num - sol.y[0, -1]) < 1e-6
 
 
-def test_director_sigma0_override_matches_params(grid2d):
-    p = PhysParams(penalty_scale=0.5)
-    u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2)),
-                              constant_field(grid2d, 0.0, dirichlet(2))])
-    d = VectorField.director([constant_field(grid2d, 1.3),
-                              constant_field(grid2d, 0.0),
-                              constant_field(grid2d, 0.0)])
-    d_a = sv.step_director(d, u, 1e-3, p=p)
-    d_b = sv.step_director(d, u, 1e-3, sigma0=0.5)
-    assert np.array_equal(d_a[0].values, d_b[0].values)
-
-
 # ---------------------------------------------------------------------------
 # temperature substep
 # ---------------------------------------------------------------------------
+
+def _heat_step(s, u, reg, dt, p):
+    """One heat substep from ``s`` with lagged velocity ``u``; the director
+    of every state used here is a unit constant, so it heats nothing."""
+    frozen = sv._FrozenHeat(s.theta, s.rho, reg, p, dt)
+    m = sv._mass_flux(s.rho, u, True)
+    return sv._temperature_update(frozen, s.rho, sv._velocity_gradient(u), m,
+                                  np.zeros(s.grid.shape), reg, p, dt,
+                                  s.theta.values)
+
 
 def test_temperature_scalar_sink_oracle(grid2d):
     """Constant state: the update has the closed form
@@ -205,7 +208,7 @@ def test_temperature_scalar_sink_oracle(grid2d):
     dt = 1e-3
     theta0 = 2.0
     s = equilibrium_state(grid2d, rho=1.0, theta=theta0)
-    th1 = sv.step_temperature(s.theta, s.rho, s.u, s.d, reg, dt, p)
+    th1 = _heat_step(s, s.u, reg, dt, p)
     expect = (reg.delta + 1.0) * theta0 / (
         (reg.delta + 1.0) + dt * reg.delta * theta0 ** 2)
     assert abs(float(th1.values.flat[0]) - expect) < 1e-12 * expect
@@ -217,7 +220,7 @@ def test_temperature_sink_vs_ode(grid2d):
     p = PhysParams(cond_growth=2)
     dt = 1e-4
     s = equilibrium_state(grid2d, rho=1.0, theta=2.0)
-    th1 = sv.step_temperature(s.theta, s.rho, s.u, s.d, reg, dt, p)
+    th1 = _heat_step(s, s.u, reg, dt, p)
     sol = solve_ivp(
         lambda t, y: -reg.delta * y ** 3 / (reg.delta + 1.0),
         (0.0, dt), [2.0], rtol=1e-12, atol=1e-14)
@@ -235,7 +238,7 @@ def test_temperature_operator_positivity_guard(grid2d):
     u = basis.reconstruct(U)
     s = equilibrium_state(grid2d)
     with pytest.raises(PositivityLoss):
-        sv.step_temperature(s.theta, s.rho, u, s.d, reg, 1e-2, p)
+        _heat_step(s, u, reg, 1e-2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +371,25 @@ def test_density_guard_catches_nonfinite(grid2d):
     s = bump_state(grid2d)
     s.rho.values[2, 2] = np.nan
     with pytest.raises(NonFiniteState, match="density"):
-        sv.step_density(s.rho, s.u, 1e-2, 1e-3)
+        sv._density_update(s.rho, s.u, 1e-2, 1e-3)
 
 
 # ---------------------------------------------------------------------------
 # momentum substep
 # ---------------------------------------------------------------------------
+
+def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
+    """One momentum substep with every coupling frozen at the inputs; the
+    director of every state used here is a unit constant, so its
+    relaxation field is zero."""
+    m = sv._mass_flux(rho, u, True)
+    u_new, _ = sv._momentum_update(
+        u, sv._velocity_gradient(u), basis.project([c.values for c in u]),
+        rho, rho, m, theta, sv._director_gradient(d),
+        np.zeros((3,) + rho.grid.shape), reg, basis, dt, p,
+        sv._checked_mass_matrix(basis, rho.values), basis.stiffness(p))
+    return u_new
+
 
 def test_momentum_stokes_decay_1d():
     grid = Grid((64,), (2.0,))
@@ -387,7 +403,7 @@ def test_momentum_stokes_decay_1d():
     d = VectorField.director([constant_field(grid, 1.0),
                               constant_field(grid, 0.0),
                               constant_field(grid, 0.0)])
-    u1 = sv.step_momentum(u, rho, theta, d, reg, basis, dt, p)
+    u1 = _momentum_step(u, rho, theta, d, reg, basis, dt, p)
     lam1 = (np.pi / 2.0) ** 2
     expect = amp / (1.0 + dt * (2.0 * p.mu + p.lam) * lam1)
     got = basis.project([c.values for c in u1])[0, 0]
@@ -399,7 +415,7 @@ def test_momentum_zero_velocity_stays_zero(grid2d):
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     basis = sv.GalerkinBasis(grid2d, 4)
     s = equilibrium_state(grid2d)
-    u1 = sv.step_momentum(s.u, s.rho, s.theta, s.d, reg, basis, 1e-3, p)
+    u1 = _momentum_step(s.u, s.rho, s.theta, s.d, reg, basis, 1e-3, p)
     assert max(c.norm_inf() for c in u1) == 0.0
 
 
@@ -437,6 +453,36 @@ def test_coupled_picard_count_smooth(grid2d):
     s = bump_state(grid2d)
     _, rec = sv.step_coupled(s, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
     assert rec.picard_iters <= 15
+
+
+def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
+    """Every derivative a step needs is taken once and shared by the
+    substeps and the ledger.  At 2-D with k Picard sweeps, eps > 0 and
+    delta > 0 the step takes
+      6       director gradient of d^n, once per step (3 components x 2 axes)
+      14 k    per sweep: velocity gradient 4 (shared by heat, momentum and
+              the ledger), density transport divergence 2, heat convection
+              2, momentum: grad rho' 2, enthalpy gradient 2, thermal
+              pressure gradient 2
+      6       ledger: grad rho' 2, enthalpy forms 2 x 2 (gamma and beta)
+    which is 12 + 14 k = 54 for the three sweeps of this step."""
+    from nlcflow import fields, presets
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    raw = presets.build("density-bump", grid2d, amplitude=0.4)
+    m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
+    s0 = sv.regularize_initial_data(raw.rho, m0, raw.theta, raw.d, reg)
+    calls = []
+
+    def counted(f, axis):
+        calls.append(axis)
+        return deriv(f, axis)
+
+    monkeypatch.setattr(fields, "deriv", counted)
+    monkeypatch.setattr(sv, "deriv", counted)
+    _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
+    assert rec.picard_iters == 3
+    assert len(calls) == 12 + 14 * rec.picard_iters == 54
 
 
 def test_step_halving_recovers(grid2d):
