@@ -373,6 +373,8 @@ def renormalized_continuity_residual(states, step_records, eps, b_id,
     if battery is None:
         battery = cosine_battery(grid)
     b, bp, bpp = _truncation_triple(b_id)
+    grad_psi = [[deriv(psi, a).values for a in range(grid.dim)]
+                for _, psi in battery]
     out = []
     for s_prev, s_next, rec in zip(states[:-1], states[1:], step_records[1:]):
         dt = rec.dt
@@ -399,13 +401,12 @@ def renormalized_continuity_residual(states, step_records, eps, b_id,
             grad_rho2 += g ** 2
         burn = bpp(rho_p.values) * grad_rho2
         row = {}
-        for name, psi in battery:
-            grad_psi = [deriv(psi, a).values for a in range(grid.dim)]
+        for (name, psi), grad in zip(battery, grad_psi):
             val = inner(ScalarField(grid, neumann(grid.dim), db,
                                     project=False), psi)
             for a in range(grid.dim):
-                val -= integrate_values(grid, flux[a] * grad_psi[a])
-                val += eps * integrate_values(grid, grad_b[a] * grad_psi[a])
+                val -= integrate_values(grid, flux[a] * grad[a])
+                val += eps * integrate_values(grid, grad_b[a] * grad[a])
             val += integrate_values(grid, dil * psi.values)
             val += eps * integrate_values(grid, burn * psi.values)
             row[name] = val

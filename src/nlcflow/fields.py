@@ -3,10 +3,11 @@
 Everything lives on a cell-centered grid over ``[0, L_x] x [0, L_y]`` with
 nodes ``x_j = (j + 1/2) L / N``.  A scalar field carries one *parity* per
 axis: ``COS`` (even reflection at the walls, Neumann data, cosine basis) or
-``SIN`` (odd reflection, Dirichlet data, sine basis).  Transforms are the
-type-II DCT/DST from :mod:`scipy.fft`; differentiation, Laplacian inversion
-and Helmholtz solves are diagonal in coefficient space and exact for the
-stored band.
+``SIN`` (odd reflection, Dirichlet data, sine basis).  Every spectral
+operator (transform, derivative, 2/3-rule projection, Laplacian and Helmholtz
+solve) is a small dense matrix applied along one axis, built once per grid
+from the orthonormal type-II DCT/DST matrices; differentiation, Laplacian
+inversion and Helmholtz solves are exact for the stored band.
 
 Conventions that the rest of the package relies on:
 
@@ -22,9 +23,9 @@ Conventions that the rest of the package relies on:
 * :func:`dealias` projects in the field's own basis; pairing any nodal array
   against a dealiased field reads only the kept band, so the projection can
   be moved across a nodal inner product exactly;
-* the per-grid constants of these operators (derivative wavenumbers and
-  Laplace symbols) are built once per grid into a read-only
-  :class:`SpectralPlan`, which raw-array kernels share with the field API.
+* the operator matrices and Laplace symbols are built once per grid into a
+  read-only :class:`SpectralPlan`, whose raw-array kernels the field API
+  and the solver share; an operator costs O(N^3) flops per axis pass.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import GridMismatch, IOFailure, NonZeroMean, ParityMismatch
 
@@ -278,51 +278,8 @@ def from_function(grid, fn, parity=None):
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# per-axis operator matrices
 # ---------------------------------------------------------------------------
-
-def coeffs(f):
-    """Amplitude array of ``f`` in its parity basis.
-
-    Cosine axes: index k holds the amplitude of cos(k pi x / L), k = 0..N-1.
-    Sine axes: index k holds the amplitude of sin((k+1) pi x / L); the last
-    slot (frequency N) is identically zero for stored fields.
-    """
-    c = f.values
-    for ax, par in enumerate(f.parity):
-        n = f.grid.shape[ax]
-        if par == COS:
-            c = sfft.dct(c, type=2, axis=ax) / n
-            sl = [slice(None)] * f.grid.dim
-            sl[ax] = 0
-            c[tuple(sl)] /= 2.0
-        else:
-            c = sfft.dst(c, type=2, axis=ax) / n
-            sl = [slice(None)] * f.grid.dim
-            sl[ax] = n - 1
-            c[tuple(sl)] = 0.0
-    return c
-
-
-def field_from_coeffs(grid, parity, c):
-    """Inverse of :func:`coeffs`."""
-    parity = _normalize_parity(parity, grid.dim)
-    v = np.array(c, dtype=np.float64, copy=True)
-    for ax, par in enumerate(parity):
-        n = grid.shape[ax]
-        sl = [slice(None)] * grid.dim
-        if par == COS:
-            v *= n
-            sl[ax] = 0
-            v[tuple(sl)] *= 2.0
-            v = sfft.idct(v, type=2, axis=ax)
-        else:
-            sl[ax] = n - 1
-            v[tuple(sl)] = 0.0
-            v *= n
-            v = sfft.idst(v, type=2, axis=ax)
-    return ScalarField(grid, parity, v, project=False)
-
 
 def _freqs(grid, ax, par):
     """Angular frequencies (k pi / L) along one axis, in coefficient order."""
@@ -340,30 +297,92 @@ def _readonly(a):
     return a
 
 
-class SpectralPlan:
-    """Read-only constants of the spectral operators on one grid.
+class AxisOperators:
+    """Read-only dense operators along one axis of ``n`` nodes on [0, L].
 
-    ``shifts[a]`` is ``(w, lo, hi)`` for axis ``a``: the derivative
-    wavenumbers ``k pi / L_a``, k = 1..N_a-1, shaped to broadcast along that
-    axis, and the index tuples of its slots 0..N_a-2 and 1..N_a-1.  Slot k of
-    a cosine axis and slot k-1 of a sine axis both hold frequency k, so the
-    derivative along ``a`` maps ``c[hi]`` to ``-w * c[hi]`` in slots ``lo``
-    (cosine to sine) and ``c[lo]`` to ``w * c[lo]`` in slots ``hi`` (sine to
-    cosine).  Both rules hold for normalized amplitudes and for the raw
-    coefficients of :func:`r2r_forward` alike.
+    Each dict is keyed by the parity of its input:
+
+    * ``forward`` holds the orthonormal type-II DCT and DST matrices C and
+      S, which map nodal values to coefficients: row k of C samples
+      cos(k pi x / L) and row k of S samples sin((k+1) pi x / L), so the
+      slots follow :func:`coeffs`; ``inverse`` maps coefficients back, and
+      the sine inverse ignores the Nyquist slot, so its output is always a
+      stored sine field;
+    * ``deriv`` is the exact derivative, ``S.T @ shift(-k pi / L) @ C``
+      from cosine to sine values and its negative transpose, stored bit for
+      bit, from sine to cosine values, so nodal summation by parts holds for
+      the matrices themselves;
+    * ``project`` is the symmetric 2/3-rule projector, which keeps
+      frequencies below ``cut`` (and drops the sine Nyquist mode);
+    * ``amplitude`` maps orthonormal coefficients to basis amplitudes
+      (zero in the sine Nyquist slot) and ``inverse_amplitude`` back.
+    """
+
+    def __init__(self, n, length, cut):
+        k = np.arange(n)
+        odd = 2 * k + 1
+        norm = math.sqrt(2.0 / n)
+        # integer phases reduced modulo 4n keep every argument in [0, 2 pi)
+        step = np.pi / (2 * n)
+        dct = norm * np.cos((np.outer(k, odd) % (4 * n)) * step)
+        dct[0] *= math.sqrt(0.5)
+        dst = norm * np.sin((np.outer(k + 1, odd) % (4 * n)) * step)
+        dst[-1] *= math.sqrt(0.5)
+        w = np.arange(1, n) * (np.pi / length)
+        d_cs = dst[:-1].T @ (-w[:, None] * dct[1:])
+        d_sc = np.ascontiguousarray(-d_cs.T)
+        proj_cos = dct[:cut].T @ dct[:cut]
+        proj_sin = dst[:cut - 1].T @ dst[:cut - 1]
+        dst_band = dst.copy()
+        dst_band[-1] = 0.0
+        amp_cos = np.full(n, norm)
+        amp_cos[0] = math.sqrt(1.0 / n)
+        amp_sin = np.full(n, norm)
+        amp_sin[-1] = 0.0
+        inv_sin = np.full(n, 1.0 / norm)
+        inv_sin[-1] = 0.0
+
+        self.forward = {COS: _readonly(dct), SIN: _readonly(dst)}
+        self.inverse = {COS: dct.T, SIN: _readonly(dst_band).T}
+        self.deriv = {COS: _readonly(d_cs), SIN: _readonly(d_sc)}
+        # (P + P.T) / 2 is symmetric bit for bit
+        self.project = {COS: _readonly(0.5 * (proj_cos + proj_cos.T)),
+                        SIN: _readonly(0.5 * (proj_sin + proj_sin.T))}
+        self.amplitude = {COS: _readonly(amp_cos), SIN: _readonly(amp_sin)}
+        self.inverse_amplitude = {COS: _readonly(1.0 / amp_cos),
+                                  SIN: _readonly(inv_sin)}
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_operators(n, length, cut):
+    """Operators of one axis, shared by every axis with equal (N, L, cut)."""
+    return AxisOperators(n, length, cut)
+
+
+def _along(mat, values, axis):
+    """``mat`` applied along ``axis`` of a grid-shaped array."""
+    if axis == values.ndim - 1:
+        return values @ mat.T
+    return mat @ values
+
+
+class SpectralPlan:
+    """Read-only operators of one grid: an :class:`AxisOperators` per axis
+    (``axes``) and the Laplace symbol of each parity (:meth:`symbol`).
+
+    Every spectral kernel is one small matrix product per axis pass on raw
+    nodal arrays; the field-level functions below wrap these kernels.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        shifts = []
-        for ax, (n, length) in enumerate(zip(grid.shape, grid.extents)):
-            shape = [1] * grid.dim
-            shape[ax] = n - 1
-            w = (np.arange(1, n) * (np.pi / length)).reshape(shape)
-            lo = (slice(None),) * ax + (slice(0, n - 1),)
-            hi = (slice(None),) * ax + (slice(1, n),)
-            shifts.append((_readonly(w), lo, hi))
-        self.shifts = tuple(shifts)
+        self.axes = tuple(
+            _axis_operators(n, length, cut)
+            for n, length, cut in zip(grid.shape, grid.extents, grid.dealias_cut)
+        )
+        self._first = tuple(
+            (slice(None),) * ax + (slice(0, 1),) for ax in range(grid.dim)
+        )
         self._symbols = {}
 
     def symbol(self, parity):
@@ -379,6 +398,47 @@ class SpectralPlan:
             sym = self._symbols[parity] = _readonly(sym)
         return sym
 
+    def forward(self, values, parity):
+        """Orthonormal coefficients of a nodal array."""
+        for ax, par in enumerate(parity):
+            values = _along(self.axes[ax].forward[par], values, ax)
+        return values
+
+    def inverse(self, c, parity):
+        """Nodal values of orthonormal coefficients; inverse of
+        :meth:`forward` on stored fields."""
+        for ax, par in enumerate(parity):
+            c = _along(self.axes[ax].inverse[par], c, ax)
+        return c
+
+    def deriv(self, values, axis, par):
+        """Derivative along ``axis`` of an array of parity ``par`` there.
+
+        A cosine array is first shifted by its values at the first node
+        along the axis, which the derivative annihilates, so an array
+        constant along the axis has an exactly zero derivative.
+        """
+        if par == COS:
+            values = values - values[self._first[axis]]
+        return _along(self.axes[axis].deriv[par], values, axis)
+
+    def project(self, values, parity):
+        """2/3-rule projection of a nodal array in the given parity basis."""
+        for ax, par in enumerate(parity):
+            values = _along(self.axes[ax].project[par], values, ax)
+        return values
+
+    def amplitude(self, parity, inverse=False):
+        """Outer product of the per-axis amplitude scalings."""
+        out = np.ones(self.grid.shape)
+        for ax, par in enumerate(parity):
+            ops = self.axes[ax]
+            scale = ops.inverse_amplitude[par] if inverse else ops.amplitude[par]
+            shape = [1] * self.grid.dim
+            shape[ax] = self.grid.shape[ax]
+            out = out * scale.reshape(shape)
+        return out
+
 
 @functools.lru_cache(maxsize=32)
 def spectral_plan(grid):
@@ -392,29 +452,33 @@ def laplace_symbol(grid, parity):
     return spectral_plan(grid).symbol(_normalize_parity(parity, grid.dim))
 
 
-def r2r_forward(values, sine_axis=None):
-    """Raw type-II coefficients of a nodal array: DST along ``sine_axis``,
-    DCT along every other axis, in scipy's unnormalized convention.
+def _flip(parity, axis):
+    out = list(parity)
+    out[axis] = SIN if parity[axis] == COS else COS
+    return tuple(out)
 
-    Slot layout is that of :func:`coeffs`; the raw coefficients differ from
-    the amplitudes by a diagonal factor, so any operator diagonal in
-    coefficient space (the shifts and symbols of :class:`SpectralPlan`)
-    applies to them unchanged.
+
+# ---------------------------------------------------------------------------
+# coefficients
+# ---------------------------------------------------------------------------
+
+def coeffs(f):
+    """Amplitude array of ``f`` in its parity basis.
+
+    Cosine axes: index k holds the amplitude of cos(k pi x / L), k = 0..N-1.
+    Sine axes: index k holds the amplitude of sin((k+1) pi x / L); the last
+    slot (frequency N) is identically zero for stored fields.
     """
-    if sine_axis is None:
-        return sfft.dctn(values, type=2)
-    c = sfft.dst(values, type=2, axis=sine_axis)
-    others = [ax for ax in range(c.ndim) if ax != sine_axis]
-    return sfft.dctn(c, type=2, axes=others, overwrite_x=True) if others else c
+    plan = spectral_plan(f.grid)
+    return plan.forward(f.values, f.parity) * plan.amplitude(f.parity)
 
 
-def r2r_inverse(c, sine_axis=None):
-    """Nodal values from raw coefficients; inverse of :func:`r2r_forward`."""
-    if sine_axis is None:
-        return sfft.idctn(c, type=2)
-    v = sfft.idst(c, type=2, axis=sine_axis)
-    others = [ax for ax in range(v.ndim) if ax != sine_axis]
-    return sfft.idctn(v, type=2, axes=others, overwrite_x=True) if others else v
+def field_from_coeffs(grid, parity, c):
+    """Inverse of :func:`coeffs`."""
+    parity = _normalize_parity(parity, grid.dim)
+    plan = spectral_plan(grid)
+    c = np.asarray(c, dtype=np.float64) * plan.amplitude(parity, inverse=True)
+    return ScalarField(grid, parity, plan.inverse(c, parity), project=False)
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +487,8 @@ def r2r_inverse(c, sine_axis=None):
 
 def deriv(f, axis):
     """Exact spectral derivative along one axis; parity flips on that axis."""
-    w, lo, hi = spectral_plan(f.grid).shifts[axis]
-    c = coeffs(f)
-    out = np.zeros_like(c)
-    if f.parity[axis] == COS:
-        # cos k -> -k sin k, k = 1..N-1 (sine slot k-1)
-        out[lo] = -c[hi] * w
-        new_par = SIN
-    else:
-        # sin m -> m cos m, m = 1..N-1 (Nyquist slot is zero)
-        out[hi] = c[lo] * w
-        new_par = COS
-    parity = list(f.parity)
-    parity[axis] = new_par
-    return field_from_coeffs(f.grid, parity, out)
+    vals = spectral_plan(f.grid).deriv(f.values, axis, f.parity[axis])
+    return ScalarField(f.grid, _flip(f.parity, axis), vals, project=False)
 
 
 def gradient(f):
@@ -460,17 +512,33 @@ def divergence(v):
 
 
 def laplacian(f):
-    """Spectral Laplacian; parity preserved."""
-    c = coeffs(f)
-    c *= -laplace_symbol(f.grid, f.parity)
-    return field_from_coeffs(f.grid, f.parity, c)
+    """Spectral Laplacian, the sum over axes of the derivative taken twice;
+    parity preserved."""
+    plan = spectral_plan(f.grid)
+    out = np.zeros(f.grid.shape)
+    for ax, par in enumerate(f.parity):
+        once = plan.deriv(f.values, ax, par)
+        out += plan.deriv(once, ax, COS if par == SIN else SIN)
+    return ScalarField(f.grid, f.parity, out, project=False)
 
 
 def solve_helmholtz(rhs, a, c):
-    """Solve ``(a - c * Laplacian) phi = rhs`` in the parity basis of rhs."""
-    sym = laplace_symbol(rhs.grid, rhs.parity)
-    co = coeffs(rhs) / (a + c * sym)
-    return field_from_coeffs(rhs.grid, rhs.parity, co)
+    """Solve ``(a - c * Laplacian) phi = rhs`` in the parity basis of rhs.
+
+    An all-cosine right-hand side is shifted by its first nodal value, whose
+    solution is that value over ``a``, so a constant solves exactly.
+    """
+    plan = spectral_plan(rhs.grid)
+    vals = rhs.values
+    shift = 0.0
+    if SIN not in rhs.parity:
+        shift = float(vals.flat[0])
+        vals = vals - shift
+    co = plan.forward(vals, rhs.parity) / (a + c * plan.symbol(rhs.parity))
+    out = plan.inverse(co, rhs.parity)
+    if shift != 0.0:
+        out += shift / a
+    return ScalarField(rhs.grid, rhs.parity, out, project=False)
 
 
 def integrate(f):
@@ -508,13 +576,14 @@ def inverse_laplacian_neumann(f):
     total = integrate(f)
     if abs(total) > mean_tol:
         raise NonZeroMean(f"right-hand side has mean {total / f.grid.measure:.3e}")
-    sym = laplace_symbol(f.grid, f.parity)
-    c = coeffs(f)
+    plan = spectral_plan(f.grid)
+    c = plan.forward(f.values, f.parity)
     flat = c.reshape(-1)
-    symf = sym.reshape(-1)
+    symf = plan.symbol(f.parity).reshape(-1)
     out = np.zeros_like(flat)
     np.divide(flat[1:], -symf[1:], out=out[1:])  # zero-frequency slot stays 0
-    return field_from_coeffs(f.grid, f.parity, out.reshape(c.shape))
+    return ScalarField(f.grid, f.parity, plan.inverse(out.reshape(c.shape), f.parity),
+                       project=False)
 
 
 # ---------------------------------------------------------------------------
@@ -523,31 +592,25 @@ def inverse_laplacian_neumann(f):
 
 def dealias(f):
     """Project onto the 2/3-rule band in the field's own parity basis."""
-    c = coeffs(f)
-    for ax in range(f.grid.dim):
-        cut = f.grid.dealias_cut[ax]
-        n = f.grid.shape[ax]
-        sl = [slice(None)] * f.grid.dim
-        if f.parity[ax] == COS:
-            sl[ax] = slice(cut, n)
-        else:
-            sl[ax] = slice(cut - 1, n)  # sine slot m-1 holds frequency m
-        c[tuple(sl)] = 0.0
-    return field_from_coeffs(f.grid, f.parity, c)
+    vals = spectral_plan(f.grid).project(f.values, f.parity)
+    return ScalarField(f.grid, f.parity, vals, project=False)
 
 
 def dealias_values(grid, values, parity):
     """Dealias a raw nodal array in the declared parity basis."""
-    return dealias(ScalarField(grid, parity, values)).values
+    parity = _normalize_parity(parity, grid.dim)
+    return spectral_plan(grid).project(np.asarray(values, dtype=np.float64),
+                                       parity)
 
 
 def smooth(f, width):
     """Gaussian spectral low-pass exp(-(width^2/2) * |k|^2) (mollifier)."""
     if width <= 0.0:
         return f.copy()
-    sym = laplace_symbol(f.grid, f.parity)
-    c = coeffs(f) * np.exp(-0.5 * width * width * sym)
-    return field_from_coeffs(f.grid, f.parity, c)
+    plan = spectral_plan(f.grid)
+    c = plan.forward(f.values, f.parity) * np.exp(
+        -0.5 * width * width * plan.symbol(f.parity))
+    return ScalarField(f.grid, f.parity, plan.inverse(c, f.parity), project=False)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
+    COS,
+    SIN,
     ScalarField,
     VectorField,
     dealias,
@@ -46,11 +48,8 @@ from .fields import (
     divergence,
     inner,
     integrate_values,
-    laplace_symbol,
     laplacian,
     neumann,
-    r2r_forward,
-    r2r_inverse,
     smooth,
     solve_helmholtz,
     spectral_plan,
@@ -359,34 +358,31 @@ def _director_update(d, u, grad_d, dt, p: PhysParams, dealias_on=True,
 def _conduction_apply(theta_vals, kappa_vals, grid):
     """Nodal values of -div(kappa grad theta) for a cosine-parity theta.
 
-    Fused on raw arrays: one forward transform of theta; per axis the
-    gradient as an index shift and wavenumber product, one mixed inverse
-    transform, the nodal product with kappa and one mixed forward transform
-    of the flux; the divergence summed in coefficient space; one inverse
-    transform.  The flux's sine Nyquist slot is never read, which is exactly
-    the projection a stored sine field would apply.
+    Fused on raw arrays: per axis one derivative matrix product from cosine
+    to sine values, the nodal product with kappa and one product back, so
+    the operator is symmetric up to round-off.  The flux's sine Nyquist
+    content is never read, which is exactly the projection a stored sine
+    field would apply.
     """
-    c = r2r_forward(theta_vals)
-    div = np.zeros_like(c)
-    for a, (w, lo, hi) in enumerate(spectral_plan(grid).shifts):
-        grad = np.zeros_like(c)
-        grad[lo] = -w * c[hi]
-        flux = r2r_forward(kappa_vals * r2r_inverse(grad, a), a)
-        div[hi] += w * flux[lo]
-    return -r2r_inverse(div)
+    plan = spectral_plan(grid)
+    out = np.zeros(grid.shape)
+    for a in range(grid.dim):
+        flux = kappa_vals * plan.deriv(theta_vals, a, COS)
+        out -= plan.deriv(flux, a, SIN)
+    return out
 
 
 def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
     """Preconditioned conjugate gradients from ``x0`` to the relative
     residual ``tol``."""
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(float(np.sum(b * b)))
     if bnorm == 0.0:
         return np.zeros_like(b)
     x = x0.copy()
     r = b - apply_op(x)
     pvec = rz = None
     for it in range(max_iter + 1):
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(float(np.sum(r * r)))
         if not math.isfinite(rnorm):
             raise NonFiniteState("temperature")
         if rnorm <= tol * bnorm:
@@ -424,12 +420,16 @@ class _FrozenHeat:
         self.rhs = (reg.delta + rho_prev.values) * th_n / dt
         cbar = ((reg.delta + float(rho_prev.values.mean())) / dt
                 + reg.delta * float(self.th_alpha.mean()))
-        self.symbol = cbar + float(self.kappa.mean()) * laplace_symbol(
-            grid, neumann(grid.dim))
+        self.parity = neumann(grid.dim)
+        self.plan = spectral_plan(grid)
+        self.symbol = cbar + float(self.kappa.mean()) * self.plan.symbol(
+            self.parity)
 
     def precondition(self, vals):
         """Solve (cbar - kbar * Laplacian) z = vals with Neumann data."""
-        return r2r_inverse(r2r_forward(vals) / self.symbol)
+        plan = self.plan
+        return plan.inverse(plan.forward(vals, self.parity) / self.symbol,
+                            self.parity)
 
     def apply(self, c0, vals):
         """The heat operator c0 * theta - div(kappa(theta^n) grad theta)."""

@@ -285,6 +285,33 @@ def test_renorm_smooth_kernel_first_order(grid2d):
     assert 1.6 <= ratio <= 2.4
 
 
+def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
+    """The test functions' gradients are taken once per call, not once per
+    step.  At 2-D with the three-function cosine battery and k steps the
+    call takes
+      6       battery gradients, once per call (3 functions x 2 axes)
+      6 k     per step: div u_lag 2, grad b(rho') 2, grad rho' 2
+    which is 6 + 6 k = 18 for two steps (12 k = 24 before)."""
+    from nlcflow import fields
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
+    states, records = sv.run(s0, reg, sv.SolverConfig(dt=1e-3, t_end=2e-3), p)
+    calls = []
+    deriv = fields.deriv
+
+    def counted(f, axis):
+        calls.append(axis)
+        return deriv(f, axis)
+
+    monkeypatch.setattr(fields, "deriv", counted)
+    monkeypatch.setattr(dg, "deriv", counted)
+    rows = dg.renormalized_continuity_residual(states, records, reg.eps, "T1")
+    steps = len(states) - 1
+    assert len(rows) == steps == 2
+    assert len(calls) == 6 + 6 * steps == 18
+
+
 def test_renorm_unknown_kernel_rejected():
     with pytest.raises(KeyError):
         dg._truncation_triple("T3x")

@@ -1,7 +1,13 @@
 import io
 
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from nlcflow import fields
 from nlcflow.errors import IOFailure, NonZeroMean, ParityMismatch
@@ -27,6 +33,10 @@ def random_field(grid, parity, decay=0.3, keep=None):
             sl[ax] = slice(keep, n)
             c[tuple(sl)] = 0.0
     return fields.field_from_coeffs(grid, parity, c)
+
+
+def _parities(dim):
+    return list(itertools.product((fields.COS, fields.SIN), repeat=dim))
 
 
 def grid1():
@@ -261,6 +271,13 @@ def test_helmholtz_solve():
 # boundary behavior
 # ---------------------------------------------------------------------------
 
+def _plan_matrices(plan):
+    for ops in plan.axes:
+        for table in (ops.forward, ops.inverse, ops.deriv, ops.project,
+                      ops.amplitude, ops.inverse_amplitude):
+            yield from table.values()
+
+
 def test_laplace_symbol_cached_and_read_only():
     grid = fields.Grid((32, 16), (2.0, 1.0))
     for parity in ((fields.COS, fields.COS), (fields.SIN, fields.COS)):
@@ -269,33 +286,39 @@ def test_laplace_symbol_cached_and_read_only():
                                             parity)
         with pytest.raises(ValueError):
             sym[0, 0] = 1.0
-    for w, _, _ in fields.spectral_plan(grid).shifts:
+    for mat in _plan_matrices(fields.spectral_plan(grid)):
         with pytest.raises(ValueError):
-            w.flat[0] = 1.0
+            mat.flat[0] = 1.0
+
+
+def test_axis_operators_shared_by_equal_axes():
+    square = fields.spectral_plan(fields.Grid((32, 32), (2.0, 2.0)))
+    assert square.axes[0] is square.axes[1]
+    strip = fields.spectral_plan(fields.Grid((32, 16), (2.0, 1.0)))
+    assert strip.axes[0] is square.axes[0]
+    assert strip.axes[1] is not strip.axes[0]
 
 
 @pytest.mark.parametrize("grid", [grid1(), grid2()])
 def test_r2r_round_trip_and_slot_layout(grid):
-    """Raw coefficients invert exactly and differ from :func:`coeffs` by a
-    diagonal factor, so the plan's shifts and symbols apply to both."""
+    """The per-axis DCT-II and DST-II matrices are orthonormal, invert
+    stored fields exactly, and differ from :func:`coeffs` by the diagonal
+    amplitude scaling, so the plan's symbols apply to both."""
+    plan = fields.spectral_plan(grid)
+    for ops in plan.axes:
+        for mat in ops.forward.values():
+            eye = np.eye(mat.shape[0])
+            assert np.abs(mat @ mat.T - eye).max() <= 1e-14
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(grid.shape)
-    for sine_axis in [None] + list(range(grid.dim)):
-        back = fields.r2r_inverse(fields.r2r_forward(vals, sine_axis),
-                                  sine_axis)
-        assert np.allclose(back, vals, rtol=0, atol=1e-14)
-    f = random_field(grid, fields.neumann(grid.dim))
-    raw = fields.r2r_forward(f.values)
-    amp = fields.coeffs(f)
-    scale = np.ones(grid.shape)
-    for ax, n in enumerate(grid.shape):
-        factor = np.full(n, float(n))
-        factor[0] *= 2.0  # cosine slot 0 carries the halved mean
-        shape = [1] * grid.dim
-        shape[ax] = n
-        scale = scale * factor.reshape(shape)
-    assert np.allclose(raw, amp * scale, rtol=0,
-                       atol=1e-14 * np.abs(raw).max())
+    for par in _parities(grid.dim):
+        stored = fields.ScalarField(grid, par, vals).values
+        back = plan.inverse(plan.forward(stored, par), par)
+        assert np.allclose(back, stored, rtol=0, atol=1e-14)
+        f = random_field(grid, par)
+        assert np.allclose(plan.forward(f.values, par) * plan.amplitude(par),
+                           fields.coeffs(f), rtol=0,
+                           atol=1e-15 * np.abs(f.values).max())
 
 
 def test_dirichlet_fields_vanish_on_boundary():
@@ -388,3 +411,144 @@ def test_snapshot_corruption_raises():
     truncated = "\n".join(text.splitlines()[:-5])
     with pytest.raises(IOFailure):
         fields.read_fields(io.StringIO(truncated), g)
+
+
+# ---------------------------------------------------------------------------
+# the operator matrices against scipy.fft oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_GRIDS = [fields.Grid((16,), (1.5,)), fields.Grid((32, 32), (2.0, 2.0)),
+                fields.Grid((32, 16), (2.0, 1.0))]
+ORACLE_IDS = ["1d16", "square32", "32x16"]
+
+
+def _oracle_forward(values, parity):
+    """Orthonormal coefficients by scipy.fft; sine Nyquist slot zeroed."""
+    c = values
+    for ax, par in enumerate(parity):
+        if par == fields.COS:
+            c = sfft.dct(c, type=2, norm="ortho", axis=ax)
+        else:
+            c = sfft.dst(c, type=2, norm="ortho", axis=ax)
+            c[(slice(None),) * ax + (-1,)] = 0.0
+    return c
+
+
+def _oracle_inverse(c, parity):
+    v = c
+    for ax, par in enumerate(parity):
+        if par == fields.COS:
+            v = sfft.idct(v, type=2, norm="ortho", axis=ax)
+        else:
+            v = sfft.idst(v, type=2, norm="ortho", axis=ax)
+    return v
+
+
+def _oracle_deriv(values, parity, axis, length):
+    """Cosine slot k and sine slot k-1 both hold frequency k; orthonormal
+    coefficients of the two share their scaling for k = 1..N-1."""
+    c = _oracle_forward(values, parity)
+    n = c.shape[axis]
+    w = np.arange(1, n) * np.pi / length
+    shape = [1] * c.ndim
+    shape[axis] = n - 1
+    w = w.reshape(shape)
+    lo = (slice(None),) * axis + (slice(0, n - 1),)
+    hi = (slice(None),) * axis + (slice(1, n),)
+    out = np.zeros_like(c)
+    new = list(parity)
+    if parity[axis] == fields.COS:
+        out[lo] = -w * c[hi]
+        new[axis] = fields.SIN
+    else:
+        out[hi] = w * c[lo]
+        new[axis] = fields.COS
+    return _oracle_inverse(out, new)
+
+
+def _max_err(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_deriv_matches_fft_oracle(grid):
+    for par in _parities(grid.dim):
+        f = random_field(grid, par, decay=0.1)
+        for ax in range(grid.dim):
+            ref = _oracle_deriv(f.values, par, ax, grid.extents[ax])
+            assert _max_err(fields.deriv(f, ax).values, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_dealias_values_matches_fft_oracle(grid):
+    vals = RNG.normal(size=grid.shape)
+    for par in _parities(grid.dim):
+        c = _oracle_forward(vals, par)
+        for ax, p in enumerate(par):
+            cut = grid.dealias_cut[ax] - (p == fields.SIN)
+            c[(slice(None),) * ax + (slice(cut, None),)] = 0.0
+        ref = _oracle_inverse(c, par)
+        assert _max_err(fields.dealias_values(grid, vals, par), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_laplacian_and_helmholtz_match_fft_oracle(grid):
+    for par in _parities(grid.dim):
+        f = random_field(grid, par, decay=0.1)
+        sym = fields.laplace_symbol(grid, par)
+        c = _oracle_forward(f.values, par)
+        lap = _oracle_inverse(-sym * c, par)
+        assert _max_err(fields.laplacian(f).values, lap) <= 1e-13
+        helm = _oracle_inverse(c / (0.7 + 2.5e-3 * sym), par)
+        got = fields.solve_helmholtz(f, 0.7, 2.5e-3).values
+        assert _max_err(got, helm) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_heat_preconditioner_matches_fft_oracle(grid):
+    from nlcflow import solver
+    from nlcflow.params import PhysParams, RegParams
+    rng = np.random.default_rng(11)
+    theta = fields.ScalarField(grid, fields.neumann(grid.dim),
+                               1.0 + 0.1 * rng.random(grid.shape))
+    rho = fields.constant_field(grid, 1.0)
+    frozen = solver._FrozenHeat(theta, rho, RegParams(), PhysParams(), 1e-3)
+    r = rng.standard_normal(grid.shape)
+    ref = sfft.idctn(sfft.dctn(r, type=2) / frozen.symbol, type=2)
+    assert _max_err(frozen.precondition(r), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_coeffs_round_trip_matches_fft_oracle(grid):
+    for par in _parities(grid.dim):
+        f = random_field(grid, par)
+        ref = f.values
+        for ax, p in enumerate(par):
+            n = grid.shape[ax]
+            if p == fields.COS:
+                ref = sfft.dct(ref, type=2, axis=ax) / n
+                ref[(slice(None),) * ax + (0,)] /= 2.0
+            else:
+                ref = sfft.dst(ref, type=2, axis=ax) / n
+                ref[(slice(None),) * ax + (n - 1,)] = 0.0
+        c = fields.coeffs(f)
+        assert _max_err(c, ref) <= 1e-13
+        back = fields.field_from_coeffs(grid, par, c).values
+        assert _max_err(back, f.values) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_sine_to_cosine_derivative_is_negative_transpose(grid):
+    for ops in fields.spectral_plan(grid).axes:
+        assert np.array_equal(ops.deriv[fields.SIN], -ops.deriv[fields.COS].T)
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fields.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, nlcflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
