@@ -24,8 +24,8 @@ from .fields import (
     inner,
     integrate,
     integrate_values,
-    laplacian,
     neumann,
+    spectral_plan,
 )
 from .params import PhysParams, RegParams
 
@@ -64,11 +64,11 @@ def total_energy(s, reg: RegParams, p: PhysParams):
     speed2 = np.zeros(grid.shape)
     for c in s.u:
         speed2 += c.values ** 2
-    d_vals = np.stack([c.values for c in s.d])
+    d_vals = s.d.values
     grad_d2 = np.zeros(grid.shape)
-    for k in range(3):
-        for g in _grad_arrays(s.d[k]):
-            grad_d2 += g ** 2
+    grad_d = sv._director_gradient(spectral_plan(grid), d_vals)
+    for g in grad_d.reshape((-1,) + grid.shape):
+        grad_d2 += g ** 2
     nu = p.elastic_coupling
     parts = {
         "kinetic": 0.5 * integrate_values(grid, rho * speed2),
@@ -90,10 +90,11 @@ def _rate_fields(s, p: PhysParams):
     """The velocity gradient and the director relaxation field
     laplace d - f(d) of one state, shared by the dissipation and the
     entropy production."""
-    d_vals = np.stack([c.values for c in s.d])
-    relax = np.stack([laplacian(s.d[k]).values for k in range(3)]) \
+    plan = spectral_plan(s.grid)
+    d_vals = s.d.values
+    relax = plan.laplacian(d_vals, neumann(s.grid.dim)) \
         - cst.gl_force(d_vals, p.penalty_scale)
-    return sv._velocity_gradient(s.u), relax
+    return sv._velocity_gradient(plan, s.u.values), relax
 
 
 def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
@@ -450,6 +451,7 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
     """
     grid = states[0].grid
     dim = grid.dim
+    plan = spectral_plan(grid)
     sin_tests = _sine_battery(grid)
     cos_tests = cosine_battery(grid)
     series = {}
@@ -464,15 +466,12 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
         u_lag = rec.u_lag
 
         # --- momentum against retained sine modes, one residual per mode
-        grad_u_p = sv._velocity_gradient(s_next.u)
+        grad_u_p = sv._velocity_gradient(plan, s_next.u.values)
         stress = cst.viscous_stress(grad_u_p, p)
         pressure = cst.pressure(rho_p.values, th_p.values, p) \
             + cst.artificial_pressure(rho_p.values, reg.delta, reg.beta)
-        d_vals = np.stack([c.values for c in s_next.d])
-        grad_d = np.stack([
-            np.stack([deriv(s_next.d[k], a).values for k in range(3)])
-            for a in range(dim)
-        ])
+        d_vals = s_next.d.values
+        grad_d = sv._director_gradient(plan, d_vals).swapaxes(0, 1)
         erick = cst.ericksen_stress(
             grad_d, cst.gl_potential(d_vals, p.penalty_scale))
         grad_rho_p = [deriv(rho_p, a).values for a in range(dim)]
@@ -497,13 +496,17 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
             push(f"mom_{name}", worst)
 
         # --- heat: signed defect of the solved discrete balance
-        heat = sv._FrozenHeat(s_prev.theta, rho_n, reg, p, dt)
-        m = sv._mass_flux(rho_n, u_lag, rec.dealias)
-        w = sv._director_transport(u_lag, sv._director_gradient(s_prev.d),
-                                   rec.dealias)
-        gtilde = sv._director_relaxation(s_next.d, s_prev.d, w, dt, p)
-        c0, rhs = sv._heat_system(heat, rho_p, sv._velocity_gradient(u_lag),
-                                  m, np.sum(gtilde * gtilde, axis=0), reg, p,
+        heat = sv._FrozenHeat(plan, s_prev.theta.values, rho_n.values, reg,
+                              p, dt)
+        u_vals = u_lag.values
+        m = sv._mass_flux(plan, rho_n.values, u_vals, rec.dealias)
+        d_prev = s_prev.d.values
+        w = sv._director_transport(
+            plan, u_vals, sv._director_gradient(plan, d_prev), rec.dealias)
+        gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
+        c0, rhs = sv._heat_system(heat, rho_p.values,
+                                  sv._velocity_gradient(plan, u_vals), m,
+                                  np.sum(gtilde * gtilde, axis=0), reg, p,
                                   dt, rec.dealias)
         defect = rhs - heat.apply(c0, th_p.values)
         for name, psi in cos_tests:
@@ -512,16 +515,13 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
             push(f"heat_{name}", integrate_values(grid, defect * shifted))
 
         # --- director: exact discrete balance against the cosine battery
-        f_pair = cst.gl_force_two_point(
-            np.stack([c.values for c in s_prev.d]),
-            np.stack([c.values for c in s_next.d]), p.penalty_scale)
+        f_pair = cst.gl_force_two_point(d_prev, d_vals, p.penalty_scale)
         for name, psi in cos_tests:
             grad_psi = [deriv(psi, a).values for a in range(dim)]
             worst = 0.0
             for k in range(3):
                 val = integrate_values(
-                    grid, ((s_next.d[k].values - s_prev.d[k].values) / dt
-                           + w[k]) * psi.values)
+                    grid, ((d_vals[k] - d_prev[k]) / dt + w[k]) * psi.values)
                 for a in range(dim):
                     val += p.relax_rate * integrate_values(
                         grid, grad_d[a, k] * grad_psi[a])

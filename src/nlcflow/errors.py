@@ -47,20 +47,54 @@ class PositivityLoss(SolverFailure):
     """A substep would push density or temperature meaningfully negative."""
 
 
-class NonFiniteState(SolverFailure):
-    """A substep met NaN or infinite values.  Never retried with a smaller
-    dt; the message names the substep and, once known, the step's t and dt."""
+class StepFailure(SolverFailure):
+    """A failure that ends the run instead of halving dt.
+
+    It names the ``substep`` it stopped in, the last increment or residual
+    (``residual``) where an iteration ran out, and the ``t`` and ``dt`` of
+    the step, which the time stepper fills in once known.
+    """
+
+    def __init__(self, substep, what, residual=None, t=None, dt=None):
+        self.substep, self.what, self.residual = substep, what, residual
+        self.t, self.dt = t, dt
+        super().__init__(what)
+
+    def __str__(self):
+        msg = self.what
+        if self.t is not None:
+            msg += f" of the step from t={self.t:.17g} with dt={self.dt:.17g}"
+        return msg
+
+
+class NonFiniteState(StepFailure):
+    """A substep met NaN or infinite values."""
 
     def __init__(self, substep, t=None, dt=None):
-        self.substep, self.t, self.dt = substep, t, dt
-        msg = f"non-finite values in the {substep} substep"
-        if t is not None:
-            msg += f" of the step from t={t:.17g} with dt={dt:.17g}"
-        super().__init__(msg)
+        super().__init__(substep, f"non-finite values in the {substep} substep",
+                         None, t, dt)
 
 
-class PicardDivergence(SolverFailure):
-    """The per-step Picard coupling loop did not reach tolerance."""
+class PicardDivergence(StepFailure):
+    """The per-step Picard coupling loop did not reach tolerance; the
+    residual is the last relative velocity increment."""
+
+    def __init__(self, sweeps, increment, t=None, dt=None):
+        super().__init__(
+            "picard", f"the picard velocity iterates did not settle in "
+            f"{sweeps} sweeps (last relative increment {increment:.3e})",
+            increment, t, dt)
+
+
+class IterationStall(StepFailure):
+    """An inner iteration of a substep (the director fixed point, the heat
+    conjugate gradients) used up its iterations; ``measure`` names what
+    the residual is."""
+
+    def __init__(self, substep, iters, residual, measure, t=None, dt=None):
+        super().__init__(
+            substep, f"the {substep} iteration did not settle in {iters} "
+            f"iterations (last {measure} {residual:.3e})", residual, t, dt)
 
 
 class StepUnderflow(SolverFailure):

@@ -25,7 +25,9 @@ Conventions that the rest of the package relies on:
   be moved across a nodal inner product exactly;
 * the operator matrices and Laplace symbols are built once per grid into a
   read-only :class:`SpectralPlan`, whose raw-array kernels the field API
-  and the solver share; an operator costs O(N^3) flops per axis pass.
+  and the solver share; every kernel takes a nodal array or a stack of them
+  of shape ``(k, *grid.shape)``, and an operator costs one matrix product,
+  O(N^3) flops per component, per axis pass.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def _normalize_parity(parity, dim):
 
 
 def _strip_sine_nyquist(values, parity, grid):
-    """Remove the alternating-sign (frequency N) component along sine axes."""
+    """Remove the alternating-sign (frequency N) component along sine axes
+    of a nodal array or of a stack of them."""
     out = values
     for ax, par in enumerate(parity):
         if par != SIN:
@@ -130,7 +133,7 @@ def _strip_sine_nyquist(values, parity, grid):
         shape = [1] * grid.dim
         shape[ax] = n
         sign = sign.reshape(shape)
-        amp = np.sum(out * sign, axis=ax, keepdims=True) / n
+        amp = np.sum(out * sign, axis=ax - grid.dim, keepdims=True) / n
         out = out - amp * sign
     return out
 
@@ -263,6 +266,18 @@ class VectorField:
     def __getitem__(self, i):
         return self.components[i]
 
+    @property
+    def values(self):
+        """Component stack of shape ``(len(self), *grid.shape)``."""
+        return np.stack([c.values for c in self.components])
+
+    @classmethod
+    def from_values(cls, kind, grid, values):
+        """Wrap a component stack of stored fields (no projection)."""
+        parity = dirichlet(grid.dim) if kind == "velocity" else neumann(grid.dim)
+        return cls(kind, [ScalarField(grid, parity, v, project=False)
+                          for v in values])
+
 
 def constant_field(grid, value, parity=None):
     parity = neumann(grid.dim) if parity is None else parity
@@ -359,9 +374,10 @@ def _axis_operators(n, length, cut):
     return AxisOperators(n, length, cut)
 
 
-def _along(mat, values, axis):
-    """``mat`` applied along ``axis`` of a grid-shaped array."""
-    if axis == values.ndim - 1:
+def _along(mat, values, axis, dim):
+    """``mat`` applied along grid axis ``axis`` of a nodal array, or of a
+    stack of them, on a ``dim``-dimensional grid: one matrix product."""
+    if axis == dim - 1:
         return values @ mat.T
     return mat @ values
 
@@ -370,19 +386,24 @@ class SpectralPlan:
     """Read-only operators of one grid: an :class:`AxisOperators` per axis
     (``axes``) and the Laplace symbol of each parity (:meth:`symbol`).
 
-    Every spectral kernel is one small matrix product per axis pass on raw
-    nodal arrays; the field-level functions below wrap these kernels.
+    Every spectral kernel is one small matrix product per axis pass on a
+    raw nodal array or on a stack of them, shape ``(k, *grid.shape)``; the
+    field-level functions below wrap these kernels.
     """
 
     def __init__(self, grid):
         self.grid = grid
+        self.dim = grid.dim
         self.axes = tuple(
             _axis_operators(n, length, cut)
             for n, length, cut in zip(grid.shape, grid.extents, grid.dealias_cut)
         )
+        # first node along each axis, and the first node of the grid
         self._first = tuple(
-            (slice(None),) * ax + (slice(0, 1),) for ax in range(grid.dim)
+            (Ellipsis, slice(0, 1)) + (slice(None),) * (grid.dim - 1 - ax)
+            for ax in range(grid.dim)
         )
+        self._corner = (Ellipsis,) + (slice(0, 1),) * grid.dim
         self._symbols = {}
 
     def symbol(self, parity):
@@ -399,20 +420,21 @@ class SpectralPlan:
         return sym
 
     def forward(self, values, parity):
-        """Orthonormal coefficients of a nodal array."""
+        """Orthonormal coefficients of a nodal array (or stack)."""
         for ax, par in enumerate(parity):
-            values = _along(self.axes[ax].forward[par], values, ax)
+            values = _along(self.axes[ax].forward[par], values, ax, self.dim)
         return values
 
     def inverse(self, c, parity):
         """Nodal values of orthonormal coefficients; inverse of
         :meth:`forward` on stored fields."""
         for ax, par in enumerate(parity):
-            c = _along(self.axes[ax].inverse[par], c, ax)
+            c = _along(self.axes[ax].inverse[par], c, ax, self.dim)
         return c
 
     def deriv(self, values, axis, par):
-        """Derivative along ``axis`` of an array of parity ``par`` there.
+        """Derivative along ``axis`` of an array (or stack) of parity ``par``
+        there.
 
         A cosine array is first shifted by its values at the first node
         along the axis, which the derivative annihilates, so an array
@@ -420,12 +442,37 @@ class SpectralPlan:
         """
         if par == COS:
             values = values - values[self._first[axis]]
-        return _along(self.axes[axis].deriv[par], values, axis)
+        return _along(self.axes[axis].deriv[par], values, axis, self.dim)
+
+    def laplacian(self, values, parity):
+        """Laplacian of an array (or stack): per axis the derivative taken
+        twice; parity preserved."""
+        out = np.zeros(values.shape)
+        for ax, par in enumerate(parity):
+            once = self.deriv(values, ax, par)
+            out += self.deriv(once, ax, COS if par == SIN else SIN)
+        return out
+
+    def helmholtz(self, values, parity, a, c):
+        """Solve ``(a - c * Laplacian) phi = values`` for an array (or stack)
+        in the given parity basis.
+
+        All-cosine data is first shifted by its first nodal value, whose
+        solution is that value over ``a``, so a constant solves exactly.
+        """
+        denom = a + c * self.symbol(parity)
+        if SIN in parity:
+            return self.inverse(self.forward(values, parity) / denom, parity)
+        shift = values[self._corner]
+        out = self.inverse(self.forward(values - shift, parity) / denom,
+                           parity)
+        return out + shift / a
 
     def project(self, values, parity):
-        """2/3-rule projection of a nodal array in the given parity basis."""
+        """2/3-rule projection of a nodal array (or stack) in the given
+        parity basis."""
         for ax, par in enumerate(parity):
-            values = _along(self.axes[ax].project[par], values, ax)
+            values = _along(self.axes[ax].project[par], values, ax, self.dim)
         return values
 
     def amplitude(self, parity, inverse=False):
@@ -444,12 +491,6 @@ class SpectralPlan:
 def spectral_plan(grid):
     """The shared :class:`SpectralPlan` of ``grid`` (cached per grid)."""
     return SpectralPlan(grid)
-
-
-def laplace_symbol(grid, parity):
-    """Read-only array of (positive) Laplacian eigenvalues
-    sum_a (k_a pi / L_a)^2."""
-    return spectral_plan(grid).symbol(_normalize_parity(parity, grid.dim))
 
 
 def _flip(parity, axis):
@@ -514,31 +555,15 @@ def divergence(v):
 def laplacian(f):
     """Spectral Laplacian, the sum over axes of the derivative taken twice;
     parity preserved."""
-    plan = spectral_plan(f.grid)
-    out = np.zeros(f.grid.shape)
-    for ax, par in enumerate(f.parity):
-        once = plan.deriv(f.values, ax, par)
-        out += plan.deriv(once, ax, COS if par == SIN else SIN)
-    return ScalarField(f.grid, f.parity, out, project=False)
+    vals = spectral_plan(f.grid).laplacian(f.values, f.parity)
+    return ScalarField(f.grid, f.parity, vals, project=False)
 
 
 def solve_helmholtz(rhs, a, c):
-    """Solve ``(a - c * Laplacian) phi = rhs`` in the parity basis of rhs.
-
-    An all-cosine right-hand side is shifted by its first nodal value, whose
-    solution is that value over ``a``, so a constant solves exactly.
-    """
-    plan = spectral_plan(rhs.grid)
-    vals = rhs.values
-    shift = 0.0
-    if SIN not in rhs.parity:
-        shift = float(vals.flat[0])
-        vals = vals - shift
-    co = plan.forward(vals, rhs.parity) / (a + c * plan.symbol(rhs.parity))
-    out = plan.inverse(co, rhs.parity)
-    if shift != 0.0:
-        out += shift / a
-    return ScalarField(rhs.grid, rhs.parity, out, project=False)
+    """Solve ``(a - c * Laplacian) phi = rhs`` in the parity basis of rhs
+    (see :meth:`SpectralPlan.helmholtz`)."""
+    vals = spectral_plan(rhs.grid).helmholtz(rhs.values, rhs.parity, a, c)
+    return ScalarField(rhs.grid, rhs.parity, vals, project=False)
 
 
 def integrate(f):
@@ -636,20 +661,6 @@ def evaluate(f, axis_coords):
         mat = basis_matrix(f.grid, ax, f.parity[ax], pts)
         c = np.moveaxis(np.tensordot(mat, np.moveaxis(c, ax, 0), axes=(1, 0)), 0, ax)
     return c
-
-
-def boundary_max_abs(f):
-    """Max |interpolant| over all box faces (sampled at transverse nodes)."""
-    grid = f.grid
-    worst = 0.0
-    for ax in range(grid.dim):
-        for edge in (0.0, grid.extents[ax]):
-            axis_coords = [
-                np.array([edge]) if a == ax else grid.axis_nodes[a]
-                for a in range(grid.dim)
-            ]
-            worst = max(worst, float(np.abs(evaluate(f, axis_coords)).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

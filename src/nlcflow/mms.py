@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (COS, SIN, Grid, ScalarField, VectorField, constant_field,
-                     deriv, dirichlet, divergence, evaluate, integrate_values,
-                     laplacian, neumann)
+from .fields import (COS, SIN, Grid, ScalarField, VectorField, deriv,
+                     dirichlet, divergence, evaluate, integrate_values,
+                     laplacian, neumann, spectral_plan)
 from .params import PhysParams, RegParams
 from . import constitutive as cst
 from . import solver as sv
@@ -172,9 +172,10 @@ def _density_terms(case, grid, reg, p, t, dealias_on):
     terms = []
     if case.drho_dt is not None:
         terms.append((case.drho_dt(grid.mesh(), t), _term_parity(grid, cos_par)))
-    m = sv._mass_flux(s.rho, s.u, dealias_on)
+    plan = spectral_plan(grid)
+    m = sv._mass_flux(plan, s.rho.values, s.u.values, dealias_on)
     for b in range(grid.dim):
-        terms.append((deriv(m[b], b).values,
+        terms.append((plan.deriv(m[b], b, SIN),
                       _term_parity(grid, frozenset(range(grid.dim)) - {b})))
     if reg.eps > 0:
         terms.append((-reg.eps * laplacian(s.rho).values,
@@ -193,21 +194,24 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
         terms.append((dth, cos_par))
     if case.drho_dt is not None:
         terms.append((case.drho_dt(mesh, t) * s.theta.values, cos_par))
-    m = sv._mass_flux(s.rho, s.u, dealias_on)
-    for b, term in enumerate(sv._heat_convection(s.theta, m, dealias_on)):
+    plan = spectral_plan(grid)
+    u = s.u.values
+    m = sv._mass_flux(plan, s.rho.values, u, dealias_on)
+    for b, term in enumerate(sv._heat_convection(plan, s.theta.values, m,
+                                                 dealias_on)):
         terms.append((term, _term_parity(grid, frozenset(range(dim)) - {b})))
     if reg.delta > 0:
         terms.append((reg.delta * np.maximum(s.theta.values, 0.0)
                       ** (p.cond_growth + 1.0), cos_par))
     # R rho theta div u and the stress-power heating, term by term so each
     # addend carries a definite parity
-    grad_u = sv._velocity_gradient(s.u)
+    grad_u = sv._velocity_gradient(plan, u)
     q = (s.rho * s.theta).values
     for b in range(dim):
         terms.append((p.gas_const * q * grad_u[b, b],
                       _term_parity(grid, frozenset(range(dim)) - {b})))
     kappa = cst.heat_conductivity(s.theta.values, p)
-    terms.append((sv._conduction_apply(s.theta.values, kappa, grid),
+    terms.append((sv._conduction_apply(plan, s.theta.values, kappa),
                   cos_par))
     if any(fc is not _zero for fc in case.u):
         terms.append((-(1.0 - reg.delta) * cst.stress_power(grad_u, p),
@@ -235,12 +239,14 @@ def _momentum_terms(case, grid, reg, p, t, dealias_on):
     if case.kind == "temporal":
         # full force assembly on the run grid; single mixed-parity array is
         # fine because no restriction will happen
-        m = sv._mass_flux(s.rho, s.u, dealias_on)
+        plan = spectral_plan(grid)
+        rho, u = s.rho.values, s.u.values
+        m = sv._mass_flux(plan, rho, u, dealias_on)
         gtilde = np.zeros((3,) + grid.shape)
-        force = sv._momentum_forces(s.u, sv._velocity_gradient(s.u), s.rho,
-                                    s.rho, m, s.theta,
-                                    sv._director_gradient(s.d), gtilde, reg,
-                                    p, dealias_on)
+        force = sv._momentum_forces(plan, u, sv._velocity_gradient(plan, u),
+                                    rho, rho, m, s.theta.values,
+                                    sv._director_gradient(plan, s.d.values),
+                                    gtilde, reg, p, dealias_on)
         div_u = divergence(s.u)
         for c in range(dim):
             arr = s.rho.values * case.du_dt[c](mesh, t)

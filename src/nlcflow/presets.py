@@ -43,7 +43,7 @@ def _mode_velocity(grid, coeffs):
     U = np.zeros((basis.n, grid.dim))
     for (i, c), val in coeffs.items():
         U[i, c] = val
-    return basis.reconstruct(U)
+    return VectorField.from_values("velocity", grid, basis.reconstruct(U))
 
 
 def equilibrium(grid, base=1.0, amplitude=0.0, width=0.0):

@@ -8,6 +8,16 @@ summation-by-parts partner of a flux in one of the scalar equations, and the
 remaining defect is a sum of nonnegative terms of size O(dt) (quadratic
 iterate increments and convexity gaps), never a spurious gain.
 
+The substep kernels work on raw nodal arrays and take the grid's cached
+SpectralPlan: the velocity is a (dim, *grid.shape) stack, the director a
+(3, *grid.shape) stack, and a derivative, projection or Helmholtz solve of
+every component is one matrix product per axis pass.  A director
+fixed-point iteration therefore costs 4 products on a 2-D grid.
+ScalarField and VectorField appear only where a State or a StepRecord is
+unpacked or built, and the diagnostics and the manufactured-solution
+harness call these same kernels, so an audit cannot drift from the step it
+audits.
+
 Key discrete facts this file relies on (established in fields.py):
 
 * nodal summation by parts is exact for stored fields of opposite parity;
@@ -28,11 +38,13 @@ from . import constitutive as cst
 from .errors import (
     GridMismatch,
     InvalidInitialData,
+    IterationStall,
     NonFiniteState,
     PicardDivergence,
     PositivityLoss,
     SingularMassMatrix,
     SolverFailure,
+    StepFailure,
     StepUnderflow,
     ValidationError,
 )
@@ -41,17 +53,11 @@ from .fields import (
     SIN,
     ScalarField,
     VectorField,
-    dealias,
-    dealias_values,
-    deriv,
+    _strip_sine_nyquist,
     dirichlet,
-    divergence,
-    inner,
     integrate_values,
-    laplacian,
     neumann,
     smooth,
-    solve_helmholtz,
     spectral_plan,
 )
 from .params import PhysParams, RegParams
@@ -200,27 +206,21 @@ class GalerkinBasis:
         self._stiffness = {}
 
     def project(self, component_values):
-        """L2 projection of nodal component arrays onto the basis; returns
-        coefficients U with shape (n_modes, dim)."""
-        w = self.grid.weight
-        cols = [w * (self._phi_flat @ np.asarray(v).ravel()) / self.gram
-                for v in component_values]
-        return np.stack(cols, axis=1)
+        """L2 projection of a component stack (dim, *grid.shape) onto the
+        basis; returns coefficients U with shape (n_modes, dim)."""
+        return self.pair(component_values) / self.gram
 
     def reconstruct(self, coeffs):
-        comps = []
-        for c in range(self.grid.dim):
-            vals = np.tensordot(coeffs[:, c], self.phi, axes=(0, 0))
-            comps.append(ScalarField(self.grid, dirichlet(self.grid.dim),
-                                     vals, project=False))
-        return VectorField.velocity(comps)
+        """Nodal component stack (dim, *grid.shape) of coefficients U."""
+        return (coeffs.T @ self._phi_flat).reshape(
+            (self.grid.dim,) + self.grid.shape)
 
     def pair(self, component_values):
-        """Pairing data F[i, c] = <g_c, phi_i> (no Gram division)."""
-        w = self.grid.weight
-        cols = [w * (self._phi_flat @ np.asarray(v).ravel())
-                for v in component_values]
-        return np.stack(cols, axis=1)
+        """Pairing data F[i, c] = <g_c, phi_i> of a component stack (no
+        Gram division)."""
+        vals = np.asarray(component_values)
+        return self.grid.weight * (
+            self._phi_flat @ vals.reshape(len(vals), -1).T)
 
     def mass_matrix(self, rho_values):
         weighted = self._phi_flat * (self.grid.weight * rho_values.ravel())
@@ -254,108 +254,102 @@ class GalerkinBasis:
 
 
 # ---------------------------------------------------------------------------
-# substeps
+# substeps (raw arrays and component stacks; see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _mass_flux(rho, u, dealias_on):
-    """Dealiased flux components m_b = P_sin[rho * u_b] (all-sine fields)."""
-    out = []
-    for ub in u:
-        prod = rho * ub
-        out.append(dealias(prod) if dealias_on else prod)
-    return out
+def _sine_product(plan, prod, dealias_on):
+    """An all-sine product stack made a stored field: the 2/3-rule
+    projection when the step dealiases (it drops the sine Nyquist mode
+    anyway), else the Nyquist strip alone."""
+    sine = dirichlet(plan.dim)
+    if dealias_on:
+        return plan.project(prod, sine)
+    return _strip_sine_nyquist(prod, sine, plan.grid)
 
 
-def _density_update(rho, u, eps, dt, dealias_on=True, source=None):
-    m = _mass_flux(rho, u, dealias_on)
-    rhs = rho - dt * divergence(m)
+def _mass_flux(plan, rho, u, dealias_on):
+    """Flux stack m_b = P_sin[rho * u_b] (all-sine arrays)."""
+    return _sine_product(plan, rho * u, dealias_on)
+
+
+def _density_update(plan, rho, u, eps, dt, dealias_on=True, source=None):
+    m = _mass_flux(plan, rho, u, dealias_on)
+    div_m = np.zeros(rho.shape)
+    for b in range(plan.dim):
+        div_m += plan.deriv(m[b], b, SIN)
+    rhs = rho - dt * div_m
     if source is not None:
-        rhs = rhs + ScalarField(rho.grid, rho.parity, dt * source)
-    rho_new = solve_helmholtz(rhs, 1.0, eps * dt) if eps > 0 else rhs
-    lo = float(rho_new.values.min())
+        rhs = rhs + dt * source
+    rho_new = plan.helmholtz(rhs, neumann(plan.dim), 1.0, eps * dt) \
+        if eps > 0 else rhs
+    lo = float(rho_new.min())
     if not math.isfinite(lo):
         raise NonFiniteState("density")
-    if lo < -_REJECT_SLACK * max(rho.norm_inf(), 1e-300):
+    if lo < -_REJECT_SLACK * max(float(np.abs(rho).max()), 1e-300):
         raise PositivityLoss(f"density undershoot {lo:g}")
     return rho_new, m
 
 
-def _velocity_gradient(u):
-    """Nodal velocity gradient G[a, c] = d u_c / d x_a."""
-    return np.stack([
-        np.stack([deriv(uc, a).values for uc in u]) for a in range(u.grid.dim)
-    ])
+def _velocity_gradient(plan, u):
+    """Nodal velocity gradient G[a, c] = d u_c / d x_a of a velocity stack."""
+    return np.stack([plan.deriv(u, a, SIN) for a in range(plan.dim)])
 
 
-def _director_gradient(d):
-    """Nodal director gradient D[k, a] = d d_k / d x_a."""
-    return np.stack([
-        np.stack([deriv(dk, a).values for a in range(d.grid.dim)]) for dk in d
-    ])
+def _director_gradient(plan, d):
+    """Nodal director gradient D[k, a] = d d_k / d x_a of a director stack."""
+    return np.stack([plan.deriv(d, a, COS) for a in range(plan.dim)], axis=1)
 
 
-def _director_transport(u, grad_d, dealias_on):
-    """Transport arrays w_k = u . grad d_k, dealiased when the step is."""
-    grid = u.grid
-    out = []
-    for k in range(3):
-        adv = np.zeros(grid.shape)
-        for b, ub in enumerate(u):
-            adv += ub.values * grad_d[k, b]
-        if dealias_on:
-            adv = dealias_values(grid, adv, neumann(grid.dim))
-        out.append(adv)
-    return np.stack(out)
+def _director_transport(plan, u, grad_d, dealias_on):
+    """Transport stack w_k = u . grad d_k, dealiased when the step is."""
+    adv = np.zeros(grad_d[:, 0].shape)
+    for b in range(plan.dim):
+        adv += u[b] * grad_d[:, b]
+    if dealias_on:
+        adv = plan.project(adv, neumann(plan.dim))
+    return adv
 
 
 def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
-    """Nodal relaxation field ((d' - d)/dt + w) / relax_rate of a step."""
-    return np.stack([
-        ((d_new[k].values - d_prev[k].values) / dt + w[k]) / p.relax_rate
-        for k in range(3)
-    ])
+    """Nodal relaxation stack ((d' - d)/dt + w) / relax_rate of a step."""
+    return ((d_new - d_prev) / dt + w) / p.relax_rate
 
 
-def _director_update(d, u, grad_d, dt, p: PhysParams, dealias_on=True,
+def _director_update(plan, d, u, grad_d, dt, p: PhysParams, dealias_on=True,
                      source=None, tol=1e-13, max_iter=100):
     """Implicit-diffusion director step with a two-point penalty force.
 
-    ``grad_d`` is the gradient of ``d`` (see :func:`_director_gradient`).
-    Returns (d_new, gtilde) where gtilde is the nodal relaxation field
-    (diffusion minus penalty force, exact by construction of the solve).
+    ``d`` is the director stack and ``grad_d`` its gradient (see
+    :func:`_director_gradient`).  Each fixed-point iteration solves the
+    three Helmholtz problems as one stack.  Returns (d_new, gtilde) where
+    gtilde is the nodal relaxation stack (diffusion minus penalty force,
+    exact by construction of the solve).
     """
-    grid = d.grid
     kappa = p.relax_rate
-    w = _director_transport(u, grad_d, dealias_on)
+    parity = neumann(plan.dim)
+    w = _director_transport(plan, u, grad_d, dealias_on)
 
-    dn_vals = np.stack([c.values for c in d])
-    lag = dn_vals.copy()
-    scale = max(1.0, float(np.abs(dn_vals).max()))
-    d_new = None
+    lag = d
+    scale = max(1.0, float(np.abs(d).max()))
     for _ in range(max_iter):
-        force = cst.gl_force_two_point(dn_vals, lag, p.penalty_scale)
-        comps = []
-        for k in range(3):
-            rhs_vals = dn_vals[k] - dt * (w[k] + kappa * force[k])
-            if source is not None:
-                rhs_vals = rhs_vals + dt * source[k]
-            rhs = ScalarField(grid, neumann(grid.dim), rhs_vals, project=False)
-            comps.append(solve_helmholtz(rhs, 1.0, kappa * dt))
-        new_vals = np.stack([c.values for c in comps])
-        gap = float(np.abs(new_vals - lag).max())
+        force = cst.gl_force_two_point(d, lag, p.penalty_scale)
+        rhs = d - dt * (w + kappa * force)
+        if source is not None:
+            rhs = rhs + dt * source
+        d_new = plan.helmholtz(rhs, parity, 1.0, kappa * dt)
+        gap = float(np.abs(d_new - lag).max())
         if not math.isfinite(gap):
             raise NonFiniteState("director")
-        lag = new_vals
-        d_new = comps
+        lag = d_new
         if gap <= tol * scale:
             break
     else:
-        raise SolverFailure("director fixed point did not settle")
+        raise IterationStall("director", max_iter, gap, "increment")
 
-    return VectorField.director(d_new), _director_relaxation(d_new, d, w, dt, p)
+    return d_new, _director_relaxation(d_new, d, w, dt, p)
 
 
-def _conduction_apply(theta_vals, kappa_vals, grid):
+def _conduction_apply(plan, theta, kappa):
     """Nodal values of -div(kappa grad theta) for a cosine-parity theta.
 
     Fused on raw arrays: per axis one derivative matrix product from cosine
@@ -364,10 +358,9 @@ def _conduction_apply(theta_vals, kappa_vals, grid):
     content is never read, which is exactly the projection a stored sine
     field would apply.
     """
-    plan = spectral_plan(grid)
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        flux = kappa_vals * plan.deriv(theta_vals, a, COS)
+    out = np.zeros(theta.shape)
+    for a in range(plan.dim):
+        flux = kappa * plan.deriv(theta, a, COS)
         out -= plan.deriv(flux, a, SIN)
     return out
 
@@ -397,7 +390,8 @@ def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
         alpha = rz / float(np.sum(pvec * ap))
         x += alpha * pvec
         r -= alpha * ap
-    raise SolverFailure("conjugate gradients stalled in the heat solve")
+    raise IterationStall("temperature", max_iter, rnorm / bnorm,
+                         "relative residual")
 
 
 class _FrozenHeat:
@@ -411,18 +405,16 @@ class _FrozenHeat:
     of the new density equal to that of rho^n.
     """
 
-    def __init__(self, theta, rho_prev, reg, p, dt):
-        grid = theta.grid
-        th_n = theta.values
+    def __init__(self, plan, theta, rho_prev, reg, p, dt):
+        self.plan = plan
         self.theta = theta
-        self.th_alpha = np.maximum(th_n, 0.0) ** p.cond_growth
-        self.kappa = cst.heat_conductivity(th_n, p)
-        self.rhs = (reg.delta + rho_prev.values) * th_n / dt
-        cbar = ((reg.delta + float(rho_prev.values.mean())) / dt
+        self.th_alpha = np.maximum(theta, 0.0) ** p.cond_growth
+        self.kappa = cst.heat_conductivity(theta, p)
+        self.rhs = (reg.delta + rho_prev) * theta / dt
+        cbar = ((reg.delta + float(rho_prev.mean())) / dt
                 + reg.delta * float(self.th_alpha.mean()))
-        self.parity = neumann(grid.dim)
-        self.plan = spectral_plan(grid)
-        self.symbol = cbar + float(self.kappa.mean()) * self.plan.symbol(
+        self.parity = neumann(plan.dim)
+        self.symbol = cbar + float(self.kappa.mean()) * plan.symbol(
             self.parity)
 
     def precondition(self, vals):
@@ -433,18 +425,13 @@ class _FrozenHeat:
 
     def apply(self, c0, vals):
         """The heat operator c0 * theta - div(kappa(theta^n) grad theta)."""
-        return c0 * vals + _conduction_apply(vals, self.kappa, self.theta.grid)
+        return c0 * vals + _conduction_apply(self.plan, vals, self.kappa)
 
 
-def _heat_convection(theta, m, dealias_on):
+def _heat_convection(plan, theta, m, dealias_on):
     """Per-axis divergence terms d_b P[theta m_b] of the convective flux."""
-    out = []
-    for b, mb in enumerate(m):
-        flux = theta * mb
-        if dealias_on:
-            flux = dealias(flux)
-        out.append(deriv(flux, b).values)
-    return out
+    flux = _sine_product(plan, theta * m, dealias_on)
+    return [plan.deriv(flux[b], b, SIN) for b in range(plan.dim)]
 
 
 def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
@@ -459,11 +446,11 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     here); the sink is lagged-coefficient implicit so positivity holds.
     """
     delta = reg.delta
-    div_u = sum(grad_u[a, a] for a in range(rho_new.grid.dim))
-    c0 = (delta + rho_new.values) / dt + delta * frozen.th_alpha \
-        + p.gas_const * rho_new.values * div_u
+    div_u = sum(grad_u[a, a] for a in range(frozen.plan.dim))
+    c0 = (delta + rho_new) / dt + delta * frozen.th_alpha \
+        + p.gas_const * rho_new * div_u
     rhs = frozen.rhs.copy()
-    for term in _heat_convection(frozen.theta, m, dealias_on):
+    for term in _heat_convection(frozen.plan, frozen.theta, m, dealias_on):
         rhs -= term
     rhs += (1.0 - delta) * cst.stress_power(grad_u, p)
     rhs += p.elastic_coupling * p.relax_rate * source_sq
@@ -493,76 +480,67 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     sol = _pcg(lambda vals: frozen.apply(c0, vals), frozen.precondition,
                rhs, guess, tol=1e-13)
     lo = float(sol.min())
-    th_n = frozen.theta.values
-    if lo < -_REJECT_SLACK * max(float(np.abs(th_n).max()), 1e-300):
+    if lo < -_REJECT_SLACK * max(float(np.abs(frozen.theta).max()), 1e-300):
         raise PositivityLoss(f"temperature undershoot {lo:g}")
-    return ScalarField(rho_new.grid, neumann(rho_new.grid.dim), sol,
-                       project=False)
+    return sol
 
 
-def _momentum_forces(u_minus, grad_u, rho_prev, rho_new, m, theta_new,
+def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
                      grad_d_prev, gtilde, reg, p, dealias_on):
-    """Nodal force arrays G_c whose pairings with the velocity are the exact
+    """Nodal force stack G_c whose pairings with the velocity are the exact
     summation-by-parts partners of the scalar-equation fluxes.
 
     ``grad_u`` and ``grad_d_prev`` are the gradients of ``u_minus`` and of
     the old director (see :func:`_velocity_gradient`,
     :func:`_director_gradient`)."""
-    grid = rho_prev.grid
-    dim = grid.dim
+    dim = plan.dim
     eps, delta = reg.eps, reg.delta
 
-    force = [np.zeros(grid.shape) for _ in range(dim)]
+    force = np.zeros(u_minus.shape)
 
     # transport of momentum: -sum_b m_b d_b u_a
-    for a in range(dim):
-        for b in range(dim):
-            force[a] -= m[b].values * grad_u[b, a]
+    for b in range(dim):
+        force -= m[b] * grad_u[b]
 
     # compensation for the nonconservative discrete time derivative
     if eps > 0:
-        lap_rho = laplacian(rho_new).values
-        grad_rho = [deriv(rho_new, b) for b in range(dim)]
-        for a in range(dim):
-            force[a] -= eps * lap_rho * u_minus[a].values
-            for b in range(dim):
-                force[a] -= eps * grad_rho[b].values * grad_u[b, a]
+        grad_rho = [plan.deriv(rho_new, b, COS) for b in range(dim)]
+        lap_rho = np.zeros(rho_new.shape)
+        for b in range(dim):
+            lap_rho += plan.deriv(grad_rho[b], b, SIN)
+        force -= eps * lap_rho * u_minus
+        for b in range(dim):
+            force -= eps * grad_rho[b] * grad_u[b]
 
-    # elastic + artificial pressure via the convex enthalpy
-    bp = cst.convex_pressure_enthalpy(rho_new.values, p.gamma)
+    # elastic + artificial pressure via the convex enthalpy, and the thermal
+    # pressure: both gradients in one product per axis
+    bp = cst.convex_pressure_enthalpy(rho_new, p.gamma)
     if delta > 0:
-        bp = bp + delta * cst.convex_pressure_enthalpy(rho_new.values, reg.beta)
-    bp_field = ScalarField(grid, neumann(dim), bp, project=False)
-    for a in range(dim):
-        gb = deriv(bp_field, a).values
-        if dealias_on:
-            gb = dealias_values(grid, gb, dirichlet(dim))
-        force[a] -= rho_prev.values * gb
-
-    # thermal pressure
-    q = rho_new * theta_new
-    for a in range(dim):
-        force[a] -= p.gas_const * deriv(q, a).values
+        bp = bp + delta * cst.convex_pressure_enthalpy(rho_new, reg.beta)
+    pot = np.stack([bp, rho_new * theta_new])
+    grad_bp, grad_q = np.stack([plan.deriv(pot, a, COS) for a in range(dim)],
+                               axis=1)
+    if dealias_on:
+        grad_bp = plan.project(grad_bp, dirichlet(dim))
+    force -= rho_prev * grad_bp
+    force -= p.gas_const * grad_q
 
     # director (Ericksen) force
     nu = p.elastic_coupling
+    gk = plan.project(gtilde, neumann(dim)) if dealias_on else gtilde
     for k in range(3):
-        gk = gtilde[k]
-        if dealias_on:
-            gk = dealias_values(grid, gk, neumann(dim))
-        for a in range(dim):
-            force[a] -= nu * grad_d_prev[k, a] * gk
+        force -= nu * grad_d_prev[k] * gk[k]
     return force
 
 
-def _momentum_update(u_minus, grad_u, U_prev, rho_prev, rho_new, m,
+def _momentum_update(plan, u_minus, grad_u, U_prev, rho_prev, rho_new, m,
                      theta_new, grad_d_prev, gtilde, reg, basis, dt, p,
                      mass_mat, stiff, dealias_on=True, source=None):
-    force = _momentum_forces(u_minus, grad_u, rho_prev, rho_new, m,
+    force = _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m,
                              theta_new, grad_d_prev, gtilde, reg, p,
                              dealias_on)
     if source is not None:
-        force = [f + s for f, s in zip(force, source)]
+        force = force + source
     F = basis.pair(force)
     n, dim = basis.n, basis.grid.dim
     A = mass_mat_expand(mass_mat, dim) / dt + stiff
@@ -594,52 +572,65 @@ def _checked_mass_matrix(basis, rho_values):
 # ---------------------------------------------------------------------------
 
 def _picard_advance(s, reg, cfg, p, basis, dt, sources):
+    """One Picard-coupled step on raw arrays; fields are unpacked from
+    ``s`` once and the accepted iterates wrapped into the new State."""
+    grid = s.grid
+    plan = spectral_plan(grid)
     t_new = s.t + dt
-    src_rho = sources.density(t_new) if sources and sources.density else None
-    src_mom = sources.momentum(t_new) if sources and sources.momentum else None
-    src_th = sources.temperature(t_new) if sources and sources.temperature else None
-    src_dir = sources.director(t_new) if sources and sources.director else None
 
-    mass = _checked_mass_matrix(basis, s.rho.values)
+    def source(name):
+        fn = getattr(sources, name) if sources else None
+        return None if fn is None else np.asarray(fn(t_new))
+
+    src_rho, src_mom = source("density"), source("momentum")
+    src_th, src_dir = source("temperature"), source("director")
+
+    rho, d = s.rho.values, s.d.values
+    mass = _checked_mass_matrix(basis, rho)
     stiff = basis.stiffness(p)
-    grad_d_prev = _director_gradient(s.d)
-    U0 = basis.project([c.values for c in s.u])
-    heat = _FrozenHeat(s.theta, s.rho, reg, p, dt)
+    grad_d_prev = _director_gradient(plan, d)
+    u_minus = s.u.values
+    U0 = U_minus = basis.project(u_minus)
+    heat = _FrozenHeat(plan, s.theta.values, rho, reg, p, dt)
 
-    u_minus, U_minus = s.u, U0
-    theta_new = s.theta
+    theta_new = heat.theta
     deal = cfg.dealias
     for it in range(1, cfg.picard_max + 1):
-        grad_u = _velocity_gradient(u_minus)
-        rho_new, m = _density_update(s.rho, u_minus, reg.eps, dt, deal, src_rho)
-        d_new, gtilde = _director_update(s.d, u_minus, grad_d_prev, dt, p,
+        grad_u = _velocity_gradient(plan, u_minus)
+        rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, deal,
+                                     src_rho)
+        d_new, gtilde = _director_update(plan, d, u_minus, grad_d_prev, dt, p,
                                          deal, src_dir)
         gsq = np.sum(gtilde * gtilde, axis=0)
         theta_new = _temperature_update(heat, rho_new, grad_u, m, gsq, reg,
-                                        p, dt, theta_new.values, deal, src_th)
+                                        p, dt, theta_new, deal, src_th)
         u_entered = u_minus
-        u_new, U_new = _momentum_update(u_minus, grad_u, U0, s.rho, rho_new,
-                                        m, theta_new, grad_d_prev, gtilde,
-                                        reg, basis, dt, p, mass, stiff,
-                                        deal, src_mom)
+        u_new, U_new = _momentum_update(plan, u_minus, grad_u, U0, rho,
+                                        rho_new, m, theta_new, grad_d_prev,
+                                        gtilde, reg, basis, dt, p, mass,
+                                        stiff, deal, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
+        size = max(float(np.linalg.norm(U_new)), 1.0)
         u_minus, U_minus = u_new, U_new
-        if diff <= cfg.picard_tol * max(float(np.linalg.norm(U_new)), 1.0):
+        if diff <= cfg.picard_tol * size:
             break
     else:
-        raise PicardDivergence(
-            f"velocity iterates did not settle in {cfg.picard_max} sweeps")
+        raise PicardDivergence(cfg.picard_max, diff / size)
 
-    new_state = State(t_new, rho_new, u_new, theta_new, d_new)
-    record = _make_step_record(new_state, heat, u_entered, grad_u, U_new,
-                               stiff, gsq, reg, p, dt, it, deal)
+    cos = neumann(grid.dim)
+    new_state = State(t_new, ScalarField(grid, cos, rho_new, project=False),
+                      VectorField.from_values("velocity", grid, u_new),
+                      ScalarField(grid, cos, theta_new, project=False),
+                      VectorField.from_values("director", grid, d_new))
+    record = _make_step_record(plan, new_state, heat, u_entered, grad_u,
+                               U_new, stiff, gsq, reg, p, dt, it, deal)
     return new_state, record
 
 
-def _make_step_record(s_new, heat, u_lag, grad_lag, U_new, stiff, gsq, reg,
-                      p, dt, iters, dealias_on):
+def _make_step_record(plan, s_new, heat, u_lag, grad_lag, U_new, stiff, gsq,
+                      reg, p, dt, iters, dealias_on):
     """Ledger of an accepted step; ``grad_lag`` is the gradient of the
-    lagged velocity ``u_lag`` of the last sweep."""
+    lagged velocity stack ``u_lag`` of the last sweep."""
     grid = s_new.grid
     dim = grid.dim
     visc_prime = float(U_new.reshape(-1) @ stiff @ U_new.reshape(-1))
@@ -647,20 +638,19 @@ def _make_step_record(s_new, heat, u_lag, grad_lag, U_new, stiff, gsq, reg,
     director_sq = integrate_values(grid, gsq)
     theta_sink = integrate_values(grid, heat.th_alpha * s_new.theta.values)
 
-    rho = s_new.rho
-    grad_rho = [deriv(rho, b) for b in range(dim)]
-    safe = np.maximum(rho.values, 0.0)
+    rho = s_new.rho.values
+    grad_rho = [plan.deriv(rho, b, COS) for b in range(dim)]
+    safe = np.maximum(rho, 0.0)
 
     def interp_form(exponent):
-        bp = ScalarField(grid, neumann(dim),
-                         cst.convex_pressure_enthalpy(safe, exponent),
-                         project=False)
-        return sum(inner(deriv(bp, b), grad_rho[b]) for b in range(dim))
+        bp = cst.convex_pressure_enthalpy(safe, exponent)
+        return sum(integrate_values(grid, plan.deriv(bp, b, COS) * grad_rho[b])
+                   for b in range(dim))
 
     def direct_form(exponent):
         dens = np.zeros(grid.shape)
         for b in range(dim):
-            dens += grad_rho[b].values ** 2
+            dens += grad_rho[b] ** 2
         base = np.zeros_like(safe)
         mask = safe > 0
         base[mask] = safe[mask] ** (exponent - 2.0)
@@ -674,7 +664,8 @@ def _make_step_record(s_new, heat, u_lag, grad_lag, U_new, stiff, gsq, reg,
         eps_beta_interp=interp_form(reg.beta) if reg.delta > 0 else 0.0,
         eps_gamma_direct=direct_form(p.gamma),
         eps_beta_direct=direct_form(reg.beta) if reg.delta > 0 else 0.0,
-        u_lag=u_lag, dealias=dealias_on,
+        u_lag=VectorField.from_values("velocity", grid, u_lag),
+        dealias=dealias_on,
     )
 
 
@@ -683,8 +674,10 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     """One time step of the fully coupled scheme.
 
     Returns (new_state, StepRecord).  On a positivity rejection the step is
-    retried with a halved dt, up to ten times; non-finite data is never
-    retried, and its error names the substep, t and dt.
+    retried with a halved dt, up to ten times.  Any other failure inside
+    the step (non-finite data, a stalled inner iteration, Picard iterates
+    that do not settle) is never retried, and its error names the substep,
+    the last increment or residual, t and dt.
     """
     if basis is None:
         basis = GalerkinBasis(s.grid, reg.n_modes)
@@ -699,8 +692,9 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
             return state, record
         except PositivityLoss:
             dt *= 0.5
-        except NonFiniteState as exc:
-            raise NonFiniteState(exc.substep, s.t, dt) from exc
+        except StepFailure as exc:
+            exc.t, exc.dt = s.t, dt
+            raise
     raise StepUnderflow("step rejected after 10 dt halvings")
 
 
@@ -767,7 +761,8 @@ def regularize_initial_data(rho0, m0, theta0, d0, reg: RegParams,
     masked = [np.where(clamped >= raw, mv, 0.0) for mv in m_vals]
     u_vals = [np.where(clamped > 0.0, mv / np.maximum(clamped, 1e-300), 0.0)
               for mv in masked]
-    u = basis.reconstruct(basis.project(u_vals))
+    u = VectorField.from_values("velocity", grid,
+                                basis.reconstruct(basis.project(u_vals)))
 
     th = np.clip(theta0.values, theta_bounds[0], theta_bounds[1])
     theta = ScalarField(grid, neumann(grid.dim), th, project=False)

@@ -36,7 +36,7 @@ def bump_state(grid, n_modes=8, rho_base=1.0, rho_amp=0.5, u_amp=0.05):
     U[0, 0] = u_amp
     if n_modes > 1 and grid.dim > 1:
         U[1, 1] = -0.6 * u_amp
-    u = basis.reconstruct(U)
+    u = VectorField.from_values("velocity", grid, basis.reconstruct(U))
     ang = 0.3 * np.cos(np.pi * mesh[0] / Ls[0])
     d = VectorField.director([
         ScalarField(grid, neumann(grid.dim), np.cos(ang)),

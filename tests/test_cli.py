@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, and output formats."""
 
+import functools
 import json
 import math
 import os
@@ -77,6 +78,30 @@ def test_solver_failure_exits_3(tmp_path, capsys):
                                    "solver.picard_max = 2\n")
     assert cli.main(["run", cfg]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure", ["picard", "director", "temperature"])
+def test_stalled_iteration_exits_3_and_says_where(tmp_path, capsys,
+                                                  monkeypatch, failure):
+    """Picard iterates that do not settle, and a director fixed point or a
+    heat conjugate-gradient solve cut to one iteration, end the run with
+    exit code 3 and a message naming the substep, t and dt."""
+    from nlcflow import solver as sv
+    text = RUN_CFG.format(out=tmp_path / "out")
+    if failure == "picard":
+        text += "solver.picard_tol = 1e-300\nsolver.picard_max = 1\n"
+    elif failure == "director":
+        text = text.replace("density-bump", "director-twist")
+        monkeypatch.setattr(sv, "_director_update", functools.partial(
+            sv._director_update, max_iter=1))
+    else:
+        monkeypatch.setattr(sv, "_pcg", functools.partial(sv._pcg,
+                                                          max_iter=1))
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert cli.main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and failure in err
+    assert "t=0 " in err and "dt=0.001" in err
 
 
 def test_diagnose_missing_dir_exits_4(tmp_path):

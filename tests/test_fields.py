@@ -173,7 +173,7 @@ def test_divergence_analytic_and_composition():
 
 def test_laplacian_eigenmodes():
     g = grid2()
-    sym = fields.laplace_symbol(g, fields.neumann(2))
+    sym = fields.spectral_plan(g).symbol(fields.neumann(2))
     for kx in range(g.shape[0]):
         for ky in range(0, g.shape[1], 5):
             c = np.zeros(g.shape)
@@ -281,9 +281,9 @@ def _plan_matrices(plan):
 def test_laplace_symbol_cached_and_read_only():
     grid = fields.Grid((32, 16), (2.0, 1.0))
     for parity in ((fields.COS, fields.COS), (fields.SIN, fields.COS)):
-        sym = fields.laplace_symbol(grid, parity)
-        assert sym is fields.laplace_symbol(fields.Grid((32, 16), (2.0, 1.0)),
-                                            parity)
+        sym = fields.spectral_plan(grid).symbol(parity)
+        assert sym is fields.spectral_plan(
+            fields.Grid((32, 16), (2.0, 1.0))).symbol(parity)
         with pytest.raises(ValueError):
             sym[0, 0] = 1.0
     for mat in _plan_matrices(fields.spectral_plan(grid)):
@@ -321,10 +321,25 @@ def test_r2r_round_trip_and_slot_layout(grid):
                            atol=1e-15 * np.abs(f.values).max())
 
 
+def _boundary_max_abs(f):
+    """Max |interpolant| over all box faces (sampled at transverse nodes)."""
+    grid = f.grid
+    worst = 0.0
+    for ax in range(grid.dim):
+        for edge in (0.0, grid.extents[ax]):
+            axis_coords = [
+                np.array([edge]) if a == ax else grid.axis_nodes[a]
+                for a in range(grid.dim)
+            ]
+            worst = max(worst,
+                        float(np.abs(fields.evaluate(f, axis_coords)).max()))
+    return worst
+
+
 def test_dirichlet_fields_vanish_on_boundary():
     for g in (grid1(), grid2()):
         f = random_field(g, fields.dirichlet(g.dim))
-        assert fields.boundary_max_abs(f) <= 1e-11 * max(1.0, f.norm_inf())
+        assert _boundary_max_abs(f) <= 1e-11 * max(1.0, f.norm_inf())
 
 
 def test_evaluate_reproduces_nodes():
@@ -495,7 +510,7 @@ def test_dealias_values_matches_fft_oracle(grid):
 def test_laplacian_and_helmholtz_match_fft_oracle(grid):
     for par in _parities(grid.dim):
         f = random_field(grid, par, decay=0.1)
-        sym = fields.laplace_symbol(grid, par)
+        sym = fields.spectral_plan(grid).symbol(par)
         c = _oracle_forward(f.values, par)
         lap = _oracle_inverse(-sym * c, par)
         assert _max_err(fields.laplacian(f).values, lap) <= 1e-13
@@ -509,10 +524,10 @@ def test_heat_preconditioner_matches_fft_oracle(grid):
     from nlcflow import solver
     from nlcflow.params import PhysParams, RegParams
     rng = np.random.default_rng(11)
-    theta = fields.ScalarField(grid, fields.neumann(grid.dim),
-                               1.0 + 0.1 * rng.random(grid.shape))
-    rho = fields.constant_field(grid, 1.0)
-    frozen = solver._FrozenHeat(theta, rho, RegParams(), PhysParams(), 1e-3)
+    theta = 1.0 + 0.1 * rng.random(grid.shape)
+    rho = np.ones(grid.shape)
+    frozen = solver._FrozenHeat(fields.spectral_plan(grid), theta, rho,
+                                RegParams(), PhysParams(), 1e-3)
     r = rng.standard_normal(grid.shape)
     ref = sfft.idctn(sfft.dctn(r, type=2) / frozen.symbol, type=2)
     assert _max_err(frozen.precondition(r), ref) <= 1e-13
@@ -541,6 +556,33 @@ def test_coeffs_round_trip_matches_fft_oracle(grid):
 def test_sine_to_cosine_derivative_is_negative_transpose(grid):
     for ops in fields.spectral_plan(grid).axes:
         assert np.array_equal(ops.deriv[fields.SIN], -ops.deriv[fields.COS].T)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_plan_kernels_on_stacks_match_per_slice(grid):
+    """Every plan kernel applied to a (k, *grid.shape) stack equals the
+    kernel applied to each slice; the slices differ in their first nodal
+    values, which the cosine derivative and the Helmholtz solve shift by."""
+    plan = fields.spectral_plan(grid)
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((3,) + grid.shape) \
+        + np.arange(3.0).reshape((3,) + (1,) * grid.dim)
+
+    def check(kernel):
+        got = kernel(stack)
+        ref = np.stack([kernel(v) for v in stack])
+        assert got.shape == stack.shape
+        assert _max_err(got, ref) <= 1e-14
+
+    for par in _parities(grid.dim):
+        check(lambda v: plan.forward(v, par))
+        check(lambda v: plan.inverse(v, par))
+        check(lambda v: plan.project(v, par))
+        check(lambda v: plan.laplacian(v, par))
+        check(lambda v: plan.helmholtz(v, par, 0.7, 2.5e-3))
+        check(lambda v: fields._strip_sine_nyquist(v, par, grid))
+        for ax in range(grid.dim):
+            check(lambda v: plan.deriv(v, ax, par[ax]))
 
 
 def test_runtime_imports_no_scipy():

@@ -1,16 +1,21 @@
 """Time stepper: substep oracles, conservation, fixed points, rejection."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from nlcflow import constitutive as cst
-from nlcflow.errors import (InvalidInitialData, NonFiniteState,
+from nlcflow.errors import (InvalidInitialData, IterationStall,
+                            NonFiniteState, PicardDivergence,
                             PositivityLoss, SingularMassMatrix,
                             ValidationError)
 from nlcflow.fields import (Grid, ScalarField, VectorField, constant_field,
                             from_function, coeffs, deriv, dirichlet,
-                            neumann, integrate, solve_helmholtz)
+                            neumann, integrate, integrate_values,
+                            dealias_values, solve_helmholtz, spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
@@ -41,7 +46,7 @@ def test_projection_idempotent(grid2d):
     rng = np.random.default_rng(7)
     vals = [rng.standard_normal(grid2d.shape) for _ in range(2)]
     U1 = basis.project(vals)
-    U2 = basis.project([c.values for c in basis.reconstruct(U1)])
+    U2 = basis.project(basis.reconstruct(U1))
     assert np.linalg.norm(U2 - U1) <= 1e-14 * np.linalg.norm(U1)
 
 
@@ -49,7 +54,7 @@ def test_reconstruct_project_roundtrip_exact(grid2d):
     basis = sv.GalerkinBasis(grid2d, 5)
     rng = np.random.default_rng(3)
     U = rng.standard_normal((5, 2))
-    U2 = basis.project([c.values for c in basis.reconstruct(U)])
+    U2 = basis.project(basis.reconstruct(U))
     assert np.allclose(U2, U, rtol=0, atol=1e-14)
 
 
@@ -80,9 +85,7 @@ def test_stiffness_matches_stress_power_quadrature(grid2d):
     basis = sv.GalerkinBasis(grid2d, 6)
     rng = np.random.default_rng(11)
     U = rng.standard_normal((6, 2))
-    u = basis.reconstruct(U)
-    from nlcflow.fields import deriv, integrate_values
-    from nlcflow import constitutive as cst
+    u = VectorField.from_values("velocity", grid2d, basis.reconstruct(U))
     grad_u = np.stack([
         np.stack([deriv(uc, a).values for uc in u]) for a in range(2)
     ])
@@ -99,8 +102,9 @@ def test_density_diffusion_mode_decay():
     grid = Grid((32,), (2.0,))
     eps, dt = 0.05, 1e-3
     rho = from_function(grid, lambda x: 1.0 + 0.3 * np.cos(np.pi * x / 2.0))
-    u = VectorField.velocity([constant_field(grid, 0.0, dirichlet(1))])
-    rho1, _ = sv._density_update(rho, u, eps, dt)
+    u = np.zeros((1,) + grid.shape)
+    vals, _ = sv._density_update(spectral_plan(grid), rho.values, u, eps, dt)
+    rho1 = ScalarField(grid, neumann(1), vals, project=False)
     lam = (np.pi / 2.0) ** 2
     expect = 0.3 / (1.0 + eps * dt * lam)
     got = coeffs(rho1)[1] / coeffs(constant_field(grid, 1.0))[0] \
@@ -121,10 +125,10 @@ def test_density_transport_conserves_mass(grid2d):
                         + 0.4 * np.cos(np.pi * x / 2.0)
                         * np.cos(np.pi * y / 2.0))
     m0 = integrate(rho)
-    r = rho
+    r = rho.values
     for _ in range(5):
-        r, _ = sv._density_update(r, u, 0.02, 1e-3)
-    assert abs(integrate(r) - m0) <= 1e-13 * abs(m0)
+        r, _ = sv._density_update(spectral_plan(grid2d), r, u, 0.02, 1e-3)
+    assert abs(integrate_values(grid2d, r) - m0) <= 1e-13 * abs(m0)
 
 
 def test_density_positivity_rejection():
@@ -136,7 +140,7 @@ def test_density_positivity_rejection():
     U[0, 0] = 20.0
     u = basis.reconstruct(U)
     with pytest.raises(PositivityLoss):
-        sv._density_update(rho, u, 0.0, 0.05)
+        sv._density_update(spectral_plan(grid), rho.values, u, 0.0, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +148,10 @@ def test_density_positivity_rejection():
 # ---------------------------------------------------------------------------
 
 def _director_step(d, u, dt, p=PhysParams()):
-    d_new, _ = sv._director_update(d, u, sv._director_gradient(d), dt, p)
-    return d_new
+    plan = spectral_plan(d.grid)
+    d_new, _ = sv._director_update(plan, d.values, u.values,
+                                   sv._director_gradient(plan, d.values), dt, p)
+    return VectorField.from_values("director", d.grid, d_new)
 
 
 def test_director_unit_constant_fixed_point(grid2d):
@@ -186,6 +192,49 @@ def test_director_relaxation_ode_oracle(grid2d):
     assert abs(eta_num - sol.y[0, -1]) < 1e-6
 
 
+def _director_update_per_component(d, u, dt, p, tol=1e-13, max_iter=100):
+    """Reference director step through the field API, one component at a
+    time: its gradient, the dealiased transport and one Helmholtz solve per
+    component and fixed-point iteration."""
+    grid = d.grid
+    cos = neumann(grid.dim)
+    kappa = p.relax_rate
+    w = []
+    for dk in d:
+        adv = np.zeros(grid.shape)
+        for b, ub in enumerate(u):
+            adv += ub.values * deriv(dk, b).values
+        w.append(dealias_values(grid, adv, cos))
+    dn = np.stack([c.values for c in d])
+    lag = dn.copy()
+    scale = max(1.0, float(np.abs(dn).max()))
+    for _ in range(max_iter):
+        force = cst.gl_force_two_point(dn, lag, p.penalty_scale)
+        new = np.stack([
+            solve_helmholtz(ScalarField(
+                grid, cos, dn[k] - dt * (w[k] + kappa * force[k]),
+                project=False), 1.0, kappa * dt).values
+            for k in range(3)])
+        gap = float(np.abs(new - lag).max())
+        lag = new
+        if gap <= tol * scale:
+            return new
+    raise AssertionError("reference director fixed point did not settle")
+
+
+def test_stacked_director_update_matches_per_component_reference(grid2d):
+    from nlcflow import presets
+    p = PhysParams()
+    s = presets.build("director-twist", grid2d, amplitude=0.6)
+    plan = spectral_plan(grid2d)
+    d = s.d.values
+    for dt in (1e-3, 1e-2):
+        got, _ = sv._director_update(plan, d, s.u.values,
+                                     sv._director_gradient(plan, d), dt, p)
+        ref = _director_update_per_component(s.d, s.u, dt, p)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # temperature substep
 # ---------------------------------------------------------------------------
@@ -193,10 +242,12 @@ def test_director_relaxation_ode_oracle(grid2d):
 def _heat_step(s, u, reg, dt, p):
     """One heat substep from ``s`` with lagged velocity ``u``; the director
     of every state used here is a unit constant, so it heats nothing."""
-    frozen = sv._FrozenHeat(s.theta, s.rho, reg, p, dt)
-    m = sv._mass_flux(s.rho, u, True)
-    return sv._temperature_update(frozen, s.rho, sv._velocity_gradient(u), m,
-                                  np.zeros(s.grid.shape), reg, p, dt,
+    plan = spectral_plan(s.grid)
+    rho = s.rho.values
+    frozen = sv._FrozenHeat(plan, s.theta.values, rho, reg, p, dt)
+    m = sv._mass_flux(plan, rho, u, True)
+    return sv._temperature_update(frozen, rho, sv._velocity_gradient(plan, u),
+                                  m, np.zeros(s.grid.shape), reg, p, dt,
                                   s.theta.values)
 
 
@@ -208,11 +259,11 @@ def test_temperature_scalar_sink_oracle(grid2d):
     dt = 1e-3
     theta0 = 2.0
     s = equilibrium_state(grid2d, rho=1.0, theta=theta0)
-    th1 = _heat_step(s, s.u, reg, dt, p)
+    th1 = _heat_step(s, s.u.values, reg, dt, p)
     expect = (reg.delta + 1.0) * theta0 / (
         (reg.delta + 1.0) + dt * reg.delta * theta0 ** 2)
-    assert abs(float(th1.values.flat[0]) - expect) < 1e-12 * expect
-    assert float(np.ptp(th1.values)) < 1e-12
+    assert abs(float(th1.flat[0]) - expect) < 1e-12 * expect
+    assert float(np.ptp(th1)) < 1e-12
 
 
 def test_temperature_sink_vs_ode(grid2d):
@@ -220,11 +271,11 @@ def test_temperature_sink_vs_ode(grid2d):
     p = PhysParams(cond_growth=2)
     dt = 1e-4
     s = equilibrium_state(grid2d, rho=1.0, theta=2.0)
-    th1 = _heat_step(s, s.u, reg, dt, p)
+    th1 = _heat_step(s, s.u.values, reg, dt, p)
     sol = solve_ivp(
         lambda t, y: -reg.delta * y ** 3 / (reg.delta + 1.0),
         (0.0, dt), [2.0], rtol=1e-12, atol=1e-14)
-    assert abs(float(th1.values.flat[0]) - sol.y[0, -1]) < 1e-8
+    assert abs(float(th1.flat[0]) - sol.y[0, -1]) < 1e-8
 
 
 def test_temperature_operator_positivity_guard(grid2d):
@@ -268,7 +319,7 @@ def test_conduction_apply_matches_composed_operator(grid):
     composed = np.zeros(grid.shape)
     for b in range(grid.dim):
         composed -= deriv(kf * deriv(th, b), b).values
-    fused = sv._conduction_apply(theta, kappa, grid)
+    fused = sv._conduction_apply(spectral_plan(grid), theta, kappa)
     assert np.abs(fused - composed).max() <= 1e-13 * np.abs(composed).max()
 
 
@@ -279,13 +330,14 @@ def test_conduction_apply_symmetric_positive_semidefinite(grid):
     def pair(a, b):
         return grid.weight * float(np.sum(a * b))
 
-    ax = sv._conduction_apply(x, kappa, grid)
-    at = sv._conduction_apply(theta, kappa, grid)
+    plan = spectral_plan(grid)
+    ax = sv._conduction_apply(plan, x, kappa)
+    at = sv._conduction_apply(plan, theta, kappa)
     scale = grid.weight * np.linalg.norm(ax) * np.linalg.norm(theta)
     assert abs(pair(ax, theta) - pair(x, at)) <= 1e-13 * scale
     assert pair(x, ax) > 0.0 and pair(theta, at) > 0.0
     # constants span the kernel
-    ones = sv._conduction_apply(np.ones(grid.shape), kappa, grid)
+    ones = sv._conduction_apply(plan, np.ones(grid.shape), kappa)
     assert np.abs(ones).max() <= 1e-13 * np.abs(ax).max()
 
 
@@ -294,8 +346,8 @@ def test_heat_preconditioner_matches_helmholtz(grid):
     reg = RegParams(eps=1e-2, delta=1e-3, n_modes=2)
     theta, _, r = _heat_data(grid)
     rho = from_function(grid, lambda *xs: 1.0 + 0.2 * np.cos(np.pi * xs[0]))
-    th = ScalarField(grid, neumann(grid.dim), theta, project=False)
-    frozen = sv._FrozenHeat(th, rho, reg, PhysParams(), 1e-3)
+    frozen = sv._FrozenHeat(spectral_plan(grid), theta, rho.values, reg,
+                            PhysParams(), 1e-3)
     cbar = (reg.delta + rho.values.mean()) / 1e-3 \
         + reg.delta * frozen.th_alpha.mean()
     ref = solve_helmholtz(ScalarField(grid, neumann(grid.dim), r,
@@ -308,14 +360,14 @@ def test_heat_preconditioner_matches_helmholtz(grid):
 def _heat_system(grid):
     theta, kappa, _ = _heat_data(grid)
     c0 = 1e3 * (1.0 + 0.1 * theta)
-    frozen = sv._FrozenHeat(
-        ScalarField(grid, neumann(grid.dim), theta, project=False),
-        constant_field(grid, 1.0), RegParams(), PhysParams(), 1e-3)
+    plan = spectral_plan(grid)
+    frozen = sv._FrozenHeat(plan, theta, np.ones(grid.shape), RegParams(),
+                            PhysParams(), 1e-3)
     calls = []
 
     def apply_op(v):
         calls.append(1)
-        return c0 * v + sv._conduction_apply(v, kappa, grid)
+        return c0 * v + sv._conduction_apply(plan, v, kappa)
 
     return apply_op, frozen.precondition, theta, calls
 
@@ -367,11 +419,44 @@ def test_nonfinite_state_named_and_not_halved(grid2d, target, substep):
     assert "t=0 " in str(info.value) and "dt=0.001" in str(info.value)
 
 
+@pytest.mark.parametrize("failure", ["picard", "director", "temperature"])
+def test_step_failure_names_substep_time_and_residual(grid2d, monkeypatch,
+                                                      failure):
+    """Picard iterates that do not settle, a director fixed point and a
+    heat conjugate-gradient solve that run out of iterations each end the
+    step with an error naming the substep, t, dt and the last increment or
+    relative residual."""
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    kind = IterationStall
+    if failure == "picard":
+        cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-300,
+                              picard_max=1)
+        kind = PicardDivergence
+    elif failure == "director":
+        monkeypatch.setattr(sv, "_director_update", functools.partial(
+            sv._director_update, max_iter=1))
+    else:
+        monkeypatch.setattr(sv, "_pcg", functools.partial(sv._pcg,
+                                                          max_iter=1))
+    with pytest.raises(kind) as info:
+        sv.step_coupled(bump_state(grid2d), reg, cfg, p)
+    exc = info.value
+    assert exc.substep == failure
+    assert exc.t == 0.0 and exc.dt == cfg.dt
+    assert math.isfinite(exc.residual) and exc.residual > 1e-13
+    msg = str(exc)
+    assert f"{exc.residual:.3e}" in msg
+    assert "t=0 " in msg and "dt=0.001" in msg
+
+
 def test_density_guard_catches_nonfinite(grid2d):
     s = bump_state(grid2d)
     s.rho.values[2, 2] = np.nan
     with pytest.raises(NonFiniteState, match="density"):
-        sv._density_update(s.rho, s.u, 1e-2, 1e-3)
+        sv._density_update(spectral_plan(grid2d), s.rho.values, s.u.values,
+                           1e-2, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +464,16 @@ def test_density_guard_catches_nonfinite(grid2d):
 # ---------------------------------------------------------------------------
 
 def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
-    """One momentum substep with every coupling frozen at the inputs; the
-    director of every state used here is a unit constant, so its
-    relaxation field is zero."""
-    m = sv._mass_flux(rho, u, True)
+    """One momentum substep on raw arrays with every coupling frozen at the
+    inputs; the director of every state used here is a unit constant, so
+    its relaxation field is zero."""
+    plan = spectral_plan(basis.grid)
+    m = sv._mass_flux(plan, rho, u, True)
     u_new, _ = sv._momentum_update(
-        u, sv._velocity_gradient(u), basis.project([c.values for c in u]),
-        rho, rho, m, theta, sv._director_gradient(d),
-        np.zeros((3,) + rho.grid.shape), reg, basis, dt, p,
-        sv._checked_mass_matrix(basis, rho.values), basis.stiffness(p))
+        plan, u, sv._velocity_gradient(plan, u), basis.project(u),
+        rho, rho, m, theta, sv._director_gradient(plan, d),
+        np.zeros((3,) + rho.shape), reg, basis, dt, p,
+        sv._checked_mass_matrix(basis, rho), basis.stiffness(p))
     return u_new
 
 
@@ -398,15 +484,14 @@ def test_momentum_stokes_decay_1d():
     basis = sv.GalerkinBasis(grid, 1)
     amp, dt = 0.01, 1e-4
     u = basis.reconstruct(np.array([[amp]]))
-    rho = constant_field(grid, 1.0)
-    theta = constant_field(grid, 1.0)
-    d = VectorField.director([constant_field(grid, 1.0),
-                              constant_field(grid, 0.0),
-                              constant_field(grid, 0.0)])
+    rho = np.ones(grid.shape)
+    theta = np.ones(grid.shape)
+    d = np.stack([np.ones(grid.shape), np.zeros(grid.shape),
+                  np.zeros(grid.shape)])
     u1 = _momentum_step(u, rho, theta, d, reg, basis, dt, p)
     lam1 = (np.pi / 2.0) ** 2
     expect = amp / (1.0 + dt * (2.0 * p.mu + p.lam) * lam1)
-    got = basis.project([c.values for c in u1])[0, 0]
+    got = basis.project(u1)[0, 0]
     assert abs(got - expect) <= 1e-8 * amp
 
 
@@ -415,8 +500,9 @@ def test_momentum_zero_velocity_stays_zero(grid2d):
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     basis = sv.GalerkinBasis(grid2d, 4)
     s = equilibrium_state(grid2d)
-    u1 = _momentum_step(s.u, s.rho, s.theta, s.d, reg, basis, 1e-3, p)
-    assert max(c.norm_inf() for c in u1) == 0.0
+    u1 = _momentum_step(s.u.values, s.rho.values, s.theta.values,
+                        s.d.values, reg, basis, 1e-3, p)
+    assert np.abs(u1).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -455,34 +541,78 @@ def test_coupled_picard_count_smooth(grid2d):
     assert rec.picard_iters <= 15
 
 
-def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
-    """Every derivative a step needs is taken once and shared by the
-    substeps and the ledger.  At 2-D with k Picard sweeps, eps > 0 and
-    delta > 0 the step takes
-      6       director gradient of d^n, once per step (3 components x 2 axes)
-      14 k    per sweep: velocity gradient 4 (shared by heat, momentum and
-              the ledger), density transport divergence 2, heat convection
-              2, momentum: grad rho' 2, enthalpy gradient 2, thermal
-              pressure gradient 2
-      6       ledger: grad rho' 2, enthalpy forms 2 x 2 (gamma and beta)
-    which is 12 + 14 k = 54 for the three sweeps of this step."""
-    from nlcflow import fields, presets
-    p = PhysParams()
+def _density_bump_start(grid):
+    from nlcflow import presets
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
-    raw = presets.build("density-bump", grid2d, amplitude=0.4)
+    raw = presets.build("density-bump", grid, amplitude=0.4)
     m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
-    s0 = sv.regularize_initial_data(raw.rho, m0, raw.theta, raw.d, reg)
-    calls = []
+    return sv.regularize_initial_data(raw.rho, m0, raw.theta, raw.d, reg), reg
 
-    def counted(f, axis):
-        calls.append(axis)
-        return deriv(f, axis)
 
-    monkeypatch.setattr(fields, "deriv", counted)
-    monkeypatch.setattr(sv, "deriv", counted)
+def _counted(monkeypatch, owner, name, calls):
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
+    """Every spectral operator a step needs is applied once, to all the
+    components it acts on at the same time, and shared by the substeps and
+    the ledger.  Counted are the per-axis matrix products
+    (``fields._along``).  At 2-D with k Picard sweeps, J director
+    iterations, A heat-operator applies (k conjugate-gradient solves, each
+    with one more apply than preconditioner calls), eps > 0, delta > 0 and
+    dealiasing on, the step takes
+      2       director gradient of d^n (3-component stack), once per step
+      22 k    per sweep: velocity gradient 2 (dim-component stack, shared
+              by heat, momentum and the ledger); density: flux projection
+              2, flux divergence 2, Helmholtz 4; director transport
+              projection 2; heat convection: projection 2, divergence 2;
+              momentum: grad rho' 2, Laplacian of rho' 2 (from grad rho'),
+              enthalpy and thermal-pressure gradients 2 (one 2-array
+              stack), their projections 2 + 2 (force stack and relaxation
+              stack); minus the 4 products of the preconditioner call a CG
+              solve does not make
+      4 J     director fixed point: one stacked Helmholtz solve per
+              iteration
+      8 A     heat: conduction apply 4 and preconditioner 4
+      6       ledger: grad rho' 2, enthalpy forms 2 x 2 (gamma and beta)
+    which is 8 + 22 k + 4 J + 8 A.  This step has k = 3 and J = 3 (the
+    director is a unit constant), so 86 + 8 A; with per-component kernels
+    the same step took 88 more products."""
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid2d)
+    from nlcflow import fields
+    products, applies, iters = [], [], []
+    _counted(monkeypatch, fields, "_along", products)
+    _counted(monkeypatch, sv, "_conduction_apply", applies)
+    _counted(monkeypatch, cst, "gl_force_two_point", iters)
     _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
-    assert rec.picard_iters == 3
-    assert len(calls) == 12 + 14 * rec.picard_iters == 54
+    k, J, A = rec.picard_iters, len(iters), len(applies)
+    assert k == 3 and J == 3 and A > 2 * k
+    assert len(products) == 8 + 22 * k + 4 * J + 8 * A
+
+
+@pytest.mark.parametrize("dealias_on", [True, False])
+def test_sine_nyquist_strip_only_without_dealiasing(grid2d, monkeypatch,
+                                                    dealias_on):
+    """A dealiased step forms its sine products (the mass flux and the
+    heat convection flux) as stacks and projects them, which drops the
+    sine Nyquist mode without the strip.  Without dealiasing each sweep
+    strips both stacks, once each."""
+    from nlcflow import fields
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid2d)
+    calls = []
+    _counted(monkeypatch, fields, "_strip_sine_nyquist", calls)
+    monkeypatch.setattr(sv, "_strip_sine_nyquist", fields._strip_sine_nyquist)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, dealias=dealias_on)
+    _, rec = sv.step_coupled(s0, reg, cfg, p)
+    assert len(calls) == (0 if dealias_on else 2 * rec.picard_iters)
 
 
 def test_step_halving_recovers(grid2d):
