@@ -21,7 +21,8 @@ from . import presets
 from . import solver as sv
 from .errors import FlowError, IOFailure, ParseError, SolverFailure, \
     ValidationError
-from .fields import VectorField, constant_field, read_fields, write_field
+from .fields import VectorField, read_fields, write_constant_field, \
+    write_field
 
 _CSV_VERSION = 1
 
@@ -57,41 +58,19 @@ def _record_row(rec):
     return vals
 
 
-def render_csv(records, residuals=None):
-    """Diagnostic records as CSV text; ``residuals`` maps b_id -> per-step
-    series (one value per record after the first; the initial row gets 0)."""
-    residuals = residuals or {}
-    header = list(_CSV_COLUMNS) + [f"res_{b}" for b in residuals]
-    lines = [f"# nlcflow-csv v{_CSV_VERSION}", ",".join(header)]
-    for i, rec in enumerate(records):
-        vals = _record_row(rec)
-        for series in residuals.values():
-            vals.append(series[i - 1] if i > 0 else 0.0)
-        lines.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(lines) + "\n"
+def _csv_header(res_ids=()):
+    names = list(_CSV_COLUMNS) + [f"res_{b}" for b in res_ids]
+    return f"# nlcflow-csv v{_CSV_VERSION}\n" + ",".join(names) + "\n"
 
 
-def read_csv(path):
-    """Parse a diagnostics CSV back: (column names, rows of floats)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise IOFailure(f"cannot read csv {path!r}: {exc}") from None
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise IOFailure(f"csv {path!r} has no header")
-    names = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(names):
-            raise IOFailure(f"csv {path!r}: ragged row {ln[:40]!r}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise IOFailure(f"csv {path!r}: bad cell ({exc})") from None
-    return names, rows
+def _csv_line(rec, residuals=()):
+    return ",".join(_fmt(v) for v in _record_row(rec) + list(residuals)) \
+        + "\n"
+
+
+def render_csv(records):
+    """Diagnostic records as CSV text, without residual columns."""
+    return _csv_header() + "".join(_csv_line(rec) for rec in records)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +81,7 @@ def write_snapshot(path, s):
     """One state as a plain-text multi-field snapshot (plus a constant
     ``time`` field carrying t)."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_field(fh, "time", constant_field(s.grid, s.t))
+        write_constant_field(fh, "time", s.grid, s.t)
         write_field(fh, "rho", s.rho)
         for c, comp in enumerate(s.u):
             write_field(fh, f"u{c}", comp)
@@ -185,32 +164,50 @@ def _finite_or_null(obj):
 # ---------------------------------------------------------------------------
 
 def cmd_run(config_path):
+    """``solve run``: as each state arrives, append and flush its CSV row
+    (with the step's residuals) and write its snapshot on the cadence; the
+    last accepted state is always written.  Keeping only the previous state
+    holds memory flat, and a failed run keeps every state before it."""
     cfg = cf.parse_config(config_path)
     out = _out_dir(cfg)
-    s0 = _prepared_state(cfg)
-    states, records = sv.run(s0, cfg.reg, cfg.solver, cfg.phys)
-    recs = dg.trajectory_records(states, records, cfg.reg, cfg.phys)
-
-    residuals = {}
-    for b_id in cfg.output.residuals:
-        rows = dg.renormalized_continuity_residual(
-            states, records, cfg.reg.eps, b_id)
-        per_step, _ = dg.residual_series_max(rows)
-        residuals[b_id] = per_step
-
-    _write_text(os.path.join(out, "config.resolved"), cf.serialize(cfg))
-    if cfg.output.csv:
-        _write_text(os.path.join(out, "diagnostics.csv"),
-                    render_csv(recs, residuals))
+    res_ids = list(dict.fromkeys(cfg.output.residuals)) \
+        if cfg.output.csv else []
     cadence = cfg.output.cadence
-    marks = set()
-    if cadence > 0:
-        marks.update(range(0, len(states), cadence))
-    marks.add(len(states) - 1)
-    for k in sorted(marks):
-        write_snapshot(os.path.join(out, "snap_%06d.dat" % k), states[k])
-    last = recs[-1]
-    print(f"run complete: steps={len(states) - 1} t={states[-1].t:.6g} "
+    csv = battery = prev = None
+    k = snapped = -1        # indices of ``prev`` and of the last snapshot
+    try:
+        for s, rec in sv.run(_prepared_state(cfg), cfg.reg, cfg.solver,
+                             cfg.phys):
+            if rec is None:
+                _write_text(os.path.join(out, "config.resolved"),
+                            cf.serialize(cfg))
+                if cfg.output.csv:
+                    csv = open(os.path.join(out, "diagnostics.csv"), "w",
+                               encoding="utf-8")
+                    csv.write(_csv_header(res_ids))
+                if res_ids:
+                    battery = dg.cosine_battery(s.grid)
+                residuals = [0.0] * len(res_ids)
+            elif res_ids:
+                rows = dg.renormalized_continuity_residual(
+                    prev, s, rec, cfg.reg.eps, res_ids, battery)
+                residuals = [max(abs(v) for v in rows[b].values())
+                             for b in res_ids]
+            last = dg.make_record(s, cfg.reg, cfg.phys,
+                                  dt=None if rec is None else rec.dt)
+            if csv is not None:
+                csv.write(_csv_line(last, residuals))
+                csv.flush()
+            prev, k = s, k + 1
+            if cadence > 0 and k % cadence == 0:
+                write_snapshot(os.path.join(out, "snap_%06d.dat" % k), s)
+                snapped = k
+    finally:
+        if csv is not None:
+            csv.close()
+        if k > snapped:
+            write_snapshot(os.path.join(out, "snap_%06d.dat" % k), prev)
+    print(f"run complete: steps={k} t={prev.t:.6g} "
           f"mass={last.mass:.12g} energy={last.energy_total:.12g}")
     print(f"outputs in {out}")
     return 0

@@ -17,6 +17,7 @@ assembles a report of
 Reports are plain data (JSON-ready dicts) and deterministic given the plan.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,21 +103,30 @@ def _grad_sq(f):
 
 
 def _execute(plan, reg):
-    """One schedule entry: run, integrate functionals, capture snapshots."""
+    """One schedule entry: run it, folding the time-integrated functionals
+    and the nearest-time snapshots as each state arrives."""
     grid = plan.grid
     p = plan.phys
-    s0 = _prepare_state(plan, reg)
-    states, records = sv.run(s0, reg, plan.solver, p)
-
-    e0, _ = dg.total_energy(states[0], reg, p)
     alpha1 = p.cond_growth + 1.0
     acc = {"grad_rho_sq": 0.0, "lap_rho_sq": 0.0, "rho_beta": 0.0,
            "theta_pow": 0.0, "pressure_weight": 0.0}
     emax_ratio = 1.0
-    for s, rec in zip(states[1:], records[1:]):
+    wanted = plan.normalized_snapshot_times()
+    snaps = [None] * len(wanted)
+    gaps = [math.inf] * len(wanted)
+    records = []
+    for s, rec in sv.run(_prepare_state(plan, reg), reg, plan.solver, p):
+        diag = dg.make_record(s, reg, p, dt=None if rec is None else rec.dt)
+        records.append(diag)
+        # a strictly smaller gap replaces, so ties go to the earlier state
+        for i, t_req in enumerate(wanted):
+            if abs(s.t - t_req) < gaps[i]:
+                snaps[i], gaps[i] = s, abs(s.t - t_req)
+        if rec is None:
+            continue
         dt = rec.dt
-        e, _ = dg.total_energy(s, reg, p)
-        emax_ratio = max(emax_ratio, e / e0)
+        emax_ratio = max(emax_ratio,
+                         diag.energy_total / records[0].energy_total)
         acc["grad_rho_sq"] += dt * integrate_values(grid, _grad_sq(s.rho))
         acc["lap_rho_sq"] += dt * integrate_values(
             grid, laplacian(s.rho).values ** 2)
@@ -124,20 +134,14 @@ def _execute(plan, reg):
             grid, np.maximum(s.rho.values, 0.0) ** reg.beta)
         acc["theta_pow"] += dt * integrate_values(
             grid, np.maximum(s.theta.values, 0.0) ** alpha1)
-        acc["pressure_weight"] += dt * dg.pressure_weight_density(s, reg, p)
-
-    wanted = plan.normalized_snapshot_times()
-    snaps = []
-    for t_req in wanted:
-        best = min(states, key=lambda s: abs(s.t - t_req))
-        snaps.append(best)
+        acc["pressure_weight"] += diag.pressure_weight_increment
 
     summary = {
         "n_modes": reg.n_modes,
         "eps": reg.eps,
         "delta": reg.delta,
-        "steps": len(states) - 1,
-        "energy_initial": e0,
+        "steps": len(records) - 1,
+        "energy_initial": records[0].energy_total,
         "energy_max_ratio": emax_ratio,
         "eps_grad_rho_sq": reg.eps * acc["grad_rho_sq"],
         "eps_lap_rho": reg.eps * float(np.sqrt(acc["lap_rho_sq"])),
@@ -145,9 +149,9 @@ def _execute(plan, reg):
         "delta_theta_pow": reg.delta * acc["theta_pow"],
         "theta_norm": acc["theta_pow"] ** (1.0 / alpha1),
         "pressure_weight": acc["pressure_weight"],
-        "final_time": states[-1].t,
+        "final_time": records[-1].t,
     }
-    return summary, snaps, dg.trajectory_records(states, records, reg, p)
+    return summary, snaps, records
 
 
 def _state_distances(a, b):
@@ -172,22 +176,21 @@ def _state_distances(a, b):
     }
 
 
-def _pair_distances(all_snaps, gamma=None):
+def _pair_distances(i, left, right, gamma=None):
+    """Distance rows between the matched snapshots of runs i and i + 1."""
+    if len(left) != len(right):
+        raise MismatchedSnapshots("snapshot counts differ between runs")
     rows = []
-    for i in range(len(all_snaps) - 1):
-        left, right = all_snaps[i], all_snaps[i + 1]
-        if len(left) != len(right):
-            raise MismatchedSnapshots("snapshot counts differ between runs")
-        for sa, sb in zip(left, right):
-            if abs(sa.t - sb.t) > 1e-9 * max(1.0, abs(sa.t)):
-                raise MismatchedSnapshots(
-                    f"snapshot times differ: {sa.t} vs {sb.t}")
-            row = {"pair": [i, i + 1], "t": sa.t}
-            row.update(_state_distances(sa, sb))
-            if gamma is not None:
-                row["rho_oscillation"] = dg.oscillation_defect(
-                    [sb.rho], sa.rho, gamma)
-            rows.append(row)
+    for sa, sb in zip(left, right):
+        if abs(sa.t - sb.t) > 1e-9 * max(1.0, abs(sa.t)):
+            raise MismatchedSnapshots(
+                f"snapshot times differ: {sa.t} vs {sb.t}")
+        row = {"pair": [i, i + 1], "t": sa.t}
+        row.update(_state_distances(sa, sb))
+        if gamma is not None:
+            row["rho_oscillation"] = dg.oscillation_defect(
+                [sb.rho], sa.rho, gamma)
+        rows.append(row)
     return rows
 
 
@@ -199,17 +202,22 @@ def _decay_entry(values):
             "nonincreasing_5pct": ok}
 
 
-def _family(plan, study):
+def _family(plan, study, gamma=None):
+    """Run the schedule; each run's snapshots are compared with the
+    previous run's as soon as it ends, and only the latest are kept."""
     plan.validate(study)
-    summaries, snaps, recs = [], [], []
-    for n, eps, delta in plan.schedule:
+    summaries, distances, recs = [], [], []
+    prev = None
+    for i, (n, eps, delta) in enumerate(plan.schedule):
         reg = RegParams(eps=eps, delta=delta, beta=plan.beta,
                         n_modes=n).validate(gamma=plan.phys.gamma)
-        summary, s, r = _execute(plan, reg)
+        summary, snaps, r = _execute(plan, reg)
+        if prev is not None:
+            distances += _pair_distances(i - 1, prev, snaps, gamma)
+        prev = snaps
         summaries.append(summary)
-        snaps.append(s)
         recs.append(r)
-    return summaries, snaps, recs
+    return summaries, distances, recs
 
 
 def _uniform(summaries, keys):
@@ -228,8 +236,7 @@ def _uniform(summaries, keys):
 
 def run_galerkin_refinement(plan):
     """Refine the retained-mode count at fixed eps, delta."""
-    summaries, snaps, recs = _family(plan, "galerkin")
-    distances = _pair_distances(snaps)
+    summaries, distances, recs = _family(plan, "galerkin")
     u_gaps = [r["u_l2"] for r in distances]
     report = ContinuationReport(
         study="galerkin",
@@ -244,7 +251,7 @@ def run_galerkin_refinement(plan):
 
 def run_viscosity_vanishing(plan):
     """Shrink the artificial mass diffusion at fixed delta and n."""
-    summaries, snaps, recs = _family(plan, "viscosity")
+    summaries, distances, recs = _family(plan, "viscosity")
     report = ContinuationReport(
         study="viscosity",
         runs=summaries,
@@ -252,7 +259,7 @@ def run_viscosity_vanishing(plan):
             summaries, ("energy_max_ratio", "eps_grad_rho_sq")),
         decay={"eps_lap_rho": _decay_entry(
             [s["eps_lap_rho"] for s in summaries])},
-        distances=_pair_distances(snaps),
+        distances=distances,
         run_records=recs,
     )
     return report
@@ -260,7 +267,8 @@ def run_viscosity_vanishing(plan):
 
 def run_pressure_vanishing(plan):
     """Shrink the artificial pressure weight at fixed (small) eps and n."""
-    summaries, snaps, recs = _family(plan, "pressure")
+    summaries, distances, recs = _family(plan, "pressure",
+                                         gamma=plan.phys.gamma)
     report = ContinuationReport(
         study="pressure",
         runs=summaries,
@@ -272,7 +280,7 @@ def run_pressure_vanishing(plan):
             "delta_theta_pow": _decay_entry(
                 [s["delta_theta_pow"] for s in summaries]),
         },
-        distances=_pair_distances(snaps, gamma=plan.phys.gamma),
+        distances=distances,
         run_records=recs,
     )
     return report
@@ -283,20 +291,3 @@ STUDIES = {
     "viscosity": run_viscosity_vanishing,
     "pressure": run_pressure_vanishing,
 }
-
-
-def convergence_report(runs_snapshots, study="custom"):
-    """Distances between consecutive members of an arbitrary run family.
-
-    ``runs_snapshots`` is a list (one entry per run) of lists of States at
-    matched snapshot times.
-    """
-    if len(runs_snapshots) < 2:
-        raise MismatchedSnapshots("need at least two runs to compare")
-    return ContinuationReport(
-        study=study,
-        runs=[{"snapshots": len(s)} for s in runs_snapshots],
-        uniform_bounds={},
-        decay={},
-        distances=_pair_distances(runs_snapshots),
-    )

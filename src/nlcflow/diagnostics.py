@@ -210,15 +210,6 @@ def pressure_weight_density(s, reg: RegParams, p: PhysParams):
     return integrate_values(s.grid, integ)
 
 
-def pressure_weight(states, dts, reg: RegParams, p: PhysParams):
-    """Right-endpoint time quadrature of the pressure-weight integrand over a
-    trajectory; dts[k] is the step ending at states[k] (dts[0] ignored)."""
-    total = 0.0
-    for s, dt in zip(states[1:], dts[1:]):
-        total += dt * pressure_weight_density(s, reg, p)
-    return total
-
-
 def make_record(s, reg: RegParams, p: PhysParams, dt=None):
     e_total, parts = total_energy(s, reg, p)
     incr = 0.0
@@ -237,14 +228,6 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None):
         director_sup=director_sup(s),
         pressure_weight_increment=incr,
     )
-
-
-def trajectory_records(states, step_records, reg, p):
-    """DiagRecords for a (states, records) pair as returned by the solver."""
-    out = [make_record(states[0], reg, p)]
-    for s, rec in zip(states[1:], step_records[1:]):
-        out.append(make_record(s, reg, p, dt=rec.dt))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,8 @@ def oscillation_defect(rho_seq, rho_ref, gamma):
 
 def cosine_battery(grid, count=3):
     """The `count` lowest all-cosine tensor modes (constant first), fixed
-    ordering: by total frequency then lexicographic."""
+    ordering: by total frequency then lexicographic, as (name, psi,
+    [d_a psi]); an audit builds it once per run."""
     tuples = []
     rng = range(0, 4)
     if grid.dim == 1:
@@ -296,8 +280,9 @@ def cosine_battery(grid, count=3):
         vals = np.ones(grid.shape)
         for ax, k in enumerate(tpl):
             vals = vals * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
-        out.append((f"cos{''.join(str(k) for k in tpl)}",
-                    ScalarField(grid, neumann(grid.dim), vals)))
+        psi = ScalarField(grid, neumann(grid.dim), vals)
+        out.append((f"cos{''.join(str(k) for k in tpl)}", psi,
+                    [deriv(psi, a).values for a in range(grid.dim)]))
     return out
 
 
@@ -353,11 +338,11 @@ def _truncation_triple(kind):
     raise KeyError(f"unknown renormalization id {kind!r}")
 
 
-def renormalized_continuity_residual(states, step_records, eps, b_id,
-                                     battery=None):
-    """Per-step weak residuals of the renormalized mass balance.
+def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
+                                     battery):
+    """Weak residuals of the renormalized mass balance over one step.
 
-    The discrete form pairs, for each step n -> n+1 and test function psi:
+    The discrete form pairs, for the step n -> n+1 and test function psi:
 
       <[b(rho') - b(rho)]/dt, psi>                    (difference quotient)
       - sum_a <P_sin[b(rho) u_a], d_a psi>            (transport, lagged u)
@@ -365,60 +350,50 @@ def renormalized_continuity_residual(states, step_records, eps, b_id,
       + eps <grad b(rho'), grad psi>                  (diffusion, implicit)
       + eps <b''(rho') |grad rho'|^2, psi>            (renormalization burn)
 
-    where u is the lagged velocity the step actually used and P_sin the
-    2/3 rule when the step applied it.  For b = identity this telescopes
-    against the scheme to roundoff.  Returns a list (steps) of dicts
-    test-id -> residual.
+    where u is the lagged velocity the step actually used (read off its
+    StepRecord ``rec``) and P_sin the 2/3 rule when the step applied it.
+    For b = identity this telescopes against the scheme to roundoff.
+    ``battery`` is :func:`cosine_battery`; div u and grad rho' are taken
+    once for all the ids ``b_ids``.  Returns {b_id: {test id: residual}}.
     """
-    grid = states[0].grid
-    if battery is None:
-        battery = cosine_battery(grid)
-    b, bp, bpp = _truncation_triple(b_id)
-    grad_psi = [[deriv(psi, a).values for a in range(grid.dim)]
-                for _, psi in battery]
-    out = []
-    for s_prev, s_next, rec in zip(states[:-1], states[1:], step_records[1:]):
-        dt = rec.dt
-        u_lag = rec.u_lag
-        rho_n = s_prev.rho.values
-        rho_p = s_next.rho
-        db = (b(rho_p.values) - b(rho_n)) / dt
+    grid = s_prev.grid
+    dim = grid.dim
+    dt = rec.dt
+    u_lag = rec.u_lag
+    rho_n = s_prev.rho.values
+    rho_p = s_next.rho
+    div_u = np.zeros(grid.shape)
+    for a in range(dim):
+        div_u += deriv(u_lag[a], a).values
+    grad_rho2 = np.zeros(grid.shape)
+    for a in range(dim):
+        grad_rho2 += deriv(rho_p, a).values ** 2
+    out = {}
+    for b_id in b_ids:
+        b, bp, bpp = _truncation_triple(b_id)
+        b_n, b_p = b(rho_n), b(rho_p.values)
+        db = ScalarField(grid, neumann(dim), (b_p - b_n) / dt, project=False)
         flux = []
-        for a in range(grid.dim):
-            vals = b(rho_n) * u_lag[a].values
+        for a in range(dim):
+            vals = b_n * u_lag[a].values
             if rec.dealias:
-                vals = dealias_values(grid, vals, dirichlet(grid.dim))
+                vals = dealias_values(grid, vals, dirichlet(dim))
             flux.append(vals)
-        div_u = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            div_u += deriv(u_lag[a], a).values
-        dil = (bp(rho_n) * rho_n - b(rho_n)) * div_u
-        b_next = ScalarField(grid, neumann(grid.dim), b(rho_p.values),
-                             project=False)
-        grad_b = [deriv(b_next, a).values for a in range(grid.dim)]
-        grad_rho = [deriv(rho_p, a).values for a in range(grid.dim)]
-        grad_rho2 = np.zeros(grid.shape)
-        for g in grad_rho:
-            grad_rho2 += g ** 2
+        dil = (bp(rho_n) * rho_n - b_n) * div_u
+        b_next = ScalarField(grid, neumann(dim), b_p, project=False)
+        grad_b = [deriv(b_next, a).values for a in range(dim)]
         burn = bpp(rho_p.values) * grad_rho2
         row = {}
-        for (name, psi), grad in zip(battery, grad_psi):
-            val = inner(ScalarField(grid, neumann(grid.dim), db,
-                                    project=False), psi)
-            for a in range(grid.dim):
+        for name, psi, grad in battery:
+            val = inner(db, psi)
+            for a in range(dim):
                 val -= integrate_values(grid, flux[a] * grad[a])
                 val += eps * integrate_values(grid, grad_b[a] * grad[a])
             val += integrate_values(grid, dil * psi.values)
             val += eps * integrate_values(grid, burn * psi.values)
             row[name] = val
-        out.append(row)
+        out[b_id] = row
     return out
-
-
-def residual_series_max(rows):
-    """Max |residual| over tests for each step, and the overall max."""
-    per_step = [max(abs(v) for v in row.values()) for row in rows]
-    return per_step, (max(per_step) if per_step else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +411,11 @@ def _sine_battery(grid, count=3):
     return out
 
 
-def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
-    """Post-hoc weak residuals against the fixed test battery.
+def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
+                        battery):
+    """Weak residuals of one step against the fixed test battery, as
+    {residual id: value}; ``battery`` is the pair (``_sine_battery``,
+    :func:`cosine_battery`) of the grid, built once per run.
 
     Momentum residuals use the standalone conservative placements, so they
     decay first order in dt.  Heat and director residuals evaluate the
@@ -449,84 +427,77 @@ def weak_form_residuals(states, step_records, reg: RegParams, p: PhysParams):
     rhs-of-balance minus lhs and a one-sided check of the limiting
     inequality is possible.
     """
-    grid = states[0].grid
+    grid = s_prev.grid
     dim = grid.dim
     plan = spectral_plan(grid)
-    sin_tests = _sine_battery(grid)
-    cos_tests = cosine_battery(grid)
-    series = {}
+    sin_tests, cos_tests = battery
+    out = {}
+    dt = rec.dt
+    rho_n, rho_p = s_prev.rho, s_next.rho
+    th_p = s_next.theta
+    u_lag = rec.u_lag
 
-    def push(key, val):
-        series.setdefault(key, []).append(val)
+    # --- momentum against retained sine modes, one residual per mode
+    grad_u_p = sv._velocity_gradient(plan, s_next.u.values)
+    stress = cst.viscous_stress(grad_u_p, p)
+    pressure = cst.pressure(rho_p.values, th_p.values, p) \
+        + cst.artificial_pressure(rho_p.values, reg.delta, reg.beta)
+    d_vals = s_next.d.values
+    grad_d = sv._director_gradient(plan, d_vals).swapaxes(0, 1)
+    erick = cst.ericksen_stress(
+        grad_d, cst.gl_potential(d_vals, p.penalty_scale))
+    grad_rho_p = [deriv(rho_p, a).values for a in range(dim)]
+    for name, phi, gphi in sin_tests:
+        worst = 0.0
+        for c in range(dim):
+            val = integrate_values(
+                grid, (rho_p.values * s_next.u[c].values
+                       - rho_n.values * s_prev.u[c].values) / dt * phi)
+            for a in range(dim):
+                val -= integrate_values(
+                    grid, rho_n.values * s_prev.u[c].values
+                    * s_prev.u[a].values * gphi[a])
+                val += integrate_values(grid, stress[a, c] * gphi[a])
+                val -= p.elastic_coupling * integrate_values(
+                    grid, erick[a, c] * gphi[a])
+                if reg.eps > 0:
+                    val += reg.eps * integrate_values(
+                        grid, grad_u_p[a, c] * grad_rho_p[a] * phi)
+            val -= integrate_values(grid, pressure * gphi[c])
+            worst = max(worst, abs(val))
+        out[f"mom_{name}"] = worst
 
-    for s_prev, s_next, rec in zip(states[:-1], states[1:], step_records[1:]):
-        dt = rec.dt
-        rho_n, rho_p = s_prev.rho, s_next.rho
-        th_p = s_next.theta
-        u_lag = rec.u_lag
+    # --- heat: signed defect of the solved discrete balance
+    heat = sv._FrozenHeat(plan, s_prev.theta.values, rho_n.values, reg,
+                          p, dt)
+    u_vals = u_lag.values
+    m = sv._mass_flux(plan, rho_n.values, u_vals, rec.dealias)
+    d_prev = s_prev.d.values
+    w = sv._director_transport(
+        plan, u_vals, sv._director_gradient(plan, d_prev), rec.dealias)
+    gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
+    c0, rhs = sv._heat_system(heat, rho_p.values,
+                              sv._velocity_gradient(plan, u_vals), m,
+                              np.sum(gtilde * gtilde, axis=0), reg, p,
+                              dt, rec.dealias)
+    defect = rhs - heat.apply(c0, th_p.values)
+    for name, psi, _ in cos_tests:
+        shifted = 1.0 + 0.5 * psi.values / max(
+            1.0, float(np.abs(psi.values).max()))
+        out[f"heat_{name}"] = integrate_values(grid, defect * shifted)
 
-        # --- momentum against retained sine modes, one residual per mode
-        grad_u_p = sv._velocity_gradient(plan, s_next.u.values)
-        stress = cst.viscous_stress(grad_u_p, p)
-        pressure = cst.pressure(rho_p.values, th_p.values, p) \
-            + cst.artificial_pressure(rho_p.values, reg.delta, reg.beta)
-        d_vals = s_next.d.values
-        grad_d = sv._director_gradient(plan, d_vals).swapaxes(0, 1)
-        erick = cst.ericksen_stress(
-            grad_d, cst.gl_potential(d_vals, p.penalty_scale))
-        grad_rho_p = [deriv(rho_p, a).values for a in range(dim)]
-        for name, phi, gphi in sin_tests:
-            worst = 0.0
-            for c in range(dim):
-                val = integrate_values(
-                    grid, (rho_p.values * s_next.u[c].values
-                           - rho_n.values * s_prev.u[c].values) / dt * phi)
-                for a in range(dim):
-                    val -= integrate_values(
-                        grid, rho_n.values * s_prev.u[c].values
-                        * s_prev.u[a].values * gphi[a])
-                    val += integrate_values(grid, stress[a, c] * gphi[a])
-                    val -= p.elastic_coupling * integrate_values(
-                        grid, erick[a, c] * gphi[a])
-                    if reg.eps > 0:
-                        val += reg.eps * integrate_values(
-                            grid, grad_u_p[a, c] * grad_rho_p[a] * phi)
-                val -= integrate_values(grid, pressure * gphi[c])
-                worst = max(worst, abs(val))
-            push(f"mom_{name}", worst)
-
-        # --- heat: signed defect of the solved discrete balance
-        heat = sv._FrozenHeat(plan, s_prev.theta.values, rho_n.values, reg,
-                              p, dt)
-        u_vals = u_lag.values
-        m = sv._mass_flux(plan, rho_n.values, u_vals, rec.dealias)
-        d_prev = s_prev.d.values
-        w = sv._director_transport(
-            plan, u_vals, sv._director_gradient(plan, d_prev), rec.dealias)
-        gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
-        c0, rhs = sv._heat_system(heat, rho_p.values,
-                                  sv._velocity_gradient(plan, u_vals), m,
-                                  np.sum(gtilde * gtilde, axis=0), reg, p,
-                                  dt, rec.dealias)
-        defect = rhs - heat.apply(c0, th_p.values)
-        for name, psi in cos_tests:
-            shifted = 1.0 + 0.5 * psi.values / max(
-                1.0, float(np.abs(psi.values).max()))
-            push(f"heat_{name}", integrate_values(grid, defect * shifted))
-
-        # --- director: exact discrete balance against the cosine battery
-        f_pair = cst.gl_force_two_point(d_prev, d_vals, p.penalty_scale)
-        for name, psi in cos_tests:
-            grad_psi = [deriv(psi, a).values for a in range(dim)]
-            worst = 0.0
-            for k in range(3):
-                val = integrate_values(
-                    grid, ((d_vals[k] - d_prev[k]) / dt + w[k]) * psi.values)
-                for a in range(dim):
-                    val += p.relax_rate * integrate_values(
-                        grid, grad_d[a, k] * grad_psi[a])
+    # --- director: exact discrete balance against the cosine battery
+    f_pair = cst.gl_force_two_point(d_prev, d_vals, p.penalty_scale)
+    for name, psi, grad_psi in cos_tests:
+        worst = 0.0
+        for k in range(3):
+            val = integrate_values(
+                grid, ((d_vals[k] - d_prev[k]) / dt + w[k]) * psi.values)
+            for a in range(dim):
                 val += p.relax_rate * integrate_values(
-                    grid, f_pair[k] * psi.values)
-                worst = max(worst, abs(val))
-            push(f"dir_{name}", worst)
-    return series
+                    grid, grad_d[a, k] * grad_psi[a])
+            val += p.relax_rate * integrate_values(
+                grid, f_pair[k] * psi.values)
+            worst = max(worst, abs(val))
+        out[f"dir_{name}"] = worst
+    return out

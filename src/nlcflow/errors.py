@@ -40,7 +40,15 @@ class NonPositiveTemperature(NonPositiveInput):
 # --- solver layer -----------------------------------------------------------
 
 class SolverFailure(FlowError):
-    """Base class for time-stepping failures."""
+    """Base class for time-stepping failures.  One raised inside the time
+    loop carries the index ``step`` of the step it ended, named in its
+    message (the run's first step is 1)."""
+
+    step = None
+
+    def __str__(self):
+        msg = super().__str__()
+        return msg if self.step is None else f"{msg} (step {self.step})"
 
 
 class PositivityLoss(SolverFailure):
@@ -61,10 +69,11 @@ class StepFailure(SolverFailure):
         super().__init__(what)
 
     def __str__(self):
-        msg = self.what
-        if self.t is not None:
-            msg += f" of the step from t={self.t:.17g} with dt={self.dt:.17g}"
-        return msg
+        if self.t is None:
+            return super().__str__()
+        step = "the step" if self.step is None else f"step {self.step}"
+        return (f"{self.what} of {step} from t={self.t:.17g} "
+                f"with dt={self.dt:.17g}")
 
 
 class NonFiniteState(StepFailure):

@@ -676,14 +676,28 @@ def _parity_token(parity):
     raise ParityMismatch("only uniform-parity fields are serialized")
 
 
+def _field_header(name, parity, shape):
+    dims = " ".join(str(n) for n in shape)
+    return f"FIELD {name} {_parity_token(parity)} {dims}\n"
+
+
 def write_field(fh, name, f):
-    """Append one field in the plain-text snapshot format."""
-    dims = " ".join(str(n) for n in f.grid.shape)
-    fh.write(f"FIELD {name} {_parity_token(f.parity)} {dims}\n")
-    rows = f.values.reshape(f.grid.shape[0], -1)
-    for row in rows:
-        fh.write(" ".join("%.17g" % v for v in row))
-        fh.write("\n")
+    """Append one field in the plain-text snapshot format: a header line,
+    then one line of ``%.17g`` values per index along the first axis, all
+    formatted by a single ``%`` operation."""
+    shape = f.grid.shape
+    row = " ".join(["%.17g"] * (f.values.size // shape[0])) + "\n"
+    fh.write(_field_header(name, f.parity, shape))
+    fh.write((row * shape[0]) % tuple(f.values.ravel().tolist()))
+
+
+def write_constant_field(fh, name, grid, value):
+    """Append a constant cosine-parity field, its value formatted once: the
+    bytes :func:`write_field` writes for ``constant_field(grid, value)``."""
+    shape = grid.shape
+    row = " ".join(["%.17g" % float(value)] * (math.prod(shape) // shape[0]))
+    fh.write(_field_header(name, neumann(grid.dim), shape))
+    fh.write((row + "\n") * shape[0])
 
 
 def read_fields(fh, grid):

@@ -699,28 +699,37 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
 
 
 def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
-        monitors=None, basis=None, sources=None):
-    """Advance to t_end; returns (states, records) with records[k] the
-    ledger data for the step ending at states[k] (records[0] is None)."""
+        basis=None, sources=None):
+    """Advance to t_end, yielding ``(s0, None)`` and then each accepted
+    state with the StepRecord of the step ending there.
+
+    Only the current state is kept, so memory does not grow with the step
+    count unless the consumer keeps the pairs.  ``(s0, None)`` comes once
+    the first step has returned or failed, so a consumer's work on it is
+    not set-up.  Steps go through this module's ``step_coupled``, looked up
+    at call time; a SolverFailure of a step carries its index ``step``.
+    """
     cfg.validate()
     if basis is None:
         basis = GalerkinBasis(s0.grid, reg.n_modes)
-    states = [s0]
-    records = [None]
-    s = s0
-    guard = 0
+    s, held = s0, [(s0, None)]
+    del s0      # the initial state lives on in ``held`` until handed out
+    n = 0
     max_steps = max(1, int(np.ceil(cfg.t_end / cfg.dt)) * 2 ** 11 + 4)
     while s.t < cfg.t_end - 1e-12 * max(cfg.t_end, 1.0):
-        s, rec = step_coupled(s, reg, cfg, p, basis, sources)
-        states.append(s)
-        records.append(rec)
-        if monitors:
-            for mon in monitors:
-                mon(s, rec)
-        guard += 1
-        if guard > max_steps:
-            raise SolverFailure("time loop failed to reach t_end")
-    return states, records
+        n += 1
+        try:
+            if n > max_steps:
+                raise SolverFailure("time loop failed to reach t_end")
+            s, rec = step_coupled(s, reg, cfg, p, basis, sources)
+        except SolverFailure as exc:
+            exc.step = n
+            yield from held
+            raise
+        yield from held
+        held = []
+        yield s, rec
+    yield from held
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from nlcflow.fields import (Grid, VectorField, deriv, dirichlet, divergence,
                             laplacian, solve_helmholtz)
 from nlcflow.params import PhysParams, RegParams
 
-from conftest import bump_state
+from conftest import bump_state, renorm_rows, residual_series_max, run_lists
 
 P = PhysParams()
 REG = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
@@ -38,7 +38,7 @@ def _verdict(capsys, num, name, ok, detail):
 
 
 def _run(state, reg, dt, t_end):
-    return sv.run(state, reg, sv.SolverConfig(dt=dt, t_end=t_end), P)
+    return run_lists(state, reg, sv.SolverConfig(dt=dt, t_end=t_end), P)
 
 
 def _prepared(name, grid, reg, amplitude=None, base=1.0):
@@ -336,9 +336,8 @@ def test_criterion_09_renormalized_continuity(capsys):
     t0 = time.perf_counter()
     grid = Grid((32, 32), (2.0, 2.0))
     states, records = _run(bump_state(grid), REG, 1e-3, 0.02)
-    _, ident = dg.residual_series_max(
-        dg.renormalized_continuity_residual(states, records, REG.eps,
-                                            "identity"))
+    _, ident = residual_series_max(
+        renorm_rows(states, records, REG.eps, "identity"))
 
     grid64 = Grid((64, 64), (2.0, 2.0))
     reg0 = RegParams(eps=0.0, delta=1e-3, beta=5.0, n_modes=8)
@@ -347,8 +346,8 @@ def test_criterion_09_renormalized_continuity(capsys):
         sts, recs = _run(bump_state(grid64, rho_base=3.0, rho_amp=2.2),
                          reg0, dt, 0.02)
         for b in maxima:
-            _, overall = dg.residual_series_max(
-                dg.renormalized_continuity_residual(sts, recs, reg0.eps, b))
+            _, overall = residual_series_max(
+                renorm_rows(sts, recs, reg0.eps, b))
             maxima[b].append(overall)
     monotone = all(v[0] > v[1] > v[2] for v in maxima.values())
     factors = {b: v[0] / v[2] for b, v in maxima.items()}

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from nlcflow import cli
 from nlcflow.fields import Grid
 from nlcflow.solver import State
 
-from conftest import bump_state
+from conftest import bump_state, read_csv
 
 
 RUN_CFG = """\
@@ -139,7 +140,7 @@ def test_equilibrium_run_constant_diagnostics(tmp_path):
                  "init.preset = equilibrium\n"
                  f"output.dir = {tmp_path / 'eq'}\n")
     assert cli.main(["run", cfg]) == 0
-    names, rows = cli.read_csv(str(tmp_path / "eq" / "diagnostics.csv"))
+    names, rows = read_csv(str(tmp_path / "eq" / "diagnostics.csv"))
     cols = {n: [r[i] for r in rows] for i, n in enumerate(names)}
     for key in ("mass", "energy_total", "entropy_total", "director_sup"):
         assert max(cols[key]) - min(cols[key]) <= 1e-12 * max(
@@ -150,7 +151,7 @@ def test_csv_columns_and_lossless_round_trip(tmp_path):
     cfg = _run_cfg(tmp_path)
     assert cli.main(["run", cfg]) == 0
     path = tmp_path / "out" / "diagnostics.csv"
-    names, rows = cli.read_csv(str(path))
+    names, rows = read_csv(str(path))
     assert tuple(names[:len(cli._CSV_COLUMNS)]) == cli._CSV_COLUMNS
     assert names[len(cli._CSV_COLUMNS):] == ["res_identity", "res_T2"]
     # every text cell survives float() -> %.17g exactly
@@ -205,6 +206,83 @@ def test_restart_from_snapshot_continues_the_run(tmp_path):
     a = (tmp_path / "whole" / "snap_000010.dat").read_bytes()
     b = (tmp_path / "second" / "snap_000005.dat").read_bytes()
     assert a == b
+
+
+def test_mid_run_failure_keeps_what_was_written(tmp_path, capsys,
+                                                monkeypatch):
+    """Step k of a cadence-1 run failing ends it with exit code 3 and a
+    message naming the step.  The rows and snapshots of states 0 to k-1
+    stay, equal to the continuous run's, and a restart from the last
+    snapshot ends on the continuous run's final snapshot byte for byte."""
+    from nlcflow import solver as sv
+    from nlcflow.errors import NonFiniteState
+    k = 4
+    whole = _write(tmp_path, "whole.cfg",
+                   RESTART_CFG.format(out=tmp_path / "whole"))
+    assert cli.main(["run", whole]) == 0
+    calls = []
+    step = sv.step_coupled
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == k:
+            raise NonFiniteState("director")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "step_coupled", failing)
+    broken = _write(tmp_path, "broken.cfg",
+                    RESTART_CFG.format(out=tmp_path / "broken"))
+    capsys.readouterr()
+    assert cli.main(["run", broken]) == 3
+    assert f"(step {k})" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    text = (tmp_path / "broken" / "diagnostics.csv").read_text()
+    assert text.endswith("\n")
+    names, rows = read_csv(str(tmp_path / "broken" / "diagnostics.csv"))
+    assert len(rows) == k and names[0] == "t"
+    full = (tmp_path / "whole" / "diagnostics.csv").read_text()
+    assert full.startswith(text)
+    snaps = sorted(n for n in os.listdir(tmp_path / "broken")
+                   if n.startswith("snap_"))
+    assert snaps == ["snap_%06d.dat" % i for i in range(k)]
+    for name in snaps:
+        assert (tmp_path / "broken" / name).read_bytes() \
+            == (tmp_path / "whole" / name).read_bytes()
+
+    restart = _write(tmp_path, "restart.cfg",
+                     RESTART_CFG.format(out=tmp_path / "second")
+                     + f"init.snapshot = {tmp_path / 'broken' / snaps[-1]}\n")
+    assert cli.main(["run", restart]) == 0
+    a = (tmp_path / "whole" / "snap_000010.dat").read_bytes()
+    b = (tmp_path / "second" / ("snap_%06d.dat" % (11 - k))).read_bytes()
+    assert a == b
+
+
+def test_run_keeps_at_most_three_states(tmp_path, monkeypatch):
+    """``solve run`` streams its states: over 20 steps at 32^2, with a
+    snapshot and two residual audits per step, at most three States are
+    alive at any time."""
+    from nlcflow import solver as sv
+    live = weakref.WeakSet()
+    made = []
+
+    class Counted(sv.State):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+            made.append(len(live))
+
+    monkeypatch.setattr(sv, "State", Counted)
+    cfg = _write(tmp_path, "long.cfg",
+                 RESTART_CFG.format(out=tmp_path / "long").replace(
+                     "solver.t_end = 0.01", "solver.t_end = 0.02")
+                 + "output.residuals = identity,T2\n")
+    assert cli.main(["run", cfg]) == 0
+    assert len(os.listdir(tmp_path / "long")) == 21 + 2
+    assert len(made) >= 21 and max(made) <= 3
 
 
 def test_solve_out_overrides_output_dir(tmp_path, monkeypatch):
@@ -268,7 +346,7 @@ def test_mms_command_spatial_order(tmp_path):
                      .read_text())
     total = doc["orders"]["total"]
     assert total is None or total > 4.0
-    names, rows = cli.read_csv(str(tmp_path / "mms" / "mms_bump-1d.csv"))
+    names, rows = read_csv(str(tmp_path / "mms" / "mms_bump-1d.csv"))
     assert names == ["resolution"] + list(cli._ERR_KEYS)
     assert len(rows) == 2
 

@@ -13,7 +13,9 @@ from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
 
-from conftest import bump_state, equilibrium_state
+from conftest import (bump_state, equilibrium_state, renorm_rows,
+                      residual_series_max, run_lists, trajectory_records,
+                      weak_series)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,8 @@ def test_budget_one_sided_on_bump_run(grid2d):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d)
     e0, _ = dg.total_energy(s0, reg, p)
-    states, records = sv.run(s0, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), p)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
+    states, records = run_lists(s0, reg, cfg, p)
     for k in range(1, len(states)):
         r = dg.energy_budget_residual(states[k - 1], states[k], reg, p,
                                       records[k].dt, records[k])
@@ -171,9 +174,9 @@ def test_pressure_weight_constant_run(grid2d):
     p = PhysParams(gamma=2.0, gas_const=1.0)
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    states, records = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=1e-2), p)
-    dts = [None] + [r.dt for r in records[1:]]
-    total = dg.pressure_weight(states, dts, reg, p)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1e-2)
+    total = sum(r.pressure_weight_increment
+                for r in trajectory_records(sv.run(s, reg, cfg, p), reg, p))
     assert total == pytest.approx(2.0 * 4.0 * 1e-2, rel=1e-12)
 
 
@@ -206,7 +209,7 @@ def test_oscillation_defect_mismatch_errors(grid2d):
 
 
 def test_cosine_battery_fixed_order(grid2d):
-    names = [name for name, _ in dg.cosine_battery(grid2d)]
+    names = [name for name, _, _ in dg.cosine_battery(grid2d)]
     assert names == ["cos00", "cos01", "cos10"]
     const = dg.cosine_battery(grid2d)[0][1]
     assert np.allclose(const.values, 1.0)
@@ -220,8 +223,9 @@ def test_trajectory_records_equilibrium(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    states, records = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), p)
-    recs = dg.trajectory_records(states, records, reg, p)
+    states, records = run_lists(s, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3),
+                                p)
+    recs = trajectory_records(zip(states, records), reg, p)
     assert len(recs) == len(states)
     first = recs[1]
     for r in recs[2:]:
@@ -236,8 +240,8 @@ def test_run_t_end_zero_gives_one_record(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    states, records = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=0.0), p)
-    recs = dg.trajectory_records(states, records, reg, p)
+    recs = trajectory_records(
+        sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=0.0), p), reg, p)
     assert len(recs) == 1
     assert recs[0].t == 0.0 and recs[0].mass == pytest.approx(4.0)
 
@@ -250,10 +254,10 @@ def test_renorm_identity_machine_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
-    states, records = sv.run(s0, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), p)
-    rows = dg.renormalized_continuity_residual(states, records, reg.eps,
-                                               "identity")
-    _, worst = dg.residual_series_max(rows)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
+    states, records = run_lists(s0, reg, cfg, p)
+    rows = renorm_rows(states, records, reg.eps, "identity")
+    _, worst = residual_series_max(rows)
     assert worst <= 1e-10
 
 
@@ -261,11 +265,11 @@ def test_renorm_constant_state_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    states, records = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=2e-3), p)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
+    states, records = run_lists(s, reg, cfg, p)
     for b_id in ("identity", "T1", "T4", "zlog"):
-        rows = dg.renormalized_continuity_residual(states, records, reg.eps,
-                                                   b_id)
-        _, worst = dg.residual_series_max(rows)
+        rows = renorm_rows(states, records, reg.eps, b_id)
+        _, worst = residual_series_max(rows)
         assert worst <= 1e-12
 
 
@@ -276,27 +280,30 @@ def test_renorm_smooth_kernel_first_order(grid2d):
     worst = []
     for dt in (1e-3, 5e-4):
         s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
-        states, records = sv.run(s0, reg,
-                                 sv.SolverConfig(dt=dt, t_end=1e-2), p)
-        rows = dg.renormalized_continuity_residual(states, records, reg.eps,
-                                                   "zlog")
-        worst.append(dg.residual_series_max(rows)[1])
+        states, records = run_lists(s0, reg,
+                                    sv.SolverConfig(dt=dt, t_end=1e-2), p)
+        rows = renorm_rows(states, records, reg.eps, "zlog")
+        worst.append(residual_series_max(rows)[1])
     ratio = worst[0] / worst[1]
     assert 1.6 <= ratio <= 2.4
 
 
 def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
-    """The test functions' gradients are taken once per call, not once per
-    step.  At 2-D with the three-function cosine battery and k steps the
-    call takes
-      6       battery gradients, once per call (3 functions x 2 axes)
-      6 k     per step: div u_lag 2, grad b(rho') 2, grad rho' 2
-    which is 6 + 6 k = 18 for two steps (12 k = 24 before)."""
+    """The test functions' gradients are taken once per run, and div u_lag
+    and grad rho' once per step for all requested ids.  At 2-D with the
+    three-function cosine battery, m ids and k steps the audit takes
+      6       battery gradients, once per run (3 functions x 2 axes)
+      4 k     per step: div u_lag 2, grad rho' 2
+      2 m k   per step and id: grad b(rho') 2
+    which is 6 + 2 (4 + 4) = 22 for two steps and two ids (36 when each
+    id took its own pass over the steps, with the battery's gradients per
+    pass)."""
     from nlcflow import fields
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
-    states, records = sv.run(s0, reg, sv.SolverConfig(dt=1e-3, t_end=2e-3), p)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
+    states, records = run_lists(s0, reg, cfg, p)
     calls = []
     deriv = fields.deriv
 
@@ -306,10 +313,16 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
 
     monkeypatch.setattr(fields, "deriv", counted)
     monkeypatch.setattr(dg, "deriv", counted)
-    rows = dg.renormalized_continuity_residual(states, records, reg.eps, "T1")
-    steps = len(states) - 1
-    assert len(rows) == steps == 2
-    assert len(calls) == 6 + 6 * steps == 18
+    battery = dg.cosine_battery(grid2d)
+    rows = [dg.renormalized_continuity_residual(a, b, rec, reg.eps,
+                                                ("T1", "identity"), battery)
+            for a, b, rec in zip(states, states[1:], records[1:])]
+    steps = len(rows)
+    assert steps == 2 and all(list(r) == ["T1", "identity"] for r in rows)
+    assert len(calls) == 6 + steps * (4 + 2 * 2) == 22
+    monkeypatch.undo()
+    assert [r["T1"] for r in rows] == renorm_rows(states, records, reg.eps,
+                                                  "T1")
 
 
 def test_renorm_unknown_kernel_rejected():
@@ -325,8 +338,9 @@ def test_weak_residuals_equilibrium_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    states, records = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=2e-3), p)
-    series = dg.weak_form_residuals(states, records, reg, p)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
+    states, records = run_lists(s, reg, cfg, p)
+    series = weak_series(states, records, reg, p)
     for key, vals in series.items():
         assert max(abs(v) for v in vals) <= 1e-11, key
 
@@ -344,8 +358,8 @@ def test_weak_residuals_scheme_consistent_families(grid2d, dealias):
     m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
     s0 = sv.regularize_initial_data(raw.rho, m0, raw.theta, raw.d, reg)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3, dealias=dealias)
-    states, records = sv.run(s0, reg, cfg, p)
-    series = dg.weak_form_residuals(states, records, reg, p)
+    states, records = run_lists(s0, reg, cfg, p)
+    series = weak_series(states, records, reg, p)
     scale = max(abs(v) for v in series["heat_cos00"]) + 1.0
     for key, vals in series.items():
         if key.startswith("heat_"):
@@ -360,9 +374,9 @@ def test_weak_momentum_residual_first_order(grid2d):
     worst = []
     for dt in (1e-3, 5e-4):
         s0 = bump_state(grid2d)
-        states, records = sv.run(s0, reg,
-                                 sv.SolverConfig(dt=dt, t_end=1e-2), p)
-        series = dg.weak_form_residuals(states, records, reg, p)
+        states, records = run_lists(s0, reg,
+                                    sv.SolverConfig(dt=dt, t_end=1e-2), p)
+        series = weak_series(states, records, reg, p)
         worst.append(max(max(abs(v) for v in vals)
                          for key, vals in series.items()
                          if key.startswith("mom_")))

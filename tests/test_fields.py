@@ -428,6 +428,45 @@ def test_snapshot_corruption_raises():
         fields.read_fields(io.StringIO(truncated), g)
 
 
+def _per_row_write_field(fh, name, f):
+    """The writer that formatted one row at a time, kept as the reference
+    for the bytes of the v1 snapshot format."""
+    dims = " ".join(str(n) for n in f.grid.shape)
+    fh.write(f"FIELD {name} {fields._parity_token(f.parity)} {dims}\n")
+    rows = f.values.reshape(f.grid.shape[0], -1)
+    for row in rows:
+        fh.write(" ".join("%.17g" % v for v in row))
+        fh.write("\n")
+
+
+# signed zeros, a subnormal, extremes and values that need 17 digits
+SPECIAL_VALUES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
+                  0.1, 1.0 / 3.0, -2.0 / 3.0, np.pi, 0.30000000000000004,
+                  123456789.12345678, 1.0000000000000002]
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
+def test_write_field_matches_per_row_writer(shape):
+    """One ``%`` over the whole field writes the bytes the per-row writer
+    wrote, for random values of every magnitude, special values and both
+    parities; a constant field formatted once matches it too."""
+    rng = np.random.default_rng(7)
+    grid = fields.Grid(shape, (2.0,) * len(shape))
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    vals.flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:vals.size]
+    for parity in (fields.neumann(grid.dim), fields.dirichlet(grid.dim)):
+        f = fields.ScalarField(grid, parity, vals, project=False)
+        got, want = io.StringIO(), io.StringIO()
+        fields.write_field(got, "x", f)
+        _per_row_write_field(want, "x", f)
+        assert got.getvalue() == want.getvalue()
+    for value in SPECIAL_VALUES + list(vals.flat[:5]):
+        got, want = io.StringIO(), io.StringIO()
+        fields.write_constant_field(got, "time", grid, value)
+        _per_row_write_field(want, "time", fields.constant_field(grid, value))
+        assert got.getvalue() == want.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # the operator matrices against scipy.fft oracles
 # ---------------------------------------------------------------------------

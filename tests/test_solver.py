@@ -19,7 +19,7 @@ from nlcflow.fields import (Grid, ScalarField, VectorField, constant_field,
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
-from conftest import bump_state, equilibrium_state
+from conftest import bump_state, equilibrium_state, run_lists
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def test_step_failure_names_substep_time_and_residual(grid2d, monkeypatch,
     """Picard iterates that do not settle, a director fixed point and a
     heat conjugate-gradient solve that run out of iterations each end the
     step with an error naming the substep, t, dt and the last increment or
-    relative residual."""
+    relative residual; raised inside a run, it also names the step."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
@@ -449,6 +449,14 @@ def test_step_failure_names_substep_time_and_residual(grid2d, monkeypatch,
     msg = str(exc)
     assert f"{exc.residual:.3e}" in msg
     assert "t=0 " in msg and "dt=0.001" in msg
+    assert exc.step is None and "the step from t=0 " in msg
+
+    with pytest.raises(kind) as info:
+        for _ in sv.run(bump_state(grid2d), reg, cfg, p):
+            pass
+    exc = info.value
+    assert exc.substep == failure and exc.step == 1
+    assert "of step 1 from t=0 with dt=0.001" in str(exc)
 
 
 def test_density_guard_catches_nonfinite(grid2d):
@@ -528,7 +536,7 @@ def test_coupled_mass_conservation(grid2d):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
     m0 = integrate(s.rho)
-    states, _ = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), p)
+    states, _ = run_lists(s, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), p)
     for st in states:
         assert abs(integrate(st.rho) - m0) <= 1e-12 * abs(m0)
 
@@ -631,7 +639,8 @@ def test_run_t_end_zero_returns_initial(grid2d):
     p = PhysParams()
     reg = RegParams(n_modes=4)
     s = equilibrium_state(grid2d)
-    states, records = sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=0.0), p)
+    states, records = run_lists(s, reg, sv.SolverConfig(dt=1e-3, t_end=0.0),
+                                p)
     assert len(states) == 1 and states[0] is s
     assert records == [None]
 
@@ -640,18 +649,22 @@ def test_run_lands_on_t_end(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    states, _ = sv.run(s, reg, sv.SolverConfig(dt=3e-3, t_end=1e-2), p)
+    states, _ = run_lists(s, reg, sv.SolverConfig(dt=3e-3, t_end=1e-2), p)
     assert states[-1].t == pytest.approx(1e-2, abs=1e-12)
 
 
-def test_monitors_called_each_step(grid2d):
+def test_run_yields_each_step(grid2d):
+    """The run hands out the initial pair, then each accepted step as it
+    is taken, with the record of the step ending at its state."""
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
     seen = []
-    sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=3e-3), p,
-           monitors=[lambda st, rec: seen.append(st.t)])
-    assert len(seen) == 3
+    for st, rec in sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=3e-3), p):
+        assert (rec is None) == (st is s)
+        assert rec is None or rec.t_new == st.t
+        seen.append(st.t)
+    assert seen == pytest.approx([0.0, 1e-3, 2e-3, 3e-3], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
