@@ -52,7 +52,12 @@ class SolverFailure(FlowError):
 
 
 class PositivityLoss(SolverFailure):
-    """A substep would push density or temperature meaningfully negative."""
+    """A substep would push density or temperature meaningfully negative;
+    ``substep`` names which."""
+
+    def __init__(self, substep, what):
+        self.substep = substep
+        super().__init__(what)
 
 
 class StepFailure(SolverFailure):
@@ -106,12 +111,24 @@ class IterationStall(StepFailure):
             f"iterations (last {measure} {residual:.3e})", residual, t, dt)
 
 
-class StepUnderflow(SolverFailure):
-    """Time step was halved too many times without an accepted step."""
+class StepUnderflow(StepFailure):
+    """Time step was halved too many times without an accepted step; the
+    substep is the one whose positivity check rejected the last try, and
+    ``dt`` the step size of that try."""
+
+    def __init__(self, substep, halvings, last, t=None, dt=None):
+        super().__init__(
+            substep, f"the step was rejected after {halvings} dt halvings "
+            f"(last: {last})", None, t, dt)
 
 
-class SingularMassMatrix(SolverFailure):
+class SingularMassMatrix(StepFailure):
     """Galerkin mass matrix lost definiteness (density floor breach)."""
+
+    def __init__(self, min_eig, t=None, dt=None):
+        super().__init__(
+            "momentum", f"the velocity mass matrix is near-singular (min "
+            f"eig {min_eig:.3e})", None, t, dt)
 
 
 class InvalidInitialData(FlowError):

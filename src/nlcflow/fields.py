@@ -514,14 +514,6 @@ def coeffs(f):
     return plan.forward(f.values, f.parity) * plan.amplitude(f.parity)
 
 
-def field_from_coeffs(grid, parity, c):
-    """Inverse of :func:`coeffs`."""
-    parity = _normalize_parity(parity, grid.dim)
-    plan = spectral_plan(grid)
-    c = np.asarray(c, dtype=np.float64) * plan.amplitude(parity, inverse=True)
-    return ScalarField(grid, parity, plan.inverse(c, parity), project=False)
-
-
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------

@@ -326,21 +326,6 @@ def build_sources(case, grid, reg, p, dealias_on=True, refine=1):
                       temperature=temperature, director=director)
 
 
-def mms_sources(case, p, reg, grid=None, t=0.0, dealias_on=True, refine=None):
-    """Per-equation source arrays at one time level (dict of nodal data)."""
-    if grid is None:
-        grid = Grid((32,) * case.dim, (2.0,) * case.dim)
-    if refine is None:
-        refine = 2 if case.kind == "spatial" else 1
-    src = build_sources(case, grid, reg, p, dealias_on, refine)
-    return {
-        "density": src.density(t),
-        "momentum": src.momentum(t),
-        "temperature": src.temperature(t),
-        "director": src.director(t),
-    }
-
-
 def _l2(grid, a, b):
     return float(np.sqrt(integrate_values(grid, (a - b) ** 2)))
 

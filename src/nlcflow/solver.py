@@ -64,6 +64,14 @@ from .params import PhysParams, RegParams
 
 _REJECT_SLACK = 1e-12
 
+# Inner-solve tolerances of a Picard sweep: the relative residual of the heat
+# conjugate gradients and the director fixed-point gap relative to its scale.
+# A sweep solves to _INNER_TOL_LOOSE until the Picard increments predict it
+# is the last (see _sweep_is_last), and only a sweep whose solves reached
+# _INNER_TOL is accepted.
+_INNER_TOL = 1e-13
+_INNER_TOL_LOOSE = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # containers
@@ -131,6 +139,10 @@ class StepRecord:
     eps_beta_direct: float
     u_lag: VectorField       # velocity the accepted sweep was frozen at
     dealias: bool            # whether the step applied the 2/3 rule
+    heat_applies: int        # heat-operator applies over all sweeps
+    director_iters: int      # director fixed-point iterations, all sweeps
+    heat_residual: float     # relative CG residual the accepted sweep reached
+    director_gap: float      # relative fixed-point gap it reached
 
 
 @dataclass
@@ -286,7 +298,7 @@ def _density_update(plan, rho, u, eps, dt, dealias_on=True, source=None):
     if not math.isfinite(lo):
         raise NonFiniteState("density")
     if lo < -_REJECT_SLACK * max(float(np.abs(rho).max()), 1e-300):
-        raise PositivityLoss(f"density undershoot {lo:g}")
+        raise PositivityLoss("density", f"density undershoot {lo:g}")
     return rho_new, m
 
 
@@ -316,22 +328,25 @@ def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
 
 
 def _director_update(plan, d, u, grad_d, dt, p: PhysParams, dealias_on=True,
-                     source=None, tol=1e-13, max_iter=100):
+                     source=None, lag=None, tol=_INNER_TOL, max_iter=100):
     """Implicit-diffusion director step with a two-point penalty force.
 
     ``d`` is the director stack and ``grad_d`` its gradient (see
-    :func:`_director_gradient`).  Each fixed-point iteration solves the
-    three Helmholtz problems as one stack.  Returns (d_new, gtilde) where
-    gtilde is the nodal relaxation stack (diffusion minus penalty force,
-    exact by construction of the solve).
+    :func:`_director_gradient`).  The fixed point starts from ``lag`` (the
+    previous Picard sweep's director; ``d`` when None) and stops once one
+    application moves the iterate by at most ``tol`` times its scale.  Each
+    iteration solves the three Helmholtz problems as one stack.  Returns
+    (d_new, gtilde, iterations, gap) where gtilde is the nodal relaxation
+    stack (diffusion minus penalty force, exact by construction of the
+    solve) and gap the last move relative to the scale.
     """
     kappa = p.relax_rate
     parity = neumann(plan.dim)
     w = _director_transport(plan, u, grad_d, dealias_on)
 
-    lag = d
+    lag = d if lag is None else lag
     scale = max(1.0, float(np.abs(d).max()))
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         force = cst.gl_force_two_point(d, lag, p.penalty_scale)
         rhs = d - dt * (w + kappa * force)
         if source is not None:
@@ -346,7 +361,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, dealias_on=True,
     else:
         raise IterationStall("director", max_iter, gap, "increment")
 
-    return d_new, _director_relaxation(d_new, d, w, dt, p)
+    return d_new, _director_relaxation(d_new, d, w, dt, p), it, gap / scale
 
 
 def _conduction_apply(plan, theta, kappa):
@@ -367,10 +382,11 @@ def _conduction_apply(plan, theta, kappa):
 
 def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
     """Preconditioned conjugate gradients from ``x0`` to the relative
-    residual ``tol``."""
+    residual ``tol``.  Returns the solution, the relative residual it
+    reached and the number of operator applies."""
     bnorm = math.sqrt(float(np.sum(b * b)))
     if bnorm == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0.0, 0
     x = x0.copy()
     r = b - apply_op(x)
     pvec = rz = None
@@ -379,7 +395,7 @@ def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
         if not math.isfinite(rnorm):
             raise NonFiniteState("temperature")
         if rnorm <= tol * bnorm:
-            return x
+            return x, rnorm / bnorm, it + 1
         if it == max_iter:
             break
         z = precond(r)
@@ -423,6 +439,15 @@ class _FrozenHeat:
         return plan.inverse(plan.forward(vals, self.parity) / self.symbol,
                             self.parity)
 
+    def scaled_preconditioner(self, c0):
+        """The symmetric preconditioner r -> s * precondition(s * r) for
+        the operator with diagonal coefficient c0, where
+        s = (c0 / mean c0)^(-1/2): a diagonal scaling around the
+        constant-coefficient solve that takes out the spatial variation of
+        c0, which dominates the low modes.  It costs no matrix product."""
+        s = np.sqrt(float(c0.mean()) / c0)
+        return lambda vals: s * self.precondition(s * vals)
+
     def apply(self, c0, vals):
         """The heat operator c0 * theta - div(kappa(theta^n) grad theta)."""
         return c0 * vals + _conduction_apply(self.plan, vals, self.kappa)
@@ -460,14 +485,16 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
 
 
 def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
-                        guess, dealias_on=True, source=None):
+                        guess, dealias_on=True, source=None, tol=_INNER_TOL):
     """Implicit update of the conserved variable (delta + rho) theta.
 
     ``frozen`` carries the step-fixed parts of the operator (built once per
     step by :class:`_FrozenHeat`) and :func:`_heat_system` assembles the
-    rest.  The conjugate-gradient solve is warm started from ``guess``:
-    theta^n on the first Picard sweep and the previous sweep's temperature
-    after that.
+    rest.  The conjugate-gradient solve runs to the relative residual
+    ``tol`` with the diagonally scaled preconditioner and is warm started
+    from ``guess``: theta^n on the first Picard sweep and the previous
+    sweep's temperature after that.  Returns the temperature, the relative
+    residual reached and the number of operator applies.
     """
     c0, rhs = _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
                            dealias_on, source)
@@ -475,14 +502,17 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     if not math.isfinite(lo):
         raise NonFiniteState("temperature")
     if lo <= 0.0:
-        raise PositivityLoss("temperature operator lost positivity")
+        raise PositivityLoss("temperature",
+                             "temperature operator lost positivity")
 
-    sol = _pcg(lambda vals: frozen.apply(c0, vals), frozen.precondition,
-               rhs, guess, tol=1e-13)
+    sol, res, applies = _pcg(lambda vals: frozen.apply(c0, vals),
+                             frozen.scaled_preconditioner(c0), rhs, guess,
+                             tol=tol)
     lo = float(sol.min())
     if lo < -_REJECT_SLACK * max(float(np.abs(frozen.theta).max()), 1e-300):
-        raise PositivityLoss(f"temperature undershoot {lo:g}")
-    return sol
+        raise PositivityLoss("temperature",
+                             f"temperature undershoot {lo:g}")
+    return sol, res, applies
 
 
 def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
@@ -562,8 +592,7 @@ def _checked_mass_matrix(basis, rho_values):
     mass = basis.mass_matrix(rho_values)
     eigs = np.linalg.eigvalsh(mass)
     if eigs[0] < 1e-14 * max(1.0, eigs[-1]):
-        raise SingularMassMatrix(
-            f"velocity mass matrix near-singular (min eig {eigs[0]:.3e})")
+        raise SingularMassMatrix(float(eigs[0]))
     return mass
 
 
@@ -571,9 +600,26 @@ def _checked_mass_matrix(basis, rho_values):
 # coupled step and time loop
 # ---------------------------------------------------------------------------
 
+def _sweep_is_last(inc, tol):
+    """Whether the next Picard sweep is predicted to be the last, from the
+    relative velocity increments ``inc`` of the sweeps before it: the last
+    one met ``tol`` already, or the last two contract fast enough that the
+    next increment, extrapolated as inc[-1]**2 / inc[-2], will."""
+    if not inc:
+        return False
+    return inc[-1] <= tol or (len(inc) >= 2 and inc[-1] ** 2 <= tol * inc[-2])
+
+
 def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     """One Picard-coupled step on raw arrays; fields are unpacked from
-    ``s`` once and the accepted iterates wrapped into the new State."""
+    ``s`` once and the accepted iterates wrapped into the new State.
+
+    The heat and director solves of a sweep run to _INNER_TOL_LOOSE unless
+    the sweep is predicted to be the last (or is the last allowed), which
+    solves them to _INNER_TOL.  A sweep is accepted when its velocity
+    increment meets ``picard_tol`` and its inner solves reached _INNER_TOL,
+    so a loose sweep that converges is followed by a full one.  The rule
+    reads only this step's increments, so a restart repeats it exactly."""
     grid = s.grid
     plan = spectral_plan(grid)
     t_new = s.t + dt
@@ -593,17 +639,25 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     U0 = U_minus = basis.project(u_minus)
     heat = _FrozenHeat(plan, s.theta.values, rho, reg, p, dt)
 
-    theta_new = heat.theta
+    theta_new, d_new = heat.theta, d
     deal = cfg.dealias
+    inc = []
+    heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
+        full = it == cfg.picard_max or _sweep_is_last(inc, cfg.picard_tol)
+        tol = _INNER_TOL if full else _INNER_TOL_LOOSE
         grad_u = _velocity_gradient(plan, u_minus)
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, deal,
                                      src_rho)
-        d_new, gtilde = _director_update(plan, d, u_minus, grad_d_prev, dt, p,
-                                         deal, src_dir)
+        d_new, gtilde, iters, gap = _director_update(
+            plan, d, u_minus, grad_d_prev, dt, p, deal, src_dir, lag=d_new,
+            tol=tol)
         gsq = np.sum(gtilde * gtilde, axis=0)
-        theta_new = _temperature_update(heat, rho_new, grad_u, m, gsq, reg,
-                                        p, dt, theta_new, deal, src_th)
+        theta_new, heat_res, applies = _temperature_update(
+            heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, deal,
+            src_th, tol=tol)
+        heat_applies += applies
+        director_iters += iters
         u_entered = u_minus
         u_new, U_new = _momentum_update(plan, u_minus, grad_u, U0, rho,
                                         rho_new, m, theta_new, grad_d_prev,
@@ -612,7 +666,9 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
         u_minus, U_minus = u_new, U_new
-        if diff <= cfg.picard_tol * size:
+        inc.append(diff / size)
+        if (diff <= cfg.picard_tol * size and heat_res <= _INNER_TOL
+                and gap <= _INNER_TOL):
             break
     else:
         raise PicardDivergence(cfg.picard_max, diff / size)
@@ -622,15 +678,18 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
                       VectorField.from_values("velocity", grid, u_new),
                       ScalarField(grid, cos, theta_new, project=False),
                       VectorField.from_values("director", grid, d_new))
+    inner = dict(heat_applies=heat_applies, director_iters=director_iters,
+                 heat_residual=heat_res, director_gap=gap)
     record = _make_step_record(plan, new_state, heat, u_entered, grad_u,
-                               U_new, stiff, gsq, reg, p, dt, it, deal)
+                               U_new, stiff, gsq, reg, p, dt, it, deal, inner)
     return new_state, record
 
 
 def _make_step_record(plan, s_new, heat, u_lag, grad_lag, U_new, stiff, gsq,
-                      reg, p, dt, iters, dealias_on):
+                      reg, p, dt, iters, dealias_on, inner):
     """Ledger of an accepted step; ``grad_lag`` is the gradient of the
-    lagged velocity stack ``u_lag`` of the last sweep."""
+    lagged velocity stack ``u_lag`` of the last sweep, and ``inner`` holds
+    the inner-solve fields of the StepRecord."""
     grid = s_new.grid
     dim = grid.dim
     visc_prime = float(U_new.reshape(-1) @ stiff @ U_new.reshape(-1))
@@ -666,6 +725,7 @@ def _make_step_record(plan, s_new, heat, u_lag, grad_lag, U_new, stiff, gsq,
         eps_beta_direct=direct_form(reg.beta) if reg.delta > 0 else 0.0,
         u_lag=VectorField.from_values("velocity", grid, u_lag),
         dealias=dealias_on,
+        **inner,
     )
 
 
@@ -690,12 +750,14 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
             state, record = _picard_advance(s, reg, cfg, p, basis, dt, sources)
             record.halvings = halving
             return state, record
-        except PositivityLoss:
+        except PositivityLoss as exc:
+            if halving == 10:
+                raise StepUnderflow(exc.substep, halving, exc, s.t, dt) \
+                    from exc
             dt *= 0.5
         except StepFailure as exc:
             exc.t, exc.dt = s.t, dt
             raise
-    raise StepUnderflow("step rejected after 10 dt halvings")
 
 
 def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,

@@ -27,6 +27,13 @@ def test_registered_cases():
         assert case.kind in ("temporal", "spatial")
 
 
+def _sources_at(case, reg, grid, refine, t=0.0):
+    """Per-equation source arrays of ``case`` at one time level."""
+    src = mms.build_sources(case, grid, reg, P, True, refine)
+    return {"density": src.density(t), "momentum": src.momentum(t),
+            "temperature": src.temperature(t), "director": src.director(t)}
+
+
 def _constant_case():
     one = lambda mesh, t: np.ones_like(mesh[0])
     return mms.MMSCase(name="const", dim=1, kind="spatial",
@@ -38,7 +45,7 @@ def test_equilibrium_case_zero_sources():
     """A constant state solves the unregularized system with no forcing."""
     grid = Grid((16,), (2.0,))
     reg0 = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
-    src = mms.mms_sources(_constant_case(), P, reg0, grid=grid, refine=1)
+    src = _sources_at(_constant_case(), reg0, grid, 1)
     assert np.all(src["density"] == 0.0)
     assert np.all(src["temperature"] == 0.0)
     for arr in src["momentum"]:
@@ -51,7 +58,7 @@ def test_steady_continuity_source_composition():
     """Quiescent steady case: the mass source is exactly -eps * lap(rho*)."""
     case = mms.get_case("bump-1d")
     grid = Grid((32,), (2.0,))
-    src = mms.mms_sources(case, P, REG, grid=grid, refine=1)
+    src = _sources_at(case, REG, grid, 1)
     ref = mms.analytic_state(case, grid, 0.0)
     want = -REG.eps * laplacian(ref.rho).values
     assert np.allclose(src["density"], want, rtol=0, atol=1e-15)
@@ -60,8 +67,8 @@ def test_steady_continuity_source_composition():
 def test_refined_sources_converge_to_run_grid_sources():
     case = mms.get_case("bump-1d")
     grid = Grid((32,), (2.0,))
-    coarse = mms.mms_sources(case, P, REG, grid=grid, refine=1)
-    fine = mms.mms_sources(case, P, REG, grid=grid, refine=2)
+    coarse = _sources_at(case, REG, grid, 1)
+    fine = _sources_at(case, REG, grid, 2)
     for key in ("density", "temperature"):
         scale = np.abs(coarse[key]).max() + 1.0
         assert np.abs(coarse[key] - fine[key]).max() < 1e-8 * scale

@@ -11,7 +11,7 @@ from nlcflow import constitutive as cst
 from nlcflow.errors import (InvalidInitialData, IterationStall,
                             NonFiniteState, PicardDivergence,
                             PositivityLoss, SingularMassMatrix,
-                            ValidationError)
+                            StepUnderflow, ValidationError)
 from nlcflow.fields import (Grid, ScalarField, VectorField, constant_field,
                             from_function, coeffs, deriv, dirichlet,
                             neumann, integrate, integrate_values,
@@ -149,8 +149,9 @@ def test_density_positivity_rejection():
 
 def _director_step(d, u, dt, p=PhysParams()):
     plan = spectral_plan(d.grid)
-    d_new, _ = sv._director_update(plan, d.values, u.values,
-                                   sv._director_gradient(plan, d.values), dt, p)
+    d_new, *_ = sv._director_update(plan, d.values, u.values,
+                                    sv._director_gradient(plan, d.values), dt,
+                                    p)
     return VectorField.from_values("director", d.grid, d_new)
 
 
@@ -229,8 +230,8 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
     plan = spectral_plan(grid2d)
     d = s.d.values
     for dt in (1e-3, 1e-2):
-        got, _ = sv._director_update(plan, d, s.u.values,
-                                     sv._director_gradient(plan, d), dt, p)
+        got, *_ = sv._director_update(plan, d, s.u.values,
+                                      sv._director_gradient(plan, d), dt, p)
         ref = _director_update_per_component(s.d, s.u, dt, p)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -248,7 +249,7 @@ def _heat_step(s, u, reg, dt, p):
     m = sv._mass_flux(plan, rho, u, True)
     return sv._temperature_update(frozen, rho, sv._velocity_gradient(plan, u),
                                   m, np.zeros(s.grid.shape), reg, p, dt,
-                                  s.theta.values)
+                                  s.theta.values)[0]
 
 
 def test_temperature_scalar_sink_oracle(grid2d):
@@ -376,20 +377,48 @@ def test_pcg_warm_and_cold_starts_agree():
     grid = KERNEL_GRIDS[2]
     apply_op, precond, theta, calls = _heat_system(grid)
     b = apply_op(theta)
-    cold = sv._pcg(apply_op, precond, b, np.zeros(grid.shape), tol=1e-13)
+    cold, _, _ = sv._pcg(apply_op, precond, b, np.zeros(grid.shape),
+                         tol=1e-13)
     cold_calls = len(calls)
     warm_start = theta + 1e-6 * np.cos(3 * np.pi * grid.mesh()[0] / 2.0)
-    warm = sv._pcg(apply_op, precond, b, warm_start, tol=1e-13)
+    warm, _, _ = sv._pcg(apply_op, precond, b, warm_start, tol=1e-13)
     assert len(calls) - cold_calls < cold_calls
     assert np.abs(warm - cold).max() <= 1e-12 * np.abs(theta).max()
     assert np.abs(warm - theta).max() <= 1e-12 * np.abs(theta).max()
 
 
+def test_scaled_preconditioner_agrees_and_saves_applies(grid2d):
+    """On the heat system of a density-bump step the diagonally scaled
+    preconditioner reaches the plain one's solution in fewer applies, from
+    a cold and from a warm start."""
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid2d)
+    plan, dt = spectral_plan(grid2d), 1e-3
+    rho, u = s0.rho.values, s0.u.values
+    frozen = sv._FrozenHeat(plan, s0.theta.values, rho, reg, p, dt)
+    rho_new, m = sv._density_update(plan, rho, u, reg.eps, dt)
+    c0, rhs = sv._heat_system(frozen, rho_new, sv._velocity_gradient(plan, u),
+                              m, np.zeros(grid2d.shape), reg, p, dt)
+
+    def apply_op(v):
+        return frozen.apply(c0, v)
+
+    for x0 in (np.zeros(grid2d.shape), frozen.theta):
+        plain, res_p, applies_p = sv._pcg(apply_op, frozen.precondition, rhs,
+                                          x0, tol=1e-13)
+        scaled, res_s, applies_s = sv._pcg(
+            apply_op, frozen.scaled_preconditioner(c0), rhs, x0, tol=1e-13)
+        assert max(res_p, res_s) <= 1e-13
+        assert applies_s < applies_p
+        assert np.abs(scaled - plain).max() <= 1e-12 * np.abs(plain).max()
+
+
 def test_pcg_zero_rhs_returns_before_any_apply():
     grid = KERNEL_GRIDS[1]
     apply_op, precond, theta, calls = _heat_system(grid)
-    x = sv._pcg(apply_op, precond, np.zeros(grid.shape), theta, tol=1e-13)
-    assert not calls
+    x, res, applies = sv._pcg(apply_op, precond, np.zeros(grid.shape), theta,
+                              tol=1e-13)
+    assert not calls and applies == 0 and res == 0.0
     assert not np.any(x)
 
 
@@ -457,6 +486,59 @@ def test_step_failure_names_substep_time_and_residual(grid2d, monkeypatch,
     exc = info.value
     assert exc.substep == failure and exc.step == 1
     assert "of step 1 from t=0 with dt=0.001" in str(exc)
+
+
+def _expect_named_failure(kind, substep, step, t, dt, run_step):
+    """The failure ``run_step`` raises names its substep, t and dt, and,
+    raised inside a run, the step index."""
+    with pytest.raises(kind) as info:
+        run_step()
+    exc = info.value
+    assert exc.substep == substep and exc.t == t
+    assert exc.dt == pytest.approx(dt, rel=1e-15)
+    msg = str(exc)
+    assert f"from t={t:.17g} with dt={exc.dt:.17g}" in msg
+    assert exc.step == step
+    if step is not None:
+        assert f"of step {step} from" in msg
+
+
+def test_singular_mass_matrix_names_time_and_step(grid2d):
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=4)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    s = equilibrium_state(grid2d, rho=0.0)
+    _expect_named_failure(SingularMassMatrix, "momentum", None, 0.0, 1e-3,
+                          lambda: sv.step_coupled(s, reg, cfg, p))
+    _expect_named_failure(SingularMassMatrix, "momentum", 1, 0.0, 1e-3,
+                          lambda: list(sv.run(s, reg, cfg, p)))
+
+
+def test_step_underflow_names_time_dt_and_step(grid2d, monkeypatch):
+    """Every step after the first loses positivity in the density substep
+    whatever its dt: the second step gives up after ten halvings, naming
+    the substep, its t, the last dt tried and the step index."""
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    advance = sv._picard_advance
+
+    def failing(s, *args):
+        if s.t > 0.0:
+            raise PositivityLoss("density", "density undershoot -1")
+        return advance(s, *args)
+
+    monkeypatch.setattr(sv, "_picard_advance", failing)
+    s1, _ = sv.step_coupled(bump_state(grid2d), reg, cfg, p)
+    _expect_named_failure(StepUnderflow, "density", None, s1.t,
+                          1e-3 * 0.5 ** 10,
+                          lambda: sv.step_coupled(s1, reg, cfg, p))
+    _expect_named_failure(StepUnderflow, "density", 2, s1.t,
+                          1e-3 * 0.5 ** 10,
+                          lambda: list(sv.run(bump_state(grid2d), reg, cfg,
+                                              p)))
+    with pytest.raises(StepUnderflow, match="after 10 dt halvings"):
+        sv.step_coupled(s1, reg, cfg, p)
 
 
 def test_density_guard_catches_nonfinite(grid2d):
@@ -529,6 +611,74 @@ def test_equilibrium_is_fixed_point(grid2d):
     assert max(c.norm_inf() for c in s1.u) == 0.0
     for c1, c0 in zip(s1.d, s.d):
         assert np.array_equal(c1.values, c0.values)
+
+
+@pytest.mark.parametrize("preset", ["density-bump", "director-twist"])
+def test_accepted_sweep_reaches_full_inner_tolerance(grid2d, monkeypatch,
+                                                     preset):
+    """The ledger of a step shows what the accepted sweep's heat and
+    director solves reached, not what was asked of them, and counts the
+    step's heat applies and director iterations over all its sweeps."""
+    from nlcflow import presets
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid2d)
+    if preset == "director-twist":
+        s0 = presets.build(preset, grid2d, amplitude=0.6)
+    applies, iters = [], []
+    _counted(monkeypatch, sv, "_conduction_apply", applies)
+    _counted(monkeypatch, cst, "gl_force_two_point", iters)
+    _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
+    assert rec.picard_iters >= 2
+    assert 0.0 <= rec.heat_residual <= 1e-13
+    assert 0.0 <= rec.director_gap <= 1e-13
+    assert rec.heat_applies == len(applies)
+    assert rec.director_iters == len(iters) >= rec.picard_iters
+
+
+def test_loose_sweep_meeting_picard_tol_is_followed_by_full_one(grid2d,
+                                                                monkeypatch):
+    """With picard_tol = 1e-2 the first sweep, solved loosely, already
+    meets the Picard test; the step still ends on a sweep whose inner
+    solves were asked for, and reached, full tolerance."""
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid2d)
+    tols, seen = [], []
+    pcg = sv._pcg
+
+    def spy_pcg(apply_op, precond, b, x0, tol, max_iter=400):
+        tols.append(tol)
+        return pcg(apply_op, precond, b, x0, tol, max_iter)
+
+    is_last = sv._sweep_is_last
+
+    def spy_is_last(inc, tol):
+        seen.append(list(inc))
+        return is_last(inc, tol)
+
+    monkeypatch.setattr(sv, "_pcg", spy_pcg)
+    monkeypatch.setattr(sv, "_sweep_is_last", spy_is_last)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-2)
+    _, rec = sv.step_coupled(s0, reg, cfg, p)
+    assert tols == [sv._INNER_TOL_LOOSE, sv._INNER_TOL]
+    assert seen[1][0] <= cfg.picard_tol
+    assert rec.picard_iters == 2
+    assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
+
+    # the last sweep picard_max allows is solved to full tolerance, so a
+    # step that settles in it is still accepted
+    tols.clear()
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-2, picard_max=1)
+    _, rec = sv.step_coupled(s0, reg, cfg, p)
+    assert tols == [sv._INNER_TOL] and rec.picard_iters == 1
+
+
+def test_sweep_is_last_rule():
+    tol = 1e-9
+    assert not sv._sweep_is_last([], tol)
+    assert sv._sweep_is_last([1e-9], tol)
+    assert not sv._sweep_is_last([2e-3], tol)
+    assert sv._sweep_is_last([2e-3, 2e-7], tol)       # 4e-14 <= 2e-12
+    assert not sv._sweep_is_last([2e-3, 2e-5], tol)   # 4e-10 > 2e-12
 
 
 def test_coupled_mass_conservation(grid2d):
