@@ -19,9 +19,9 @@ from . import diagnostics as dg
 from . import mms as mm
 from . import presets
 from . import solver as sv
-from .errors import FlowError, IOFailure, ParseError, SolverFailure, \
-    ValidationError
-from .fields import VectorField, read_fields, write_constant_field, \
+from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
+    SolverFailure, ValidationError
+from .fields import dirichlet, neumann, read_fields, write_constant_field, \
     write_field
 
 _CSV_VERSION = 1
@@ -80,31 +80,42 @@ def render_csv(records):
 def write_snapshot(path, s):
     """One state as a plain-text multi-field snapshot (plus a constant
     ``time`` field carrying t)."""
+    cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
     with open(path, "w", encoding="utf-8") as fh:
         write_constant_field(fh, "time", s.grid, s.t)
-        write_field(fh, "rho", s.rho)
+        write_field(fh, "rho", s.rho, cos)
         for c, comp in enumerate(s.u):
-            write_field(fh, f"u{c}", comp)
-        write_field(fh, "theta", s.theta)
+            write_field(fh, f"u{c}", comp, sin)
+        write_field(fh, "theta", s.theta, cos)
         for k in range(3):
-            write_field(fh, f"d{k}", s.d[k])
+            write_field(fh, f"d{k}", s.d[k], cos)
 
 
 def read_snapshot(path, grid):
+    """The State stored by :func:`write_snapshot`.  Each field's stored
+    parity must be the one the state layout gives it (ParityMismatch)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             fields = read_fields(fh, grid)
     except OSError as exc:
         raise IOFailure(f"cannot read snapshot {path!r}: {exc}") from None
-    need = ["time", "rho", "theta"] + [f"u{c}" for c in range(grid.dim)] \
-        + [f"d{k}" for k in range(3)]
-    missing = [n for n in need if n not in fields]
+    cos, sin = neumann(grid.dim), dirichlet(grid.dim)
+    layout = {"time": cos, "rho": cos, "theta": cos}
+    layout.update((f"u{c}", sin) for c in range(grid.dim))
+    layout.update((f"d{k}", cos) for k in range(3))
+    missing = [n for n in layout if n not in fields]
     if missing:
         raise IOFailure(f"snapshot {path!r} lacks fields {missing}")
-    t = float(fields["time"].values.flat[0])
-    u = VectorField.velocity([fields[f"u{c}"] for c in range(grid.dim)])
-    d = VectorField.director([fields[f"d{k}"] for k in range(3)])
-    return sv.State(t, fields["rho"], u, fields["theta"], d)
+    for name, parity in layout.items():
+        if fields[name][0] != parity:
+            raise ParityMismatch(
+                f"snapshot {path!r} stores {name} with parity "
+                f"{fields[name][0]}, the state needs {parity}")
+    values = {name: fields[name][1] for name in layout}
+    return sv.State(
+        grid, float(values["time"].flat[0]), values["rho"],
+        [values[f"u{c}"] for c in range(grid.dim)], values["theta"],
+        [values[f"d{k}"] for k in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +145,8 @@ def _prepared_state(cfg):
     raw = _initial_state(cfg)
     if cfg.init.snapshot is not None:
         return raw
-    m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
     return sv.regularize_initial_data(
-        raw.rho, m0, raw.theta, raw.d, cfg.reg,
+        raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, cfg.reg,
         theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
 
 

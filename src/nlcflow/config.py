@@ -7,8 +7,10 @@ The format is a diff-friendly text file of dotted keys:
     grid.shape = 32,32
     solver.dt = 1e-3
 
-Unknown keys are rejected with the offending line number.  Every key left
-to its default is logged once at parse time.  ``serialize(parse(path))``
+Unknown keys are rejected with the offending line number; a retired key
+(one that older versions wrote to ``config.resolved``) is logged and
+ignored, so those files still parse.  Every key left to its default is
+logged once at parse time.  ``serialize(parse(path))``
 followed by another parse reproduces the same RunConfig (idempotent after
 the first normalization).
 """
@@ -56,7 +58,6 @@ SCHEMA = {
     "phys.gamma": (float, PhysParams.gamma),
     "phys.gas_const": (float, PhysParams.gas_const),
     "phys.cond_floor": (float, PhysParams.cond_floor),
-    "phys.cond_cap": (float, PhysParams.cond_cap),
     "phys.cond_growth": (float, PhysParams.cond_growth),
     "phys.penalty_scale": (float, PhysParams.penalty_scale),
     "phys.elastic_coupling": (float, PhysParams.elastic_coupling),
@@ -89,6 +90,11 @@ SCHEMA = {
     "mms.resolutions": (_parse_int_list, (16, 32)),
     "mms.dts": (_parse_float_list, (4e-3, 2e-3, 1e-3)),
     "mms.shape": (int, 32),
+}
+
+# retired key -> why it is ignored
+RETIRED = {
+    "phys.cond_cap": "no conductivity law reads it",
 }
 
 _SERIALIZE_VERSION = 1
@@ -151,6 +157,10 @@ def _read_pairs(lines):
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in RETIRED:
+            log.info("line %d: ignoring retired key %s (%s)", lineno, key,
+                     RETIRED[key])
+            continue
         if key not in SCHEMA:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
@@ -198,7 +208,7 @@ def _build(values):
     phys = PhysParams(
         mu=values["phys.mu"], lam=values["phys.lam"],
         gamma=values["phys.gamma"], gas_const=values["phys.gas_const"],
-        cond_floor=values["phys.cond_floor"], cond_cap=values["phys.cond_cap"],
+        cond_floor=values["phys.cond_floor"],
         cond_growth=values["phys.cond_growth"],
         penalty_scale=values["phys.penalty_scale"],
         elastic_coupling=values["phys.elastic_coupling"],

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MismatchedSnapshots, ValidationError
-from .fields import deriv, gradient, integrate_values, laplacian
+from .fields import integrate_values, neumann, spectral_plan
 from .params import PhysParams, RegParams
 from . import diagnostics as dg
 from . import solver as sv
@@ -89,16 +89,16 @@ class ContinuationReport:
 
 def _prepare_state(plan, reg):
     raw = plan.initial(plan.grid)
-    m0 = type(raw.u).velocity([raw.rho * uc for uc in raw.u])
     return sv.regularize_initial_data(
-        raw.rho, m0, raw.theta, raw.d, reg,
+        raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, reg,
         theta_bounds=plan.theta_bounds)
 
 
-def _grad_sq(f):
-    out = np.zeros(f.grid.shape)
-    for g in gradient(f):
-        out += g.values ** 2
+def _grad_sq(grid, values):
+    """|grad f|^2 of a cosine array."""
+    out = np.zeros(grid.shape)
+    for g in dg._grad_arrays(grid, values):
+        out += g ** 2
     return out
 
 
@@ -127,13 +127,14 @@ def _execute(plan, reg):
         dt = rec.dt
         emax_ratio = max(emax_ratio,
                          diag.energy_total / records[0].energy_total)
-        acc["grad_rho_sq"] += dt * integrate_values(grid, _grad_sq(s.rho))
+        acc["grad_rho_sq"] += dt * integrate_values(grid,
+                                                    _grad_sq(grid, s.rho))
         acc["lap_rho_sq"] += dt * integrate_values(
-            grid, laplacian(s.rho).values ** 2)
+            grid, spectral_plan(grid).laplacian(s.rho, neumann(grid.dim)) ** 2)
         acc["rho_beta"] += dt * integrate_values(
-            grid, np.maximum(s.rho.values, 0.0) ** reg.beta)
+            grid, np.maximum(s.rho, 0.0) ** reg.beta)
         acc["theta_pow"] += dt * integrate_values(
-            grid, np.maximum(s.theta.values, 0.0) ** alpha1)
+            grid, np.maximum(s.theta, 0.0) ** alpha1)
         acc["pressure_weight"] += diag.pressure_weight_increment
 
     summary = {
@@ -158,16 +159,16 @@ def _state_distances(a, b):
     grid = a.grid
     if grid != b.grid:
         raise MismatchedSnapshots("snapshot grids differ")
-    rho_l1 = integrate_values(grid, np.abs(a.rho.values - b.rho.values))
+    rho_l1 = integrate_values(grid, np.abs(a.rho - b.rho))
     u_sq = 0.0
     for c in range(grid.dim):
-        u_sq += integrate_values(grid, (a.u[c].values - b.u[c].values) ** 2)
-    th_sq = integrate_values(grid, (a.theta.values - b.theta.values) ** 2)
+        u_sq += integrate_values(grid, (a.u[c] - b.u[c]) ** 2)
+    th_sq = integrate_values(grid, (a.theta - b.theta) ** 2)
     d_sq = 0.0
     for k in range(3):
         diff = a.d[k] - b.d[k]
-        d_sq += integrate_values(grid, diff.values ** 2)
-        d_sq += integrate_values(grid, _grad_sq(diff))
+        d_sq += integrate_values(grid, diff ** 2)
+        d_sq += integrate_values(grid, _grad_sq(grid, diff))
     return {
         "rho_l1": float(rho_l1),
         "u_l2": float(np.sqrt(u_sq)),
@@ -189,7 +190,7 @@ def _pair_distances(i, left, right, gamma=None):
         row.update(_state_distances(sa, sb))
         if gamma is not None:
             row["rho_oscillation"] = dg.oscillation_defect(
-                [sb.rho], sa.rho, gamma)
+                sa.grid, [sb.rho], sa.rho, gamma)
         rows.append(row)
     return rows
 

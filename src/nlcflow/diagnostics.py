@@ -16,17 +16,7 @@ import numpy as np
 from . import constitutive as cst
 from . import solver as sv
 from .errors import GridMismatch, MismatchedSnapshots, NonPositiveTemperature
-from .fields import (
-    ScalarField,
-    dealias_values,
-    deriv,
-    dirichlet,
-    inner,
-    integrate,
-    integrate_values,
-    neumann,
-    spectral_plan,
-)
+from .fields import COS, SIN, dirichlet, integrate_values, neumann, spectral_plan
 from .params import PhysParams, RegParams
 
 
@@ -52,19 +42,21 @@ class DiagRecord:
 # energy
 # ---------------------------------------------------------------------------
 
-def _grad_arrays(f):
-    return [deriv(f, a).values for a in range(f.grid.dim)]
+def _grad_arrays(grid, values):
+    """Gradient components of a cosine array, one product per axis."""
+    plan = spectral_plan(grid)
+    return [plan.deriv(values, a, COS) for a in range(grid.dim)]
 
 
 def total_energy(s, reg: RegParams, p: PhysParams):
     """Total energy and its named parts; the total is the exact float sum of
     the parts."""
     grid = s.grid
-    rho = s.rho.values
+    rho = s.rho
     speed2 = np.zeros(grid.shape)
     for c in s.u:
-        speed2 += c.values ** 2
-    d_vals = s.d.values
+        speed2 += c ** 2
+    d_vals = s.d
     grad_d2 = np.zeros(grid.shape)
     grad_d = sv._director_gradient(spectral_plan(grid), d_vals)
     for g in grad_d.reshape((-1,) + grid.shape):
@@ -81,7 +73,7 @@ def total_energy(s, reg: RegParams, p: PhysParams):
         "penalty": nu * integrate_values(
             grid, cst.gl_potential(d_vals, p.penalty_scale)),
         "thermal": integrate_values(
-            grid, (rho + reg.delta) * s.theta.values),
+            grid, (rho + reg.delta) * s.theta),
     }
     return sum(parts.values()), parts
 
@@ -91,10 +83,9 @@ def _rate_fields(s, p: PhysParams):
     laplace d - f(d) of one state, shared by the dissipation and the
     entropy production."""
     plan = spectral_plan(s.grid)
-    d_vals = s.d.values
-    relax = plan.laplacian(d_vals, neumann(s.grid.dim)) \
-        - cst.gl_force(d_vals, p.penalty_scale)
-    return sv._velocity_gradient(plan, s.u.values), relax
+    relax = plan.laplacian(s.d, neumann(s.grid.dim)) \
+        - cst.gl_force(s.d, p.penalty_scale)
+    return sv._velocity_gradient(plan, s.u), relax
 
 
 def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
@@ -102,11 +93,11 @@ def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
     ``rates`` is :func:`_rate_fields` of ``s`` when already at hand."""
     grid = s.grid
     grad_u, relax = _rate_fields(s, p) if rates is None else rates
-    theta = np.maximum(s.theta.values, 0.0)
+    theta = np.maximum(s.theta, 0.0)
     grad_rho2 = np.zeros(grid.shape)
-    for g in _grad_arrays(s.rho):
+    for g in _grad_arrays(grid, s.rho):
         grad_rho2 += g ** 2
-    rho = np.maximum(s.rho.values, 0.0)
+    rho = np.maximum(s.rho, 0.0)
 
     def power(expo):
         out = np.zeros_like(rho)
@@ -159,8 +150,7 @@ def energy_budget_residual(s_prev, s_next, reg: RegParams, p: PhysParams,
 def entropy_total(s):
     """Integral of rho * (log theta - log rho), with the vacuum convention
     rho log rho -> 0."""
-    rho = s.rho.values
-    theta = s.theta.values
+    rho, theta = s.rho, s.theta
     mask = rho > 0.0
     if np.any(mask & (theta <= 0.0)):
         raise NonPositiveTemperature("entropy needs theta > 0 where rho > 0")
@@ -175,11 +165,11 @@ def entropy_production(s, p: PhysParams, rates=None):
     relaxation |laplace d - f(d)|^2 / theta; ``rates`` is
     :func:`_rate_fields` of ``s`` when already at hand."""
     grid = s.grid
-    theta = s.theta.values
+    theta = s.theta
     if float(theta.min()) <= 0.0:
         raise NonPositiveTemperature("entropy production needs theta > 0")
     grad_t2 = np.zeros(grid.shape)
-    for g in _grad_arrays(s.theta):
+    for g in _grad_arrays(grid, theta):
         grad_t2 += g ** 2
     grad_u, relax = _rate_fields(s, p) if rates is None else rates
     integrand = (cst.heat_conductivity(theta, p) * grad_t2 / theta ** 2
@@ -196,14 +186,14 @@ def entropy_production(s, p: PhysParams, rates=None):
 def director_sup(s):
     mag2 = np.zeros(s.grid.shape)
     for c in s.d:
-        mag2 += c.values ** 2
+        mag2 += c ** 2
     return float(np.sqrt(mag2.max()))
 
 
 def pressure_weight_density(s, reg: RegParams, p: PhysParams):
     """Instantaneous integral of (rho^gamma + R rho theta + delta rho^beta) rho."""
-    rho = np.maximum(s.rho.values, 0.0)
-    theta = np.maximum(s.theta.values, 0.0)
+    rho = np.maximum(s.rho, 0.0)
+    theta = np.maximum(s.theta, 0.0)
     integ = (rho ** p.gamma + p.gas_const * rho * theta) * rho
     if reg.delta > 0:
         integ = integ + reg.delta * rho ** reg.beta * rho
@@ -219,7 +209,7 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None):
     _, prod_min = entropy_production(s, p, rates)
     return DiagRecord(
         t=s.t,
-        mass=integrate(s.rho),
+        mass=integrate_values(s.grid, s.rho),
         energy_total=e_total,
         energy_parts=parts,
         dissipation_parts=dissipation_parts(s, reg, p, rates),
@@ -234,12 +224,12 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None):
 # auxiliary operators
 # ---------------------------------------------------------------------------
 
-def oscillation_defect(rho_seq, rho_ref, gamma):
+def oscillation_defect(grid, rho_seq, rho_ref, gamma):
     """sup over k in {1,2,4,8} of the time-averaged space quadrature of
-    |T_k(rho_seq) - T_k(rho_ref)|^(gamma+1); rho_ref may be a single field
-    or a matched sequence."""
+    |T_k(rho_seq) - T_k(rho_ref)|^(gamma+1) for density arrays on ``grid``;
+    rho_ref may be a single array or a matched sequence."""
     seq = list(rho_seq)
-    if isinstance(rho_ref, ScalarField):
+    if np.shape(rho_ref) == grid.shape:
         refs = [rho_ref] * len(seq)
     else:
         refs = list(rho_ref)
@@ -249,11 +239,11 @@ def oscillation_defect(rho_seq, rho_ref, gamma):
     for k in (1.0, 2.0, 4.0, 8.0):
         acc = 0.0
         for a, b in zip(seq, refs):
-            if a.grid != b.grid:
+            if np.shape(a) != grid.shape or np.shape(b) != grid.shape:
                 raise GridMismatch("oscillation defect needs a common grid")
-            diff = np.abs(cst.soft_truncation(a.values, k)
-                          - cst.soft_truncation(b.values, k))
-            acc += integrate_values(a.grid, diff ** (gamma + 1.0))
+            diff = np.abs(cst.soft_truncation(a, k)
+                          - cst.soft_truncation(b, k))
+            acc += integrate_values(grid, diff ** (gamma + 1.0))
         worst = max(worst, acc / max(len(seq), 1))
     return worst
 
@@ -265,7 +255,7 @@ def oscillation_defect(rho_seq, rho_ref, gamma):
 def cosine_battery(grid, count=3):
     """The `count` lowest all-cosine tensor modes (constant first), fixed
     ordering: by total frequency then lexicographic, as (name, psi,
-    [d_a psi]); an audit builds it once per run."""
+    [d_a psi]) with nodal arrays; an audit builds it once per run."""
     tuples = []
     rng = range(0, 4)
     if grid.dim == 1:
@@ -277,12 +267,11 @@ def cosine_battery(grid, count=3):
     mesh = grid.mesh()
     out = []
     for tpl in tuples:
-        vals = np.ones(grid.shape)
+        psi = np.ones(grid.shape)
         for ax, k in enumerate(tpl):
-            vals = vals * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
-        psi = ScalarField(grid, neumann(grid.dim), vals)
+            psi = psi * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
         out.append((f"cos{''.join(str(k) for k in tpl)}", psi,
-                    [deriv(psi, a).values for a in range(grid.dim)]))
+                    _grad_arrays(grid, psi)))
     return out
 
 
@@ -358,39 +347,38 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     """
     grid = s_prev.grid
     dim = grid.dim
+    plan = spectral_plan(grid)
     dt = rec.dt
     u_lag = rec.u_lag
-    rho_n = s_prev.rho.values
-    rho_p = s_next.rho
+    rho_n, rho_p = s_prev.rho, s_next.rho
     div_u = np.zeros(grid.shape)
     for a in range(dim):
-        div_u += deriv(u_lag[a], a).values
+        div_u += plan.deriv(u_lag[a], a, SIN)
     grad_rho2 = np.zeros(grid.shape)
-    for a in range(dim):
-        grad_rho2 += deriv(rho_p, a).values ** 2
+    for g in _grad_arrays(grid, rho_p):
+        grad_rho2 += g ** 2
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)
-        b_n, b_p = b(rho_n), b(rho_p.values)
-        db = ScalarField(grid, neumann(dim), (b_p - b_n) / dt, project=False)
+        b_n, b_p = b(rho_n), b(rho_p)
+        db = (b_p - b_n) / dt
         flux = []
         for a in range(dim):
-            vals = b_n * u_lag[a].values
+            vals = b_n * u_lag[a]
             if rec.dealias:
-                vals = dealias_values(grid, vals, dirichlet(dim))
+                vals = plan.project(vals, dirichlet(dim))
             flux.append(vals)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
-        b_next = ScalarField(grid, neumann(dim), b_p, project=False)
-        grad_b = [deriv(b_next, a).values for a in range(dim)]
-        burn = bpp(rho_p.values) * grad_rho2
+        grad_b = _grad_arrays(grid, b_p)
+        burn = bpp(rho_p) * grad_rho2
         row = {}
         for name, psi, grad in battery:
-            val = inner(db, psi)
+            val = integrate_values(grid, db * psi)
             for a in range(dim):
                 val -= integrate_values(grid, flux[a] * grad[a])
                 val += eps * integrate_values(grid, grad_b[a] * grad[a])
-            val += integrate_values(grid, dil * psi.values)
-            val += eps * integrate_values(grid, burn * psi.values)
+            val += integrate_values(grid, dil * psi)
+            val += eps * integrate_values(grid, burn * psi)
             row[name] = val
         out[b_id] = row
     return out
@@ -438,25 +426,23 @@ def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
     u_lag = rec.u_lag
 
     # --- momentum against retained sine modes, one residual per mode
-    grad_u_p = sv._velocity_gradient(plan, s_next.u.values)
+    grad_u_p = sv._velocity_gradient(plan, s_next.u)
     stress = cst.viscous_stress(grad_u_p, p)
-    pressure = cst.pressure(rho_p.values, th_p.values, p) \
-        + cst.artificial_pressure(rho_p.values, reg.delta, reg.beta)
-    d_vals = s_next.d.values
+    pressure = cst.pressure(rho_p, th_p, p) \
+        + cst.artificial_pressure(rho_p, reg.delta, reg.beta)
+    d_vals = s_next.d
     grad_d = sv._director_gradient(plan, d_vals).swapaxes(0, 1)
     erick = cst.ericksen_stress(
         grad_d, cst.gl_potential(d_vals, p.penalty_scale))
-    grad_rho_p = [deriv(rho_p, a).values for a in range(dim)]
+    grad_rho_p = _grad_arrays(grid, rho_p)
     for name, phi, gphi in sin_tests:
         worst = 0.0
         for c in range(dim):
             val = integrate_values(
-                grid, (rho_p.values * s_next.u[c].values
-                       - rho_n.values * s_prev.u[c].values) / dt * phi)
+                grid, (rho_p * s_next.u[c] - rho_n * s_prev.u[c]) / dt * phi)
             for a in range(dim):
                 val -= integrate_values(
-                    grid, rho_n.values * s_prev.u[c].values
-                    * s_prev.u[a].values * gphi[a])
+                    grid, rho_n * s_prev.u[c] * s_prev.u[a] * gphi[a])
                 val += integrate_values(grid, stress[a, c] * gphi[a])
                 val -= p.elastic_coupling * integrate_values(
                     grid, erick[a, c] * gphi[a])
@@ -468,22 +454,19 @@ def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
         out[f"mom_{name}"] = worst
 
     # --- heat: signed defect of the solved discrete balance
-    heat = sv._FrozenHeat(plan, s_prev.theta.values, rho_n.values, reg,
-                          p, dt)
-    u_vals = u_lag.values
-    m = sv._mass_flux(plan, rho_n.values, u_vals, rec.dealias)
-    d_prev = s_prev.d.values
+    heat = sv._FrozenHeat(plan, s_prev.theta, rho_n, reg, p, dt)
+    m = sv._mass_flux(plan, rho_n, u_lag, rec.dealias)
+    d_prev = s_prev.d
     w = sv._director_transport(
-        plan, u_vals, sv._director_gradient(plan, d_prev), rec.dealias)
+        plan, u_lag, sv._director_gradient(plan, d_prev), rec.dealias)
     gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
-    c0, rhs = sv._heat_system(heat, rho_p.values,
-                              sv._velocity_gradient(plan, u_vals), m,
+    c0, rhs = sv._heat_system(heat, rho_p,
+                              sv._velocity_gradient(plan, u_lag), m,
                               np.sum(gtilde * gtilde, axis=0), reg, p,
                               dt, rec.dealias)
-    defect = rhs - heat.apply(c0, th_p.values)
+    defect = rhs - heat.apply(c0, th_p)
     for name, psi, _ in cos_tests:
-        shifted = 1.0 + 0.5 * psi.values / max(
-            1.0, float(np.abs(psi.values).max()))
+        shifted = 1.0 + 0.5 * psi / max(1.0, float(np.abs(psi).max()))
         out[f"heat_{name}"] = integrate_values(grid, defect * shifted)
 
     # --- director: exact discrete balance against the cosine battery
@@ -492,12 +475,12 @@ def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
         worst = 0.0
         for k in range(3):
             val = integrate_values(
-                grid, ((d_vals[k] - d_prev[k]) / dt + w[k]) * psi.values)
+                grid, ((d_vals[k] - d_prev[k]) / dt + w[k]) * psi)
             for a in range(dim):
                 val += p.relax_rate * integrate_values(
                     grid, grad_d[a, k] * grad_psi[a])
             val += p.relax_rate * integrate_values(
-                grid, f_pair[k] * psi.values)
+                grid, f_pair[k] * psi)
             worst = max(worst, abs(val))
         out[f"dir_{name}"] = worst
     return out

@@ -1,33 +1,38 @@
-"""Trigonometric spectral fields on a rectangular box.
+"""Trigonometric spectral operators on a rectangular box.
 
 Everything lives on a cell-centered grid over ``[0, L_x] x [0, L_y]`` with
-nodes ``x_j = (j + 1/2) L / N``.  A scalar field carries one *parity* per
-axis: ``COS`` (even reflection at the walls, Neumann data, cosine basis) or
-``SIN`` (odd reflection, Dirichlet data, sine basis).  Every spectral
-operator (transform, derivative, 2/3-rule projection, Laplacian and Helmholtz
-solve) is a small dense matrix applied along one axis, built once per grid
-from the orthonormal type-II DCT/DST matrices; differentiation, Laplacian
-inversion and Helmholtz solves are exact for the stored band.
+nodes ``x_j = (j + 1/2) L / N``.  A field is a raw nodal array of shape
+``grid.shape`` (or a stack of them, ``(k, *grid.shape)``) whose *parity*
+per axis is fixed by where it sits in the solver's layout: ``COS`` (even
+reflection at the walls, Neumann data, cosine basis) or ``SIN`` (odd
+reflection, Dirichlet data, sine basis).  The density, the temperature and
+the director are all-cosine, the velocity is all-sine.  Every spectral
+operator (transform, derivative, 2/3-rule projection, Laplacian and
+Helmholtz solve) is a small dense matrix applied along one axis, built once
+per grid from the orthonormal type-II DCT/DST matrices; differentiation,
+Laplacian inversion and Helmholtz solves are exact for the stored band.
 
 Conventions that the rest of the package relies on:
 
 * cosine axes hold frequencies ``0 .. N-1`` and the DCT-II is a bijection on
-  nodal values, so constructing a COS field from values is lossless;
-* sine axes hold frequencies ``1 .. N-1``; the sine Nyquist mode (frequency
-  ``N``, the alternating-sign vector) is projected out at construction, so
-  every stored field is band-limited to ``N-1`` per axis;
-* midpoint quadrature (``grid.weight * values.sum()``) integrates cosine
-  content up to frequency ``2N-1`` exactly, which makes the discrete
+  nodal values, so every nodal array is a stored cosine field;
+* sine axes hold frequencies ``1 .. N-1``; a stored sine field carries no
+  sine Nyquist mode (frequency ``N``, the alternating-sign vector), so it is
+  band-limited to ``N-1`` per axis.  Sine data built from nodal samples or
+  products goes through :func:`_strip_sine_nyquist` or a 2/3-rule projection,
+  which drops that mode too;
+* midpoint quadrature (:func:`integrate_values`) integrates cosine content
+  up to frequency ``2N-1`` exactly, which makes the discrete
   summation-by-parts identity ``<f, d_a g> = -<d_a f, g>`` exact for stored
   fields of opposite parity along axis ``a``;
-* :func:`dealias` projects in the field's own basis; pairing any nodal array
-  against a dealiased field reads only the kept band, so the projection can
-  be moved across a nodal inner product exactly;
+* :meth:`SpectralPlan.project` projects in the declared parity basis;
+  pairing any nodal array against a projected one reads only the kept band,
+  so the projection can be moved across a nodal inner product exactly;
 * the operator matrices and Laplace symbols are built once per grid into a
-  read-only :class:`SpectralPlan`, whose raw-array kernels the field API
-  and the solver share; every kernel takes a nodal array or a stack of them
-  of shape ``(k, *grid.shape)``, and an operator costs one matrix product,
-  O(N^3) flops per component, per axis pass.
+  read-only :class:`SpectralPlan`, whose raw-array kernels are the one entry
+  point of each operator; every kernel takes a nodal array or a stack of
+  them, and an operator costs one matrix product, O(N^3) flops per
+  component, per axis pass.
 """
 
 from __future__ import annotations
@@ -37,13 +42,12 @@ import math
 
 import numpy as np
 
-from .errors import GridMismatch, IOFailure, NonZeroMean, ParityMismatch
+from .errors import IOFailure, NonZeroMean, ParityMismatch
 
 COS = "cos"
 SIN = "sin"
 
 _PARITY_TOKEN = {"neumann": COS, "dirichlet": SIN}
-_TOKEN_PARITY = {COS: "neumann", SIN: "dirichlet"}
 
 
 def neumann(dim):
@@ -108,18 +112,6 @@ class Grid:
         return f"Grid(shape={self.shape}, extents={self.extents})"
 
 
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-
-
-def _normalize_parity(parity, dim):
-    parity = tuple(parity)
-    if len(parity) != dim or any(p not in (COS, SIN) for p in parity):
-        raise ParityMismatch(f"bad parity tuple {parity!r} for dim {dim}")
-    return parity
-
-
 def _strip_sine_nyquist(values, parity, grid):
     """Remove the alternating-sign (frequency N) component along sine axes
     of a nodal array or of a stack of them."""
@@ -136,160 +128,6 @@ def _strip_sine_nyquist(values, parity, grid):
         amp = np.sum(out * sign, axis=ax - grid.dim, keepdims=True) / n
         out = out - amp * sign
     return out
-
-
-class ScalarField:
-    """A real scalar field with declared per-axis parity.
-
-    Nodal values are the ground truth; the field is identified with the
-    band-limited interpolant those values define in its parity basis.
-    Construction from raw values projects out the sine Nyquist mode so that
-    the identification is exact.
-    """
-
-    __slots__ = ("grid", "parity", "values")
-
-    def __init__(self, grid, parity, values, project=True):
-        self.grid = grid
-        self.parity = _normalize_parity(parity, grid.dim)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise GridMismatch(
-                f"values shape {values.shape} does not match grid {grid.shape}"
-            )
-        if project and SIN in self.parity:
-            values = np.ascontiguousarray(_strip_sine_nyquist(values, self.parity, grid))
-        self.values = values
-
-    def copy(self):
-        return ScalarField(self.grid, self.parity, self.values.copy(), project=False)
-
-    def norm_inf(self):
-        return float(np.abs(self.values).max())
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _binary(self, other, op):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            if self.parity != other.parity:
-                raise ParityMismatch(
-                    f"cannot combine parities {self.parity} and {other.parity}"
-                )
-            return ScalarField(
-                self.grid, self.parity, op(self.values, other.values), project=False
-            )
-        other = float(other)
-        if other != 0.0 and SIN in self.parity:
-            raise ParityMismatch("adding a constant to a sine-parity field")
-        return ScalarField(self.grid, self.parity, op(self.values, other), project=False)
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __neg__(self):
-        return ScalarField(self.grid, self.parity, -self.values, project=False)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            parity = tuple(
-                SIN if (p != q) else COS for p, q in zip(self.parity, other.parity)
-            )
-            return ScalarField(self.grid, parity, self.values * other.values)
-        return ScalarField(
-            self.grid, self.parity, self.values * float(other), project=False
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"ScalarField(parity={self.parity}, shape={self.grid.shape})"
-
-
-class VectorField:
-    """Bundle of ScalarFields: ``velocity`` (dim sine components) or
-    ``director`` (3 cosine components)."""
-
-    __slots__ = ("kind", "components")
-
-    def __init__(self, kind, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("empty vector field")
-        grid = components[0].grid
-        for c in components:
-            if c.grid != grid:
-                raise GridMismatch("vector components on different grids")
-        if kind == "velocity":
-            if len(components) != grid.dim:
-                raise ValueError("velocity needs one component per axis")
-            want = dirichlet(grid.dim)
-        elif kind == "director":
-            if len(components) != 3:
-                raise ValueError("director needs three components")
-            want = neumann(grid.dim)
-        else:
-            raise ValueError(f"unknown vector kind {kind!r}")
-        for c in components:
-            if c.parity != want:
-                raise ParityMismatch(f"{kind} component has parity {c.parity}")
-        self.kind = kind
-        self.components = components
-
-    @property
-    def grid(self):
-        return self.components[0].grid
-
-    @classmethod
-    def velocity(cls, components):
-        return cls("velocity", components)
-
-    @classmethod
-    def director(cls, components):
-        return cls("director", components)
-
-    def copy(self):
-        return VectorField(self.kind, [c.copy() for c in self.components])
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    @property
-    def values(self):
-        """Component stack of shape ``(len(self), *grid.shape)``."""
-        return np.stack([c.values for c in self.components])
-
-    @classmethod
-    def from_values(cls, kind, grid, values):
-        """Wrap a component stack of stored fields (no projection)."""
-        parity = dirichlet(grid.dim) if kind == "velocity" else neumann(grid.dim)
-        return cls(kind, [ScalarField(grid, parity, v, project=False)
-                          for v in values])
-
-
-def constant_field(grid, value, parity=None):
-    parity = neumann(grid.dim) if parity is None else parity
-    return ScalarField(
-        grid, parity, np.full(grid.shape, float(value)), project=(value != 0.0)
-    )
-
-
-def from_function(grid, fn, parity=None):
-    """Sample ``fn(*mesh)`` on the nodes and wrap it as a field."""
-    parity = neumann(grid.dim) if parity is None else parity
-    return ScalarField(grid, parity, np.asarray(fn(*grid.mesh()), dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +225,7 @@ class SpectralPlan:
     (``axes``) and the Laplace symbol of each parity (:meth:`symbol`).
 
     Every spectral kernel is one small matrix product per axis pass on a
-    raw nodal array or on a stack of them, shape ``(k, *grid.shape)``; the
-    field-level functions below wrap these kernels.
+    raw nodal array or on a stack of them, shape ``(k, *grid.shape)``.
     """
 
     def __init__(self, grid):
@@ -493,141 +330,65 @@ def spectral_plan(grid):
     return SpectralPlan(grid)
 
 
-def _flip(parity, axis):
-    out = list(parity)
-    out[axis] = SIN if parity[axis] == COS else COS
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
-# coefficients
+# coefficients, quadrature and the Neumann Poisson problem
 # ---------------------------------------------------------------------------
 
-def coeffs(f):
-    """Amplitude array of ``f`` in its parity basis.
+def coeffs(grid, values, parity):
+    """Amplitude array of a stored array in its parity basis.
 
     Cosine axes: index k holds the amplitude of cos(k pi x / L), k = 0..N-1.
     Sine axes: index k holds the amplitude of sin((k+1) pi x / L); the last
-    slot (frequency N) is identically zero for stored fields.
+    slot (frequency N) is identically zero for stored arrays.
     """
-    plan = spectral_plan(f.grid)
-    return plan.forward(f.values, f.parity) * plan.amplitude(f.parity)
+    plan = spectral_plan(grid)
+    return plan.forward(values, parity) * plan.amplitude(parity)
 
 
-# ---------------------------------------------------------------------------
-# differential operators
-# ---------------------------------------------------------------------------
-
-def deriv(f, axis):
-    """Exact spectral derivative along one axis; parity flips on that axis."""
-    vals = spectral_plan(f.grid).deriv(f.values, axis, f.parity[axis])
-    return ScalarField(f.grid, _flip(f.parity, axis), vals, project=False)
-
-
-def gradient(f):
-    """List of the dim partial derivatives of ``f``."""
-    return [deriv(f, ax) for ax in range(f.grid.dim)]
-
-
-def divergence(v):
-    """Divergence of a velocity-kind vector field (or component list).
-
-    The result is returned as a Neumann (all-cosine) field built from the
-    exact nodal values of ``sum_a d_a v_a``; the cosine representation is
-    lossless on nodal data.
-    """
-    comps = list(v)
-    grid = comps[0].grid
-    total = np.zeros(grid.shape)
-    for ax, comp in enumerate(comps):
-        total += deriv(comp, ax).values
-    return ScalarField(grid, neumann(grid.dim), total, project=False)
-
-
-def laplacian(f):
-    """Spectral Laplacian, the sum over axes of the derivative taken twice;
-    parity preserved."""
-    vals = spectral_plan(f.grid).laplacian(f.values, f.parity)
-    return ScalarField(f.grid, f.parity, vals, project=False)
-
-
-def solve_helmholtz(rhs, a, c):
-    """Solve ``(a - c * Laplacian) phi = rhs`` in the parity basis of rhs
-    (see :meth:`SpectralPlan.helmholtz`)."""
-    vals = spectral_plan(rhs.grid).helmholtz(rhs.values, rhs.parity, a, c)
-    return ScalarField(rhs.grid, rhs.parity, vals, project=False)
-
-
-def integrate(f):
-    """Midpoint quadrature of the nodal values.
+def integrate_values(grid, values):
+    """Midpoint quadrature of a nodal array.
 
     Exact for band-limited integrands of cosine parity (any axis with sine
     parity is integrated by the midpoint rule, which for stored bands is
     exact only for its even-frequency content).
     """
-    return f.grid.weight * float(f.values.sum())
-
-
-def integrate_values(grid, values):
-    """Midpoint quadrature of a raw nodal array."""
     return grid.weight * float(np.asarray(values).sum())
 
 
-def inner(f, g):
-    """Nodal L2 pairing <f, g> (fields or raw arrays on the same grid)."""
-    fv = f.values if isinstance(f, ScalarField) else np.asarray(f)
-    gv = g.values if isinstance(g, ScalarField) else np.asarray(g)
-    grid = f.grid if isinstance(f, ScalarField) else g.grid
-    return grid.weight * float(np.sum(fv * gv))
+def inverse_laplacian_neumann(grid, values):
+    """Solve ``Laplacian(phi) = values`` for an all-cosine array with Neumann
+    data and zero mean.
 
-
-def inverse_laplacian_neumann(f):
-    """Solve ``Laplacian(phi) = f`` with Neumann data and zero mean.
-
-    Raises NonZeroMean unless ``integrate(f)`` vanishes within
-    ``1e-10 * ||f||_inf * |Omega|``.
+    Raises NonZeroMean unless ``integrate_values(grid, values)`` vanishes
+    within ``1e-10 * max|values| * |Omega|``.
     """
-    if f.parity != neumann(f.grid.dim):
-        raise ParityMismatch("inverse_laplacian_neumann needs an all-cosine field")
-    mean_tol = 1e-10 * max(f.norm_inf(), 1e-300) * f.grid.measure
-    total = integrate(f)
+    mean_tol = 1e-10 * max(float(np.abs(values).max()), 1e-300) * grid.measure
+    total = integrate_values(grid, values)
     if abs(total) > mean_tol:
-        raise NonZeroMean(f"right-hand side has mean {total / f.grid.measure:.3e}")
-    plan = spectral_plan(f.grid)
-    c = plan.forward(f.values, f.parity)
+        raise NonZeroMean(f"right-hand side has mean {total / grid.measure:.3e}")
+    plan = spectral_plan(grid)
+    parity = neumann(grid.dim)
+    c = plan.forward(values, parity)
     flat = c.reshape(-1)
-    symf = plan.symbol(f.parity).reshape(-1)
+    symf = plan.symbol(parity).reshape(-1)
     out = np.zeros_like(flat)
     np.divide(flat[1:], -symf[1:], out=out[1:])  # zero-frequency slot stays 0
-    return ScalarField(f.grid, f.parity, plan.inverse(out.reshape(c.shape), f.parity),
-                       project=False)
+    return plan.inverse(out.reshape(c.shape), parity)
 
 
 # ---------------------------------------------------------------------------
-# dealiasing and smoothing
+# smoothing
 # ---------------------------------------------------------------------------
 
-def dealias(f):
-    """Project onto the 2/3-rule band in the field's own parity basis."""
-    vals = spectral_plan(f.grid).project(f.values, f.parity)
-    return ScalarField(f.grid, f.parity, vals, project=False)
-
-
-def dealias_values(grid, values, parity):
-    """Dealias a raw nodal array in the declared parity basis."""
-    parity = _normalize_parity(parity, grid.dim)
-    return spectral_plan(grid).project(np.asarray(values, dtype=np.float64),
-                                       parity)
-
-
-def smooth(f, width):
-    """Gaussian spectral low-pass exp(-(width^2/2) * |k|^2) (mollifier)."""
+def smooth(grid, values, parity, width):
+    """Gaussian spectral low-pass exp(-(width^2/2) * |k|^2) (mollifier) of
+    an array in its parity basis; a copy when ``width <= 0``."""
     if width <= 0.0:
-        return f.copy()
-    plan = spectral_plan(f.grid)
-    c = plan.forward(f.values, f.parity) * np.exp(
-        -0.5 * width * width * plan.symbol(f.parity))
-    return ScalarField(f.grid, f.parity, plan.inverse(c, f.parity), project=False)
+        return np.array(values, dtype=np.float64)
+    plan = spectral_plan(grid)
+    c = plan.forward(values, parity) * np.exp(
+        -0.5 * width * width * plan.symbol(parity))
+    return plan.inverse(c, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +403,16 @@ def basis_matrix(grid, ax, par, coords):
     return np.cos(phase) if par == COS else np.sin(phase)
 
 
-def evaluate(f, axis_coords):
-    """Evaluate the interpolant on the tensor grid of the given coordinates.
+def evaluate(grid, values, parity, axis_coords):
+    """Evaluate the interpolant of a stored array in its parity basis on the
+    tensor grid of the given coordinates.
 
     ``axis_coords`` is a sequence of 1-D arrays, one per axis.  Returns an
     array of shape ``tuple(len(c) for c in axis_coords)``.
     """
-    c = coeffs(f)
+    c = coeffs(grid, values, parity)
     for ax, pts in enumerate(axis_coords):
-        mat = basis_matrix(f.grid, ax, f.parity[ax], pts)
+        mat = basis_matrix(grid, ax, parity[ax], pts)
         c = np.moveaxis(np.tensordot(mat, np.moveaxis(c, ax, 0), axes=(1, 0)), 0, ax)
     return c
 
@@ -673,19 +435,19 @@ def _field_header(name, parity, shape):
     return f"FIELD {name} {_parity_token(parity)} {dims}\n"
 
 
-def write_field(fh, name, f):
-    """Append one field in the plain-text snapshot format: a header line,
-    then one line of ``%.17g`` values per index along the first axis, all
-    formatted by a single ``%`` operation."""
-    shape = f.grid.shape
-    row = " ".join(["%.17g"] * (f.values.size // shape[0])) + "\n"
-    fh.write(_field_header(name, f.parity, shape))
-    fh.write((row * shape[0]) % tuple(f.values.ravel().tolist()))
+def write_field(fh, name, values, parity):
+    """Append one nodal array of uniform parity in the plain-text snapshot
+    format: a header line, then one line of ``%.17g`` values per index along
+    the first axis, all formatted by a single ``%`` operation."""
+    shape = values.shape
+    row = " ".join(["%.17g"] * (values.size // shape[0])) + "\n"
+    fh.write(_field_header(name, parity, shape))
+    fh.write((row * shape[0]) % tuple(values.ravel().tolist()))
 
 
 def write_constant_field(fh, name, grid, value):
     """Append a constant cosine-parity field, its value formatted once: the
-    bytes :func:`write_field` writes for ``constant_field(grid, value)``."""
+    bytes :func:`write_field` writes for ``np.full(grid.shape, value)``."""
     shape = grid.shape
     row = " ".join(["%.17g" % float(value)] * (math.prod(shape) // shape[0]))
     fh.write(_field_header(name, neumann(grid.dim), shape))
@@ -693,7 +455,8 @@ def write_constant_field(fh, name, grid, value):
 
 
 def read_fields(fh, grid):
-    """Read every field from a snapshot stream; returns {name: ScalarField}."""
+    """Read every field from a snapshot stream; returns {name: (parity,
+    nodal array)} with the parity tuple its header declares."""
     out = {}
     tokens = []
     header = None
@@ -714,7 +477,7 @@ def read_fields(fh, grid):
             values = np.array([float(t) for t in tokens]).reshape(grid.shape)
         except ValueError as exc:
             raise IOFailure(f"field {name!r}: corrupt value ({exc})") from exc
-        out[name] = ScalarField(grid, parity, values, project=False)
+        out[name] = (parity, values)
         tokens = []
         header = None
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (COS, SIN, Grid, ScalarField, VectorField, deriv,
-                     dirichlet, divergence, evaluate, integrate_values,
-                     laplacian, neumann, spectral_plan)
+from .fields import (COS, SIN, Grid, _strip_sine_nyquist, dirichlet,
+                     evaluate, integrate_values, neumann, spectral_plan)
 from .params import PhysParams, RegParams
 from . import constitutive as cst
 from . import solver as sv
@@ -134,17 +133,14 @@ def get_case(name):
 
 
 def analytic_state(case, grid, t):
-    """The manufactured fields sampled on ``grid`` at time ``t``."""
+    """The manufactured fields sampled on ``grid`` at time ``t``; the
+    sampled velocity loses its sine Nyquist mode, as stored sine data
+    must."""
     mesh = grid.mesh()
-    rho = ScalarField(grid, neumann(grid.dim), case.rho(mesh, t))
-    theta = ScalarField(grid, neumann(grid.dim), case.theta(mesh, t))
-    u = VectorField.velocity([
-        ScalarField(grid, dirichlet(grid.dim), fc(mesh, t))
-        for fc in case.u])
-    d = VectorField.director([
-        ScalarField(grid, neumann(grid.dim), fc(mesh, t))
-        for fc in case.d])
-    return sv.State(t, rho, u, theta, d)
+    u = _strip_sine_nyquist(np.stack([fc(mesh, t) for fc in case.u]),
+                            dirichlet(grid.dim), grid)
+    return sv.State(grid, t, case.rho(mesh, t), u, case.theta(mesh, t),
+                    np.stack([fc(mesh, t) for fc in case.d]))
 
 
 def _term_parity(grid, sin_axes):
@@ -161,8 +157,7 @@ def _restrict_terms(terms, grid_from, grid_to):
     coords = [grid_to.axis_nodes[a] for a in range(grid_to.dim)]
     total = np.zeros(grid_to.shape)
     for arr, parity in terms:
-        f = ScalarField(grid_from, parity, arr, project=False)
-        total = total + evaluate(f, coords)
+        total = total + evaluate(grid_from, arr, parity, coords)
     return total
 
 
@@ -173,12 +168,12 @@ def _density_terms(case, grid, reg, p, t, dealias_on):
     if case.drho_dt is not None:
         terms.append((case.drho_dt(grid.mesh(), t), _term_parity(grid, cos_par)))
     plan = spectral_plan(grid)
-    m = sv._mass_flux(plan, s.rho.values, s.u.values, dealias_on)
+    m = sv._mass_flux(plan, s.rho, s.u, dealias_on)
     for b in range(grid.dim):
         terms.append((plan.deriv(m[b], b, SIN),
                       _term_parity(grid, frozenset(range(grid.dim)) - {b})))
     if reg.eps > 0:
-        terms.append((-reg.eps * laplacian(s.rho).values,
+        terms.append((-reg.eps * plan.laplacian(s.rho, neumann(grid.dim)),
                       _term_parity(grid, cos_par)))
     return terms
 
@@ -190,29 +185,28 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
     cos_par = _term_parity(grid, frozenset())
     terms = []
     if case.dtheta_dt is not None:
-        dth = (reg.delta + s.rho.values) * case.dtheta_dt(mesh, t)
+        dth = (reg.delta + s.rho) * case.dtheta_dt(mesh, t)
         terms.append((dth, cos_par))
     if case.drho_dt is not None:
-        terms.append((case.drho_dt(mesh, t) * s.theta.values, cos_par))
+        terms.append((case.drho_dt(mesh, t) * s.theta, cos_par))
     plan = spectral_plan(grid)
-    u = s.u.values
-    m = sv._mass_flux(plan, s.rho.values, u, dealias_on)
-    for b, term in enumerate(sv._heat_convection(plan, s.theta.values, m,
+    u = s.u
+    m = sv._mass_flux(plan, s.rho, u, dealias_on)
+    for b, term in enumerate(sv._heat_convection(plan, s.theta, m,
                                                  dealias_on)):
         terms.append((term, _term_parity(grid, frozenset(range(dim)) - {b})))
     if reg.delta > 0:
-        terms.append((reg.delta * np.maximum(s.theta.values, 0.0)
+        terms.append((reg.delta * np.maximum(s.theta, 0.0)
                       ** (p.cond_growth + 1.0), cos_par))
     # R rho theta div u and the stress-power heating, term by term so each
     # addend carries a definite parity
     grad_u = sv._velocity_gradient(plan, u)
-    q = (s.rho * s.theta).values
+    q = s.rho * s.theta
     for b in range(dim):
         terms.append((p.gas_const * q * grad_u[b, b],
                       _term_parity(grid, frozenset(range(dim)) - {b})))
-    kappa = cst.heat_conductivity(s.theta.values, p)
-    terms.append((sv._conduction_apply(plan, s.theta.values, kappa),
-                  cos_par))
+    kappa = cst.heat_conductivity(s.theta, p)
+    terms.append((sv._conduction_apply(plan, s.theta, kappa), cos_par))
     if any(fc is not _zero for fc in case.u):
         terms.append((-(1.0 - reg.delta) * cst.stress_power(grad_u, p),
                       _term_parity(grid, frozenset())))
@@ -221,11 +215,12 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
 
 def _director_terms(case, grid, reg, p, t, dealias_on):
     s = analytic_state(case, grid, t)
-    d_vals = np.stack([c.values for c in s.d])
-    force = cst.gl_force(d_vals, p.penalty_scale)
+    plan = spectral_plan(grid)
+    force = cst.gl_force(s.d, p.penalty_scale)
     out = []
     for k in range(3):
-        terms = [(-p.relax_rate * (laplacian(s.d[k]).values - force[k]),
+        lap = plan.laplacian(s.d[k], neumann(grid.dim))
+        terms = [(-p.relax_rate * (lap - force[k]),
                   _term_parity(grid, frozenset()))]
         out.append(terms)
     return out
@@ -235,38 +230,37 @@ def _momentum_terms(case, grid, reg, p, t, dealias_on):
     s = analytic_state(case, grid, t)
     mesh = grid.mesh()
     dim = grid.dim
+    plan = spectral_plan(grid)
+    rho = s.rho
     out = []
     if case.kind == "temporal":
         # full force assembly on the run grid; single mixed-parity array is
         # fine because no restriction will happen
-        plan = spectral_plan(grid)
-        rho, u = s.rho.values, s.u.values
+        u = s.u
+        grad_u = sv._velocity_gradient(plan, u)
         m = sv._mass_flux(plan, rho, u, dealias_on)
         gtilde = np.zeros((3,) + grid.shape)
-        force = sv._momentum_forces(plan, u, sv._velocity_gradient(plan, u),
-                                    rho, rho, m, s.theta.values,
-                                    sv._director_gradient(plan, s.d.values),
+        force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
+                                    sv._director_gradient(plan, s.d),
                                     gtilde, reg, p, dealias_on)
-        div_u = divergence(s.u)
+        div_u = sum(grad_u[a, a] for a in range(dim))
         for c in range(dim):
-            arr = s.rho.values * case.du_dt[c](mesh, t)
-            arr -= p.mu * laplacian(s.u[c]).values
-            arr -= (p.mu + p.lam) * deriv(div_u, c).values
+            arr = rho * case.du_dt[c](mesh, t)
+            arr -= p.mu * plan.laplacian(u[c], dirichlet(dim))
+            arr -= (p.mu + p.lam) * plan.deriv(div_u, c, COS)
             arr -= force[c]
             out.append([(arr, None)])
         return out
     # spatial (steady, quiescent): only the pressure-gradient forces remain
-    bp = cst.convex_pressure_enthalpy(s.rho.values, p.gamma)
+    bp = cst.convex_pressure_enthalpy(rho, p.gamma)
     if reg.delta > 0:
-        bp = bp + reg.delta * cst.convex_pressure_enthalpy(s.rho.values,
-                                                           reg.beta)
-    bp_field = ScalarField(grid, neumann(dim), bp, project=False)
-    q = s.rho * s.theta
+        bp = bp + reg.delta * cst.convex_pressure_enthalpy(rho, reg.beta)
+    q = rho * s.theta
     for c in range(dim):
         par = _term_parity(grid, frozenset({c}))
         terms = [
-            (s.rho.values * deriv(bp_field, c).values, par),
-            (p.gas_const * deriv(q, c).values, par),
+            (rho * plan.deriv(bp, c, COS), par),
+            (p.gas_const * plan.deriv(q, c, COS), par),
         ]
         out.append(terms)
     return out
@@ -334,12 +328,11 @@ def solution_errors(case, state, reference):
     """L2 errors of a computed state against the manufactured fields."""
     grid = state.grid
     errs = {
-        "rho": _l2(grid, state.rho.values, reference.rho.values),
-        "theta": _l2(grid, state.theta.values, reference.theta.values),
-        "u": max(_l2(grid, state.u[c].values, reference.u[c].values)
+        "rho": _l2(grid, state.rho, reference.rho),
+        "theta": _l2(grid, state.theta, reference.theta),
+        "u": max(_l2(grid, state.u[c], reference.u[c])
                  for c in range(grid.dim)),
-        "d": max(_l2(grid, state.d[k].values, reference.d[k].values)
-                 for k in range(3)),
+        "d": max(_l2(grid, state.d[k], reference.d[k]) for k in range(3)),
     }
     errs["total"] = max(errs.values())
     return errs

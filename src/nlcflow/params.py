@@ -14,7 +14,7 @@ class PhysParams:
     mu, lam : shear and bulk viscosity (mu > 0, lam + 2 mu / 3 >= 0)
     gamma : adiabatic exponent of the elastic pressure rho^gamma (> 3/2)
     gas_const : coefficient of the thermal pressure R rho theta (> 0)
-    cond_floor, cond_cap : conductivity envelope 0 < floor <= cap
+    cond_floor : conductivity prefactor, kappa = floor * (1 + theta^alpha) (> 0)
     cond_growth : conductivity growth exponent alpha (>= 2)
     penalty_scale : director penalty length sigma0 (> 0)
     elastic_coupling : weight of the director stress/energy (default 1)
@@ -26,7 +26,6 @@ class PhysParams:
     gamma: float = 2.0
     gas_const: float = 1.0
     cond_floor: float = 1.0
-    cond_cap: float = 1.0
     cond_growth: float = 2.0
     penalty_scale: float = 1.0
     elastic_coupling: float = 1.0
@@ -41,8 +40,8 @@ class PhysParams:
             raise ValidationError("gamma must exceed 3/2")
         if not self.gas_const > 0:
             raise ValidationError("gas_const must be positive")
-        if not 0 < self.cond_floor <= self.cond_cap:
-            raise ValidationError("conductivity bounds need 0 < cond_floor <= cond_cap")
+        if not self.cond_floor > 0:
+            raise ValidationError("cond_floor must be positive")
         if self.cond_growth < 2:
             raise ValidationError("cond_growth must be at least 2")
         if not self.penalty_scale > 0:

@@ -19,22 +19,18 @@ thermal-spot    rho = base, u = 0, d = e1,
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, constant_field, dirichlet,
-                     from_function, neumann, smooth)
+from .fields import neumann, smooth
 from .solver import GalerkinBasis, State
 
 
 def _unit_director(grid):
-    return VectorField.director([
-        constant_field(grid, 1.0),
-        constant_field(grid, 0.0),
-        constant_field(grid, 0.0),
-    ])
+    d = np.zeros((3,) + grid.shape)
+    d[0] = 1.0
+    return d
 
 
 def _zero_velocity(grid):
-    return VectorField.velocity(
-        [constant_field(grid, 0.0, dirichlet(grid.dim))] * grid.dim)
+    return np.zeros((grid.dim,) + grid.shape)
 
 
 def _mode_velocity(grid, coeffs):
@@ -43,63 +39,47 @@ def _mode_velocity(grid, coeffs):
     U = np.zeros((basis.n, grid.dim))
     for (i, c), val in coeffs.items():
         U[i, c] = val
-    return VectorField.from_values("velocity", grid, basis.reconstruct(U))
+    return basis.reconstruct(U)
 
 
 def equilibrium(grid, base=1.0, amplitude=0.0, width=0.0):
-    rho = constant_field(grid, base)
-    theta = constant_field(grid, base)
-    return State(0.0, rho, _zero_velocity(grid), theta, _unit_director(grid))
+    return State(grid, 0.0, np.full(grid.shape, float(base)),
+                 _zero_velocity(grid), np.full(grid.shape, float(base)),
+                 _unit_director(grid))
 
 
 def density_bump(grid, base=1.0, amplitude=0.5, width=0.0):
     ext = grid.extents
-
-    def rho_fn(*xs):
-        out = np.ones_like(xs[0]) * base
-        bump = np.ones_like(xs[0])
-        for a, x in enumerate(xs):
-            bump = bump * np.cos(np.pi * x / ext[a])
-        return out + amplitude * bump
-
-    rho = smooth(from_function(grid, rho_fn), width)
-    theta = from_function(
-        grid, lambda *xs: 1.0 + 0.5 * amplitude * np.cos(
-            np.pi * xs[-1] / ext[-1]))
+    xs = grid.mesh()
+    bump = np.ones_like(xs[0])
+    for a, x in enumerate(xs):
+        bump = bump * np.cos(np.pi * x / ext[a])
+    rho = smooth(grid, base + amplitude * bump, neumann(grid.dim), width)
+    theta = 1.0 + 0.5 * amplitude * np.cos(np.pi * xs[-1] / ext[-1])
     coeffs = {(0, 0): 0.1 * amplitude}
     if grid.dim == 2:
         coeffs[(1, 1)] = -0.06 * amplitude
     u = _mode_velocity(grid, coeffs)
-    return State(0.0, rho, u, theta, _unit_director(grid))
+    return State(grid, 0.0, rho, u, theta, _unit_director(grid))
 
 
 def director_twist(grid, base=1.0, amplitude=0.3, width=0.0):
-    rho = constant_field(grid, base)
-    theta = constant_field(grid, 1.0)
-    angle = smooth(from_function(
-        grid, lambda *xs: amplitude * np.cos(np.pi * xs[0] / grid.extents[0])),
-        width)
-    d = VectorField.director([
-        ScalarField(grid, neumann(grid.dim), np.cos(angle.values)),
-        ScalarField(grid, neumann(grid.dim), np.sin(angle.values)),
-        constant_field(grid, 0.0),
-    ])
+    angle = smooth(grid, amplitude * np.cos(
+        np.pi * grid.mesh()[0] / grid.extents[0]), neumann(grid.dim), width)
+    d = np.stack([np.cos(angle), np.sin(angle), np.zeros(grid.shape)])
     u = _mode_velocity(grid, {(0, 0): 0.1 * amplitude})
-    return State(0.0, rho, u, theta, d)
+    return State(grid, 0.0, np.full(grid.shape, float(base)), u,
+                 np.ones(grid.shape), d)
 
 
 def thermal_spot(grid, base=1.0, amplitude=0.5, width=3.0):
     ext = grid.extents
-
-    def theta_fn(*xs):
-        spot = np.ones_like(xs[0])
-        for a, x in enumerate(xs):
-            spot = spot * np.exp(width * (np.cos(np.pi * x / ext[a]) - 1.0))
-        return 1.0 + amplitude * spot
-
-    theta = from_function(grid, theta_fn)
-    rho = constant_field(grid, base)
-    return State(0.0, rho, _zero_velocity(grid), theta, _unit_director(grid))
+    spot = np.ones(grid.shape)
+    for a, x in enumerate(grid.mesh()):
+        spot = spot * np.exp(width * (np.cos(np.pi * x / ext[a]) - 1.0))
+    return State(grid, 0.0, np.full(grid.shape, float(base)),
+                 _zero_velocity(grid), 1.0 + amplitude * spot,
+                 _unit_director(grid))
 
 
 PRESETS = {

@@ -12,11 +12,10 @@ The substep kernels work on raw nodal arrays and take the grid's cached
 SpectralPlan: the velocity is a (dim, *grid.shape) stack, the director a
 (3, *grid.shape) stack, and a derivative, projection or Helmholtz solve of
 every component is one matrix product per axis pass.  A director
-fixed-point iteration therefore costs 4 products on a 2-D grid.
-ScalarField and VectorField appear only where a State or a StepRecord is
-unpacked or built, and the diagnostics and the manufactured-solution
-harness call these same kernels, so an audit cannot drift from the step it
-audits.
+fixed-point iteration therefore costs 4 products on a 2-D grid.  A State
+holds its fields in that same layout, so a step reads and builds it with no
+conversion, and the diagnostics and the manufactured-solution harness call
+these same kernels, so an audit cannot drift from the step it audits.
 
 Key discrete facts this file relies on (established in fields.py):
 
@@ -51,8 +50,6 @@ from .errors import (
 from .fields import (
     COS,
     SIN,
-    ScalarField,
-    VectorField,
     _strip_sine_nyquist,
     dirichlet,
     integrate_values,
@@ -78,27 +75,25 @@ _INNER_TOL_LOOSE = 1e-8
 # ---------------------------------------------------------------------------
 
 class State:
-    """One snapshot of the coupled unknowns at a common time."""
+    """One snapshot of the coupled unknowns at a common time, as nodal
+    arrays in the layout of the substep kernels: ``rho`` and ``theta`` are
+    cosine arrays of shape ``grid.shape``, ``u`` is the sine stack
+    ``(dim, *grid.shape)`` and ``d`` the cosine stack ``(3, *grid.shape)``.
+    """
 
-    __slots__ = ("t", "rho", "u", "theta", "d")
+    __slots__ = ("grid", "t", "rho", "u", "theta", "d")
 
-    def __init__(self, t, rho, u, theta, d):
-        grid = rho.grid
-        if u.grid != grid or theta.grid != grid or d.grid != grid:
-            raise GridMismatch("state fields live on different grids")
+    def __init__(self, grid, t, rho, u, theta, d):
+        self.grid = grid
         self.t = float(t)
-        self.rho = rho
-        self.u = u
-        self.theta = theta
-        self.d = d
-
-    @property
-    def grid(self):
-        return self.rho.grid
-
-    def copy(self):
-        return State(self.t, self.rho.copy(), self.u.copy(),
-                     self.theta.copy(), self.d.copy())
+        lead = {"rho": (), "u": (grid.dim,), "theta": (), "d": (3,)}
+        for name, values in zip(lead, (rho, u, theta, d)):
+            values = np.ascontiguousarray(values, dtype=np.float64)
+            if values.shape != lead[name] + grid.shape:
+                raise GridMismatch(
+                    f"state field {name} has shape {values.shape}, the "
+                    f"grid {grid.shape} needs {lead[name] + grid.shape}")
+            setattr(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -130,14 +125,10 @@ class StepRecord:
     picard_iters: int
     halvings: int
     visc_prime: float        # <S(u'):grad u'> for the accepted velocity
-    visc_lag: float          # same functional at the lagged iterate fed to theta
-    director_sq: float       # <|relaxation rate field|^2>
     theta_sink: float        # <theta_old^alpha * theta_new>
     eps_gamma_interp: float  # <grad of enthalpy interpolant . grad rho'>
     eps_beta_interp: float
-    eps_gamma_direct: float  # gamma <rho^{gamma-2} |grad rho|^2>
-    eps_beta_direct: float
-    u_lag: VectorField       # velocity the accepted sweep was frozen at
+    u_lag: np.ndarray        # velocity stack the accepted sweep was frozen at
     dealias: bool            # whether the step applied the 2/3 rule
     heat_applies: int        # heat-operator applies over all sweeps
     director_iters: int      # director fixed-point iterations, all sweeps
@@ -611,8 +602,8 @@ def _sweep_is_last(inc, tol):
 
 
 def _picard_advance(s, reg, cfg, p, basis, dt, sources):
-    """One Picard-coupled step on raw arrays; fields are unpacked from
-    ``s`` once and the accepted iterates wrapped into the new State.
+    """One Picard-coupled step on the raw arrays of ``s``; the accepted
+    iterates make the new State.
 
     The heat and director solves of a sweep run to _INNER_TOL_LOOSE unless
     the sweep is predicted to be the last (or is the last allowed), which
@@ -631,13 +622,12 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     src_rho, src_mom = source("density"), source("momentum")
     src_th, src_dir = source("temperature"), source("director")
 
-    rho, d = s.rho.values, s.d.values
+    rho, d, u_minus = s.rho, s.d, s.u
     mass = _checked_mass_matrix(basis, rho)
     stiff = basis.stiffness(p)
     grad_d_prev = _director_gradient(plan, d)
-    u_minus = s.u.values
     U0 = U_minus = basis.project(u_minus)
-    heat = _FrozenHeat(plan, s.theta.values, rho, reg, p, dt)
+    heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
 
     theta_new, d_new = heat.theta, d
     deal = cfg.dealias
@@ -673,57 +663,38 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     else:
         raise PicardDivergence(cfg.picard_max, diff / size)
 
-    cos = neumann(grid.dim)
-    new_state = State(t_new, ScalarField(grid, cos, rho_new, project=False),
-                      VectorField.from_values("velocity", grid, u_new),
-                      ScalarField(grid, cos, theta_new, project=False),
-                      VectorField.from_values("director", grid, d_new))
+    new_state = State(grid, t_new, rho_new, u_new, theta_new, d_new)
     inner = dict(heat_applies=heat_applies, director_iters=director_iters,
                  heat_residual=heat_res, director_gap=gap)
-    record = _make_step_record(plan, new_state, heat, u_entered, grad_u,
-                               U_new, stiff, gsq, reg, p, dt, it, deal, inner)
+    record = _make_step_record(plan, new_state, heat, u_entered, U_new, stiff,
+                               reg, p, dt, it, deal, inner)
     return new_state, record
 
 
-def _make_step_record(plan, s_new, heat, u_lag, grad_lag, U_new, stiff, gsq,
-                      reg, p, dt, iters, dealias_on, inner):
-    """Ledger of an accepted step; ``grad_lag`` is the gradient of the
-    lagged velocity stack ``u_lag`` of the last sweep, and ``inner`` holds
-    the inner-solve fields of the StepRecord."""
+def _make_step_record(plan, s_new, heat, u_lag, U_new, stiff, reg, p, dt,
+                      iters, dealias_on, inner):
+    """Ledger of an accepted step; ``u_lag`` is the lagged velocity stack of
+    the last sweep, and ``inner`` holds the inner-solve fields of the
+    StepRecord."""
     grid = s_new.grid
     dim = grid.dim
     visc_prime = float(U_new.reshape(-1) @ stiff @ U_new.reshape(-1))
-    visc_lag = integrate_values(grid, cst.stress_power(grad_lag, p))
-    director_sq = integrate_values(grid, gsq)
-    theta_sink = integrate_values(grid, heat.th_alpha * s_new.theta.values)
+    theta_sink = integrate_values(grid, heat.th_alpha * s_new.theta)
 
-    rho = s_new.rho.values
-    grad_rho = [plan.deriv(rho, b, COS) for b in range(dim)]
-    safe = np.maximum(rho, 0.0)
+    grad_rho = [plan.deriv(s_new.rho, b, COS) for b in range(dim)]
+    safe = np.maximum(s_new.rho, 0.0)
 
     def interp_form(exponent):
         bp = cst.convex_pressure_enthalpy(safe, exponent)
         return sum(integrate_values(grid, plan.deriv(bp, b, COS) * grad_rho[b])
                    for b in range(dim))
 
-    def direct_form(exponent):
-        dens = np.zeros(grid.shape)
-        for b in range(dim):
-            dens += grad_rho[b] ** 2
-        base = np.zeros_like(safe)
-        mask = safe > 0
-        base[mask] = safe[mask] ** (exponent - 2.0)
-        return exponent * integrate_values(grid, base * dens)
-
     return StepRecord(
         t_new=s_new.t, dt=dt, picard_iters=iters, halvings=0,
-        visc_prime=visc_prime, visc_lag=visc_lag,
-        director_sq=director_sq, theta_sink=theta_sink,
+        visc_prime=visc_prime, theta_sink=theta_sink,
         eps_gamma_interp=interp_form(p.gamma),
         eps_beta_interp=interp_form(reg.beta) if reg.delta > 0 else 0.0,
-        eps_gamma_direct=direct_form(p.gamma),
-        eps_beta_direct=direct_form(reg.beta) if reg.delta > 0 else 0.0,
-        u_lag=VectorField.from_values("velocity", grid, u_lag),
+        u_lag=u_lag,
         dealias=dealias_on,
         **inner,
     )
@@ -798,32 +769,36 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
 # initial data
 # ---------------------------------------------------------------------------
 
-def regularize_initial_data(rho0, m0, theta0, d0, reg: RegParams,
+def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
                             theta_bounds=(0.1, 10.0), mollify_width=0.0,
                             basis: GalerkinBasis = None):
-    """Build an admissible starting state from raw data.
+    """Build an admissible starting state from raw nodal data on ``grid``:
+    the density ``rho0``, the momentum stack ``m0`` (dim sine components,
+    such as ``rho0 * u0``), the temperature ``theta0`` and the director
+    stack ``d0``.
 
-    Pipeline: mollify and clamp the density to [delta, delta^(-1/(2 beta))],
-    zero the momentum wherever the clamp pulled the density below its raw
-    value, divide by the clamped density, project the velocity onto the
-    retained modes, and clamp the temperature to the given bounds.  Raw
-    momentum must vanish on the vacuum set of the raw density.
+    Pipeline: drop the sine Nyquist mode of the momentum, mollify and clamp
+    the density to [delta, delta^(-1/(2 beta))], zero the momentum wherever
+    the clamp pulled the density below its raw value, divide by the clamped
+    density, project the velocity onto the retained modes, and clamp the
+    temperature to the given bounds.  Raw momentum must vanish on the
+    vacuum set of the raw density.
     """
-    grid = rho0.grid
-    if float(rho0.values.min()) < -_REJECT_SLACK * max(rho0.norm_inf(), 1e-300):
+    rho0 = np.asarray(rho0, dtype=np.float64)
+    if float(rho0.min()) < -_REJECT_SLACK * max(float(np.abs(rho0).max()),
+                                                1e-300):
         raise InvalidInitialData("initial density must be nonnegative")
     if basis is None:
         basis = GalerkinBasis(grid, reg.n_modes)
 
-    smoothed = smooth(rho0, mollify_width)
-    raw = np.maximum(rho0.values, 0.0)
+    smoothed = smooth(grid, rho0, neumann(grid.dim), mollify_width)
+    raw = np.maximum(rho0, 0.0)
     lo = reg.delta
     hi = reg.delta ** (-1.0 / (2.0 * reg.beta)) if reg.delta > 0 else np.inf
-    clamped = np.clip(smoothed.values, lo, hi)
-    rho = ScalarField(grid, neumann(grid.dim), clamped, project=False)
+    clamped = np.clip(smoothed, lo, hi)
 
-    m_vals = [np.asarray(c.values if isinstance(c, ScalarField) else c,
-                         dtype=float) for c in m0]
+    m_vals = _strip_sine_nyquist(np.asarray(m0, dtype=np.float64),
+                                 dirichlet(grid.dim), grid)
     vac = raw <= 1e-12 * max(1.0, float(raw.max()))
     for mv in m_vals:
         if np.any(np.abs(mv[vac]) > 1e-12 * max(1.0, float(np.abs(mv).max()))):
@@ -832,9 +807,7 @@ def regularize_initial_data(rho0, m0, theta0, d0, reg: RegParams,
     masked = [np.where(clamped >= raw, mv, 0.0) for mv in m_vals]
     u_vals = [np.where(clamped > 0.0, mv / np.maximum(clamped, 1e-300), 0.0)
               for mv in masked]
-    u = VectorField.from_values("velocity", grid,
-                                basis.reconstruct(basis.project(u_vals)))
+    u = basis.reconstruct(basis.project(u_vals))
 
-    th = np.clip(theta0.values, theta_bounds[0], theta_bounds[1])
-    theta = ScalarField(grid, neumann(grid.dim), th, project=False)
-    return State(0.0, rho, u, theta, d0)
+    th = np.clip(theta0, theta_bounds[0], theta_bounds[1])
+    return State(grid, 0.0, clamped, u, th, d0)

@@ -297,14 +297,63 @@ def test_solve_out_overrides_output_dir(tmp_path, monkeypatch):
 def test_snapshot_round_trip_exact(tmp_path):
     grid = Grid((16, 16), (2.0, 2.0))
     s = bump_state(grid, n_modes=6)
-    s = State(0.125, s.rho, s.u, s.theta, s.d)
+    s = State(grid, 0.125, s.rho, s.u, s.theta, s.d)
     path = str(tmp_path / "state.dat")
     cli.write_snapshot(path, s)
     back = cli.read_snapshot(path, grid)
     assert back.t == s.t
-    assert np.array_equal(back.rho.values, s.rho.values)
-    assert np.array_equal(back.u[1].values, s.u[1].values)
-    assert np.array_equal(back.d[2].values, s.d[2].values)
+    assert np.array_equal(back.rho, s.rho)
+    assert np.array_equal(back.u[1], s.u[1])
+    assert np.array_equal(back.d[2], s.d[2])
+
+
+@pytest.mark.parametrize("field,stored,wrong", [("u0", "dirichlet", "neumann"),
+                                                ("d1", "neumann", "dirichlet")])
+def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
+                                                         field, stored, wrong):
+    """A snapshot that stores a field with another parity than the state
+    layout gives it is rejected input: ``solve run`` exits 2 and names
+    ParityMismatch and the field."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    text = (tmp_path / "out" / "snap_000002.dat").read_text()
+    header = f"FIELD {field} {stored} "
+    assert text.count(header) == 1
+    bad = tmp_path / "bad.dat"
+    bad.write_text(text.replace(header, f"FIELD {field} {wrong} "))
+    cfg = _run_cfg(tmp_path, out="again", extra=f"init.snapshot = {bad}\n")
+    capsys.readouterr()
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ParityMismatch" in err and field in err
+    assert not any((tmp_path / "again").iterdir())
+
+
+def test_cond_floor_above_one_runs(tmp_path):
+    """The conductivity prefactor has no upper bound: a config that sets
+    only ``phys.cond_floor = 2`` parses and runs."""
+    assert cli.main(["run", _run_cfg(tmp_path,
+                                     extra="phys.cond_floor = 2\n")]) == 0
+    resolved = (tmp_path / "out" / "config.resolved").read_text()
+    assert "phys.cond_floor = 2.0\n" in resolved
+    assert "cond_cap" not in resolved
+
+
+def test_diagnose_reads_config_with_retired_cond_cap(tmp_path, capsys):
+    """Run directories whose ``config.resolved`` still carries the retired
+    ``phys.cond_cap`` replay through ``solve diagnose`` unchanged."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(out)]) == 0
+    want = capsys.readouterr().out
+    resolved = out / "config.resolved"
+    text = resolved.read_text()
+    old = text.replace("phys.cond_floor = 1.0\n",
+                       "phys.cond_floor = 1.0\nphys.cond_cap = 1.0\n")
+    assert old != text
+    resolved.write_text(old)
+    assert cli.main(["diagnose", str(out)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_diagnose_replays_snapshots(tmp_path, capsys):

@@ -31,6 +31,16 @@ def test_defaults_are_logged(caplog):
     assert any("init.preset" in m for m in logged)
 
 
+def test_retired_cond_cap_is_logged_and_ignored(caplog):
+    with caplog.at_level(logging.INFO, logger="nlcflow.config"):
+        cfg = cf.parse_config_text("phys.cond_cap = 1.0\n"
+                                   "phys.cond_floor = 2\n")
+    assert any("retired" in r.message and "phys.cond_cap" in r.message
+               for r in caplog.records)
+    assert cfg.phys.cond_floor == 2.0
+    assert "cond_cap" not in cf.serialize(cfg)
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = cf.parse_config_text(
         "# leading comment\n\ngrid.dim = 1  # trailing\n\nsolver.dt = 2e-3\n")
@@ -127,43 +137,43 @@ def grid():
 
 def test_equilibrium_preset_is_constant(grid):
     s = presets.build("equilibrium", grid, base=1.5)
-    assert np.all(s.rho.values == 1.5)
-    assert np.all(s.theta.values == 1.5)
-    assert all(np.all(c.values == 0.0) for c in s.u)
-    assert np.all(s.d[0].values == 1.0)
+    assert np.all(s.rho == 1.5)
+    assert np.all(s.theta == 1.5)
+    assert all(np.all(c == 0.0) for c in s.u)
+    assert np.all(s.d[0] == 1.0)
 
 
 def test_density_bump_profile(grid):
     s = presets.build("density-bump", grid, base=1.0, amplitude=0.4)
     mesh = grid.mesh()
     want = 1.0 + 0.4 * np.cos(np.pi * mesh[0] / 2) * np.cos(np.pi * mesh[1] / 2)
-    assert np.allclose(s.rho.values, want, atol=1e-12)
-    assert s.theta.values.max() == pytest.approx(1.2, abs=1e-3)
-    assert max(np.abs(c.values).max() for c in s.u) > 0
+    assert np.allclose(s.rho, want, atol=1e-12)
+    assert s.theta.max() == pytest.approx(1.2, abs=1e-3)
+    assert max(np.abs(c).max() for c in s.u) > 0
 
 
 def test_density_bump_width_mollifies(grid):
     sharp = presets.build("density-bump", grid, amplitude=0.4)
     soft = presets.build("density-bump", grid, amplitude=0.4, width=0.2)
-    assert soft.rho.values.max() < sharp.rho.values.max()
+    assert soft.rho.max() < sharp.rho.max()
     # mollification preserves mass
-    from nlcflow.fields import integrate
-    assert integrate(soft.rho) == pytest.approx(integrate(sharp.rho),
-                                                rel=1e-12)
+    from nlcflow.fields import integrate_values
+    assert integrate_values(grid, soft.rho) == pytest.approx(
+        integrate_values(grid, sharp.rho), rel=1e-12)
 
 
 def test_director_twist_unit_length(grid):
     s = presets.build("director-twist", grid, amplitude=0.6)
-    mag = np.sqrt(sum(c.values ** 2 for c in s.d))
+    mag = np.sqrt(sum(c ** 2 for c in s.d))
     assert np.allclose(mag, 1.0, atol=1e-14)
-    assert np.all(s.rho.values == 1.0)
+    assert np.all(s.rho == 1.0)
 
 
 def test_thermal_spot_peak_and_floor(grid):
     s = presets.build("thermal-spot", grid, amplitude=0.5, width=3.0)
-    assert s.theta.values.max() == pytest.approx(1.5, abs=1e-2)
-    assert s.theta.values.min() >= 1.0
-    assert all(np.all(c.values == 0.0) for c in s.u)
+    assert s.theta.max() == pytest.approx(1.5, abs=1e-2)
+    assert s.theta.min() >= 1.0
+    assert all(np.all(c == 0.0) for c in s.u)
 
 
 def test_unknown_preset_raises(grid):

@@ -89,7 +89,7 @@ def test_heat_conductivity_values():
     assert cst.heat_conductivity(0.0, P()) == pytest.approx(1.0)
     assert cst.heat_conductivity(1.0, P(cond_growth=2.0, cond_floor=1.0)) == 2.0
     assert cst.heat_conductivity(
-        2.0, P(cond_growth=3.0, cond_floor=0.5, cond_cap=0.5)) == pytest.approx(4.5)
+        2.0, P(cond_growth=3.0, cond_floor=0.5)) == pytest.approx(4.5)
 
 
 # ---------------------------------------------------------------- director
@@ -229,8 +229,7 @@ def test_params_validation():
         PhysParams(gamma=1.4).validate()
     with pytest.raises(ValidationError):
         PhysParams(cond_floor=0.0).validate()
-    with pytest.raises(ValidationError):
-        PhysParams(cond_floor=2.0, cond_cap=1.0).validate()
+    PhysParams(cond_floor=2.0).validate()  # no upper bound on the floor
     with pytest.raises(ValidationError):
         PhysParams(cond_growth=1.5).validate()
     with pytest.raises(ValidationError):

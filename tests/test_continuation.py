@@ -175,14 +175,16 @@ def convergence_report(runs_snapshots):
 
 def test_convergence_report_identical_runs_zero(grid2d):
     s = equilibrium_state(grid2d)
-    (row,) = convergence_report([[s], [s.copy()]])
+    twin = sv.State(grid2d, s.t, s.rho.copy(), s.u.copy(), s.theta.copy(),
+                    s.d.copy())
+    (row,) = convergence_report([[s], [twin]])
     assert row["rho_l1"] == 0.0 and row["d_h1"] == 0.0
 
 
 def test_convergence_report_mismatched_times(grid2d):
     a = equilibrium_state(grid2d)
     b = equilibrium_state(grid2d)
-    b = sv.State(1.0, b.rho, b.u, b.theta, b.d)
+    b = sv.State(grid2d, 1.0, b.rho, b.u, b.theta, b.d)
     with pytest.raises(MismatchedSnapshots):
         convergence_report([[a], [b]])
 

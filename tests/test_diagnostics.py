@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from nlcflow.errors import (GridMismatch, MismatchedSnapshots,
                             NonPositiveTemperature)
-from nlcflow.fields import (Grid, VectorField, constant_field, from_function,
-                            dirichlet, integrate)
+from nlcflow.fields import Grid, spectral_plan
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import diagnostics as dg
 from nlcflow import presets
@@ -15,7 +14,7 @@ from nlcflow import solver as sv
 
 from conftest import (bump_state, equilibrium_state, renorm_rows,
                       residual_series_max, run_lists, trajectory_records,
-                      weak_series)
+                      unit_director, weak_series)
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +36,7 @@ def test_total_energy_constant_state_pin(grid2d):
 def test_total_energy_vacuum_is_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
-    u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2))] * 2)
-    d = VectorField.director([constant_field(grid2d, 1.0),
-                              constant_field(grid2d, 0.0),
-                              constant_field(grid2d, 0.0)])
-    s = sv.State(0.0, constant_field(grid2d, 0.0), u,
-                 constant_field(grid2d, 0.0), d)
+    s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
     total, parts = dg.total_energy(s, reg, p)
     assert total == 0.0
     assert all(v == 0.0 for v in parts.values())
@@ -63,9 +57,9 @@ def test_frank_energy_gauge_invariance(grid2d):
     reg = RegParams(n_modes=4)
     s = bump_state(grid2d)
     _, parts = dg.total_energy(s, reg, p)
-    shifted = VectorField.director([
-        s.d[0] + constant_field(grid2d, 0.7), s.d[1], s.d[2]])
-    s2 = sv.State(s.t, s.rho, s.u, s.theta, shifted)
+    shifted = s.d.copy()
+    shifted[0] += 0.7
+    s2 = sv.State(grid2d, s.t, s.rho, s.u, s.theta, shifted)
     _, parts2 = dg.total_energy(s2, reg, p)
     assert parts2["frank"] == pytest.approx(parts["frank"], rel=1e-12)
     assert parts2["penalty"] != pytest.approx(parts["penalty"], rel=1e-3)
@@ -94,7 +88,7 @@ def test_budget_equilibrium_with_sink(grid2d):
     s = equilibrium_state(grid2d)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
-    assert float(s1.theta.values.max()) < 1.0
+    assert float(s1.theta.max()) < 1.0
     r = dg.energy_budget_residual(s, s1, reg, p, rec.dt, rec)
     assert abs(r) <= 5e-12
 
@@ -130,24 +124,16 @@ def test_entropy_total_constant_pin(grid2d):
 
 
 def test_entropy_total_vacuum_convention(grid2d):
-    u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2))] * 2)
-    d = VectorField.director([constant_field(grid2d, 1.0),
-                              constant_field(grid2d, 0.0),
-                              constant_field(grid2d, 0.0)])
-    s = sv.State(0.0, constant_field(grid2d, 0.0), u,
-                 constant_field(grid2d, 0.0), d)
+    s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
     assert dg.entropy_total(s) == 0.0
 
 
 def test_entropy_production_quadrature_oracle():
     grid = Grid((64,), (2.0,))
     p = PhysParams(cond_floor=0.5, cond_growth=2)
-    theta = from_function(grid, lambda x: 1.0 + 0.5 * np.cos(np.pi * x / 2.0))
-    u = VectorField.velocity([constant_field(grid, 0.0, dirichlet(1))])
-    d = VectorField.director([constant_field(grid, 1.0),
-                              constant_field(grid, 0.0),
-                              constant_field(grid, 0.0)])
-    s = sv.State(0.0, constant_field(grid, 1.0), u, theta, d)
+    theta = 1.0 + 0.5 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
+    s = sv.State(grid, 0.0, np.ones(grid.shape), np.zeros((1,) + grid.shape),
+                 theta, unit_director(grid))
     total, mn = dg.entropy_production(s, p)
 
     def integrand(x):
@@ -190,29 +176,29 @@ def test_pressure_weight_monotone_in_density(grid2d):
 
 def test_oscillation_defect_zero_and_shift_oracle(grid2d):
     gamma = 2.0
-    rho = constant_field(grid2d, 1.0)
-    assert dg.oscillation_defect([rho], rho, gamma) == 0.0
+    rho = np.ones(grid2d.shape)
+    assert dg.oscillation_defect(grid2d, [rho], rho, gamma) == 0.0
     for c in (1e-2, 5e-3):
-        shifted = constant_field(grid2d, 1.0 + c)
-        val = dg.oscillation_defect([shifted], rho, gamma)
+        shifted = np.full(grid2d.shape, 1.0 + c)
+        val = dg.oscillation_defect(grid2d, [shifted], rho, gamma)
         # the k=8 truncation is the identity on [1, 1+c]: exact value
         assert val == pytest.approx(4.0 * c ** (gamma + 1.0), rel=1e-12)
 
 
 def test_oscillation_defect_mismatch_errors(grid2d):
-    rho = constant_field(grid2d, 1.0)
+    rho = np.ones(grid2d.shape)
     with pytest.raises(MismatchedSnapshots):
-        dg.oscillation_defect([rho, rho], [rho], 2.0)
-    other = constant_field(Grid((16, 16), (2.0, 2.0)), 1.0)
+        dg.oscillation_defect(grid2d, [rho, rho], [rho], 2.0)
+    other = np.ones(Grid((16, 16), (2.0, 2.0)).shape)
     with pytest.raises(GridMismatch):
-        dg.oscillation_defect([rho], [other], 2.0)
+        dg.oscillation_defect(grid2d, [rho], [other], 2.0)
 
 
 def test_cosine_battery_fixed_order(grid2d):
     names = [name for name, _, _ in dg.cosine_battery(grid2d)]
     assert names == ["cos00", "cos01", "cos10"]
     const = dg.cosine_battery(grid2d)[0][1]
-    assert np.allclose(const.values, 1.0)
+    assert np.allclose(const, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +284,20 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
     which is 6 + 2 (4 + 4) = 22 for two steps and two ids (36 when each
     id took its own pass over the steps, with the battery's gradients per
     pass)."""
-    from nlcflow import fields
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
     cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
     states, records = run_lists(s0, reg, cfg, p)
     calls = []
-    deriv = fields.deriv
+    plan = spectral_plan(grid2d)
+    deriv = plan.deriv
 
-    def counted(f, axis):
+    def counted(values, axis, par):
         calls.append(axis)
-        return deriv(f, axis)
+        return deriv(values, axis, par)
 
-    monkeypatch.setattr(fields, "deriv", counted)
-    monkeypatch.setattr(dg, "deriv", counted)
+    monkeypatch.setattr(plan, "deriv", counted)
     battery = dg.cosine_battery(grid2d)
     rows = [dg.renormalized_continuity_residual(a, b, rec, reg.eps,
                                                 ("T1", "identity"), battery)
@@ -355,8 +340,8 @@ def test_weak_residuals_scheme_consistent_families(grid2d, dealias):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("director-twist", grid2d, amplitude=0.6)
-    m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
-    s0 = sv.regularize_initial_data(raw.rho, m0, raw.theta, raw.d, reg)
+    s0 = sv.regularize_initial_data(grid2d, raw.rho, raw.rho * raw.u,
+                                    raw.theta, raw.d, reg)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3, dealias=dealias)
     states, records = run_lists(s0, reg, cfg, p)
     series = weak_series(states, records, reg, p)

@@ -8,18 +8,16 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nlcflow import constitutive as cst
-from nlcflow.errors import (InvalidInitialData, IterationStall,
+from nlcflow.errors import (GridMismatch, InvalidInitialData, IterationStall,
                             NonFiniteState, PicardDivergence,
                             PositivityLoss, SingularMassMatrix,
                             StepUnderflow, ValidationError)
-from nlcflow.fields import (Grid, ScalarField, VectorField, constant_field,
-                            from_function, coeffs, deriv, dirichlet,
-                            neumann, integrate, integrate_values,
-                            dealias_values, solve_helmholtz, spectral_plan)
+from nlcflow.fields import (COS, SIN, Grid, coeffs, neumann, integrate_values,
+                            spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
-from conftest import bump_state, equilibrium_state, run_lists
+from conftest import bump_state, equilibrium_state, run_lists, unit_director
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +83,10 @@ def test_stiffness_matches_stress_power_quadrature(grid2d):
     basis = sv.GalerkinBasis(grid2d, 6)
     rng = np.random.default_rng(11)
     U = rng.standard_normal((6, 2))
-    u = VectorField.from_values("velocity", grid2d, basis.reconstruct(U))
+    u = basis.reconstruct(U)
+    plan = spectral_plan(grid2d)
     grad_u = np.stack([
-        np.stack([deriv(uc, a).values for uc in u]) for a in range(2)
+        np.stack([plan.deriv(uc, a, SIN) for uc in u]) for a in range(2)
     ])
     quad = integrate_values(grid2d, cst.stress_power(grad_u, p))
     K = basis.stiffness(p)
@@ -101,18 +100,17 @@ def test_stiffness_matches_stress_power_quadrature(grid2d):
 def test_density_diffusion_mode_decay():
     grid = Grid((32,), (2.0,))
     eps, dt = 0.05, 1e-3
-    rho = from_function(grid, lambda x: 1.0 + 0.3 * np.cos(np.pi * x / 2.0))
+    cos = neumann(1)
+    rho = 1.0 + 0.3 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
     u = np.zeros((1,) + grid.shape)
-    vals, _ = sv._density_update(spectral_plan(grid), rho.values, u, eps, dt)
-    rho1 = ScalarField(grid, neumann(1), vals, project=False)
+    rho1, _ = sv._density_update(spectral_plan(grid), rho, u, eps, dt)
     lam = (np.pi / 2.0) ** 2
     expect = 0.3 / (1.0 + eps * dt * lam)
-    got = coeffs(rho1)[1] / coeffs(constant_field(grid, 1.0))[0] \
-        * coeffs(constant_field(grid, 1.0))[0]
     # compare the first cosine coefficient directly
-    base = coeffs(rho)[1]
-    assert abs(coeffs(rho1)[1] / base - 1.0 / (1.0 + eps * dt * lam)) < 1e-13
-    assert abs(expect - coeffs(rho1)[1] / base * 0.3) < 1e-13
+    base = coeffs(grid, rho, cos)[1]
+    got = coeffs(grid, rho1, cos)[1]
+    assert abs(got / base - 1.0 / (1.0 + eps * dt * lam)) < 1e-13
+    assert abs(expect - got / base * 0.3) < 1e-13
 
 
 def test_density_transport_conserves_mass(grid2d):
@@ -121,11 +119,9 @@ def test_density_transport_conserves_mass(grid2d):
     U[0, 0] = 0.3
     U[2, 1] = -0.2
     u = basis.reconstruct(U)
-    rho = from_function(grid2d, lambda x, y: 1.0
-                        + 0.4 * np.cos(np.pi * x / 2.0)
-                        * np.cos(np.pi * y / 2.0))
-    m0 = integrate(rho)
-    r = rho.values
+    x, y = grid2d.mesh()
+    r = 1.0 + 0.4 * np.cos(np.pi * x / 2.0) * np.cos(np.pi * y / 2.0)
+    m0 = integrate_values(grid2d, r)
     for _ in range(5):
         r, _ = sv._density_update(spectral_plan(grid2d), r, u, 0.02, 1e-3)
     assert abs(integrate_values(grid2d, r) - m0) <= 1e-13 * abs(m0)
@@ -133,45 +129,39 @@ def test_density_transport_conserves_mass(grid2d):
 
 def test_density_positivity_rejection():
     grid = Grid((32, 32), (2.0, 2.0))
-    rho = from_function(grid, lambda x, y: 0.105
-                        + 0.1 * np.cos(np.pi * x / 2.0))
+    rho = 0.105 + 0.1 * np.cos(np.pi * grid.mesh()[0] / 2.0)
     basis = sv.GalerkinBasis(grid, 2)
     U = np.zeros((2, 2))
     U[0, 0] = 20.0
     u = basis.reconstruct(U)
     with pytest.raises(PositivityLoss):
-        sv._density_update(spectral_plan(grid), rho.values, u, 0.0, 0.05)
+        sv._density_update(spectral_plan(grid), rho, u, 0.0, 0.05)
 
 
 # ---------------------------------------------------------------------------
 # director substep
 # ---------------------------------------------------------------------------
 
-def _director_step(d, u, dt, p=PhysParams()):
-    plan = spectral_plan(d.grid)
-    d_new, *_ = sv._director_update(plan, d.values, u.values,
-                                    sv._director_gradient(plan, d.values), dt,
-                                    p)
-    return VectorField.from_values("director", d.grid, d_new)
+def _director_step(grid, d, u, dt, p=PhysParams()):
+    plan = spectral_plan(grid)
+    d_new, *_ = sv._director_update(plan, d, u, sv._director_gradient(plan, d),
+                                    dt, p)
+    return d_new
 
 
 def test_director_unit_constant_fixed_point(grid2d):
-    d = VectorField.director([constant_field(grid2d, 1.0),
-                              constant_field(grid2d, 0.0),
-                              constant_field(grid2d, 0.0)])
-    u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2)),
-                              constant_field(grid2d, 0.0, dirichlet(2))])
-    d1 = _director_step(d, u, 1e-2)
+    d = unit_director(grid2d)
+    u = np.zeros((2,) + grid2d.shape)
+    d1 = _director_step(grid2d, d, u, 1e-2)
     for c1, c0 in zip(d1, d):
-        assert np.array_equal(c1.values, c0.values)
+        assert np.array_equal(c1, c0)
 
 
 def test_director_zero_fixed_point(grid2d):
-    d = VectorField.director([constant_field(grid2d, 0.0)] * 3)
-    u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2)),
-                              constant_field(grid2d, 0.0, dirichlet(2))])
-    d1 = _director_step(d, u, 1e-2)
-    assert max(c.norm_inf() for c in d1) == 0.0
+    d = np.zeros((3,) + grid2d.shape)
+    u = np.zeros((2,) + grid2d.shape)
+    d1 = _director_step(grid2d, d, u, 1e-2)
+    assert np.abs(d1).max() == 0.0
 
 
 def test_director_relaxation_ode_oracle(grid2d):
@@ -179,42 +169,39 @@ def test_director_relaxation_ode_oracle(grid2d):
     sigma0 = 1.0
     eta0 = 1e-3
     dt, T = 1e-3, 0.1
-    u = VectorField.velocity([constant_field(grid2d, 0.0, dirichlet(2)),
-                              constant_field(grid2d, 0.0, dirichlet(2))])
-    d = VectorField.director([constant_field(grid2d, eta0),
-                              constant_field(grid2d, 0.0),
-                              constant_field(grid2d, 0.0)])
+    u = np.zeros((2,) + grid2d.shape)
+    d = unit_director(grid2d, eta0)
     steps = int(round(T / dt))
     for _ in range(steps):
-        d = _director_step(d, u, dt, PhysParams(penalty_scale=sigma0))
-    eta_num = float(d[0].values.flat[0])
+        d = _director_step(grid2d, d, u, dt, PhysParams(penalty_scale=sigma0))
+    eta_num = float(d[0].flat[0])
     sol = solve_ivp(lambda t, y: -(y ** 2 - 1.0) * y / sigma0 ** 2,
                     (0.0, T), [eta0], rtol=1e-12, atol=1e-14)
     assert abs(eta_num - sol.y[0, -1]) < 1e-6
 
 
-def _director_update_per_component(d, u, dt, p, tol=1e-13, max_iter=100):
-    """Reference director step through the field API, one component at a
-    time: its gradient, the dealiased transport and one Helmholtz solve per
-    component and fixed-point iteration."""
-    grid = d.grid
+def _director_update_per_component(grid, d, u, dt, p, tol=1e-13,
+                                   max_iter=100):
+    """Reference director step one component at a time: its gradient, the
+    dealiased transport and one Helmholtz solve per component and
+    fixed-point iteration, each kernel applied to a single nodal array."""
+    plan = spectral_plan(grid)
     cos = neumann(grid.dim)
     kappa = p.relax_rate
     w = []
     for dk in d:
         adv = np.zeros(grid.shape)
         for b, ub in enumerate(u):
-            adv += ub.values * deriv(dk, b).values
-        w.append(dealias_values(grid, adv, cos))
-    dn = np.stack([c.values for c in d])
+            adv += ub * plan.deriv(dk, b, COS)
+        w.append(plan.project(adv, cos))
+    dn = d
     lag = dn.copy()
     scale = max(1.0, float(np.abs(dn).max()))
     for _ in range(max_iter):
         force = cst.gl_force_two_point(dn, lag, p.penalty_scale)
         new = np.stack([
-            solve_helmholtz(ScalarField(
-                grid, cos, dn[k] - dt * (w[k] + kappa * force[k]),
-                project=False), 1.0, kappa * dt).values
+            plan.helmholtz(dn[k] - dt * (w[k] + kappa * force[k]), cos, 1.0,
+                           kappa * dt)
             for k in range(3)])
         gap = float(np.abs(new - lag).max())
         lag = new
@@ -228,11 +215,11 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
     p = PhysParams()
     s = presets.build("director-twist", grid2d, amplitude=0.6)
     plan = spectral_plan(grid2d)
-    d = s.d.values
+    d = s.d
     for dt in (1e-3, 1e-2):
-        got, *_ = sv._director_update(plan, d, s.u.values,
+        got, *_ = sv._director_update(plan, d, s.u,
                                       sv._director_gradient(plan, d), dt, p)
-        ref = _director_update_per_component(s.d, s.u, dt, p)
+        ref = _director_update_per_component(grid2d, s.d, s.u, dt, p)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -244,12 +231,12 @@ def _heat_step(s, u, reg, dt, p):
     """One heat substep from ``s`` with lagged velocity ``u``; the director
     of every state used here is a unit constant, so it heats nothing."""
     plan = spectral_plan(s.grid)
-    rho = s.rho.values
-    frozen = sv._FrozenHeat(plan, s.theta.values, rho, reg, p, dt)
+    rho = s.rho
+    frozen = sv._FrozenHeat(plan, s.theta, rho, reg, p, dt)
     m = sv._mass_flux(plan, rho, u, True)
     return sv._temperature_update(frozen, rho, sv._velocity_gradient(plan, u),
                                   m, np.zeros(s.grid.shape), reg, p, dt,
-                                  s.theta.values)[0]
+                                  s.theta)[0]
 
 
 def test_temperature_scalar_sink_oracle(grid2d):
@@ -260,7 +247,7 @@ def test_temperature_scalar_sink_oracle(grid2d):
     dt = 1e-3
     theta0 = 2.0
     s = equilibrium_state(grid2d, rho=1.0, theta=theta0)
-    th1 = _heat_step(s, s.u.values, reg, dt, p)
+    th1 = _heat_step(s, s.u, reg, dt, p)
     expect = (reg.delta + 1.0) * theta0 / (
         (reg.delta + 1.0) + dt * reg.delta * theta0 ** 2)
     assert abs(float(th1.flat[0]) - expect) < 1e-12 * expect
@@ -272,7 +259,7 @@ def test_temperature_sink_vs_ode(grid2d):
     p = PhysParams(cond_growth=2)
     dt = 1e-4
     s = equilibrium_state(grid2d, rho=1.0, theta=2.0)
-    th1 = _heat_step(s, s.u.values, reg, dt, p)
+    th1 = _heat_step(s, s.u, reg, dt, p)
     sol = solve_ivp(
         lambda t, y: -reg.delta * y ** 3 / (reg.delta + 1.0),
         (0.0, dt), [2.0], rtol=1e-12, atol=1e-14)
@@ -315,12 +302,16 @@ def _heat_data(grid, seed=3):
 @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["1d", "square", "32x16"])
 def test_conduction_apply_matches_composed_operator(grid):
     theta, kappa, _ = _heat_data(grid)
-    th = ScalarField(grid, neumann(grid.dim), theta, project=False)
-    kf = ScalarField(grid, neumann(grid.dim), kappa, project=False)
+    plan = spectral_plan(grid)
     composed = np.zeros(grid.shape)
     for b in range(grid.dim):
-        composed -= deriv(kf * deriv(th, b), b).values
-    fused = sv._conduction_apply(spectral_plan(grid), theta, kappa)
+        # the flux kappa * d_b theta is a stored field with parity sin on
+        # axis b, cos elsewhere: stripped of its sine Nyquist mode
+        flux_parity = tuple(SIN if a == b else COS for a in range(grid.dim))
+        flux = sv._strip_sine_nyquist(kappa * plan.deriv(theta, b, COS),
+                                      flux_parity, grid)
+        composed -= plan.deriv(flux, b, SIN)
+    fused = sv._conduction_apply(plan, theta, kappa)
     assert np.abs(fused - composed).max() <= 1e-13 * np.abs(composed).max()
 
 
@@ -346,14 +337,12 @@ def test_conduction_apply_symmetric_positive_semidefinite(grid):
 def test_heat_preconditioner_matches_helmholtz(grid):
     reg = RegParams(eps=1e-2, delta=1e-3, n_modes=2)
     theta, _, r = _heat_data(grid)
-    rho = from_function(grid, lambda *xs: 1.0 + 0.2 * np.cos(np.pi * xs[0]))
-    frozen = sv._FrozenHeat(spectral_plan(grid), theta, rho.values, reg,
-                            PhysParams(), 1e-3)
-    cbar = (reg.delta + rho.values.mean()) / 1e-3 \
+    rho = 1.0 + 0.2 * np.cos(np.pi * grid.mesh()[0])
+    plan = spectral_plan(grid)
+    frozen = sv._FrozenHeat(plan, theta, rho, reg, PhysParams(), 1e-3)
+    cbar = (reg.delta + rho.mean()) / 1e-3 \
         + reg.delta * frozen.th_alpha.mean()
-    ref = solve_helmholtz(ScalarField(grid, neumann(grid.dim), r,
-                                      project=False),
-                          cbar, frozen.kappa.mean()).values
+    ref = plan.helmholtz(r, neumann(grid.dim), cbar, frozen.kappa.mean())
     got = frozen.precondition(r)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -394,8 +383,8 @@ def test_scaled_preconditioner_agrees_and_saves_applies(grid2d):
     p = PhysParams()
     s0, reg = _density_bump_start(grid2d)
     plan, dt = spectral_plan(grid2d), 1e-3
-    rho, u = s0.rho.values, s0.u.values
-    frozen = sv._FrozenHeat(plan, s0.theta.values, rho, reg, p, dt)
+    rho, u = s0.rho, s0.u
+    frozen = sv._FrozenHeat(plan, s0.theta, rho, reg, p, dt)
     rho_new, m = sv._density_update(plan, rho, u, reg.eps, dt)
     c0, rhs = sv._heat_system(frozen, rho_new, sv._velocity_gradient(plan, u),
                               m, np.zeros(grid2d.shape), reg, p, dt)
@@ -439,7 +428,7 @@ def test_nonfinite_state_named_and_not_halved(grid2d, target, substep):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
     field_ = s.theta if target == "theta" else s.d[1]
-    field_.values[5, 7] = np.nan
+    field_[5, 7] = np.nan
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     with pytest.raises(NonFiniteState, match=substep) as info:
         sv.step_coupled(s, reg, cfg, p)
@@ -543,10 +532,9 @@ def test_step_underflow_names_time_dt_and_step(grid2d, monkeypatch):
 
 def test_density_guard_catches_nonfinite(grid2d):
     s = bump_state(grid2d)
-    s.rho.values[2, 2] = np.nan
+    s.rho[2, 2] = np.nan
     with pytest.raises(NonFiniteState, match="density"):
-        sv._density_update(spectral_plan(grid2d), s.rho.values, s.u.values,
-                           1e-2, 1e-3)
+        sv._density_update(spectral_plan(grid2d), s.rho, s.u, 1e-2, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +578,7 @@ def test_momentum_zero_velocity_stays_zero(grid2d):
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     basis = sv.GalerkinBasis(grid2d, 4)
     s = equilibrium_state(grid2d)
-    u1 = _momentum_step(s.u.values, s.rho.values, s.theta.values,
-                        s.d.values, reg, basis, 1e-3, p)
+    u1 = _momentum_step(s.u, s.rho, s.theta, s.d, reg, basis, 1e-3, p)
     assert np.abs(u1).max() == 0.0
 
 
@@ -606,11 +593,11 @@ def test_equilibrium_is_fixed_point(grid2d):
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
     assert rec.picard_iters == 1
-    assert np.array_equal(s1.rho.values, s.rho.values)
-    assert np.array_equal(s1.theta.values, s.theta.values)
-    assert max(c.norm_inf() for c in s1.u) == 0.0
+    assert np.array_equal(s1.rho, s.rho)
+    assert np.array_equal(s1.theta, s.theta)
+    assert np.abs(s1.u).max() == 0.0
     for c1, c0 in zip(s1.d, s.d):
-        assert np.array_equal(c1.values, c0.values)
+        assert np.array_equal(c1, c0)
 
 
 @pytest.mark.parametrize("preset", ["density-bump", "director-twist"])
@@ -685,10 +672,10 @@ def test_coupled_mass_conservation(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
-    m0 = integrate(s.rho)
+    m0 = integrate_values(grid2d, s.rho)
     states, _ = run_lists(s, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), p)
     for st in states:
-        assert abs(integrate(st.rho) - m0) <= 1e-12 * abs(m0)
+        assert abs(integrate_values(grid2d, st.rho) - m0) <= 1e-12 * abs(m0)
 
 
 def test_coupled_picard_count_smooth(grid2d):
@@ -703,8 +690,8 @@ def _density_bump_start(grid):
     from nlcflow import presets
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("density-bump", grid, amplitude=0.4)
-    m0 = VectorField.velocity([raw.rho * uc for uc in raw.u])
-    return sv.regularize_initial_data(raw.rho, m0, raw.theta, raw.d, reg), reg
+    return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
+                                      raw.theta, raw.d, reg), reg
 
 
 def _counted(monkeypatch, owner, name, calls):
@@ -781,7 +768,7 @@ def test_step_halving_recovers(grid2d):
     cfg = sv.SolverConfig(dt=0.1, t_end=0.1)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
     assert rec.halvings >= 1
-    assert float(s1.rho.values.min()) >= 0.0
+    assert float(s1.rho.min()) >= 0.0
     assert rec.dt == pytest.approx(0.1 * 0.5 ** rec.halvings)
 
 
@@ -823,61 +810,68 @@ def test_run_yields_each_step(grid2d):
 
 def test_regularize_identity_when_clamp_inactive(grid2d):
     reg = RegParams(eps=1e-2, delta=0.01, beta=5.0, n_modes=4)
-    rho0 = constant_field(grid2d, 1.0)
-    theta0 = constant_field(grid2d, 1.0)
-    d0 = VectorField.director([constant_field(grid2d, 1.0),
-                               constant_field(grid2d, 0.0),
-                               constant_field(grid2d, 0.0)])
+    rho0 = np.ones(grid2d.shape)
+    theta0 = np.ones(grid2d.shape)
+    d0 = unit_director(grid2d)
     m0 = [np.zeros(grid2d.shape), np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(rho0, m0, theta0, d0, reg)
+    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg)
     # upper clamp delta^(-1/(2 beta)) = 0.01^(-0.1) ~ 1.585 > 1: inactive
-    assert np.allclose(s.rho.values, 1.0)
-    assert max(c.norm_inf() for c in s.u) == 0.0
-    assert np.allclose(s.theta.values, 1.0)
+    assert np.allclose(s.rho, 1.0)
+    assert np.abs(s.u).max() == 0.0
+    assert np.allclose(s.theta, 1.0)
 
 
 def test_regularize_clamps_density_and_masks_momentum(grid2d):
     reg = RegParams(eps=1e-2, delta=0.01, beta=5.0, n_modes=4)
     hi = 0.01 ** (-1.0 / 10.0)
-    rho0 = constant_field(grid2d, 2.0)   # above the upper clamp
-    theta0 = constant_field(grid2d, 20.0)  # above the theta clamp
-    d0 = VectorField.director([constant_field(grid2d, 1.0),
-                               constant_field(grid2d, 0.0),
-                               constant_field(grid2d, 0.0)])
+    rho0 = np.full(grid2d.shape, 2.0)   # above the upper clamp
+    theta0 = np.full(grid2d.shape, 20.0)  # above the theta clamp
+    d0 = unit_director(grid2d)
     m0 = [np.full(grid2d.shape, 0.4), np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(rho0, m0, theta0, d0, reg)
-    assert np.allclose(s.rho.values, hi)
+    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg)
+    assert np.allclose(s.rho, hi)
     # clamp lowered the density, so the momentum is zeroed
-    assert max(c.norm_inf() for c in s.u) <= 1e-14
-    assert np.allclose(s.theta.values, 10.0)
+    assert np.abs(s.u).max() <= 1e-14
+    assert np.allclose(s.theta, 10.0)
 
 
 def test_regularize_vacuum_compatibility(grid2d):
     reg = RegParams(eps=1e-2, delta=0.01, beta=5.0, n_modes=4)
-    rho0 = from_function(grid2d, lambda x, y: np.where(x < 1.0, 0.0, 1.0))
-    theta0 = constant_field(grid2d, 1.0)
-    d0 = VectorField.director([constant_field(grid2d, 1.0),
-                               constant_field(grid2d, 0.0),
-                               constant_field(grid2d, 0.0)])
+    rho0 = np.where(grid2d.mesh()[0] < 1.0, 0.0, 1.0)
+    theta0 = np.ones(grid2d.shape)
+    d0 = unit_director(grid2d)
     bad = [np.full(grid2d.shape, 0.1), np.zeros(grid2d.shape)]
     with pytest.raises(InvalidInitialData):
-        sv.regularize_initial_data(rho0, bad, theta0, d0, reg)
+        sv.regularize_initial_data(grid2d, rho0, bad, theta0, d0, reg)
     ok = [np.where(grid2d.mesh()[0] < 1.0, 0.0, 0.1),
           np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(rho0, ok, theta0, d0, reg)
-    assert float(s.rho.values.min()) >= reg.delta - 1e-15
+    s = sv.regularize_initial_data(grid2d, rho0, ok, theta0, d0, reg)
+    assert float(s.rho.min()) >= reg.delta - 1e-15
 
 
 def test_regularize_rejects_negative_density(grid2d):
     reg = RegParams(delta=0.01, beta=5.0, n_modes=4)
-    rho0 = constant_field(grid2d, -0.5)
-    theta0 = constant_field(grid2d, 1.0)
-    d0 = VectorField.director([constant_field(grid2d, 1.0),
-                               constant_field(grid2d, 0.0),
-                               constant_field(grid2d, 0.0)])
+    rho0 = np.full(grid2d.shape, -0.5)
+    theta0 = np.ones(grid2d.shape)
+    d0 = unit_director(grid2d)
     with pytest.raises(InvalidInitialData):
         sv.regularize_initial_data(
-            rho0, [np.zeros(grid2d.shape)] * 2, theta0, d0, reg)
+            grid2d, rho0, [np.zeros(grid2d.shape)] * 2, theta0, d0, reg)
+
+
+def test_state_checks_layout_shapes(grid2d):
+    """A State holds rho and theta of the grid's shape, a dim-component
+    velocity stack and a 3-component director stack; anything else is
+    refused, naming the field."""
+    s = equilibrium_state(grid2d)
+    good = {"rho": s.rho, "u": s.u, "theta": s.theta, "d": s.d}
+    wrong = {"rho": np.ones((16, 16)), "u": np.zeros((3,) + grid2d.shape),
+             "theta": np.ones(grid2d.shape[:1]),
+             "d": np.zeros((2,) + grid2d.shape)}
+    for name, values in wrong.items():
+        args = dict(good, **{name: values})
+        with pytest.raises(GridMismatch, match=f"state field {name} "):
+            sv.State(grid2d, 0.0, **args)
 
 
 def test_solver_config_validation():
