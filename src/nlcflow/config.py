@@ -7,10 +7,12 @@ The format is a diff-friendly text file of dotted keys:
     grid.shape = 32,32
     solver.dt = 1e-3
 
-Unknown keys are rejected with the offending line number; a retired key
-(one that older versions wrote to ``config.resolved``) is logged and
-ignored, so those files still parse.  Every key left to its default is
-logged once at parse time.  ``serialize(parse(path))``
+Unknown keys are rejected with the offending line number.  A retired key
+(one that older versions wrote to ``config.resolved``, see ``RETIRED``) is
+logged and ignored when its value asks for what the current code does, so
+those files still parse; any other value of it is rejected with its line
+number, since ignoring it would misreport the run.  Every key left to its
+default is logged once at parse time.  ``serialize(parse(path))``
 followed by another parse reproduces the same RunConfig (idempotent after
 the first normalization).
 """
@@ -27,9 +29,12 @@ from .solver import SolverConfig
 log = logging.getLogger("nlcflow.config")
 
 
+_TRUE = ("true", "yes", "on", "1")
+
+
 def _parse_bool(text):
     low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
+    if low in _TRUE:
         return True
     if low in ("false", "no", "off", "0"):
         return False
@@ -70,7 +75,6 @@ SCHEMA = {
     "solver.t_end": (float, 0.05),
     "solver.picard_tol": (float, 1e-9),
     "solver.picard_max": (int, 50),
-    "solver.dealias": (_parse_bool, True),
     "init.preset": (str, "equilibrium"),
     "init.base": (float, 1.0),
     "init.amplitude": (float, None),
@@ -92,9 +96,11 @@ SCHEMA = {
     "mms.shape": (int, 32),
 }
 
-# retired key -> why it is ignored
+# retired key -> (why it is ignored, test of the values that may be ignored)
 RETIRED = {
-    "phys.cond_cap": "no conductivity law reads it",
+    "phys.cond_cap": ("no conductivity law reads it", lambda text: True),
+    "solver.dealias": ("the 2/3 rule is the only scheme",
+                       lambda text: text.lower() in _TRUE),
 }
 
 _SERIALIZE_VERSION = 1
@@ -158,8 +164,13 @@ def _read_pairs(lines):
         key = key.strip()
         value = value.strip()
         if key in RETIRED:
+            why, ignorable = RETIRED[key]
+            if not ignorable(value):
+                raise ParseError(
+                    f"line {lineno}: retired key {key!r} cannot be "
+                    f"{value!r}: {why}")
             log.info("line %d: ignoring retired key %s (%s)", lineno, key,
-                     RETIRED[key])
+                     why)
             continue
         if key not in SCHEMA:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
@@ -220,8 +231,7 @@ def _build(values):
     solver = SolverConfig(
         dt=values["solver.dt"], t_end=values["solver.t_end"],
         picard_tol=values["solver.picard_tol"],
-        picard_max=values["solver.picard_max"],
-        dealias=values["solver.dealias"]).validate()
+        picard_max=values["solver.picard_max"]).validate()
 
     preset = values["init.preset"]
     if values["init.snapshot"] is None and preset not in PRESETS:
@@ -275,8 +285,17 @@ def _build(values):
     cont = ContinuationSpec(study=study, schedule=schedule,
                             snapshots=tuple(values["continuation.snapshots"]))
 
-    if any(r < 8 for r in values["mms.resolutions"]):
-        raise ValidationError("mms.resolutions entries must be >= 8")
+    for key, sizes in (("mms.resolutions", values["mms.resolutions"]),
+                       ("mms.shape", (values["mms.shape"],))):
+        if any(n < 8 or n & (n - 1) for n in sizes):
+            raise ValidationError(
+                f"{key} = {_format_value(sizes)}: each entry must be a "
+                "power of two >= 8")
+    resolutions = values["mms.resolutions"]
+    if len(resolutions) < 2 or resolutions[0] == resolutions[-1]:
+        raise ValidationError(
+            "mms.resolutions needs at least two entries, the first and "
+            "last different: the study compares them")
     if any(dt <= 0 for dt in values["mms.dts"]):
         raise ValidationError("mms.dts entries must be positive")
     mms = MMSSpec(resolutions=tuple(values["mms.resolutions"]),

@@ -16,7 +16,7 @@ import numpy as np
 from . import constitutive as cst
 from . import solver as sv
 from .errors import GridMismatch, MismatchedSnapshots, NonPositiveTemperature
-from .fields import COS, SIN, dirichlet, integrate_values, neumann, spectral_plan
+from .fields import COS, SIN, integrate_values, neumann, spectral_plan
 from .params import PhysParams, RegParams
 
 
@@ -340,7 +340,7 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
       + eps <b''(rho') |grad rho'|^2, psi>            (renormalization burn)
 
     where u is the lagged velocity the step actually used (read off its
-    StepRecord ``rec``) and P_sin the 2/3 rule when the step applied it.
+    StepRecord ``rec``) and P_sin the 2/3 rule of the mass flux.
     For b = identity this telescopes against the scheme to roundoff.
     ``battery`` is :func:`cosine_battery`; div u and grad rho' are taken
     once for all the ids ``b_ids``.  Returns {b_id: {test id: residual}}.
@@ -362,12 +362,7 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
         b, bp, bpp = _truncation_triple(b_id)
         b_n, b_p = b(rho_n), b(rho_p)
         db = (b_p - b_n) / dt
-        flux = []
-        for a in range(dim):
-            vals = b_n * u_lag[a]
-            if rec.dealias:
-                vals = plan.project(vals, dirichlet(dim))
-            flux.append(vals)
+        flux = sv._mass_flux(plan, b_n, u_lag)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
         grad_b = _grad_arrays(grid, b_p)
         burn = bpp(rho_p) * grad_rho2
@@ -407,8 +402,8 @@ def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
 
     Momentum residuals use the standalone conservative placements, so they
     decay first order in dt.  Heat and director residuals evaluate the
-    step's own kernels at the accepted state (the lagged velocity and the
-    dealiasing setting are read off the step record) and stay at
+    step's own kernels at the accepted state (the lagged velocity is read
+    off the step record) and stay at
     solver-tolerance level.  The heat entry pairs the nodal residual
     rhs - (c0 theta' - div(kappa grad theta')) of the solved balance with a
     positive test function, so its sign is that of the defect
@@ -455,15 +450,15 @@ def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
 
     # --- heat: signed defect of the solved discrete balance
     heat = sv._FrozenHeat(plan, s_prev.theta, rho_n, reg, p, dt)
-    m = sv._mass_flux(plan, rho_n, u_lag, rec.dealias)
+    m = sv._mass_flux(plan, rho_n, u_lag)
     d_prev = s_prev.d
-    w = sv._director_transport(
-        plan, u_lag, sv._director_gradient(plan, d_prev), rec.dealias)
+    w = sv._director_transport(plan, u_lag,
+                               sv._director_gradient(plan, d_prev))
     gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
     c0, rhs = sv._heat_system(heat, rho_p,
                               sv._velocity_gradient(plan, u_lag), m,
                               np.sum(gtilde * gtilde, axis=0), reg, p,
-                              dt, rec.dealias)
+                              dt)
     defect = rhs - heat.apply(c0, th_p)
     for name, psi, _ in cos_tests:
         shifted = 1.0 + 0.5 * psi / max(1.0, float(np.abs(psi).max()))

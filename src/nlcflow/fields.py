@@ -168,7 +168,7 @@ class AxisOperators:
     * ``project`` is the symmetric 2/3-rule projector, which keeps
       frequencies below ``cut`` (and drops the sine Nyquist mode);
     * ``amplitude`` maps orthonormal coefficients to basis amplitudes
-      (zero in the sine Nyquist slot) and ``inverse_amplitude`` back.
+      (zero in the sine Nyquist slot).
     """
 
     def __init__(self, n, length, cut):
@@ -192,8 +192,6 @@ class AxisOperators:
         amp_cos[0] = math.sqrt(1.0 / n)
         amp_sin = np.full(n, norm)
         amp_sin[-1] = 0.0
-        inv_sin = np.full(n, 1.0 / norm)
-        inv_sin[-1] = 0.0
 
         self.forward = {COS: _readonly(dct), SIN: _readonly(dst)}
         self.inverse = {COS: dct.T, SIN: _readonly(dst_band).T}
@@ -202,8 +200,6 @@ class AxisOperators:
         self.project = {COS: _readonly(0.5 * (proj_cos + proj_cos.T)),
                         SIN: _readonly(0.5 * (proj_sin + proj_sin.T))}
         self.amplitude = {COS: _readonly(amp_cos), SIN: _readonly(amp_sin)}
-        self.inverse_amplitude = {COS: _readonly(1.0 / amp_cos),
-                                  SIN: _readonly(inv_sin)}
 
 
 @functools.lru_cache(maxsize=32)
@@ -312,12 +308,11 @@ class SpectralPlan:
             values = _along(self.axes[ax].project[par], values, ax, self.dim)
         return values
 
-    def amplitude(self, parity, inverse=False):
+    def amplitude(self, parity):
         """Outer product of the per-axis amplitude scalings."""
         out = np.ones(self.grid.shape)
         for ax, par in enumerate(parity):
-            ops = self.axes[ax]
-            scale = ops.inverse_amplitude[par] if inverse else ops.amplitude[par]
+            scale = self.axes[ax].amplitude[par]
             shape = [1] * self.grid.dim
             shape[ax] = self.grid.shape[ax]
             out = out * scale.reshape(shape)

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ValidationError
 from .fields import (COS, SIN, Grid, _strip_sine_nyquist, dirichlet,
                      evaluate, integrate_values, neumann, spectral_plan)
-from .params import PhysParams, RegParams
 from . import constitutive as cst
 from . import solver as sv
 
@@ -161,14 +160,14 @@ def _restrict_terms(terms, grid_from, grid_to):
     return total
 
 
-def _density_terms(case, grid, reg, p, t, dealias_on):
+def _density_terms(case, grid, reg, p, t):
     s = analytic_state(case, grid, t)
     cos_par = frozenset()
     terms = []
     if case.drho_dt is not None:
         terms.append((case.drho_dt(grid.mesh(), t), _term_parity(grid, cos_par)))
     plan = spectral_plan(grid)
-    m = sv._mass_flux(plan, s.rho, s.u, dealias_on)
+    m = sv._mass_flux(plan, s.rho, s.u)
     for b in range(grid.dim):
         terms.append((plan.deriv(m[b], b, SIN),
                       _term_parity(grid, frozenset(range(grid.dim)) - {b})))
@@ -178,7 +177,7 @@ def _density_terms(case, grid, reg, p, t, dealias_on):
     return terms
 
 
-def _temperature_terms(case, grid, reg, p, t, dealias_on):
+def _temperature_terms(case, grid, reg, p, t):
     s = analytic_state(case, grid, t)
     mesh = grid.mesh()
     dim = grid.dim
@@ -191,9 +190,8 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
         terms.append((case.drho_dt(mesh, t) * s.theta, cos_par))
     plan = spectral_plan(grid)
     u = s.u
-    m = sv._mass_flux(plan, s.rho, u, dealias_on)
-    for b, term in enumerate(sv._heat_convection(plan, s.theta, m,
-                                                 dealias_on)):
+    m = sv._mass_flux(plan, s.rho, u)
+    for b, term in enumerate(sv._heat_convection(plan, s.theta, m)):
         terms.append((term, _term_parity(grid, frozenset(range(dim)) - {b})))
     if reg.delta > 0:
         terms.append((reg.delta * np.maximum(s.theta, 0.0)
@@ -213,7 +211,7 @@ def _temperature_terms(case, grid, reg, p, t, dealias_on):
     return terms
 
 
-def _director_terms(case, grid, reg, p, t, dealias_on):
+def _director_terms(case, grid, reg, p, t):
     s = analytic_state(case, grid, t)
     plan = spectral_plan(grid)
     force = cst.gl_force(s.d, p.penalty_scale)
@@ -226,7 +224,7 @@ def _director_terms(case, grid, reg, p, t, dealias_on):
     return out
 
 
-def _momentum_terms(case, grid, reg, p, t, dealias_on):
+def _momentum_terms(case, grid, reg, p, t):
     s = analytic_state(case, grid, t)
     mesh = grid.mesh()
     dim = grid.dim
@@ -238,11 +236,11 @@ def _momentum_terms(case, grid, reg, p, t, dealias_on):
         # fine because no restriction will happen
         u = s.u
         grad_u = sv._velocity_gradient(plan, u)
-        m = sv._mass_flux(plan, rho, u, dealias_on)
+        m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
         force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
                                     sv._director_gradient(plan, s.d),
-                                    gtilde, reg, p, dealias_on)
+                                    gtilde, reg, p)
         div_u = sum(grad_u[a, a] for a in range(dim))
         for c in range(dim):
             arr = rho * case.du_dt[c](mesh, t)
@@ -266,7 +264,7 @@ def _momentum_terms(case, grid, reg, p, t, dealias_on):
     return out
 
 
-def build_sources(case, grid, reg, p, dealias_on=True, refine=1):
+def build_sources(case, grid, reg, p, refine=1):
     """Per-equation source callables composed from the solver's operators.
 
     ``refine`` > 1 assembles on a grid with that many times the resolution
@@ -287,7 +285,7 @@ def build_sources(case, grid, reg, p, dealias_on=True, refine=1):
         key = ("rho", 0.0 if steady else t)
         if key not in cache:
             cache[key] = _restrict_terms(
-                _density_terms(case, fine, reg, p, key[1], dealias_on),
+                _density_terms(case, fine, reg, p, key[1]),
                 fine, grid)
         return cache[key]
 
@@ -295,14 +293,14 @@ def build_sources(case, grid, reg, p, dealias_on=True, refine=1):
         key = ("theta", 0.0 if steady else t)
         if key not in cache:
             cache[key] = _restrict_terms(
-                _temperature_terms(case, fine, reg, p, key[1], dealias_on),
+                _temperature_terms(case, fine, reg, p, key[1]),
                 fine, grid)
         return cache[key]
 
     def momentum(t):
         key = ("u", 0.0 if steady else t)
         if key not in cache:
-            per_comp = _momentum_terms(case, fine, reg, p, key[1], dealias_on)
+            per_comp = _momentum_terms(case, fine, reg, p, key[1])
             cache[key] = [_restrict_terms(terms, fine, grid)
                           if terms[0][1] is not None else terms[0][0]
                           for terms in per_comp]
@@ -311,7 +309,7 @@ def build_sources(case, grid, reg, p, dealias_on=True, refine=1):
     def director(t):
         key = ("d", 0.0 if steady else t)
         if key not in cache:
-            per_comp = _director_terms(case, fine, reg, p, key[1], dealias_on)
+            per_comp = _director_terms(case, fine, reg, p, key[1])
             cache[key] = [_restrict_terms(terms, fine, grid)
                           for terms in per_comp]
         return cache[key]
@@ -338,21 +336,19 @@ def solution_errors(case, state, reference):
     return errs
 
 
-def run_case(case, shape, reg, p, dt, t_end, dealias_on=True, refine=None,
-             n_modes=None):
-    """Run the manufactured problem and return the error table entry."""
+def run_case(case, shape, reg, p, dt, t_end):
+    """Run the manufactured problem and return the error table entry.
+    Spatial cases assemble their sources on the twice-refined grid,
+    temporal cases on the run grid (see :func:`build_sources`)."""
     if isinstance(shape, int):
         shape = (shape,) * case.dim
     if len(shape) != case.dim:
         raise ValidationError(f"case {case.name} needs {case.dim} axis sizes")
-    if refine is None:
-        refine = 2 if case.kind == "spatial" else 1
     grid = Grid(shape, (2.0,) * case.dim)
-    use_reg = reg if n_modes is None else RegParams(
-        eps=reg.eps, delta=reg.delta, beta=reg.beta, n_modes=n_modes)
-    sources = build_sources(case, grid, use_reg, p, dealias_on, refine)
-    cfg = sv.SolverConfig(dt=dt, t_end=t_end, dealias=dealias_on)
-    for last, _ in sv.run(analytic_state(case, grid, 0.0), use_reg, cfg, p,
+    refine = 2 if case.kind == "spatial" else 1
+    sources = build_sources(case, grid, reg, p, refine)
+    cfg = sv.SolverConfig(dt=dt, t_end=t_end)
+    for last, _ in sv.run(analytic_state(case, grid, 0.0), reg, cfg, p,
                           sources=sources):
         pass
     return solution_errors(case, last, analytic_state(case, grid, last.t))

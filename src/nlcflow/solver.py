@@ -17,6 +17,14 @@ holds its fields in that same layout, so a step reads and builds it with no
 conversion, and the diagnostics and the manufactured-solution harness call
 these same kernels, so an audit cannot drift from the step it audits.
 
+There is one scheme, the 2/3 rule: each nodal product that becomes a stored
+field or is paired against the velocity (the mass and heat fluxes, the
+director transport, the pressure-gradient and Ericksen forces) is projected
+onto the retained band of its parity.  Besides the time step and the
+Picard controls of SolverConfig, its only knobs are the paper's
+regularization levels in RegParams: the Galerkin modes n, the artificial
+diffusion eps and the artificial pressure delta (with its exponent beta).
+
 Key discrete facts this file relies on (established in fields.py):
 
 * nodal summation by parts is exact for stored fields of opposite parity;
@@ -54,7 +62,6 @@ from .fields import (
     dirichlet,
     integrate_values,
     neumann,
-    smooth,
     spectral_plan,
 )
 from .params import PhysParams, RegParams
@@ -102,7 +109,6 @@ class SolverConfig:
     t_end: float
     picard_tol: float = 1e-9
     picard_max: int = 50
-    dealias: bool = True
 
     def validate(self):
         if not self.dt > 0:
@@ -129,7 +135,6 @@ class StepRecord:
     eps_gamma_interp: float  # <grad of enthalpy interpolant . grad rho'>
     eps_beta_interp: float
     u_lag: np.ndarray        # velocity stack the accepted sweep was frozen at
-    dealias: bool            # whether the step applied the 2/3 rule
     heat_applies: int        # heat-operator applies over all sweeps
     director_iters: int      # director fixed-point iterations, all sweeps
     heat_residual: float     # relative CG residual the accepted sweep reached
@@ -260,23 +265,13 @@ class GalerkinBasis:
 # substeps (raw arrays and component stacks; see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _sine_product(plan, prod, dealias_on):
-    """An all-sine product stack made a stored field: the 2/3-rule
-    projection when the step dealiases (it drops the sine Nyquist mode
-    anyway), else the Nyquist strip alone."""
-    sine = dirichlet(plan.dim)
-    if dealias_on:
-        return plan.project(prod, sine)
-    return _strip_sine_nyquist(prod, sine, plan.grid)
-
-
-def _mass_flux(plan, rho, u, dealias_on):
+def _mass_flux(plan, rho, u):
     """Flux stack m_b = P_sin[rho * u_b] (all-sine arrays)."""
-    return _sine_product(plan, rho * u, dealias_on)
+    return plan.project(rho * u, dirichlet(plan.dim))
 
 
-def _density_update(plan, rho, u, eps, dt, dealias_on=True, source=None):
-    m = _mass_flux(plan, rho, u, dealias_on)
+def _density_update(plan, rho, u, eps, dt, source=None):
+    m = _mass_flux(plan, rho, u)
     div_m = np.zeros(rho.shape)
     for b in range(plan.dim):
         div_m += plan.deriv(m[b], b, SIN)
@@ -303,14 +298,12 @@ def _director_gradient(plan, d):
     return np.stack([plan.deriv(d, a, COS) for a in range(plan.dim)], axis=1)
 
 
-def _director_transport(plan, u, grad_d, dealias_on):
-    """Transport stack w_k = u . grad d_k, dealiased when the step is."""
+def _director_transport(plan, u, grad_d):
+    """Transport stack w_k = P_cos[u . grad d_k]."""
     adv = np.zeros(grad_d[:, 0].shape)
     for b in range(plan.dim):
         adv += u[b] * grad_d[:, b]
-    if dealias_on:
-        adv = plan.project(adv, neumann(plan.dim))
-    return adv
+    return plan.project(adv, neumann(plan.dim))
 
 
 def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
@@ -318,8 +311,8 @@ def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
     return ((d_new - d_prev) / dt + w) / p.relax_rate
 
 
-def _director_update(plan, d, u, grad_d, dt, p: PhysParams, dealias_on=True,
-                     source=None, lag=None, tol=_INNER_TOL, max_iter=100):
+def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
+                     lag=None, tol=_INNER_TOL, max_iter=100):
     """Implicit-diffusion director step with a two-point penalty force.
 
     ``d`` is the director stack and ``grad_d`` its gradient (see
@@ -333,7 +326,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, dealias_on=True,
     """
     kappa = p.relax_rate
     parity = neumann(plan.dim)
-    w = _director_transport(plan, u, grad_d, dealias_on)
+    w = _director_transport(plan, u, grad_d)
 
     lag = d if lag is None else lag
     scale = max(1.0, float(np.abs(d).max()))
@@ -444,14 +437,14 @@ class _FrozenHeat:
         return c0 * vals + _conduction_apply(self.plan, vals, self.kappa)
 
 
-def _heat_convection(plan, theta, m, dealias_on):
+def _heat_convection(plan, theta, m):
     """Per-axis divergence terms d_b P[theta m_b] of the convective flux."""
-    flux = _sine_product(plan, theta * m, dealias_on)
+    flux = plan.project(theta * m, dirichlet(plan.dim))
     return [plan.deriv(flux[b], b, SIN) for b in range(plan.dim)]
 
 
 def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
-                 dealias_on=True, source=None):
+                 source=None):
     """Diagonal coefficient c0 and right-hand side of the implicit balance
     ``frozen.apply(c0, theta') = rhs`` for the conserved variable
     (delta + rho) theta.
@@ -466,7 +459,7 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     c0 = (delta + rho_new) / dt + delta * frozen.th_alpha \
         + p.gas_const * rho_new * div_u
     rhs = frozen.rhs.copy()
-    for term in _heat_convection(frozen.plan, frozen.theta, m, dealias_on):
+    for term in _heat_convection(frozen.plan, frozen.theta, m):
         rhs -= term
     rhs += (1.0 - delta) * cst.stress_power(grad_u, p)
     rhs += p.elastic_coupling * p.relax_rate * source_sq
@@ -476,7 +469,7 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
 
 
 def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
-                        guess, dealias_on=True, source=None, tol=_INNER_TOL):
+                        guess, source=None, tol=_INNER_TOL):
     """Implicit update of the conserved variable (delta + rho) theta.
 
     ``frozen`` carries the step-fixed parts of the operator (built once per
@@ -488,7 +481,7 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     residual reached and the number of operator applies.
     """
     c0, rhs = _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
-                           dealias_on, source)
+                           source)
     lo = float(c0.min())
     if not math.isfinite(lo):
         raise NonFiniteState("temperature")
@@ -507,7 +500,7 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
 
 
 def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
-                     grad_d_prev, gtilde, reg, p, dealias_on):
+                     grad_d_prev, gtilde, reg, p):
     """Nodal force stack G_c whose pairings with the velocity are the exact
     summation-by-parts partners of the scalar-equation fluxes.
 
@@ -541,14 +534,12 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     pot = np.stack([bp, rho_new * theta_new])
     grad_bp, grad_q = np.stack([plan.deriv(pot, a, COS) for a in range(dim)],
                                axis=1)
-    if dealias_on:
-        grad_bp = plan.project(grad_bp, dirichlet(dim))
-    force -= rho_prev * grad_bp
+    force -= rho_prev * plan.project(grad_bp, dirichlet(dim))
     force -= p.gas_const * grad_q
 
     # director (Ericksen) force
     nu = p.elastic_coupling
-    gk = plan.project(gtilde, neumann(dim)) if dealias_on else gtilde
+    gk = plan.project(gtilde, neumann(dim))
     for k in range(3):
         force -= nu * grad_d_prev[k] * gk[k]
     return force
@@ -556,10 +547,9 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
 def _momentum_update(plan, u_minus, grad_u, U_prev, rho_prev, rho_new, m,
                      theta_new, grad_d_prev, gtilde, reg, basis, dt, p,
-                     mass_mat, stiff, dealias_on=True, source=None):
+                     mass_mat, stiff, source=None):
     force = _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m,
-                             theta_new, grad_d_prev, gtilde, reg, p,
-                             dealias_on)
+                             theta_new, grad_d_prev, gtilde, reg, p)
     if source is not None:
         force = force + source
     F = basis.pair(force)
@@ -630,29 +620,26 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
 
     theta_new, d_new = heat.theta, d
-    deal = cfg.dealias
     inc = []
     heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
         full = it == cfg.picard_max or _sweep_is_last(inc, cfg.picard_tol)
         tol = _INNER_TOL if full else _INNER_TOL_LOOSE
         grad_u = _velocity_gradient(plan, u_minus)
-        rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, deal,
-                                     src_rho)
+        rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
         d_new, gtilde, iters, gap = _director_update(
-            plan, d, u_minus, grad_d_prev, dt, p, deal, src_dir, lag=d_new,
-            tol=tol)
+            plan, d, u_minus, grad_d_prev, dt, p, src_dir, lag=d_new, tol=tol)
         gsq = np.sum(gtilde * gtilde, axis=0)
         theta_new, heat_res, applies = _temperature_update(
-            heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, deal,
-            src_th, tol=tol)
+            heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, src_th,
+            tol=tol)
         heat_applies += applies
         director_iters += iters
         u_entered = u_minus
         u_new, U_new = _momentum_update(plan, u_minus, grad_u, U0, rho,
                                         rho_new, m, theta_new, grad_d_prev,
                                         gtilde, reg, basis, dt, p, mass,
-                                        stiff, deal, src_mom)
+                                        stiff, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
         u_minus, U_minus = u_new, U_new
@@ -667,12 +654,12 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     inner = dict(heat_applies=heat_applies, director_iters=director_iters,
                  heat_residual=heat_res, director_gap=gap)
     record = _make_step_record(plan, new_state, heat, u_entered, U_new, stiff,
-                               reg, p, dt, it, deal, inner)
+                               reg, p, dt, it, inner)
     return new_state, record
 
 
 def _make_step_record(plan, s_new, heat, u_lag, U_new, stiff, reg, p, dt,
-                      iters, dealias_on, inner):
+                      iters, inner):
     """Ledger of an accepted step; ``u_lag`` is the lagged velocity stack of
     the last sweep, and ``inner`` holds the inner-solve fields of the
     StepRecord."""
@@ -695,7 +682,6 @@ def _make_step_record(plan, s_new, heat, u_lag, U_new, stiff, reg, p, dt,
         eps_gamma_interp=interp_form(p.gamma),
         eps_beta_interp=interp_form(reg.beta) if reg.delta > 0 else 0.0,
         u_lag=u_lag,
-        dealias=dealias_on,
         **inner,
     )
 
@@ -732,7 +718,7 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
 
 
 def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
-        basis=None, sources=None):
+        sources=None):
     """Advance to t_end, yielding ``(s0, None)`` and then each accepted
     state with the StepRecord of the step ending there.
 
@@ -743,8 +729,7 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     at call time; a SolverFailure of a step carries its index ``step``.
     """
     cfg.validate()
-    if basis is None:
-        basis = GalerkinBasis(s0.grid, reg.n_modes)
+    basis = GalerkinBasis(s0.grid, reg.n_modes)
     s, held = s0, [(s0, None)]
     del s0      # the initial state lives on in ``held`` until handed out
     n = 0
@@ -770,15 +755,14 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
 # ---------------------------------------------------------------------------
 
 def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
-                            theta_bounds=(0.1, 10.0), mollify_width=0.0,
-                            basis: GalerkinBasis = None):
+                            theta_bounds=(0.1, 10.0)):
     """Build an admissible starting state from raw nodal data on ``grid``:
     the density ``rho0``, the momentum stack ``m0`` (dim sine components,
     such as ``rho0 * u0``), the temperature ``theta0`` and the director
     stack ``d0``.
 
-    Pipeline: drop the sine Nyquist mode of the momentum, mollify and clamp
-    the density to [delta, delta^(-1/(2 beta))], zero the momentum wherever
+    Pipeline: drop the sine Nyquist mode of the momentum, clamp the density
+    to [delta, delta^(-1/(2 beta))], zero the momentum wherever
     the clamp pulled the density below its raw value, divide by the clamped
     density, project the velocity onto the retained modes, and clamp the
     temperature to the given bounds.  Raw momentum must vanish on the
@@ -788,14 +772,12 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     if float(rho0.min()) < -_REJECT_SLACK * max(float(np.abs(rho0).max()),
                                                 1e-300):
         raise InvalidInitialData("initial density must be nonnegative")
-    if basis is None:
-        basis = GalerkinBasis(grid, reg.n_modes)
+    basis = GalerkinBasis(grid, reg.n_modes)
 
-    smoothed = smooth(grid, rho0, neumann(grid.dim), mollify_width)
     raw = np.maximum(rho0, 0.0)
     lo = reg.delta
     hi = reg.delta ** (-1.0 / (2.0 * reg.beta)) if reg.delta > 0 else np.inf
-    clamped = np.clip(smoothed, lo, hi)
+    clamped = np.clip(rho0, lo, hi)
 
     m_vals = _strip_sine_nyquist(np.asarray(m0, dtype=np.float64),
                                  dirichlet(grid.dim), grid)

@@ -63,11 +63,22 @@ def test_run_success(tmp_path):
     "phys.gamma = 1.2\n",
     "reg.beta = 3\nphys.gamma = 2\n",
     "grid.dim = 2\nwho.knows = 1\n",
+    "mms.resolutions = 24,48\n",
+    "mms.resolutions = 16\nreg.n_modes = 4\n",
+    "mms.shape = 24\n",
+    "solver.dealias = false\n",
+    "solver.dealias = off\n",
+    "solver.dealias = 0\n",
 ])
 def test_bad_config_exits_2(tmp_path, text, capsys):
+    """A rejected config exits 2, and its message names one of the keys
+    it sets."""
     cfg = _write(tmp_path, "bad.cfg", text)
     assert cli.main(["run", cfg]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    keys = [line.split("=")[0].strip() for line in text.splitlines()]
+    assert any(key.rsplit(".", 1)[-1] in err for key in keys)
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -338,9 +349,15 @@ def test_cond_floor_above_one_runs(tmp_path):
     assert "cond_cap" not in resolved
 
 
-def test_diagnose_reads_config_with_retired_cond_cap(tmp_path, capsys):
-    """Run directories whose ``config.resolved`` still carries the retired
-    ``phys.cond_cap`` replay through ``solve diagnose`` unchanged."""
+@pytest.mark.parametrize("after,retired", [
+    ("phys.cond_floor = 1.0\n", "phys.cond_cap = 1.0\n"),
+    ("solver.picard_max = 50\n", "solver.dealias = true\n"),
+], ids=["phys.cond_cap", "solver.dealias"])
+def test_diagnose_reads_config_with_retired_key(tmp_path, capsys, after,
+                                                retired):
+    """Run directories whose ``config.resolved`` still carries a retired
+    key, at the line older versions wrote it, replay through
+    ``solve diagnose`` unchanged."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
     out = tmp_path / "out"
     capsys.readouterr()
@@ -348,8 +365,7 @@ def test_diagnose_reads_config_with_retired_cond_cap(tmp_path, capsys):
     want = capsys.readouterr().out
     resolved = out / "config.resolved"
     text = resolved.read_text()
-    old = text.replace("phys.cond_floor = 1.0\n",
-                       "phys.cond_floor = 1.0\nphys.cond_cap = 1.0\n")
+    old = text.replace(after, after + retired)
     assert old != text
     resolved.write_text(old)
     assert cli.main(["diagnose", str(out)]) == 0

@@ -31,14 +31,17 @@ def test_defaults_are_logged(caplog):
     assert any("init.preset" in m for m in logged)
 
 
-def test_retired_cond_cap_is_logged_and_ignored(caplog):
+@pytest.mark.parametrize("line", ["phys.cond_cap = 1.0",
+                                  "solver.dealias = true"])
+def test_retired_key_is_logged_and_ignored(caplog, line):
+    key = line.split("=")[0].strip()
     with caplog.at_level(logging.INFO, logger="nlcflow.config"):
-        cfg = cf.parse_config_text("phys.cond_cap = 1.0\n"
-                                   "phys.cond_floor = 2\n")
-    assert any("retired" in r.message and "phys.cond_cap" in r.message
+        cfg = cf.parse_config_text(f"{line}\nphys.cond_floor = 2\n")
+    assert any("retired" in r.message and key in r.message
                for r in caplog.records)
+    assert cfg == cf.parse_config_text("phys.cond_floor = 2\n")
     assert cfg.phys.cond_floor == 2.0
-    assert "cond_cap" not in cf.serialize(cfg)
+    assert key not in cf.serialize(cfg)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -54,6 +57,9 @@ def test_comments_and_blank_lines_ignored():
     ("grid.dim =\n", "empty value"),
     ("grid.dim 2\n", "expected 'key = value'"),
     ("solver.dt = abc\n", "solver.dt"),
+    ("grid.dim = 2\nsolver.dealias = off\n",
+     "line 2: retired key 'solver.dealias'"),
+    ("solver.dealias = maybe\n", "line 1: retired key 'solver.dealias'"),
 ])
 def test_parse_errors_cite_line_and_key(text, needle):
     with pytest.raises(ParseError) as err:
@@ -86,6 +92,11 @@ def test_beta_below_floor_rejected():
     "continuation.eps = 1e-1,1e-2\ncontinuation.delta = 1,2,3\n",
     "mms.resolutions = 4,8\n",
     "mms.dts = 0\n",
+    "mms.resolutions = 24,48\n",
+    "mms.resolutions = 16\n",
+    "mms.resolutions = 16,16\n",
+    "mms.shape = 24\n",
+    "mms.shape = 4\n",
 ])
 def test_invalid_configs_rejected(text):
     with pytest.raises(ValidationError):

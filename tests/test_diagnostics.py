@@ -330,19 +330,17 @@ def test_weak_residuals_equilibrium_zero(grid2d):
         assert max(abs(v) for v in vals) <= 1e-11, key
 
 
-@pytest.mark.parametrize("dealias", [True, False])
-def test_weak_residuals_scheme_consistent_families(grid2d, dealias):
+def test_weak_residuals_scheme_consistent_families(grid2d):
     """Heat and director residuals evaluated with the step's own kernels
-    sit at solver tolerance, with or without the 2/3 rule; the heat defect
-    is one-sided within noise.  The twisted director gives the transport
-    enough aliasing that an audit dealiasing a step that did not misses
-    the heat bound."""
+    sit at solver tolerance; the heat defect is one-sided within noise.
+    The twisted director gives the transport enough aliasing that an audit
+    whose products differed from the step's would miss the heat bound."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("director-twist", grid2d, amplitude=0.6)
     s0 = sv.regularize_initial_data(grid2d, raw.rho, raw.rho * raw.u,
                                     raw.theta, raw.d, reg)
-    cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3, dealias=dealias)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
     series = weak_series(states, records, reg, p)
     scale = max(abs(v) for v in series["heat_cos00"]) + 1.0

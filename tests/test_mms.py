@@ -29,7 +29,7 @@ def test_registered_cases():
 
 def _sources_at(case, reg, grid, refine, t=0.0):
     """Per-equation source arrays of ``case`` at one time level."""
-    src = mms.build_sources(case, grid, reg, P, True, refine)
+    src = mms.build_sources(case, grid, reg, P, refine)
     return {"density": src.density(t), "momentum": src.momentum(t),
             "temperature": src.temperature(t), "director": src.director(t)}
 

@@ -233,7 +233,7 @@ def _heat_step(s, u, reg, dt, p):
     plan = spectral_plan(s.grid)
     rho = s.rho
     frozen = sv._FrozenHeat(plan, s.theta, rho, reg, p, dt)
-    m = sv._mass_flux(plan, rho, u, True)
+    m = sv._mass_flux(plan, rho, u)
     return sv._temperature_update(frozen, rho, sv._velocity_gradient(plan, u),
                                   m, np.zeros(s.grid.shape), reg, p, dt,
                                   s.theta)[0]
@@ -546,7 +546,7 @@ def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
     inputs; the director of every state used here is a unit constant, so
     its relaxation field is zero."""
     plan = spectral_plan(basis.grid)
-    m = sv._mass_flux(plan, rho, u, True)
+    m = sv._mass_flux(plan, rho, u)
     u_new, _ = sv._momentum_update(
         plan, u, sv._velocity_gradient(plan, u), basis.project(u),
         rho, rho, m, theta, sv._director_gradient(plan, d),
@@ -710,8 +710,8 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     the ledger.  Counted are the per-axis matrix products
     (``fields._along``).  At 2-D with k Picard sweeps, J director
     iterations, A heat-operator applies (k conjugate-gradient solves, each
-    with one more apply than preconditioner calls), eps > 0, delta > 0 and
-    dealiasing on, the step takes
+    with one more apply than preconditioner calls), eps > 0 and delta > 0,
+    the step takes
       2       director gradient of d^n (3-component stack), once per step
       22 k    per sweep: velocity gradient 2 (dim-component stack, shared
               by heat, momentum and the ledger); density: flux projection
@@ -742,22 +742,19 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     assert len(products) == 8 + 22 * k + 4 * J + 8 * A
 
 
-@pytest.mark.parametrize("dealias_on", [True, False])
-def test_sine_nyquist_strip_only_without_dealiasing(grid2d, monkeypatch,
-                                                    dealias_on):
-    """A dealiased step forms its sine products (the mass flux and the
-    heat convection flux) as stacks and projects them, which drops the
-    sine Nyquist mode without the strip.  Without dealiasing each sweep
-    strips both stacks, once each."""
+def test_step_projects_sine_products_without_strip(grid2d, monkeypatch):
+    """A step forms its sine products (the mass flux and the heat
+    convection flux) as stacks and projects them, which drops the sine
+    Nyquist mode without the strip."""
     from nlcflow import fields
     p = PhysParams()
     s0, reg = _density_bump_start(grid2d)
     calls = []
     _counted(monkeypatch, fields, "_strip_sine_nyquist", calls)
     monkeypatch.setattr(sv, "_strip_sine_nyquist", fields._strip_sine_nyquist)
-    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, dealias=dealias_on)
-    _, rec = sv.step_coupled(s0, reg, cfg, p)
-    assert len(calls) == (0 if dealias_on else 2 * rec.picard_iters)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    sv.step_coupled(s0, reg, cfg, p)
+    assert len(calls) == 0
 
 
 def test_step_halving_recovers(grid2d):
