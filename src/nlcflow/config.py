@@ -296,10 +296,15 @@ def _build(values):
         raise ValidationError(
             "mms.resolutions needs at least two entries, the first and "
             "last different: the study compares them")
-    if any(dt <= 0 for dt in values["mms.dts"]):
+    dts = values["mms.dts"]
+    if any(dt <= 0 for dt in dts):
         raise ValidationError("mms.dts entries must be positive")
+    if any(a == b for a, b in zip(dts, dts[1:])):
+        raise ValidationError(
+            f"mms.dts = {_format_value(dts)}: neighbouring entries must "
+            "differ: each observed order compares two of them")
     mms = MMSSpec(resolutions=tuple(values["mms.resolutions"]),
-                  dts=tuple(values["mms.dts"]), shape=values["mms.shape"])
+                  dts=tuple(dts), shape=values["mms.shape"])
 
     return RunConfig(grid=grid, phys=phys, reg=reg, solver=solver,
                      init=init, output=output, cont=cont, mms=mms,

@@ -1,6 +1,6 @@
 """Pointwise constitutive laws: pressures, viscous stress, heat
 conductivity, director potential, force and stress, and the soft truncation
-pair used by the renormalized diagnostics.
+used by the renormalized diagnostics.
 
 All scalar laws accept floats or numpy arrays and return the matching kind.
 Nonnegative inputs are enforced up to a relative slack of 1e-12 (tiny
@@ -8,8 +8,6 @@ negative undershoots from spectral projections are clipped to zero).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -157,7 +155,7 @@ def ericksen_stress(grad_d, potential):
 
 
 # ---------------------------------------------------------------------------
-# soft truncation pair
+# soft truncation
 
 def soft_truncation(z, k=1.0):
     """C^1 concave truncation T_k: identity below k, constant 2k above 3k,
@@ -171,18 +169,3 @@ def soft_truncation(z, k=1.0):
         np.where(s >= 3.0, 2.0, 1.0 + (s - 1.0) - 0.25 * (s - 1.0) ** 2),
     )
     return _unwrap(k * t, zs)
-
-
-def truncation_companion(z, k=1.0):
-    """Companion L_k of :func:`soft_truncation` with L_k(z) = z log z below k;
-    above k it continues so that z L_k'(z) - L_k(z) = T_k(z) everywhere."""
-    zz, zs = _wrap(z)
-    zz = _clip_nonneg(zz, "z")
-    s = zz / k
-    below = np.where(zz > 0.0, zz * np.log(np.where(zz > 0.0, zz, 1.0)), 0.0)
-    s_safe = np.where(s > 0.0, s, 1.0)
-    g_mid = 1.5 * np.log(s_safe) - 0.25 * s_safe + 0.25 / s_safe
-    g_far = 1.5 * math.log(3.0) - 2.0 / s_safe
-    g = np.where(s >= 3.0, g_far, g_mid)
-    above = zz * math.log(k) + zz * g
-    return _unwrap(np.where(s < 1.0, below, above), zs)

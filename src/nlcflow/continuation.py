@@ -94,14 +94,6 @@ def _prepare_state(plan, reg):
         theta_bounds=plan.theta_bounds)
 
 
-def _grad_sq(grid, values):
-    """|grad f|^2 of a cosine array."""
-    out = np.zeros(grid.shape)
-    for g in dg._grad_arrays(grid, values):
-        out += g ** 2
-    return out
-
-
 def _execute(plan, reg):
     """One schedule entry: run it, folding the time-integrated functionals
     and the nearest-time snapshots as each state arrives."""
@@ -127,8 +119,8 @@ def _execute(plan, reg):
         dt = rec.dt
         emax_ratio = max(emax_ratio,
                          diag.energy_total / records[0].energy_total)
-        acc["grad_rho_sq"] += dt * integrate_values(grid,
-                                                    _grad_sq(grid, s.rho))
+        acc["grad_rho_sq"] += dt * integrate_values(
+            grid, dg._grad_sq(grid, s.rho))
         acc["lap_rho_sq"] += dt * integrate_values(
             grid, spectral_plan(grid).laplacian(s.rho, neumann(grid.dim)) ** 2)
         acc["rho_beta"] += dt * integrate_values(
@@ -168,7 +160,7 @@ def _state_distances(a, b):
     for k in range(3):
         diff = a.d[k] - b.d[k]
         d_sq += integrate_values(grid, diff ** 2)
-        d_sq += integrate_values(grid, _grad_sq(grid, diff))
+        d_sq += integrate_values(grid, dg._grad_sq(grid, diff))
     return {
         "rho_l1": float(rho_l1),
         "u_l2": float(np.sqrt(u_sq)),

@@ -1,10 +1,9 @@
 """Monitored functionals, budget audits and weak-form residuals.
 
 Everything here is read-only over solver states.  The energy budget residual
-comes in two flavors: fed with a solver StepRecord it uses the scheme's own
-ledger quantities (and is then a genuine audit of the discrete inequality,
-small and one-sided); fed with states alone it recomputes the dissipation
-from instantaneous fields and reports the O(dt) splitting defect.
+of a step is read off its two states alone: its dissipation is the one the
+scheme's ledger exchanges, evaluated with the step's own kernels, so the
+residual is a genuine audit of the discrete inequality, small and one-sided.
 """
 
 from __future__ import annotations
@@ -46,6 +45,14 @@ def _grad_arrays(grid, values):
     """Gradient components of a cosine array, one product per axis."""
     plan = spectral_plan(grid)
     return [plan.deriv(values, a, COS) for a in range(grid.dim)]
+
+
+def _grad_sq(grid, values):
+    """|grad f|^2 of a cosine array, the axes summed in order."""
+    out = np.zeros(grid.shape)
+    for g in _grad_arrays(grid, values):
+        out += g ** 2
+    return out
 
 
 def total_energy(s, reg: RegParams, p: PhysParams):
@@ -94,9 +101,7 @@ def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
     grid = s.grid
     grad_u, relax = _rate_fields(s, p) if rates is None else rates
     theta = np.maximum(s.theta, 0.0)
-    grad_rho2 = np.zeros(grid.shape)
-    for g in _grad_arrays(grid, s.rho):
-        grad_rho2 += g ** 2
+    grad_rho2 = _grad_sq(grid, s.rho)
     rho = np.maximum(s.rho, 0.0)
 
     def power(expo):
@@ -120,26 +125,40 @@ def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
 
 
 def energy_budget_residual(s_prev, s_next, reg: RegParams, p: PhysParams,
-                           dt, record=None):
-    """Defect r = [E(next) - E(prev)]/dt + D of the discrete energy balance.
+                           dt):
+    """Defect r = [E(next) - E(prev)]/dt + D of the discrete energy balance
+    of the step of size dt from s_prev to s_next.
 
-    With the step's ledger record, D uses exactly the quantities the scheme
-    exchanged, so r collects only the nonnegative numerical defects (and must
-    stay below a small one-sided tolerance).  Without it, D is recomputed
-    from s_next and r is dominated by the O(dt) splitting error.
+    D is the dissipation the scheme's ledger exchanges,
+
+      delta <S(u'):grad u'> + delta <(theta^n)^alpha theta'>
+      + eps sum_b <d_b h_gamma(rho'), d_b rho'>
+      + eps delta sum_b <d_b h_beta(rho'), d_b rho'>
+
+    with primes on s_next, theta^n from s_prev and h the convex pressure
+    enthalpy, so r collects only the nonnegative numerical defects (and
+    must stay below a small one-sided tolerance).
     """
     e_next, _ = total_energy(s_next, reg, p)
     e_prev, _ = total_energy(s_prev, reg, p)
-    if record is not None:
-        d_net = (reg.delta * record.visc_prime
-                 + reg.delta * record.theta_sink
-                 + reg.eps * record.eps_gamma_interp
-                 + reg.eps * reg.delta * record.eps_beta_interp)
-    else:
-        parts = dissipation_parts(s_next, reg, p)
-        d_net = (reg.delta * parts["viscous"]
-                 + parts["thermal_sink"]
-                 + parts["density"])
+    grid = s_next.grid
+    plan = spectral_plan(grid)
+    visc = integrate_values(grid, cst.stress_power(
+        sv._velocity_gradient(plan, s_next.u), p))
+    sink = integrate_values(
+        grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
+    grad_rho = _grad_arrays(grid, s_next.rho)
+    safe = np.maximum(s_next.rho, 0.0)
+
+    def interp_form(exponent):
+        bp = cst.convex_pressure_enthalpy(safe, exponent)
+        return sum(integrate_values(grid, plan.deriv(bp, b, COS) * grad_rho[b])
+                   for b in range(grid.dim))
+
+    eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
+    d_net = (reg.delta * visc + reg.delta * sink
+             + reg.eps * interp_form(p.gamma)
+             + reg.eps * reg.delta * eps_beta)
     return (e_next - e_prev) / dt + d_net
 
 
@@ -168,9 +187,7 @@ def entropy_production(s, p: PhysParams, rates=None):
     theta = s.theta
     if float(theta.min()) <= 0.0:
         raise NonPositiveTemperature("entropy production needs theta > 0")
-    grad_t2 = np.zeros(grid.shape)
-    for g in _grad_arrays(grid, theta):
-        grad_t2 += g ** 2
+    grad_t2 = _grad_sq(grid, theta)
     grad_u, relax = _rate_fields(s, p) if rates is None else rates
     integrand = (cst.heat_conductivity(theta, p) * grad_t2 / theta ** 2
                  + cst.stress_power(grad_u, p) / theta
@@ -354,9 +371,7 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     div_u = np.zeros(grid.shape)
     for a in range(dim):
         div_u += plan.deriv(u_lag[a], a, SIN)
-    grad_rho2 = np.zeros(grid.shape)
-    for g in _grad_arrays(grid, rho_p):
-        grad_rho2 += g ** 2
+    grad_rho2 = _grad_sq(grid, rho_p)
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)

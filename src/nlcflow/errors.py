@@ -19,10 +19,6 @@ class ParityMismatch(FlowError):
     """Operands carry incompatible boundary parities."""
 
 
-class NonZeroMean(FlowError):
-    """Neumann Poisson problem fed a right-hand side with nonzero mean."""
-
-
 # --- constitutive layer -----------------------------------------------------
 
 class NegativeInput(FlowError):

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import IOFailure, NonZeroMean, ParityMismatch
+from .errors import IOFailure, ParityMismatch
 
 COS = "cos"
 SIN = "sin"
@@ -348,27 +348,6 @@ def integrate_values(grid, values):
     exact only for its even-frequency content).
     """
     return grid.weight * float(np.asarray(values).sum())
-
-
-def inverse_laplacian_neumann(grid, values):
-    """Solve ``Laplacian(phi) = values`` for an all-cosine array with Neumann
-    data and zero mean.
-
-    Raises NonZeroMean unless ``integrate_values(grid, values)`` vanishes
-    within ``1e-10 * max|values| * |Omega|``.
-    """
-    mean_tol = 1e-10 * max(float(np.abs(values).max()), 1e-300) * grid.measure
-    total = integrate_values(grid, values)
-    if abs(total) > mean_tol:
-        raise NonZeroMean(f"right-hand side has mean {total / grid.measure:.3e}")
-    plan = spectral_plan(grid)
-    parity = neumann(grid.dim)
-    c = plan.forward(values, parity)
-    flat = c.reshape(-1)
-    symf = plan.symbol(parity).reshape(-1)
-    out = np.zeros_like(flat)
-    np.divide(flat[1:], -symf[1:], out=out[1:])  # zero-frequency slot stays 0
-    return plan.inverse(out.reshape(c.shape), parity)
 
 
 # ---------------------------------------------------------------------------

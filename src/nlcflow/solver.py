@@ -60,7 +60,6 @@ from .fields import (
     SIN,
     _strip_sine_nyquist,
     dirichlet,
-    integrate_values,
     neumann,
     spectral_plan,
 )
@@ -124,16 +123,15 @@ class SolverConfig:
 
 @dataclass
 class StepRecord:
-    """Per-step bookkeeping needed to audit the energy ledger."""
+    """What only the step itself knows: the dt it took, its Picard sweeps
+    and dt halvings, the velocity stack its accepted sweep was frozen at,
+    and the work and accuracy of its inner solves.  The time it reached is
+    the ``t`` of the state it is paired with; the energy ledger is read off
+    the two states (see ``diagnostics.energy_budget_residual``)."""
 
-    t_new: float
     dt: float
     picard_iters: int
     halvings: int
-    visc_prime: float        # <S(u'):grad u'> for the accepted velocity
-    theta_sink: float        # <theta_old^alpha * theta_new>
-    eps_gamma_interp: float  # <grad of enthalpy interpolant . grad rho'>
-    eps_beta_interp: float
     u_lag: np.ndarray        # velocity stack the accepted sweep was frozen at
     heat_applies: int        # heat-operator applies over all sweeps
     director_iters: int      # director fixed-point iterations, all sweeps
@@ -603,11 +601,11 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     reads only this step's increments, so a restart repeats it exactly."""
     grid = s.grid
     plan = spectral_plan(grid)
-    t_new = s.t + dt
+    t1 = s.t + dt
 
     def source(name):
         fn = getattr(sources, name) if sources else None
-        return None if fn is None else np.asarray(fn(t_new))
+        return None if fn is None else np.asarray(fn(t1))
 
     src_rho, src_mom = source("density"), source("momentum")
     src_th, src_dir = source("temperature"), source("director")
@@ -650,40 +648,11 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     else:
         raise PicardDivergence(cfg.picard_max, diff / size)
 
-    new_state = State(grid, t_new, rho_new, u_new, theta_new, d_new)
-    inner = dict(heat_applies=heat_applies, director_iters=director_iters,
-                 heat_residual=heat_res, director_gap=gap)
-    record = _make_step_record(plan, new_state, heat, u_entered, U_new, stiff,
-                               reg, p, dt, it, inner)
-    return new_state, record
-
-
-def _make_step_record(plan, s_new, heat, u_lag, U_new, stiff, reg, p, dt,
-                      iters, inner):
-    """Ledger of an accepted step; ``u_lag`` is the lagged velocity stack of
-    the last sweep, and ``inner`` holds the inner-solve fields of the
-    StepRecord."""
-    grid = s_new.grid
-    dim = grid.dim
-    visc_prime = float(U_new.reshape(-1) @ stiff @ U_new.reshape(-1))
-    theta_sink = integrate_values(grid, heat.th_alpha * s_new.theta)
-
-    grad_rho = [plan.deriv(s_new.rho, b, COS) for b in range(dim)]
-    safe = np.maximum(s_new.rho, 0.0)
-
-    def interp_form(exponent):
-        bp = cst.convex_pressure_enthalpy(safe, exponent)
-        return sum(integrate_values(grid, plan.deriv(bp, b, COS) * grad_rho[b])
-                   for b in range(dim))
-
-    return StepRecord(
-        t_new=s_new.t, dt=dt, picard_iters=iters, halvings=0,
-        visc_prime=visc_prime, theta_sink=theta_sink,
-        eps_gamma_interp=interp_form(p.gamma),
-        eps_beta_interp=interp_form(reg.beta) if reg.delta > 0 else 0.0,
-        u_lag=u_lag,
-        **inner,
-    )
+    record = StepRecord(dt=dt, picard_iters=it, halvings=0, u_lag=u_entered,
+                        heat_applies=heat_applies,
+                        director_iters=director_iters, heat_residual=heat_res,
+                        director_gap=gap)
+    return State(grid, t1, rho_new, u_new, theta_new, d_new), record
 
 
 def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,

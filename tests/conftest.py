@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from nlcflow.fields import Grid
+from nlcflow import constitutive as cst
+from nlcflow.fields import Grid, integrate_values, neumann, spectral_plan
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import diagnostics as dg
 from nlcflow import solver as sv
@@ -62,7 +65,8 @@ def read_csv(path):
 
 def run_lists(s0, reg, cfg, p, **kwargs):
     """The whole trajectory of ``solver.run`` as (states, records) lists,
-    ``records[k]`` being the ledger of the step ending at ``states[k]``."""
+    ``records[k]`` being the StepRecord of the step ending at ``states[k]``
+    (None for the initial state)."""
     states, records = [], []
     for s, rec in sv.run(s0, reg, cfg, p, **kwargs):
         states.append(s)
@@ -94,3 +98,48 @@ def weak_series(states, records, reg, p):
                                                battery).items():
             series.setdefault(key, []).append(val)
     return series
+
+
+# ---------------------------------------------------------------------------
+# oracles the package itself does not need
+# ---------------------------------------------------------------------------
+
+class NonZeroMean(Exception):
+    """Neumann Poisson problem fed a right-hand side with nonzero mean."""
+
+
+def inverse_laplacian_neumann(grid, values):
+    """Solve ``Laplacian(phi) = values`` for an all-cosine array with Neumann
+    data and zero mean.
+
+    Raises NonZeroMean unless ``integrate_values(grid, values)`` vanishes
+    within ``1e-10 * max|values| * |Omega|``.
+    """
+    mean_tol = 1e-10 * max(float(np.abs(values).max()), 1e-300) * grid.measure
+    total = integrate_values(grid, values)
+    if abs(total) > mean_tol:
+        raise NonZeroMean(f"right-hand side has mean {total / grid.measure:.3e}")
+    plan = spectral_plan(grid)
+    parity = neumann(grid.dim)
+    c = plan.forward(values, parity)
+    flat = c.reshape(-1)
+    symf = plan.symbol(parity).reshape(-1)
+    out = np.zeros_like(flat)
+    np.divide(flat[1:], -symf[1:], out=out[1:])  # zero-frequency slot stays 0
+    return plan.inverse(out.reshape(c.shape), parity)
+
+
+def truncation_companion(z, k=1.0):
+    """Companion L_k of ``constitutive.soft_truncation`` with
+    L_k(z) = z log z below k; above k it continues so that
+    z L_k'(z) - L_k(z) = T_k(z) everywhere."""
+    zz, zs = cst._wrap(z)
+    zz = cst._clip_nonneg(zz, "z")
+    s = zz / k
+    below = np.where(zz > 0.0, zz * np.log(np.where(zz > 0.0, zz, 1.0)), 0.0)
+    s_safe = np.where(s > 0.0, s, 1.0)
+    g_mid = 1.5 * np.log(s_safe) - 0.25 * s_safe + 0.25 / s_safe
+    g_far = 1.5 * math.log(3.0) - 2.0 / s_safe
+    g = np.where(s >= 3.0, g_far, g_mid)
+    above = zz * math.log(k) + zz * g
+    return cst._unwrap(np.where(s < 1.0, below, above), zs)

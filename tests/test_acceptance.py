@@ -19,11 +19,11 @@ from nlcflow import mms
 from nlcflow import presets
 from nlcflow import solver as sv
 from nlcflow.fields import (COS, Grid, _strip_sine_nyquist, dirichlet,
-                            integrate_values, inverse_laplacian_neumann,
-                            neumann, spectral_plan)
+                            integrate_values, neumann, spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 
-from conftest import bump_state, renorm_rows, residual_series_max, run_lists
+from conftest import (bump_state, inverse_laplacian_neumann, renorm_rows,
+                      residual_series_max, run_lists, truncation_companion)
 
 P = PhysParams()
 REG = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
@@ -148,17 +148,17 @@ def test_criterion_02_constitutive_identities(capsys):
                 seam_gap,
                 abs(float(cst.soft_truncation(hi, k))
                     - float(cst.soft_truncation(lo, k))),
-                abs(float(cst.truncation_companion(hi, k))
-                    - float(cst.truncation_companion(lo, k))))
+                abs(float(truncation_companion(hi, k))
+                    - float(truncation_companion(lo, k))))
 
     legendre_rel = 0.0
     for k in (1.0, 2.0):
         z = np.geomspace(1e-3, 8.0 * k, 300)
         z = z[np.minimum(np.abs(z - k), np.abs(z - 3.0 * k)) > 1e-3]
         hz = 1e-6 * z
-        lp = (cst.truncation_companion(z + hz, k)
-              - cst.truncation_companion(z - hz, k)) / (2.0 * hz)
-        lhs = z * lp - cst.truncation_companion(z, k)
+        lp = (truncation_companion(z + hz, k)
+              - truncation_companion(z - hz, k)) / (2.0 * hz)
+        lhs = z * lp - truncation_companion(z, k)
         t = cst.soft_truncation(z, k)
         legendre_rel = max(legendre_rel, float(
             np.max(np.abs(lhs - t) / np.maximum(np.abs(t), 1e-3))))
@@ -204,7 +204,7 @@ def test_criterion_04_energy_inequality(capsys):
 
     def defects(dt):
         states, records = _run(bump_state(grid), REG, dt, 0.02)
-        vals = [dg.energy_budget_residual(a, b, REG, P, rec.dt, record=rec)
+        vals = [dg.energy_budget_residual(a, b, REG, P, rec.dt)
                 for a, b, rec in zip(states[:-1], states[1:], records[1:])]
         return states, vals
 

@@ -66,6 +66,7 @@ def test_run_success(tmp_path):
     "mms.resolutions = 24,48\n",
     "mms.resolutions = 16\nreg.n_modes = 4\n",
     "mms.shape = 24\n",
+    "mms.dts = 2e-3,2e-3\n",
     "solver.dealias = false\n",
     "solver.dealias = off\n",
     "solver.dealias = 0\n",

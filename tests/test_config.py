@@ -92,6 +92,7 @@ def test_beta_below_floor_rejected():
     "continuation.eps = 1e-1,1e-2\ncontinuation.delta = 1,2,3\n",
     "mms.resolutions = 4,8\n",
     "mms.dts = 0\n",
+    "mms.dts = 2e-3,2e-3\n",
     "mms.resolutions = 24,48\n",
     "mms.resolutions = 16\n",
     "mms.resolutions = 16,16\n",

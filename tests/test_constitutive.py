@@ -7,6 +7,8 @@ from nlcflow import constitutive as cst
 from nlcflow.errors import NegativeInput, ValidationError
 from nlcflow.params import PhysParams, RegParams
 
+from conftest import truncation_companion
+
 
 def P(**kw):
     return PhysParams(**kw)
@@ -187,10 +189,10 @@ def test_soft_truncation_monotone_and_capped():
 def test_companion_branch_continuity():
     for k in (0.5, 1.0, 3.0):
         below = k * math.log(k)  # closed form of the z log z branch at z = k
-        assert cst.truncation_companion(k, k) == pytest.approx(below, abs=1e-12)
+        assert truncation_companion(k, k) == pytest.approx(below, abs=1e-12)
         eps = 1e-9 * k
-        jump = (cst.truncation_companion(k + eps, k)
-                - cst.truncation_companion(k - eps, k))
+        jump = (truncation_companion(k + eps, k)
+                - truncation_companion(k - eps, k))
         assert abs(jump) <= 1e-7 * max(1.0, abs(below))
 
 
@@ -201,9 +203,9 @@ def test_companion_euler_identity():
                             np.linspace(1.05 * k, 2.9 * k, 40),
                             np.linspace(3.1 * k, 8.0 * k, 40)])
         h = 1e-5 * k
-        lp = (cst.truncation_companion(z + h, k)
-              - cst.truncation_companion(z - h, k)) / (2 * h)
-        lhs = z * lp - cst.truncation_companion(z, k)
+        lp = (truncation_companion(z + h, k)
+              - truncation_companion(z - h, k)) / (2 * h)
+        lhs = z * lp - truncation_companion(z, k)
         rhs = cst.soft_truncation(z, k)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-8)
 
@@ -211,7 +213,7 @@ def test_companion_euler_identity():
 def test_companion_convex():
     z = np.linspace(0.02, 10.0, 2501)
     for k in (1.0, 3.0):
-        vals = cst.truncation_companion(z, k)
+        vals = truncation_companion(z, k)
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert second.min() >= -1e-10
 

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from nlcflow.errors import (GridMismatch, MismatchedSnapshots,
                             NonPositiveTemperature)
-from nlcflow.fields import Grid, spectral_plan
+from nlcflow import constitutive as cst
+from nlcflow.fields import COS, Grid, integrate_values, spectral_plan
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import diagnostics as dg
 from nlcflow import presets
@@ -75,21 +76,19 @@ def test_budget_equilibrium_exact_zero(grid2d):
     s = equilibrium_state(grid2d)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
-    r = dg.energy_budget_residual(s, s1, reg, p, rec.dt, rec)
-    assert r == 0.0
     assert dg.energy_budget_residual(s, s1, reg, p, rec.dt) == 0.0
 
 
 def test_budget_equilibrium_with_sink(grid2d):
-    """delta > 0: theta decays through the sink; the ledger form of the
-    budget still closes to solver noise."""
+    """delta > 0: theta decays through the sink; the budget still closes to
+    solver noise."""
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=1e-3, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
     assert float(s1.theta.max()) < 1.0
-    r = dg.energy_budget_residual(s, s1, reg, p, rec.dt, rec)
+    r = dg.energy_budget_residual(s, s1, reg, p, rec.dt)
     assert abs(r) <= 5e-12
 
 
@@ -102,8 +101,49 @@ def test_budget_one_sided_on_bump_run(grid2d):
     states, records = run_lists(s0, reg, cfg, p)
     for k in range(1, len(states)):
         r = dg.energy_budget_residual(states[k - 1], states[k], reg, p,
-                                      records[k].dt, records[k])
+                                      records[k].dt)
         assert r <= 1e-8 * e0
+
+
+def _ledger_budget(s_prev, s_next, reg, p, dt, basis):
+    """Reference budget defect whose viscous dissipation is the Galerkin
+    form U'^T K U' of the accepted velocity's coefficients."""
+    grid = s_next.grid
+    plan = spectral_plan(grid)
+    U = basis.project(s_next.u).reshape(-1)
+    visc = float(U @ basis.stiffness(p) @ U)
+    sink = integrate_values(
+        grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
+    grad_rho = [plan.deriv(s_next.rho, b, COS) for b in range(grid.dim)]
+    safe = np.maximum(s_next.rho, 0.0)
+
+    def interp_form(exponent):
+        bp = cst.convex_pressure_enthalpy(safe, exponent)
+        return sum(integrate_values(grid, plan.deriv(bp, b, COS) * grad_rho[b])
+                   for b in range(grid.dim))
+
+    eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
+    d_net = (reg.delta * visc + reg.delta * sink
+             + reg.eps * interp_form(p.gamma) + reg.eps * reg.delta * eps_beta)
+    e_next, _ = dg.total_energy(s_next, reg, p)
+    e_prev, _ = dg.total_energy(s_prev, reg, p)
+    return (e_next - e_prev) / dt + d_net
+
+
+@pytest.mark.parametrize("eps,delta", [(1e-2, 1e-3), (5e-2, 1e-2)])
+def test_budget_from_states_matches_galerkin_ledger(grid2d, eps, delta):
+    """The audit's quadrature of S(u'):grad u' gives the defect the Galerkin
+    stiffness form gives, step by step on a bump run."""
+    p = PhysParams()
+    reg = RegParams(eps=eps, delta=delta, beta=5.0, n_modes=8)
+    basis = sv.GalerkinBasis(grid2d, reg.n_modes)
+    states, records = run_lists(bump_state(grid2d), reg,
+                                sv.SolverConfig(dt=1e-3, t_end=1e-2), p)
+    assert len(states) == 11
+    for a, b, rec in zip(states, states[1:], records[1:]):
+        got = dg.energy_budget_residual(a, b, reg, p, rec.dt)
+        want = _ledger_budget(a, b, reg, p, rec.dt, basis)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_dissipation_parts_nonnegative(grid2d):

