@@ -24,54 +24,6 @@ from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
 from .fields import dirichlet, neumann, read_fields, write_constant_field, \
     write_field
 
-_CSV_VERSION = 1
-
-# frozen column order for run diagnostics
-_CSV_COLUMNS = (
-    "t", "mass", "energy_total",
-    "energy_kinetic", "energy_elastic", "energy_artificial",
-    "energy_frank", "energy_penalty", "energy_thermal",
-    "dissip_viscous", "dissip_director", "dissip_thermal_sink",
-    "dissip_density",
-    "entropy_total", "entropy_production_min",
-    "director_sup", "pressure_weight_increment",
-)
-
-
-# ---------------------------------------------------------------------------
-# CSV
-# ---------------------------------------------------------------------------
-
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
-def _record_row(rec):
-    vals = [rec.t, rec.mass, rec.energy_total]
-    for key in ("kinetic", "elastic", "artificial", "frank", "penalty",
-                "thermal"):
-        vals.append(rec.energy_parts[key])
-    for key in ("viscous", "director", "thermal_sink", "density"):
-        vals.append(rec.dissipation_parts[key])
-    vals += [rec.entropy_total, rec.entropy_production_min,
-             rec.director_sup, rec.pressure_weight_increment]
-    return vals
-
-
-def _csv_header(res_ids=()):
-    names = list(_CSV_COLUMNS) + [f"res_{b}" for b in res_ids]
-    return f"# nlcflow-csv v{_CSV_VERSION}\n" + ",".join(names) + "\n"
-
-
-def _csv_line(rec, residuals=()):
-    return ",".join(_fmt(v) for v in _record_row(rec) + list(residuals)) \
-        + "\n"
-
-
-def render_csv(records):
-    """Diagnostic records as CSV text, without residual columns."""
-    return _csv_header() + "".join(_csv_line(rec) for rec in records)
-
 
 # ---------------------------------------------------------------------------
 # snapshots
@@ -131,12 +83,8 @@ def _out_dir(cfg):
 def _initial_state(cfg):
     if cfg.init.snapshot is not None:
         return read_snapshot(cfg.init.snapshot, cfg.grid)
-    kwargs = {"base": cfg.init.base}
-    if cfg.init.amplitude is not None:
-        kwargs["amplitude"] = cfg.init.amplitude
-    if cfg.init.width is not None:
-        kwargs["width"] = cfg.init.width
-    return presets.build(cfg.init.preset, cfg.grid, **kwargs)
+    return presets.build(cfg.init.preset, cfg.grid, base=cfg.init.base,
+                         amplitude=cfg.init.amplitude, width=cfg.init.width)
 
 
 def _prepared_state(cfg):
@@ -194,7 +142,7 @@ def cmd_run(config_path):
                 if cfg.output.csv:
                     csv = open(os.path.join(out, "diagnostics.csv"), "w",
                                encoding="utf-8")
-                    csv.write(_csv_header(res_ids))
+                    csv.write(dg.csv_header(res_ids))
                 if res_ids:
                     battery = dg.cosine_battery(s.grid)
                 residuals = [0.0] * len(res_ids)
@@ -206,7 +154,7 @@ def cmd_run(config_path):
             last = dg.make_record(s, cfg.reg, cfg.phys,
                                   dt=None if rec is None else rec.dt)
             if csv is not None:
-                csv.write(_csv_line(last, residuals))
+                csv.write(dg.csv_line(last, residuals))
                 csv.flush()
             prev, k = s, k + 1
             if cadence > 0 and k % cadence == 0:
@@ -224,24 +172,17 @@ def cmd_run(config_path):
 
 
 def cmd_continuation(config_path):
+    """``solve continuation``: write ``config.resolved``, then stream each
+    run's ``run_XX.csv`` as its states arrive, and write ``report.json``
+    once the study has ended.  A failed run keeps the files of the runs
+    before it, and its error names the schedule entry."""
     cfg = cf.parse_config(config_path)
     out = _out_dir(cfg)
-    plan = ct.ContinuationPlan(
-        grid=cfg.grid, phys=cfg.phys, solver=cfg.solver,
-        schedule=list(cfg.cont.schedule),
-        initial=lambda g: _initial_state(cfg),
-        beta=cfg.reg.beta,
-        snapshot_times=cfg.cont.snapshots,
-        theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
-    report = ct.STUDIES[cfg.cont.study](plan)
-
+    raw = _initial_state(cfg)
     _write_text(os.path.join(out, "config.resolved"), cf.serialize(cfg))
+    report = ct.run_study(cfg, raw, csv_dir=out if cfg.output.csv else None)
     _write_text(os.path.join(out, "report.json"),
-                json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    if cfg.output.csv:
-        for i, recs in enumerate(report.run_records):
-            _write_text(os.path.join(out, "run_%02d.csv" % i),
-                        render_csv(recs))
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
     for line in summarize_report(report):
         print(line)
     print(f"outputs in {out}")
@@ -249,12 +190,13 @@ def cmd_continuation(config_path):
 
 
 def summarize_report(report):
-    lines = [f"continuation study: {report.study} ({len(report.runs)} runs)"]
-    for r in report.runs:
+    lines = [f"continuation study: {report['study']} "
+             f"({len(report['runs'])} runs)"]
+    for r in report["runs"]:
         lines.append(
             "  n=%d eps=%g delta=%g  E_max/E_0=%.9f" %
             (r["n_modes"], r["eps"], r["delta"], r["energy_max_ratio"]))
-    for name, entry in report.decay.items():
+    for name, entry in report["decay"].items():
         vals = " -> ".join("%.4e" % v for v in entry["values"])
         flag = "ok" if entry["nonincreasing_5pct"] else "NOT nonincreasing"
         lines.append(f"  decay {name}: {vals}  [{flag}]")
@@ -289,11 +231,12 @@ def cmd_mms(case_name, config_path):
         summary = {"orders": {"total": list(study["orders"])}}
         shown = study["orders"]
 
-    lines = [f"# nlcflow-csv v{_CSV_VERSION}",
+    lines = [f"# nlcflow-csv v{dg.CSV_VERSION}",
              ",".join([label] + list(_ERR_KEYS))]
     for val, errs in rows:
         lines.append(",".join(
-            [_fmt(val)] + [_fmt(errs[k]) for k in _ERR_KEYS]))
+            [dg.format_float(val)]
+            + [dg.format_float(errs[k]) for k in _ERR_KEYS]))
     _write_text(os.path.join(out, f"mms_{case.name}.csv"),
                 "\n".join(lines) + "\n")
     _write_text(os.path.join(out, f"mms_{case.name}_orders.json"),
@@ -324,7 +267,7 @@ def cmd_diagnose(directory):
     for name in names:
         s = read_snapshot(os.path.join(directory, name), cfg.grid)
         rec = dg.make_record(s, cfg.reg, cfg.phys)
-        print(",".join(_fmt(v) for v in (
+        print(",".join(dg.format_float(v) for v in (
             rec.t, rec.mass, rec.energy_total, rec.entropy_total,
             rec.director_sup)))
     print(f"diagnosed {len(names)} snapshots")

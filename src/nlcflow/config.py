@@ -280,8 +280,28 @@ def _build(values):
                 f"{key} has {len(seq)} entries; schedule needs 1 or {width}")
         if len(seq) == 1:
             lists[key] = seq * width
+    if width == 0:
+        raise ValidationError(
+            "continuation.n, continuation.eps and continuation.delta are "
+            "all empty: the schedule needs at least one entry")
+    shrinking = {"viscosity": "continuation.eps",
+                 "pressure": "continuation.delta"}.get(study)
+    if shrinking and any(b > a for a, b in zip(lists[shrinking],
+                                               lists[shrinking][1:])):
+        raise ValidationError(
+            f"{shrinking} = {_format_value(lists[shrinking])}: a {study} "
+            "study needs nonincreasing entries")
     schedule = tuple(zip(lists["continuation.n"], lists["continuation.eps"],
                          lists["continuation.delta"]))
+    for i, (n, eps, delta) in enumerate(schedule):
+        try:
+            RegParams(eps=eps, delta=delta, beta=reg.beta,
+                      n_modes=n).validate(gamma=phys.gamma)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"continuation schedule entry {i} (continuation.n = {n}, "
+                f"continuation.eps = {eps!r}, continuation.delta = "
+                f"{delta!r}): {exc}") from None
     cont = ContinuationSpec(study=study, schedule=schedule,
                             snapshots=tuple(values["continuation.snapshots"]))
 

@@ -1,10 +1,13 @@
 """Families of runs along regularization schedules.
 
-Three desk-scale limit studies: retained-mode refinement (n increasing),
-vanishing artificial mass diffusion (eps decreasing at fixed delta), and
-vanishing artificial pressure (delta decreasing at small fixed eps).  Each
-drives the same initial data through the solver once per schedule entry and
-assembles a report of
+The paper reaches its weak solutions through three approximation levels,
+and each study runs one of them: retained-mode refinement (``galerkin``, n
+increasing), vanishing artificial mass diffusion (``viscosity``, eps
+decreasing at fixed delta) and vanishing artificial pressure (``pressure``,
+delta decreasing at small fixed eps).  :func:`run_study` drives one raw
+initial state through the solver once per schedule entry of a RunConfig,
+streams each run's diagnostics rows to ``run_XX.csv`` as its states arrive,
+and returns a report of
 
 * per-run summaries (time-integrated weighted functionals),
 * uniform bounds (sup over the family of each monitored functional),
@@ -14,127 +17,109 @@ assembles a report of
   (self-convergence surrogates: rho in L1, u and theta in L2, d in a
   first-order Sobolev surrogate).
 
-Reports are plain data (JSON-ready dicts) and deterministic given the plan.
+``STUDIES`` holds what the studies differ in.  A report is a JSON-ready
+dict, deterministic given the config and the initial state.  A solver
+failure names the schedule entry it ended.
 """
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedSnapshots, ValidationError
+from .errors import MismatchedSnapshots, SolverFailure
 from .fields import integrate_values, neumann, spectral_plan
-from .params import PhysParams, RegParams
+from .params import RegParams
 from . import diagnostics as dg
 from . import solver as sv
 
 
-@dataclass
-class ContinuationPlan:
-    grid: object
-    phys: PhysParams
-    solver: sv.SolverConfig
-    schedule: list                 # (n_modes, eps, delta) triples
-    initial: object                # grid -> raw State
-    beta: float = 5.0
-    snapshot_times: tuple = ()     # defaults to (t_end,)
-    theta_bounds: tuple = (0.1, 10.0)
-
-    def normalized_snapshot_times(self):
-        if self.snapshot_times:
-            return tuple(float(t) for t in self.snapshot_times)
-        return (float(self.solver.t_end),)
-
-    def validate(self, study=None):
-        if not self.schedule:
-            raise ValidationError("continuation schedule is empty")
-        for entry in self.schedule:
-            if len(entry) != 3:
-                raise ValidationError(
-                    "schedule entries must be (n_modes, eps, delta)")
-        eps_seq = [e for _, e, _ in self.schedule]
-        delta_seq = [d for _, _, d in self.schedule]
-        if study == "viscosity" and any(
-                b > a for a, b in zip(eps_seq, eps_seq[1:])):
-            raise ValidationError(
-                "viscosity study needs a nonincreasing eps schedule")
-        if study == "pressure" and any(
-                b > a for a, b in zip(delta_seq, delta_seq[1:])):
-            raise ValidationError(
-                "pressure study needs a nonincreasing delta schedule")
-        self.solver.validate()
-        self.phys.validate()
-        return self
+@dataclass(frozen=True)
+class Study:
+    bounds: tuple          # summary keys given a uniform bound
+    decay: dict            # decay name -> ("runs" | "distances", key)
+    oscillation: bool      # distance rows add rho_oscillation
 
 
-@dataclass
-class ContinuationReport:
-    study: str
-    runs: list
-    uniform_bounds: dict
-    decay: dict
-    distances: list = field(default_factory=list)
-    run_records: list = field(default_factory=list, repr=False)
-
-    def to_json(self):
-        """JSON-ready dict; per-run time series stay out (CSV material)."""
-        return {
-            "study": self.study,
-            "runs": self.runs,
-            "uniform_bounds": self.uniform_bounds,
-            "decay": self.decay,
-            "distances": self.distances,
-        }
+STUDIES = {
+    "galerkin": Study(
+        bounds=("energy_max_ratio",),
+        decay={"u_self_distance": ("distances", "u_l2")},
+        oscillation=False),
+    "viscosity": Study(
+        bounds=("energy_max_ratio", "eps_grad_rho_sq"),
+        decay={"eps_lap_rho": ("runs", "eps_lap_rho")},
+        oscillation=False),
+    "pressure": Study(
+        bounds=("energy_max_ratio", "theta_norm"),
+        decay={"delta_rho_beta": ("runs", "delta_rho_beta"),
+               "delta_theta_pow": ("runs", "delta_theta_pow")},
+        oscillation=True),
+}
 
 
-def _prepare_state(plan, reg):
-    raw = plan.initial(plan.grid)
+def _prepare_state(cfg, raw, reg):
     return sv.regularize_initial_data(
         raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, reg,
-        theta_bounds=plan.theta_bounds)
+        theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
 
 
-def _execute(plan, reg):
+def _execute(cfg, raw, reg, csv_path=None):
     """One schedule entry: run it, folding the time-integrated functionals
-    and the nearest-time snapshots as each state arrives."""
-    grid = plan.grid
-    p = plan.phys
+    and the nearest-time snapshots as each state arrives, and appending
+    each state's diagnostics row to ``csv_path`` if given."""
+    grid = raw.grid
+    p = cfg.phys
     alpha1 = p.cond_growth + 1.0
     acc = {"grad_rho_sq": 0.0, "lap_rho_sq": 0.0, "rho_beta": 0.0,
            "theta_pow": 0.0, "pressure_weight": 0.0}
     emax_ratio = 1.0
-    wanted = plan.normalized_snapshot_times()
+    wanted = cfg.cont.snapshots or (cfg.solver.t_end,)
     snaps = [None] * len(wanted)
     gaps = [math.inf] * len(wanted)
-    records = []
-    for s, rec in sv.run(_prepare_state(plan, reg), reg, plan.solver, p):
-        diag = dg.make_record(s, reg, p, dt=None if rec is None else rec.dt)
-        records.append(diag)
-        # a strictly smaller gap replaces, so ties go to the earlier state
-        for i, t_req in enumerate(wanted):
-            if abs(s.t - t_req) < gaps[i]:
-                snaps[i], gaps[i] = s, abs(s.t - t_req)
-        if rec is None:
-            continue
-        dt = rec.dt
-        emax_ratio = max(emax_ratio,
-                         diag.energy_total / records[0].energy_total)
-        acc["grad_rho_sq"] += dt * integrate_values(
-            grid, dg._grad_sq(grid, s.rho))
-        acc["lap_rho_sq"] += dt * integrate_values(
-            grid, spectral_plan(grid).laplacian(s.rho, neumann(grid.dim)) ** 2)
-        acc["rho_beta"] += dt * integrate_values(
-            grid, np.maximum(s.rho, 0.0) ** reg.beta)
-        acc["theta_pow"] += dt * integrate_values(
-            grid, np.maximum(s.theta, 0.0) ** alpha1)
-        acc["pressure_weight"] += diag.pressure_weight_increment
+    steps = -1
+    csv = None if csv_path is None else open(csv_path, "w", encoding="utf-8")
+    try:
+        if csv is not None:
+            csv.write(dg.csv_header())
+        for s, rec in sv.run(_prepare_state(cfg, raw, reg), reg, cfg.solver,
+                             p):
+            diag = dg.make_record(s, reg, p,
+                                  dt=None if rec is None else rec.dt)
+            if csv is not None:
+                csv.write(dg.csv_line(diag))
+                csv.flush()
+            steps += 1
+            # a strictly smaller gap replaces, so ties go to the earlier state
+            for i, t_req in enumerate(wanted):
+                if abs(s.t - t_req) < gaps[i]:
+                    snaps[i], gaps[i] = s, abs(s.t - t_req)
+            if rec is None:
+                energy_initial = diag.energy_total
+                continue
+            dt = rec.dt
+            emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
+            acc["grad_rho_sq"] += dt * integrate_values(
+                grid, dg._grad_sq(grid, s.rho))
+            acc["lap_rho_sq"] += dt * integrate_values(
+                grid,
+                spectral_plan(grid).laplacian(s.rho, neumann(grid.dim)) ** 2)
+            acc["rho_beta"] += dt * integrate_values(
+                grid, np.maximum(s.rho, 0.0) ** reg.beta)
+            acc["theta_pow"] += dt * integrate_values(
+                grid, np.maximum(s.theta, 0.0) ** alpha1)
+            acc["pressure_weight"] += diag.pressure_weight_increment
+    finally:
+        if csv is not None:
+            csv.close()
 
     summary = {
         "n_modes": reg.n_modes,
         "eps": reg.eps,
         "delta": reg.delta,
-        "steps": len(records) - 1,
-        "energy_initial": records[0].energy_total,
+        "steps": steps,
+        "energy_initial": energy_initial,
         "energy_max_ratio": emax_ratio,
         "eps_grad_rho_sq": reg.eps * acc["grad_rho_sq"],
         "eps_lap_rho": reg.eps * float(np.sqrt(acc["lap_rho_sq"])),
@@ -142,9 +127,9 @@ def _execute(plan, reg):
         "delta_theta_pow": reg.delta * acc["theta_pow"],
         "theta_norm": acc["theta_pow"] ** (1.0 / alpha1),
         "pressure_weight": acc["pressure_weight"],
-        "final_time": records[-1].t,
+        "final_time": diag.t,
     }
-    return summary, snaps, records
+    return summary, snaps
 
 
 def _state_distances(a, b):
@@ -195,24 +180,6 @@ def _decay_entry(values):
             "nonincreasing_5pct": ok}
 
 
-def _family(plan, study, gamma=None):
-    """Run the schedule; each run's snapshots are compared with the
-    previous run's as soon as it ends, and only the latest are kept."""
-    plan.validate(study)
-    summaries, distances, recs = [], [], []
-    prev = None
-    for i, (n, eps, delta) in enumerate(plan.schedule):
-        reg = RegParams(eps=eps, delta=delta, beta=plan.beta,
-                        n_modes=n).validate(gamma=plan.phys.gamma)
-        summary, snaps, r = _execute(plan, reg)
-        if prev is not None:
-            distances += _pair_distances(i - 1, prev, snaps, gamma)
-        prev = snaps
-        summaries.append(summary)
-        recs.append(r)
-    return summaries, distances, recs
-
-
 def _uniform(summaries, keys):
     # spread stays finite even for degenerate families: 1 when every run
     # reports zero, 0 when only some do (the raw values sit in runs[]).
@@ -227,60 +194,35 @@ def _uniform(summaries, keys):
     return out
 
 
-def run_galerkin_refinement(plan):
-    """Refine the retained-mode count at fixed eps, delta."""
-    summaries, distances, recs = _family(plan, "galerkin")
-    u_gaps = [r["u_l2"] for r in distances]
-    report = ContinuationReport(
-        study="galerkin",
-        runs=summaries,
-        uniform_bounds=_uniform(summaries, ("energy_max_ratio",)),
-        decay={"u_self_distance": _decay_entry(u_gaps)} if u_gaps else {},
-        distances=distances,
-        run_records=recs,
-    )
-    return report
-
-
-def run_viscosity_vanishing(plan):
-    """Shrink the artificial mass diffusion at fixed delta and n."""
-    summaries, distances, recs = _family(plan, "viscosity")
-    report = ContinuationReport(
-        study="viscosity",
-        runs=summaries,
-        uniform_bounds=_uniform(
-            summaries, ("energy_max_ratio", "eps_grad_rho_sq")),
-        decay={"eps_lap_rho": _decay_entry(
-            [s["eps_lap_rho"] for s in summaries])},
-        distances=distances,
-        run_records=recs,
-    )
-    return report
-
-
-def run_pressure_vanishing(plan):
-    """Shrink the artificial pressure weight at fixed (small) eps and n."""
-    summaries, distances, recs = _family(plan, "pressure",
-                                         gamma=plan.phys.gamma)
-    report = ContinuationReport(
-        study="pressure",
-        runs=summaries,
-        uniform_bounds=_uniform(
-            summaries, ("energy_max_ratio", "theta_norm")),
-        decay={
-            "delta_rho_beta": _decay_entry(
-                [s["delta_rho_beta"] for s in summaries]),
-            "delta_theta_pow": _decay_entry(
-                [s["delta_theta_pow"] for s in summaries]),
-        },
-        distances=distances,
-        run_records=recs,
-    )
-    return report
-
-
-STUDIES = {
-    "galerkin": run_galerkin_refinement,
-    "viscosity": run_viscosity_vanishing,
-    "pressure": run_pressure_vanishing,
-}
+def run_study(cfg, raw, csv_dir=None):
+    """Run the study of ``cfg.cont`` from the raw initial state ``raw``,
+    regularized afresh for each schedule entry.  Each run's snapshots are
+    compared with the previous run's as soon as it ends, and only the
+    latest are kept.  With ``csv_dir``, the runs stream their rows to
+    ``run_00.csv``, ``run_01.csv``, ... there."""
+    study = STUDIES[cfg.cont.study]
+    gamma = cfg.phys.gamma if study.oscillation else None
+    runs, distances, prev = [], [], None
+    for i, (n, eps, delta) in enumerate(cfg.cont.schedule):
+        reg = RegParams(eps=eps, delta=delta, beta=cfg.reg.beta, n_modes=n)
+        csv_path = None if csv_dir is None else os.path.join(
+            csv_dir, "run_%02d.csv" % i)
+        try:
+            summary, snaps = _execute(cfg, raw, reg, csv_path)
+        except SolverFailure as exc:
+            exc.entry = f"schedule entry {i} (n={n}, eps={eps!r}, " \
+                        f"delta={delta!r})"
+            raise
+        if prev is not None:
+            distances += _pair_distances(i - 1, prev, snaps, gamma)
+        prev = snaps
+        runs.append(summary)
+    rows = {"runs": runs, "distances": distances}
+    decay = {}
+    for name, (source, key) in study.decay.items():
+        values = [row[key] for row in rows[source]]
+        if values:
+            decay[name] = _decay_entry(values)
+    return {"study": cfg.cont.study, "runs": runs,
+            "uniform_bounds": _uniform(runs, study.bounds),
+            "decay": decay, "distances": distances}

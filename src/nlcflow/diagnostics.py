@@ -1,4 +1,5 @@
-"""Monitored functionals, budget audits and weak-form residuals.
+"""Monitored functionals, budget audits and weak-form residuals, and the
+CSV row format of the records.
 
 Everything here is read-only over solver states.  The energy budget residual
 of a step is read off its two states alone: its dissipation is the one the
@@ -35,6 +36,55 @@ class DiagRecord:
     director_sup: float
     pressure_weight_increment: float
     renorm_residuals: dict = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# CSV rows: one per record, written by ``solve run`` and by every run of
+# ``solve continuation``
+# ---------------------------------------------------------------------------
+
+CSV_VERSION = 1
+
+# frozen column order for run diagnostics
+CSV_COLUMNS = (
+    "t", "mass", "energy_total",
+    "energy_kinetic", "energy_elastic", "energy_artificial",
+    "energy_frank", "energy_penalty", "energy_thermal",
+    "dissip_viscous", "dissip_director", "dissip_thermal_sink",
+    "dissip_density",
+    "entropy_total", "entropy_production_min",
+    "director_sup", "pressure_weight_increment",
+)
+
+
+def format_float(x):
+    """``%.17g``: the text survives ``float()`` exactly."""
+    return "%.17g" % float(x)
+
+
+def _record_row(rec):
+    vals = [rec.t, rec.mass, rec.energy_total]
+    for key in ("kinetic", "elastic", "artificial", "frank", "penalty",
+                "thermal"):
+        vals.append(rec.energy_parts[key])
+    for key in ("viscous", "director", "thermal_sink", "density"):
+        vals.append(rec.dissipation_parts[key])
+    vals += [rec.entropy_total, rec.entropy_production_min,
+             rec.director_sup, rec.pressure_weight_increment]
+    return vals
+
+
+def csv_header(res_ids=()):
+    """Version line and column names, with one ``res_<id>`` column per
+    renormalization id."""
+    names = list(CSV_COLUMNS) + [f"res_{b}" for b in res_ids]
+    return f"# nlcflow-csv v{CSV_VERSION}\n" + ",".join(names) + "\n"
+
+
+def csv_line(rec, residuals=()):
+    """The row of one record, followed by its residual values."""
+    return ",".join(format_float(v)
+                    for v in _record_row(rec) + list(residuals)) + "\n"
 
 
 # ---------------------------------------------------------------------------

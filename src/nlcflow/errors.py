@@ -38,11 +38,18 @@ class NonPositiveTemperature(NonPositiveInput):
 class SolverFailure(FlowError):
     """Base class for time-stepping failures.  One raised inside the time
     loop carries the index ``step`` of the step it ended, named in its
-    message (the run's first step is 1)."""
+    message (the run's first step is 1).  One raised inside a continuation
+    study also carries ``entry``, the schedule entry it ended, named at the
+    end of its message."""
 
     step = None
+    entry = None
 
     def __str__(self):
+        msg = self._what()
+        return msg if self.entry is None else f"{msg}, in {self.entry}"
+
+    def _what(self):
         msg = super().__str__()
         return msg if self.step is None else f"{msg} (step {self.step})"
 
@@ -69,9 +76,9 @@ class StepFailure(SolverFailure):
         self.t, self.dt = t, dt
         super().__init__(what)
 
-    def __str__(self):
+    def _what(self):
         if self.t is None:
-            return super().__str__()
+            return super()._what()
         step = "the step" if self.step is None else f"step {self.step}"
         return (f"{self.what} of {step} from t={self.t:.17g} "
                 f"with dt={self.dt:.17g}")

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from nlcflow import cli
+from nlcflow import config as cf
 from nlcflow import constitutive as cst
 from nlcflow import continuation as ct
 from nlcflow import diagnostics as dg
@@ -299,22 +300,23 @@ def test_criterion_07_mms_convergence(capsys):
 def test_criterion_08_continuation_bounds(capsys):
     t0 = time.perf_counter()
 
-    def plan(schedule):
-        return ct.ContinuationPlan(
-            grid=Grid((32, 32), (2.0, 2.0)), phys=P,
-            solver=sv.SolverConfig(dt=1e-3, t_end=0.02),
-            schedule=schedule,
-            initial=lambda g: presets.build("density-bump", g, amplitude=0.4))
+    def study(name, eps, delta):
+        cfg = cf.parse_config_text(
+            "grid.dim = 2\ngrid.shape = 32\nsolver.dt = 1e-3\n"
+            "solver.t_end = 0.02\ninit.preset = density-bump\n"
+            f"init.amplitude = 0.4\ncontinuation.study = {name}\n"
+            f"continuation.n = 8\ncontinuation.eps = {eps}\n"
+            f"continuation.delta = {delta}\n")
+        raw = presets.build("density-bump", cfg.grid, amplitude=0.4)
+        return ct.run_study(cfg, raw)
 
-    visc = ct.run_viscosity_vanishing(
-        plan([(8, 1e-1, 1e-3), (8, 5e-2, 1e-3), (8, 2.5e-2, 1e-3)]))
-    grad_spread = visc.uniform_bounds["eps_grad_rho_sq_spread"]
+    visc = study("viscosity", "1e-1,5e-2,2.5e-2", "1e-3")
+    grad_spread = visc["uniform_bounds"]["eps_grad_rho_sq_spread"]
 
-    pres = ct.run_pressure_vanishing(
-        plan([(8, 1e-3, 1e-2), (8, 1e-3, 1e-3), (8, 1e-3, 1e-4)]))
-    beta_vals = [r["delta_rho_beta"] for r in pres.runs]
+    pres = study("pressure", "1e-3", "1e-2,1e-3,1e-4")
+    beta_vals = [r["delta_rho_beta"] for r in pres["runs"]]
     strictly_down = all(b < a for a, b in zip(beta_vals, beta_vals[1:]))
-    theta_spread = pres.uniform_bounds["theta_norm_spread"]
+    theta_spread = pres["uniform_bounds"]["theta_norm_spread"]
     elapsed = time.perf_counter() - t0
     ok = (grad_spread < 10.0 and strictly_down and theta_spread <= 2.0
           and elapsed < 900.0)

@@ -4,12 +4,14 @@ import functools
 import json
 import math
 import os
+import shutil
 import weakref
 
 import numpy as np
 import pytest
 
 from nlcflow import cli
+from nlcflow import diagnostics as dg
 from nlcflow.fields import Grid
 from nlcflow.solver import State
 
@@ -70,6 +72,14 @@ def test_run_success(tmp_path):
     "solver.dealias = false\n",
     "solver.dealias = off\n",
     "solver.dealias = 0\n",
+    pytest.param("continuation.study = viscosity\n"
+                 "continuation.eps = 1e-2,1e-1\n",
+                 id="viscosity-eps-increasing"),
+    pytest.param("continuation.study = pressure\n"
+                 "continuation.delta = 1e-4,1e-2\n",
+                 id="pressure-delta-increasing"),
+    pytest.param("continuation.n = ,\ncontinuation.eps = ,\n"
+                 "continuation.delta = ,\n", id="empty-schedule"),
 ])
 def test_bad_config_exits_2(tmp_path, text, capsys):
     """A rejected config exits 2, and its message names one of the keys
@@ -164,14 +174,14 @@ def test_csv_columns_and_lossless_round_trip(tmp_path):
     assert cli.main(["run", cfg]) == 0
     path = tmp_path / "out" / "diagnostics.csv"
     names, rows = read_csv(str(path))
-    assert tuple(names[:len(cli._CSV_COLUMNS)]) == cli._CSV_COLUMNS
-    assert names[len(cli._CSV_COLUMNS):] == ["res_identity", "res_T2"]
+    assert tuple(names[:len(dg.CSV_COLUMNS)]) == dg.CSV_COLUMNS
+    assert names[len(dg.CSV_COLUMNS):] == ["res_identity", "res_T2"]
     # every text cell survives float() -> %.17g exactly
     body = [ln for ln in path.read_text().splitlines()
             if ln and not ln.startswith("#")]
     for line in body[1:]:
         for cell in line.split(","):
-            assert cli._fmt(float(cell)) == cell
+            assert dg.format_float(float(cell)) == cell
 
 
 def test_rerun_outputs_byte_identical(tmp_path):
@@ -399,6 +409,71 @@ def test_continuation_command_outputs(tmp_path):
     assert len(doc["runs"]) == 2
     assert (tmp_path / "cont" / "run_00.csv").exists()
     assert (tmp_path / "cont" / "run_01.csv").exists()
+
+
+CONT_CFG = """\
+grid.dim = 2
+grid.shape = 16
+solver.t_end = 5e-3
+init.preset = density-bump
+init.amplitude = 0.4
+continuation.study = pressure
+continuation.n = 6
+continuation.eps = 1e-3
+continuation.delta = 1e-2,1e-3
+output.dir = {out}
+"""
+
+
+def _tree_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_continuation_rerun_outputs_byte_identical(tmp_path, capsys):
+    """A two-entry study rerun into a fresh directory writes the same
+    ``config.resolved``, ``report.json``, ``run_XX.csv`` and stdout."""
+    cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
+    seen = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert cli.main(["continuation", cfg]) == 0
+        seen.append((_tree_bytes(tmp_path / "c"), capsys.readouterr().out))
+        shutil.rmtree(tmp_path / "c")
+    assert sorted(seen[0][0]) == ["config.resolved", "report.json",
+                                  "run_00.csv", "run_01.csv"]
+    assert seen[0] == seen[1]
+
+
+def test_continuation_failure_names_its_entry(tmp_path, capsys,
+                                              monkeypatch):
+    """A solver failure on the first step of schedule entry 1 exits 3 with
+    a message that names the entry and its delta besides the step, t and
+    dt.  The files written before it, ``config.resolved`` and
+    ``run_00.csv``, are the unfailed study's, and no report is written."""
+    from nlcflow import solver as sv
+    from nlcflow.errors import NonFiniteState
+    cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
+    monkeypatch.setenv("SOLVE_OUT", str(tmp_path / "whole"))
+    assert cli.main(["continuation", cfg]) == 0
+    step = sv.step_coupled
+
+    def failing(s, reg, cfg, p, *args):
+        if reg.delta == 1e-3:
+            raise NonFiniteState("director", t=s.t, dt=cfg.dt)
+        return step(s, reg, cfg, p, *args)
+
+    monkeypatch.setattr(sv, "step_coupled", failing)
+    monkeypatch.setenv("SOLVE_OUT", str(tmp_path / "broken"))
+    capsys.readouterr()
+    assert cli.main(["continuation", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: NonFiniteState" in err
+    assert "step 1 from t=0 with dt=0.001" in err
+    assert "schedule entry 1 (n=6, eps=0.001, delta=0.001)" in err
+    for name in ("config.resolved", "run_00.csv"):
+        assert (tmp_path / "broken" / name).read_bytes() \
+            == (tmp_path / "whole" / name).read_bytes()
+    assert not (tmp_path / "broken" / "report.json").exists()
 
 
 def test_mms_command_spatial_order(tmp_path):

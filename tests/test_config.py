@@ -90,6 +90,15 @@ def test_beta_below_floor_rejected():
     "output.residuals = identity,T0\n",
     "continuation.study = unknown\n",
     "continuation.eps = 1e-1,1e-2\ncontinuation.delta = 1,2,3\n",
+    pytest.param("continuation.study = viscosity\n"
+                 "continuation.eps = 1e-2,1e-1\n",
+                 id="viscosity-eps-increasing"),
+    pytest.param("continuation.study = pressure\n"
+                 "continuation.delta = 1e-4,1e-2\n",
+                 id="pressure-delta-increasing"),
+    pytest.param("continuation.n = ,\ncontinuation.eps = ,\n"
+                 "continuation.delta = ,\n", id="empty-schedule"),
+    "continuation.eps = -1e-2\n",
     "mms.resolutions = 4,8\n",
     "mms.dts = 0\n",
     "mms.dts = 2e-3,2e-3\n",

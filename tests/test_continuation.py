@@ -2,31 +2,43 @@
 
 import json
 import math
+import os
 
-import numpy as np
 import pytest
 
+from nlcflow import config as cf
 from nlcflow import continuation as ct
+from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
-from nlcflow.errors import MismatchedSnapshots, ValidationError
+from nlcflow.errors import MismatchedSnapshots
 from nlcflow.fields import Grid
-from nlcflow.params import PhysParams
 
-from conftest import equilibrium_state
-
-
-P = PhysParams()
+from conftest import equilibrium_state, read_csv
 
 
-def _plan(schedule, t_end=0.01, preset="density-bump", amplitude=0.4,
-          dt=1e-3, shape=(32, 32), snapshot_times=()):
-    grid = Grid(shape, (2.0,) * len(shape))
-    return ct.ContinuationPlan(
-        grid=grid, phys=P, solver=sv.SolverConfig(dt=dt, t_end=t_end),
-        schedule=schedule,
-        initial=lambda g: presets.build(preset, g, amplitude=amplitude),
-        snapshot_times=snapshot_times)
+def _study(study, schedule, t_end=0.01, preset="density-bump",
+           amplitude=0.4, dt=1e-3, shape=(32, 32), snapshot_times=(),
+           csv_dir=None):
+    """The report of ``study`` along ``schedule``, run the way
+    ``solve continuation`` runs it: from a parsed config and a raw
+    preset."""
+    def listed(values):
+        return ",".join(repr(v) for v in values)
+
+    n, eps, delta = zip(*schedule)
+    text = (f"grid.dim = {len(shape)}\ngrid.shape = {listed(shape)}\n"
+            f"solver.dt = {dt!r}\nsolver.t_end = {t_end!r}\n"
+            f"init.preset = {preset}\ninit.amplitude = {amplitude!r}\n"
+            f"continuation.study = {study}\n"
+            f"continuation.n = {listed(n)}\n"
+            f"continuation.eps = {listed(eps)}\n"
+            f"continuation.delta = {listed(delta)}\n")
+    if snapshot_times:
+        text += f"continuation.snapshots = {listed(snapshot_times)}\n"
+    cfg = cf.parse_config_text(text)
+    raw = presets.build(preset, cfg.grid, amplitude=amplitude)
+    return ct.run_study(cfg, raw, csv_dir)
 
 
 def _assert_finite(obj):
@@ -41,102 +53,80 @@ def _assert_finite(obj):
 
 
 # ---------------------------------------------------------------------------
-# plan validation
-# ---------------------------------------------------------------------------
-
-def test_empty_schedule_rejected():
-    with pytest.raises(ValidationError):
-        _plan([]).validate()
-
-
-def test_bad_schedule_entry_rejected():
-    with pytest.raises(ValidationError):
-        _plan([(8, 1e-2)]).validate()
-
-
-def test_increasing_eps_rejected_for_viscosity_study():
-    plan = _plan([(8, 1e-2, 1e-3), (8, 1e-1, 1e-3)])
-    with pytest.raises(ValidationError):
-        ct.run_viscosity_vanishing(plan)
-
-
-def test_increasing_delta_rejected_for_pressure_study():
-    plan = _plan([(8, 1e-3, 1e-4), (8, 1e-3, 1e-2)])
-    with pytest.raises(ValidationError):
-        ct.run_pressure_vanishing(plan)
-
-
-# ---------------------------------------------------------------------------
 # study reports
 # ---------------------------------------------------------------------------
 
 def test_repeated_schedule_identical_runs():
-    plan = _plan([(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)], t_end=5e-3)
-    report = ct.run_galerkin_refinement(plan)
-    a, b = report.runs
+    report = _study("galerkin", [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)],
+                    t_end=5e-3)
+    a, b = report["runs"]
     assert a == b
-    for row in report.distances:
+    for row in report["distances"]:
         assert row["rho_l1"] == 0.0
         assert row["u_l2"] == 0.0
         assert row["theta_l2"] == 0.0
         assert row["d_h1"] == 0.0
 
 
-def test_galerkin_refinement_self_convergence():
-    plan = ct.ContinuationPlan(
-        grid=Grid((32, 32), (2.0, 2.0)), phys=P,
-        solver=sv.SolverConfig(dt=1e-3, t_end=0.02),
-        schedule=[(4, 1e-2, 1e-3), (8, 1e-2, 1e-3), (16, 1e-2, 1e-3)],
-        initial=lambda g: presets.build("director-twist", g, amplitude=0.6))
-    report = ct.run_galerkin_refinement(plan)
-    gaps = [row["u_l2"] for row in report.distances]
+def test_galerkin_refinement_self_convergence(tmp_path):
+    report = _study("galerkin",
+                    [(4, 1e-2, 1e-3), (8, 1e-2, 1e-3), (16, 1e-2, 1e-3)],
+                    t_end=0.02, preset="director-twist", amplitude=0.6,
+                    csv_dir=str(tmp_path))
+    gaps = [row["u_l2"] for row in report["distances"]]
     assert gaps[1] < gaps[0]
-    assert report.uniform_bounds["energy_max_ratio"] <= 1.0 + 1e-6
-    assert len(report.run_records) == 3
+    assert report["uniform_bounds"]["energy_max_ratio"] <= 1.0 + 1e-6
+    # each run streamed its rows: the initial state and 20 steps
+    assert sorted(os.listdir(tmp_path)) == [
+        "run_00.csv", "run_01.csv", "run_02.csv"]
+    for i, run in enumerate(report["runs"]):
+        names, rows = read_csv(str(tmp_path / ("run_%02d.csv" % i)))
+        assert tuple(names) == dg.CSV_COLUMNS
+        assert len(rows) == run["steps"] + 1 == 21
+        assert rows[-1][0] == run["final_time"]
 
 
 def test_viscosity_family_bounds_and_decay():
-    plan = _plan([(8, 1e-1, 1e-3), (8, 5e-2, 1e-3), (8, 2.5e-2, 1e-3)])
-    report = ct.run_viscosity_vanishing(plan)
-    assert report.uniform_bounds["eps_grad_rho_sq_spread"] < 10.0
-    assert report.decay["eps_lap_rho"]["nonincreasing_5pct"]
-    assert report.uniform_bounds["energy_max_ratio"] <= 1.0 + 1e-6
+    report = _study("viscosity",
+                    [(8, 1e-1, 1e-3), (8, 5e-2, 1e-3), (8, 2.5e-2, 1e-3)])
+    assert report["uniform_bounds"]["eps_grad_rho_sq_spread"] < 10.0
+    assert report["decay"]["eps_lap_rho"]["nonincreasing_5pct"]
+    assert report["uniform_bounds"]["energy_max_ratio"] <= 1.0 + 1e-6
     # pressure-weight functional is reported for every run
-    assert all(r["pressure_weight"] > 0 for r in report.runs)
+    assert all(r["pressure_weight"] > 0 for r in report["runs"])
 
 
 def test_viscosity_eps_zero_terms_vanish():
-    plan = _plan([(6, 0.0, 1e-3)], t_end=2e-3, shape=(16, 16))
-    report = ct.run_viscosity_vanishing(plan)
-    (run,) = report.runs
+    report = _study("viscosity", [(6, 0.0, 1e-3)], t_end=2e-3,
+                    shape=(16, 16))
+    (run,) = report["runs"]
     assert run["eps_grad_rho_sq"] == 0.0
     assert run["eps_lap_rho"] == 0.0
-    assert math.isfinite(report.uniform_bounds["eps_grad_rho_sq_spread"])
+    assert math.isfinite(report["uniform_bounds"]["eps_grad_rho_sq_spread"])
 
 
 def test_pressure_family_decay():
-    plan = _plan([(8, 1e-3, 1e-2), (8, 1e-3, 1e-3), (8, 1e-3, 1e-4)])
-    report = ct.run_pressure_vanishing(plan)
-    vals = report.decay["delta_rho_beta"]["values"]
+    report = _study("pressure",
+                    [(8, 1e-3, 1e-2), (8, 1e-3, 1e-3), (8, 1e-3, 1e-4)])
+    vals = report["decay"]["delta_rho_beta"]["values"]
     assert vals[0] > vals[1] > vals[2] > 0
-    assert report.decay["delta_theta_pow"]["nonincreasing_5pct"]
-    assert report.uniform_bounds["theta_norm_spread"] < 2.0
-    for row in report.distances:
+    assert report["decay"]["delta_theta_pow"]["nonincreasing_5pct"]
+    assert report["uniform_bounds"]["theta_norm_spread"] < 2.0
+    for row in report["distances"]:
         assert row["rho_oscillation"] >= 0.0
 
 
 def test_pressure_delta_zero_terms_vanish():
-    plan = _plan([(6, 1e-3, 0.0)], t_end=2e-3, shape=(16, 16))
-    report = ct.run_pressure_vanishing(plan)
-    (run,) = report.runs
+    report = _study("pressure", [(6, 1e-3, 0.0)], t_end=2e-3,
+                    shape=(16, 16))
+    (run,) = report["runs"]
     assert run["delta_rho_beta"] == 0.0
     assert run["delta_theta_pow"] == 0.0
 
 
 def test_report_json_shape_and_finiteness():
-    plan = _plan([(8, 1e-1, 1e-3), (8, 5e-2, 1e-3)], t_end=5e-3)
-    report = ct.run_viscosity_vanishing(plan)
-    doc = report.to_json()
+    doc = _study("viscosity", [(8, 1e-1, 1e-3), (8, 5e-2, 1e-3)],
+                 t_end=5e-3)
     assert set(doc) == {"study", "runs", "uniform_bounds", "decay",
                         "distances"}
     _assert_finite(doc)
@@ -146,18 +136,15 @@ def test_report_json_shape_and_finiteness():
 
 
 def test_reports_are_deterministic():
-    plan = _plan([(8, 1e-2, 1e-3)], t_end=5e-3)
-    a = ct.run_galerkin_refinement(plan).to_json()
-    b = ct.run_galerkin_refinement(_plan([(8, 1e-2, 1e-3)],
-                                         t_end=5e-3)).to_json()
+    a = _study("galerkin", [(8, 1e-2, 1e-3)], t_end=5e-3)
+    b = _study("galerkin", [(8, 1e-2, 1e-3)], t_end=5e-3)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_snapshot_times_selected():
-    plan = _plan([(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)], t_end=0.01,
-                 snapshot_times=(0.005, 0.01))
-    report = ct.run_galerkin_refinement(plan)
-    times = sorted({row["t"] for row in report.distances})
+    report = _study("galerkin", [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)],
+                    t_end=0.01, snapshot_times=(0.005, 0.01))
+    times = sorted({row["t"] for row in report["distances"]})
     assert times == pytest.approx([0.005, 0.01])
 
 
