@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import config as cf
 from . import continuation as ct
 from . import diagnostics as dg
@@ -21,8 +23,8 @@ from . import presets
 from . import solver as sv
 from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
     SolverFailure, ValidationError
-from .fields import dirichlet, neumann, read_fields, write_constant_field, \
-    write_field
+from .fields import GALERKIN, dirichlet, neumann, read_fields, \
+    write_constant_field, write_field, write_table
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +33,9 @@ from .fields import dirichlet, neumann, read_fields, write_constant_field, \
 
 def write_snapshot(path, s):
     """One state as a plain-text multi-field snapshot (plus a constant
-    ``time`` field carrying t)."""
+    ``time`` field carrying t).  A state with a solver history ends with it
+    as a ``history`` table: one row per level, newest first, each the
+    level's dt followed by its flattened Galerkin coefficients."""
     cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
     with open(path, "w", encoding="utf-8") as fh:
         write_constant_field(fh, "time", s.grid, s.t)
@@ -41,11 +45,15 @@ def write_snapshot(path, s):
         write_field(fh, "theta", s.theta, cos)
         for k in range(3):
             write_field(fh, f"d{k}", s.d[k], cos)
+        if s.history:
+            write_table(fh, "history", [np.concatenate(([dt], U.ravel()))
+                                        for dt, U in s.history])
 
 
 def read_snapshot(path, grid):
-    """The State stored by :func:`write_snapshot`.  Each field's stored
-    parity must be the one the state layout gives it (ParityMismatch)."""
+    """The State stored by :func:`write_snapshot`, with its history when
+    the file has one.  Each field's stored parity must be the one the
+    state layout gives it (ParityMismatch)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             fields = read_fields(fh, grid)
@@ -67,7 +75,20 @@ def read_snapshot(path, grid):
     return sv.State(
         grid, float(values["time"].flat[0]), values["rho"],
         [values[f"u{c}"] for c in range(grid.dim)], values["theta"],
-        [values[f"d{k}"] for k in range(3)])
+        [values[f"d{k}"] for k in range(3)],
+        _read_history(path, fields.get("history"), grid.dim))
+
+
+def _read_history(path, block, dim):
+    """The ``(dt, U)`` levels of a snapshot's ``history`` table, each U of
+    shape (n, dim); ``()`` when the file has none."""
+    if block is None:
+        return ()
+    kind, rows = block
+    if kind != GALERKIN or (rows.shape[1] - 1) % dim:
+        raise IOFailure(f"snapshot {path!r}: history is not a table of dt "
+                        f"and {dim}-component Galerkin coefficients")
+    return tuple((float(row[0]), row[1:].reshape(-1, dim)) for row in rows)
 
 
 # ---------------------------------------------------------------------------

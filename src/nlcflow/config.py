@@ -198,6 +198,17 @@ def _coerce(pairs):
     return values
 
 
+def _validated(section, params, **kwargs):
+    """``params.validate(**kwargs)``, its error naming the dotted config
+    key: every validate message of PhysParams, RegParams and SolverConfig
+    begins with the field it rejects, which is the key after
+    ``section.``."""
+    try:
+        return params.validate(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{section}.{exc}") from None
+
+
 def _build(values):
     dim = values["grid.dim"]
     shape = values["grid.shape"]
@@ -216,22 +227,22 @@ def _build(values):
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
-    phys = PhysParams(
+    phys = _validated("phys", PhysParams(
         mu=values["phys.mu"], lam=values["phys.lam"],
         gamma=values["phys.gamma"], gas_const=values["phys.gas_const"],
         cond_floor=values["phys.cond_floor"],
         cond_growth=values["phys.cond_growth"],
         penalty_scale=values["phys.penalty_scale"],
         elastic_coupling=values["phys.elastic_coupling"],
-        relax_rate=values["phys.relax_rate"]).validate()
-    reg = RegParams(
+        relax_rate=values["phys.relax_rate"]))
+    reg = _validated("reg", RegParams(
         eps=values["reg.eps"], delta=values["reg.delta"],
-        beta=values["reg.beta"], n_modes=values["reg.n_modes"],
-    ).validate(gamma=phys.gamma)
-    solver = SolverConfig(
+        beta=values["reg.beta"], n_modes=values["reg.n_modes"]),
+        gamma=phys.gamma)
+    solver = _validated("solver", SolverConfig(
         dt=values["solver.dt"], t_end=values["solver.t_end"],
         picard_tol=values["solver.picard_tol"],
-        picard_max=values["solver.picard_max"]).validate()
+        picard_max=values["solver.picard_max"]))
 
     preset = values["init.preset"]
     if values["init.snapshot"] is None and preset not in PRESETS:

@@ -393,7 +393,21 @@ def evaluate(grid, values, parity, axis_coords):
 
 # ---------------------------------------------------------------------------
 # snapshot format
+#
+# A snapshot is plain text: a sequence of blocks, each a header line
+# ``FIELD <name> <kind> <dims...>`` followed by rows of ``%.17g`` values, one
+# row per index along the first dimension, so every float round-trips
+# exactly.  ``<kind>`` is the parity of a nodal field on the grid,
+# ``neumann`` (all-cosine) or ``dirichlet`` (all-sine), whose dims are the
+# grid's shape; or ``galerkin`` for a table that lives off the grid, whose
+# two dims are its row and column counts.  ``nlcflow.cli.write_snapshot``
+# writes the state's nodal fields and, after them, the solver's history as
+# one ``galerkin`` table; a file without that table (as written before the
+# history existed, or for a state with no past) still reads.
 # ---------------------------------------------------------------------------
+
+GALERKIN = "galerkin"
+
 
 def _parity_token(parity):
     kinds = set(parity)
@@ -404,19 +418,30 @@ def _parity_token(parity):
     raise ParityMismatch("only uniform-parity fields are serialized")
 
 
-def _field_header(name, parity, shape):
+def _header(name, kind, shape):
     dims = " ".join(str(n) for n in shape)
-    return f"FIELD {name} {_parity_token(parity)} {dims}\n"
+    return f"FIELD {name} {kind} {dims}\n"
+
+
+def _write_values(fh, name, kind, values):
+    """A header line, then one line of ``%.17g`` values per index along the
+    first axis, all formatted by a single ``%`` operation."""
+    shape = values.shape
+    row = " ".join(["%.17g"] * (values.size // shape[0])) + "\n"
+    fh.write(_header(name, kind, shape))
+    fh.write((row * shape[0]) % tuple(values.ravel().tolist()))
 
 
 def write_field(fh, name, values, parity):
     """Append one nodal array of uniform parity in the plain-text snapshot
-    format: a header line, then one line of ``%.17g`` values per index along
-    the first axis, all formatted by a single ``%`` operation."""
-    shape = values.shape
-    row = " ".join(["%.17g"] * (values.size // shape[0])) + "\n"
-    fh.write(_field_header(name, parity, shape))
-    fh.write((row * shape[0]) % tuple(values.ravel().tolist()))
+    format."""
+    _write_values(fh, name, _parity_token(parity), values)
+
+
+def write_table(fh, name, rows):
+    """Append a 2-D array that lives off the grid as a ``galerkin`` table,
+    one line per row."""
+    _write_values(fh, name, GALERKIN, np.asarray(rows, dtype=np.float64))
 
 
 def write_constant_field(fh, name, grid, value):
@@ -424,13 +449,15 @@ def write_constant_field(fh, name, grid, value):
     bytes :func:`write_field` writes for ``np.full(grid.shape, value)``."""
     shape = grid.shape
     row = " ".join(["%.17g" % float(value)] * (math.prod(shape) // shape[0]))
-    fh.write(_field_header(name, neumann(grid.dim), shape))
+    fh.write(_header(name, _parity_token(neumann(grid.dim)), shape))
     fh.write((row + "\n") * shape[0])
 
 
 def read_fields(fh, grid):
-    """Read every field from a snapshot stream; returns {name: (parity,
-    nodal array)} with the parity tuple its header declares."""
+    """Read every block from a snapshot stream; returns {name: (kind,
+    array)}, where ``kind`` is the parity tuple a nodal field's header
+    declares (its array has the grid's shape) or :data:`GALERKIN` for a
+    table (its array has the header's row and column counts)."""
     out = {}
     tokens = []
     header = None
@@ -439,19 +466,19 @@ def read_fields(fh, grid):
         nonlocal tokens, header
         if header is None:
             return
-        name, parity, shape = header
+        name, kind, shape = header
         count = int(np.prod(shape))
         if len(tokens) != count:
             raise IOFailure(
                 f"field {name!r}: expected {count} values, found {len(tokens)}"
             )
-        if tuple(shape) != grid.shape:
+        if kind != GALERKIN and tuple(shape) != grid.shape:
             raise IOFailure(f"field {name!r}: shape {shape} does not match grid")
         try:
-            values = np.array([float(t) for t in tokens]).reshape(grid.shape)
+            values = np.array([float(t) for t in tokens]).reshape(shape)
         except ValueError as exc:
             raise IOFailure(f"field {name!r}: corrupt value ({exc})") from exc
-        out[name] = (parity, values)
+        out[name] = (kind, values)
         tokens = []
         header = None
 
@@ -462,11 +489,13 @@ def read_fields(fh, grid):
         if line.startswith("FIELD "):
             flush()
             parts = line.split()
-            if len(parts) < 4 or parts[2] not in _PARITY_TOKEN:
+            table = len(parts) == 5 and parts[2] == GALERKIN
+            if len(parts) < 4 or not (table or parts[2] in _PARITY_TOKEN):
                 raise IOFailure(f"bad snapshot header: {line!r}")
             shape = tuple(int(p) for p in parts[3:])
-            parity = (_PARITY_TOKEN[parts[2]],) * len(shape)
-            header = (parts[1], parity, shape)
+            kind = GALERKIN if table else \
+                (_PARITY_TOKEN[parts[2]],) * len(shape)
+            header = (parts[1], kind, shape)
         else:
             if header is None:
                 raise IOFailure(f"values before any FIELD header: {line[:40]!r}")

@@ -79,6 +79,22 @@ def test_beta_below_floor_rejected():
     assert "beta" in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    "phys.mu = 0", "phys.lam = -1", "phys.gamma = 1.2", "phys.gas_const = 0",
+    "phys.cond_floor = 0", "phys.cond_growth = 1", "phys.penalty_scale = 0",
+    "phys.elastic_coupling = 0", "phys.relax_rate = 0", "reg.eps = -1",
+    "reg.delta = 2", "reg.beta = 3", "reg.n_modes = 0", "solver.dt = 0",
+    "solver.t_end = -1", "solver.picard_tol = 0", "solver.picard_max = 0",
+])
+def test_parameter_errors_name_their_config_key(line):
+    """A rejected physical, regularization or solver parameter is named by
+    its dotted config key, not by its bare field name."""
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValidationError) as err:
+        cf.parse_config_text(line + "\n")
+    assert str(err.value).startswith(key + " ")
+
+
 @pytest.mark.parametrize("text", [
     "grid.dim = 3\n",
     "grid.dim = 2\ngrid.shape = 48\n",

@@ -444,6 +444,28 @@ def test_snapshot_round_trip():
     assert loaded["rho"][0] == fields.neumann(2)
 
 
+def test_snapshot_table_round_trip():
+    """A ``galerkin`` table lives off the grid: it keeps its own row and
+    column counts, and only its header kind exempts it from the grid-shape
+    check."""
+    g = grid2()
+    f = random_field(g, fields.neumann(2))
+    table = np.random.default_rng(5).standard_normal((2, 17))
+    table[0, 0] = SPECIAL_VALUES[7]
+    buf = io.StringIO()
+    fields.write_field(buf, "rho", f, fields.neumann(2))
+    fields.write_table(buf, "history", table)
+    text = buf.getvalue()
+    assert "FIELD history galerkin 2 17\n" in text
+    loaded = fields.read_fields(io.StringIO(text), g)
+    assert loaded["history"][0] == fields.GALERKIN
+    assert np.array_equal(loaded["history"][1], table)
+    assert np.array_equal(loaded["rho"][1], f)
+    with pytest.raises(IOFailure, match="does not match grid"):
+        fields.read_fields(io.StringIO(text.replace(
+            "history galerkin 2 17", "history neumann 2 17")), g)
+
+
 def test_snapshot_corruption_raises():
     g = grid1()
     f = random_field(g, fields.neumann(1))

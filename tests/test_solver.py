@@ -668,6 +668,146 @@ def test_sweep_is_last_rule():
     assert not sv._sweep_is_last([2e-3, 2e-5], tol)   # 4e-10 > 2e-12
 
 
+# ---------------------------------------------------------------------------
+# velocity predictor
+# ---------------------------------------------------------------------------
+
+def _twist_start(grid):
+    """A 32^2 ``director-twist`` start with n = 8 Galerkin modes."""
+    from nlcflow import presets
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    raw = presets.build("director-twist", grid, amplitude=0.6)
+    return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
+                                      raw.theta, raw.d, reg), reg
+
+
+def _third_state(grid):
+    """The state after two dt = 1e-3 steps, whose history predicts the
+    third step."""
+    s, reg = _twist_start(grid)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    for _ in range(2):
+        s, _ = sv.step_coupled(s, reg, cfg, PhysParams())
+    return s, reg
+
+
+def _plain(s):
+    return sv.State(s.grid, s.t, s.rho, s.u, s.theta, s.d)
+
+
+def _same_state(a, b):
+    return a.t == b.t and all(np.array_equal(getattr(a, f), getattr(b, f))
+                              for f in ("rho", "u", "theta", "d"))
+
+
+def test_history_keeps_two_levels_newest_first(grid2d):
+    """Each step hands its new state the Galerkin coefficients of the
+    state it started from, and keeps one level of the old history."""
+    s0, reg = _twist_start(grid2d)
+    basis = sv.GalerkinBasis(grid2d, reg.n_modes)
+    states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
+                                                         t_end=3e-3),
+                                PhysParams())
+    assert states[0].history == ()
+    for k in (1, 2, 3):
+        levels = states[k].history
+        assert len(levels) == min(k, 2)
+        for j, (dt, U) in enumerate(levels):
+            assert dt == records[k - j].dt
+            assert np.array_equal(U, basis.project(states[k - 1 - j].u))
+
+
+def test_predicted_steps_take_two_sweeps(grid2d):
+    """Ten steps of a 32^2 ``director-twist`` run: every step from the
+    third on starts from the predictor, the last one (which lands on t_end
+    a few ulps short of dt) included, and the run averages at most 2.2
+    Picard sweeps per step, against 3 without the predictor."""
+    s0, reg = _twist_start(grid2d)
+    _, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1e-2),
+                           PhysParams())
+    records = records[1:]
+    assert len(records) == 10
+    assert [rec.predicted for rec in records] == [False] * 2 + [True] * 8
+    assert sum(rec.picard_iters for rec in records) / 10 <= 2.2
+    for rec in records:
+        assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
+
+
+def test_predicted_step_solves_loose_then_full(grid2d, monkeypatch):
+    """A predicted step solves its first sweep to the loose tolerance and
+    every later sweep to the full one."""
+    s, reg = _third_state(grid2d)
+    tols = []
+    pcg = sv._pcg
+
+    def spy_pcg(apply_op, precond, b, x0, tol, max_iter=400):
+        tols.append(tol)
+        return pcg(apply_op, precond, b, x0, tol, max_iter)
+
+    monkeypatch.setattr(sv, "_pcg", spy_pcg)
+    _, rec = sv.step_coupled(s, reg, sv.SolverConfig(dt=1e-3, t_end=1.0),
+                             PhysParams())
+    assert rec.predicted and rec.picard_iters == len(tols) >= 2
+    assert tols == [sv._INNER_TOL_LOOSE] + [sv._INNER_TOL] * (len(tols) - 1)
+
+
+@pytest.mark.parametrize("dt,t_end", [(2e-3, 1.0), (5e-4, 1.0),
+                                      (1e-3, "half")],
+                         ids=["longer-dt", "shorter-dt", "truncated-last"])
+def test_step_of_another_dt_is_not_predicted(grid2d, dt, t_end):
+    """A step whose dt is not the history's, such as a last step cut
+    short to land on t_end, starts from u^n: it is the step the same
+    state without history takes, bit for bit."""
+    s, reg = _third_state(grid2d)
+    if t_end == "half":
+        t_end = s.t + 5e-4
+    cfg = sv.SolverConfig(dt=dt, t_end=t_end)
+    s1, rec = sv.step_coupled(s, reg, cfg, PhysParams())
+    ref, ref_rec = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
+    assert not rec.predicted and rec.dt == ref_rec.dt
+    assert rec.picard_iters == ref_rec.picard_iters == 3
+    assert _same_state(s1, ref)
+
+
+def test_history_of_another_shape_is_ignored(grid2d):
+    """History levels whose coefficient arrays do not have the basis's
+    (n, dim) shape, as after a restart with other Galerkin modes, predict
+    nothing and are not carried forward."""
+    s, reg = _third_state(grid2d)
+    wide = tuple((dt, np.zeros((reg.n_modes + 1, grid2d.dim)))
+                 for dt, _ in s.history)
+    odd = sv.State(grid2d, s.t, s.rho, s.u, s.theta, s.d, wide)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    s1, rec = sv.step_coupled(odd, reg, cfg, PhysParams())
+    ref, _ = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
+    assert not rec.predicted
+    assert _same_state(s1, ref)
+    assert len(s1.history) == 1
+
+
+def test_predicted_positivity_loss_retries_at_the_same_dt(grid2d,
+                                                         monkeypatch):
+    """A predicted step whose first sweep loses positivity is retried once
+    from u^n at the same dt, so the prediction costs no halving."""
+    s, reg = _third_state(grid2d)
+    update = sv._density_update
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise PositivityLoss("density", "density undershoot -1")
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_density_update", failing_once)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    s1, rec = sv.step_coupled(s, reg, cfg, PhysParams())
+    monkeypatch.undo()
+    assert rec.halvings == 0 and rec.dt == cfg.dt and not rec.predicted
+    ref, _ = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
+    assert _same_state(s1, ref)
+
+
 def test_coupled_mass_conservation(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
