@@ -23,72 +23,126 @@ from . import presets
 from . import solver as sv
 from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
     SolverFailure, ValidationError
-from .fields import GALERKIN, dirichlet, neumann, read_fields, \
-    write_constant_field, write_field, write_table
 
 
 # ---------------------------------------------------------------------------
 # snapshots
+#
+# A snapshot is plain text: a sequence of blocks, each a header line
+# ``FIELD <name> <kind> <dims...>`` followed by rows of ``%.17g`` values, one
+# row per index along the first dimension, so every float round-trips
+# exactly.  ``<kind>`` is the parity of a nodal block, ``neumann``
+# (all-cosine) or ``dirichlet`` (all-sine), whose dims are the grid's shape;
+# or ``galerkin`` for a table that lives off the grid, whose two dims are its
+# row and column counts.  The nodal blocks come in the order of
+# :func:`_layout`: ``time`` (t at every node), then the state's arrays.  A
+# state with a solver history ends with it as the ``galerkin`` table
+# ``history``: one row per level, newest first, each the level's dt followed
+# by its flattened Galerkin coefficients.  A file without that table (as
+# written before the history existed, or for a state with no past) still
+# reads.
 # ---------------------------------------------------------------------------
 
+GALERKIN = "galerkin"
+
+
+def _layout(dim):
+    """``(name, kind)`` of each nodal block of a snapshot, in file order:
+    ``time``, then the state's arrays one component per block."""
+    return ([("time", "neumann"), ("rho", "neumann")]
+            + [(f"u{c}", "dirichlet") for c in range(dim)]
+            + [("theta", "neumann")]
+            + [(f"d{k}", "neumann") for k in range(3)])
+
+
+def _write_block(fh, name, kind, shape, values=(), cell="%.17g"):
+    """One block: its header, then a line of ``cell`` per index along the
+    first axis, the whole body formatted by a single ``%`` over ``values``.
+    A constant block passes its value already formatted as ``cell`` and no
+    values, so the value is formatted once."""
+    row = " ".join([cell] * (math.prod(shape) // shape[0])) + "\n"
+    fh.write(f"FIELD {name} {kind} {' '.join(map(str, shape))}\n")
+    fh.write((row * shape[0]) % tuple(values))
+
+
 def write_snapshot(path, s):
-    """One state as a plain-text multi-field snapshot (plus a constant
-    ``time`` field carrying t).  A state with a solver history ends with it
-    as a ``history`` table: one row per level, newest first, each the
-    level's dt followed by its flattened Galerkin coefficients."""
-    cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
+    """One state as a plain-text snapshot, its history last when it has
+    one."""
+    layout = _layout(s.grid.dim)
     with open(path, "w", encoding="utf-8") as fh:
-        write_constant_field(fh, "time", s.grid, s.t)
-        write_field(fh, "rho", s.rho, cos)
-        for c, comp in enumerate(s.u):
-            write_field(fh, f"u{c}", comp, sin)
-        write_field(fh, "theta", s.theta, cos)
-        for k in range(3):
-            write_field(fh, f"d{k}", s.d[k], cos)
+        _write_block(fh, *layout[0], s.grid.shape, cell="%.17g" % s.t)
+        for (name, kind), values in zip(layout[1:],
+                                        [s.rho, *s.u, s.theta, *s.d]):
+            _write_block(fh, name, kind, values.shape, values.ravel().tolist())
         if s.history:
-            write_table(fh, "history", [np.concatenate(([dt], U.ravel()))
-                                        for dt, U in s.history])
+            table = np.array([np.concatenate(([dt], U.ravel()))
+                              for dt, U in s.history])
+            _write_block(fh, "history", GALERKIN, table.shape,
+                         table.ravel().tolist())
+
+
+def _read_blocks(path, grid):
+    """Every block of a snapshot as ``{name: (kind, array)}``: a nodal
+    block's array has the grid's shape, a ``galerkin`` table the row and
+    column counts of its header.  Any malformed block is an IOFailure."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IOFailure(f"cannot read snapshot {path!r}: {exc}") from None
+    lead, *chunks = ("\n" + text).split("\nFIELD ")
+    if lead.strip():
+        raise IOFailure(f"snapshot {path!r}: values before any FIELD header")
+    blocks = {}
+    for chunk in chunks:
+        header, _, body = chunk.partition("\n")
+        try:
+            name, kind, *dims = header.split()
+            shape = tuple(int(n) for n in dims)
+            known = (kind in ("neumann", "dirichlet") and shape == grid.shape
+                     or kind == GALERKIN and len(shape) == 2
+                     and min(shape) >= 0)
+        except ValueError:
+            known = False
+        if not known:
+            raise IOFailure(
+                f"snapshot {path!r}: header {'FIELD ' + header.strip()!r} "
+                f"is neither a nodal block on the grid {grid.shape} nor a "
+                f"{GALERKIN} table")
+        try:    # a non-numeric value, or a count other than the header's
+            values = np.array(list(map(float, body.split()))).reshape(shape)
+        except ValueError as exc:
+            raise IOFailure(f"snapshot {path!r}: block {name!r}: {exc}") \
+                from None
+        blocks[name] = (kind, values)
+    return blocks
 
 
 def read_snapshot(path, grid):
     """The State stored by :func:`write_snapshot`, with its history when
-    the file has one.  Each field's stored parity must be the one the
-    state layout gives it (ParityMismatch)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            fields = read_fields(fh, grid)
-    except OSError as exc:
-        raise IOFailure(f"cannot read snapshot {path!r}: {exc}") from None
-    cos, sin = neumann(grid.dim), dirichlet(grid.dim)
-    layout = {"time": cos, "rho": cos, "theta": cos}
-    layout.update((f"u{c}", sin) for c in range(grid.dim))
-    layout.update((f"d{k}", cos) for k in range(3))
-    missing = [n for n in layout if n not in fields]
+    the file has one.  Each nodal block's stored kind must be the one
+    :func:`_layout` gives it (ParityMismatch)."""
+    blocks = _read_blocks(path, grid)
+    layout = _layout(grid.dim)
+    missing = [name for name, _ in layout if name not in blocks]
     if missing:
         raise IOFailure(f"snapshot {path!r} lacks fields {missing}")
-    for name, parity in layout.items():
-        if fields[name][0] != parity:
+    for name, kind in layout:
+        if blocks[name][0] != kind:
             raise ParityMismatch(
-                f"snapshot {path!r} stores {name} with parity "
-                f"{fields[name][0]}, the state needs {parity}")
-    values = {name: fields[name][1] for name in layout}
-    return sv.State(
-        grid, float(values["time"].flat[0]), values["rho"],
-        [values[f"u{c}"] for c in range(grid.dim)], values["theta"],
-        [values[f"d{k}"] for k in range(3)],
-        _read_history(path, fields.get("history"), grid.dim))
-
-
-def _read_history(path, block, dim):
-    """The ``(dt, U)`` levels of a snapshot's ``history`` table, each U of
-    shape (n, dim); ``()`` when the file has none."""
-    if block is None:
-        return ()
-    kind, rows = block
-    if kind != GALERKIN or (rows.shape[1] - 1) % dim:
-        raise IOFailure(f"snapshot {path!r}: history is not a table of dt "
-                        f"and {dim}-component Galerkin coefficients")
-    return tuple((float(row[0]), row[1:].reshape(-1, dim)) for row in rows)
+                f"snapshot {path!r} stores {name} as {blocks[name][0]}, "
+                f"the state needs {kind}")
+    time, rho, *rest = (blocks[name][1] for name, _ in layout)
+    dim, history = grid.dim, ()
+    if "history" in blocks:
+        kind, rows = blocks["history"]
+        if kind != GALERKIN or rows.shape[1] < 1 or (rows.shape[1] - 1) % dim:
+            raise IOFailure(f"snapshot {path!r}: history is not a table of "
+                            f"dt and {dim}-component Galerkin coefficients")
+        history = tuple((float(row[0]), row[1:].reshape(-1, dim))
+                        for row in rows)
+    return sv.State(grid, float(time.flat[0]), rho, rest[:dim], rest[dim],
+                    rest[dim + 1:], history)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +203,7 @@ def cmd_run(config_path):
     holds memory flat, and a failed run keeps every state before it."""
     cfg = cf.parse_config(config_path)
     out = _out_dir(cfg)
-    res_ids = list(dict.fromkeys(cfg.output.residuals)) \
-        if cfg.output.csv else []
+    res_ids = list(dict.fromkeys(cfg.output.residuals))
     cadence = cfg.output.cadence
     csv = battery = prev = None
     k = snapped = -1        # indices of ``prev`` and of the last snapshot
@@ -160,10 +213,9 @@ def cmd_run(config_path):
             if rec is None:
                 _write_text(os.path.join(out, "config.resolved"),
                             cf.serialize(cfg))
-                if cfg.output.csv:
-                    csv = open(os.path.join(out, "diagnostics.csv"), "w",
-                               encoding="utf-8")
-                    csv.write(dg.csv_header(res_ids))
+                csv = open(os.path.join(out, "diagnostics.csv"), "w",
+                           encoding="utf-8")
+                csv.write(dg.csv_header(res_ids))
                 if res_ids:
                     battery = dg.cosine_battery(s.grid)
                 residuals = [0.0] * len(res_ids)
@@ -174,9 +226,8 @@ def cmd_run(config_path):
                              for b in res_ids]
             last = dg.make_record(s, cfg.reg, cfg.phys,
                                   dt=None if rec is None else rec.dt)
-            if csv is not None:
-                csv.write(dg.csv_line(last, residuals))
-                csv.flush()
+            csv.write(dg.csv_line(last, residuals))
+            csv.flush()
             prev, k = s, k + 1
             if cadence > 0 and k % cadence == 0:
                 write_snapshot(os.path.join(out, "snap_%06d.dat" % k), s)
@@ -201,7 +252,7 @@ def cmd_continuation(config_path):
     out = _out_dir(cfg)
     raw = _initial_state(cfg)
     _write_text(os.path.join(out, "config.resolved"), cf.serialize(cfg))
-    report = ct.run_study(cfg, raw, csv_dir=out if cfg.output.csv else None)
+    report = ct.run_study(cfg, raw, csv_dir=out)
     _write_text(os.path.join(out, "report.json"),
                 json.dumps(report, indent=2, sort_keys=True) + "\n")
     for line in summarize_report(report):

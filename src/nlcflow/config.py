@@ -32,15 +32,6 @@ log = logging.getLogger("nlcflow.config")
 _TRUE = ("true", "yes", "on", "1")
 
 
-def _parse_bool(text):
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_int_list(text):
     return tuple(int(v.strip()) for v in text.split(",") if v.strip())
 
@@ -84,7 +75,6 @@ SCHEMA = {
     "init.theta_cap": (float, 10.0),
     "output.dir": (str, "out"),
     "output.cadence": (int, 0),
-    "output.csv": (_parse_bool, True),
     "output.residuals": (_parse_str_list, ("identity",)),
     "continuation.study": (str, "viscosity"),
     "continuation.n": (_parse_int_list, (8,)),
@@ -101,6 +91,8 @@ RETIRED = {
     "phys.cond_cap": ("no conductivity law reads it", lambda text: True),
     "solver.dealias": ("the 2/3 rule is the only scheme",
                        lambda text: text.lower() in _TRUE),
+    "output.csv": ("every run writes its diagnostics CSV",
+                   lambda text: text.lower() in _TRUE),
 }
 
 _SERIALIZE_VERSION = 1
@@ -121,7 +113,6 @@ class InitSpec:
 class OutputSpec:
     dir: str = "out"
     cadence: int = 0
-    csv: bool = True
     residuals: tuple = ("identity",)
 
 
@@ -272,7 +263,6 @@ def _build(values):
                 "renormalization id") from None
     output = OutputSpec(
         dir=values["output.dir"], cadence=values["output.cadence"],
-        csv=values["output.csv"],
         residuals=tuple(values["output.residuals"]))
 
     from .continuation import STUDIES

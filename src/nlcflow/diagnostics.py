@@ -9,7 +9,7 @@ residual is a genuine audit of the discrete inequality, small and one-sided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class DiagRecord:
     entropy_production_min: float
     director_sup: float
     pressure_weight_increment: float
-    renorm_residuals: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -588,18 +588,19 @@ def _checked_mass_matrix(basis, rho_values):
 # ---------------------------------------------------------------------------
 
 def _sweep_is_last(inc, tol):
-    """Whether the next sweep of an unpredicted step is expected to be the
-    last, from the relative velocity increments ``inc`` of the sweeps
-    before it: the last one met ``tol`` already, or the last two contract
-    fast enough that the next increment, extrapolated as
-    inc[-1]**2 / inc[-2], will.  Started from u^n, the increments of the
-    benchmark workloads run about 2e-3, 2e-7 and 2e-11, so such a step takes
-    3 sweeps and only the third is full.  A predicted step does not use
-    this rule: its first sweep is loose and every later one full (see
-    :func:`_picard_advance`)."""
-    if not inc:
-        return False
-    return inc[-1] <= tol or (len(inc) >= 2 and inc[-1] ** 2 <= tol * inc[-2])
+    """Whether the next sweep of a step is expected to be the last, from
+    the relative velocity increments ``inc`` of the sweeps before it: the
+    last one met ``tol`` already, or the increments contract fast enough
+    that the next one, extrapolated as inc[-1]**2 / inc[-2], will.  With
+    no increment yet the answer is no, and with one the increment before it
+    counts as 1, since increments are relative to max(|U|, 1).  Started
+    from u^n, the increments of the benchmark workloads run about 2e-3,
+    2e-7 and 2e-11, so such a step takes 3 sweeps and only the third is
+    full.  Started from the predictor, the first increment is at most
+    9e-7, whose square is below the default tol of 1e-9, so a predicted
+    step takes 2 sweeps and only the second is full."""
+    return bool(inc) and (inc[-1] <= tol or inc[-1] ** 2 <= tol * (
+        inc[-2] if len(inc) > 1 else 1.0))
 
 
 def _predicts(history, dt, shape):
@@ -630,12 +631,11 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     2e-7 to at most 1e-10, so a predicted step takes 2 sweeps.
 
     The heat and director solves of a sweep run to _INNER_TOL_LOOSE or to
-    _INNER_TOL.  A predicted step solves its first sweep loosely and every
-    later one fully; an unpredicted step solves fully the sweep
-    :func:`_sweep_is_last` expects to be the last.  The last sweep
-    ``picard_max`` allows is always full.  A sweep is accepted when its
-    velocity increment meets ``picard_tol`` and its inner solves reached
-    _INNER_TOL, so a loose sweep that converges is followed by a full one.
+    _INNER_TOL: fully for the sweep :func:`_sweep_is_last` expects to be
+    the last, predicted or not, and for the last sweep ``picard_max``
+    allows.  A sweep is accepted when its velocity increment meets
+    ``picard_tol`` and its inner solves reached _INNER_TOL, so a loose
+    sweep that converges is followed by a full one.
 
     The new state's history is ``((dt, U^n),)`` followed by the newest
     level of ``s`` when it has the shape of U^n.  The step reads nothing
@@ -668,8 +668,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     inc = []
     heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
-        full = it == cfg.picard_max or (
-            it > 1 if predicted else _sweep_is_last(inc, cfg.picard_tol))
+        full = it == cfg.picard_max or _sweep_is_last(inc, cfg.picard_tol)
         tol = _INNER_TOL if full else _INNER_TOL_LOOSE
         grad_u = _velocity_gradient(plan, u_minus)
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)

@@ -12,6 +12,7 @@ import pytest
 
 from nlcflow import cli
 from nlcflow import diagnostics as dg
+from nlcflow.errors import IOFailure
 from nlcflow.fields import Grid
 from nlcflow.solver import State
 
@@ -72,6 +73,7 @@ def test_run_success(tmp_path):
     "solver.dealias = false\n",
     "solver.dealias = off\n",
     "solver.dealias = 0\n",
+    "output.csv = false\n",
     pytest.param("continuation.study = viscosity\n"
                  "continuation.eps = 1e-2,1e-1\n",
                  id="viscosity-eps-increasing"),
@@ -316,6 +318,167 @@ def test_solve_out_overrides_output_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+# ---------------------------------------------------------------------------
+# snapshot format
+# ---------------------------------------------------------------------------
+
+# signed zeros, a subnormal, extremes and values that need 17 digits
+SPECIAL_VALUES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
+                  0.1, 1.0 / 3.0, -2.0 / 3.0, np.pi, 0.30000000000000004,
+                  123456789.12345678, 1.0000000000000002]
+
+
+def _random_state(grid, t=0.125, history=(), seed=7):
+    """A state whose arrays hold random values of every magnitude, each
+    starting with the special values."""
+    rng = np.random.default_rng(seed)
+
+    def values(lead):
+        shape = lead + grid.shape
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
+                                                              shape)
+        v.flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:v.size]
+        return v
+
+    return State(grid, t, values(()), values((grid.dim,)), values(()),
+                 values((3,)), history)
+
+
+def _per_row_snapshot(s):
+    """The snapshot the writer that formatted one value at a time and one
+    row per line wrote, kept as the reference for the bytes of the v1
+    format: the constant ``time`` block, the nodal blocks, the history."""
+    lines = []
+
+    def block(name, kind, values):
+        lines.append(f"FIELD {name} {kind} "
+                     + " ".join(str(n) for n in values.shape))
+        for row in values.reshape(values.shape[0], -1):
+            lines.append(" ".join("%.17g" % v for v in row))
+
+    block("time", "neumann", np.full(s.grid.shape, s.t))
+    block("rho", "neumann", s.rho)
+    for c, comp in enumerate(s.u):
+        block(f"u{c}", "dirichlet", comp)
+    block("theta", "neumann", s.theta)
+    for k, comp in enumerate(s.d):
+        block(f"d{k}", "neumann", comp)
+    if s.history:
+        block("history", "galerkin", np.array(
+            [np.concatenate(([dt], U.ravel())) for dt, U in s.history]))
+    return "\n".join(lines) + "\n"
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_state(back, s):
+    assert _same_bits(back.t, s.t)
+    for name in ("rho", "u", "theta", "d"):
+        assert _same_bits(getattr(back, name), getattr(s, name)), name
+    assert len(back.history) == len(s.history)
+    for (dt_back, U_back), (dt, U) in zip(back.history, s.history):
+        assert _same_bits(dt_back, dt) and _same_bits(U_back, U)
+
+
+def test_snapshot_round_trip(tmp_path):
+    """Every value of every array comes back bit for bit, signed zeros
+    included, and each block's header names its kind: the velocity is
+    ``dirichlet``, the rest ``neumann``."""
+    grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
+    s = _random_state(grid)
+    path = tmp_path / "state.dat"
+    cli.write_snapshot(str(path), s)
+    _assert_same_state(cli.read_snapshot(str(path), grid), s)
+    heads = [ln.split()[1:] for ln in path.read_text().splitlines()
+             if ln.startswith("FIELD ")]
+    assert heads == [[name, kind, "16", "32"] for name, kind in [
+        ("time", "neumann"), ("rho", "neumann"), ("u0", "dirichlet"),
+        ("u1", "dirichlet"), ("theta", "neumann"), ("d0", "neumann"),
+        ("d1", "neumann"), ("d2", "neumann")]]
+
+
+def test_snapshot_table_round_trip(tmp_path):
+    """The history is a ``galerkin`` table: it keeps its own row and column
+    counts, and only its header kind exempts it from the grid-shape check.
+    A nodal block whose shape is not the grid's is rejected."""
+    grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
+    rng = np.random.default_rng(5)
+    levels = ((SPECIAL_VALUES[7], rng.standard_normal((8, 2))),
+              (1e-3, rng.standard_normal((8, 2))))
+    s = _random_state(grid, history=levels)
+    path = tmp_path / "state.dat"
+    cli.write_snapshot(str(path), s)
+    text = path.read_text()
+    assert "FIELD history galerkin 2 17\n" in text
+    _assert_same_state(cli.read_snapshot(str(path), grid), s)
+    for old, new in [("history galerkin 2 17", "history neumann 2 17"),
+                     ("rho neumann 16 32", "rho neumann 32 16")]:
+        path.write_text(text.replace(old, new))
+        with pytest.raises(IOFailure, match="neither a nodal block"):
+            cli.read_snapshot(str(path), grid)
+
+
+def test_snapshot_corruption_raises(tmp_path):
+    """An unknown kind, a truncated block, a value that is not a number
+    and values before any header are IOFailures."""
+    grid = Grid((32,), (2 * np.pi,))
+    path = tmp_path / "state.dat"
+    cli.write_snapshot(str(path), _random_state(grid))
+    text = path.read_text()
+    lines = text.splitlines()
+    assert lines[33] == "FIELD rho neumann 32"
+    for broken in [text.replace("FIELD rho neumann", "FIELD rho sideways"),
+                   "\n".join(lines[:-5]) + "\n",
+                   "\n".join(lines[:40] + ["corrupted zz"] + lines[41:]),
+                   "0.5\n" + text]:
+        path.write_text(broken)
+        with pytest.raises(IOFailure):
+            cli.read_snapshot(str(path), grid)
+
+
+def test_snapshot_history_of_another_width_raises(tmp_path):
+    """A history whose rows are not a dt and whole ``dim``-component
+    Galerkin coefficients, or that is not a table, is an IOFailure."""
+    grid = Grid((8, 16), (2.0, 2.0))
+    path = tmp_path / "state.dat"
+    cli.write_snapshot(str(path), _random_state(
+        grid, history=((1e-3, np.arange(3.0)),)))
+    assert "FIELD history galerkin 1 4\n" in path.read_text()
+    with pytest.raises(IOFailure, match="history"):
+        cli.read_snapshot(str(path), grid)
+    s = _random_state(grid)
+    cli.write_snapshot(str(path), s)
+    text = path.read_text()
+    for table in ["FIELD history galerkin 1 0\n",
+                  "FIELD history galerkin -1 3\n1e-3 0 0\n",
+                  text[text.index("FIELD rho "):text.index("FIELD u0 ")]
+                  .replace("FIELD rho ", "FIELD history ")]:
+        path.write_text(text + table)
+        with pytest.raises(IOFailure, match="history"):
+            cli.read_snapshot(str(path), grid)
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
+def test_snapshot_matches_per_row_writer(tmp_path, shape):
+    """One ``%`` per block writes the bytes the per-row writer wrote, for
+    random values of every magnitude, the special values, both kinds and
+    the history; ``time``, formatted once, matches it for each special
+    value of t.  Every file reads back bit for bit."""
+    grid = Grid(shape, (2.0,) * len(shape))
+    history = ((1e-3, np.array(SPECIAL_VALUES[:len(shape) * 4])
+                .reshape(-1, len(shape))),)
+    s = _random_state(grid, history=history)
+    path = tmp_path / "state.dat"
+    for t in SPECIAL_VALUES + list(s.rho.flat[-5:]):
+        s = State(grid, t, s.rho, s.u, s.theta, s.d, s.history)
+        cli.write_snapshot(str(path), s)
+        assert path.read_text() == _per_row_snapshot(s)
+        _assert_same_state(cli.read_snapshot(str(path), grid), s)
+
+
 def test_snapshot_round_trip_exact(tmp_path):
     grid = Grid((16, 16), (2.0, 2.0))
     s = bump_state(grid, n_modes=6)
@@ -407,6 +570,28 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
     assert not any((tmp_path / "again").iterdir())
 
 
+@pytest.mark.parametrize("old,new", [
+    ("FIELD rho neumann 32\n", "FIELD rho neumann 3x\n"),
+    ("FIELD rho neumann 32\n", "FIELD rho sideways 32\n"),
+    ("FIELD theta neumann 32\n", "FIELD rho neumann 32\n"),
+], ids=["non-integer-dims", "unknown-kind", "missing-field"])
+def test_restart_from_malformed_snapshot_exits_4(tmp_path, capsys, old,
+                                                 new):
+    """A snapshot whose header dims are not integers, whose kind is
+    unknown or that lacks a field is an input failure: ``solve run`` exits
+    4 with an ``i/o error`` line and writes nothing."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    text = (tmp_path / "out" / "snap_000002.dat").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.dat"
+    bad.write_text(text.replace(old, new))
+    cfg = _run_cfg(tmp_path, out="again", extra=f"init.snapshot = {bad}\n")
+    capsys.readouterr()
+    assert cli.main(["run", cfg]) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert not any((tmp_path / "again").iterdir())
+
+
 def test_cond_floor_above_one_runs(tmp_path):
     """The conductivity prefactor has no upper bound: a config that sets
     only ``phys.cond_floor = 2`` parses and runs."""
@@ -420,7 +605,8 @@ def test_cond_floor_above_one_runs(tmp_path):
 @pytest.mark.parametrize("after,retired", [
     ("phys.cond_floor = 1.0\n", "phys.cond_cap = 1.0\n"),
     ("solver.picard_max = 50\n", "solver.dealias = true\n"),
-], ids=["phys.cond_cap", "solver.dealias"])
+    ("output.cadence = 2\n", "output.csv = true\n"),
+], ids=["phys.cond_cap", "solver.dealias", "output.csv"])
 def test_diagnose_reads_config_with_retired_key(tmp_path, capsys, after,
                                                 retired):
     """Run directories whose ``config.resolved`` still carries a retired

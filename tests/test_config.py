@@ -32,7 +32,8 @@ def test_defaults_are_logged(caplog):
 
 
 @pytest.mark.parametrize("line", ["phys.cond_cap = 1.0",
-                                  "solver.dealias = true"])
+                                  "solver.dealias = true",
+                                  "output.csv = true"])
 def test_retired_key_is_logged_and_ignored(caplog, line):
     key = line.split("=")[0].strip()
     with caplog.at_level(logging.INFO, logger="nlcflow.config"):
@@ -60,6 +61,7 @@ def test_comments_and_blank_lines_ignored():
     ("grid.dim = 2\nsolver.dealias = off\n",
      "line 2: retired key 'solver.dealias'"),
     ("solver.dealias = maybe\n", "line 1: retired key 'solver.dealias'"),
+    ("grid.dim = 2\noutput.csv = false\n", "line 2: retired key 'output.csv'"),
 ])
 def test_parse_errors_cite_line_and_key(text, needle):
     with pytest.raises(ParseError) as err:

@@ -1,5 +1,3 @@
-import io
-
 import itertools
 import os
 import subprocess
@@ -11,7 +9,6 @@ from scipy import fft as sfft
 
 from nlcflow import fields
 from nlcflow import solver as sv
-from nlcflow.errors import IOFailure
 
 from conftest import NonZeroMean, inverse_laplacian_neumann
 
@@ -422,101 +419,6 @@ def test_dealias_keeps_low_and_kills_high():
     out = fields.coeffs(g, fields.spectral_plan(g).project(f, cos), cos)
     assert abs(out[2] - 1.0) <= 1e-13
     assert abs(out[cut]) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def test_snapshot_round_trip():
-    g = grid2()
-    f = random_field(g, fields.neumann(2))
-    v = random_field(g, fields.dirichlet(2))
-    buf = io.StringIO()
-    fields.write_field(buf, "rho", f, fields.neumann(2))
-    fields.write_field(buf, "ux", v, fields.dirichlet(2))
-    buf.seek(0)
-    loaded = fields.read_fields(buf, g)
-    assert set(loaded) == {"rho", "ux"}
-    assert np.array_equal(loaded["rho"][1], f)
-    assert np.array_equal(loaded["ux"][1], v)
-    assert loaded["ux"][0] == fields.dirichlet(2)
-    assert loaded["rho"][0] == fields.neumann(2)
-
-
-def test_snapshot_table_round_trip():
-    """A ``galerkin`` table lives off the grid: it keeps its own row and
-    column counts, and only its header kind exempts it from the grid-shape
-    check."""
-    g = grid2()
-    f = random_field(g, fields.neumann(2))
-    table = np.random.default_rng(5).standard_normal((2, 17))
-    table[0, 0] = SPECIAL_VALUES[7]
-    buf = io.StringIO()
-    fields.write_field(buf, "rho", f, fields.neumann(2))
-    fields.write_table(buf, "history", table)
-    text = buf.getvalue()
-    assert "FIELD history galerkin 2 17\n" in text
-    loaded = fields.read_fields(io.StringIO(text), g)
-    assert loaded["history"][0] == fields.GALERKIN
-    assert np.array_equal(loaded["history"][1], table)
-    assert np.array_equal(loaded["rho"][1], f)
-    with pytest.raises(IOFailure, match="does not match grid"):
-        fields.read_fields(io.StringIO(text.replace(
-            "history galerkin 2 17", "history neumann 2 17")), g)
-
-
-def test_snapshot_corruption_raises():
-    g = grid1()
-    f = random_field(g, fields.neumann(1))
-    buf = io.StringIO()
-    fields.write_field(buf, "rho", f, fields.neumann(1))
-    text = buf.getvalue()
-    broken = text.replace("FIELD rho neumann", "FIELD rho sideways")
-    with pytest.raises(IOFailure):
-        fields.read_fields(io.StringIO(broken), g)
-    truncated = "\n".join(text.splitlines()[:-5])
-    with pytest.raises(IOFailure):
-        fields.read_fields(io.StringIO(truncated), g)
-
-
-def _per_row_write_field(fh, name, values, parity):
-    """The writer that formatted one row at a time, kept as the reference
-    for the bytes of the v1 snapshot format."""
-    dims = " ".join(str(n) for n in values.shape)
-    fh.write(f"FIELD {name} {fields._parity_token(parity)} {dims}\n")
-    rows = values.reshape(values.shape[0], -1)
-    for row in rows:
-        fh.write(" ".join("%.17g" % v for v in row))
-        fh.write("\n")
-
-
-# signed zeros, a subnormal, extremes and values that need 17 digits
-SPECIAL_VALUES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
-                  0.1, 1.0 / 3.0, -2.0 / 3.0, np.pi, 0.30000000000000004,
-                  123456789.12345678, 1.0000000000000002]
-
-
-@pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
-def test_write_field_matches_per_row_writer(shape):
-    """One ``%`` over the whole field writes the bytes the per-row writer
-    wrote, for random values of every magnitude, special values and both
-    parities; a constant field formatted once matches it too."""
-    rng = np.random.default_rng(7)
-    grid = fields.Grid(shape, (2.0,) * len(shape))
-    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    vals.flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:vals.size]
-    for parity in (fields.neumann(grid.dim), fields.dirichlet(grid.dim)):
-        got, want = io.StringIO(), io.StringIO()
-        fields.write_field(got, "x", vals, parity)
-        _per_row_write_field(want, "x", vals, parity)
-        assert got.getvalue() == want.getvalue()
-    for value in SPECIAL_VALUES + list(vals.flat[:5]):
-        got, want = io.StringIO(), io.StringIO()
-        fields.write_constant_field(got, "time", grid, value)
-        _per_row_write_field(want, "time", np.full(grid.shape, float(value)),
-                             fields.neumann(grid.dim))
-        assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------

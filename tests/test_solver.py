@@ -666,6 +666,12 @@ def test_sweep_is_last_rule():
     assert not sv._sweep_is_last([2e-3], tol)
     assert sv._sweep_is_last([2e-3, 2e-7], tol)       # 4e-14 <= 2e-12
     assert not sv._sweep_is_last([2e-3, 2e-5], tol)   # 4e-10 > 2e-12
+    # the increment before the first sweep counts as 1: a predicted first
+    # increment announces the last sweep, an unpredicted one does not
+    assert sv._sweep_is_last([9e-7], tol)             # 8.1e-13 <= 1e-9
+    assert not sv._sweep_is_last([1e-4], tol)         # 1e-8 > 1e-9
+    # an increment that met tol announces it however the last two compare
+    assert sv._sweep_is_last([1e-14, 1e-10], tol)
 
 
 # ---------------------------------------------------------------------------
