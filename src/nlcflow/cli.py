@@ -84,7 +84,8 @@ def write_snapshot(path, s):
 def _read_blocks(path, grid):
     """Every block of a snapshot as ``{name: (kind, array)}``: a nodal
     block's array has the grid's shape, a ``galerkin`` table the row and
-    column counts of its header.  Any malformed block is an IOFailure."""
+    column counts of its header.  Any malformed block, or one holding nan
+    or an infinity, is an IOFailure: no accepted state holds either."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -114,6 +115,9 @@ def _read_blocks(path, grid):
         except ValueError as exc:
             raise IOFailure(f"snapshot {path!r}: block {name!r}: {exc}") \
                 from None
+        if not np.isfinite(values).all():
+            raise IOFailure(f"snapshot {path!r}: block {name!r} holds a "
+                            f"non-finite value")
         blocks[name] = (kind, values)
     return blocks
 

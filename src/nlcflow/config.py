@@ -18,6 +18,7 @@ the first normalization).
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -36,8 +37,16 @@ def _parse_int_list(text):
     return tuple(int(v.strip()) for v in text.split(",") if v.strip())
 
 
+def _finite_float(text):
+    """A float that is neither nan nor infinite: no key takes one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_float_list(text):
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
+    return tuple(_finite_float(v) for v in text.split(",") if v.strip())
 
 
 def _parse_str_list(text):
@@ -49,30 +58,30 @@ SCHEMA = {
     "grid.dim": (int, 2),
     "grid.shape": (_parse_int_list, (32,)),
     "grid.extents": (_parse_float_list, (2.0,)),
-    "phys.mu": (float, PhysParams.mu),
-    "phys.lam": (float, PhysParams.lam),
-    "phys.gamma": (float, PhysParams.gamma),
-    "phys.gas_const": (float, PhysParams.gas_const),
-    "phys.cond_floor": (float, PhysParams.cond_floor),
-    "phys.cond_growth": (float, PhysParams.cond_growth),
-    "phys.penalty_scale": (float, PhysParams.penalty_scale),
-    "phys.elastic_coupling": (float, PhysParams.elastic_coupling),
-    "phys.relax_rate": (float, PhysParams.relax_rate),
-    "reg.eps": (float, RegParams.eps),
-    "reg.delta": (float, RegParams.delta),
-    "reg.beta": (float, RegParams.beta),
+    "phys.mu": (_finite_float, PhysParams.mu),
+    "phys.lam": (_finite_float, PhysParams.lam),
+    "phys.gamma": (_finite_float, PhysParams.gamma),
+    "phys.gas_const": (_finite_float, PhysParams.gas_const),
+    "phys.cond_floor": (_finite_float, PhysParams.cond_floor),
+    "phys.cond_growth": (_finite_float, PhysParams.cond_growth),
+    "phys.penalty_scale": (_finite_float, PhysParams.penalty_scale),
+    "phys.elastic_coupling": (_finite_float, PhysParams.elastic_coupling),
+    "phys.relax_rate": (_finite_float, PhysParams.relax_rate),
+    "reg.eps": (_finite_float, RegParams.eps),
+    "reg.delta": (_finite_float, RegParams.delta),
+    "reg.beta": (_finite_float, RegParams.beta),
     "reg.n_modes": (int, RegParams.n_modes),
-    "solver.dt": (float, 1e-3),
-    "solver.t_end": (float, 0.05),
-    "solver.picard_tol": (float, 1e-9),
+    "solver.dt": (_finite_float, 1e-3),
+    "solver.t_end": (_finite_float, 0.05),
+    "solver.picard_tol": (_finite_float, 1e-9),
     "solver.picard_max": (int, 50),
     "init.preset": (str, "equilibrium"),
-    "init.base": (float, 1.0),
-    "init.amplitude": (float, None),
-    "init.width": (float, None),
+    "init.base": (_finite_float, 1.0),
+    "init.amplitude": (_finite_float, None),
+    "init.width": (_finite_float, None),
     "init.snapshot": (str, None),
-    "init.theta_floor": (float, 0.1),
-    "init.theta_cap": (float, 10.0),
+    "init.theta_floor": (_finite_float, 0.1),
+    "init.theta_cap": (_finite_float, 10.0),
     "output.dir": (str, "out"),
     "output.cadence": (int, 0),
     "output.residuals": (_parse_str_list, ("identity",)),

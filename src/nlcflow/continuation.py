@@ -167,7 +167,7 @@ def _pair_distances(i, left, right, gamma=None):
         row.update(_state_distances(sa, sb))
         if gamma is not None:
             row["rho_oscillation"] = dg.oscillation_defect(
-                sa.grid, [sb.rho], sa.rho, gamma)
+                sa.grid, sb.rho, sa.rho, gamma)
         rows.append(row)
     return rows
 

@@ -1,4 +1,4 @@
-"""Monitored functionals, budget audits and weak-form residuals, and the
+"""Monitored functionals, budget audits and renormalized residuals, and the
 CSV row format of the records.
 
 Everything here is read-only over solver states.  The energy budget residual
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import constitutive as cst
 from . import solver as sv
-from .errors import GridMismatch, MismatchedSnapshots, NonPositiveTemperature
+from .errors import GridMismatch, NonPositiveTemperature
 from .fields import COS, SIN, integrate_values, neumann, spectral_plan
 from .params import PhysParams, RegParams
 
@@ -290,27 +290,17 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None):
 # auxiliary operators
 # ---------------------------------------------------------------------------
 
-def oscillation_defect(grid, rho_seq, rho_ref, gamma):
-    """sup over k in {1,2,4,8} of the time-averaged space quadrature of
-    |T_k(rho_seq) - T_k(rho_ref)|^(gamma+1) for density arrays on ``grid``;
-    rho_ref may be a single array or a matched sequence."""
-    seq = list(rho_seq)
-    if np.shape(rho_ref) == grid.shape:
-        refs = [rho_ref] * len(seq)
-    else:
-        refs = list(rho_ref)
-        if len(refs) != len(seq):
-            raise MismatchedSnapshots("reference sequence length differs")
+def oscillation_defect(grid, rho, rho_ref, gamma):
+    """sup over k in {1,2,4,8} of the space quadrature of
+    |T_k(rho) - T_k(rho_ref)|^(gamma+1) for two density arrays on
+    ``grid``."""
+    if np.shape(rho) != grid.shape or np.shape(rho_ref) != grid.shape:
+        raise GridMismatch("oscillation defect needs a common grid")
     worst = 0.0
     for k in (1.0, 2.0, 4.0, 8.0):
-        acc = 0.0
-        for a, b in zip(seq, refs):
-            if np.shape(a) != grid.shape or np.shape(b) != grid.shape:
-                raise GridMismatch("oscillation defect needs a common grid")
-            diff = np.abs(cst.soft_truncation(a, k)
-                          - cst.soft_truncation(b, k))
-            acc += integrate_values(grid, diff ** (gamma + 1.0))
-        worst = max(worst, acc / max(len(seq), 1))
+        diff = np.abs(cst.soft_truncation(rho, k)
+                      - cst.soft_truncation(rho_ref, k))
+        worst = max(worst, integrate_values(grid, diff ** (gamma + 1.0)))
     return worst
 
 
@@ -440,106 +430,4 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
             val += eps * integrate_values(grid, burn * psi)
             row[name] = val
         out[b_id] = row
-    return out
-
-
-# ---------------------------------------------------------------------------
-# weak-form residuals of the full system
-# ---------------------------------------------------------------------------
-
-def _sine_battery(grid, count=3):
-    basis = sv.GalerkinBasis(grid, count)
-    out = []
-    for i, tpl in enumerate(basis.modes):
-        name = "sin" + "".join(str(m) for m in tpl)
-        vals = basis.phi[i]
-        grads = [basis.grad[i, a] for a in range(grid.dim)]
-        out.append((name, vals, grads))
-    return out
-
-
-def weak_form_residuals(s_prev, s_next, rec, reg: RegParams, p: PhysParams,
-                        battery):
-    """Weak residuals of one step against the fixed test battery, as
-    {residual id: value}; ``battery`` is the pair (``_sine_battery``,
-    :func:`cosine_battery`) of the grid, built once per run.
-
-    Momentum residuals use the standalone conservative placements, so they
-    decay first order in dt.  Heat and director residuals evaluate the
-    step's own kernels at the accepted state (the lagged velocity is read
-    off the step record) and stay at
-    solver-tolerance level.  The heat entry pairs the nodal residual
-    rhs - (c0 theta' - div(kappa grad theta')) of the solved balance with a
-    positive test function, so its sign is that of the defect
-    rhs-of-balance minus lhs and a one-sided check of the limiting
-    inequality is possible.
-    """
-    grid = s_prev.grid
-    dim = grid.dim
-    plan = spectral_plan(grid)
-    sin_tests, cos_tests = battery
-    out = {}
-    dt = rec.dt
-    rho_n, rho_p = s_prev.rho, s_next.rho
-    th_p = s_next.theta
-    u_lag = rec.u_lag
-
-    # --- momentum against retained sine modes, one residual per mode
-    grad_u_p = sv._velocity_gradient(plan, s_next.u)
-    stress = cst.viscous_stress(grad_u_p, p)
-    pressure = cst.pressure(rho_p, th_p, p) \
-        + cst.artificial_pressure(rho_p, reg.delta, reg.beta)
-    d_vals = s_next.d
-    grad_d = sv._director_gradient(plan, d_vals).swapaxes(0, 1)
-    erick = cst.ericksen_stress(
-        grad_d, cst.gl_potential(d_vals, p.penalty_scale))
-    grad_rho_p = _grad_arrays(grid, rho_p)
-    for name, phi, gphi in sin_tests:
-        worst = 0.0
-        for c in range(dim):
-            val = integrate_values(
-                grid, (rho_p * s_next.u[c] - rho_n * s_prev.u[c]) / dt * phi)
-            for a in range(dim):
-                val -= integrate_values(
-                    grid, rho_n * s_prev.u[c] * s_prev.u[a] * gphi[a])
-                val += integrate_values(grid, stress[a, c] * gphi[a])
-                val -= p.elastic_coupling * integrate_values(
-                    grid, erick[a, c] * gphi[a])
-                if reg.eps > 0:
-                    val += reg.eps * integrate_values(
-                        grid, grad_u_p[a, c] * grad_rho_p[a] * phi)
-            val -= integrate_values(grid, pressure * gphi[c])
-            worst = max(worst, abs(val))
-        out[f"mom_{name}"] = worst
-
-    # --- heat: signed defect of the solved discrete balance
-    heat = sv._FrozenHeat(plan, s_prev.theta, rho_n, reg, p, dt)
-    m = sv._mass_flux(plan, rho_n, u_lag)
-    d_prev = s_prev.d
-    w = sv._director_transport(plan, u_lag,
-                               sv._director_gradient(plan, d_prev))
-    gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
-    c0, rhs = sv._heat_system(heat, rho_p,
-                              sv._velocity_gradient(plan, u_lag), m,
-                              np.sum(gtilde * gtilde, axis=0), reg, p,
-                              dt)
-    defect = rhs - heat.apply(c0, th_p)
-    for name, psi, _ in cos_tests:
-        shifted = 1.0 + 0.5 * psi / max(1.0, float(np.abs(psi).max()))
-        out[f"heat_{name}"] = integrate_values(grid, defect * shifted)
-
-    # --- director: exact discrete balance against the cosine battery
-    f_pair = cst.gl_force_two_point(d_prev, d_vals, p.penalty_scale)
-    for name, psi, grad_psi in cos_tests:
-        worst = 0.0
-        for k in range(3):
-            val = integrate_values(
-                grid, ((d_vals[k] - d_prev[k]) / dt + w[k]) * psi)
-            for a in range(dim):
-                val += p.relax_rate * integrate_values(
-                    grid, grad_d[a, k] * grad_psi[a])
-            val += p.relax_rate * integrate_values(
-                grid, f_pair[k] * psi)
-            worst = max(worst, abs(val))
-        out[f"dir_{name}"] = worst
     return out

@@ -278,44 +278,29 @@ def build_sources(case, grid, reg, p, refine=1):
     else:
         fine = Grid([n * refine for n in grid.shape], grid.extents)
 
-    steady = case.kind == "spatial"
-    cache = {}
+    def restrict(terms):
+        if terms[0][1] is None:     # one assembled array on the run grid
+            return terms[0][0]
+        return _restrict_terms(terms, fine, grid)
 
-    def density(t):
-        key = ("rho", 0.0 if steady else t)
-        if key not in cache:
-            cache[key] = _restrict_terms(
-                _density_terms(case, fine, reg, p, key[1]),
-                fine, grid)
-        return cache[key]
+    def source(terms_of, per_component):
+        """The source of one equation as a callable of t: a spatial case's
+        is assembled once, at t = 0, a temporal case's on every call."""
+        def at(t):
+            found = terms_of(case, fine, reg, p, t)
+            if per_component:
+                return [restrict(terms) for terms in found]
+            return restrict(found)
 
-    def temperature(t):
-        key = ("theta", 0.0 if steady else t)
-        if key not in cache:
-            cache[key] = _restrict_terms(
-                _temperature_terms(case, fine, reg, p, key[1]),
-                fine, grid)
-        return cache[key]
+        if case.kind != "spatial":
+            return at
+        steady = at(0.0)
+        return lambda t: steady
 
-    def momentum(t):
-        key = ("u", 0.0 if steady else t)
-        if key not in cache:
-            per_comp = _momentum_terms(case, fine, reg, p, key[1])
-            cache[key] = [_restrict_terms(terms, fine, grid)
-                          if terms[0][1] is not None else terms[0][0]
-                          for terms in per_comp]
-        return cache[key]
-
-    def director(t):
-        key = ("d", 0.0 if steady else t)
-        if key not in cache:
-            per_comp = _director_terms(case, fine, reg, p, key[1])
-            cache[key] = [_restrict_terms(terms, fine, grid)
-                          for terms in per_comp]
-        return cache[key]
-
-    return sv.Sources(density=density, momentum=momentum,
-                      temperature=temperature, director=director)
+    return sv.Sources(density=source(_density_terms, False),
+                      momentum=source(_momentum_terms, True),
+                      temperature=source(_temperature_terms, False),
+                      director=source(_director_terms, True))
 
 
 def _l2(grid, a, b):

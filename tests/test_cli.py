@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import weakref
 
@@ -82,6 +83,13 @@ def test_run_success(tmp_path):
                  id="pressure-delta-increasing"),
     pytest.param("continuation.n = ,\ncontinuation.eps = ,\n"
                  "continuation.delta = ,\n", id="empty-schedule"),
+    "solver.t_end = inf\n",
+    "solver.t_end = nan\n",
+    "init.base = nan\n",
+    "reg.eps = nan\n",
+    "phys.lam = nan\n",
+    "phys.cond_growth = nan\n",
+    "continuation.eps = 1e-2,nan\n",
 ])
 def test_bad_config_exits_2(tmp_path, text, capsys):
     """A rejected config exits 2, and its message names one of the keys
@@ -142,6 +150,21 @@ def test_diagnose_corrupted_snapshot_exits_4(tmp_path, capsys):
     snap.write_text("\n".join(lines) + "\n")
     assert cli.main(["diagnose", str(tmp_path / "out")]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_diagnose_nonfinite_snapshot_exits_4(tmp_path, capsys):
+    """A stored nan is rejected on reading: ``solve diagnose`` exits 4
+    naming the block instead of printing a nan row."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    snap = tmp_path / "out" / "snap_000005.dat"
+    text, count = re.subn(r"(FIELD theta neumann 32\n)[^\n]+", r"\1nan",
+                          snap.read_text())
+    assert count == 1
+    snap.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "'theta'" in err
 
 
 def test_unknown_mms_case_exits_2(tmp_path):
@@ -574,17 +597,24 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
     ("FIELD rho neumann 32\n", "FIELD rho neumann 3x\n"),
     ("FIELD rho neumann 32\n", "FIELD rho sideways 32\n"),
     ("FIELD theta neumann 32\n", "FIELD rho neumann 32\n"),
-], ids=["non-integer-dims", "unknown-kind", "missing-field"])
+    (r"(FIELD rho neumann 32\n)[^\n]+", r"\1nan"),
+    ("FIELD time neumann 32\n" + "0.002\n" * 32,
+     "FIELD time neumann 32\n" + "inf\n" * 32),
+    (r"(FIELD history galerkin 2 7\n)0\.001 ", r"\1nan "),
+], ids=["non-integer-dims", "unknown-kind", "missing-field", "nan-rho",
+        "inf-time", "nan-history"])
 def test_restart_from_malformed_snapshot_exits_4(tmp_path, capsys, old,
                                                  new):
     """A snapshot whose header dims are not integers, whose kind is
-    unknown or that lacks a field is an input failure: ``solve run`` exits
-    4 with an ``i/o error`` line and writes nothing."""
+    unknown, that lacks a field or that holds a non-finite value is an
+    input failure: ``solve run`` exits 4 with an ``i/o error`` line and
+    writes nothing."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
     text = (tmp_path / "out" / "snap_000002.dat").read_text()
-    assert text.count(old) == 1
+    text, count = re.subn(old, new, text)
+    assert count == 1
     bad = tmp_path / "bad.dat"
-    bad.write_text(text.replace(old, new))
+    bad.write_text(text)
     cfg = _run_cfg(tmp_path, out="again", extra=f"init.snapshot = {bad}\n")
     capsys.readouterr()
     assert cli.main(["run", cfg]) == 4

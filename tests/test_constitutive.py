@@ -7,7 +7,8 @@ from nlcflow import constitutive as cst
 from nlcflow.errors import NegativeInput, ValidationError
 from nlcflow.params import PhysParams, RegParams
 
-from conftest import truncation_companion
+from conftest import (artificial_pressure, ericksen_stress, pressure,
+                      truncation_companion, viscous_stress)
 
 
 def P(**kw):
@@ -17,27 +18,27 @@ def P(**kw):
 # ---------------------------------------------------------------- pressure
 
 def test_pressure_values():
-    assert cst.pressure(1.0, 1.0, P(gamma=2.0, gas_const=1.0)) == pytest.approx(2.0)
-    assert cst.pressure(0.0, 5.0, P()) == 0.0
-    got = cst.pressure(2.0, 0.5, P(gamma=1.6, gas_const=1.0))
+    assert pressure(1.0, 1.0, P(gamma=2.0, gas_const=1.0)) == pytest.approx(2.0)
+    assert pressure(0.0, 5.0, P()) == 0.0
+    got = pressure(2.0, 0.5, P(gamma=1.6, gas_const=1.0))
     assert got == pytest.approx(2.0 ** 1.6 + 1.0, rel=1e-14)
 
 
 def test_pressure_array_and_negative():
     r = np.array([1.0, 2.0, 3.0])
     t = np.array([1.0, 0.0, 2.0])
-    got = cst.pressure(r, t, P(gamma=2.0, gas_const=2.0))
+    got = pressure(r, t, P(gamma=2.0, gas_const=2.0))
     np.testing.assert_allclose(got, r ** 2 + 2.0 * r * t)
     with pytest.raises(NegativeInput):
-        cst.pressure(-1.0, 1.0, P())
+        pressure(-1.0, 1.0, P())
     # tiny undershoot is clipped, not fatal
-    assert cst.pressure(-1e-15, 1.0, P()) == 0.0
+    assert pressure(-1e-15, 1.0, P()) == 0.0
 
 
 def test_artificial_pressure():
-    assert cst.artificial_pressure(7.3, 0.0, 6.0) == 0.0
-    assert cst.artificial_pressure(1.0, 0.1, 5.0) == pytest.approx(0.1)
-    assert cst.artificial_pressure(2.0, 0.01, 4.5) == pytest.approx(
+    assert artificial_pressure(7.3, 0.0, 6.0) == 0.0
+    assert artificial_pressure(1.0, 0.1, 5.0) == pytest.approx(0.1)
+    assert artificial_pressure(2.0, 0.01, 4.5) == pytest.approx(
         0.01 * 2.0 ** 4.5, rel=1e-14)
 
 
@@ -56,15 +57,15 @@ def test_convex_pressure_pair():
 
 def test_viscous_stress_zero_and_identity():
     g = np.zeros((2, 2))
-    np.testing.assert_array_equal(cst.viscous_stress(g, P(mu=1.0, lam=1.0)), g)
+    np.testing.assert_array_equal(viscous_stress(g, P(mu=1.0, lam=1.0)), g)
     eye = np.eye(2)
-    np.testing.assert_allclose(cst.viscous_stress(eye, P(mu=1.0, lam=0.0)),
+    np.testing.assert_allclose(viscous_stress(eye, P(mu=1.0, lam=0.0)),
                                2.0 * eye)
 
 
 def test_viscous_stress_shear():
     g = np.array([[0.0, 1.0], [0.0, 0.0]])
-    s = cst.viscous_stress(g, P(mu=1.0, lam=1.0))
+    s = viscous_stress(g, P(mu=1.0, lam=1.0))
     np.testing.assert_allclose(s, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
 
 
@@ -73,7 +74,7 @@ def test_stress_power_matches_contraction():
     p = P(mu=0.7, lam=-0.3)
     for _ in range(50):
         g = rng.normal(size=(2, 2))
-        s = cst.viscous_stress(g, p)
+        s = viscous_stress(g, p)
         direct = np.einsum("ab,ab->", s, g)
         assert cst.stress_power(g, p) == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
@@ -146,12 +147,12 @@ def test_gl_two_point_force_exact_difference():
 
 def test_ericksen_stress_isotropic_and_1d():
     f0 = 0.37
-    s = cst.ericksen_stress(np.zeros((2, 3)), f0)
+    s = ericksen_stress(np.zeros((2, 3)), f0)
     np.testing.assert_allclose(s, -f0 * np.eye(2))
     # unit-circle director profile in 1d: gradient energy density 1/2, F = 0
     x = np.linspace(0, 1, 9)
     grad_d = np.stack([np.stack([-np.sin(x), np.cos(x), np.zeros_like(x)])])
-    s = cst.ericksen_stress(grad_d, np.zeros_like(x))
+    s = ericksen_stress(grad_d, np.zeros_like(x))
     np.testing.assert_allclose(s[0, 0], 0.5 * np.ones_like(x), atol=1e-14)
 
 
@@ -159,7 +160,7 @@ def test_ericksen_stress_symmetry_and_trace():
     rng = np.random.default_rng(8)
     g = rng.normal(size=(2, 3, 5))
     fv = rng.uniform(0, 1, size=5)
-    s = cst.ericksen_stress(g, fv)
+    s = ericksen_stress(g, fv)
     np.testing.assert_allclose(s[0, 1], s[1, 0], atol=1e-14)
     mag2 = np.einsum("ak...,ak...->...", g, g)
     np.testing.assert_allclose(np.einsum("aa...->...", s),

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlcflow.errors import (GridMismatch, MismatchedSnapshots,
-                            NonPositiveTemperature)
+from nlcflow.errors import GridMismatch, NonPositiveTemperature
 from nlcflow import constitutive as cst
 from nlcflow.fields import COS, Grid, integrate_values, spectral_plan
 from nlcflow.params import PhysParams, RegParams
@@ -217,21 +216,19 @@ def test_pressure_weight_monotone_in_density(grid2d):
 def test_oscillation_defect_zero_and_shift_oracle(grid2d):
     gamma = 2.0
     rho = np.ones(grid2d.shape)
-    assert dg.oscillation_defect(grid2d, [rho], rho, gamma) == 0.0
+    assert dg.oscillation_defect(grid2d, rho, rho, gamma) == 0.0
     for c in (1e-2, 5e-3):
         shifted = np.full(grid2d.shape, 1.0 + c)
-        val = dg.oscillation_defect(grid2d, [shifted], rho, gamma)
+        val = dg.oscillation_defect(grid2d, shifted, rho, gamma)
         # the k=8 truncation is the identity on [1, 1+c]: exact value
         assert val == pytest.approx(4.0 * c ** (gamma + 1.0), rel=1e-12)
 
 
 def test_oscillation_defect_mismatch_errors(grid2d):
     rho = np.ones(grid2d.shape)
-    with pytest.raises(MismatchedSnapshots):
-        dg.oscillation_defect(grid2d, [rho, rho], [rho], 2.0)
     other = np.ones(Grid((16, 16), (2.0, 2.0)).shape)
     with pytest.raises(GridMismatch):
-        dg.oscillation_defect(grid2d, [rho], [other], 2.0)
+        dg.oscillation_defect(grid2d, rho, other, 2.0)
 
 
 def test_cosine_battery_fixed_order(grid2d):

@@ -1,5 +1,8 @@
 """Manufactured-solution harness: source composition and convergence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,37 @@ def test_build_sources_rejects_bad_refine():
     case = mms.get_case("bump-1d")
     with pytest.raises(ValidationError):
         mms.build_sources(case, Grid((16,), (2.0,)), REG, P, refine=0)
+
+
+def _source_arrays(src, t):
+    """Every array the four source callables hand out at ``t``."""
+    return ([src.density(t), src.temperature(t)]
+            + list(src.momentum(t)) + list(src.director(t)))
+
+
+def test_temporal_sources_retain_no_arrays():
+    """A moving case assembles its sources afresh on every call, so no
+    array outlives the caller's use of it, however many steps ask."""
+    case = mms.get_case("trig-2d")
+    src = mms.build_sources(case, Grid((16, 16), (2.0, 2.0)), REG, P)
+    first = _source_arrays(src, 1e-3)
+    again = _source_arrays(src, 1e-3)
+    assert not any(a is b for a, b in zip(first, again))
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    refs = [weakref.ref(a) for t in (0.0, 1e-3, 2e-3)
+            for a in _source_arrays(src, t)]
+    refs += [weakref.ref(a) for a in first + again]
+    del first, again
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_steady_sources_assembled_once():
+    """A steady case's sources are the same arrays at every t."""
+    case = mms.get_case("bump-1d")
+    src = mms.build_sources(case, Grid((16,), (2.0,)), REG_COARSE, P, 2)
+    for a, b in zip(_source_arrays(src, 0.0), _source_arrays(src, 0.5)):
+        assert a is b
 
 
 def test_run_case_reports_field_errors():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from nlcflow import constitutive as cst
 from nlcflow.params import PhysParams
 
+from conftest import pressure
+
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
 
@@ -85,4 +87,4 @@ def test_two_point_force_telescopes_exactly(a, b, sigma0):
 def test_pressure_monotone_in_density(r1, r2, theta, gamma):
     p = PhysParams(gamma=gamma)
     lo, hi = min(r1, r2), max(r1, r2)
-    assert cst.pressure(lo, theta, p) <= cst.pressure(hi, theta, p) + 1e-12
+    assert pressure(lo, theta, p) <= pressure(hi, theta, p) + 1e-12
