@@ -86,7 +86,6 @@ class Grid:
         self.dim = len(shape)
         self.spacing = tuple(length / n for length, n in zip(extents, shape))
         self.weight = float(np.prod(self.spacing))
-        self.measure = float(np.prod(extents))
         self.axis_nodes = tuple(
             (np.arange(n) + 0.5) * h for n, h in zip(shape, self.spacing)
         )

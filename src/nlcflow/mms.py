@@ -5,20 +5,25 @@ source terms built by composing the solver's own spatial operators, so a
 simulation started on the manufactured data measures pure discretization
 error against a known answer.
 
+The sources are one callable ``t -> (rho, momentum stack, theta, director
+stack)`` (:func:`build_sources`); each assembly composes all four
+equations' terms from one analytic state on the assembly grid.
+
 Two study modes:
 
 * temporal cases ("trig-1d", "trig-2d"): band-limited trigonometric fields
   with polynomial closures and a constant director.  Sources are assembled
-  on the run grid itself, which makes the manufactured fields an exact
-  solution of the spatially discrete system; the measured error is the time
-  discretization alone and must shrink first order in dt.
+  at every t on the run grid itself, which makes the manufactured fields
+  an exact solution of the spatially discrete system; the measured error
+  is the time discretization alone and must shrink first order in dt.
 * spatial cases ("bump-1d", "bump-2d"): steady, quiescent (u* = 0) profiles
   driven by analytically non-band-limited bumps exp(w(cos(pi x/L) - 1)).
-  Sources are assembled on a refined grid and restricted to the run grid by
-  evaluating each term's interpolant (with its true per-axis parity) at the
-  coarse nodes, so the defect left on the run grid is exactly the spatial
-  truncation error of the run-grid operators.  Doubling the resolution must
-  shrink the error far faster than any fixed algebraic order.
+  Sources are assembled once, on the twice-refined grid, and restricted to
+  the run grid by evaluating each term's interpolant (with its true
+  per-axis parity) at the coarse nodes, so the defect left on the run grid
+  is exactly the spatial truncation error of the run-grid operators.
+  Doubling the resolution must shrink the error far faster than any fixed
+  algebraic order.
 """
 
 from dataclasses import dataclass
@@ -148,37 +153,33 @@ def _term_parity(grid, sin_axes):
 
 def _restrict_terms(terms, grid_from, grid_to):
     """Sum term arrays, interpolating each with its own parity if needed."""
-    if grid_from is grid_to or grid_from == grid_to:
-        total = np.zeros(grid_to.shape)
-        for arr, _ in terms:
-            total = total + arr
-        return total
+    same = grid_from == grid_to
     coords = [grid_to.axis_nodes[a] for a in range(grid_to.dim)]
     total = np.zeros(grid_to.shape)
     for arr, parity in terms:
-        total = total + evaluate(grid_from, arr, parity, coords)
+        total = total + (arr if same
+                         else evaluate(grid_from, arr, parity, coords))
     return total
 
 
-def _density_terms(case, grid, reg, p, t):
-    s = analytic_state(case, grid, t)
-    cos_par = frozenset()
+def _density_terms(case, s, plan, reg):
+    grid = s.grid
+    cos_par = _term_parity(grid, frozenset())
     terms = []
     if case.drho_dt is not None:
-        terms.append((case.drho_dt(grid.mesh(), t), _term_parity(grid, cos_par)))
-    plan = spectral_plan(grid)
+        terms.append((case.drho_dt(grid.mesh(), s.t), cos_par))
     m = sv._mass_flux(plan, s.rho, s.u)
     for b in range(grid.dim):
         terms.append((plan.deriv(m[b], b, SIN),
                       _term_parity(grid, frozenset(range(grid.dim)) - {b})))
     if reg.eps > 0:
         terms.append((-reg.eps * plan.laplacian(s.rho, neumann(grid.dim)),
-                      _term_parity(grid, cos_par)))
+                      cos_par))
     return terms
 
 
-def _temperature_terms(case, grid, reg, p, t):
-    s = analytic_state(case, grid, t)
+def _temperature_terms(case, s, plan, reg, p):
+    grid, t = s.grid, s.t
     mesh = grid.mesh()
     dim = grid.dim
     cos_par = _term_parity(grid, frozenset())
@@ -188,7 +189,6 @@ def _temperature_terms(case, grid, reg, p, t):
         terms.append((dth, cos_par))
     if case.drho_dt is not None:
         terms.append((case.drho_dt(mesh, t) * s.theta, cos_par))
-    plan = spectral_plan(grid)
     u = s.u
     m = sv._mass_flux(plan, s.rho, u)
     for b, term in enumerate(sv._heat_convection(plan, s.theta, m)):
@@ -211,30 +211,24 @@ def _temperature_terms(case, grid, reg, p, t):
     return terms
 
 
-def _director_terms(case, grid, reg, p, t):
-    s = analytic_state(case, grid, t)
-    plan = spectral_plan(grid)
+def _director_terms(s, plan, p):
+    par = _term_parity(s.grid, frozenset())
     force = cst.gl_force(s.d, p.penalty_scale)
-    out = []
-    for k in range(3):
-        lap = plan.laplacian(s.d[k], neumann(grid.dim))
-        terms = [(-p.relax_rate * (lap - force[k]),
-                  _term_parity(grid, frozenset()))]
-        out.append(terms)
-    return out
+    return [[(-p.relax_rate
+              * (plan.laplacian(s.d[k], neumann(s.grid.dim)) - force[k]),
+              par)] for k in range(3)]
 
 
-def _momentum_terms(case, grid, reg, p, t):
-    s = analytic_state(case, grid, t)
-    mesh = grid.mesh()
+def _momentum_terms(case, s, plan, reg, p):
+    grid, t = s.grid, s.t
     dim = grid.dim
-    plan = spectral_plan(grid)
     rho = s.rho
     out = []
     if case.kind == "temporal":
         # full force assembly on the run grid; single mixed-parity array is
         # fine because no restriction will happen
         u = s.u
+        mesh = grid.mesh()
         grad_u = sv._velocity_gradient(plan, u)
         m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
@@ -256,51 +250,43 @@ def _momentum_terms(case, grid, reg, p, t):
     q = rho * s.theta
     for c in range(dim):
         par = _term_parity(grid, frozenset({c}))
-        terms = [
-            (rho * plan.deriv(bp, c, COS), par),
-            (p.gas_const * plan.deriv(q, c, COS), par),
-        ]
-        out.append(terms)
+        out.append([(rho * plan.deriv(bp, c, COS), par),
+                    (p.gas_const * plan.deriv(q, c, COS), par)])
     return out
 
 
-def build_sources(case, grid, reg, p, refine=1):
-    """Per-equation source callables composed from the solver's operators.
-
-    ``refine`` > 1 assembles on a grid with that many times the resolution
-    and restricts by parity-aware interpolation (spatial studies); 1 uses
-    the run grid itself (exact discrete cancellation, temporal studies).
-    """
-    if refine < 1:
-        raise ValidationError("refine must be a positive integer")
-    if refine == 1:
-        fine = grid
-    else:
-        fine = Grid([n * refine for n in grid.shape], grid.extents)
+def _assemble(case, fine, grid, reg, p, t):
+    """The sources ``(rho, momentum stack, theta, director stack)`` at
+    ``t``: every term is composed from one analytic state on ``fine`` and
+    restricted to ``grid``."""
+    s = analytic_state(case, fine, t)
+    plan = spectral_plan(fine)
 
     def restrict(terms):
-        if terms[0][1] is None:     # one assembled array on the run grid
-            return terms[0][0]
         return _restrict_terms(terms, fine, grid)
 
-    def source(terms_of, per_component):
-        """The source of one equation as a callable of t: a spatial case's
-        is assembled once, at t = 0, a temporal case's on every call."""
-        def at(t):
-            found = terms_of(case, fine, reg, p, t)
-            if per_component:
-                return [restrict(terms) for terms in found]
-            return restrict(found)
+    def stack(per_component):
+        return np.stack([restrict(terms) for terms in per_component])
 
-        if case.kind != "spatial":
-            return at
-        steady = at(0.0)
-        return lambda t: steady
+    return (restrict(_density_terms(case, s, plan, reg)),
+            stack(_momentum_terms(case, s, plan, reg, p)),
+            restrict(_temperature_terms(case, s, plan, reg, p)),
+            stack(_director_terms(s, plan, p)))
 
-    return sv.Sources(density=source(_density_terms, False),
-                      momentum=source(_momentum_terms, True),
-                      temperature=source(_temperature_terms, False),
-                      director=source(_director_terms, True))
+
+def build_sources(case, grid, reg, p):
+    """The manufactured sources on ``grid`` as one callable
+    ``t -> (rho, momentum stack, theta, director stack)``.
+
+    A temporal case assembles them on the run grid on every call (exact
+    discrete cancellation); a spatial case assembles them once, on the
+    twice-refined grid, and restricts them by parity-aware interpolation.
+    """
+    if case.kind != "spatial":
+        return lambda t: _assemble(case, grid, grid, reg, p, t)
+    fine = Grid([2 * n for n in grid.shape], grid.extents)
+    steady = _assemble(case, fine, grid, reg, p, 0.0)
+    return lambda t: steady
 
 
 def _l2(grid, a, b):
@@ -321,17 +307,11 @@ def solution_errors(case, state, reference):
     return errs
 
 
-def run_case(case, shape, reg, p, dt, t_end):
-    """Run the manufactured problem and return the error table entry.
-    Spatial cases assemble their sources on the twice-refined grid,
-    temporal cases on the run grid (see :func:`build_sources`)."""
-    if isinstance(shape, int):
-        shape = (shape,) * case.dim
-    if len(shape) != case.dim:
-        raise ValidationError(f"case {case.name} needs {case.dim} axis sizes")
-    grid = Grid(shape, (2.0,) * case.dim)
-    refine = 2 if case.kind == "spatial" else 1
-    sources = build_sources(case, grid, reg, p, refine)
+def run_case(case, n, reg, p, dt, t_end):
+    """Run the manufactured problem on n nodes per axis and return the
+    error table entry (sources from :func:`build_sources`)."""
+    grid = Grid((n,) * case.dim, (2.0,) * case.dim)
+    sources = build_sources(case, grid, reg, p)
     cfg = sv.SolverConfig(dt=dt, t_end=t_end)
     for last, _ in sv.run(analytic_state(case, grid, 0.0), reg, cfg, p,
                           sources=sources):
@@ -339,7 +319,7 @@ def run_case(case, shape, reg, p, dt, t_end):
     return solution_errors(case, last, analytic_state(case, grid, last.t))
 
 
-def spatial_study(case, reg, p, resolutions=(16, 32), dt=5e-4, t_end=2e-2):
+def spatial_study(case, reg, p, resolutions, dt, t_end):
     """Error at each resolution plus the coarse/fine ratio per field."""
     rows = []
     for n in resolutions:
@@ -351,8 +331,7 @@ def spatial_study(case, reg, p, resolutions=(16, 32), dt=5e-4, t_end=2e-2):
     return {"rows": rows, "ratios": ratios}
 
 
-def temporal_study(case, reg, p, dts=(4e-3, 2e-3, 1e-3), shape=32,
-                   t_end=4e-2):
+def temporal_study(case, reg, p, dts, shape, t_end):
     """Error at each step size plus observed orders between neighbours."""
     rows = [(dt, run_case(case, shape, reg, p, dt, t_end)) for dt in dts]
     orders = []

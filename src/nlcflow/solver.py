@@ -147,17 +147,6 @@ class StepRecord:
     predicted: bool          # the first sweep started from the predictor
 
 
-@dataclass
-class Sources:
-    """Optional manufactured right-hand sides, evaluated at the implicit
-    time level.  Each callable maps t -> nodal array(s)."""
-
-    density: object = None      # t -> array
-    momentum: object = None     # t -> list of dim arrays
-    temperature: object = None  # t -> array
-    director: object = None     # t -> list of 3 arrays
-
-
 # ---------------------------------------------------------------------------
 # Galerkin velocity basis
 # ---------------------------------------------------------------------------
@@ -187,10 +176,9 @@ class GalerkinBasis:
         cand.sort(key=lambda it: (it[0], it[1]))
         if n_modes > len(cand):
             raise ValidationError(
-                f"n_modes = {n_modes} exceeds the {len(cand)} admissible "
-                f"modes on this grid")
+                f"reg.n_modes = {n_modes} exceeds the {len(cand)} admissible "
+                f"modes on a {'x'.join(map(str, grid.shape))}-node grid")
         self.modes = tuple(tpl for _, tpl in cand[:n_modes])
-        self.eigenvalues = np.array([lam for lam, _ in cand[:n_modes]])
         self.n = n_modes
         self.gram = float(np.prod([L / 2.0 for L in grid.extents]))
 
@@ -645,12 +633,8 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     plan = spectral_plan(grid)
     t1 = s.t + dt
 
-    def source(name):
-        fn = getattr(sources, name) if sources else None
-        return None if fn is None else np.asarray(fn(t1))
-
-    src_rho, src_mom = source("density"), source("momentum")
-    src_th, src_dir = source("temperature"), source("director")
+    src_rho, src_mom, src_th, src_dir = (
+        (None,) * 4 if sources is None else sources(t1))
 
     rho, d, u_minus = s.rho, s.d, s.u
     mass = _checked_mass_matrix(basis, rho)
@@ -706,7 +690,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
 
 
 def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
-                 basis: GalerkinBasis = None, sources: Sources = None):
+                 basis: GalerkinBasis = None, sources=None):
     """One time step of the fully coupled scheme.
 
     Returns (new_state, StepRecord).  On a positivity rejection of a
@@ -717,6 +701,10 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     (non-finite data, a stalled inner iteration, Picard iterates that do
     not settle) is never retried, and its error names the substep, the
     last increment or residual, t and dt.
+
+    ``sources``, when given, maps t to the manufactured right-hand sides
+    ``(rho, momentum stack, theta, director stack)``, each added at the
+    step's implicit time level (see :func:`nlcflow.mms.build_sources`).
     """
     if basis is None:
         basis = GalerkinBasis(s.grid, reg.n_modes)

@@ -114,10 +114,11 @@ def inverse_laplacian_neumann(grid, values):
     Raises NonZeroMean unless ``integrate_values(grid, values)`` vanishes
     within ``1e-10 * max|values| * |Omega|``.
     """
-    mean_tol = 1e-10 * max(float(np.abs(values).max()), 1e-300) * grid.measure
+    measure = float(np.prod(grid.extents))
+    mean_tol = 1e-10 * max(float(np.abs(values).max()), 1e-300) * measure
     total = integrate_values(grid, values)
     if abs(total) > mean_tol:
-        raise NonZeroMean(f"right-hand side has mean {total / grid.measure:.3e}")
+        raise NonZeroMean(f"right-hand side has mean {total / measure:.3e}")
     plan = spectral_plan(grid)
     parity = neumann(grid.dim)
     c = plan.forward(values, parity)

@@ -172,6 +172,17 @@ def test_unknown_mms_case_exits_2(tmp_path):
     assert cli.main(["mms", "moebius", cfg]) == 2
 
 
+def test_mms_too_many_modes_names_key_and_grid(tmp_path, capsys):
+    """The default reg.n_modes (8) exceeds the 7 sine modes of the 16-node
+    axis a 1-D spatial study starts on: exit 2 naming the key and grid."""
+    cfg = _write(tmp_path, "mms.cfg",
+                 f"grid.dim = 1\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli.main(["mms", "bump-1d", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "reg.n_modes = 8" in err and "16-node grid" in err
+
+
 def test_usage_error_raises_system_exit():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -30,11 +30,11 @@ def test_registered_cases():
         assert case.kind in ("temporal", "spatial")
 
 
-def _sources_at(case, reg, grid, refine, t=0.0):
-    """Per-equation source arrays of ``case`` at one time level."""
-    src = mms.build_sources(case, grid, reg, P, refine)
-    return {"density": src.density(t), "momentum": src.momentum(t),
-            "temperature": src.temperature(t), "director": src.director(t)}
+def _sources_at(case, reg, fine, grid, t=0.0):
+    """Per-equation source arrays of ``case`` at one time level, assembled
+    on ``fine`` and restricted to ``grid``."""
+    names = ("density", "momentum", "temperature", "director")
+    return dict(zip(names, mms._assemble(case, fine, grid, reg, P, t)))
 
 
 def _constant_case():
@@ -48,7 +48,7 @@ def test_equilibrium_case_zero_sources():
     """A constant state solves the unregularized system with no forcing."""
     grid = Grid((16,), (2.0,))
     reg0 = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
-    src = _sources_at(_constant_case(), reg0, grid, 1)
+    src = _sources_at(_constant_case(), reg0, grid, grid)
     assert np.all(src["density"] == 0.0)
     assert np.all(src["temperature"] == 0.0)
     for arr in src["momentum"]:
@@ -61,7 +61,7 @@ def test_steady_continuity_source_composition():
     """Quiescent steady case: the mass source is exactly -eps * lap(rho*)."""
     case = mms.get_case("bump-1d")
     grid = Grid((32,), (2.0,))
-    src = _sources_at(case, REG, grid, 1)
+    src = _sources_at(case, REG, grid, grid)
     ref = mms.analytic_state(case, grid, 0.0)
     want = -REG.eps * spectral_plan(grid).laplacian(ref.rho, neumann(1))
     assert np.allclose(src["density"], want, rtol=0, atol=1e-15)
@@ -70,8 +70,8 @@ def test_steady_continuity_source_composition():
 def test_refined_sources_converge_to_run_grid_sources():
     case = mms.get_case("bump-1d")
     grid = Grid((32,), (2.0,))
-    coarse = _sources_at(case, REG, grid, 1)
-    fine = _sources_at(case, REG, grid, 2)
+    coarse = _sources_at(case, REG, grid, grid)
+    fine = _sources_at(case, REG, Grid((64,), (2.0,)), grid)
     for key in ("density", "temperature"):
         scale = np.abs(coarse[key]).max() + 1.0
         assert np.abs(coarse[key] - fine[key]).max() < 1e-8 * scale
@@ -88,16 +88,9 @@ def test_analytic_state_matches_case_functions():
     assert s.t == t
 
 
-def test_build_sources_rejects_bad_refine():
-    case = mms.get_case("bump-1d")
-    with pytest.raises(ValidationError):
-        mms.build_sources(case, Grid((16,), (2.0,)), REG, P, refine=0)
-
-
 def _source_arrays(src, t):
-    """Every array the four source callables hand out at ``t``."""
-    return ([src.density(t), src.temperature(t)]
-            + list(src.momentum(t)) + list(src.director(t)))
+    """Every array the sources callable hands out at ``t``."""
+    return list(src(t))
 
 
 def test_temporal_sources_retain_no_arrays():
@@ -120,9 +113,44 @@ def test_temporal_sources_retain_no_arrays():
 def test_steady_sources_assembled_once():
     """A steady case's sources are the same arrays at every t."""
     case = mms.get_case("bump-1d")
-    src = mms.build_sources(case, Grid((16,), (2.0,)), REG_COARSE, P, 2)
+    src = mms.build_sources(case, Grid((16,), (2.0,)), REG_COARSE, P)
     for a, b in zip(_source_arrays(src, 0.0), _source_arrays(src, 0.5)):
         assert a is b
+
+
+def _count_analytic_states(monkeypatch):
+    calls = []
+    sample = mms.analytic_state
+
+    def counted(case, grid, t):
+        calls.append(grid.shape)
+        return sample(case, grid, t)
+
+    monkeypatch.setattr(mms, "analytic_state", counted)
+    return calls
+
+
+def test_temporal_sources_sample_one_state_per_call(monkeypatch):
+    """All four equations' sources at one t come from one analytic state
+    on the run grid."""
+    calls = _count_analytic_states(monkeypatch)
+    grid = Grid((16, 16), (2.0, 2.0))
+    src = mms.build_sources(mms.get_case("trig-2d"), grid, REG, P)
+    assert calls == []
+    for n, t in enumerate((0.0, 1e-3, 2e-3), start=1):
+        src(t)
+        assert calls == [grid.shape] * n
+
+
+def test_spatial_sources_sample_one_state_in_total(monkeypatch):
+    """A steady case samples its analytic state once, on the twice-refined
+    grid, however many steps ask for its sources."""
+    calls = _count_analytic_states(monkeypatch)
+    src = mms.build_sources(mms.get_case("bump-1d"), Grid((16,), (2.0,)),
+                            REG_COARSE, P)
+    for t in (0.0, 1e-3, 2e-3):
+        src(t)
+    assert calls == [(32,)]
 
 
 def test_run_case_reports_field_errors():
@@ -143,9 +171,3 @@ def test_spatial_spectral_decay():
     study = mms.spatial_study(mms.get_case("bump-1d"), REG_COARSE, P,
                               resolutions=(16, 32), dt=5e-4, t_end=1e-2)
     assert study["ratios"]["total"] > 16.0
-
-
-def test_case_dimension_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        mms.run_case(mms.get_case("trig-2d"), (32,), REG, P,
-                     dt=1e-3, t_end=1e-3)
