@@ -22,7 +22,7 @@ from . import mms as mm
 from . import presets
 from . import solver as sv
 from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
-    SolverFailure, ValidationError
+    SolverFailure, TooManyModes, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -34,51 +34,55 @@ from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
 # exactly.  ``<kind>`` is the parity of a nodal block, ``neumann``
 # (all-cosine) or ``dirichlet`` (all-sine), whose dims are the grid's shape;
 # or ``galerkin`` for a table that lives off the grid, whose two dims are its
-# row and column counts.  The nodal blocks come in the order of
-# :func:`_layout`: ``time`` (t at every node), then the state's arrays.  A
-# state with a solver history ends with it as the ``galerkin`` table
-# ``history``: one row per level, newest first, each the level's dt followed
-# by its flattened Galerkin coefficients.  A file without that table (as
-# written before the history existed, or for a state with no past) still
-# reads.
+# row and column counts.  Each unknown is stored once, in the order of
+# :func:`_layout`: ``time``, t as a 1x1 table; the nodal blocks ``rho``,
+# ``theta`` and ``d0``-``d2``; then the velocity, as the n x dim table
+# ``velocity`` of its Galerkin coefficients when the state has them and as
+# the nodal blocks ``u<c>`` when it has only nodal values.  A state with a
+# solver history ends with it as the ``galerkin`` table ``history``: one row
+# per level, newest first, each the level's dt followed by its flattened
+# Galerkin coefficients.
+#
+# The reader also takes the format written before the velocity table
+# existed: ``time`` as a nodal block holding t at every node, the velocity
+# as ``u<c>`` blocks, and the history optional.
 # ---------------------------------------------------------------------------
 
 GALERKIN = "galerkin"
 
 
-def _layout(dim):
-    """``(name, kind)`` of each nodal block of a snapshot, in file order:
-    ``time``, then the state's arrays one component per block."""
-    return ([("time", "neumann"), ("rho", "neumann")]
-            + [(f"u{c}", "dirichlet") for c in range(dim)]
-            + [("theta", "neumann")]
-            + [(f"d{k}", "neumann") for k in range(3)])
+def _layout(dim, tabled):
+    """``(name, kind)`` of each block of a snapshot before its history, in
+    file order: ``time``, the nodal scalars and director components, then
+    the velocity, as its coefficient table when ``tabled`` and one nodal
+    block per component otherwise."""
+    return ([("time", GALERKIN), ("rho", "neumann"), ("theta", "neumann")]
+            + [(f"d{k}", "neumann") for k in range(3)]
+            + ([("velocity", GALERKIN)] if tabled
+               else [(f"u{c}", "dirichlet") for c in range(dim)]))
 
 
-def _write_block(fh, name, kind, shape, values=(), cell="%.17g"):
-    """One block: its header, then a line of ``cell`` per index along the
-    first axis, the whole body formatted by a single ``%`` over ``values``.
-    A constant block passes its value already formatted as ``cell`` and no
-    values, so the value is formatted once."""
-    row = " ".join([cell] * (math.prod(shape) // shape[0])) + "\n"
+def _write_block(fh, name, kind, values):
+    """One block: its header, then a line of ``%.17g`` values per index
+    along the first axis, the whole body formatted by a single ``%``."""
+    shape = values.shape
+    row = " ".join(["%.17g"] * (values.size // shape[0])) + "\n"
     fh.write(f"FIELD {name} {kind} {' '.join(map(str, shape))}\n")
-    fh.write((row * shape[0]) % tuple(values))
+    fh.write((row * shape[0]) % tuple(values.ravel().tolist()))
 
 
 def write_snapshot(path, s):
     """One state as a plain-text snapshot, its history last when it has
     one."""
-    layout = _layout(s.grid.dim)
+    tabled = s.U is not None
+    arrays = [np.array([[s.t]]), s.rho, s.theta, *s.d,
+              *([s.U] if tabled else s.u)]
     with open(path, "w", encoding="utf-8") as fh:
-        _write_block(fh, *layout[0], s.grid.shape, cell="%.17g" % s.t)
-        for (name, kind), values in zip(layout[1:],
-                                        [s.rho, *s.u, s.theta, *s.d]):
-            _write_block(fh, name, kind, values.shape, values.ravel().tolist())
+        for (name, kind), values in zip(_layout(s.grid.dim, tabled), arrays):
+            _write_block(fh, name, kind, values)
         if s.history:
-            table = np.array([np.concatenate(([dt], U.ravel()))
-                              for dt, U in s.history])
-            _write_block(fh, "history", GALERKIN, table.shape,
-                         table.ravel().tolist())
+            _write_block(fh, "history", GALERKIN, np.array(
+                [np.concatenate(([dt], U.ravel())) for dt, U in s.history]))
 
 
 def _read_blocks(path, grid):
@@ -110,8 +114,12 @@ def _read_blocks(path, grid):
                 f"snapshot {path!r}: header {'FIELD ' + header.strip()!r} "
                 f"is neither a nodal block on the grid {grid.shape} nor a "
                 f"{GALERKIN} table")
+        cells = body.split()
         try:    # a non-numeric value, or a count other than the header's
-            values = np.array(list(map(float, body.split()))).reshape(shape)
+            if len(cells) != math.prod(shape):
+                raise ValueError(f"{len(cells)} values for the shape {shape}")
+            values = np.fromiter(map(float, cells), np.float64,
+                                 len(cells)).reshape(shape)
         except ValueError as exc:
             raise IOFailure(f"snapshot {path!r}: block {name!r}: {exc}") \
                 from None
@@ -123,21 +131,35 @@ def _read_blocks(path, grid):
 
 
 def read_snapshot(path, grid):
-    """The State stored by :func:`write_snapshot`, with its history when
-    the file has one.  Each nodal block's stored kind must be the one
-    :func:`_layout` gives it (ParityMismatch)."""
+    """The State stored by :func:`write_snapshot`, with its Galerkin
+    velocity and its history when the file has them.  Each block's stored
+    kind must be the one :func:`_layout` gives it (ParityMismatch), and the
+    file must hold the velocity either as a table or as nodal blocks."""
     blocks = _read_blocks(path, grid)
-    layout = _layout(grid.dim)
+    dim = grid.dim
+    tabled = "velocity" in blocks
+    if tabled == any(f"u{c}" in blocks for c in range(dim)):
+        raise IOFailure(f"snapshot {path!r} holds "
+                        + ("both a velocity table and nodal u blocks"
+                           if tabled else "no velocity"))
+    layout = _layout(dim, tabled)
     missing = [name for name, _ in layout if name not in blocks]
     if missing:
         raise IOFailure(f"snapshot {path!r} lacks fields {missing}")
-    for name, kind in layout:
+    time_kind, time = blocks["time"]
+    if time_kind == GALERKIN and time.shape != (1, 1):
+        raise IOFailure(f"snapshot {path!r}: time is not a 1x1 table")
+    # a v1 file stores t at every node, in a neumann block
+    for name, kind in layout[1:] if time_kind == "neumann" else layout:
         if blocks[name][0] != kind:
             raise ParityMismatch(
                 f"snapshot {path!r} stores {name} as {blocks[name][0]}, "
                 f"the state needs {kind}")
-    time, rho, *rest = (blocks[name][1] for name, _ in layout)
-    dim, history = grid.dim, ()
+    values = {name: blocks[name][1] for name, _ in layout}
+    U = values["velocity"] if tabled else None
+    u = (_velocity(path, grid, U) if tabled
+         else [values[f"u{c}"] for c in range(dim)])
+    history = ()
     if "history" in blocks:
         kind, rows = blocks["history"]
         if kind != GALERKIN or rows.shape[1] < 1 or (rows.shape[1] - 1) % dim:
@@ -145,8 +167,26 @@ def read_snapshot(path, grid):
                             f"dt and {dim}-component Galerkin coefficients")
         history = tuple((float(row[0]), row[1:].reshape(-1, dim))
                         for row in rows)
-    return sv.State(grid, float(time.flat[0]), rho, rest[:dim], rest[dim],
-                    rest[dim + 1:], history)
+    return sv.State(grid, float(time.flat[0]), values["rho"], u,
+                    values["theta"], [values[f"d{k}"] for k in range(3)],
+                    history, U)
+
+
+def _velocity(path, grid, U):
+    """Nodal velocity of the stored Galerkin coefficients ``U``, through
+    the cached basis of their mode count.  A table that is not ``dim``
+    columns of at least one mode, or that holds more modes than the grid
+    admits, is an IOFailure."""
+    n, cols = U.shape
+    if n < 1 or cols != grid.dim:
+        raise IOFailure(f"snapshot {path!r}: the velocity table is {n} x "
+                        f"{cols}, not n x {grid.dim} with n >= 1")
+    try:
+        return sv.galerkin_basis(grid, n).reconstruct(U)
+    except TooManyModes as exc:
+        raise IOFailure(f"snapshot {path!r}: the velocity table holds {n} "
+                        f"modes, the grid {grid.shape} admits "
+                        f"{exc.admissible}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedSnapshots, SolverFailure
+from .errors import MismatchedSnapshots, SolverFailure, TooManyModes
 from .fields import integrate_values, neumann, spectral_plan
 from .params import RegParams
 from . import diagnostics as dg
@@ -65,11 +65,12 @@ def _prepare_state(cfg, raw, reg):
         theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
 
 
-def _execute(cfg, raw, reg, csv_path=None):
-    """One schedule entry: run it, folding the time-integrated functionals
-    and the nearest-time snapshots as each state arrives, and appending
-    each state's diagnostics row to ``csv_path`` if given."""
-    grid = raw.grid
+def _execute(cfg, s0, reg, csv_path=None):
+    """One schedule entry, from its prepared initial state ``s0``: run it,
+    folding the time-integrated functionals and the nearest-time snapshots
+    as each state arrives, and appending each state's diagnostics row to
+    ``csv_path`` if given."""
+    grid = s0.grid
     p = cfg.phys
     alpha1 = p.cond_growth + 1.0
     acc = {"grad_rho_sq": 0.0, "lap_rho_sq": 0.0, "rho_beta": 0.0,
@@ -83,8 +84,7 @@ def _execute(cfg, raw, reg, csv_path=None):
     try:
         if csv is not None:
             csv.write(dg.csv_header())
-        for s, rec in sv.run(_prepare_state(cfg, raw, reg), reg, cfg.solver,
-                             p):
+        for s, rec in sv.run(s0, reg, cfg.solver, p):
             diag = dg.make_record(s, reg, p,
                                   dt=None if rec is None else rec.dt)
             if csv is not None:
@@ -199,7 +199,9 @@ def run_study(cfg, raw, csv_dir=None):
     regularized afresh for each schedule entry.  Each run's snapshots are
     compared with the previous run's as soon as it ends, and only the
     latest are kept.  With ``csv_dir``, the runs stream their rows to
-    ``run_00.csv``, ``run_01.csv``, ... there."""
+    ``run_00.csv``, ``run_01.csv``, ... there; each entry's initial state
+    is prepared before its CSV is opened, so an entry whose mode count the
+    grid cannot hold leaves no file."""
     study = STUDIES[cfg.cont.study]
     gamma = cfg.phys.gamma if study.oscillation else None
     runs, distances, prev = [], [], None
@@ -207,11 +209,15 @@ def run_study(cfg, raw, csv_dir=None):
         reg = RegParams(eps=eps, delta=delta, beta=cfg.reg.beta, n_modes=n)
         csv_path = None if csv_dir is None else os.path.join(
             csv_dir, "run_%02d.csv" % i)
+        entry = f"schedule entry {i} (n={n}, eps={eps!r}, delta={delta!r})"
         try:
-            summary, snaps = _execute(cfg, raw, reg, csv_path)
+            summary, snaps = _execute(cfg, _prepare_state(cfg, raw, reg),
+                                      reg, csv_path)
+        except TooManyModes as exc:
+            exc.key, exc.entry = "continuation.n", entry
+            raise
         except SolverFailure as exc:
-            exc.entry = f"schedule entry {i} (n={n}, eps={eps!r}, " \
-                        f"delta={delta!r})"
+            exc.entry = entry
             raise
         if prev is not None:
             distances += _pair_distances(i - 1, prev, snaps, gamma)

@@ -154,5 +154,25 @@ class ValidationError(FlowError):
     """Config parsed but violates a model invariant."""
 
 
+class TooManyModes(ValidationError):
+    """A Galerkin basis asked for more modes than its grid admits.  The
+    message names ``key``, the config key that set the count; a
+    continuation study sets its own key and ``entry``, the schedule entry
+    it ended."""
+
+    key = "reg.n_modes"
+    entry = None
+
+    def __init__(self, n_modes, admissible, shape):
+        super().__init__(n_modes, admissible, shape)
+        self.n_modes, self.admissible, self.shape = n_modes, admissible, shape
+
+    def __str__(self):
+        msg = (f"{self.key} = {self.n_modes} exceeds the {self.admissible} "
+               f"admissible modes on a {'x'.join(map(str, self.shape))}"
+               f"-node grid")
+        return msg if self.entry is None else f"{msg}, in {self.entry}"
+
+
 class IOFailure(FlowError):
     """Missing, unreadable, or corrupt input/output artifact."""

@@ -36,6 +36,7 @@ Key discrete facts this file relies on (established in fields.py):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ from .errors import (
     SolverFailure,
     StepFailure,
     StepUnderflow,
+    TooManyModes,
     ValidationError,
 )
 from .fields import (
@@ -85,6 +87,13 @@ class State:
     cosine arrays of shape ``grid.shape``, ``u`` is the sine stack
     ``(dim, *grid.shape)`` and ``d`` the cosine stack ``(3, *grid.shape)``.
 
+    ``U`` is the velocity's Galerkin coefficient array, shape
+    ``(n, dim)``, when the state came from the Galerkin scheme (regularized
+    initial data, a step, a snapshot that stores it): then
+    ``galerkin_basis(grid, n).reconstruct(U)`` is ``u`` bit for bit.  A
+    state built from nodal velocity (a preset, a manufactured solution, a
+    snapshot of the nodal format) has ``None``.
+
     ``history`` holds what the velocity predictor reads from earlier steps:
     at most two ``(dt, U)`` pairs, newest first, where ``U`` is the Galerkin
     coefficient array of the state a step started from and ``dt`` the step
@@ -92,9 +101,9 @@ class State:
     an initial one, has ``()``.
     """
 
-    __slots__ = ("grid", "t", "rho", "u", "theta", "d", "history")
+    __slots__ = ("grid", "t", "rho", "u", "theta", "d", "history", "U")
 
-    def __init__(self, grid, t, rho, u, theta, d, history=()):
+    def __init__(self, grid, t, rho, u, theta, d, history=(), U=None):
         self.grid = grid
         self.t = float(t)
         self.history = tuple(history)
@@ -106,6 +115,13 @@ class State:
                     f"state field {name} has shape {values.shape}, the "
                     f"grid {grid.shape} needs {lead[name] + grid.shape}")
             setattr(self, name, values)
+        if U is not None:
+            U = np.ascontiguousarray(U, dtype=np.float64)
+            if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] != grid.dim:
+                raise GridMismatch(
+                    f"state field U has shape {U.shape}, the grid "
+                    f"{grid.shape} needs (n, {grid.dim}) with n >= 1")
+        self.U = U
 
 
 @dataclass(frozen=True)
@@ -175,9 +191,7 @@ class GalerkinBasis:
             cand.append((lam, tpl))
         cand.sort(key=lambda it: (it[0], it[1]))
         if n_modes > len(cand):
-            raise ValidationError(
-                f"reg.n_modes = {n_modes} exceeds the {len(cand)} admissible "
-                f"modes on a {'x'.join(map(str, grid.shape))}-node grid")
+            raise TooManyModes(n_modes, len(cand), grid.shape)
         self.modes = tuple(tpl for _, tpl in cand[:n_modes])
         self.n = n_modes
         self.gram = float(np.prod([L / 2.0 for L in grid.extents]))
@@ -253,6 +267,14 @@ class GalerkinBasis:
         K.flags.writeable = False
         self._stiffness[key] = K
         return K
+
+
+@functools.lru_cache(maxsize=32)
+def galerkin_basis(grid, n_modes):
+    """The cached :class:`GalerkinBasis` of ``n_modes`` modes on ``grid``,
+    built once per pair, as :func:`nlcflow.fields.spectral_plan` caches
+    plans."""
+    return GalerkinBasis(grid, n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +707,8 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
                         director_gap=gap, predicted=predicted)
     history = ((dt, U0),) + tuple(
         level for level in s.history[:1] if level[1].shape == U0.shape)
-    return State(grid, t1, rho_new, u_new, theta_new, d_new,
-                 history), record
+    return State(grid, t1, rho_new, u_new, theta_new, d_new, history,
+                 U_new), record
 
 
 def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
@@ -722,7 +744,8 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
             return state, record
         except PositivityLoss as exc:
             if _predicts(start.history, dt, (basis.n, s.grid.dim)):
-                start = State(s.grid, s.t, s.rho, s.u, s.theta, s.d)
+                start = State(s.grid, s.t, s.rho, s.u, s.theta, s.d, (),
+                              s.U)
                 continue
             if halving == 10:
                 raise StepUnderflow(exc.substep, halving, exc, s.t, dt) \
@@ -806,7 +829,7 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     masked = [np.where(clamped >= raw, mv, 0.0) for mv in m_vals]
     u_vals = [np.where(clamped > 0.0, mv / np.maximum(clamped, 1e-300), 0.0)
               for mv in masked]
-    u = basis.reconstruct(basis.project(u_vals))
+    U = basis.project(u_vals)
 
     th = np.clip(theta0, theta_bounds[0], theta_bounds[1])
-    return State(grid, 0.0, clamped, u, th, d0)
+    return State(grid, 0.0, clamped, basis.reconstruct(U), th, d0, (), U)

@@ -15,6 +15,7 @@ from nlcflow import cli
 from nlcflow import diagnostics as dg
 from nlcflow.errors import IOFailure
 from nlcflow.fields import Grid
+from nlcflow import solver as sv
 from nlcflow.solver import State
 
 from conftest import bump_state, read_csv
@@ -378,10 +379,28 @@ def _random_state(grid, t=0.125, history=(), seed=7):
                  values((3,)), history)
 
 
-def _per_row_snapshot(s):
-    """The snapshot the writer that formatted one value at a time and one
-    row per line wrote, kept as the reference for the bytes of the v1
-    format: the constant ``time`` block, the nodal blocks, the history."""
+def _tabled(s, n_modes=3, seed=11):
+    """``s`` with a random Galerkin velocity of ``n_modes`` modes: its
+    ``U`` and the ``u`` the cached basis reconstructs from it."""
+    U = np.random.default_rng(seed).standard_normal((n_modes, s.grid.dim))
+    u = sv.galerkin_basis(s.grid, n_modes).reconstruct(U)
+    return State(s.grid, s.t, s.rho, u, s.theta, s.d, s.history, U)
+
+
+def _nodal(s):
+    """``s`` without its Galerkin velocity, as a state built from nodal
+    values holds it."""
+    return State(s.grid, s.t, s.rho, s.u, s.theta, s.d, s.history)
+
+
+def _per_row_snapshot(s, v1=True):
+    """The snapshot a writer that formats one value at a time and one row
+    per line writes.  By default it is the reference for the bytes of the
+    v1 format: a ``time`` block holding t at every node, the nodal blocks
+    with the velocity as ``u<c>``, the history.  With ``v1`` false it
+    writes the current layout: t as a 1x1 table, ``rho``, ``theta``, the
+    director, the velocity as its ``velocity`` table when ``s`` has one,
+    the history."""
     lines = []
 
     def block(name, kind, values):
@@ -390,13 +409,24 @@ def _per_row_snapshot(s):
         for row in values.reshape(values.shape[0], -1):
             lines.append(" ".join("%.17g" % v for v in row))
 
-    block("time", "neumann", np.full(s.grid.shape, s.t))
+    def nodal_velocity():
+        for c, comp in enumerate(s.u):
+            block(f"u{c}", "dirichlet", comp)
+
+    if v1:
+        block("time", "neumann", np.full(s.grid.shape, s.t))
+    else:
+        block("time", "galerkin", np.array([[s.t]]))
     block("rho", "neumann", s.rho)
-    for c, comp in enumerate(s.u):
-        block(f"u{c}", "dirichlet", comp)
+    if v1:
+        nodal_velocity()
     block("theta", "neumann", s.theta)
     for k, comp in enumerate(s.d):
         block(f"d{k}", "neumann", comp)
+    if not v1 and s.U is not None:
+        block("velocity", "galerkin", s.U)
+    elif not v1:
+        nodal_velocity()
     if s.history:
         block("history", "galerkin", np.array(
             [np.concatenate(([dt], U.ravel())) for dt, U in s.history]))
@@ -412,6 +442,8 @@ def _assert_same_state(back, s):
     assert _same_bits(back.t, s.t)
     for name in ("rho", "u", "theta", "d"):
         assert _same_bits(getattr(back, name), getattr(s, name)), name
+    assert (back.U is None) == (s.U is None)
+    assert s.U is None or _same_bits(back.U, s.U)
     assert len(back.history) == len(s.history)
     for (dt_back, U_back), (dt, U) in zip(back.history, s.history):
         assert _same_bits(dt_back, dt) and _same_bits(U_back, U)
@@ -419,19 +451,40 @@ def _assert_same_state(back, s):
 
 def test_snapshot_round_trip(tmp_path):
     """Every value of every array comes back bit for bit, signed zeros
-    included, and each block's header names its kind: the velocity is
-    ``dirichlet``, the rest ``neumann``."""
+    included, and each block's header names its kind: t is a 1x1
+    ``galerkin`` table, the scalars and the director are ``neumann``, and
+    the velocity is its n x dim ``galerkin`` coefficient table, or, for a
+    state that has only nodal values, ``dirichlet`` blocks."""
     grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
-    s = _random_state(grid)
     path = tmp_path / "state.dat"
-    cli.write_snapshot(str(path), s)
-    _assert_same_state(cli.read_snapshot(str(path), grid), s)
-    heads = [ln.split()[1:] for ln in path.read_text().splitlines()
-             if ln.startswith("FIELD ")]
-    assert heads == [[name, kind, "16", "32"] for name, kind in [
-        ("time", "neumann"), ("rho", "neumann"), ("u0", "dirichlet"),
-        ("u1", "dirichlet"), ("theta", "neumann"), ("d0", "neumann"),
-        ("d1", "neumann"), ("d2", "neumann")]]
+    nodal = [[name, "neumann", "16", "32"]
+             for name in ("rho", "theta", "d0", "d1", "d2")]
+    for s, velocity in [
+            (_random_state(grid), [["u0", "dirichlet", "16", "32"],
+                                   ["u1", "dirichlet", "16", "32"]]),
+            (_tabled(_random_state(grid), 5), [["velocity", "galerkin",
+                                                "5", "2"]])]:
+        cli.write_snapshot(str(path), s)
+        _assert_same_state(cli.read_snapshot(str(path), grid), s)
+        heads = [ln.split()[1:] for ln in path.read_text().splitlines()
+                 if ln.startswith("FIELD ")]
+        assert heads == [["time", "galerkin", "1", "1"]] + nodal + velocity
+
+
+def test_snapshot_lines_are_headers_or_numbers(tmp_path):
+    """Every line of a snapshot is a ``FIELD`` header or a row of tokens
+    that ``float()`` accepts, for a state with a velocity table and
+    history and for one with nodal velocity: readers that scan the text
+    line by line, such as the benchmark's field minima, keep working."""
+    grid = Grid((8, 16), (2.0, 2.0))
+    s = _tabled(_random_state(grid, history=((1e-3, np.ones((3, 2))),)))
+    path = tmp_path / "state.dat"
+    for state in (s, _nodal(s)):
+        cli.write_snapshot(str(path), state)
+        for line in path.read_text().splitlines():
+            if not line.startswith("FIELD "):
+                assert line.split() and all(
+                    math.isfinite(float(tok)) for tok in line.split())
 
 
 def test_snapshot_table_round_trip(tmp_path):
@@ -463,7 +516,7 @@ def test_snapshot_corruption_raises(tmp_path):
     cli.write_snapshot(str(path), _random_state(grid))
     text = path.read_text()
     lines = text.splitlines()
-    assert lines[33] == "FIELD rho neumann 32"
+    assert lines[2] == "FIELD rho neumann 32"
     for broken in [text.replace("FIELD rho neumann", "FIELD rho sideways"),
                    "\n".join(lines[:-5]) + "\n",
                    "\n".join(lines[:40] + ["corrupted zz"] + lines[41:]),
@@ -488,7 +541,7 @@ def test_snapshot_history_of_another_width_raises(tmp_path):
     text = path.read_text()
     for table in ["FIELD history galerkin 1 0\n",
                   "FIELD history galerkin -1 3\n1e-3 0 0\n",
-                  text[text.index("FIELD rho "):text.index("FIELD u0 ")]
+                  text[text.index("FIELD rho "):text.index("FIELD theta ")]
                   .replace("FIELD rho ", "FIELD history ")]:
         path.write_text(text + table)
         with pytest.raises(IOFailure, match="history"):
@@ -497,20 +550,25 @@ def test_snapshot_history_of_another_width_raises(tmp_path):
 
 @pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
 def test_snapshot_matches_per_row_writer(tmp_path, shape):
-    """One ``%`` per block writes the bytes the per-row writer wrote, for
-    random values of every magnitude, the special values, both kinds and
-    the history; ``time``, formatted once, matches it for each special
-    value of t.  Every file reads back bit for bit."""
+    """One ``%`` per block writes the bytes of the per-row writer's current
+    layout, for random values of every magnitude, the special values, both
+    kinds, the velocity table and nodal velocity, and the history, with
+    each special value of t.  Every file reads back bit for bit, and so
+    does the v1 file the per-row writer builds from the same state, with
+    its velocity nodal."""
     grid = Grid(shape, (2.0,) * len(shape))
     history = ((1e-3, np.array(SPECIAL_VALUES[:len(shape) * 4])
                 .reshape(-1, len(shape))),)
-    s = _random_state(grid, history=history)
+    s = _tabled(_random_state(grid, history=history))
     path = tmp_path / "state.dat"
     for t in SPECIAL_VALUES + list(s.rho.flat[-5:]):
-        s = State(grid, t, s.rho, s.u, s.theta, s.d, s.history)
-        cli.write_snapshot(str(path), s)
-        assert path.read_text() == _per_row_snapshot(s)
-        _assert_same_state(cli.read_snapshot(str(path), grid), s)
+        s = State(grid, t, s.rho, s.u, s.theta, s.d, s.history, s.U)
+        for state in (s, _nodal(s)):
+            cli.write_snapshot(str(path), state)
+            assert path.read_text() == _per_row_snapshot(state, v1=False)
+            _assert_same_state(cli.read_snapshot(str(path), grid), state)
+        path.write_text(_per_row_snapshot(s))
+        _assert_same_state(cli.read_snapshot(str(path), grid), _nodal(s))
 
 
 def test_snapshot_round_trip_exact(tmp_path):
@@ -528,8 +586,8 @@ def test_snapshot_round_trip_exact(tmp_path):
 
 def test_snapshot_history_round_trip_exact(tmp_path):
     """The solver history, two (dt, U) levels after two steps, goes after
-    the nodal fields and comes back bit for bit; a state with no history
-    writes no history block."""
+    the nodal fields and the velocity table and comes back bit for bit; a
+    state with no history writes no history block."""
     from nlcflow import solver as sv
     from nlcflow.params import PhysParams, RegParams
     grid = Grid((16, 16), (2.0, 2.0))
@@ -544,7 +602,7 @@ def test_snapshot_history_round_trip_exact(tmp_path):
     cli.write_snapshot(path, states[-1])
     text = (tmp_path / "s2.dat").read_text()
     lines = text.splitlines()
-    assert text.count("FIELD ") == 9
+    assert text.count("FIELD ") == 8
     assert lines[-3] == "FIELD history galerkin 2 13"
     back = cli.read_snapshot(path, grid)
     assert len(back.history) == 2
@@ -553,6 +611,106 @@ def test_snapshot_history_round_trip_exact(tmp_path):
         assert np.array_equal(U_back, U)
     cli.write_snapshot(str(tmp_path / "again.dat"), back)
     assert (tmp_path / "again.dat").read_text() == text
+
+
+def test_snapshot_stepped_state_round_trip(tmp_path):
+    """Regularized initial data and every stepped state carry their
+    Galerkin velocity: the snapshot stores it as the ``velocity`` table in
+    place of nodal blocks, and reading it back rebuilds ``u`` bit for bit
+    through the cached basis.  Rewriting the state read gives the same
+    bytes."""
+    from nlcflow import solver as sv
+    from nlcflow.params import PhysParams, RegParams
+    grid = Grid((16, 16), (2.0, 2.0))
+    reg = RegParams(eps=1e-2, delta=1e-3, n_modes=6)
+    raw = bump_state(grid, n_modes=6)
+    s0 = sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
+                                    raw.theta, raw.d, reg)
+    basis = sv.GalerkinBasis(grid, 6)
+    for k, (s, _) in enumerate(sv.run(s0, reg, sv.SolverConfig(
+            dt=1e-3, t_end=3e-3), PhysParams())):
+        assert s.U.shape == (6, 2)
+        assert _same_bits(basis.reconstruct(s.U), s.u)
+        path = tmp_path / f"s{k}.dat"
+        cli.write_snapshot(str(path), s)
+        text = path.read_text()
+        assert "FIELD velocity galerkin 6 2\n" in text
+        assert "FIELD u0 " not in text
+        back = cli.read_snapshot(str(path), grid)
+        _assert_same_state(back, s)
+        cli.write_snapshot(str(tmp_path / "again.dat"), back)
+        assert (tmp_path / "again.dat").read_text() == text
+    assert k == 3
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda text: text.replace("FIELD velocity galerkin 8 2\n",
+                               "FIELD velocity galerkin 4 4\n"),
+     "not n x 2"),
+    (lambda text: text.replace("FIELD velocity galerkin 8 2\n",
+                               "FIELD velocity galerkin 16 1\n"),
+     "not n x 2"),
+    (lambda text: text.replace(
+        "FIELD velocity galerkin 8 2\n",
+        "FIELD velocity galerkin 800 2\n" + "0.5 0.5\n" * 792),
+     "holds 800 modes, the grid \\(32, 32\\) admits 225"),
+    (lambda text: text + _block_text(text, "d0").replace("FIELD d0 neumann",
+                                                          "FIELD u0 dirichlet")
+     + _block_text(text, "d1").replace("FIELD d1 neumann",
+                                       "FIELD u1 dirichlet"),
+     "both a velocity table and nodal u blocks"),
+    (lambda text: text.replace(_block_text(text, "velocity"), ""),
+     "no velocity"),
+], ids=["columns", "one-column", "too-many-modes", "both", "neither"])
+def test_restart_from_snapshot_with_bad_velocity_exits_4(tmp_path, capsys,
+                                                         edit, match):
+    """A velocity table whose column count is not the grid's dim, or that
+    asks for more modes than the grid admits, and a file holding both a
+    velocity table and nodal u blocks, or neither, are input failures:
+    reading raises IOFailure and ``solve run`` exits 4, not 2."""
+    whole = _write(tmp_path, "whole.cfg",
+                   RESTART_CFG.format(out=tmp_path / "whole").replace(
+                       "solver.t_end = 0.01", "solver.t_end = 0.002"))
+    assert cli.main(["run", whole]) == 0
+    bad = tmp_path / "bad.dat"
+    bad.write_text(edit((tmp_path / "whole" / "snap_000002.dat")
+                        .read_text()))
+    with pytest.raises(IOFailure, match=match):
+        cli.read_snapshot(str(bad), Grid((32, 32), (2.0, 2.0)))
+    restart = _write(tmp_path, "restart.cfg",
+                     RESTART_CFG.format(out=tmp_path / "again")
+                     + f"init.snapshot = {bad}\n")
+    capsys.readouterr()
+    assert cli.main(["run", restart]) == 4
+    assert "i/o error" in capsys.readouterr().err
+
+
+def _block_text(text, name):
+    """The header and rows of block ``name`` in the snapshot ``text``."""
+    start = text.index(f"FIELD {name} ")
+    end = text.find("\nFIELD ", start)
+    return text[start:] if end < 0 else text[start:end + 1]
+
+
+def test_restart_from_v1_snapshot_continues_the_run(tmp_path):
+    """A v1 snapshot, as the per-row writer builds it with the velocity
+    nodal and t at every node, reads back bit for bit, and a restart from
+    it ends on the continuous run's final snapshot byte for byte: the step
+    projects the nodal velocity either way."""
+    whole = _write(tmp_path, "whole.cfg",
+                   RESTART_CFG.format(out=tmp_path / "whole"))
+    assert cli.main(["run", whole]) == 0
+    grid = Grid((32, 32), (2.0, 2.0))
+    s = cli.read_snapshot(str(tmp_path / "whole" / "snap_000005.dat"), grid)
+    old = tmp_path / "v1.dat"
+    old.write_text(_per_row_snapshot(s))
+    _assert_same_state(cli.read_snapshot(str(old), grid), _nodal(s))
+    restart = _write(tmp_path, "restart.cfg",
+                     RESTART_CFG.format(out=tmp_path / "second")
+                     + f"init.snapshot = {old}\n")
+    assert cli.main(["run", restart]) == 0
+    assert (tmp_path / "second" / "snap_000005.dat").read_bytes() \
+        == (tmp_path / "whole" / "snap_000010.dat").read_bytes()
 
 
 def test_restart_from_snapshot_without_history(tmp_path, monkeypatch):
@@ -589,8 +747,12 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
                                                          field, stored, wrong):
     """A snapshot that stores a field with another parity than the state
     layout gives it is rejected input: ``solve run`` exits 2 and names
-    ParityMismatch and the field."""
+    ParityMismatch and the field.  The nodal velocity blocks come from the
+    state written without its Galerkin velocity."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    snap = str(tmp_path / "out" / "snap_000002.dat")
+    cli.write_snapshot(snap, _nodal(cli.read_snapshot(snap, Grid((32,),
+                                                                  (2.0,)))))
     text = (tmp_path / "out" / "snap_000002.dat").read_text()
     header = f"FIELD {field} {stored} "
     assert text.count(header) == 1
@@ -609,8 +771,7 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
     ("FIELD rho neumann 32\n", "FIELD rho sideways 32\n"),
     ("FIELD theta neumann 32\n", "FIELD rho neumann 32\n"),
     (r"(FIELD rho neumann 32\n)[^\n]+", r"\1nan"),
-    ("FIELD time neumann 32\n" + "0.002\n" * 32,
-     "FIELD time neumann 32\n" + "inf\n" * 32),
+    ("FIELD time galerkin 1 1\n0.002\n", "FIELD time galerkin 1 1\ninf\n"),
     (r"(FIELD history galerkin 2 7\n)0\.001 ", r"\1nan "),
 ], ids=["non-integer-dims", "unknown-kind", "missing-field", "nan-rho",
         "inf-time", "nan-history"])

@@ -11,7 +11,7 @@ from nlcflow import continuation as ct
 from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
-from nlcflow.errors import MismatchedSnapshots
+from nlcflow.errors import MismatchedSnapshots, TooManyModes
 from nlcflow.fields import Grid
 
 from conftest import equilibrium_state, read_csv
@@ -146,6 +146,37 @@ def test_snapshot_times_selected():
                     t_end=0.01, snapshot_times=(0.005, 0.01))
     times = sorted({row["t"] for row in report["distances"]})
     assert times == pytest.approx([0.005, 0.01])
+
+
+def test_too_many_modes_names_the_schedule_key_and_entry(tmp_path):
+    """A schedule entry asking for more modes than the grid admits names
+    ``continuation.n`` and the entry, not ``reg.n_modes``, which the
+    config never set.  Its state is prepared before its CSV is opened, so
+    the entries before it keep their CSVs and it leaves none."""
+    with pytest.raises(TooManyModes) as info:
+        _study("pressure", [(6, 1e-3, 1e-2), (60, 1e-3, 1e-3)],
+               t_end=2e-3, shape=(16, 16), csv_dir=str(tmp_path))
+    msg = str(info.value)
+    assert msg == ("continuation.n = 60 exceeds the 49 admissible modes on "
+                   "a 16x16-node grid, in schedule entry 1 (n=60, "
+                   "eps=0.001, delta=0.001)")
+    assert sorted(os.listdir(tmp_path)) == ["run_00.csv"]
+
+
+def test_too_many_modes_command_exits_2_without_a_run_file(tmp_path,
+                                                           capsys):
+    """``solve continuation`` on a 16^2 grid with ``continuation.n = 60``
+    exits 2 naming the key and the entry, and writes no ``run_00.csv``."""
+    from nlcflow import cli
+    cfg = tmp_path / "cont.cfg"
+    cfg.write_text("grid.dim = 2\ngrid.shape = 16\ncontinuation.study = "
+                   "pressure\ncontinuation.n = 60\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert cli.main(["continuation", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: continuation.n = 60 exceeds" in err
+    assert "schedule entry 0 (n=60," in err and "reg.n_modes" not in err
+    assert os.listdir(tmp_path / "out") == ["config.resolved"]
 
 
 # ---------------------------------------------------------------------------

@@ -1006,17 +1006,22 @@ def test_regularize_rejects_negative_density(grid2d):
 
 def test_state_checks_layout_shapes(grid2d):
     """A State holds rho and theta of the grid's shape, a dim-component
-    velocity stack and a 3-component director stack; anything else is
-    refused, naming the field."""
+    velocity stack, a 3-component director stack and, if any, an n x dim
+    Galerkin coefficient table with n >= 1; anything else is refused,
+    naming the field."""
     s = equilibrium_state(grid2d)
-    good = {"rho": s.rho, "u": s.u, "theta": s.theta, "d": s.d}
-    wrong = {"rho": np.ones((16, 16)), "u": np.zeros((3,) + grid2d.shape),
-             "theta": np.ones(grid2d.shape[:1]),
-             "d": np.zeros((2,) + grid2d.shape)}
-    for name, values in wrong.items():
-        args = dict(good, **{name: values})
-        with pytest.raises(GridMismatch, match=f"state field {name} "):
-            sv.State(grid2d, 0.0, **args)
+    good = {"rho": s.rho, "u": s.u, "theta": s.theta, "d": s.d,
+            "U": np.zeros((4, 2))}
+    wrong = {"rho": [np.ones((16, 16))], "u": [np.zeros((3,) + grid2d.shape)],
+             "theta": [np.ones(grid2d.shape[:1])],
+             "d": [np.zeros((2,) + grid2d.shape)],
+             "U": [np.zeros((4, 3)), np.zeros((0, 2)), np.zeros(8)]}
+    assert sv.State(grid2d, 0.0, **good).U.shape == (4, 2)
+    for name, cases in wrong.items():
+        for values in cases:
+            args = dict(good, **{name: values})
+            with pytest.raises(GridMismatch, match=f"state field {name} "):
+                sv.State(grid2d, 0.0, **args)
 
 
 def test_solver_config_validation():
