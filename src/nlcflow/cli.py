@@ -88,8 +88,9 @@ def write_snapshot(path, s):
 def _read_blocks(path, grid):
     """Every block of a snapshot as ``{name: (kind, array)}``: a nodal
     block's array has the grid's shape, a ``galerkin`` table the row and
-    column counts of its header.  Any malformed block, or one holding nan
-    or an infinity, is an IOFailure: no accepted state holds either."""
+    column counts of its header.  Any malformed block, one holding nan or
+    an infinity, or a second block of a name, is an IOFailure: no accepted
+    state holds either, and no writer repeats a block."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -126,6 +127,8 @@ def _read_blocks(path, grid):
         if not np.isfinite(values).all():
             raise IOFailure(f"snapshot {path!r}: block {name!r} holds a "
                             f"non-finite value")
+        if name in blocks:
+            raise IOFailure(f"snapshot {path!r}: block {name!r} repeats")
         blocks[name] = (kind, values)
     return blocks
 
@@ -212,9 +215,7 @@ def _prepared_state(cfg):
     raw = _initial_state(cfg)
     if cfg.init.snapshot is not None:
         return raw
-    return sv.regularize_initial_data(
-        raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, cfg.reg,
-        theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
+    return ct._prepare_state(cfg, raw, cfg.reg)
 
 
 def _write_text(path, text):

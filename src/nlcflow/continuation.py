@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedSnapshots, SolverFailure, TooManyModes
-from .fields import integrate_values, neumann, spectral_plan
+from .fields import dirichlet, integrate_values, neumann, spectral_plan
 from .params import RegParams
 from . import diagnostics as dg
 from . import solver as sv
@@ -60,6 +60,8 @@ STUDIES = {
 
 
 def _prepare_state(cfg, raw, reg):
+    """The regularized starting state of a run with ``reg``; ``solve run``
+    starts from it too."""
     return sv.regularize_initial_data(
         raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, reg,
         theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
@@ -71,6 +73,7 @@ def _execute(cfg, s0, reg, csv_path=None):
     as each state arrives, and appending each state's diagnostics row to
     ``csv_path`` if given."""
     grid = s0.grid
+    plan = spectral_plan(grid)
     p = cfg.phys
     alpha1 = p.cond_growth + 1.0
     acc = {"grad_rho_sq": 0.0, "lap_rho_sq": 0.0, "rho_beta": 0.0,
@@ -100,11 +103,11 @@ def _execute(cfg, s0, reg, csv_path=None):
                 continue
             dt = rec.dt
             emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
+            grad_rho = plan.grad(s.rho, neumann(grid.dim))
             acc["grad_rho_sq"] += dt * integrate_values(
-                grid, dg._grad_sq(grid, s.rho))
+                grid, dg._sum_sq(grid, grad_rho))
             acc["lap_rho_sq"] += dt * integrate_values(
-                grid,
-                spectral_plan(grid).laplacian(s.rho, neumann(grid.dim)) ** 2)
+                grid, plan.div(grad_rho, dirichlet(grid.dim)) ** 2)
             acc["rho_beta"] += dt * integrate_values(
                 grid, np.maximum(s.rho, 0.0) ** reg.beta)
             acc["theta_pow"] += dt * integrate_values(
@@ -145,7 +148,8 @@ def _state_distances(a, b):
     for k in range(3):
         diff = a.d[k] - b.d[k]
         d_sq += integrate_values(grid, diff ** 2)
-        d_sq += integrate_values(grid, dg._grad_sq(grid, diff))
+        d_sq += integrate_values(grid, dg._sum_sq(
+            grid, spectral_plan(grid).grad(diff, neumann(grid.dim))))
     return {
         "rho_l1": float(rho_l1),
         "u_l2": float(np.sqrt(u_sq)),

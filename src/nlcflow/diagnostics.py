@@ -9,6 +9,7 @@ residual is a genuine audit of the discrete inequality, small and one-sided.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import constitutive as cst
 from . import solver as sv
 from .errors import GridMismatch, NonPositiveTemperature
-from .fields import COS, SIN, integrate_values, neumann, spectral_plan
+from .fields import dirichlet, integrate_values, neumann, spectral_plan
 from .params import PhysParams, RegParams
 
 
@@ -87,36 +88,46 @@ def csv_line(rec, residuals=()):
 
 
 # ---------------------------------------------------------------------------
-# energy
+# the derivative pass of a state, and energy
 # ---------------------------------------------------------------------------
 
-def _grad_arrays(grid, values):
-    """Gradient components of a cosine array, one product per axis."""
-    plan = spectral_plan(grid)
-    return [plan.deriv(values, a, COS) for a in range(grid.dim)]
+Derivatives = namedtuple("Derivatives", "rho theta u d relax")
 
 
-def _grad_sq(grid, values):
-    """|grad f|^2 of a cosine array, the axes summed in order."""
+def derivatives(s, p: PhysParams):
+    """The one derivative pass of a state ``s``: the gradient stacks
+    ``(dim, ...)`` of rho, theta, u and d, each taken once and named after
+    its field, and ``relax``, the director relaxation field
+    laplace d - f(d), whose Laplacian is the divergence of that same
+    grad d."""
+    plan = spectral_plan(s.grid)
+    cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
+    grad_d = plan.grad(s.d, cos)
+    return Derivatives(
+        plan.grad(s.rho, cos), plan.grad(s.theta, cos),
+        plan.grad(s.u, sin), grad_d,
+        plan.div(grad_d, sin) - cst.gl_force(s.d, p.penalty_scale))
+
+
+def _sum_sq(grid, stack):
+    """Pointwise sum of the squares of a stack's arrays, taken in the
+    order of its leading indices."""
     out = np.zeros(grid.shape)
-    for g in _grad_arrays(grid, values):
-        out += g ** 2
+    for index in np.ndindex(stack.shape[:stack.ndim - grid.dim]):
+        out += stack[index] ** 2
     return out
 
 
-def total_energy(s, reg: RegParams, p: PhysParams):
-    """Total energy and its named parts; the total is the exact float sum of
-    the parts."""
+def total_energy(s, grad_d, reg: RegParams, p: PhysParams):
+    """Total energy and its named parts, ``grad_d`` being the director's
+    gradient stack ``plan.grad(s.d, neumann(dim))``; the total is the exact
+    float sum of the parts."""
     grid = s.grid
     rho = s.rho
-    speed2 = np.zeros(grid.shape)
-    for c in s.u:
-        speed2 += c ** 2
+    speed2 = _sum_sq(grid, s.u)
     d_vals = s.d
-    grad_d2 = np.zeros(grid.shape)
-    grad_d = sv._director_gradient(spectral_plan(grid), d_vals)
-    for g in grad_d.reshape((-1,) + grid.shape):
-        grad_d2 += g ** 2
+    # component by component, each over the axes
+    grad_d2 = _sum_sq(grid, grad_d.swapaxes(0, 1))
     nu = p.elastic_coupling
     parts = {
         "kinetic": 0.5 * integrate_values(grid, rho * speed2),
@@ -134,23 +145,12 @@ def total_energy(s, reg: RegParams, p: PhysParams):
     return sum(parts.values()), parts
 
 
-def _rate_fields(s, p: PhysParams):
-    """The velocity gradient and the director relaxation field
-    laplace d - f(d) of one state, shared by the dissipation and the
-    entropy production."""
-    plan = spectral_plan(s.grid)
-    relax = plan.laplacian(s.d, neumann(s.grid.dim)) \
-        - cst.gl_force(s.d, p.penalty_scale)
-    return sv._velocity_gradient(plan, s.u), relax
-
-
-def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
-    """Instantaneous nonnegative dissipation functionals of one state;
-    ``rates`` is :func:`_rate_fields` of ``s`` when already at hand."""
+def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
+    """Instantaneous nonnegative dissipation functionals of one state,
+    ``der`` being :func:`derivatives` of it."""
     grid = s.grid
-    grad_u, relax = _rate_fields(s, p) if rates is None else rates
     theta = np.maximum(s.theta, 0.0)
-    grad_rho2 = _grad_sq(grid, s.rho)
+    grad_rho2 = _sum_sq(grid, der.rho)
     rho = np.maximum(s.rho, 0.0)
 
     def power(expo):
@@ -165,8 +165,9 @@ def dissipation_parts(s, reg: RegParams, p: PhysParams, rates=None):
         density_term += reg.eps * reg.delta * reg.beta * integrate_values(
             grid, power(reg.beta) * grad_rho2)
     return {
-        "viscous": integrate_values(grid, cst.stress_power(grad_u, p)),
-        "director": integrate_values(grid, np.sum(relax * relax, axis=0)),
+        "viscous": integrate_values(grid, cst.stress_power(der.u, p)),
+        "director": integrate_values(grid, np.sum(der.relax * der.relax,
+                                                  axis=0)),
         "thermal_sink": reg.delta * integrate_values(
             grid, theta ** (p.cond_growth + 1.0)),
         "density": density_term,
@@ -188,20 +189,21 @@ def energy_budget_residual(s_prev, s_next, reg: RegParams, p: PhysParams,
     enthalpy, so r collects only the nonnegative numerical defects (and
     must stay below a small one-sided tolerance).
     """
-    e_next, _ = total_energy(s_next, reg, p)
-    e_prev, _ = total_energy(s_prev, reg, p)
     grid = s_next.grid
     plan = spectral_plan(grid)
+    cos = neumann(grid.dim)
+    e_next, _ = total_energy(s_next, plan.grad(s_next.d, cos), reg, p)
+    e_prev, _ = total_energy(s_prev, plan.grad(s_prev.d, cos), reg, p)
     visc = integrate_values(grid, cst.stress_power(
-        sv._velocity_gradient(plan, s_next.u), p))
+        plan.grad(s_next.u, dirichlet(grid.dim)), p))
     sink = integrate_values(
         grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
-    grad_rho = _grad_arrays(grid, s_next.rho)
+    grad_rho = plan.grad(s_next.rho, cos)
     safe = np.maximum(s_next.rho, 0.0)
 
     def interp_form(exponent):
-        bp = cst.convex_pressure_enthalpy(safe, exponent)
-        return sum(integrate_values(grid, plan.deriv(bp, b, COS) * grad_rho[b])
+        grad_bp = plan.grad(cst.convex_pressure_enthalpy(safe, exponent), cos)
+        return sum(integrate_values(grid, grad_bp[b] * grad_rho[b])
                    for b in range(grid.dim))
 
     eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
@@ -227,21 +229,20 @@ def entropy_total(s):
     return integrate_values(s.grid, out)
 
 
-def entropy_production(s, p: PhysParams, rates=None):
+def entropy_production(s, der, p: PhysParams):
     """Quadrature and pointwise minimum of the production integrand
     kappa(theta)|grad theta|^2/theta^2 + S:grad u / theta + coupled director
-    relaxation |laplace d - f(d)|^2 / theta; ``rates`` is
-    :func:`_rate_fields` of ``s`` when already at hand."""
+    relaxation |laplace d - f(d)|^2 / theta, ``der`` being
+    :func:`derivatives` of ``s``."""
     grid = s.grid
     theta = s.theta
     if float(theta.min()) <= 0.0:
         raise NonPositiveTemperature("entropy production needs theta > 0")
-    grad_t2 = _grad_sq(grid, theta)
-    grad_u, relax = _rate_fields(s, p) if rates is None else rates
+    grad_t2 = _sum_sq(grid, der.theta)
     integrand = (cst.heat_conductivity(theta, p) * grad_t2 / theta ** 2
-                 + cst.stress_power(grad_u, p) / theta
+                 + cst.stress_power(der.u, p) / theta
                  + p.elastic_coupling * p.relax_rate
-                 * np.sum(relax * relax, axis=0) / theta)
+                 * np.sum(der.relax * der.relax, axis=0) / theta)
     return integrate_values(grid, integrand), float(integrand.min())
 
 
@@ -250,10 +251,7 @@ def entropy_production(s, p: PhysParams, rates=None):
 # ---------------------------------------------------------------------------
 
 def director_sup(s):
-    mag2 = np.zeros(s.grid.shape)
-    for c in s.d:
-        mag2 += c ** 2
-    return float(np.sqrt(mag2.max()))
+    return float(np.sqrt(_sum_sq(s.grid, s.d).max()))
 
 
 def pressure_weight_density(s, reg: RegParams, p: PhysParams):
@@ -267,18 +265,20 @@ def pressure_weight_density(s, reg: RegParams, p: PhysParams):
 
 
 def make_record(s, reg: RegParams, p: PhysParams, dt=None):
-    e_total, parts = total_energy(s, reg, p)
+    """The diagnostics record of one state, from one derivative pass
+    (:func:`derivatives`)."""
+    der = derivatives(s, p)
+    e_total, parts = total_energy(s, der.d, reg, p)
     incr = 0.0
     if dt is not None:
         incr = dt * pressure_weight_density(s, reg, p)
-    rates = _rate_fields(s, p)
-    _, prod_min = entropy_production(s, p, rates)
+    _, prod_min = entropy_production(s, der, p)
     return DiagRecord(
         t=s.t,
         mass=integrate_values(s.grid, s.rho),
         energy_total=e_total,
         energy_parts=parts,
-        dissipation_parts=dissipation_parts(s, reg, p, rates),
+        dissipation_parts=dissipation_parts(s, der, reg, p),
         entropy_total=entropy_total(s),
         entropy_production_min=prod_min,
         director_sup=director_sup(s),
@@ -327,7 +327,7 @@ def cosine_battery(grid, count=3):
         for ax, k in enumerate(tpl):
             psi = psi * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
         out.append((f"cos{''.join(str(k) for k in tpl)}", psi,
-                    _grad_arrays(grid, psi)))
+                    spectral_plan(grid).grad(psi, neumann(grid.dim))))
     return out
 
 
@@ -407,10 +407,8 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     dt = rec.dt
     u_lag = rec.u_lag
     rho_n, rho_p = s_prev.rho, s_next.rho
-    div_u = np.zeros(grid.shape)
-    for a in range(dim):
-        div_u += plan.deriv(u_lag[a], a, SIN)
-    grad_rho2 = _grad_sq(grid, rho_p)
+    div_u = plan.div(u_lag, dirichlet(dim))
+    grad_rho2 = _sum_sq(grid, plan.grad(rho_p, neumann(dim)))
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)
@@ -418,7 +416,7 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
         db = (b_p - b_n) / dt
         flux = sv._mass_flux(plan, b_n, u_lag)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
-        grad_b = _grad_arrays(grid, b_p)
+        grad_b = plan.grad(b_p, neumann(dim))
         burn = bpp(rho_p) * grad_rho2
         row = {}
         for name, psi, grad in battery:

@@ -25,11 +25,7 @@ class NegativeInput(FlowError):
     """A quantity that must be >= 0 (density, temperature) was negative."""
 
 
-class NonPositiveInput(FlowError):
-    """A quantity that must be > 0 was zero or negative."""
-
-
-class NonPositiveTemperature(NonPositiveInput):
+class NonPositiveTemperature(FlowError):
     """Temperature must be strictly positive for this functional."""
 
 

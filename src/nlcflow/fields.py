@@ -32,7 +32,11 @@ Conventions that the rest of the package relies on:
   read-only :class:`SpectralPlan`, whose raw-array kernels are the one entry
   point of each operator; every kernel takes a nodal array or a stack of
   them, and an operator costs one matrix product, O(N^3) flops per
-  component, per axis pass.
+  component, per axis pass;
+* :meth:`SpectralPlan.grad` and :meth:`SpectralPlan.div` are the one
+  gradient and the one divergence: ``grad`` stacks the per-axis derivatives
+  as ``(dim, ...)``, ``div`` sums d_a of entry a over the axes in order, and
+  the Laplacian is ``div`` of ``grad``.
 
 The module holds operators only; the snapshot file format is defined in
 :mod:`nlcflow.cli`.
@@ -275,14 +279,27 @@ class SpectralPlan:
             values = values - values[self._first[axis]]
         return _along(self.axes[axis].deriv[par], values, axis, self.dim)
 
-    def laplacian(self, values, parity):
-        """Laplacian of an array (or stack): per axis the derivative taken
-        twice; parity preserved."""
-        out = np.zeros(values.shape)
+    def grad(self, values, parity):
+        """Gradient stack ``(dim, *values.shape)`` of an array (or stack) of
+        the given parity: entry a is :meth:`deriv` along axis a."""
+        out = np.empty((self.dim,) + values.shape)
         for ax, par in enumerate(parity):
-            once = self.deriv(values, ax, par)
-            out += self.deriv(once, ax, COS if par == SIN else SIN)
+            out[ax] = self.deriv(values, ax, par)
         return out
+
+    def div(self, stack, parity):
+        """Divergence sum_a d_a stack[a] of a ``(dim, ...)`` stack whose entry
+        a has parity ``parity[a]`` along axis a, the axes summed in order."""
+        out = np.zeros(stack.shape[1:])
+        for ax, par in enumerate(parity):
+            out += self.deriv(stack[ax], ax, par)
+        return out
+
+    def laplacian(self, values, parity):
+        """Laplacian of an array (or stack), the divergence of its
+        gradient; parity preserved."""
+        return self.div(self.grad(values, parity),
+                        tuple(COS if par == SIN else SIN for par in parity))
 
     def helmholtz(self, values, parity, a, c):
         """Solve ``(a - c * Laplacian) phi = values`` for an array (or stack)

@@ -198,7 +198,7 @@ def _temperature_terms(case, s, plan, reg, p):
                       ** (p.cond_growth + 1.0), cos_par))
     # R rho theta div u and the stress-power heating, term by term so each
     # addend carries a definite parity
-    grad_u = sv._velocity_gradient(plan, u)
+    grad_u = plan.grad(u, dirichlet(dim))
     q = s.rho * s.theta
     for b in range(dim):
         terms.append((p.gas_const * q * grad_u[b, b],
@@ -229,11 +229,11 @@ def _momentum_terms(case, s, plan, reg, p):
         # fine because no restriction will happen
         u = s.u
         mesh = grid.mesh()
-        grad_u = sv._velocity_gradient(plan, u)
+        grad_u = plan.grad(u, dirichlet(dim))
         m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
         force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
-                                    sv._director_gradient(plan, s.d),
+                                    plan.grad(s.d, neumann(dim)),
                                     gtilde, reg, p)
         div_u = sum(grad_u[a, a] for a in range(dim))
         for c in range(dim):

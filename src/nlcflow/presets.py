@@ -20,7 +20,7 @@ thermal-spot    rho = base, u = 0, d = e1,
 import numpy as np
 
 from .fields import neumann, smooth
-from .solver import GalerkinBasis, State
+from .solver import State, galerkin_basis
 
 
 def _unit_director(grid):
@@ -35,7 +35,7 @@ def _zero_velocity(grid):
 
 def _mode_velocity(grid, coeffs):
     """Velocity from {(mode_index, component): coefficient} on a small basis."""
-    basis = GalerkinBasis(grid, 4)
+    basis = galerkin_basis(grid, 4)
     U = np.zeros((basis.n, grid.dim))
     for (i, c), val in coeffs.items():
         U[i, c] = val

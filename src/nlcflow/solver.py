@@ -58,8 +58,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    COS,
     SIN,
+    _readonly,
     _strip_sine_nyquist,
     dirichlet,
     neumann,
@@ -216,8 +216,9 @@ class GalerkinBasis:
                 phi[i] = np.outer(axes_sin[0][m1 - 1], axes_sin[1][m2 - 1])
                 grad[i, 0] = np.outer(axes_cos[0][m1 - 1], axes_sin[1][m2 - 1])
                 grad[i, 1] = np.outer(axes_sin[0][m1 - 1], axes_cos[1][m2 - 1])
-        self.phi = phi
-        self.grad = grad
+        # shared through galerkin_basis, so read-only like a SpectralPlan
+        self.phi = _readonly(phi)
+        self.grad = _readonly(grad)
         self._phi_flat = phi.reshape(n_modes, -1)
         self._stiffness = {}
 
@@ -288,10 +289,7 @@ def _mass_flux(plan, rho, u):
 
 def _density_update(plan, rho, u, eps, dt, source=None):
     m = _mass_flux(plan, rho, u)
-    div_m = np.zeros(rho.shape)
-    for b in range(plan.dim):
-        div_m += plan.deriv(m[b], b, SIN)
-    rhs = rho - dt * div_m
+    rhs = rho - dt * plan.div(m, dirichlet(plan.dim))
     if source is not None:
         rhs = rhs + dt * source
     rho_new = plan.helmholtz(rhs, neumann(plan.dim), 1.0, eps * dt) \
@@ -304,21 +302,11 @@ def _density_update(plan, rho, u, eps, dt, source=None):
     return rho_new, m
 
 
-def _velocity_gradient(plan, u):
-    """Nodal velocity gradient G[a, c] = d u_c / d x_a of a velocity stack."""
-    return np.stack([plan.deriv(u, a, SIN) for a in range(plan.dim)])
-
-
-def _director_gradient(plan, d):
-    """Nodal director gradient D[k, a] = d d_k / d x_a of a director stack."""
-    return np.stack([plan.deriv(d, a, COS) for a in range(plan.dim)], axis=1)
-
-
 def _director_transport(plan, u, grad_d):
     """Transport stack w_k = P_cos[u . grad d_k]."""
-    adv = np.zeros(grad_d[:, 0].shape)
+    adv = np.zeros(grad_d[0].shape)
     for b in range(plan.dim):
-        adv += u[b] * grad_d[:, b]
+        adv += u[b] * grad_d[b]
     return plan.project(adv, neumann(plan.dim))
 
 
@@ -331,11 +319,11 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
                      lag=None, tol=_INNER_TOL, max_iter=100):
     """Implicit-diffusion director step with a two-point penalty force.
 
-    ``d`` is the director stack and ``grad_d`` its gradient (see
-    :func:`_director_gradient`).  The fixed point starts from ``lag`` (the
-    previous Picard sweep's director; ``d`` when None) and stops once one
-    application moves the iterate by at most ``tol`` times its scale.  Each
-    iteration solves the three Helmholtz problems as one stack.  Returns
+    ``d`` is the director stack and ``grad_d`` its gradient stack
+    ``plan.grad(d, neumann(dim))``.  The fixed point starts from ``lag``
+    (the previous Picard sweep's director; ``d`` when None) and stops once
+    one application moves the iterate by at most ``tol`` times its scale.
+    Each iteration solves the three Helmholtz problems as one stack.  Returns
     (d_new, gtilde, iterations, gap) where gtilde is the nodal relaxation
     stack (diffusion minus penalty force, exact by construction of the
     solve) and gap the last move relative to the scale.
@@ -373,11 +361,11 @@ def _conduction_apply(plan, theta, kappa):
     content is never read, which is exactly the projection a stored sine
     field would apply.
     """
-    out = np.zeros(theta.shape)
-    for a in range(plan.dim):
-        flux = kappa * plan.deriv(theta, a, COS)
-        out -= plan.deriv(flux, a, SIN)
-    return out
+    # scaled in place: every CG iteration applies this, and a fresh
+    # (dim, N, N) product per apply made it about 1.5 times as slow at 128^2
+    flux = plan.grad(theta, neumann(plan.dim))
+    flux *= kappa
+    return -plan.div(flux, dirichlet(plan.dim))
 
 
 def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
@@ -465,10 +453,10 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     ``frozen.apply(c0, theta') = rhs`` for the conserved variable
     (delta + rho) theta.
 
-    ``grad_u`` is the gradient of the lagged velocity (see
-    :func:`_velocity_gradient`) and ``m`` the step's mass flux.  source_sq
-    holds the nodal director heating |relaxation|^2 (coefficient applied
-    here); the sink is lagged-coefficient implicit so positivity holds.
+    ``grad_u`` is the gradient stack of the lagged velocity, entry [a, c]
+    being d u_c / d x_a, and ``m`` the step's mass flux.  source_sq holds
+    the nodal director heating |relaxation|^2 (coefficient applied here);
+    the sink is lagged-coefficient implicit so positivity holds.
     """
     delta = reg.delta
     div_u = sum(grad_u[a, a] for a in range(frozen.plan.dim))
@@ -520,9 +508,9 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     """Nodal force stack G_c whose pairings with the velocity are the exact
     summation-by-parts partners of the scalar-equation fluxes.
 
-    ``grad_u`` and ``grad_d_prev`` are the gradients of ``u_minus`` and of
-    the old director (see :func:`_velocity_gradient`,
-    :func:`_director_gradient`)."""
+    ``grad_u`` and ``grad_d_prev`` are the gradient stacks
+    (:meth:`~nlcflow.fields.SpectralPlan.grad`) of ``u_minus`` and of the
+    old director."""
     dim = plan.dim
     eps, delta = reg.eps, reg.delta
 
@@ -534,11 +522,8 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
     # compensation for the nonconservative discrete time derivative
     if eps > 0:
-        grad_rho = [plan.deriv(rho_new, b, COS) for b in range(dim)]
-        lap_rho = np.zeros(rho_new.shape)
-        for b in range(dim):
-            lap_rho += plan.deriv(grad_rho[b], b, SIN)
-        force -= eps * lap_rho * u_minus
+        grad_rho = plan.grad(rho_new, neumann(dim))
+        force -= eps * plan.div(grad_rho, dirichlet(dim)) * u_minus
         for b in range(dim):
             force -= eps * grad_rho[b] * grad_u[b]
 
@@ -548,8 +533,7 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     if delta > 0:
         bp = bp + delta * cst.convex_pressure_enthalpy(rho_new, reg.beta)
     pot = np.stack([bp, rho_new * theta_new])
-    grad_bp, grad_q = np.stack([plan.deriv(pot, a, COS) for a in range(dim)],
-                               axis=1)
+    grad_bp, grad_q = plan.grad(pot, neumann(dim)).swapaxes(0, 1)
     force -= rho_prev * plan.project(grad_bp, dirichlet(dim))
     force -= p.gas_const * grad_q
 
@@ -557,7 +541,7 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     nu = p.elastic_coupling
     gk = plan.project(gtilde, neumann(dim))
     for k in range(3):
-        force -= nu * grad_d_prev[k] * gk[k]
+        force -= nu * grad_d_prev[:, k] * gk[k]
     return force
 
 
@@ -627,7 +611,7 @@ def _predicts(history, dt, shape):
         for level_dt, U in history[:2])
 
 
-def _picard_advance(s, reg, cfg, p, basis, dt, sources):
+def _picard_advance(s, reg, cfg, p, dt, sources):
     """One Picard-coupled step on the raw arrays of ``s``; the accepted
     iterates make the new State.
 
@@ -653,6 +637,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     repeats the run exactly."""
     grid = s.grid
     plan = spectral_plan(grid)
+    basis = galerkin_basis(grid, reg.n_modes)
     t1 = s.t + dt
 
     src_rho, src_mom, src_th, src_dir = (
@@ -661,7 +646,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     rho, d, u_minus = s.rho, s.d, s.u
     mass = _checked_mass_matrix(basis, rho)
     stiff = basis.stiffness(p)
-    grad_d_prev = _director_gradient(plan, d)
+    grad_d_prev = plan.grad(d, neumann(grid.dim))
     U0 = U_minus = basis.project(u_minus)
     predicted = _predicts(s.history, dt, U0.shape)
     if predicted:
@@ -676,7 +661,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
     for it in range(1, cfg.picard_max + 1):
         full = it == cfg.picard_max or _sweep_is_last(inc, cfg.picard_tol)
         tol = _INNER_TOL if full else _INNER_TOL_LOOSE
-        grad_u = _velocity_gradient(plan, u_minus)
+        grad_u = plan.grad(u_minus, dirichlet(grid.dim))
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
         d_new, gtilde, iters, gap = _director_update(
             plan, d, u_minus, grad_d_prev, dt, p, src_dir, lag=d_new, tol=tol)
@@ -712,7 +697,7 @@ def _picard_advance(s, reg, cfg, p, basis, dt, sources):
 
 
 def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
-                 basis: GalerkinBasis = None, sources=None):
+                 sources=None):
     """One time step of the fully coupled scheme.
 
     Returns (new_state, StepRecord).  On a positivity rejection of a
@@ -728,8 +713,6 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     ``(rho, momentum stack, theta, director stack)``, each added at the
     step's implicit time level (see :func:`nlcflow.mms.build_sources`).
     """
-    if basis is None:
-        basis = GalerkinBasis(s.grid, reg.n_modes)
     dt = cfg.dt
     remaining = cfg.t_end - s.t
     if 0 < remaining < dt:
@@ -738,12 +721,11 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     halving = 0
     while True:
         try:
-            state, record = _picard_advance(start, reg, cfg, p, basis, dt,
-                                            sources)
+            state, record = _picard_advance(start, reg, cfg, p, dt, sources)
             record.halvings = halving
             return state, record
         except PositivityLoss as exc:
-            if _predicts(start.history, dt, (basis.n, s.grid.dim)):
+            if _predicts(start.history, dt, (reg.n_modes, s.grid.dim)):
                 start = State(s.grid, s.t, s.rho, s.u, s.theta, s.d, (),
                               s.U)
                 continue
@@ -769,7 +751,6 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     at call time; a SolverFailure of a step carries its index ``step``.
     """
     cfg.validate()
-    basis = GalerkinBasis(s0.grid, reg.n_modes)
     s, held = s0, [(s0, None)]
     del s0      # the initial state lives on in ``held`` until handed out
     n = 0
@@ -779,7 +760,7 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
         try:
             if n > max_steps:
                 raise SolverFailure("time loop failed to reach t_end")
-            s, rec = step_coupled(s, reg, cfg, p, basis, sources)
+            s, rec = step_coupled(s, reg, cfg, p, sources)
         except SolverFailure as exc:
             exc.step = n
             yield from held
@@ -812,7 +793,7 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     if float(rho0.min()) < -_REJECT_SLACK * max(float(np.abs(rho0).max()),
                                                 1e-300):
         raise InvalidInitialData("initial density must be nonnegative")
-    basis = GalerkinBasis(grid, reg.n_modes)
+    basis = galerkin_basis(grid, reg.n_modes)
 
     raw = np.maximum(rho0, 0.0)
     lo = reg.delta

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlcflow import constitutive as cst
-from nlcflow.fields import Grid, integrate_values, neumann, spectral_plan
+from nlcflow.fields import (Grid, dirichlet, integrate_values, neumann,
+                            spectral_plan)
 from nlcflow import diagnostics as dg
 from nlcflow import solver as sv
 
@@ -12,6 +13,12 @@ from nlcflow import solver as sv
 @pytest.fixture
 def grid2d():
     return Grid((32, 32), (2.0, 2.0))
+
+
+def director_gradient(s):
+    """The gradient stack of the director of ``s``, the one derivative
+    ``diagnostics.total_energy`` reads."""
+    return spectral_plan(s.grid).grad(s.d, neumann(s.grid.dim))
 
 
 def unit_director(grid, first=1.0):
@@ -224,15 +231,15 @@ def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     u_lag = rec.u_lag
 
     # --- momentum against retained sine modes, one residual per mode
-    grad_u_p = sv._velocity_gradient(plan, s_next.u)
+    grad_u_p = plan.grad(s_next.u, dirichlet(dim))
     stress = viscous_stress(grad_u_p, p)
     press = pressure(rho_p, th_p, p) \
         + artificial_pressure(rho_p, reg.delta, reg.beta)
     d_vals = s_next.d
-    grad_d = sv._director_gradient(plan, d_vals).swapaxes(0, 1)
+    grad_d = plan.grad(d_vals, neumann(dim))
     erick = ericksen_stress(
         grad_d, cst.gl_potential(d_vals, p.penalty_scale))
-    grad_rho_p = dg._grad_arrays(grid, rho_p)
+    grad_rho_p = plan.grad(rho_p, neumann(dim))
     for name, phi, gphi in sin_tests:
         worst = 0.0
         for c in range(dim):
@@ -255,11 +262,10 @@ def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     heat = sv._FrozenHeat(plan, s_prev.theta, rho_n, reg, p, dt)
     m = sv._mass_flux(plan, rho_n, u_lag)
     d_prev = s_prev.d
-    w = sv._director_transport(plan, u_lag,
-                               sv._director_gradient(plan, d_prev))
+    w = sv._director_transport(plan, u_lag, plan.grad(d_prev, neumann(dim)))
     gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
     c0, rhs = sv._heat_system(heat, rho_p,
-                              sv._velocity_gradient(plan, u_lag), m,
+                              plan.grad(u_lag, dirichlet(dim)), m,
                               np.sum(gtilde * gtilde, axis=0), reg, p,
                               dt)
     defect = rhs - heat.apply(c0, th_p)

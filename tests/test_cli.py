@@ -773,14 +773,17 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
     (r"(FIELD rho neumann 32\n)[^\n]+", r"\1nan"),
     ("FIELD time galerkin 1 1\n0.002\n", "FIELD time galerkin 1 1\ninf\n"),
     (r"(FIELD history galerkin 2 7\n)0\.001 ", r"\1nan "),
+    ("FIELD theta neumann 32\n",
+     "FIELD rho neumann 32\n" + "2 " * 31 + "2\nFIELD theta neumann 32\n"),
+    ("FIELD theta neumann 32\n", "FIELD zeta neumann 32\n"),
 ], ids=["non-integer-dims", "unknown-kind", "missing-field", "nan-rho",
-        "inf-time", "nan-history"])
+        "inf-time", "nan-history", "repeated-rho", "renamed-theta"])
 def test_restart_from_malformed_snapshot_exits_4(tmp_path, capsys, old,
                                                  new):
     """A snapshot whose header dims are not integers, whose kind is
-    unknown, that lacks a field or that holds a non-finite value is an
-    input failure: ``solve run`` exits 4 with an ``i/o error`` line and
-    writes nothing."""
+    unknown, that lacks a field, that holds a non-finite value or that
+    repeats a block (here a second, altered ``rho``) is an input failure:
+    ``solve run`` exits 4 with an ``i/o error`` line and writes nothing."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
     text = (tmp_path / "out" / "snap_000002.dat").read_text()
     text, count = re.subn(old, new, text)
@@ -792,6 +795,33 @@ def test_restart_from_malformed_snapshot_exits_4(tmp_path, capsys, old,
     assert cli.main(["run", cfg]) == 4
     assert "i/o error" in capsys.readouterr().err
     assert not any((tmp_path / "again").iterdir())
+
+
+def test_one_galerkin_basis_per_grid_and_mode_count(tmp_path,
+                                                    monkeypatch):
+    """``solve run`` and a three-entry continuation build each Galerkin
+    basis they use once: the preset's velocity modes (n = 4), the
+    regularization of the initial data and the time steps of every run
+    share the cached basis of their (grid, n)."""
+    built = []
+    cls = sv.GalerkinBasis
+
+    def counted(grid, n_modes):
+        built.append((grid.shape, n_modes))
+        return cls(grid, n_modes)
+
+    monkeypatch.setattr(sv, "GalerkinBasis", counted)
+    sv.galerkin_basis.cache_clear()
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    assert built == [((32,), 4), ((32,), 6)]
+    built.clear()
+    sv.galerkin_basis.cache_clear()
+    cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c")
+                 .replace("1e-2,1e-3", "1e-2,1e-3,1e-4"))
+    assert cli.main(["continuation", cfg]) == 0
+    assert len(json.loads((tmp_path / "c" / "report.json").read_text())
+               ["runs"]) == 3
+    assert built == [((16, 16), 4), ((16, 16), 6)]
 
 
 def test_cond_floor_above_one_runs(tmp_path):

@@ -12,9 +12,9 @@ from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
 
-from conftest import (bump_state, equilibrium_state, renorm_rows,
-                      residual_series_max, run_lists, trajectory_records,
-                      unit_director, weak_series)
+from conftest import (bump_state, director_gradient, equilibrium_state,
+                      renorm_rows, residual_series_max, run_lists,
+                      trajectory_records, unit_director, weak_series)
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +25,7 @@ def test_total_energy_constant_state_pin(grid2d):
     p = PhysParams(gamma=2.0)
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    total, parts = dg.total_energy(s, reg, p)
+    total, parts = dg.total_energy(s, director_gradient(s), reg, p)
     area = 4.0
     assert total == pytest.approx(2.0 * area, rel=1e-14)
     assert parts["elastic"] == pytest.approx(area, rel=1e-14)
@@ -37,7 +37,7 @@ def test_total_energy_vacuum_is_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
-    total, parts = dg.total_energy(s, reg, p)
+    total, parts = dg.total_energy(s, director_gradient(s), reg, p)
     assert total == 0.0
     assert all(v == 0.0 for v in parts.values())
 
@@ -46,7 +46,7 @@ def test_total_energy_parts_sum_exactly(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
-    total, parts = dg.total_energy(s, reg, p)
+    total, parts = dg.total_energy(s, director_gradient(s), reg, p)
     assert total == sum(parts.values())
     assert all(v >= 0.0 for v in parts.values())
 
@@ -56,11 +56,11 @@ def test_frank_energy_gauge_invariance(grid2d):
     p = PhysParams()
     reg = RegParams(n_modes=4)
     s = bump_state(grid2d)
-    _, parts = dg.total_energy(s, reg, p)
+    _, parts = dg.total_energy(s, director_gradient(s), reg, p)
     shifted = s.d.copy()
     shifted[0] += 0.7
     s2 = sv.State(grid2d, s.t, s.rho, s.u, s.theta, shifted)
-    _, parts2 = dg.total_energy(s2, reg, p)
+    _, parts2 = dg.total_energy(s2, director_gradient(s2), reg, p)
     assert parts2["frank"] == pytest.approx(parts["frank"], rel=1e-12)
     assert parts2["penalty"] != pytest.approx(parts["penalty"], rel=1e-3)
 
@@ -95,7 +95,7 @@ def test_budget_one_sided_on_bump_run(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d)
-    e0, _ = dg.total_energy(s0, reg, p)
+    e0, _ = dg.total_energy(s0, director_gradient(s0), reg, p)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
     for k in range(1, len(states)):
@@ -124,8 +124,8 @@ def _ledger_budget(s_prev, s_next, reg, p, dt, basis):
     eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
     d_net = (reg.delta * visc + reg.delta * sink
              + reg.eps * interp_form(p.gamma) + reg.eps * reg.delta * eps_beta)
-    e_next, _ = dg.total_energy(s_next, reg, p)
-    e_prev, _ = dg.total_energy(s_prev, reg, p)
+    e_next, _ = dg.total_energy(s_next, director_gradient(s_next), reg, p)
+    e_prev, _ = dg.total_energy(s_prev, director_gradient(s_prev), reg, p)
     return (e_next - e_prev) / dt + d_net
 
 
@@ -148,9 +148,30 @@ def test_budget_from_states_matches_galerkin_ledger(grid2d, eps, delta):
 def test_dissipation_parts_nonnegative(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
-    parts = dg.dissipation_parts(bump_state(grid2d), reg, p)
+    s = bump_state(grid2d)
+    parts = dg.dissipation_parts(s, dg.derivatives(s, p), reg, p)
     assert set(parts) == {"viscous", "director", "thermal_sink", "density"}
     assert all(v >= 0.0 for v in parts.values())
+
+
+def test_record_differentiates_its_state_once(grid2d, monkeypatch):
+    """A record takes each derivative of its state once, counted as
+    per-axis matrix products (``fields._along``), a product on a k-array
+    stack weighing k units.  At 2-D: grad rho 2 products (2 units), grad
+    theta 2 (2), grad u 2 (4), grad d 2 (6) and laplace d as the divergence
+    of that same grad d, 2 (6): 10 products, 20 units."""
+    from nlcflow import fields
+    s = presets.build("director-twist", grid2d)
+    units = []
+    inner = fields._along
+
+    def counted(mat, values, axis, dim):
+        units.append(values.size // np.prod(grid2d.shape))
+        return inner(mat, values, axis, dim)
+
+    monkeypatch.setattr(fields, "_along", counted)
+    dg.make_record(s, RegParams(), PhysParams(), dt=1e-3)
+    assert len(units) == 10 and sum(units) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +194,7 @@ def test_entropy_production_quadrature_oracle():
     theta = 1.0 + 0.5 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
     s = sv.State(grid, 0.0, np.ones(grid.shape), np.zeros((1,) + grid.shape),
                  theta, unit_director(grid))
-    total, mn = dg.entropy_production(s, p)
+    total, mn = dg.entropy_production(s, dg.derivatives(s, p), p)
 
     def integrand(x):
         th = 1.0 + 0.5 * np.cos(np.pi * x / 2.0)
@@ -186,9 +207,9 @@ def test_entropy_production_quadrature_oracle():
 
 
 def test_entropy_production_requires_positive_theta(grid2d):
-    s = equilibrium_state(grid2d, theta=0.0)
+    s, p = equilibrium_state(grid2d, theta=0.0), PhysParams()
     with pytest.raises(NonPositiveTemperature):
-        dg.entropy_production(s, PhysParams())
+        dg.entropy_production(s, dg.derivatives(s, p), p)
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,7 @@ def test_divergence_analytic_and_composition():
     Lx = g.extents[0]
     vx = fields._strip_sine_nyquist(np.sin(np.pi * g.mesh()[0] / Lx),
                                     fields.dirichlet(2), g)
-    grad_v = sv._velocity_gradient(plan, np.stack([vx, np.zeros(g.shape)]))
-    div = grad_v[0, 0] + grad_v[1, 1]
+    div = plan.div(np.stack([vx, np.zeros(g.shape)]), fields.dirichlet(2))
     exact = (np.pi / Lx) * np.cos(np.pi * g.mesh()[0] / Lx)
     assert np.abs(div - exact).max() <= 1e-12
 
@@ -396,6 +395,18 @@ def test_summation_by_parts_exact():
         rhs = -fields.integrate_values(g, plan.deriv(f, ax, fields.COS) * v)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) <= 1e-12 * scale
+    # <h, div G> = -<grad h, G> when entry a of G has the opposite parity
+    # to h along axis a, for every parity of h
+    for par in _parities(2):
+        flip = tuple(fields.COS if p == fields.SIN else fields.SIN
+                     for p in par)
+        h = random_field(g, par)
+        G = np.stack([random_field(g, par[:a] + flip[a:a + 1] + par[a + 1:])
+                      for a in range(2)])
+        lhs = fields.integrate_values(g, h * plan.div(G, flip))
+        rhs = -fields.integrate_values(g, np.sum(plan.grad(h, par) * G,
+                                                 axis=0))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
 def test_dealias_projection_moves_across_pairing():
@@ -580,6 +591,18 @@ def test_plan_kernels_on_stacks_match_per_slice(grid):
         check(lambda v: fields._strip_sine_nyquist(v, par, grid))
         for ax in range(grid.dim):
             check(lambda v: plan.deriv(v, ax, par[ax]))
+        # grad stacks the per-axis derivatives and div sums them over the
+        # axes in order, bit for bit, so the Laplacian is div of grad
+        grad = plan.grad(stack, par)
+        assert np.array_equal(grad, np.stack(
+            [plan.deriv(stack, ax, p) for ax, p in enumerate(par)]))
+        flip = tuple(fields.COS if p == fields.SIN else fields.SIN
+                     for p in par)
+        div = np.zeros(stack.shape)
+        for ax, p in enumerate(flip):
+            div += plan.deriv(grad[ax], ax, p)
+        assert np.array_equal(plan.div(grad, flip), div)
+        assert np.array_equal(plan.laplacian(stack, par), div)
 
 
 def test_runtime_imports_no_scipy():

@@ -12,8 +12,8 @@ from nlcflow.errors import (GridMismatch, InvalidInitialData, IterationStall,
                             NonFiniteState, PicardDivergence,
                             PositivityLoss, SingularMassMatrix,
                             StepUnderflow, ValidationError)
-from nlcflow.fields import (COS, SIN, Grid, coeffs, neumann, integrate_values,
-                            spectral_plan)
+from nlcflow.fields import (COS, SIN, Grid, coeffs, dirichlet, neumann,
+                            integrate_values, spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
@@ -146,8 +146,8 @@ def test_density_positivity_rejection():
 
 def _director_step(grid, d, u, dt, p=PhysParams()):
     plan = spectral_plan(grid)
-    d_new, *_ = sv._director_update(plan, d, u, sv._director_gradient(plan, d),
-                                    dt, p)
+    d_new, *_ = sv._director_update(plan, d, u,
+                                    plan.grad(d, neumann(grid.dim)), dt, p)
     return d_new
 
 
@@ -220,7 +220,7 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
     d = s.d
     for dt in (1e-3, 1e-2):
         got, *_ = sv._director_update(plan, d, s.u,
-                                      sv._director_gradient(plan, d), dt, p)
+                                      plan.grad(d, neumann(2)), dt, p)
         ref = _director_update_per_component(grid2d, s.d, s.u, dt, p)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -236,7 +236,8 @@ def _heat_step(s, u, reg, dt, p):
     rho = s.rho
     frozen = sv._FrozenHeat(plan, s.theta, rho, reg, p, dt)
     m = sv._mass_flux(plan, rho, u)
-    return sv._temperature_update(frozen, rho, sv._velocity_gradient(plan, u),
+    return sv._temperature_update(frozen, rho,
+                                  plan.grad(u, dirichlet(s.grid.dim)),
                                   m, np.zeros(s.grid.shape), reg, p, dt,
                                   s.theta)[0]
 
@@ -388,7 +389,7 @@ def test_scaled_preconditioner_agrees_and_saves_applies(grid2d):
     rho, u = s0.rho, s0.u
     frozen = sv._FrozenHeat(plan, s0.theta, rho, reg, p, dt)
     rho_new, m = sv._density_update(plan, rho, u, reg.eps, dt)
-    c0, rhs = sv._heat_system(frozen, rho_new, sv._velocity_gradient(plan, u),
+    c0, rhs = sv._heat_system(frozen, rho_new, plan.grad(u, dirichlet(2)),
                               m, np.zeros(grid2d.shape), reg, p, dt)
 
     def apply_op(v):
@@ -550,8 +551,8 @@ def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
     plan = spectral_plan(basis.grid)
     m = sv._mass_flux(plan, rho, u)
     u_new, _ = sv._momentum_update(
-        plan, u, sv._velocity_gradient(plan, u), basis.project(u),
-        rho, rho, m, theta, sv._director_gradient(plan, d),
+        plan, u, plan.grad(u, dirichlet(plan.dim)), basis.project(u),
+        rho, rho, m, theta, plan.grad(d, neumann(plan.dim)),
         np.zeros((3,) + rho.shape), reg, basis, dt, p,
         sv._checked_mass_matrix(basis, rho), basis.stiffness(p))
     return u_new
