@@ -255,6 +255,7 @@ def cmd_run(config_path):
     try:
         for s, rec in sv.run(_prepared_state(cfg), cfg.reg, cfg.solver,
                              cfg.phys):
+            der = dg.derivatives(s, cfg.phys)
             if rec is None:
                 _write_text(os.path.join(out, "config.resolved"),
                             cf.serialize(cfg))
@@ -266,10 +267,10 @@ def cmd_run(config_path):
                 residuals = [0.0] * len(res_ids)
             elif res_ids:
                 rows = dg.renormalized_continuity_residual(
-                    prev, s, rec, cfg.reg.eps, res_ids, battery)
+                    prev, s, der, rec, cfg.reg.eps, res_ids, battery)
                 residuals = [max(abs(v) for v in rows[b].values())
                              for b in res_ids]
-            last = dg.make_record(s, cfg.reg, cfg.phys,
+            last = dg.make_record(s, der, cfg.reg, cfg.phys,
                                   dt=None if rec is None else rec.dt)
             csv.write(dg.csv_line(last, residuals))
             csv.flush()
@@ -383,7 +384,8 @@ def cmd_diagnose(directory):
     print("t,mass,energy_total,entropy_total,director_sup")
     for name in names:
         s = read_snapshot(os.path.join(directory, name), cfg.grid)
-        rec = dg.make_record(s, cfg.reg, cfg.phys)
+        rec = dg.make_record(s, dg.derivatives(s, cfg.phys), cfg.reg,
+                             cfg.phys)
         print(",".join(dg.format_float(v) for v in (
             rec.t, rec.mass, rec.energy_total, rec.entropy_total,
             rec.director_sup)))

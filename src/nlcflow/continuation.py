@@ -88,7 +88,8 @@ def _execute(cfg, s0, reg, csv_path=None):
         if csv is not None:
             csv.write(dg.csv_header())
         for s, rec in sv.run(s0, reg, cfg.solver, p):
-            diag = dg.make_record(s, reg, p,
+            der = dg.derivatives(s, p)
+            diag = dg.make_record(s, der, reg, p,
                                   dt=None if rec is None else rec.dt)
             if csv is not None:
                 csv.write(dg.csv_line(diag))
@@ -103,11 +104,10 @@ def _execute(cfg, s0, reg, csv_path=None):
                 continue
             dt = rec.dt
             emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
-            grad_rho = plan.grad(s.rho, neumann(grid.dim))
             acc["grad_rho_sq"] += dt * integrate_values(
-                grid, dg._sum_sq(grid, grad_rho))
+                grid, der.grad_rho_sq)
             acc["lap_rho_sq"] += dt * integrate_values(
-                grid, plan.div(grad_rho, dirichlet(grid.dim)) ** 2)
+                grid, plan.div(der.rho, dirichlet(grid.dim)) ** 2)
             acc["rho_beta"] += dt * integrate_values(
                 grid, np.maximum(s.rho, 0.0) ** reg.beta)
             acc["theta_pow"] += dt * integrate_values(
@@ -144,12 +144,12 @@ def _state_distances(a, b):
     for c in range(grid.dim):
         u_sq += integrate_values(grid, (a.u[c] - b.u[c]) ** 2)
     th_sq = integrate_values(grid, (a.theta - b.theta) ** 2)
+    diff = a.d - b.d
+    grad = spectral_plan(grid).grad(diff, neumann(grid.dim))
     d_sq = 0.0
     for k in range(3):
-        diff = a.d[k] - b.d[k]
-        d_sq += integrate_values(grid, diff ** 2)
-        d_sq += integrate_values(grid, dg._sum_sq(
-            grid, spectral_plan(grid).grad(diff, neumann(grid.dim))))
+        d_sq += integrate_values(grid, diff[k] ** 2)
+        d_sq += integrate_values(grid, dg._sum_sq(grid, grad[:, k]))
     return {
         "rho_l1": float(rho_l1),
         "u_l2": float(np.sqrt(u_sq)),

@@ -1,14 +1,16 @@
 """Monitored functionals, budget audits and renormalized residuals, and the
 CSV row format of the records.
 
-Everything here is read-only over solver states.  The energy budget residual
-of a step is read off its two states alone: its dissipation is the one the
+Everything here is read-only over solver states, each differentiated once
+by :func:`derivatives`.  The energy budget residual of a step is read off
+its two states and their passes alone: its dissipation is the one the
 scheme's ledger exchanges, evaluated with the step's own kernels, so the
 residual is a genuine audit of the discrete inequality, small and one-sided.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -91,22 +93,23 @@ def csv_line(rec, residuals=()):
 # the derivative pass of a state, and energy
 # ---------------------------------------------------------------------------
 
-Derivatives = namedtuple("Derivatives", "rho theta u d relax")
+Derivatives = namedtuple("Derivatives",
+                         "rho theta d grad_rho_sq stress_power relax_sq")
 
 
 def derivatives(s, p: PhysParams):
-    """The one derivative pass of a state ``s``: the gradient stacks
-    ``(dim, ...)`` of rho, theta, u and d, each taken once and named after
-    its field, and ``relax``, the director relaxation field
-    laplace d - f(d), whose Laplacian is the divergence of that same
-    grad d."""
+    """The one derivative pass of a state ``s``, read by its record and its
+    audits: the gradient stacks ``(dim, ...)`` of rho, theta and d, and the
+    pointwise |grad rho|^2, S(grad u):grad u and |laplace d - f(d)|^2, each
+    taken once; laplace d is the divergence of that same grad d."""
     plan = spectral_plan(s.grid)
     cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
-    grad_d = plan.grad(s.d, cos)
+    grad_rho, grad_d = plan.grad(s.rho, cos), plan.grad(s.d, cos)
+    relax = plan.div(grad_d, sin) - cst.gl_force(s.d, p.penalty_scale)
     return Derivatives(
-        plan.grad(s.rho, cos), plan.grad(s.theta, cos),
-        plan.grad(s.u, sin), grad_d,
-        plan.div(grad_d, sin) - cst.gl_force(s.d, p.penalty_scale))
+        grad_rho, plan.grad(s.theta, cos), grad_d, _sum_sq(s.grid, grad_rho),
+        cst.stress_power(plan.grad(s.u, sin), p),
+        np.sum(relax * relax, axis=0))
 
 
 def _sum_sq(grid, stack):
@@ -150,7 +153,6 @@ def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
     ``der`` being :func:`derivatives` of it."""
     grid = s.grid
     theta = np.maximum(s.theta, 0.0)
-    grad_rho2 = _sum_sq(grid, der.rho)
     rho = np.maximum(s.rho, 0.0)
 
     def power(expo):
@@ -160,24 +162,24 @@ def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
         return out
 
     density_term = reg.eps * p.gamma * integrate_values(
-        grid, power(p.gamma) * grad_rho2)
+        grid, power(p.gamma) * der.grad_rho_sq)
     if reg.delta > 0:
         density_term += reg.eps * reg.delta * reg.beta * integrate_values(
-            grid, power(reg.beta) * grad_rho2)
+            grid, power(reg.beta) * der.grad_rho_sq)
     return {
-        "viscous": integrate_values(grid, cst.stress_power(der.u, p)),
-        "director": integrate_values(grid, np.sum(der.relax * der.relax,
-                                                  axis=0)),
+        "viscous": integrate_values(grid, der.stress_power),
+        "director": integrate_values(grid, der.relax_sq),
         "thermal_sink": reg.delta * integrate_values(
             grid, theta ** (p.cond_growth + 1.0)),
         "density": density_term,
     }
 
 
-def energy_budget_residual(s_prev, s_next, reg: RegParams, p: PhysParams,
-                           dt):
+def energy_budget_residual(s_prev, der_prev, s_next, der_next,
+                           reg: RegParams, p: PhysParams, dt):
     """Defect r = [E(next) - E(prev)]/dt + D of the discrete energy balance
-    of the step of size dt from s_prev to s_next.
+    of the step of size dt from s_prev to s_next, ``der_prev`` and
+    ``der_next`` being their :func:`derivatives`.
 
     D is the dissipation the scheme's ledger exchanges,
 
@@ -191,19 +193,17 @@ def energy_budget_residual(s_prev, s_next, reg: RegParams, p: PhysParams,
     """
     grid = s_next.grid
     plan = spectral_plan(grid)
-    cos = neumann(grid.dim)
-    e_next, _ = total_energy(s_next, plan.grad(s_next.d, cos), reg, p)
-    e_prev, _ = total_energy(s_prev, plan.grad(s_prev.d, cos), reg, p)
-    visc = integrate_values(grid, cst.stress_power(
-        plan.grad(s_next.u, dirichlet(grid.dim)), p))
+    e_next, _ = total_energy(s_next, der_next.d, reg, p)
+    e_prev, _ = total_energy(s_prev, der_prev.d, reg, p)
+    visc = integrate_values(grid, der_next.stress_power)
     sink = integrate_values(
         grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
-    grad_rho = plan.grad(s_next.rho, cos)
     safe = np.maximum(s_next.rho, 0.0)
 
     def interp_form(exponent):
-        grad_bp = plan.grad(cst.convex_pressure_enthalpy(safe, exponent), cos)
-        return sum(integrate_values(grid, grad_bp[b] * grad_rho[b])
+        grad_bp = plan.grad(cst.convex_pressure_enthalpy(safe, exponent),
+                            neumann(grid.dim))
+        return sum(integrate_values(grid, grad_bp[b] * der_next.rho[b])
                    for b in range(grid.dim))
 
     eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
@@ -240,9 +240,8 @@ def entropy_production(s, der, p: PhysParams):
         raise NonPositiveTemperature("entropy production needs theta > 0")
     grad_t2 = _sum_sq(grid, der.theta)
     integrand = (cst.heat_conductivity(theta, p) * grad_t2 / theta ** 2
-                 + cst.stress_power(der.u, p) / theta
-                 + p.elastic_coupling * p.relax_rate
-                 * np.sum(der.relax * der.relax, axis=0) / theta)
+                 + der.stress_power / theta
+                 + p.elastic_coupling * p.relax_rate * der.relax_sq / theta)
     return integrate_values(grid, integrand), float(integrand.min())
 
 
@@ -264,10 +263,9 @@ def pressure_weight_density(s, reg: RegParams, p: PhysParams):
     return integrate_values(s.grid, integ)
 
 
-def make_record(s, reg: RegParams, p: PhysParams, dt=None):
-    """The diagnostics record of one state, from one derivative pass
-    (:func:`derivatives`)."""
-    der = derivatives(s, p)
+def make_record(s, der, reg: RegParams, p: PhysParams, dt=None):
+    """The diagnostics record of one state, ``der`` being its derivative
+    pass (:func:`derivatives`)."""
     e_total, parts = total_energy(s, der.d, reg, p)
     incr = 0.0
     if dt is not None:
@@ -308,21 +306,15 @@ def oscillation_defect(grid, rho, rho_ref, gamma):
 # test-function battery
 # ---------------------------------------------------------------------------
 
-def cosine_battery(grid, count=3):
-    """The `count` lowest all-cosine tensor modes (constant first), fixed
+def cosine_battery(grid):
+    """The three lowest all-cosine tensor modes (constant first), fixed
     ordering: by total frequency then lexicographic, as (name, psi,
     [d_a psi]) with nodal arrays; an audit builds it once per run."""
-    tuples = []
-    rng = range(0, 4)
-    if grid.dim == 1:
-        cand = [(k,) for k in rng]
-    else:
-        cand = [(k1, k2) for k1 in rng for k2 in rng]
-    cand.sort(key=lambda t: (sum(t), t))
-    tuples = cand[:count]
+    cand = sorted(itertools.product(range(4), repeat=grid.dim),
+                  key=lambda t: (sum(t), t))
     mesh = grid.mesh()
     out = []
-    for tpl in tuples:
+    for tpl in cand[:3]:
         psi = np.ones(grid.shape)
         for ax, k in enumerate(tpl):
             psi = psi * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
@@ -383,8 +375,8 @@ def _truncation_triple(kind):
     raise KeyError(f"unknown renormalization id {kind!r}")
 
 
-def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
-                                     battery):
+def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
+                                     b_ids, battery):
     """Weak residuals of the renormalized mass balance over one step.
 
     The discrete form pairs, for the step n -> n+1 and test function psi:
@@ -398,7 +390,8 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     where u is the lagged velocity the step actually used (read off its
     StepRecord ``rec``) and P_sin the 2/3 rule of the mass flux.
     For b = identity this telescopes against the scheme to roundoff.
-    ``battery`` is :func:`cosine_battery`; div u and grad rho' are taken
+    ``battery`` is :func:`cosine_battery`; |grad rho'|^2 is read off
+    ``der_next``, the :func:`derivatives` of ``s_next``, and div u is taken
     once for all the ids ``b_ids``.  Returns {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
@@ -408,7 +401,6 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     u_lag = rec.u_lag
     rho_n, rho_p = s_prev.rho, s_next.rho
     div_u = plan.div(u_lag, dirichlet(dim))
-    grad_rho2 = _sum_sq(grid, plan.grad(rho_p, neumann(dim)))
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)
@@ -417,7 +409,7 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
         flux = sv._mass_flux(plan, b_n, u_lag)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
         grad_b = plan.grad(b_p, neumann(dim))
-        burn = bpp(rho_p) * grad_rho2
+        burn = bpp(rho_p) * der_next.grad_rho_sq
         row = {}
         for name, psi, grad in battery:
             val = integrate_values(grid, db * psi)

@@ -37,6 +37,7 @@ Key discrete facts this file relies on (established in fields.py):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -182,11 +183,7 @@ class GalerkinBasis:
         caps = [min((n - 1) // 2, cut - 1)
                 for n, cut in zip(grid.shape, grid.dealias_cut)]
         rngs = [range(1, cap + 1) for cap in caps]
-        if grid.dim == 1:
-            tuples = [(m,) for m in rngs[0]]
-        else:
-            tuples = [(m1, m2) for m1 in rngs[0] for m2 in rngs[1]]
-        for tpl in tuples:
+        for tpl in itertools.product(*rngs):
             lam = sum((np.pi * m / L) ** 2 for m, L in zip(tpl, grid.extents))
             cand.append((lam, tpl))
         cand.sort(key=lambda it: (it[0], it[1]))
@@ -200,27 +197,34 @@ class GalerkinBasis:
         axes_cos = []
         for ax in range(grid.dim):
             x = grid.axis_nodes[ax]
-            freqs = np.arange(1, caps[ax] + 1) * np.pi / grid.extents[ax]
+            # only the rows the retained modes read: the basis keeps these
+            # tables to build its gradients on demand
+            top = max(tpl[ax] for tpl in self.modes)
+            freqs = np.arange(1, top + 1) * np.pi / grid.extents[ax]
             axes_sin.append(np.sin(np.outer(freqs, x)))
             axes_cos.append(np.cos(np.outer(freqs, x)) * freqs[:, None])
 
-        phi = np.empty((n_modes,) + grid.shape)
-        grad = np.empty((n_modes, grid.dim) + grid.shape)
-        for i, tpl in enumerate(self.modes):
-            if grid.dim == 1:
-                (m,) = tpl
-                phi[i] = axes_sin[0][m - 1]
-                grad[i, 0] = axes_cos[0][m - 1]
-            else:
-                m1, m2 = tpl
-                phi[i] = np.outer(axes_sin[0][m1 - 1], axes_sin[1][m2 - 1])
-                grad[i, 0] = np.outer(axes_cos[0][m1 - 1], axes_sin[1][m2 - 1])
-                grad[i, 1] = np.outer(axes_sin[0][m1 - 1], axes_cos[1][m2 - 1])
+        self._tables = (axes_sin, axes_cos)
         # shared through galerkin_basis, so read-only like a SpectralPlan
-        self.phi = _readonly(phi)
-        self.grad = _readonly(grad)
-        self._phi_flat = phi.reshape(n_modes, -1)
+        self.phi = _readonly(self._products(axes_sin))
+        self._phi_flat = self.phi.reshape(n_modes, -1)
         self._stiffness = {}
+
+    def _products(self, tables):
+        """Stack (n_modes, *grid.shape) of the modes' tensor products of
+        per-axis tables: row m_a - 1 of ``tables[a]`` along axis a."""
+        return np.stack([
+            functools.reduce(np.multiply.outer,
+                             [t[m - 1] for t, m in zip(tables, tpl)])
+            for tpl in self.modes])
+
+    def mode_gradients(self):
+        """The nodal gradients (n_modes, dim, *grid.shape) of the modes,
+        built afresh on each call: the basis keeps only its per-axis tables,
+        as :meth:`stiffness` reads the gradients once per viscosity pair."""
+        sin, cos = self._tables
+        return np.stack([self._products(sin[:a] + [cos[a]] + sin[a + 1:])
+                         for a in range(self.grid.dim)], axis=1)
 
     def project(self, component_values):
         """L2 projection of a component stack (dim, *grid.shape) onto the
@@ -252,7 +256,7 @@ class GalerkinBasis:
         if key in self._stiffness:
             return self._stiffness[key]
         dim = self.grid.dim
-        g = self.grad.reshape(self.n, dim, -1)
+        g = self.mode_gradients().reshape(self.n, dim, -1)
         w = self.grid.weight
         lap = w * np.einsum("iap,jap->ij", g, g)
         cross = w * np.einsum("iap,jbp->iajb", g, g)

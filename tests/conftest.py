@@ -53,7 +53,8 @@ def bump_state(grid, n_modes=8, rho_base=1.0, rho_amp=0.5, u_amp=0.05):
 
 def trajectory_records(pairs, reg, p):
     """DiagRecords of the ``(state, record)`` pairs of a run."""
-    return [dg.make_record(s, reg, p, dt=None if rec is None else rec.dt)
+    return [dg.make_record(s, dg.derivatives(s, p), reg, p,
+                           dt=None if rec is None else rec.dt)
             for s, rec in pairs]
 
 
@@ -80,11 +81,12 @@ def run_lists(s0, reg, cfg, p, **kwargs):
     return states, records
 
 
-def renorm_rows(states, records, eps, b_id):
+def renorm_rows(states, records, eps, b_id, p):
     """Per-step renormalized-residual rows of one id over a trajectory."""
     battery = dg.cosine_battery(states[0].grid)
-    return [dg.renormalized_continuity_residual(a, b, rec, eps, (b_id,),
-                                                battery)[b_id]
+    return [dg.renormalized_continuity_residual(
+                a, b, dg.derivatives(b, p), rec, eps, (b_id,),
+                battery)[b_id]
             for a, b, rec in zip(states, states[1:], records[1:])]
 
 
@@ -197,11 +199,10 @@ def _sine_battery(grid, count=3):
     test functions of the momentum balance."""
     basis = sv.GalerkinBasis(grid, count)
     out = []
-    for i, tpl in enumerate(basis.modes):
+    for tpl, vals, grad in zip(basis.modes, basis.phi,
+                               basis.mode_gradients()):
         name = "sin" + "".join(str(m) for m in tpl)
-        vals = basis.phi[i]
-        grads = [basis.grad[i, a] for a in range(grid.dim)]
-        out.append((name, vals, grads))
+        out.append((name, vals, list(grad)))
     return out
 
 

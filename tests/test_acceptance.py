@@ -206,8 +206,10 @@ def test_criterion_04_energy_inequality(capsys):
 
     def defects(dt):
         states, records = _run(bump_state(grid), REG, dt, 0.02)
-        vals = [dg.energy_budget_residual(a, b, REG, P, rec.dt)
-                for a, b, rec in zip(states[:-1], states[1:], records[1:])]
+        ders = [dg.derivatives(s, P) for s in states]
+        vals = [dg.energy_budget_residual(a, da, b, db, REG, P, rec.dt)
+                for a, da, b, db, rec in zip(states, ders, states[1:],
+                                             ders[1:], records[1:])]
         return states, vals
 
     states, base = defects(1e-3)
@@ -337,7 +339,7 @@ def test_criterion_09_renormalized_continuity(capsys):
     grid = Grid((32, 32), (2.0, 2.0))
     states, records = _run(bump_state(grid), REG, 1e-3, 0.02)
     _, ident = residual_series_max(
-        renorm_rows(states, records, REG.eps, "identity"))
+        renorm_rows(states, records, REG.eps, "identity", P))
 
     grid64 = Grid((64, 64), (2.0, 2.0))
     reg0 = RegParams(eps=0.0, delta=1e-3, beta=5.0, n_modes=8)
@@ -347,7 +349,7 @@ def test_criterion_09_renormalized_continuity(capsys):
                          reg0, dt, 0.02)
         for b in maxima:
             _, overall = residual_series_max(
-                renorm_rows(sts, recs, reg0.eps, b))
+                renorm_rows(sts, recs, reg0.eps, b, P))
             maxima[b].append(overall)
     monotone = all(v[0] > v[1] > v[2] for v in maxima.values())
     factors = {b: v[0] / v[2] for b, v in maxima.items()}

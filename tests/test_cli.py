@@ -859,15 +859,30 @@ def test_diagnose_reads_config_with_retired_key(tmp_path, capsys, after,
 
 
 def test_diagnose_replays_snapshots(tmp_path, capsys):
+    """Each replayed row is, as text, the run's ``diagnostics.csv`` row at
+    the same t in the columns ``solve diagnose`` prints, although the run
+    and the replay differentiate their states separately."""
     cfg = _run_cfg(tmp_path)
     assert cli.main(["run", cfg]) == 0
     capsys.readouterr()
     assert cli.main(["diagnose", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "diagnosed 4 snapshots" in out
-    data_lines = [ln for ln in out.splitlines()
-                  if ln and ln[0].isdigit()]
+    lines = out.splitlines()
+    columns = lines[0].split(",")
+    assert columns == ["t", "mass", "energy_total", "entropy_total",
+                       "director_sup"]
+    data_lines = [ln for ln in lines if ln and ln[0].isdigit()]
     assert len(data_lines) == 4
+    with open(tmp_path / "out" / "diagnostics.csv", encoding="utf-8") as fh:
+        csv_lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    names = csv_lines[0].split(",")
+    picked = [names.index(c) for c in columns]
+    by_t = {}
+    for ln in csv_lines[1:]:
+        cells = ln.split(",")
+        by_t[cells[0]] = ",".join(cells[i] for i in picked)
+    assert [by_t.get(ln.split(",")[0]) for ln in data_lines] == data_lines
 
 
 def test_continuation_command_outputs(tmp_path):
@@ -917,6 +932,77 @@ def test_continuation_rerun_outputs_byte_identical(tmp_path, capsys):
     assert sorted(seen[0][0]) == ["config.resolved", "report.json",
                                   "run_00.csv", "run_01.csv"]
     assert seen[0] == seen[1]
+
+
+def _post_processing_counts(monkeypatch):
+    """Per state handed out by ``solver.run``, whether it was stepped and
+    the ``SpectralPlan.deriv`` and ``constitutive.stress_power`` calls made
+    while its consumer held it: its post-processing, not its step."""
+    from nlcflow import constitutive as cst
+    from nlcflow.fields import SpectralPlan
+    calls = {"deriv": 0, "power": 0}
+    holding = [False]
+
+    def counting(key, inner):
+        def wrapper(*args):
+            calls[key] += holding[0]
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(SpectralPlan, "deriv",
+                        counting("deriv", SpectralPlan.deriv))
+    monkeypatch.setattr(cst, "stress_power",
+                        counting("power", cst.stress_power))
+    per_state = []
+    run = sv.run
+
+    def observed(*args):
+        for s, rec in run(*args):
+            before = dict(calls)
+            holding[0] = True
+            yield s, rec
+            holding[0] = False
+            per_state.append((rec is not None,
+                              calls["deriv"] - before["deriv"],
+                              calls["power"] - before["power"]))
+
+    monkeypatch.setattr(sv, "run", observed)
+    return per_state
+
+
+@pytest.mark.parametrize("residuals", ["identity", "identity,T2,zlog"])
+def test_post_processing_differentiates_each_state_once(tmp_path,
+                                                        monkeypatch,
+                                                        residuals):
+    """One derivative pass per state feeds its record, its residual audit
+    and the continuation tallies.  At 2-D, counted in per-axis ``deriv``
+    calls: the pass takes grad rho, grad theta, grad u and grad d, 2 each,
+    and laplace d as the divergence of that grad d, 2, so 10.  Per stepped
+    state, ``solve run`` with m residual ids adds div u_lag, 2, and
+    grad b(rho') per id, 2 m: 12 + 2 m (14 + 2 m when the audit took its
+    own grad rho'); a continuation entry adds laplace rho as the divergence
+    of the pass's grad rho, 2: 12 (14 when the tally took its own grad
+    rho).  The stress power is evaluated once per record."""
+    m = len(residuals.split(","))
+    per_state = _post_processing_counts(monkeypatch)
+    cfg = _write(tmp_path, "run.cfg",
+                 RESTART_CFG.format(out=tmp_path / "run").replace(
+                     "grid.shape = 32", "grid.shape = 16").replace(
+                     "solver.t_end = 0.01", "solver.t_end = 3e-3")
+                 + f"output.residuals = {residuals}\n")
+    assert cli.main(["run", cfg]) == 0
+    stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
+    assert per_state[0] == (False, 10 + 6, 1)   # with the battery's 6
+    assert stepped == [(12 + 2 * m, 1)] * 3
+
+    per_state.clear()
+    cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
+    assert cli.main(["continuation", cfg]) == 0
+    stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
+    assert len(per_state) == 2 * 6 and len(stepped) == 2 * 5
+    assert stepped == [(12, 1)] * 10
+    assert [(d, w) for was_stepped, d, w in per_state
+            if not was_stepped] == [(10, 1)] * 2
 
 
 def test_continuation_failure_names_its_entry(tmp_path, capsys,

@@ -75,7 +75,9 @@ def test_budget_equilibrium_exact_zero(grid2d):
     s = equilibrium_state(grid2d)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
-    assert dg.energy_budget_residual(s, s1, reg, p, rec.dt) == 0.0
+    assert dg.energy_budget_residual(s, dg.derivatives(s, p), s1,
+                                     dg.derivatives(s1, p), reg, p,
+                                     rec.dt) == 0.0
 
 
 def test_budget_equilibrium_with_sink(grid2d):
@@ -87,7 +89,8 @@ def test_budget_equilibrium_with_sink(grid2d):
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
     assert float(s1.theta.max()) < 1.0
-    r = dg.energy_budget_residual(s, s1, reg, p, rec.dt)
+    r = dg.energy_budget_residual(s, dg.derivatives(s, p), s1,
+                                  dg.derivatives(s1, p), reg, p, rec.dt)
     assert abs(r) <= 5e-12
 
 
@@ -98,9 +101,10 @@ def test_budget_one_sided_on_bump_run(grid2d):
     e0, _ = dg.total_energy(s0, director_gradient(s0), reg, p)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
+    ders = [dg.derivatives(s, p) for s in states]
     for k in range(1, len(states)):
-        r = dg.energy_budget_residual(states[k - 1], states[k], reg, p,
-                                      records[k].dt)
+        r = dg.energy_budget_residual(states[k - 1], ders[k - 1], states[k],
+                                      ders[k], reg, p, records[k].dt)
         assert r <= 1e-8 * e0
 
 
@@ -140,7 +144,8 @@ def test_budget_from_states_matches_galerkin_ledger(grid2d, eps, delta):
                                 sv.SolverConfig(dt=1e-3, t_end=1e-2), p)
     assert len(states) == 11
     for a, b, rec in zip(states, states[1:], records[1:]):
-        got = dg.energy_budget_residual(a, b, reg, p, rec.dt)
+        got = dg.energy_budget_residual(a, dg.derivatives(a, p), b,
+                                        dg.derivatives(b, p), reg, p, rec.dt)
         want = _ledger_budget(a, b, reg, p, rec.dt, basis)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -170,7 +175,8 @@ def test_record_differentiates_its_state_once(grid2d, monkeypatch):
         return inner(mat, values, axis, dim)
 
     monkeypatch.setattr(fields, "_along", counted)
-    dg.make_record(s, RegParams(), PhysParams(), dt=1e-3)
+    p = PhysParams()
+    dg.make_record(s, dg.derivatives(s, p), RegParams(), p, dt=1e-3)
     assert len(units) == 10 and sum(units) == 20
 
 
@@ -300,7 +306,7 @@ def test_renorm_identity_machine_zero(grid2d):
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
-    rows = renorm_rows(states, records, reg.eps, "identity")
+    rows = renorm_rows(states, records, reg.eps, "identity", p)
     _, worst = residual_series_max(rows)
     assert worst <= 1e-10
 
@@ -312,7 +318,7 @@ def test_renorm_constant_state_zero(grid2d):
     cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
     states, records = run_lists(s, reg, cfg, p)
     for b_id in ("identity", "T1", "T4", "zlog"):
-        rows = renorm_rows(states, records, reg.eps, b_id)
+        rows = renorm_rows(states, records, reg.eps, b_id, p)
         _, worst = residual_series_max(rows)
         assert worst <= 1e-12
 
@@ -326,27 +332,30 @@ def test_renorm_smooth_kernel_first_order(grid2d):
         s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
         states, records = run_lists(s0, reg,
                                     sv.SolverConfig(dt=dt, t_end=1e-2), p)
-        rows = renorm_rows(states, records, reg.eps, "zlog")
+        rows = renorm_rows(states, records, reg.eps, "zlog", p)
         worst.append(residual_series_max(rows)[1])
     ratio = worst[0] / worst[1]
     assert 1.6 <= ratio <= 2.4
 
 
 def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
-    """The test functions' gradients are taken once per run, and div u_lag
-    and grad rho' once per step for all requested ids.  At 2-D with the
-    three-function cosine battery, m ids and k steps the audit takes
+    """The test functions' gradients are taken once per run, div u_lag
+    once per step for all requested ids, and grad rho' not at all: the
+    audit reads |grad rho'|^2 off the derivative pass of the new state,
+    computed before the count.  At 2-D with the three-function cosine
+    battery, m ids and k steps the audit takes
       6       battery gradients, once per run (3 functions x 2 axes)
-      4 k     per step: div u_lag 2, grad rho' 2
+      2 k     per step: div u_lag 2
       2 m k   per step and id: grad b(rho') 2
-    which is 6 + 2 (4 + 4) = 22 for two steps and two ids (36 when each
-    id took its own pass over the steps, with the battery's gradients per
-    pass)."""
+    which is 6 + 2 (2 + 4) = 18 for two steps and two ids (22 when the
+    audit took its own grad rho', 36 when each id took its own pass over
+    the steps, with the battery's gradients per pass)."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
     cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
     states, records = run_lists(s0, reg, cfg, p)
+    ders = [dg.derivatives(s, p) for s in states]
     calls = []
     plan = spectral_plan(grid2d)
     deriv = plan.deriv
@@ -357,15 +366,16 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
 
     monkeypatch.setattr(plan, "deriv", counted)
     battery = dg.cosine_battery(grid2d)
-    rows = [dg.renormalized_continuity_residual(a, b, rec, reg.eps,
+    rows = [dg.renormalized_continuity_residual(a, b, der, rec, reg.eps,
                                                 ("T1", "identity"), battery)
-            for a, b, rec in zip(states, states[1:], records[1:])]
+            for a, b, der, rec in zip(states, states[1:], ders[1:],
+                                      records[1:])]
     steps = len(rows)
     assert steps == 2 and all(list(r) == ["T1", "identity"] for r in rows)
-    assert len(calls) == 6 + steps * (4 + 2 * 2) == 22
+    assert len(calls) == 6 + steps * (2 + 2 * 2) == 18
     monkeypatch.undo()
     assert [r["T1"] for r in rows] == renorm_rows(states, records, reg.eps,
-                                                  "T1")
+                                                  "T1", p)
 
 
 def test_renorm_unknown_kernel_rejected():
