@@ -35,31 +35,25 @@ from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
 # (all-cosine) or ``dirichlet`` (all-sine), whose dims are the grid's shape;
 # or ``galerkin`` for a table that lives off the grid, whose two dims are its
 # row and column counts.  Each unknown is stored once, in the order of
-# :func:`_layout`: ``time``, t as a 1x1 table; the nodal blocks ``rho``,
-# ``theta`` and ``d0``-``d2``; then the velocity, as the n x dim table
-# ``velocity`` of its Galerkin coefficients when the state has them and as
-# the nodal blocks ``u<c>`` when it has only nodal values.  A state with a
-# solver history ends with it as the ``galerkin`` table ``history``: one row
-# per level, newest first, each the level's dt followed by its flattened
-# Galerkin coefficients.
+# ``_LAYOUT``: ``time``, t as a 1x1 table; the nodal blocks ``rho``,
+# ``theta`` and ``d0``-``d2``; then ``velocity``, the n x dim table of the
+# state's Galerkin coefficients.  A state with a solver history ends with
+# it as the ``galerkin`` table ``history``: one row per level, newest
+# first, each the level's dt followed by its flattened coefficients.
 #
-# The reader also takes the format written before the velocity table
-# existed: ``time`` as a nodal block holding t at every node, the velocity
-# as ``u<c>`` blocks, and the history optional.
+# The reader also takes older files, whose velocity is nodal, as
+# ``dirichlet`` blocks ``u<c>``, and projects it onto the run's Galerkin
+# modes; in the v1 format ``time`` is a nodal block holding t at every
+# node and the history is optional.
 # ---------------------------------------------------------------------------
 
 GALERKIN = "galerkin"
 
-
-def _layout(dim, tabled):
-    """``(name, kind)`` of each block of a snapshot before its history, in
-    file order: ``time``, the nodal scalars and director components, then
-    the velocity, as its coefficient table when ``tabled`` and one nodal
-    block per component otherwise."""
-    return ([("time", GALERKIN), ("rho", "neumann"), ("theta", "neumann")]
-            + [(f"d{k}", "neumann") for k in range(3)]
-            + ([("velocity", GALERKIN)] if tabled
-               else [(f"u{c}", "dirichlet") for c in range(dim)]))
+# ``(name, kind)`` of each block of a snapshot before its history, in file
+# order
+_LAYOUT = ((("time", GALERKIN), ("rho", "neumann"), ("theta", "neumann"))
+           + tuple((f"d{k}", "neumann") for k in range(3))
+           + (("velocity", GALERKIN),))
 
 
 def _write_block(fh, name, kind, values):
@@ -74,11 +68,9 @@ def _write_block(fh, name, kind, values):
 def write_snapshot(path, s):
     """One state as a plain-text snapshot, its history last when it has
     one."""
-    tabled = s.U is not None
-    arrays = [np.array([[s.t]]), s.rho, s.theta, *s.d,
-              *([s.U] if tabled else s.u)]
+    arrays = [np.array([[s.t]]), s.rho, s.theta, *s.d, s.U]
     with open(path, "w", encoding="utf-8") as fh:
-        for (name, kind), values in zip(_layout(s.grid.dim, tabled), arrays):
+        for (name, kind), values in zip(_LAYOUT, arrays):
             _write_block(fh, name, kind, values)
         if s.history:
             _write_block(fh, "history", GALERKIN, np.array(
@@ -133,19 +125,23 @@ def _read_blocks(path, grid):
     return blocks
 
 
-def read_snapshot(path, grid):
-    """The State stored by :func:`write_snapshot`, with its Galerkin
-    velocity and its history when the file has them.  Each block's stored
-    kind must be the one :func:`_layout` gives it (ParityMismatch), and the
-    file must hold the velocity either as a table or as nodal blocks."""
+def read_snapshot(path, grid, n_modes):
+    """The State stored by :func:`write_snapshot`, with its history when
+    the file has one.  Each block's stored kind must be the one the layout
+    gives it (ParityMismatch), and the file must hold the velocity either
+    as a table or as nodal blocks.  Nodal velocity is projected onto the
+    ``n_modes`` Galerkin modes of ``grid``.  A table that is not ``dim``
+    columns of at least one mode, or that holds more modes than the grid
+    admits, is an IOFailure."""
     blocks = _read_blocks(path, grid)
     dim = grid.dim
     tabled = "velocity" in blocks
-    if tabled == any(f"u{c}" in blocks for c in range(dim)):
+    nodal = [(f"u{c}", "dirichlet") for c in range(dim)]
+    if tabled == any(name in blocks for name, _ in nodal):
         raise IOFailure(f"snapshot {path!r} holds "
                         + ("both a velocity table and nodal u blocks"
                            if tabled else "no velocity"))
-    layout = _layout(dim, tabled)
+    layout = list(_LAYOUT) if tabled else list(_LAYOUT[:-1]) + nodal
     missing = [name for name, _ in layout if name not in blocks]
     if missing:
         raise IOFailure(f"snapshot {path!r} lacks fields {missing}")
@@ -159,9 +155,15 @@ def read_snapshot(path, grid):
                 f"snapshot {path!r} stores {name} as {blocks[name][0]}, "
                 f"the state needs {kind}")
     values = {name: blocks[name][1] for name, _ in layout}
-    U = values["velocity"] if tabled else None
-    u = (_velocity(path, grid, U) if tabled
-         else [values[f"u{c}"] for c in range(dim)])
+    if tabled:
+        U = values["velocity"]
+        if len(U) < 1 or U.shape[1] != dim:
+            raise IOFailure(f"snapshot {path!r}: the velocity table is "
+                            f"{U.shape[0]} x {U.shape[1]}, not n x {dim} "
+                            f"with n >= 1")
+    else:
+        U = sv.galerkin_basis(grid, n_modes).project(
+            np.stack([values[name] for name, _ in nodal]))
     history = ()
     if "history" in blocks:
         kind, rows = blocks["history"]
@@ -170,25 +172,13 @@ def read_snapshot(path, grid):
                             f"dt and {dim}-component Galerkin coefficients")
         history = tuple((float(row[0]), row[1:].reshape(-1, dim))
                         for row in rows)
-    return sv.State(grid, float(time.flat[0]), values["rho"], u,
-                    values["theta"], [values[f"d{k}"] for k in range(3)],
-                    history, U)
-
-
-def _velocity(path, grid, U):
-    """Nodal velocity of the stored Galerkin coefficients ``U``, through
-    the cached basis of their mode count.  A table that is not ``dim``
-    columns of at least one mode, or that holds more modes than the grid
-    admits, is an IOFailure."""
-    n, cols = U.shape
-    if n < 1 or cols != grid.dim:
-        raise IOFailure(f"snapshot {path!r}: the velocity table is {n} x "
-                        f"{cols}, not n x {grid.dim} with n >= 1")
     try:
-        return sv.galerkin_basis(grid, n).reconstruct(U)
+        return sv.State(grid, float(time.flat[0]), values["rho"], U,
+                        values["theta"], [values[f"d{k}"] for k in range(3)],
+                        history)
     except TooManyModes as exc:
-        raise IOFailure(f"snapshot {path!r}: the velocity table holds {n} "
-                        f"modes, the grid {grid.shape} admits "
+        raise IOFailure(f"snapshot {path!r}: the velocity table holds "
+                        f"{exc.n_modes} modes, the grid {grid.shape} admits "
                         f"{exc.admissible}") from None
 
 
@@ -204,7 +194,7 @@ def _out_dir(cfg):
 
 def _initial_state(cfg):
     if cfg.init.snapshot is not None:
-        return read_snapshot(cfg.init.snapshot, cfg.grid)
+        return read_snapshot(cfg.init.snapshot, cfg.grid, cfg.reg.n_modes)
     return presets.build(cfg.init.preset, cfg.grid, base=cfg.init.base,
                          amplitude=cfg.init.amplitude, width=cfg.init.width)
 
@@ -383,7 +373,8 @@ def cmd_diagnose(directory):
         raise IOFailure(f"no snapshots in {directory!r}")
     print("t,mass,energy_total,entropy_total,director_sup")
     for name in names:
-        s = read_snapshot(os.path.join(directory, name), cfg.grid)
+        s = read_snapshot(os.path.join(directory, name), cfg.grid,
+                          cfg.reg.n_modes)
         rec = dg.make_record(s, dg.derivatives(s, cfg.phys), cfg.reg,
                              cfg.phys)
         print(",".join(dg.format_float(v) for v in (

@@ -101,15 +101,16 @@ def derivatives(s, p: PhysParams):
     """The one derivative pass of a state ``s``, read by its record and its
     audits: the gradient stacks ``(dim, ...)`` of rho, theta and d, and the
     pointwise |grad rho|^2, S(grad u):grad u and |laplace d - f(d)|^2, each
-    taken once; laplace d is the divergence of that same grad d."""
+    taken once; laplace d is the divergence of that same grad d, and grad u
+    is taken from the Galerkin coefficients, as the step takes it."""
     plan = spectral_plan(s.grid)
     cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
     grad_rho, grad_d = plan.grad(s.rho, cos), plan.grad(s.d, cos)
     relax = plan.div(grad_d, sin) - cst.gl_force(s.d, p.penalty_scale)
+    grad_u = sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U)
     return Derivatives(
         grad_rho, plan.grad(s.theta, cos), grad_d, _sum_sq(s.grid, grad_rho),
-        cst.stress_power(plan.grad(s.u, sin), p),
-        np.sum(relax * relax, axis=0))
+        cst.stress_power(grad_u, p), np.sum(relax * relax, axis=0))
 
 
 def _sum_sq(grid, stack):
@@ -390,9 +391,10 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
     where u is the lagged velocity the step actually used (read off its
     StepRecord ``rec``) and P_sin the 2/3 rule of the mass flux.
     For b = identity this telescopes against the scheme to roundoff.
-    ``battery`` is :func:`cosine_battery`; |grad rho'|^2 is read off
-    ``der_next``, the :func:`derivatives` of ``s_next``, and div u is taken
-    once for all the ids ``b_ids``.  Returns {b_id: {test id: residual}}.
+    ``battery`` is :func:`cosine_battery`; |grad rho'|^2, and grad rho' for
+    ``identity``, are read off ``der_next``, the :func:`derivatives` of
+    ``s_next``, and div u is taken once for all the ids ``b_ids``.  Returns
+    {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
     dim = grid.dim
@@ -408,7 +410,8 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
         db = (b_p - b_n) / dt
         flux = sv._mass_flux(plan, b_n, u_lag)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
-        grad_b = plan.grad(b_p, neumann(dim))
+        grad_b = der_next.rho if b_id == "identity" \
+            else plan.grad(b_p, neumann(dim))
         burn = bpp(rho_p) * der_next.grad_rho_sq
         row = {}
         for name, psi, grad in battery:

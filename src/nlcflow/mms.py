@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (COS, SIN, Grid, _strip_sine_nyquist, dirichlet,
-                     evaluate, integrate_values, neumann, spectral_plan)
+from .fields import (COS, SIN, Grid, dirichlet, evaluate, integrate_values,
+                     neumann, spectral_plan)
 from . import constitutive as cst
 from . import solver as sv
 
@@ -136,14 +136,15 @@ def get_case(name):
     return CASES[name]
 
 
-def analytic_state(case, grid, t):
-    """The manufactured fields sampled on ``grid`` at time ``t``; the
-    sampled velocity loses its sine Nyquist mode, as stored sine data
-    must."""
+def analytic_state(case, grid, t, n_modes):
+    """The manufactured fields sampled on ``grid`` at time ``t``, the
+    velocity projected onto the ``n_modes`` Galerkin modes.  Every
+    registered velocity is the lowest sine mode or zero, so the projection
+    is exact to round-off."""
     mesh = grid.mesh()
-    u = _strip_sine_nyquist(np.stack([fc(mesh, t) for fc in case.u]),
-                            dirichlet(grid.dim), grid)
-    return sv.State(grid, t, case.rho(mesh, t), u, case.theta(mesh, t),
+    U = sv.galerkin_basis(grid, n_modes).project(
+        np.stack([fc(mesh, t) for fc in case.u]))
+    return sv.State(grid, t, case.rho(mesh, t), U, case.theta(mesh, t),
                     np.stack([fc(mesh, t) for fc in case.d]))
 
 
@@ -189,16 +190,15 @@ def _temperature_terms(case, s, plan, reg, p):
         terms.append((dth, cos_par))
     if case.drho_dt is not None:
         terms.append((case.drho_dt(mesh, t) * s.theta, cos_par))
-    u = s.u
-    m = sv._mass_flux(plan, s.rho, u)
+    m = sv._mass_flux(plan, s.rho, s.u)
     for b, term in enumerate(sv._heat_convection(plan, s.theta, m)):
         terms.append((term, _term_parity(grid, frozenset(range(dim)) - {b})))
     if reg.delta > 0:
         terms.append((reg.delta * np.maximum(s.theta, 0.0)
                       ** (p.cond_growth + 1.0), cos_par))
     # R rho theta div u and the stress-power heating, term by term so each
-    # addend carries a definite parity
-    grad_u = plan.grad(u, dirichlet(dim))
+    # addend carries a definite parity; grad u as the step takes it
+    grad_u = sv.galerkin_basis(grid, len(s.U)).gradient(s.U)
     q = s.rho * s.theta
     for b in range(dim):
         terms.append((p.gas_const * q * grad_u[b, b],
@@ -229,7 +229,7 @@ def _momentum_terms(case, s, plan, reg, p):
         # fine because no restriction will happen
         u = s.u
         mesh = grid.mesh()
-        grad_u = plan.grad(u, dirichlet(dim))
+        grad_u = sv.galerkin_basis(grid, len(s.U)).gradient(s.U)
         m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
         force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
@@ -259,7 +259,7 @@ def _assemble(case, fine, grid, reg, p, t):
     """The sources ``(rho, momentum stack, theta, director stack)`` at
     ``t``: every term is composed from one analytic state on ``fine`` and
     restricted to ``grid``."""
-    s = analytic_state(case, fine, t)
+    s = analytic_state(case, fine, t, reg.n_modes)
     plan = spectral_plan(fine)
 
     def restrict(terms):
@@ -313,10 +313,11 @@ def run_case(case, n, reg, p, dt, t_end):
     grid = Grid((n,) * case.dim, (2.0,) * case.dim)
     sources = build_sources(case, grid, reg, p)
     cfg = sv.SolverConfig(dt=dt, t_end=t_end)
-    for last, _ in sv.run(analytic_state(case, grid, 0.0), reg, cfg, p,
-                          sources=sources):
+    for last, _ in sv.run(analytic_state(case, grid, 0.0, reg.n_modes), reg,
+                          cfg, p, sources=sources):
         pass
-    return solution_errors(case, last, analytic_state(case, grid, last.t))
+    return solution_errors(case, last,
+                           analytic_state(case, grid, last.t, reg.n_modes))
 
 
 def spatial_study(case, reg, p, resolutions, dt, t_end):

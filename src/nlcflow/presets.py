@@ -1,7 +1,8 @@
 """Named initial-data families.
 
 Each builder returns a State at t = 0 from three knobs (base, amplitude,
-width) so config files can select initial data by name.  Closed forms:
+width) so config files can select initial data by name.  The velocity is a
+Galerkin table: four modes, or one zero mode at rest.  Closed forms:
 
 equilibrium     rho = base, theta = base, u = 0, d = e1.
 density-bump    rho = base + amplitude * prod_a cos(pi x_a / L_a),
@@ -20,7 +21,7 @@ thermal-spot    rho = base, u = 0, d = e1,
 import numpy as np
 
 from .fields import neumann, smooth
-from .solver import State, galerkin_basis
+from .solver import State
 
 
 def _unit_director(grid):
@@ -30,16 +31,15 @@ def _unit_director(grid):
 
 
 def _zero_velocity(grid):
-    return np.zeros((grid.dim,) + grid.shape)
+    return np.zeros((1, grid.dim))
 
 
 def _mode_velocity(grid, coeffs):
-    """Velocity from {(mode_index, component): coefficient} on a small basis."""
-    basis = galerkin_basis(grid, 4)
-    U = np.zeros((basis.n, grid.dim))
+    """Four-mode table from {(mode_index, component): coefficient}."""
+    U = np.zeros((4, grid.dim))
     for (i, c), val in coeffs.items():
         U[i, c] = val
-    return basis.reconstruct(U)
+    return U
 
 
 def equilibrium(grid, base=1.0, amplitude=0.0, width=0.0):
@@ -59,16 +59,16 @@ def density_bump(grid, base=1.0, amplitude=0.5, width=0.0):
     coeffs = {(0, 0): 0.1 * amplitude}
     if grid.dim == 2:
         coeffs[(1, 1)] = -0.06 * amplitude
-    u = _mode_velocity(grid, coeffs)
-    return State(grid, 0.0, rho, u, theta, _unit_director(grid))
+    U = _mode_velocity(grid, coeffs)
+    return State(grid, 0.0, rho, U, theta, _unit_director(grid))
 
 
 def director_twist(grid, base=1.0, amplitude=0.3, width=0.0):
     angle = smooth(grid, amplitude * np.cos(
         np.pi * grid.mesh()[0] / grid.extents[0]), neumann(grid.dim), width)
     d = np.stack([np.cos(angle), np.sin(angle), np.zeros(grid.shape)])
-    u = _mode_velocity(grid, {(0, 0): 0.1 * amplitude})
-    return State(grid, 0.0, np.full(grid.shape, float(base)), u,
+    U = _mode_velocity(grid, {(0, 0): 0.1 * amplitude})
+    return State(grid, 0.0, np.full(grid.shape, float(base)), U,
                  np.ones(grid.shape), d)
 
 

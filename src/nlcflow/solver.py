@@ -83,46 +83,40 @@ _INNER_TOL_LOOSE = 1e-8
 # ---------------------------------------------------------------------------
 
 class State:
-    """One snapshot of the coupled unknowns at a common time, as nodal
-    arrays in the layout of the substep kernels: ``rho`` and ``theta`` are
-    cosine arrays of shape ``grid.shape``, ``u`` is the sine stack
-    ``(dim, *grid.shape)`` and ``d`` the cosine stack ``(3, *grid.shape)``.
-
-    ``U`` is the velocity's Galerkin coefficient array, shape
-    ``(n, dim)``, when the state came from the Galerkin scheme (regularized
-    initial data, a step, a snapshot that stores it): then
-    ``galerkin_basis(grid, n).reconstruct(U)`` is ``u`` bit for bit.  A
-    state built from nodal velocity (a preset, a manufactured solution, a
-    snapshot of the nodal format) has ``None``.
+    """One snapshot of the coupled unknowns at a common time, in the layout
+    of the substep kernels: ``rho`` and ``theta`` are cosine arrays of
+    shape ``grid.shape`` and ``d`` the cosine stack ``(3, *grid.shape)``.
+    The velocity is given only as its Galerkin coefficient table ``U``,
+    shape ``(n, dim)``; its nodal sine stack ``u``, ``(dim, *grid.shape)``,
+    is ``galerkin_basis(grid, n).reconstruct(U)``, built once here.
 
     ``history`` holds what the velocity predictor reads from earlier steps:
     at most two ``(dt, U)`` pairs, newest first, where ``U`` is the Galerkin
-    coefficient array of the state a step started from and ``dt`` the step
+    coefficient table of the state a step started from and ``dt`` the step
     it took (see :func:`_predicts`).  A state with no past, such as
     an initial one, has ``()``.
     """
 
-    __slots__ = ("grid", "t", "rho", "u", "theta", "d", "history", "U")
+    __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u")
 
-    def __init__(self, grid, t, rho, u, theta, d, history=(), U=None):
+    def __init__(self, grid, t, rho, U, theta, d, history=()):
         self.grid = grid
         self.t = float(t)
         self.history = tuple(history)
-        lead = {"rho": (), "u": (grid.dim,), "theta": (), "d": (3,)}
-        for name, values in zip(lead, (rho, u, theta, d)):
+        lead = {"rho": (), "theta": (), "d": (3,)}
+        for name, values in zip(lead, (rho, theta, d)):
             values = np.ascontiguousarray(values, dtype=np.float64)
             if values.shape != lead[name] + grid.shape:
                 raise GridMismatch(
                     f"state field {name} has shape {values.shape}, the "
                     f"grid {grid.shape} needs {lead[name] + grid.shape}")
             setattr(self, name, values)
-        if U is not None:
-            U = np.ascontiguousarray(U, dtype=np.float64)
-            if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] != grid.dim:
-                raise GridMismatch(
-                    f"state field U has shape {U.shape}, the grid "
-                    f"{grid.shape} needs (n, {grid.dim}) with n >= 1")
-        self.U = U
+        self.U = U = np.ascontiguousarray(U, dtype=np.float64)
+        if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] != grid.dim:
+            raise GridMismatch(
+                f"state field U has shape {U.shape}, the grid "
+                f"{grid.shape} needs (n, {grid.dim}) with n >= 1")
+        self.u = galerkin_basis(grid, len(U)).reconstruct(U)
 
 
 @dataclass(frozen=True)
@@ -168,110 +162,125 @@ class StepRecord:
 # Galerkin velocity basis
 # ---------------------------------------------------------------------------
 
+def _per_axis(mats, values):
+    """``mats[a]`` applied along grid axis a of an array or of a stack of
+    them: one small product per axis with a basis table, which is not one
+    of the grid's N x N operators (``fields._along``)."""
+    for ax, mat in enumerate(mats):
+        values = values @ mat.T if ax == len(mats) - 1 else mat @ values
+    return values
+
+
 class GalerkinBasis:
     """The n lowest sine tensor modes, ordered by Laplacian eigenvalue with
-    lexicographic tie-breaking.
+    lexicographic tie-breaking.  The order does not depend on n, so the
+    modes of n are a prefix of those of any larger count.
 
     Per-axis frequencies are capped at floor((N-1)/2) so that products of two
     retained modes stay inside the stored band: squares of velocities are
     then exactly representable on the grid, which the energy ledger needs.
+
+    A mode is a tensor product of one row per axis, so the basis keeps only
+    per-axis tables and every operation is a few small products per axis:
+    row k - 1 of ``_sin[a]`` is sin(k pi x / L) at the nodes of axis a, of
+    ``_cos[a]`` its derivative, and ``_pairs[a]`` holds the products of
+    pairs of sine rows.  Nothing it holds grows with n times the nodes.
     """
 
     def __init__(self, grid, n_modes):
         self.grid = grid
-        cand = []
         caps = [min((n - 1) // 2, cut - 1)
                 for n, cut in zip(grid.shape, grid.dealias_cut)]
-        rngs = [range(1, cap + 1) for cap in caps]
-        for tpl in itertools.product(*rngs):
-            lam = sum((np.pi * m / L) ** 2 for m, L in zip(tpl, grid.extents))
-            cand.append((lam, tpl))
-        cand.sort(key=lambda it: (it[0], it[1]))
+        cand = sorted(
+            (sum((np.pi * m / L) ** 2 for m, L in zip(tpl, grid.extents)), tpl)
+            for tpl in itertools.product(*[range(1, c + 1) for c in caps]))
         if n_modes > len(cand):
             raise TooManyModes(n_modes, len(cand), grid.shape)
         self.modes = tuple(tpl for _, tpl in cand[:n_modes])
         self.n = n_modes
         self.gram = float(np.prod([L / 2.0 for L in grid.extents]))
 
-        axes_sin = []
-        axes_cos = []
-        for ax in range(grid.dim):
-            x = grid.axis_nodes[ax]
-            # only the rows the retained modes read: the basis keeps these
-            # tables to build its gradients on demand
-            top = max(tpl[ax] for tpl in self.modes)
-            freqs = np.arange(1, top + 1) * np.pi / grid.extents[ax]
-            axes_sin.append(np.sin(np.outer(freqs, x)))
-            axes_cos.append(np.cos(np.outer(freqs, x)) * freqs[:, None])
-
-        self._tables = (axes_sin, axes_cos)
-        # shared through galerkin_basis, so read-only like a SpectralPlan
-        self.phi = _readonly(self._products(axes_sin))
-        self._phi_flat = self.phi.reshape(n_modes, -1)
+        # per axis, the row of each mode in the tables, which are shared
+        # through galerkin_basis and so read-only like a SpectralPlan
+        self._index = tuple(np.array(ks) - 1 for ks in zip(*self.modes))
+        freqs = [np.arange(1, i.max() + 2) * np.pi / L
+                 for i, L in zip(self._index, grid.extents)]
+        self._sin = tuple(_readonly(np.sin(np.outer(f, x)))
+                          for f, x in zip(freqs, grid.axis_nodes))
+        self._cos = tuple(_readonly(np.cos(np.outer(f, x)) * f[:, None])
+                          for f, x in zip(freqs, grid.axis_nodes))
+        # and the row of each pair of modes in the products of pairs
+        self._pairs = tuple(_readonly((t[:, None] * t[None]).reshape(
+            -1, t.shape[1])) for t in self._sin)
+        self._pair_index = tuple(i[:, None] * len(t) + i[None]
+                                 for i, t in zip(self._index, self._sin))
         self._stiffness = {}
 
-    def _products(self, tables):
-        """Stack (n_modes, *grid.shape) of the modes' tensor products of
-        per-axis tables: row m_a - 1 of ``tables[a]`` along axis a."""
-        return np.stack([
-            functools.reduce(np.multiply.outer,
-                             [t[m - 1] for t, m in zip(tables, tpl)])
-            for tpl in self.modes])
+    def _spread(self, coeffs):
+        """Coefficients (n, dim) as a (dim, *row counts) array, zero off
+        the modes."""
+        out = np.zeros((coeffs.shape[1],) + tuple(len(t) for t in self._sin))
+        out[(slice(None),) + self._index] = coeffs.T
+        return out
 
-    def mode_gradients(self):
-        """The nodal gradients (n_modes, dim, *grid.shape) of the modes,
-        built afresh on each call: the basis keeps only its per-axis tables,
-        as :meth:`stiffness` reads the gradients once per viscosity pair."""
-        sin, cos = self._tables
-        return np.stack([self._products(sin[:a] + [cos[a]] + sin[a + 1:])
-                         for a in range(self.grid.dim)], axis=1)
+    def reconstruct(self, coeffs):
+        """Nodal component stack (dim, *grid.shape) of coefficients U."""
+        return _per_axis([t.T for t in self._sin], self._spread(coeffs))
+
+    def gradient(self, coeffs):
+        """Gradient stack (dim, dim, *grid.shape) of the velocity with
+        coefficients U, entry [a, c] being d u_c / d x_a, the layout of
+        :meth:`~nlcflow.fields.SpectralPlan.grad`."""
+        spread = self._spread(coeffs)
+        return np.stack([
+            _per_axis([(self._cos if b == a else self._sin)[b].T
+                       for b in range(self.grid.dim)], spread)
+            for a in range(self.grid.dim)])
+
+    def pair(self, component_values):
+        """Pairing data F[i, c] = <g_c, phi_i> of a component stack (no
+        Gram division)."""
+        rows = _per_axis(self._sin, np.asarray(component_values))
+        return self.grid.weight * rows[(slice(None),) + self._index].T
 
     def project(self, component_values):
         """L2 projection of a component stack (dim, *grid.shape) onto the
         basis; returns coefficients U with shape (n_modes, dim)."""
         return self.pair(component_values) / self.gram
 
-    def reconstruct(self, coeffs):
-        """Nodal component stack (dim, *grid.shape) of coefficients U."""
-        return (coeffs.T @ self._phi_flat).reshape(
-            (self.grid.dim,) + self.grid.shape)
-
-    def pair(self, component_values):
-        """Pairing data F[i, c] = <g_c, phi_i> of a component stack (no
-        Gram division)."""
-        vals = np.asarray(component_values)
-        return self.grid.weight * (
-            self._phi_flat @ vals.reshape(len(vals), -1).T)
-
     def mass_matrix(self, rho_values):
-        weighted = self._phi_flat * (self.grid.weight * rho_values.ravel())
-        return weighted @ self._phi_flat.T
+        """M[i, j] = <rho phi_i, phi_j>: rho summed one axis at a time
+        against the products of pairs of per-axis sine rows, then read at
+        the modes' pairs."""
+        summed = _per_axis(self._pairs, self.grid.weight * rho_values)
+        return summed[self._pair_index]
 
     def stiffness(self, p: PhysParams):
-        """Viscous form K with U^T K U = <S(u):grad u> exactly.
+        """Viscous form K with U^T K U = <S(u):grad u> exactly, entry
+        [(i, c), (j, e)] being mu <grad phi_i, grad phi_j> delta_ce
+        + mu <d_e phi_i, d_c phi_j> + lam <d_c phi_i, d_e phi_j>.
 
         Built once per basis and viscosity pair; the result is read-only.
         """
         key = (p.mu, p.lam)
-        if key in self._stiffness:
-            return self._stiffness[key]
-        dim = self.grid.dim
-        g = self.mode_gradients().reshape(self.n, dim, -1)
-        w = self.grid.weight
-        lap = w * np.einsum("iap,jap->ij", g, g)
-        cross = w * np.einsum("iap,jbp->iajb", g, g)
-        n = self.n
-        K = np.zeros((n, dim, n, dim))
-        for c in range(dim):
-            K[:, c, :, c] += p.mu * lap
-        for c in range(dim):
-            for e in range(dim):
-                K[:, c, :, e] += p.mu * cross[:, e, :, c]
-                K[:, c, :, e] += p.lam * cross[:, c, :, e]
-        K = K.reshape(n * dim, n * dim)
-        K.flags.writeable = False
-        self._stiffness[key] = K
-        return K
+        if key not in self._stiffness:
+            dim, n = self.grid.dim, self.n
+            # cross[a, b] = <d_a phi_i, d_b phi_j>, a product over the axes
+            # e of Gram matrices of the modes' sine rows (0), or of their
+            # derivative rows (1) on axis a for phi_i and on axis b for phi_j
+            gram = [[[(lt @ rt.T)[np.ix_(i, i)] for rt in (s, c)]
+                     for lt in (s, c)]
+                    for s, c, i in zip(self._sin, self._cos, self._index)]
+            cross = self.grid.weight * np.array([[np.prod(
+                [gram[e][e == a][e == b] for e in range(dim)], axis=0)
+                for b in range(dim)] for a in range(dim)])
+            K = (np.kron(p.mu * np.trace(cross), np.eye(dim))
+                 + (p.mu * cross.transpose(2, 1, 3, 0)
+                    + p.lam * cross.transpose(2, 0, 3, 1)).reshape(
+                        n * dim, n * dim))
+            K.flags.writeable = False
+            self._stiffness[key] = K
+        return self._stiffness[key]
 
 
 @functools.lru_cache(maxsize=32)
@@ -557,20 +566,11 @@ def _momentum_update(plan, u_minus, grad_u, U_prev, rho_prev, rho_new, m,
     if source is not None:
         force = force + source
     F = basis.pair(force)
-    n, dim = basis.n, basis.grid.dim
-    A = mass_mat_expand(mass_mat, dim) / dt + stiff
+    A, dim = stiff.copy(), F.shape[1]
+    for c in range(dim):     # the mass matrix acts on each component alike
+        A[c::dim, c::dim] += mass_mat / dt
     rhs = (mass_mat @ U_prev) / dt + F
-    U_new = np.linalg.solve(A, rhs.reshape(n * dim)).reshape(n, dim)
-    return basis.reconstruct(U_new), U_new
-
-
-def mass_mat_expand(mass, dim):
-    """Block-diagonal expansion of the scalar mass matrix over components."""
-    n = mass.shape[0]
-    out = np.zeros((n, dim, n, dim))
-    for c in range(dim):
-        out[:, c, :, c] = mass
-    return out.reshape(n * dim, n * dim)
+    return np.linalg.solve(A, rhs.ravel()).reshape(F.shape)
 
 
 def _checked_mass_matrix(basis, rho_values):
@@ -592,7 +592,7 @@ def _sweep_is_last(inc, tol):
     that the next one, extrapolated as inc[-1]**2 / inc[-2], will.  With
     no increment yet the answer is no, and with one the increment before it
     counts as 1, since increments are relative to max(|U|, 1).  Started
-    from u^n, the increments of the benchmark workloads run about 2e-3,
+    from U^n, the increments of the benchmark workloads run about 2e-3,
     2e-7 and 2e-11, so such a step takes 3 sweeps and only the third is
     full.  Started from the predictor, the first increment is at most
     9e-7, whose square is below the default tol of 1e-9, so a predicted
@@ -615,18 +615,28 @@ def _predicts(history, dt, shape):
         for level_dt, U in history[:2])
 
 
+def _with_modes(U, n):
+    """The coefficient table ``U`` on ``n`` modes: the bases are nested,
+    so rows beyond n are dropped and missing ones are zero."""
+    return U if len(U) == n else np.pad(U[:n], ((0, max(n - len(U), 0)),
+                                                (0, 0)))
+
+
 def _picard_advance(s, reg, cfg, p, dt, sources):
     """One Picard-coupled step on the raw arrays of ``s``; the accepted
     iterates make the new State.
 
-    When the history of ``s`` predicts the step (see :func:`_predicts`),
-    the first sweep starts from the quadratic extrapolation
-    U* = 3 U^n - 3 U^(n-1) + U^(n-2) of the Galerkin coefficients, and
-    otherwise from u^n.  The momentum equation's old level stays U^n
-    either way: the prediction only moves the first sweep's frozen
-    coefficients closer to the converged ones.  On the benchmark workloads it cuts the first
-    increment from about 2e-3 to at most 9e-7 and the second from about
-    2e-7 to at most 1e-10, so a predicted step takes 2 sweeps.
+    The step starts from U^n, the table ``s.U`` on the ``reg.n_modes``
+    modes (:func:`_with_modes`), so a state of another mode count enters
+    it truncated or zero-padded.  When the history of ``s`` predicts the
+    step (see :func:`_predicts`), the first sweep starts from the quadratic
+    extrapolation U* = 3 U^n - 3 U^(n-1) + U^(n-2), and otherwise from
+    U^n; every sweep takes its velocity gradient from its coefficients.
+    The momentum equation's old level stays U^n either way: the prediction
+    only moves the first sweep's frozen coefficients closer to the
+    converged ones.  On the benchmark workloads it cuts the first increment
+    from about 2e-3 to at most 9e-7 and the second from about 2e-7 to at
+    most 1e-10, so a predicted step takes 2 sweeps.
 
     The heat and director solves of a sweep run to _INNER_TOL_LOOSE or to
     _INNER_TOL: fully for the sweep :func:`_sweep_is_last` expects to be
@@ -647,11 +657,12 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     src_rho, src_mom, src_th, src_dir = (
         (None,) * 4 if sources is None else sources(t1))
 
-    rho, d, u_minus = s.rho, s.d, s.u
+    rho, d = s.rho, s.d
     mass = _checked_mass_matrix(basis, rho)
     stiff = basis.stiffness(p)
     grad_d_prev = plan.grad(d, neumann(grid.dim))
-    U0 = U_minus = basis.project(u_minus)
+    U0 = U_minus = _with_modes(s.U, basis.n)
+    u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
     predicted = _predicts(s.history, dt, U0.shape)
     if predicted:
         (_, U1), (_, U2) = s.history[:2]
@@ -665,7 +676,7 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     for it in range(1, cfg.picard_max + 1):
         full = it == cfg.picard_max or _sweep_is_last(inc, cfg.picard_tol)
         tol = _INNER_TOL if full else _INNER_TOL_LOOSE
-        grad_u = plan.grad(u_minus, dirichlet(grid.dim))
+        grad_u = basis.gradient(U_minus)
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
         d_new, gtilde, iters, gap = _director_update(
             plan, d, u_minus, grad_d_prev, dt, p, src_dir, lag=d_new, tol=tol)
@@ -675,29 +686,27 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
             tol=tol)
         heat_applies += applies
         director_iters += iters
-        u_entered = u_minus
-        u_new, U_new = _momentum_update(plan, u_minus, grad_u, U0, rho,
-                                        rho_new, m, theta_new, grad_d_prev,
-                                        gtilde, reg, basis, dt, p, mass,
-                                        stiff, src_mom)
+        U_new = _momentum_update(plan, u_minus, grad_u, U0, rho, rho_new, m,
+                                 theta_new, grad_d_prev, gtilde, reg, basis,
+                                 dt, p, mass, stiff, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
-        u_minus, U_minus = u_new, U_new
         inc.append(diff / size)
         if (diff <= cfg.picard_tol * size and heat_res <= _INNER_TOL
                 and gap <= _INNER_TOL):
             break
+        U_minus = U_new
+        u_minus = basis.reconstruct(U_new)
     else:
         raise PicardDivergence(cfg.picard_max, diff / size)
 
-    record = StepRecord(dt=dt, picard_iters=it, halvings=0, u_lag=u_entered,
+    record = StepRecord(dt=dt, picard_iters=it, halvings=0, u_lag=u_minus,
                         heat_applies=heat_applies,
                         director_iters=director_iters, heat_residual=heat_res,
                         director_gap=gap, predicted=predicted)
     history = ((dt, U0),) + tuple(
         level for level in s.history[:1] if level[1].shape == U0.shape)
-    return State(grid, t1, rho_new, u_new, theta_new, d_new, history,
-                 U_new), record
+    return State(grid, t1, rho_new, U_new, theta_new, d_new, history), record
 
 
 def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
@@ -730,8 +739,7 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
             return state, record
         except PositivityLoss as exc:
             if _predicts(start.history, dt, (reg.n_modes, s.grid.dim)):
-                start = State(s.grid, s.t, s.rho, s.u, s.theta, s.d, (),
-                              s.U)
+                start = State(s.grid, s.t, s.rho, s.U, s.theta, s.d)
                 continue
             if halving == 10:
                 raise StepUnderflow(exc.substep, halving, exc, s.t, dt) \
@@ -797,8 +805,6 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     if float(rho0.min()) < -_REJECT_SLACK * max(float(np.abs(rho0).max()),
                                                 1e-300):
         raise InvalidInitialData("initial density must be nonnegative")
-    basis = galerkin_basis(grid, reg.n_modes)
-
     raw = np.maximum(rho0, 0.0)
     lo = reg.delta
     hi = reg.delta ** (-1.0 / (2.0 * reg.beta)) if reg.delta > 0 else np.inf
@@ -814,7 +820,6 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     masked = [np.where(clamped >= raw, mv, 0.0) for mv in m_vals]
     u_vals = [np.where(clamped > 0.0, mv / np.maximum(clamped, 1e-300), 0.0)
               for mv in masked]
-    U = basis.project(u_vals)
-
     th = np.clip(theta0, theta_bounds[0], theta_bounds[1])
-    return State(grid, 0.0, clamped, basis.reconstruct(U), th, d0, (), U)
+    return State(grid, 0.0, clamped,
+                 galerkin_basis(grid, reg.n_modes).project(u_vals), th, d0)

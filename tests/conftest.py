@@ -30,7 +30,7 @@ def unit_director(grid, first=1.0):
 
 def equilibrium_state(grid, rho=1.0, theta=1.0):
     return sv.State(grid, 0.0, np.full(grid.shape, float(rho)),
-                    np.zeros((grid.dim,) + grid.shape),
+                    np.zeros((1, grid.dim)),
                     np.full(grid.shape, float(theta)), unit_director(grid))
 
 
@@ -41,14 +41,13 @@ def bump_state(grid, n_modes=8, rho_base=1.0, rho_amp=0.5, u_amp=0.05):
     rho = rho_base + rho_amp * np.prod(
         [np.cos(np.pi * x / L) for x, L in zip(mesh, Ls)], axis=0)
     theta = 1.0 + 0.25 * np.cos(np.pi * mesh[-1] / Ls[-1])
-    basis = sv.GalerkinBasis(grid, n_modes)
     U = np.zeros((n_modes, grid.dim))
     U[0, 0] = u_amp
     if n_modes > 1 and grid.dim > 1:
         U[1, 1] = -0.6 * u_amp
     ang = 0.3 * np.cos(np.pi * mesh[0] / Ls[0])
     d = np.stack([np.cos(ang), np.sin(ang), np.zeros(grid.shape)])
-    return sv.State(grid, 0.0, rho, basis.reconstruct(U), theta, d)
+    return sv.State(grid, 0.0, rho, U, theta, d)
 
 
 def trajectory_records(pairs, reg, p):
@@ -199,10 +198,12 @@ def _sine_battery(grid, count=3):
     test functions of the momentum balance."""
     basis = sv.GalerkinBasis(grid, count)
     out = []
-    for tpl, vals, grad in zip(basis.modes, basis.phi,
-                               basis.mode_gradients()):
+    for i, tpl in enumerate(basis.modes):
+        unit = np.zeros((count, 1))
+        unit[i, 0] = 1.0
         name = "sin" + "".join(str(m) for m in tpl)
-        out.append((name, vals, list(grad)))
+        out.append((name, basis.reconstruct(unit)[0],
+                    list(basis.gradient(unit)[:, 0])))
     return out
 
 

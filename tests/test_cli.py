@@ -363,9 +363,11 @@ SPECIAL_VALUES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
                   123456789.12345678, 1.0000000000000002]
 
 
-def _random_state(grid, t=0.125, history=(), seed=7):
+def _random_state(grid, t=0.125, history=(), seed=7, n_modes=3):
     """A state whose arrays hold random values of every magnitude, each
-    starting with the special values."""
+    starting with the special values, and whose velocity is a random table
+    of ``n_modes`` modes starting with the special values whose
+    reconstruction stays finite."""
     rng = np.random.default_rng(seed)
 
     def values(lead):
@@ -375,22 +377,10 @@ def _random_state(grid, t=0.125, history=(), seed=7):
         v.flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:v.size]
         return v
 
-    return State(grid, t, values(()), values((grid.dim,)), values(()),
-                 values((3,)), history)
-
-
-def _tabled(s, n_modes=3, seed=11):
-    """``s`` with a random Galerkin velocity of ``n_modes`` modes: its
-    ``U`` and the ``u`` the cached basis reconstructs from it."""
-    U = np.random.default_rng(seed).standard_normal((n_modes, s.grid.dim))
-    u = sv.galerkin_basis(s.grid, n_modes).reconstruct(U)
-    return State(s.grid, s.t, s.rho, u, s.theta, s.d, s.history, U)
-
-
-def _nodal(s):
-    """``s`` without its Galerkin velocity, as a state built from nodal
-    values holds it."""
-    return State(s.grid, s.t, s.rho, s.u, s.theta, s.d, s.history)
+    U = rng.standard_normal((n_modes, grid.dim))
+    finite = [v for v in SPECIAL_VALUES if abs(v) < 1e300]
+    U.flat[:len(finite)] = finite[:U.size]
+    return State(grid, t, values(()), U, values(()), values((3,)), history)
 
 
 def _per_row_snapshot(s, v1=True):
@@ -399,8 +389,7 @@ def _per_row_snapshot(s, v1=True):
     v1 format: a ``time`` block holding t at every node, the nodal blocks
     with the velocity as ``u<c>``, the history.  With ``v1`` false it
     writes the current layout: t as a 1x1 table, ``rho``, ``theta``, the
-    director, the velocity as its ``velocity`` table when ``s`` has one,
-    the history."""
+    director, the ``velocity`` table, the history."""
     lines = []
 
     def block(name, kind, values):
@@ -409,24 +398,19 @@ def _per_row_snapshot(s, v1=True):
         for row in values.reshape(values.shape[0], -1):
             lines.append(" ".join("%.17g" % v for v in row))
 
-    def nodal_velocity():
-        for c, comp in enumerate(s.u):
-            block(f"u{c}", "dirichlet", comp)
-
     if v1:
         block("time", "neumann", np.full(s.grid.shape, s.t))
     else:
         block("time", "galerkin", np.array([[s.t]]))
     block("rho", "neumann", s.rho)
     if v1:
-        nodal_velocity()
+        for c, comp in enumerate(s.u):
+            block(f"u{c}", "dirichlet", comp)
     block("theta", "neumann", s.theta)
     for k, comp in enumerate(s.d):
         block(f"d{k}", "neumann", comp)
-    if not v1 and s.U is not None:
+    if not v1:
         block("velocity", "galerkin", s.U)
-    elif not v1:
-        nodal_velocity()
     if s.history:
         block("history", "galerkin", np.array(
             [np.concatenate(([dt], U.ravel())) for dt, U in s.history]))
@@ -438,53 +422,57 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_same_state(back, s):
+def _assert_same_state(back, s, fields=("rho", "theta", "d", "U", "u")):
     assert _same_bits(back.t, s.t)
-    for name in ("rho", "u", "theta", "d"):
+    for name in fields:
         assert _same_bits(getattr(back, name), getattr(s, name)), name
-    assert (back.U is None) == (s.U is None)
-    assert s.U is None or _same_bits(back.U, s.U)
     assert len(back.history) == len(s.history)
     for (dt_back, U_back), (dt, U) in zip(back.history, s.history):
         assert _same_bits(dt_back, dt) and _same_bits(U_back, U)
+
+
+def _assert_projected_state(back, s):
+    """``back``, read from a v1 file of ``s``, holds every stored value of
+    ``s`` bit for bit, and as its velocity the projection of the nodal
+    ``s.u`` onto the modes of ``s.U``, which is ``s.U`` to round-off."""
+    _assert_same_state(back, s, fields=("rho", "theta", "d"))
+    basis = sv.galerkin_basis(s.grid, len(s.U))
+    assert _same_bits(back.U, basis.project(s.u))
+    assert np.abs(back.U - s.U).max() <= 1e-14 * np.abs(s.U).max()
 
 
 def test_snapshot_round_trip(tmp_path):
     """Every value of every array comes back bit for bit, signed zeros
     included, and each block's header names its kind: t is a 1x1
     ``galerkin`` table, the scalars and the director are ``neumann``, and
-    the velocity is its n x dim ``galerkin`` coefficient table, or, for a
-    state that has only nodal values, ``dirichlet`` blocks."""
+    the velocity is its n x dim ``galerkin`` coefficient table."""
     grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
     path = tmp_path / "state.dat"
     nodal = [[name, "neumann", "16", "32"]
              for name in ("rho", "theta", "d0", "d1", "d2")]
-    for s, velocity in [
-            (_random_state(grid), [["u0", "dirichlet", "16", "32"],
-                                   ["u1", "dirichlet", "16", "32"]]),
-            (_tabled(_random_state(grid), 5), [["velocity", "galerkin",
-                                                "5", "2"]])]:
+    for n in (1, 5):
+        s = _random_state(grid, n_modes=n)
         cli.write_snapshot(str(path), s)
-        _assert_same_state(cli.read_snapshot(str(path), grid), s)
+        _assert_same_state(cli.read_snapshot(str(path), grid, 4), s)
         heads = [ln.split()[1:] for ln in path.read_text().splitlines()
                  if ln.startswith("FIELD ")]
-        assert heads == [["time", "galerkin", "1", "1"]] + nodal + velocity
+        assert heads == ([["time", "galerkin", "1", "1"]] + nodal
+                         + [["velocity", "galerkin", str(n), "2"]])
 
 
 def test_snapshot_lines_are_headers_or_numbers(tmp_path):
     """Every line of a snapshot is a ``FIELD`` header or a row of tokens
-    that ``float()`` accepts, for a state with a velocity table and
-    history and for one with nodal velocity: readers that scan the text
-    line by line, such as the benchmark's field minima, keep working."""
+    that ``float()`` accepts, for a state with history: readers that scan
+    the text line by line, such as the benchmark's field minima, keep
+    working."""
     grid = Grid((8, 16), (2.0, 2.0))
-    s = _tabled(_random_state(grid, history=((1e-3, np.ones((3, 2))),)))
+    s = _random_state(grid, history=((1e-3, np.ones((3, 2))),))
     path = tmp_path / "state.dat"
-    for state in (s, _nodal(s)):
-        cli.write_snapshot(str(path), state)
-        for line in path.read_text().splitlines():
-            if not line.startswith("FIELD "):
-                assert line.split() and all(
-                    math.isfinite(float(tok)) for tok in line.split())
+    cli.write_snapshot(str(path), s)
+    for line in path.read_text().splitlines():
+        if not line.startswith("FIELD "):
+            assert line.split() and all(
+                math.isfinite(float(tok)) for tok in line.split())
 
 
 def test_snapshot_table_round_trip(tmp_path):
@@ -500,12 +488,12 @@ def test_snapshot_table_round_trip(tmp_path):
     cli.write_snapshot(str(path), s)
     text = path.read_text()
     assert "FIELD history galerkin 2 17\n" in text
-    _assert_same_state(cli.read_snapshot(str(path), grid), s)
+    _assert_same_state(cli.read_snapshot(str(path), grid, 3), s)
     for old, new in [("history galerkin 2 17", "history neumann 2 17"),
                      ("rho neumann 16 32", "rho neumann 32 16")]:
         path.write_text(text.replace(old, new))
         with pytest.raises(IOFailure, match="neither a nodal block"):
-            cli.read_snapshot(str(path), grid)
+            cli.read_snapshot(str(path), grid, 3)
 
 
 def test_snapshot_corruption_raises(tmp_path):
@@ -523,7 +511,7 @@ def test_snapshot_corruption_raises(tmp_path):
                    "0.5\n" + text]:
         path.write_text(broken)
         with pytest.raises(IOFailure):
-            cli.read_snapshot(str(path), grid)
+            cli.read_snapshot(str(path), grid, 3)
 
 
 def test_snapshot_history_of_another_width_raises(tmp_path):
@@ -535,7 +523,7 @@ def test_snapshot_history_of_another_width_raises(tmp_path):
         grid, history=((1e-3, np.arange(3.0)),)))
     assert "FIELD history galerkin 1 4\n" in path.read_text()
     with pytest.raises(IOFailure, match="history"):
-        cli.read_snapshot(str(path), grid)
+        cli.read_snapshot(str(path), grid, 3)
     s = _random_state(grid)
     cli.write_snapshot(str(path), s)
     text = path.read_text()
@@ -545,39 +533,38 @@ def test_snapshot_history_of_another_width_raises(tmp_path):
                   .replace("FIELD rho ", "FIELD history ")]:
         path.write_text(text + table)
         with pytest.raises(IOFailure, match="history"):
-            cli.read_snapshot(str(path), grid)
+            cli.read_snapshot(str(path), grid, 3)
 
 
 @pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
 def test_snapshot_matches_per_row_writer(tmp_path, shape):
     """One ``%`` per block writes the bytes of the per-row writer's current
     layout, for random values of every magnitude, the special values, both
-    kinds, the velocity table and nodal velocity, and the history, with
-    each special value of t.  Every file reads back bit for bit, and so
-    does the v1 file the per-row writer builds from the same state, with
-    its velocity nodal."""
+    kinds, the velocity table and the history, with each special value of
+    t.  Every file reads back bit for bit.  The v1 file the per-row writer
+    builds from the same state, with its velocity nodal, reads back with
+    that velocity projected onto the state's modes."""
     grid = Grid(shape, (2.0,) * len(shape))
     history = ((1e-3, np.array(SPECIAL_VALUES[:len(shape) * 4])
                 .reshape(-1, len(shape))),)
-    s = _tabled(_random_state(grid, history=history))
+    s = _random_state(grid, history=history)
     path = tmp_path / "state.dat"
     for t in SPECIAL_VALUES + list(s.rho.flat[-5:]):
-        s = State(grid, t, s.rho, s.u, s.theta, s.d, s.history, s.U)
-        for state in (s, _nodal(s)):
-            cli.write_snapshot(str(path), state)
-            assert path.read_text() == _per_row_snapshot(state, v1=False)
-            _assert_same_state(cli.read_snapshot(str(path), grid), state)
+        s = State(grid, t, s.rho, s.U, s.theta, s.d, s.history)
+        cli.write_snapshot(str(path), s)
+        assert path.read_text() == _per_row_snapshot(s, v1=False)
+        _assert_same_state(cli.read_snapshot(str(path), grid, 3), s)
         path.write_text(_per_row_snapshot(s))
-        _assert_same_state(cli.read_snapshot(str(path), grid), _nodal(s))
+        _assert_projected_state(cli.read_snapshot(str(path), grid, 3), s)
 
 
 def test_snapshot_round_trip_exact(tmp_path):
     grid = Grid((16, 16), (2.0, 2.0))
     s = bump_state(grid, n_modes=6)
-    s = State(grid, 0.125, s.rho, s.u, s.theta, s.d)
+    s = State(grid, 0.125, s.rho, s.U, s.theta, s.d)
     path = str(tmp_path / "state.dat")
     cli.write_snapshot(path, s)
-    back = cli.read_snapshot(path, grid)
+    back = cli.read_snapshot(path, grid, 6)
     assert back.t == s.t
     assert np.array_equal(back.rho, s.rho)
     assert np.array_equal(back.u[1], s.u[1])
@@ -604,7 +591,7 @@ def test_snapshot_history_round_trip_exact(tmp_path):
     lines = text.splitlines()
     assert text.count("FIELD ") == 8
     assert lines[-3] == "FIELD history galerkin 2 13"
-    back = cli.read_snapshot(path, grid)
+    back = cli.read_snapshot(path, grid, 6)
     assert len(back.history) == 2
     for (dt, U), (dt_back, U_back) in zip(states[-1].history, back.history):
         assert dt_back == dt and U_back.shape == U.shape == (6, 2)
@@ -615,10 +602,9 @@ def test_snapshot_history_round_trip_exact(tmp_path):
 
 def test_snapshot_stepped_state_round_trip(tmp_path):
     """Regularized initial data and every stepped state carry their
-    Galerkin velocity: the snapshot stores it as the ``velocity`` table in
-    place of nodal blocks, and reading it back rebuilds ``u`` bit for bit
-    through the cached basis.  Rewriting the state read gives the same
-    bytes."""
+    Galerkin velocity: the snapshot stores it as the ``velocity`` table,
+    and reading it back rebuilds ``u`` bit for bit through the cached
+    basis.  Rewriting the state read gives the same bytes."""
     from nlcflow import solver as sv
     from nlcflow.params import PhysParams, RegParams
     grid = Grid((16, 16), (2.0, 2.0))
@@ -636,7 +622,7 @@ def test_snapshot_stepped_state_round_trip(tmp_path):
         text = path.read_text()
         assert "FIELD velocity galerkin 6 2\n" in text
         assert "FIELD u0 " not in text
-        back = cli.read_snapshot(str(path), grid)
+        back = cli.read_snapshot(str(path), grid, 6)
         _assert_same_state(back, s)
         cli.write_snapshot(str(tmp_path / "again.dat"), back)
         assert (tmp_path / "again.dat").read_text() == text
@@ -676,7 +662,7 @@ def test_restart_from_snapshot_with_bad_velocity_exits_4(tmp_path, capsys,
     bad.write_text(edit((tmp_path / "whole" / "snap_000002.dat")
                         .read_text()))
     with pytest.raises(IOFailure, match=match):
-        cli.read_snapshot(str(bad), Grid((32, 32), (2.0, 2.0)))
+        cli.read_snapshot(str(bad), Grid((32, 32), (2.0, 2.0)), 8)
     restart = _write(tmp_path, "restart.cfg",
                      RESTART_CFG.format(out=tmp_path / "again")
                      + f"init.snapshot = {bad}\n")
@@ -694,23 +680,31 @@ def _block_text(text, name):
 
 def test_restart_from_v1_snapshot_continues_the_run(tmp_path):
     """A v1 snapshot, as the per-row writer builds it with the velocity
-    nodal and t at every node, reads back bit for bit, and a restart from
-    it ends on the continuous run's final snapshot byte for byte: the step
-    projects the nodal velocity either way."""
+    nodal and t at every node, reads back with its nodal velocity
+    projected onto the run's modes, and a restart from it continues the
+    continuous run to round-off: it steps from the projection of the
+    reconstructed table, not from the table itself."""
     whole = _write(tmp_path, "whole.cfg",
                    RESTART_CFG.format(out=tmp_path / "whole"))
     assert cli.main(["run", whole]) == 0
     grid = Grid((32, 32), (2.0, 2.0))
-    s = cli.read_snapshot(str(tmp_path / "whole" / "snap_000005.dat"), grid)
+    s = cli.read_snapshot(str(tmp_path / "whole" / "snap_000005.dat"), grid,
+                          8)
     old = tmp_path / "v1.dat"
     old.write_text(_per_row_snapshot(s))
-    _assert_same_state(cli.read_snapshot(str(old), grid), _nodal(s))
+    _assert_projected_state(cli.read_snapshot(str(old), grid, 8), s)
     restart = _write(tmp_path, "restart.cfg",
                      RESTART_CFG.format(out=tmp_path / "second")
                      + f"init.snapshot = {old}\n")
     assert cli.main(["run", restart]) == 0
-    assert (tmp_path / "second" / "snap_000005.dat").read_bytes() \
-        == (tmp_path / "whole" / "snap_000010.dat").read_bytes()
+    got = cli.read_snapshot(str(tmp_path / "second" / "snap_000005.dat"),
+                            grid, 8)
+    want = cli.read_snapshot(str(tmp_path / "whole" / "snap_000010.dat"),
+                             grid, 8)
+    assert got.t == want.t
+    for name in ("rho", "theta", "d", "U"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 
 
 def test_restart_from_snapshot_without_history(tmp_path, monkeypatch):
@@ -748,12 +742,10 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
     """A snapshot that stores a field with another parity than the state
     layout gives it is rejected input: ``solve run`` exits 2 and names
     ParityMismatch and the field.  The nodal velocity blocks come from the
-    state written without its Galerkin velocity."""
+    v1 file of the state."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
     snap = str(tmp_path / "out" / "snap_000002.dat")
-    cli.write_snapshot(snap, _nodal(cli.read_snapshot(snap, Grid((32,),
-                                                                  (2.0,)))))
-    text = (tmp_path / "out" / "snap_000002.dat").read_text()
+    text = _per_row_snapshot(cli.read_snapshot(snap, Grid((32,), (2.0,)), 6))
     header = f"FIELD {field} {stored} "
     assert text.count(header) == 1
     bad = tmp_path / "bad.dat"
@@ -976,13 +968,16 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
                                                         residuals):
     """One derivative pass per state feeds its record, its residual audit
     and the continuation tallies.  At 2-D, counted in per-axis ``deriv``
-    calls: the pass takes grad rho, grad theta, grad u and grad d, 2 each,
-    and laplace d as the divergence of that grad d, 2, so 10.  Per stepped
-    state, ``solve run`` with m residual ids adds div u_lag, 2, and
-    grad b(rho') per id, 2 m: 12 + 2 m (14 + 2 m when the audit took its
-    own grad rho'); a continuation entry adds laplace rho as the divergence
-    of the pass's grad rho, 2: 12 (14 when the tally took its own grad
-    rho).  The stress power is evaluated once per record."""
+    calls: the pass takes grad rho, grad theta and grad d, 2 each, and
+    laplace d as the divergence of that grad d, 2, so 8; grad u comes from
+    the Galerkin coefficients, with no ``deriv``.  Per stepped state,
+    ``solve run`` with m residual ids, ``identity`` among them, adds
+    div u_lag, 2, and grad b(rho') per id but ``identity``, whose
+    grad rho' is the pass's, 2 (m - 1): 8 + 2 m (10 + 2 m when the audit
+    took its own grad rho' for ``identity``); a continuation entry adds
+    laplace rho as the divergence of the pass's grad rho, 2: 10 (12 when
+    the tally took its own grad rho).  The stress power is evaluated once
+    per record."""
     m = len(residuals.split(","))
     per_state = _post_processing_counts(monkeypatch)
     cfg = _write(tmp_path, "run.cfg",
@@ -992,17 +987,17 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
                  + f"output.residuals = {residuals}\n")
     assert cli.main(["run", cfg]) == 0
     stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
-    assert per_state[0] == (False, 10 + 6, 1)   # with the battery's 6
-    assert stepped == [(12 + 2 * m, 1)] * 3
+    assert per_state[0] == (False, 8 + 6, 1)   # with the battery's 6
+    assert stepped == [(8 + 2 * m, 1)] * 3
 
     per_state.clear()
     cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
     assert cli.main(["continuation", cfg]) == 0
     stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
     assert len(per_state) == 2 * 6 and len(stepped) == 2 * 5
-    assert stepped == [(12, 1)] * 10
+    assert stepped == [(10, 1)] * 10
     assert [(d, w) for was_stepped, d, w in per_state
-            if not was_stepped] == [(10, 1)] * 2
+            if not was_stepped] == [(8, 1)] * 2
 
 
 def test_continuation_failure_names_its_entry(tmp_path, capsys,

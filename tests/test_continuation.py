@@ -193,7 +193,7 @@ def convergence_report(runs_snapshots):
 
 def test_convergence_report_identical_runs_zero(grid2d):
     s = equilibrium_state(grid2d)
-    twin = sv.State(grid2d, s.t, s.rho.copy(), s.u.copy(), s.theta.copy(),
+    twin = sv.State(grid2d, s.t, s.rho.copy(), s.U.copy(), s.theta.copy(),
                     s.d.copy())
     (row,) = convergence_report([[s], [twin]])
     assert row["rho_l1"] == 0.0 and row["d_h1"] == 0.0
@@ -202,7 +202,7 @@ def test_convergence_report_identical_runs_zero(grid2d):
 def test_convergence_report_mismatched_times(grid2d):
     a = equilibrium_state(grid2d)
     b = equilibrium_state(grid2d)
-    b = sv.State(grid2d, 1.0, b.rho, b.u, b.theta, b.d)
+    b = sv.State(grid2d, 1.0, b.rho, b.U, b.theta, b.d)
     with pytest.raises(MismatchedSnapshots):
         convergence_report([[a], [b]])
 

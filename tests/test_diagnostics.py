@@ -59,7 +59,7 @@ def test_frank_energy_gauge_invariance(grid2d):
     _, parts = dg.total_energy(s, director_gradient(s), reg, p)
     shifted = s.d.copy()
     shifted[0] += 0.7
-    s2 = sv.State(grid2d, s.t, s.rho, s.u, s.theta, shifted)
+    s2 = sv.State(grid2d, s.t, s.rho, s.U, s.theta, shifted)
     _, parts2 = dg.total_energy(s2, director_gradient(s2), reg, p)
     assert parts2["frank"] == pytest.approx(parts["frank"], rel=1e-12)
     assert parts2["penalty"] != pytest.approx(parts["penalty"], rel=1e-3)
@@ -163,8 +163,9 @@ def test_record_differentiates_its_state_once(grid2d, monkeypatch):
     """A record takes each derivative of its state once, counted as
     per-axis matrix products (``fields._along``), a product on a k-array
     stack weighing k units.  At 2-D: grad rho 2 products (2 units), grad
-    theta 2 (2), grad u 2 (4), grad d 2 (6) and laplace d as the divergence
-    of that same grad d, 2 (6): 10 products, 20 units."""
+    theta 2 (2), grad d 2 (6) and laplace d as the divergence of that same
+    grad d, 2 (6): 8 products, 16 units; grad u comes from the Galerkin
+    coefficients through the basis's per-axis tables."""
     from nlcflow import fields
     s = presets.build("director-twist", grid2d)
     units = []
@@ -177,7 +178,7 @@ def test_record_differentiates_its_state_once(grid2d, monkeypatch):
     monkeypatch.setattr(fields, "_along", counted)
     p = PhysParams()
     dg.make_record(s, dg.derivatives(s, p), RegParams(), p, dt=1e-3)
-    assert len(units) == 10 and sum(units) == 20
+    assert len(units) == 8 and sum(units) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,8 @@ def test_entropy_production_quadrature_oracle():
     grid = Grid((64,), (2.0,))
     p = PhysParams(cond_floor=0.5, cond_growth=2)
     theta = 1.0 + 0.5 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
-    s = sv.State(grid, 0.0, np.ones(grid.shape), np.zeros((1,) + grid.shape),
-                 theta, unit_director(grid))
+    s = sv.State(grid, 0.0, np.ones(grid.shape), np.zeros((1, 1)), theta,
+                 unit_director(grid))
     total, mn = dg.entropy_production(s, dg.derivatives(s, p), p)
 
     def integrand(x):
@@ -341,15 +342,17 @@ def test_renorm_smooth_kernel_first_order(grid2d):
 def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
     """The test functions' gradients are taken once per run, div u_lag
     once per step for all requested ids, and grad rho' not at all: the
-    audit reads |grad rho'|^2 off the derivative pass of the new state,
-    computed before the count.  At 2-D with the three-function cosine
-    battery, m ids and k steps the audit takes
+    audit reads |grad rho'|^2, and grad b(rho') = grad rho' of the
+    ``identity`` id, off the derivative pass of the new state, computed
+    before the count.  At 2-D with the three-function cosine battery, m
+    ids other than ``identity`` and k steps the audit takes
       6       battery gradients, once per run (3 functions x 2 axes)
       2 k     per step: div u_lag 2
       2 m k   per step and id: grad b(rho') 2
-    which is 6 + 2 (2 + 4) = 18 for two steps and two ids (22 when the
-    audit took its own grad rho', 36 when each id took its own pass over
-    the steps, with the battery's gradients per pass)."""
+    which is 6 + 2 (2 + 2) = 14 for two steps with ``T1`` and
+    ``identity`` (18 when ``identity`` took its own grad b(rho'), 22 when
+    the audit took its own grad rho' too).  The ``identity`` rows are
+    those of its own gradient, bit for bit."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
@@ -372,10 +375,11 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
                                       records[1:])]
     steps = len(rows)
     assert steps == 2 and all(list(r) == ["T1", "identity"] for r in rows)
-    assert len(calls) == 6 + steps * (2 + 2 * 2) == 18
+    assert len(calls) == 6 + steps * (2 + 2 * 1) == 14
     monkeypatch.undo()
-    assert [r["T1"] for r in rows] == renorm_rows(states, records, reg.eps,
-                                                  "T1", p)
+    for b_id in ("T1", "identity"):
+        assert [r[b_id] for r in rows] == renorm_rows(states, records,
+                                                      reg.eps, b_id, p)
 
 
 def test_renorm_unknown_kernel_rejected():

@@ -62,7 +62,7 @@ def test_steady_continuity_source_composition():
     case = mms.get_case("bump-1d")
     grid = Grid((32,), (2.0,))
     src = _sources_at(case, REG, grid, grid)
-    ref = mms.analytic_state(case, grid, 0.0)
+    ref = mms.analytic_state(case, grid, 0.0, REG.n_modes)
     want = -REG.eps * spectral_plan(grid).laplacian(ref.rho, neumann(1))
     assert np.allclose(src["density"], want, rtol=0, atol=1e-15)
 
@@ -78,13 +78,19 @@ def test_refined_sources_converge_to_run_grid_sources():
 
 
 def test_analytic_state_matches_case_functions():
+    """The sampled fields are the case's, and the velocity, the lowest
+    sine mode, is its projection onto the Galerkin modes, exact to
+    round-off."""
     case = mms.get_case("trig-2d")
     grid = Grid((16, 16), (2.0, 2.0))
     t = 0.3
-    s = mms.analytic_state(case, grid, t)
+    s = mms.analytic_state(case, grid, t, REG.n_modes)
     mesh = grid.mesh()
     assert np.allclose(s.rho, case.rho(mesh, t), atol=1e-15)
-    assert np.allclose(s.u[1], case.u[1](mesh, t), atol=1e-15)
+    assert s.U.shape == (REG.n_modes, 2)
+    assert np.abs(s.U[1:]).max() <= 1e-16
+    for c in range(2):
+        assert np.allclose(s.u[c], case.u[c](mesh, t), rtol=0, atol=1e-15)
     assert s.t == t
 
 
@@ -122,9 +128,9 @@ def _count_analytic_states(monkeypatch):
     calls = []
     sample = mms.analytic_state
 
-    def counted(case, grid, t):
+    def counted(case, grid, t, n_modes):
         calls.append(grid.shape)
-        return sample(case, grid, t)
+        return sample(case, grid, t, n_modes)
 
     monkeypatch.setattr(mms, "analytic_state", counted)
     return calls

@@ -95,6 +95,82 @@ def test_stiffness_matches_stress_power_quadrature(grid2d):
     assert abs(U.reshape(-1) @ K @ U.reshape(-1) - quad) <= 1e-11 * abs(quad)
 
 
+def test_bases_are_nested():
+    """The modes of a basis are a prefix of those of any larger mode
+    count on the same grid, so a table enters another basis by truncation
+    or zero padding."""
+    for grid in (Grid((32, 32), (2.0, 2.0)), Grid((16, 32), (2.0, 3.0)),
+                 Grid((32,), (2.0,))):
+        full = sv.GalerkinBasis(grid, 12).modes
+        for n in (1, 4, 6, 8, 11):
+            assert sv.GalerkinBasis(grid, n).modes == full[:n]
+
+
+def _dense_modes(basis):
+    """The modes as a dense (n, nodes) stack and their gradients as a
+    (n, dim, nodes) stack, built from unit coefficient tables."""
+    units = np.eye(basis.n)[:, :, None]
+    phi = np.stack([basis.reconstruct(e)[0].ravel() for e in units])
+    grad = np.stack([basis.gradient(e)[:, 0].reshape(basis.grid.dim, -1)
+                     for e in units])
+    return phi, grad
+
+
+def _held_floats(obj):
+    """The float count of every array an object holds, through its
+    attributes, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, (tuple, list)):
+        return sum(_held_floats(v) for v in obj)
+    if isinstance(obj, dict):
+        return sum(_held_floats(v) for v in obj.values())
+    return 0
+
+
+def test_basis_memory_does_not_grow_with_modes_times_nodes():
+    """At 64^2 with n = 128, everything a basis holds, its stiffness
+    included, comes to fewer floats than one nodal array per mode, and its
+    separable mass matrix, pairing, reconstruction and stiffness agree
+    with the dense sums over the nodes to 1e-14 relative."""
+    grid = Grid((64, 64), (2.0, 2.0))
+    basis = sv.GalerkinBasis(grid, 128)
+    p = PhysParams(mu=0.7, lam=0.3)
+    K = basis.stiffness(p)
+    assert _held_floats(vars(basis)) < 128 * 64 * 64
+    phi, grad = _dense_modes(basis)
+    rng = np.random.default_rng(4)
+    rho = 1.0 + 0.5 * rng.random(grid.shape)
+    vals = rng.standard_normal((2,) + grid.shape)
+    U = rng.standard_normal((128, 2))
+    w = grid.weight
+    lap = w * np.einsum("iap,jap->ij", grad, grad)
+    cross = w * np.einsum("iap,jbp->iajb", grad, grad)
+    dense_K = (p.mu * np.einsum("ij,ce->icje", lap, np.eye(2))
+               + p.mu * cross.transpose(0, 3, 2, 1)
+               + p.lam * cross).reshape(256, 256)
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel(basis.mass_matrix(rho), (phi * (w * rho.ravel())) @ phi.T) \
+        <= 1e-14
+    assert rel(basis.pair(vals), w * phi @ vals.reshape(2, -1).T) <= 1e-14
+    assert rel(basis.reconstruct(U), (U.T @ phi).reshape(vals.shape)) \
+        <= 1e-14
+    assert rel(K, dense_K) <= 1e-14
+
+
+def test_velocity_gradient_from_coefficients_matches_nodal(grid2d):
+    """The gradient the basis takes from U is the spectral gradient of
+    the reconstructed velocity, to round-off."""
+    basis = sv.GalerkinBasis(grid2d, 8)
+    U = np.random.default_rng(9).standard_normal((8, 2))
+    want = spectral_plan(grid2d).grad(basis.reconstruct(U), dirichlet(2))
+    got = basis.gradient(U)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # density substep
 # ---------------------------------------------------------------------------
@@ -550,12 +626,13 @@ def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
     its relaxation field is zero."""
     plan = spectral_plan(basis.grid)
     m = sv._mass_flux(plan, rho, u)
-    u_new, _ = sv._momentum_update(
-        plan, u, plan.grad(u, dirichlet(plan.dim)), basis.project(u),
-        rho, rho, m, theta, plan.grad(d, neumann(plan.dim)),
-        np.zeros((3,) + rho.shape), reg, basis, dt, p,
-        sv._checked_mass_matrix(basis, rho), basis.stiffness(p))
-    return u_new
+    U = basis.project(u)
+    U_new = sv._momentum_update(
+        plan, u, basis.gradient(U), U, rho, rho, m, theta,
+        plan.grad(d, neumann(plan.dim)), np.zeros((3,) + rho.shape), reg,
+        basis, dt, p, sv._checked_mass_matrix(basis, rho),
+        basis.stiffness(p))
+    return basis.reconstruct(U_new)
 
 
 def test_momentum_stokes_decay_1d():
@@ -701,19 +778,18 @@ def _third_state(grid):
 
 
 def _plain(s):
-    return sv.State(s.grid, s.t, s.rho, s.u, s.theta, s.d)
+    return sv.State(s.grid, s.t, s.rho, s.U, s.theta, s.d)
 
 
 def _same_state(a, b):
     return a.t == b.t and all(np.array_equal(getattr(a, f), getattr(b, f))
-                              for f in ("rho", "u", "theta", "d"))
+                              for f in ("rho", "U", "u", "theta", "d"))
 
 
 def test_history_keeps_two_levels_newest_first(grid2d):
     """Each step hands its new state the Galerkin coefficients of the
     state it started from, and keeps one level of the old history."""
     s0, reg = _twist_start(grid2d)
-    basis = sv.GalerkinBasis(grid2d, reg.n_modes)
     states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
                                                          t_end=3e-3),
                                 PhysParams())
@@ -723,7 +799,7 @@ def test_history_keeps_two_levels_newest_first(grid2d):
         assert len(levels) == min(k, 2)
         for j, (dt, U) in enumerate(levels):
             assert dt == records[k - j].dt
-            assert np.array_equal(U, basis.project(states[k - 1 - j].u))
+            assert np.array_equal(U, states[k - 1 - j].U)
 
 
 def test_predicted_steps_take_two_sweeps(grid2d):
@@ -785,13 +861,38 @@ def test_history_of_another_shape_is_ignored(grid2d):
     s, reg = _third_state(grid2d)
     wide = tuple((dt, np.zeros((reg.n_modes + 1, grid2d.dim)))
                  for dt, _ in s.history)
-    odd = sv.State(grid2d, s.t, s.rho, s.u, s.theta, s.d, wide)
+    odd = sv.State(grid2d, s.t, s.rho, s.U, s.theta, s.d, wide)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     s1, rec = sv.step_coupled(odd, reg, cfg, PhysParams())
     ref, _ = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
     assert not rec.predicted
     assert _same_state(s1, ref)
     assert len(s1.history) == 1
+
+
+def test_step_reads_the_table_on_the_run_modes(grid2d):
+    """A state whose table has 8 rows steps with 6 modes as the state with
+    its first 6 rows does, and with 10 modes as the state with the table
+    zero-padded to 10 rows, bit for bit.  The truncated table is the
+    projection of the state's nodal velocity onto the 6 modes."""
+    s, reg = _third_state(grid2d)
+    assert s.U.shape == (8, 2)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    U6 = s.U[:6]
+    U10 = np.zeros((10, 2))
+    U10[:8] = s.U
+    projected = sv.galerkin_basis(grid2d, 6).project(s.u)
+    assert np.abs(U6 - projected).max() <= 1e-14 * np.abs(U6).max()
+    for n, U in ((6, U6), (10, U10)):
+        modes = RegParams(eps=reg.eps, delta=reg.delta, beta=reg.beta,
+                          n_modes=n)
+        got, rec = sv.step_coupled(s, modes, cfg, PhysParams())
+        want, ref = sv.step_coupled(
+            sv.State(grid2d, s.t, s.rho, U, s.theta, s.d, s.history), modes,
+            cfg, PhysParams())
+        assert got.U.shape == (n, 2) and not rec.predicted
+        assert _same_state(got, want)
+        assert np.array_equal(rec.u_lag, ref.u_lag)
 
 
 def test_predicted_positivity_loss_retries_at_the_same_dt(grid2d,
@@ -858,13 +959,14 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     components it acts on at the same time, and shared by the substeps.
     The step computes no energy-ledger terms: the budget audit reads those
     off the two states.  Counted are the per-axis matrix products
-    (``fields._along``).  At 2-D with k Picard sweeps, J director
+    (``fields._along``); the velocity gradient is not among them, as each
+    sweep takes it from the Galerkin coefficients through the basis's
+    per-axis tables.  At 2-D with k Picard sweeps, J director
     iterations, A heat-operator applies (k conjugate-gradient solves, each
     with one more apply than preconditioner calls), eps > 0 and delta > 0,
     the step takes
       2       director gradient of d^n (3-component stack), once per step
-      22 k    per sweep: velocity gradient 2 (dim-component stack, shared
-              by heat and momentum); density: flux projection
+      20 k    per sweep: density: flux projection
               2, flux divergence 2, Helmholtz 4; director transport
               projection 2; heat convection: projection 2, divergence 2;
               momentum: grad rho' 2, Laplacian of rho' 2 (from grad rho'),
@@ -875,8 +977,8 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
       4 J     director fixed point: one stacked Helmholtz solve per
               iteration
       8 A     heat: conduction apply 4 and preconditioner 4
-    which is 2 + 22 k + 4 J + 8 A.  This step has k = 3 and J = 3 (the
-    director is a unit constant), so 80 + 8 A."""
+    which is 2 + 20 k + 4 J + 8 A.  This step has k = 3 and J = 3 (the
+    director is a unit constant), so 74 + 8 A."""
     p = PhysParams()
     s0, reg = _density_bump_start(grid2d)
     from nlcflow import fields
@@ -887,7 +989,7 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
     k, J, A = rec.picard_iters, len(iters), len(applies)
     assert k == 3 and J == 3 and A > 2 * k
-    assert len(products) == 2 + 22 * k + 4 * J + 8 * A
+    assert len(products) == 2 + 20 * k + 4 * J + 8 * A
 
 
 def test_step_projects_sine_products_without_strip(grid2d, monkeypatch):
@@ -1006,18 +1108,21 @@ def test_regularize_rejects_negative_density(grid2d):
 
 
 def test_state_checks_layout_shapes(grid2d):
-    """A State holds rho and theta of the grid's shape, a dim-component
-    velocity stack, a 3-component director stack and, if any, an n x dim
-    Galerkin coefficient table with n >= 1; anything else is refused,
-    naming the field."""
+    """A State holds rho and theta of the grid's shape, an n x dim Galerkin
+    coefficient table with n >= 1 and a 3-component director stack;
+    anything else is refused, naming the field.  Its nodal velocity is
+    built from the table through the cached basis of its mode count."""
     s = equilibrium_state(grid2d)
-    good = {"rho": s.rho, "u": s.u, "theta": s.theta, "d": s.d,
-            "U": np.zeros((4, 2))}
-    wrong = {"rho": [np.ones((16, 16))], "u": [np.zeros((3,) + grid2d.shape)],
+    U = np.random.default_rng(2).standard_normal((4, 2))
+    good = {"rho": s.rho, "U": U, "theta": s.theta, "d": s.d}
+    wrong = {"rho": [np.ones((16, 16))],
+             "U": [np.zeros((4, 3)), np.zeros((0, 2)), np.zeros(8),
+                   np.zeros((2,) + grid2d.shape)],
              "theta": [np.ones(grid2d.shape[:1])],
-             "d": [np.zeros((2,) + grid2d.shape)],
-             "U": [np.zeros((4, 3)), np.zeros((0, 2)), np.zeros(8)]}
-    assert sv.State(grid2d, 0.0, **good).U.shape == (4, 2)
+             "d": [np.zeros((2,) + grid2d.shape)]}
+    state = sv.State(grid2d, 0.0, **good)
+    assert np.array_equal(state.U, U)
+    assert np.array_equal(state.u, sv.galerkin_basis(grid2d, 4).reconstruct(U))
     for name, cases in wrong.items():
         for values in cases:
             args = dict(good, **{name: values})
