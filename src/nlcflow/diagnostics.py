@@ -388,21 +388,24 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
       + eps <grad b(rho'), grad psi>                  (diffusion, implicit)
       + eps <b''(rho') |grad rho'|^2, psi>            (renormalization burn)
 
-    where u is the lagged velocity the step actually used (read off its
-    StepRecord ``rec``) and P_sin the 2/3 rule of the mass flux.
-    For b = identity this telescopes against the scheme to roundoff.
-    ``battery`` is :func:`cosine_battery`; |grad rho'|^2, and grad rho' for
-    ``identity``, are read off ``der_next``, the :func:`derivatives` of
-    ``s_next``, and div u is taken once for all the ids ``b_ids``.  Returns
+    where u is the lagged velocity the step actually used (its Galerkin
+    table is read off the StepRecord ``rec``) and P_sin the 2/3 rule of the
+    mass flux.  For b = identity this telescopes against the scheme to
+    roundoff.  ``battery`` is :func:`cosine_battery`; |grad rho'|^2, and
+    grad rho' for ``identity``, are read off ``der_next``, the
+    :func:`derivatives` of ``s_next``, and the nodal u and its divergence
+    come from the table once for all the ids ``b_ids``.  Returns
     {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
     dim = grid.dim
     plan = spectral_plan(grid)
     dt = rec.dt
-    u_lag = rec.u_lag
+    basis = sv.galerkin_basis(grid, len(rec.U_lag))
+    u_lag = basis.reconstruct(rec.U_lag)
+    grad_u = basis.gradient(rec.U_lag)
+    div_u = sum(grad_u[a, a] for a in range(dim))
     rho_n, rho_p = s_prev.rho, s_next.rho
-    div_u = plan.div(u_lag, dirichlet(dim))
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)

@@ -77,6 +77,10 @@ _REJECT_SLACK = 1e-12
 _INNER_TOL = 1e-13
 _INNER_TOL_LOOSE = 1e-8
 
+# Velocity levels a State keeps for the predictor: with five, a step
+# extrapolates the Galerkin coefficients by the quintic through six points.
+_HISTORY_LEVELS = 5
+
 
 # ---------------------------------------------------------------------------
 # containers
@@ -91,10 +95,10 @@ class State:
     is ``galerkin_basis(grid, n).reconstruct(U)``, built once here.
 
     ``history`` holds what the velocity predictor reads from earlier steps:
-    at most two ``(dt, U)`` pairs, newest first, where ``U`` is the Galerkin
-    coefficient table of the state a step started from and ``dt`` the step
-    it took (see :func:`_predicts`).  A state with no past, such as
-    an initial one, has ``()``.
+    at most ``_HISTORY_LEVELS`` (five) ``(dt, U)`` pairs, newest first,
+    where ``U`` is the Galerkin coefficient table of the state a step
+    started from and ``dt`` the step it took (see :func:`_predicts`).  A
+    state with no past, such as an initial one, has ``()``.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u")
@@ -141,16 +145,17 @@ class SolverConfig:
 @dataclass
 class StepRecord:
     """What only the step itself knows: the dt it took, its Picard sweeps
-    and dt halvings, the velocity stack its accepted sweep was frozen at,
-    the work and accuracy of its inner solves, and whether its first sweep
-    started from the velocity predictor.  The time it reached is
-    the ``t`` of the state it is paired with; the energy ledger is read off
-    the two states (see ``diagnostics.energy_budget_residual``)."""
+    and dt halvings, the Galerkin coefficient table of the velocity its
+    accepted sweep was frozen at, the work and accuracy of its inner
+    solves, and whether its first sweep started from the velocity
+    predictor.  The time it reached is the ``t`` of the state it is paired
+    with; the energy ledger is read off the two states (see
+    ``diagnostics.energy_budget_residual``)."""
 
     dt: float
     picard_iters: int
     halvings: int
-    u_lag: np.ndarray        # velocity stack the accepted sweep was frozen at
+    U_lag: np.ndarray        # (n, dim) table the accepted sweep was frozen at
     heat_applies: int        # heat-operator applies over all sweeps
     director_iters: int      # director fixed-point iterations, all sweeps
     heat_residual: float     # relative CG residual the accepted sweep reached
@@ -232,10 +237,14 @@ class GalerkinBasis:
         coefficients U, entry [a, c] being d u_c / d x_a, the layout of
         :meth:`~nlcflow.fields.SpectralPlan.grad`."""
         spread = self._spread(coeffs)
-        return np.stack([
-            _per_axis([(self._cos if b == a else self._sin)[b].T
-                       for b in range(self.grid.dim)], spread)
-            for a in range(self.grid.dim)])
+        dim = self.grid.dim
+        # filled in place: np.stack of the rows made this about eight times
+        # as slow at 128^2
+        out = np.empty((dim, dim) + self.grid.shape)
+        for a in range(dim):
+            out[a] = _per_axis([(self._cos if b == a else self._sin)[b].T
+                                for b in range(dim)], spread)
+        return out
 
     def pair(self, component_values):
         """Pairing data F[i, c] = <g_c, phi_i> of a component stack (no
@@ -585,34 +594,56 @@ def _checked_mass_matrix(basis, rho_values):
 # coupled step and time loop
 # ---------------------------------------------------------------------------
 
-def _sweep_is_last(inc, tol):
+def _sweep_is_last(inc, tol, predicted):
     """Whether the next sweep of a step is expected to be the last, from
     the relative velocity increments ``inc`` of the sweeps before it: the
     last one met ``tol`` already, or the increments contract fast enough
     that the next one, extrapolated as inc[-1]**2 / inc[-2], will.  With
-    no increment yet the answer is no, and with one the increment before it
-    counts as 1, since increments are relative to max(|U|, 1).  Started
-    from U^n, the increments of the benchmark workloads run about 2e-3,
-    2e-7 and 2e-11, so such a step takes 3 sweeps and only the third is
-    full.  Started from the predictor, the first increment is at most
-    9e-7, whose square is below the default tol of 1e-9, so a predicted
-    step takes 2 sweeps and only the second is full."""
-    return bool(inc) and (inc[-1] <= tol or inc[-1] ** 2 <= tol * (
-        inc[-2] if len(inc) > 1 else 1.0))
+    no increment yet the answer is whether the step is ``predicted``, and
+    with one the increment before it counts as 1, since increments are
+    relative to max(|U|, 1).  Started from U^n, the increments of the
+    benchmark workloads run about 2e-3, 2e-7 and 2e-11, so such a step
+    takes 3 sweeps and only the third is full.  Started from the quintic
+    predictor, the first increment is at most about 1e-10, below the
+    default tol of 1e-9, so a predicted step's first sweep is full and is
+    accepted alone; a lower-order prediction whose first increment misses
+    tol takes a second, full, sweep."""
+    if not inc:
+        return predicted
+    return inc[-1] <= tol or inc[-1] ** 2 <= tol * (
+        inc[-2] if len(inc) > 1 else 1.0)
 
 
 def _predicts(history, dt, shape):
-    """Whether a state's ``history`` predicts the velocity of a step of
-    ``dt`` whose Galerkin coefficients have ``shape``.  It does not with
-    fewer than two levels (the first two steps, a snapshot written without
-    history), with a level whose dt is not this step's (after a dt
-    halving, or for a truncated last step), or with one of another shape
-    (a restart with other Galerkin modes).  The dts are compared up to the
-    round-off of the accumulated t: a last step that lands on t_end a few
-    ulps short of dt is still an equal step."""
-    return len(history) >= 2 and all(
-        abs(level_dt - dt) <= 1e-9 * dt and U.shape == shape
-        for level_dt, U in history[:2])
+    """The order k of the velocity predictor that a state's ``history``
+    gives a step of ``dt`` whose Galerkin coefficients have ``shape``: the
+    number of its leading levels, at most ``_HISTORY_LEVELS``, whose dt is
+    this step's and whose table has ``shape``.  A level of another dt
+    (after a dt halving, or for a truncated last step) or of another shape
+    (a restart with other Galerkin modes) ends the run.  A run of one
+    level counts as 0: its linear extrapolation leaves a first increment
+    of about 4e-5 on the benchmark workloads, so the step takes 3 sweeps
+    either way and a full first sweep would be wasted.  k = 0 means the
+    step is not predicted (the first two steps, a snapshot written without
+    history).  The dts are compared up to the round-off of the accumulated
+    t: a last step that lands on t_end a few ulps short of dt is still an
+    equal step."""
+    k = 0
+    for level_dt, U in history[:_HISTORY_LEVELS]:
+        if abs(level_dt - dt) > 1e-9 * dt or U.shape != shape:
+            break
+        k += 1
+    return k if k >= 2 else 0
+
+
+def _extrapolate(U, history, k):
+    """The polynomial in the step index through U^n = ``U`` and the k
+    newest tables of ``history``, evaluated one step ahead:
+    U* = sum_j (-1)^j C(k+1, j+1) U^(n-j): 3 U^n - 3 U^(n-1) + U^(n-2) at
+    k = 2, and weights 6, -15, 20, -15, 6, -1 at k = 5."""
+    levels = (U,) + tuple(level for _, level in history[:k])
+    return sum((-1) ** j * math.comb(k + 1, j + 1) * level
+               for j, level in enumerate(levels))
 
 
 def _with_modes(U, n):
@@ -629,26 +660,27 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     The step starts from U^n, the table ``s.U`` on the ``reg.n_modes``
     modes (:func:`_with_modes`), so a state of another mode count enters
     it truncated or zero-padded.  When the history of ``s`` predicts the
-    step (see :func:`_predicts`), the first sweep starts from the quadratic
-    extrapolation U* = 3 U^n - 3 U^(n-1) + U^(n-2), and otherwise from
-    U^n; every sweep takes its velocity gradient from its coefficients.
-    The momentum equation's old level stays U^n either way: the prediction
-    only moves the first sweep's frozen coefficients closer to the
-    converged ones.  On the benchmark workloads it cuts the first increment
-    from about 2e-3 to at most 9e-7 and the second from about 2e-7 to at
-    most 1e-10, so a predicted step takes 2 sweeps.
+    step, with order k (see :func:`_predicts`), the first sweep starts
+    from the extrapolation U* through U^n and those k levels
+    (:func:`_extrapolate`), and otherwise from U^n; every sweep takes its
+    velocity gradient from its coefficients.  The momentum equation's old
+    level stays U^n either way: the prediction only moves the first
+    sweep's frozen coefficients closer to the converged ones.  On the
+    benchmark workloads the quintic (k = 5) cuts the first increment from
+    about 2e-3 to at most about 1e-10, so a step predicted from five levels
+    is accepted after one sweep.
 
     The heat and director solves of a sweep run to _INNER_TOL_LOOSE or to
     _INNER_TOL: fully for the sweep :func:`_sweep_is_last` expects to be
-    the last, predicted or not, and for the last sweep ``picard_max``
-    allows.  A sweep is accepted when its velocity increment meets
-    ``picard_tol`` and its inner solves reached _INNER_TOL, so a loose
-    sweep that converges is followed by a full one.
+    the last, which is the first sweep of a predicted step, and for the
+    last sweep ``picard_max`` allows.  A sweep is accepted when its
+    velocity increment meets ``picard_tol`` and its inner solves reached
+    _INNER_TOL, so a loose sweep that converges is followed by a full one.
 
     The new state's history is ``((dt, U^n),)`` followed by the newest
-    level of ``s`` when it has the shape of U^n.  The step reads nothing
-    but ``s``, so a restart from a snapshot that stores the history
-    repeats the run exactly."""
+    ``_HISTORY_LEVELS - 1`` levels of ``s`` that have the shape of U^n.
+    The step reads nothing but ``s``, so a restart from a snapshot that
+    stores the history repeats the run exactly."""
     grid = s.grid
     plan = spectral_plan(grid)
     basis = galerkin_basis(grid, reg.n_modes)
@@ -663,10 +695,9 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     grad_d_prev = plan.grad(d, neumann(grid.dim))
     U0 = U_minus = _with_modes(s.U, basis.n)
     u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
-    predicted = _predicts(s.history, dt, U0.shape)
-    if predicted:
-        (_, U1), (_, U2) = s.history[:2]
-        U_minus = 3.0 * U0 - 3.0 * U1 + U2
+    order = _predicts(s.history, dt, U0.shape)
+    if order:
+        U_minus = _extrapolate(U0, s.history, order)
         u_minus = basis.reconstruct(U_minus)
     heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
 
@@ -674,7 +705,8 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     inc = []
     heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
-        full = it == cfg.picard_max or _sweep_is_last(inc, cfg.picard_tol)
+        full = it == cfg.picard_max or _sweep_is_last(
+            inc, cfg.picard_tol, order > 0)
         tol = _INNER_TOL if full else _INNER_TOL_LOOSE
         grad_u = basis.gradient(U_minus)
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
@@ -700,12 +732,13 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     else:
         raise PicardDivergence(cfg.picard_max, diff / size)
 
-    record = StepRecord(dt=dt, picard_iters=it, halvings=0, u_lag=u_minus,
+    record = StepRecord(dt=dt, picard_iters=it, halvings=0, U_lag=U_minus,
                         heat_applies=heat_applies,
                         director_iters=director_iters, heat_residual=heat_res,
-                        director_gap=gap, predicted=predicted)
+                        director_gap=gap, predicted=order > 0)
     history = ((dt, U0),) + tuple(
-        level for level in s.history[:1] if level[1].shape == U0.shape)
+        level for level in s.history[:_HISTORY_LEVELS - 1]
+        if level[1].shape == U0.shape)
     return State(grid, t1, rho_new, U_new, theta_new, d_new, history), record
 
 

@@ -230,7 +230,7 @@ def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     dt = rec.dt
     rho_n, rho_p = s_prev.rho, s_next.rho
     th_p = s_next.theta
-    u_lag = rec.u_lag
+    u_lag = sv.galerkin_basis(grid, len(rec.U_lag)).reconstruct(rec.U_lag)
 
     # --- momentum against retained sine modes, one residual per mode
     grad_u_p = plan.grad(s_next.u, dirichlet(dim))

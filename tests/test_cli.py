@@ -970,11 +970,12 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     and the continuation tallies.  At 2-D, counted in per-axis ``deriv``
     calls: the pass takes grad rho, grad theta and grad d, 2 each, and
     laplace d as the divergence of that grad d, 2, so 8; grad u comes from
-    the Galerkin coefficients, with no ``deriv``.  Per stepped state,
-    ``solve run`` with m residual ids, ``identity`` among them, adds
-    div u_lag, 2, and grad b(rho') per id but ``identity``, whose
-    grad rho' is the pass's, 2 (m - 1): 8 + 2 m (10 + 2 m when the audit
-    took its own grad rho' for ``identity``); a continuation entry adds
+    the Galerkin coefficients, with no ``deriv``, and so does the div u of
+    the step's velocity table that the residual audit reads.  Per stepped
+    state, ``solve run`` with m residual ids, ``identity`` among them,
+    adds grad b(rho') per id but ``identity``, whose grad rho' is the
+    pass's, 2 (m - 1): 6 + 2 m (8 + 2 m when the audit took div u of the
+    nodal velocity); a continuation entry adds
     laplace rho as the divergence of the pass's grad rho, 2: 10 (12 when
     the tally took its own grad rho).  The stress power is evaluated once
     per record."""
@@ -988,7 +989,7 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     assert cli.main(["run", cfg]) == 0
     stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
     assert per_state[0] == (False, 8 + 6, 1)   # with the battery's 6
-    assert stepped == [(8 + 2 * m, 1)] * 3
+    assert stepped == [(6 + 2 * m, 1)] * 3
 
     per_state.clear()
     cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))

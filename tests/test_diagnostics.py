@@ -340,19 +340,19 @@ def test_renorm_smooth_kernel_first_order(grid2d):
 
 
 def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
-    """The test functions' gradients are taken once per run, div u_lag
-    once per step for all requested ids, and grad rho' not at all: the
-    audit reads |grad rho'|^2, and grad b(rho') = grad rho' of the
-    ``identity`` id, off the derivative pass of the new state, computed
-    before the count.  At 2-D with the three-function cosine battery, m
-    ids other than ``identity`` and k steps the audit takes
+    """The test functions' gradients are taken once per run, grad rho'
+    not at all, and div u with no ``deriv``: the audit reads
+    |grad rho'|^2, and grad b(rho') = grad rho' of the ``identity`` id,
+    off the derivative pass of the new state, computed before the count,
+    and div u off the Galerkin gradient of the step's velocity table.  At
+    2-D with the three-function cosine battery, m ids other than
+    ``identity`` and k steps the audit takes
       6       battery gradients, once per run (3 functions x 2 axes)
-      2 k     per step: div u_lag 2
       2 m k   per step and id: grad b(rho') 2
-    which is 6 + 2 (2 + 2) = 14 for two steps with ``T1`` and
-    ``identity`` (18 when ``identity`` took its own grad b(rho'), 22 when
-    the audit took its own grad rho' too).  The ``identity`` rows are
-    those of its own gradient, bit for bit."""
+    which is 6 + 2 * 2 = 10 for two steps with ``T1`` and ``identity``
+    (14 when div u was taken of the nodal velocity, 18 when ``identity``
+    took its own grad b(rho') too).  The ``identity`` rows are those of
+    its own gradient, bit for bit."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
@@ -375,7 +375,7 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
                                       records[1:])]
     steps = len(rows)
     assert steps == 2 and all(list(r) == ["T1", "identity"] for r in rows)
-    assert len(calls) == 6 + steps * (2 + 2 * 1) == 14
+    assert len(calls) == 6 + steps * 2 * 1 == 10
     monkeypatch.undo()
     for b_id in ("T1", "identity"):
         assert [r[b_id] for r in rows] == renorm_rows(states, records,
