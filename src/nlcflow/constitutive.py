@@ -48,9 +48,10 @@ def _sym_part(grad_u):
 
 
 def stress_power(grad_u, p: PhysParams):
-    """S(grad u) : grad u written as 2 mu |sym G|^2 + lam (tr G)^2, which is
-    nonnegative by construction whenever lam + 2 mu / dim >= 0 fails to bite
-    (we only admit lam >= -2 mu / 3, and dim <= 2 here keeps it safe)."""
+    """S(grad u) : grad u written as 2 mu |sym G|^2 + lam (tr G)^2.  Since
+    |sym G|^2 >= (tr G)^2 / dim, it is at least (2 mu / dim + lam)(tr G)^2,
+    so nonnegative whenever lam + 2 mu / dim >= 0.  PhysParams admits only
+    lam >= -2 mu / 3, which covers every dim <= 3."""
     g = np.asarray(grad_u, dtype=float)
     sym = _sym_part(g)
     div = np.einsum("aa...->...", g)

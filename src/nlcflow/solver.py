@@ -70,12 +70,11 @@ from .params import PhysParams, RegParams
 
 _REJECT_SLACK = 1e-12
 
-# Inner-solve tolerances of a Picard sweep: the relative residual of the heat
-# conjugate gradients and the director fixed-point gap relative to its scale.
-# A sweep solves to _INNER_TOL_LOOSE unless _picard_advance expects it to be
-# the last, and only a sweep whose solves reached _INNER_TOL is accepted.
+# Inner-solve tolerance of every Picard sweep: the relative residual of the
+# heat conjugate gradients and the director fixed-point gap relative to its
+# scale.  Both solves return only once they reach it, and raise
+# IterationStall otherwise.
 _INNER_TOL = 1e-13
-_INNER_TOL_LOOSE = 1e-8
 
 # Velocity levels a State keeps for the predictor: with five, a step
 # extrapolates the Galerkin coefficients by the quintic through six points.
@@ -146,10 +145,11 @@ class SolverConfig:
 class StepRecord:
     """What only the step itself knows: the dt it took, its Picard sweeps
     and dt halvings, the Galerkin coefficient table of the velocity its
-    accepted sweep was frozen at, the work and accuracy of its inner
-    solves, and whether its first sweep started from the velocity
-    predictor.  The time it reached is the ``t`` of the state it is paired
-    with; the energy ledger is read off the two states (see
+    accepted sweep was frozen at, the work of its inner solves and the
+    residual and gap its accepted sweep reached (each at most _INNER_TOL,
+    to which every sweep solves), and whether its first sweep started from
+    the velocity predictor.  The time it reached is the ``t`` of the state
+    it is paired with; the energy ledger is read off the two states (see
     ``diagnostics.energy_budget_residual``)."""
 
     dt: float
@@ -338,17 +338,18 @@ def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
 
 
 def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
-                     lag=None, tol=_INNER_TOL, max_iter=100):
+                     lag=None, max_iter=100):
     """Implicit-diffusion director step with a two-point penalty force.
 
     ``d`` is the director stack and ``grad_d`` its gradient stack
     ``plan.grad(d, neumann(dim))``.  The fixed point starts from ``lag``
     (the previous Picard sweep's director; ``d`` when None) and stops once
-    one application moves the iterate by at most ``tol`` times its scale.
-    Each iteration solves the three Helmholtz problems as one stack.  Returns
-    (d_new, gtilde, iterations, gap) where gtilde is the nodal relaxation
-    stack (diffusion minus penalty force, exact by construction of the
-    solve) and gap the last move relative to the scale.
+    one application moves the iterate by at most _INNER_TOL times its
+    scale.  Each iteration solves the three Helmholtz problems as one
+    stack.  Returns (d_new, gtilde, iterations, gap) where gtilde is the
+    nodal relaxation stack (diffusion minus penalty force, exact by
+    construction of the solve) and gap the last move relative to the
+    scale.
     """
     kappa = p.relax_rate
     parity = neumann(plan.dim)
@@ -366,7 +367,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
         if not math.isfinite(gap):
             raise NonFiniteState("director")
         lag = d_new
-        if gap <= tol * scale:
+        if gap <= _INNER_TOL * scale:
             break
     else:
         raise IterationStall("director", max_iter, gap, "increment")
@@ -495,13 +496,13 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
 
 
 def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
-                        guess, source=None, tol=_INNER_TOL):
+                        guess, source=None):
     """Implicit update of the conserved variable (delta + rho) theta.
 
     ``frozen`` carries the step-fixed parts of the operator (built once per
     step by :class:`_FrozenHeat`) and :func:`_heat_system` assembles the
     rest.  The conjugate-gradient solve runs to the relative residual
-    ``tol`` with the diagonally scaled preconditioner and is warm started
+    _INNER_TOL with the diagonally scaled preconditioner and is warm started
     from ``guess``: theta^n on the first Picard sweep and the previous
     sweep's temperature after that.  Returns the temperature, the relative
     residual reached and the number of operator applies.
@@ -517,7 +518,7 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
 
     sol, res, applies = _pcg(lambda vals: frozen.apply(c0, vals),
                              frozen.scaled_preconditioner(c0), rhs, guess,
-                             tol=tol)
+                             tol=_INNER_TOL)
     lo = float(sol.min())
     if lo < -_REJECT_SLACK * max(float(np.abs(frozen.theta).max()), 1e-300):
         raise PositivityLoss("temperature",
@@ -567,19 +568,27 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     return force
 
 
-def _momentum_update(plan, u_minus, grad_u, U_prev, rho_prev, rho_new, m,
-                     theta_new, grad_d_prev, gtilde, reg, basis, dt, p,
-                     mass_mat, stiff, source=None):
+def _momentum_system(mass_mat, stiff, U_prev, dt):
+    """The parts of the Galerkin momentum system that stay fixed over one
+    step: the matrix A = K + M (x) I / dt, the mass matrix acting on each
+    velocity component alike, and the old-level term M U^n / dt."""
+    A, dim = stiff.copy(), U_prev.shape[1]
+    for c in range(dim):
+        A[c::dim, c::dim] += mass_mat / dt
+    return A, (mass_mat @ U_prev) / dt
+
+
+def _momentum_update(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
+                     grad_d_prev, gtilde, reg, basis, p, system, source=None):
+    """The new coefficient table U' of one sweep, solving ``system``
+    (:func:`_momentum_system`) with the pairings of the sweep's forces."""
     force = _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m,
                              theta_new, grad_d_prev, gtilde, reg, p)
     if source is not None:
         force = force + source
     F = basis.pair(force)
-    A, dim = stiff.copy(), F.shape[1]
-    for c in range(dim):     # the mass matrix acts on each component alike
-        A[c::dim, c::dim] += mass_mat / dt
-    rhs = (mass_mat @ U_prev) / dt + F
-    return np.linalg.solve(A, rhs.ravel()).reshape(F.shape)
+    A, old = system
+    return np.linalg.solve(A, (old + F).ravel()).reshape(F.shape)
 
 
 def _checked_mass_matrix(basis, rho_values):
@@ -594,37 +603,15 @@ def _checked_mass_matrix(basis, rho_values):
 # coupled step and time loop
 # ---------------------------------------------------------------------------
 
-def _sweep_is_last(inc, tol, predicted):
-    """Whether the next sweep of a step is expected to be the last, from
-    the relative velocity increments ``inc`` of the sweeps before it: the
-    last one met ``tol`` already, or the increments contract fast enough
-    that the next one, extrapolated as inc[-1]**2 / inc[-2], will.  With
-    no increment yet the answer is whether the step is ``predicted``, and
-    with one the increment before it counts as 1, since increments are
-    relative to max(|U|, 1).  Started from U^n, the increments of the
-    benchmark workloads run about 2e-3, 2e-7 and 2e-11, so such a step
-    takes 3 sweeps and only the third is full.  Started from the quintic
-    predictor, the first increment is at most about 1e-10, below the
-    default tol of 1e-9, so a predicted step's first sweep is full and is
-    accepted alone; a lower-order prediction whose first increment misses
-    tol takes a second, full, sweep."""
-    if not inc:
-        return predicted
-    return inc[-1] <= tol or inc[-1] ** 2 <= tol * (
-        inc[-2] if len(inc) > 1 else 1.0)
-
-
 def _predicts(history, dt, shape):
     """The order k of the velocity predictor that a state's ``history``
     gives a step of ``dt`` whose Galerkin coefficients have ``shape``: the
     number of its leading levels, at most ``_HISTORY_LEVELS``, whose dt is
     this step's and whose table has ``shape``.  A level of another dt
     (after a dt halving, or for a truncated last step) or of another shape
-    (a restart with other Galerkin modes) ends the run.  A run of one
-    level counts as 0: its linear extrapolation leaves a first increment
-    of about 4e-5 on the benchmark workloads, so the step takes 3 sweeps
-    either way and a full first sweep would be wasted.  k = 0 means the
-    step is not predicted (the first two steps, a snapshot written without
+    (a restart with other Galerkin modes) ends the run.  Any k >= 1
+    predicts, k = 1 linearly; k = 0 means the step is not predicted (the
+    first step of a run, a restart from a snapshot written without
     history).  The dts are compared up to the round-off of the accumulated
     t: a last step that lands on t_end a few ulps short of dt is still an
     equal step."""
@@ -633,14 +620,15 @@ def _predicts(history, dt, shape):
         if abs(level_dt - dt) > 1e-9 * dt or U.shape != shape:
             break
         k += 1
-    return k if k >= 2 else 0
+    return k
 
 
 def _extrapolate(U, history, k):
     """The polynomial in the step index through U^n = ``U`` and the k
     newest tables of ``history``, evaluated one step ahead:
-    U* = sum_j (-1)^j C(k+1, j+1) U^(n-j): 3 U^n - 3 U^(n-1) + U^(n-2) at
-    k = 2, and weights 6, -15, 20, -15, 6, -1 at k = 5."""
+    U* = sum_j (-1)^j C(k+1, j+1) U^(n-j): 2 U^n - U^(n-1) at k = 1,
+    3 U^n - 3 U^(n-1) + U^(n-2) at k = 2, and weights 6, -15, 20, -15, 6,
+    -1 at k = 5."""
     levels = (U,) + tuple(level for _, level in history[:k])
     return sum((-1) ** j * math.comb(k + 1, j + 1) * level
                for j, level in enumerate(levels))
@@ -670,12 +658,11 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     about 2e-3 to at most about 1e-10, so a step predicted from five levels
     is accepted after one sweep.
 
-    The heat and director solves of a sweep run to _INNER_TOL_LOOSE or to
-    _INNER_TOL: fully for the sweep :func:`_sweep_is_last` expects to be
-    the last, which is the first sweep of a predicted step, and for the
-    last sweep ``picard_max`` allows.  A sweep is accepted when its
-    velocity increment meets ``picard_tol`` and its inner solves reached
-    _INNER_TOL, so a loose sweep that converges is followed by a full one.
+    Every sweep solves its heat and director problems to _INNER_TOL, and
+    a sweep is accepted when its velocity increment meets ``picard_tol``.
+    The momentum matrix and old-level term depend only on rho^n, dt and
+    the stiffness, so they are built once per step
+    (:func:`_momentum_system`).
 
     The new state's history is ``((dt, U^n),)`` followed by the newest
     ``_HISTORY_LEVELS - 1`` levels of ``s`` that have the shape of U^n.
@@ -690,10 +677,10 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
         (None,) * 4 if sources is None else sources(t1))
 
     rho, d = s.rho, s.d
-    mass = _checked_mass_matrix(basis, rho)
-    stiff = basis.stiffness(p)
-    grad_d_prev = plan.grad(d, neumann(grid.dim))
     U0 = U_minus = _with_modes(s.U, basis.n)
+    momentum = _momentum_system(_checked_mass_matrix(basis, rho),
+                                basis.stiffness(p), U0, dt)
+    grad_d_prev = plan.grad(d, neumann(grid.dim))
     u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
     order = _predicts(s.history, dt, U0.shape)
     if order:
@@ -702,30 +689,23 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
 
     theta_new, d_new = heat.theta, d
-    inc = []
     heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
-        full = it == cfg.picard_max or _sweep_is_last(
-            inc, cfg.picard_tol, order > 0)
-        tol = _INNER_TOL if full else _INNER_TOL_LOOSE
         grad_u = basis.gradient(U_minus)
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
         d_new, gtilde, iters, gap = _director_update(
-            plan, d, u_minus, grad_d_prev, dt, p, src_dir, lag=d_new, tol=tol)
+            plan, d, u_minus, grad_d_prev, dt, p, src_dir, lag=d_new)
         gsq = np.sum(gtilde * gtilde, axis=0)
         theta_new, heat_res, applies = _temperature_update(
-            heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, src_th,
-            tol=tol)
+            heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, src_th)
         heat_applies += applies
         director_iters += iters
-        U_new = _momentum_update(plan, u_minus, grad_u, U0, rho, rho_new, m,
+        U_new = _momentum_update(plan, u_minus, grad_u, rho, rho_new, m,
                                  theta_new, grad_d_prev, gtilde, reg, basis,
-                                 dt, p, mass, stiff, src_mom)
+                                 p, momentum, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
-        inc.append(diff / size)
-        if (diff <= cfg.picard_tol * size and heat_res <= _INNER_TOL
-                and gap <= _INNER_TOL):
+        if diff <= cfg.picard_tol * size:
             break
         U_minus = U_new
         u_minus = basis.reconstruct(U_new)

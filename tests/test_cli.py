@@ -709,8 +709,8 @@ def test_restart_from_v1_snapshot_continues_the_run(tmp_path):
 
 def test_restart_from_snapshot_without_history(tmp_path, monkeypatch):
     """A snapshot without the history block, as written before the solver
-    kept one, still restarts; its first two steps start from u^n and the
-    later ones from the predictor."""
+    kept one, still restarts; its first step starts from u^n and the later
+    ones from the predictor, the second from its one level."""
     from nlcflow import solver as sv
     whole = _write(tmp_path, "whole.cfg",
                    RESTART_CFG.format(out=tmp_path / "whole"))
@@ -731,7 +731,7 @@ def test_restart_from_snapshot_without_history(tmp_path, monkeypatch):
                      RESTART_CFG.format(out=tmp_path / "second")
                      + f"init.snapshot = {old}\n")
     assert cli.main(["run", restart]) == 0
-    assert [rec.predicted for rec in records] == [False, False, True, True,
+    assert [rec.predicted for rec in records] == [False, True, True, True,
                                                   True]
 
 

@@ -627,11 +627,12 @@ def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
     plan = spectral_plan(basis.grid)
     m = sv._mass_flux(plan, rho, u)
     U = basis.project(u)
+    system = sv._momentum_system(sv._checked_mass_matrix(basis, rho),
+                                 basis.stiffness(p), U, dt)
     U_new = sv._momentum_update(
-        plan, u, basis.gradient(U), U, rho, rho, m, theta,
+        plan, u, basis.gradient(U), rho, rho, m, theta,
         plan.grad(d, neumann(plan.dim)), np.zeros((3,) + rho.shape), reg,
-        basis, dt, p, sv._checked_mass_matrix(basis, rho),
-        basis.stiffness(p))
+        basis, p, system)
     return basis.reconstruct(U_new)
 
 
@@ -702,64 +703,6 @@ def test_accepted_sweep_reaches_full_inner_tolerance(grid2d, monkeypatch,
     assert rec.director_iters == len(iters) >= rec.picard_iters
 
 
-def test_loose_sweep_meeting_picard_tol_is_followed_by_full_one(grid2d,
-                                                                monkeypatch):
-    """With picard_tol = 1e-2 the first sweep, solved loosely, already
-    meets the Picard test; the step still ends on a sweep whose inner
-    solves were asked for, and reached, full tolerance."""
-    p = PhysParams()
-    s0, reg = _density_bump_start(grid2d)
-    tols, seen = [], []
-    pcg = sv._pcg
-
-    def spy_pcg(apply_op, precond, b, x0, tol, max_iter=400):
-        tols.append(tol)
-        return pcg(apply_op, precond, b, x0, tol, max_iter)
-
-    is_last = sv._sweep_is_last
-
-    def spy_is_last(inc, tol, predicted):
-        seen.append(list(inc))
-        return is_last(inc, tol, predicted)
-
-    monkeypatch.setattr(sv, "_pcg", spy_pcg)
-    monkeypatch.setattr(sv, "_sweep_is_last", spy_is_last)
-    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-2)
-    _, rec = sv.step_coupled(s0, reg, cfg, p)
-    assert tols == [sv._INNER_TOL_LOOSE, sv._INNER_TOL]
-    assert seen[1][0] <= cfg.picard_tol
-    assert rec.picard_iters == 2
-    assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
-
-    # the last sweep picard_max allows is solved to full tolerance, so a
-    # step that settles in it is still accepted
-    tols.clear()
-    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-2, picard_max=1)
-    _, rec = sv.step_coupled(s0, reg, cfg, p)
-    assert tols == [sv._INNER_TOL] and rec.picard_iters == 1
-
-
-def test_sweep_is_last_rule():
-    tol = 1e-9
-    # with no increment yet, the first sweep is full exactly when the step
-    # is predicted
-    assert not sv._sweep_is_last([], tol, False)
-    assert sv._sweep_is_last([], tol, True)
-    for predicted in (False, True):
-        assert sv._sweep_is_last([1e-9], tol, predicted)
-        assert not sv._sweep_is_last([2e-3], tol, predicted)
-        # 4e-14 <= 2e-12, 4e-10 > 2e-12
-        assert sv._sweep_is_last([2e-3, 2e-7], tol, predicted)
-        assert not sv._sweep_is_last([2e-3, 2e-5], tol, predicted)
-        # the increment before the first sweep counts as 1: a small first
-        # increment announces the last sweep, a large one does not
-        assert sv._sweep_is_last([9e-7], tol, predicted)  # 8.1e-13 <= 1e-9
-        assert not sv._sweep_is_last([1e-4], tol, predicted)  # 1e-8 > 1e-9
-        # an increment that met tol announces it however the last two
-        # compare
-        assert sv._sweep_is_last([1e-14, 1e-10], tol, predicted)
-
-
 # ---------------------------------------------------------------------------
 # velocity predictor
 # ---------------------------------------------------------------------------
@@ -775,7 +718,7 @@ def _twist_start(grid):
 
 def _stepped_state(grid, steps=2):
     """The state after ``steps`` dt = 1e-3 steps, whose history of
-    min(steps, 5) levels predicts the next step."""
+    min(steps, 5) levels predicts the next step once steps >= 1."""
     s, reg = _twist_start(grid)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     for _ in range(steps):
@@ -812,16 +755,17 @@ def test_history_keeps_five_levels_newest_first(grid2d):
 
 def test_predicted_steps_take_one_sweep(grid2d):
     """Ten steps of a 32^2 ``director-twist`` run: every step from the
-    third on starts from the predictor, the last one (which lands on t_end
-    a few ulps short of dt) included.  The first two take 3 sweeps, those
-    predicted from two to four levels at most 2, and those predicted from
-    five levels, from the sixth step on, one full sweep each."""
+    second on starts from the predictor, the last one (which lands on t_end
+    a few ulps short of dt) included.  The first takes 3 sweeps, the
+    linearly predicted second 3 too, those predicted from two to four
+    levels at most 2, and those predicted from five levels, from the sixth
+    step on, one sweep each."""
     s0, reg = _twist_start(grid2d)
     _, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1e-2),
                            PhysParams())
     records = records[1:]
     assert len(records) == 10
-    assert [rec.predicted for rec in records] == [False] * 2 + [True] * 8
+    assert [rec.predicted for rec in records] == [False] + [True] * 9
     sweeps = [rec.picard_iters for rec in records]
     assert sweeps[:2] == [3, 3] and max(sweeps[2:5]) <= 2
     assert sweeps[5:] == [1] * 5
@@ -829,13 +773,18 @@ def test_predicted_steps_take_one_sweep(grid2d):
         assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
 
 
-@pytest.mark.parametrize("steps", [2, 5], ids=["quadratic", "quintic"])
-def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, steps):
-    """Every sweep of a predicted step solves its inner problems to the
-    full tolerance: the quadratic's first increment misses picard_tol, so
-    its step takes a second, full, sweep, and the quintic's step is
-    accepted after its first."""
-    s, reg = _stepped_state(grid2d, steps)
+@pytest.mark.parametrize("levels", [0, 1, 2, 5],
+                         ids=["unpredicted", "linear", "quadratic", "quintic"])
+def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, levels):
+    """Every sweep of a step solves its inner problems to _INNER_TOL,
+    however many history levels predict it: the unpredicted and the
+    linearly predicted step take 3 sweeps, the quadratic's first increment
+    misses picard_tol so its step takes 2, and the quintic's step is
+    accepted after its first.  With picard_tol = 1e-2 each step is
+    accepted after its first sweep, and with picard_max = 1 as well: the
+    last sweep the cap allows is the same sweep."""
+    s, reg = _stepped_state(grid2d, levels)
+    assert len(s.history) == levels
     tols = []
     pcg = sv._pcg
 
@@ -844,10 +793,23 @@ def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, steps):
         return pcg(apply_op, precond, b, x0, tol, max_iter)
 
     monkeypatch.setattr(sv, "_pcg", spy_pcg)
-    _, rec = sv.step_coupled(s, reg, sv.SolverConfig(dt=1e-3, t_end=1.0),
-                             PhysParams())
-    assert rec.predicted and rec.picard_iters == len(tols)
-    assert tols == [sv._INNER_TOL] * (2 if steps == 2 else 1)
+    p = PhysParams()
+    _, rec = sv.step_coupled(s, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
+    assert rec.predicted == (levels > 0)
+    assert rec.picard_iters == {0: 3, 1: 3, 2: 2, 5: 1}[levels] == len(tols)
+    assert tols == [sv._INNER_TOL] * rec.picard_iters
+    assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
+
+    states = []
+    for cap in (50, 1):
+        tols.clear()
+        cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-2,
+                              picard_max=cap)
+        s1, rec = sv.step_coupled(s, reg, cfg, p)
+        assert rec.picard_iters == 1 and tols == [sv._INNER_TOL]
+        assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
+        states.append(s1)
+    assert _same_state(*states)
 
 
 def test_predictor_reproduces_polynomials_in_t():
@@ -880,7 +842,7 @@ def test_predictor_reproduces_polynomials_in_t():
 def test_level_of_another_dt_cuts_the_order(grid2d):
     """The order is the length of the leading run of levels with the
     step's dt and shape, at most five: a level of another dt or shape
-    ends it, and a run of one level predicts nothing.  A step from five
+    ends it, and a run of one level predicts linearly.  A step from five
     levels whose fourth has another dt is the step from the first three,
     bit for bit."""
     dt, shape = 1e-3, (8, 2)
@@ -891,6 +853,8 @@ def test_level_of_another_dt_cuts_the_order(grid2d):
     assert sv._predicts((same, same, (dt, np.zeros((6, 2))), same), dt,
                         shape) == 2
     assert sv._predicts((same, (dt / 2, np.zeros(shape))) + (same,) * 4, dt,
+                        shape) == 1
+    assert sv._predicts(((dt / 2, np.zeros(shape)),) + (same,) * 4, dt,
                         shape) == 0
     assert sv._predicts(((dt * (1 + 1e-12), np.zeros(shape)),) * 4, dt,
                         shape) == 4
