@@ -319,9 +319,8 @@ def cmd_mms(case_name, config_path):
     out = _out_dir(cfg)
     case = mm.get_case(case_name)
     if case.kind == "spatial":
-        study = mm.spatial_study(
-            case, cfg.reg, cfg.phys, resolutions=cfg.mms.resolutions,
-            dt=cfg.solver.dt, t_end=cfg.solver.t_end)
+        study = mm.spatial_study(case, cfg.reg, cfg.phys,
+                                 cfg.mms.resolutions, cfg.solver)
         rows = study["rows"]
         label = "resolution"
         doublings = math.log2(rows[-1][0] / rows[0][0])
@@ -331,9 +330,8 @@ def cmd_mms(case_name, config_path):
                               for k, v in study["ratios"].items()}}
         shown = [summary["orders"]["total"]]
     else:
-        study = mm.temporal_study(
-            case, cfg.reg, cfg.phys, dts=cfg.mms.dts, shape=cfg.mms.shape,
-            t_end=cfg.solver.t_end)
+        study = mm.temporal_study(case, cfg.reg, cfg.phys, cfg.mms.dts,
+                                  cfg.mms.shape, cfg.solver)
         rows = study["rows"]
         label = "dt"
         summary = {"orders": {"total": list(study["orders"])}}

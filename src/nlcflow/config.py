@@ -7,6 +7,10 @@ The format is a diff-friendly text file of dotted keys:
     grid.shape = 32,32
     solver.dt = 1e-3
 
+``SCHEMA`` states each key's coercion and default once.  The sections
+``phys``, ``reg``, ``solver``, ``init``, ``output`` and ``mms`` are their
+dataclasses with each field read from the key ``section.field``.
+
 Unknown keys are rejected with the offending line number.  A retired key
 (one that older versions wrote to ``config.resolved``, see ``RETIRED``) is
 logged and ignored when its value asks for what the current code does, so
@@ -19,7 +23,7 @@ the first normalization).
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ParseError, ValidationError
 from .fields import Grid
@@ -73,8 +77,8 @@ SCHEMA = {
     "reg.n_modes": (int, RegParams.n_modes),
     "solver.dt": (_finite_float, 1e-3),
     "solver.t_end": (_finite_float, 0.05),
-    "solver.picard_tol": (_finite_float, 1e-9),
-    "solver.picard_max": (int, 50),
+    "solver.picard_tol": (_finite_float, SolverConfig.picard_tol),
+    "solver.picard_max": (int, SolverConfig.picard_max),
     "init.preset": (str, "equilibrium"),
     "init.base": (_finite_float, 1.0),
     "init.amplitude": (_finite_float, None),
@@ -107,36 +111,37 @@ RETIRED = {
 _SERIALIZE_VERSION = 1
 
 
+# No section restates a SCHEMA default: _build is their one constructor.
 @dataclass(frozen=True)
 class InitSpec:
-    preset: str = "equilibrium"
-    base: float = 1.0
-    amplitude: float = None
-    width: float = None
-    snapshot: str = None
-    theta_floor: float = 0.1
-    theta_cap: float = 10.0
+    preset: str
+    base: float
+    amplitude: float
+    width: float
+    snapshot: str
+    theta_floor: float
+    theta_cap: float
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    dir: str = "out"
-    cadence: int = 0
-    residuals: tuple = ("identity",)
+    dir: str
+    cadence: int
+    residuals: tuple
 
 
 @dataclass(frozen=True)
 class ContinuationSpec:
-    study: str = "viscosity"
-    schedule: tuple = ()           # (n_modes, eps, delta) triples
-    snapshots: tuple = ()          # empty -> final time only
+    study: str
+    schedule: tuple                # the validated RegParams of each entry
+    snapshots: tuple               # empty -> final time only
 
 
 @dataclass(frozen=True)
 class MMSSpec:
-    resolutions: tuple = (16, 32)
-    dts: tuple = (4e-3, 2e-3, 1e-3)
-    shape: int = 32
+    resolutions: tuple
+    dts: tuple
+    shape: int
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,8 @@ class RunConfig:
     solver: SolverConfig
     init: InitSpec
     output: OutputSpec
-    cont: ContinuationSpec = ContinuationSpec()
-    mms: MMSSpec = MMSSpec()
+    cont: ContinuationSpec
+    mms: MMSSpec
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -209,6 +214,11 @@ def _validated(section, params, **kwargs):
         raise ValidationError(f"{section}.{exc}") from None
 
 
+def _section(cls, name, values):
+    """The dataclass ``cls`` with each field read from key ``name.field``."""
+    return cls(**{f.name: values[f"{name}.{f.name}"] for f in fields(cls)})
+
+
 def _build(values):
     dim = values["grid.dim"]
     shape = values["grid.shape"]
@@ -227,22 +237,10 @@ def _build(values):
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
-    phys = _validated("phys", PhysParams(
-        mu=values["phys.mu"], lam=values["phys.lam"],
-        gamma=values["phys.gamma"], gas_const=values["phys.gas_const"],
-        cond_floor=values["phys.cond_floor"],
-        cond_growth=values["phys.cond_growth"],
-        penalty_scale=values["phys.penalty_scale"],
-        elastic_coupling=values["phys.elastic_coupling"],
-        relax_rate=values["phys.relax_rate"]))
-    reg = _validated("reg", RegParams(
-        eps=values["reg.eps"], delta=values["reg.delta"],
-        beta=values["reg.beta"], n_modes=values["reg.n_modes"]),
-        gamma=phys.gamma)
-    solver = _validated("solver", SolverConfig(
-        dt=values["solver.dt"], t_end=values["solver.t_end"],
-        picard_tol=values["solver.picard_tol"],
-        picard_max=values["solver.picard_max"]))
+    phys = _validated("phys", _section(PhysParams, "phys", values))
+    reg = _validated("reg", _section(RegParams, "reg", values),
+                     gamma=phys.gamma)
+    solver = _validated("solver", _section(SolverConfig, "solver", values))
 
     preset = values["init.preset"]
     if values["init.snapshot"] is None and preset not in PRESETS:
@@ -253,12 +251,7 @@ def _build(values):
         raise ValidationError("init.theta_floor must be positive")
     if not values["init.theta_cap"] >= values["init.theta_floor"]:
         raise ValidationError("init.theta_cap must be >= init.theta_floor")
-    init = InitSpec(
-        preset=preset, base=values["init.base"],
-        amplitude=values["init.amplitude"], width=values["init.width"],
-        snapshot=values["init.snapshot"],
-        theta_floor=values["init.theta_floor"],
-        theta_cap=values["init.theta_cap"])
+    init = _section(InitSpec, "init", values)
 
     if values["output.cadence"] < 0:
         raise ValidationError("output.cadence must be >= 0")
@@ -270,9 +263,7 @@ def _build(values):
             raise ValidationError(
                 f"output.residuals entry {rid!r} is not a known "
                 "renormalization id") from None
-    output = OutputSpec(
-        dir=values["output.dir"], cadence=values["output.cadence"],
-        residuals=tuple(values["output.residuals"]))
+    output = _section(OutputSpec, "output", values)
 
     from .continuation import STUDIES
     study = values["continuation.study"]
@@ -301,18 +292,19 @@ def _build(values):
         raise ValidationError(
             f"{shrinking} = {_format_value(lists[shrinking])}: a {study} "
             "study needs nonincreasing entries")
-    schedule = tuple(zip(lists["continuation.n"], lists["continuation.eps"],
-                         lists["continuation.delta"]))
-    for i, (n, eps, delta) in enumerate(schedule):
+    schedule = []
+    for i, (n, eps, delta) in enumerate(zip(
+            lists["continuation.n"], lists["continuation.eps"],
+            lists["continuation.delta"])):
         try:
-            RegParams(eps=eps, delta=delta, beta=reg.beta,
-                      n_modes=n).validate(gamma=phys.gamma)
+            schedule.append(RegParams(eps=eps, delta=delta, beta=reg.beta,
+                                      n_modes=n).validate(gamma=phys.gamma))
         except ValidationError as exc:
             raise ValidationError(
                 f"continuation schedule entry {i} (continuation.n = {n}, "
                 f"continuation.eps = {eps!r}, continuation.delta = "
                 f"{delta!r}): {exc}") from None
-    cont = ContinuationSpec(study=study, schedule=schedule,
+    cont = ContinuationSpec(study=study, schedule=tuple(schedule),
                             snapshots=tuple(values["continuation.snapshots"]))
 
     for key, sizes in (("mms.resolutions", values["mms.resolutions"]),
@@ -333,12 +325,10 @@ def _build(values):
         raise ValidationError(
             f"mms.dts = {_format_value(dts)}: neighbouring entries must "
             "differ: each observed order compares two of them")
-    mms = MMSSpec(resolutions=tuple(values["mms.resolutions"]),
-                  dts=tuple(dts), shape=values["mms.shape"])
 
     return RunConfig(grid=grid, phys=phys, reg=reg, solver=solver,
-                     init=init, output=output, cont=cont, mms=mms,
-                     raw=dict(values))
+                     init=init, output=output, cont=cont,
+                     mms=_section(MMSSpec, "mms", values), raw=dict(values))
 
 
 def parse_config_text(text):
@@ -356,8 +346,6 @@ def parse_config(path):
 
 
 def _format_value(val):
-    if isinstance(val, bool):
-        return "true" if val else "false"
     if isinstance(val, tuple):
         return ",".join(_format_value(v) for v in val)
     if isinstance(val, float):

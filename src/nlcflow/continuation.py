@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import MismatchedSnapshots, SolverFailure, TooManyModes
 from .fields import dirichlet, integrate_values, neumann, spectral_plan
-from .params import RegParams
 from . import diagnostics as dg
 from . import solver as sv
 
@@ -209,11 +208,11 @@ def run_study(cfg, raw, csv_dir=None):
     study = STUDIES[cfg.cont.study]
     gamma = cfg.phys.gamma if study.oscillation else None
     runs, distances, prev = [], [], None
-    for i, (n, eps, delta) in enumerate(cfg.cont.schedule):
-        reg = RegParams(eps=eps, delta=delta, beta=cfg.reg.beta, n_modes=n)
+    for i, reg in enumerate(cfg.cont.schedule):
         csv_path = None if csv_dir is None else os.path.join(
             csv_dir, "run_%02d.csv" % i)
-        entry = f"schedule entry {i} (n={n}, eps={eps!r}, delta={delta!r})"
+        entry = (f"schedule entry {i} (n={reg.n_modes}, eps={reg.eps!r}, "
+                 f"delta={reg.delta!r})")
         try:
             summary, snaps = _execute(cfg, _prepare_state(cfg, raw, reg),
                                       reg, csv_path)

@@ -185,12 +185,12 @@ def energy_budget_residual(s_prev, der_prev, s_next, der_next,
     D is the dissipation the scheme's ledger exchanges,
 
       delta <S(u'):grad u'> + delta <(theta^n)^alpha theta'>
-      + eps sum_b <d_b h_gamma(rho'), d_b rho'>
-      + eps delta sum_b <d_b h_beta(rho'), d_b rho'>
+      + eps sum_b <d_b bp(rho'), d_b rho'>
 
-    with primes on s_next, theta^n from s_prev and h the convex pressure
-    enthalpy, so r collects only the nonnegative numerical defects (and
-    must stay below a small one-sided tolerance).
+    with primes on s_next, theta^n from s_prev and bp = h_gamma + delta
+    h_beta the convex pressure enthalpy the step takes
+    (``solver._pressure_enthalpy``), so r collects only the nonnegative
+    numerical defects (and must stay below a small one-sided tolerance).
     """
     grid = s_next.grid
     plan = spectral_plan(grid)
@@ -199,18 +199,11 @@ def energy_budget_residual(s_prev, der_prev, s_next, der_next,
     visc = integrate_values(grid, der_next.stress_power)
     sink = integrate_values(
         grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
-    safe = np.maximum(s_next.rho, 0.0)
-
-    def interp_form(exponent):
-        grad_bp = plan.grad(cst.convex_pressure_enthalpy(safe, exponent),
-                            neumann(grid.dim))
-        return sum(integrate_values(grid, grad_bp[b] * der_next.rho[b])
-                   for b in range(grid.dim))
-
-    eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
-    d_net = (reg.delta * visc + reg.delta * sink
-             + reg.eps * interp_form(p.gamma)
-             + reg.eps * reg.delta * eps_beta)
+    grad_bp = plan.grad(sv._pressure_enthalpy(np.maximum(s_next.rho, 0.0),
+                                              reg, p), neumann(grid.dim))
+    interp = sum(integrate_values(grid, grad_bp[b] * der_next.rho[b])
+                 for b in range(grid.dim))
+    d_net = reg.delta * visc + reg.delta * sink + reg.eps * interp
     return (e_next - e_prev) / dt + d_net
 
 

@@ -26,7 +26,7 @@ Two study modes:
   algebraic order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,9 +244,7 @@ def _momentum_terms(case, s, plan, reg, p):
             out.append([(arr, None)])
         return out
     # spatial (steady, quiescent): only the pressure-gradient forces remain
-    bp = cst.convex_pressure_enthalpy(rho, p.gamma)
-    if reg.delta > 0:
-        bp = bp + reg.delta * cst.convex_pressure_enthalpy(rho, reg.beta)
+    bp = sv._pressure_enthalpy(rho, reg, p)
     q = rho * s.theta
     for c in range(dim):
         par = _term_parity(grid, frozenset({c}))
@@ -307,12 +305,12 @@ def solution_errors(case, state, reference):
     return errs
 
 
-def run_case(case, n, reg, p, dt, t_end):
-    """Run the manufactured problem on n nodes per axis and return the
-    error table entry (sources from :func:`build_sources`)."""
+def run_case(case, n, reg, p, cfg):
+    """Run the manufactured problem on n nodes per axis under the solver
+    settings ``cfg`` (a SolverConfig: dt, t_end and the Picard controls)
+    and return the error table entry (sources from :func:`build_sources`)."""
     grid = Grid((n,) * case.dim, (2.0,) * case.dim)
     sources = build_sources(case, grid, reg, p)
-    cfg = sv.SolverConfig(dt=dt, t_end=t_end)
     for last, _ in sv.run(analytic_state(case, grid, 0.0, reg.n_modes), reg,
                           cfg, p, sources=sources):
         pass
@@ -320,11 +318,10 @@ def run_case(case, n, reg, p, dt, t_end):
                            analytic_state(case, grid, last.t, reg.n_modes))
 
 
-def spatial_study(case, reg, p, resolutions, dt, t_end):
-    """Error at each resolution plus the coarse/fine ratio per field."""
-    rows = []
-    for n in resolutions:
-        rows.append((n, run_case(case, n, reg, p, dt, t_end)))
+def spatial_study(case, reg, p, resolutions, cfg):
+    """Error at each resolution, every run under the solver settings
+    ``cfg``, plus the coarse/fine ratio per field."""
+    rows = [(n, run_case(case, n, reg, p, cfg)) for n in resolutions]
     ratios = {}
     for key in rows[0][1]:
         coarse, fine = rows[0][1][key], rows[-1][1][key]
@@ -332,9 +329,12 @@ def spatial_study(case, reg, p, resolutions, dt, t_end):
     return {"rows": rows, "ratios": ratios}
 
 
-def temporal_study(case, reg, p, dts, shape, t_end):
-    """Error at each step size plus observed orders between neighbours."""
-    rows = [(dt, run_case(case, shape, reg, p, dt, t_end)) for dt in dts]
+def temporal_study(case, reg, p, dts, shape, cfg):
+    """Error at each step size, every run under the solver settings ``cfg``
+    with its dt replaced by the entry of ``dts``, plus observed orders
+    between neighbours."""
+    rows = [(dt, run_case(case, shape, reg, p, replace(cfg, dt=dt)))
+            for dt in dts]
     orders = []
     for (dt0, e0), (dt1, e1) in zip(rows, rows[1:]):
         orders.append(np.log(e0["total"] / e1["total"]) / np.log(dt0 / dt1))

@@ -391,9 +391,9 @@ def _conduction_apply(plan, theta, kappa):
     return -plan.div(flux, dirichlet(plan.dim))
 
 
-def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
+def _pcg(apply_op, precond, b, x0, max_iter=400):
     """Preconditioned conjugate gradients from ``x0`` to the relative
-    residual ``tol``.  Returns the solution, the relative residual it
+    residual _INNER_TOL.  Returns the solution, the relative residual it
     reached and the number of operator applies."""
     bnorm = math.sqrt(float(np.sum(b * b)))
     if bnorm == 0.0:
@@ -405,7 +405,7 @@ def _pcg(apply_op, precond, b, x0, tol, max_iter=400):
         rnorm = math.sqrt(float(np.sum(r * r)))
         if not math.isfinite(rnorm):
             raise NonFiniteState("temperature")
-        if rnorm <= tol * bnorm:
+        if rnorm <= _INNER_TOL * bnorm:
             return x, rnorm / bnorm, it + 1
         if it == max_iter:
             break
@@ -517,13 +517,23 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
                              "temperature operator lost positivity")
 
     sol, res, applies = _pcg(lambda vals: frozen.apply(c0, vals),
-                             frozen.scaled_preconditioner(c0), rhs, guess,
-                             tol=_INNER_TOL)
+                             frozen.scaled_preconditioner(c0), rhs, guess)
     lo = float(sol.min())
     if lo < -_REJECT_SLACK * max(float(np.abs(frozen.theta).max()), 1e-300):
         raise PositivityLoss("temperature",
                              f"temperature undershoot {lo:g}")
     return sol, res, applies
+
+
+def _pressure_enthalpy(rho, reg, p):
+    """The convex enthalpy h_gamma(rho) + delta h_beta(rho) of the elastic
+    and artificial pressures.  The momentum step weighs its gradient by the
+    old density; the energy ledger pairs its gradient with the new
+    density's."""
+    bp = cst.convex_pressure_enthalpy(rho, p.gamma)
+    if reg.delta > 0:
+        bp = bp + reg.delta * cst.convex_pressure_enthalpy(rho, reg.beta)
+    return bp
 
 
 def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
@@ -535,7 +545,7 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     (:meth:`~nlcflow.fields.SpectralPlan.grad`) of ``u_minus`` and of the
     old director."""
     dim = plan.dim
-    eps, delta = reg.eps, reg.delta
+    eps = reg.eps
 
     force = np.zeros(u_minus.shape)
 
@@ -552,10 +562,7 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
     # elastic + artificial pressure via the convex enthalpy, and the thermal
     # pressure: both gradients in one product per axis
-    bp = cst.convex_pressure_enthalpy(rho_new, p.gamma)
-    if delta > 0:
-        bp = bp + delta * cst.convex_pressure_enthalpy(rho_new, reg.beta)
-    pot = np.stack([bp, rho_new * theta_new])
+    pot = np.stack([_pressure_enthalpy(rho_new, reg, p), rho_new * theta_new])
     grad_bp, grad_q = plan.grad(pot, neumann(dim)).swapaxes(0, 1)
     force -= rho_prev * plan.project(grad_bp, dirichlet(dim))
     force -= p.gas_const * grad_q

@@ -184,6 +184,18 @@ def test_mms_too_many_modes_names_key_and_grid(tmp_path, capsys):
     assert "reg.n_modes = 8" in err and "16-node grid" in err
 
 
+def test_mms_runs_on_the_config_solver_section(tmp_path, capsys):
+    """``solve mms`` steps with the config's Picard controls: a tolerance
+    no single sweep can meet ends the study with exit 3, as it ends
+    ``solve run``."""
+    cfg = _write(tmp_path, "mms.cfg", (
+        "grid.dim = 1\nsolver.picard_tol = 1e-300\nsolver.picard_max = 1\n"
+        f"output.dir = {tmp_path / 'out'}\n"))
+    assert cli.main(["mms", "trig-1d", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "PicardDivergence" in err
+
+
 def test_usage_error_raises_system_exit():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

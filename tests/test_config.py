@@ -1,5 +1,6 @@
 """Config parsing/validation/serialization and the initial-data presets."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -9,6 +10,8 @@ from nlcflow import config as cf
 from nlcflow import presets
 from nlcflow.errors import ParseError, ValidationError
 from nlcflow.fields import Grid
+from nlcflow.params import PhysParams, RegParams
+from nlcflow.solver import SolverConfig
 
 
 MINIMAL = "grid.dim = 2\n"
@@ -145,8 +148,21 @@ def test_continuation_schedule_broadcast():
         "continuation.n = 8\n"
         "continuation.eps = 1e-3\n"
         "continuation.delta = 1e-2,1e-3,1e-4\n")
-    assert cfg.cont.schedule == ((8, 1e-3, 1e-2), (8, 1e-3, 1e-3),
-                                 (8, 1e-3, 1e-4))
+    beta = cfg.reg.beta
+    assert cfg.cont.schedule == tuple(
+        RegParams(eps=1e-3, delta=delta, beta=beta, n_modes=8)
+        for delta in (1e-2, 1e-3, 1e-4))
+
+
+@pytest.mark.parametrize("name,cls", [
+    ("phys", PhysParams), ("reg", RegParams), ("solver", SolverConfig),
+    ("init", cf.InitSpec), ("output", cf.OutputSpec), ("mms", cf.MMSSpec)])
+def test_section_keys_are_its_dataclass_fields(name, cls):
+    """Each section built from its dataclass has one key per field and no
+    other, so a key that no field reads cannot be parsed."""
+    keys = {k.partition(".")[2] for k in cf.SCHEMA
+            if k.partition(".")[0] == name}
+    assert keys == {f.name for f in dataclasses.fields(cls)}
 
 
 def test_serialize_round_trip_idempotent():

@@ -10,6 +10,7 @@ from nlcflow import mms
 from nlcflow.errors import ValidationError
 from nlcflow.fields import Grid, neumann, spectral_plan
 from nlcflow.params import PhysParams, RegParams
+from nlcflow.solver import SolverConfig
 
 
 P = PhysParams()
@@ -161,19 +162,21 @@ def test_spatial_sources_sample_one_state_in_total(monkeypatch):
 
 def test_run_case_reports_field_errors():
     errs = mms.run_case(mms.get_case("bump-1d"), 16, REG_COARSE, P,
-                        dt=1e-3, t_end=5e-3)
+                        SolverConfig(dt=1e-3, t_end=5e-3))
     assert set(errs) == {"rho", "theta", "u", "d", "total"}
     assert errs["total"] == max(errs.values())
 
 
 def test_temporal_first_order():
     study = mms.temporal_study(mms.get_case("trig-1d"), REG, P,
-                               dts=(4e-3, 2e-3), shape=32, t_end=2e-2)
+                               dts=(4e-3, 2e-3), shape=32,
+                               cfg=SolverConfig(dt=4e-3, t_end=2e-2))
     (order,) = study["orders"]
     assert 0.7 < order < 1.3
 
 
 def test_spatial_spectral_decay():
     study = mms.spatial_study(mms.get_case("bump-1d"), REG_COARSE, P,
-                              resolutions=(16, 32), dt=5e-4, t_end=1e-2)
+                              resolutions=(16, 32),
+                              cfg=SolverConfig(dt=5e-4, t_end=1e-2))
     assert study["ratios"]["total"] > 16.0
