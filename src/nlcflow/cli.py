@@ -37,20 +37,29 @@ from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
 # row and column counts.  Each unknown is stored once, in the order of
 # ``_LAYOUT``: ``time``, t as a 1x1 table; the nodal blocks ``rho``,
 # ``theta`` and ``d0``-``d2``; then ``velocity``, the n x dim table of the
-# state's Galerkin coefficients.  A state with a solver history ends with
-# it as the ``galerkin`` table ``history``: one row per level, newest
-# first, each the level's dt followed by its flattened coefficients.
+# state's Galerkin coefficients.
+#
+# The solver history goes to a binary file beside the snapshot
+# (:func:`history_path`: ``hist_000006.bin`` beside ``snap_000006.dat``):
+# one ASCII header line ``nlcflow-history 1 <levels> <n> <dim> <grid
+# shape...>``, then per level, newest first, its dt, its n x dim table
+# and its nodal theta as little-endian float64.  Every snapshot has one,
+# with no levels for a state without history.
 #
 # The reader also takes older files, whose velocity is nodal, as
 # ``dirichlet`` blocks ``u<c>``, and projects it onto the run's Galerkin
 # modes; in the v1 format ``time`` is a nodal block holding t at every
-# node and the history is optional.
+# node.  A snapshot without its history file has no history, and a
+# ``history`` block that older files end with is read and not used: such
+# a restart's first step is not predicted.
 # ---------------------------------------------------------------------------
 
 GALERKIN = "galerkin"
 
-# ``(name, kind)`` of each block of a snapshot before its history, in file
-# order
+_HISTORY_MAGIC = "nlcflow-history"
+_HISTORY_VERSION = 1
+
+# ``(name, kind)`` of each block of a snapshot, in file order
 _LAYOUT = ((("time", GALERKIN), ("rho", "neumann"), ("theta", "neumann"))
            + tuple((f"d{k}", "neumann") for k in range(3))
            + (("velocity", GALERKIN),))
@@ -65,16 +74,75 @@ def _write_block(fh, name, kind, values):
     fh.write((row * shape[0]) % tuple(values.ravel().tolist()))
 
 
+def history_path(path):
+    """The history file beside the snapshot ``path``: ``snap_`` and the
+    extension of its name give way to ``hist_`` and ``.bin``, so no
+    history file is named like a snapshot."""
+    head, name = os.path.split(path)
+    stem = os.path.splitext(name)[0].removeprefix("snap_")
+    return os.path.join(head, f"hist_{stem}.bin")
+
+
+def _write_history(path, s):
+    """The history of ``s`` as the binary file ``path``, written as raw
+    bytes so that a rerun writes the same ones.  Its levels must share one
+    table shape, as every history a step builds does."""
+    grid, levels = s.grid, s.history
+    n = len(levels[0][1]) if levels else len(s.U)
+    if any(U.shape != (n, grid.dim) or th.shape != grid.shape
+           for _, U, th in levels):
+        raise ValueError("history levels of more than one shape")
+    header = " ".join(map(str, (_HISTORY_MAGIC, _HISTORY_VERSION,
+                                len(levels), n, grid.dim, *grid.shape)))
+    body = [np.concatenate(([dt], U.ravel(), th.ravel()))
+            for dt, U, th in levels]
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        fh.write(np.asarray(body, dtype="<f8").tobytes())
+
+
+def _read_history(path, grid):
+    """The history stored by :func:`_write_history`, ``()`` when there is
+    no file.  A header that is not this format's for ``grid``, a payload
+    of another size, or a non-finite value is an IOFailure."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        return ()
+    except OSError as exc:
+        raise IOFailure(f"cannot read history {path!r}: {exc}") from None
+    line, _, payload = raw.partition(b"\n")
+    try:    # UnicodeDecodeError is a ValueError
+        magic, *counts = line.decode("ascii").split()
+        version, levels, n, dim, *shape = map(int, counts)
+    except ValueError:
+        magic = None
+    if (magic != _HISTORY_MAGIC or version != _HISTORY_VERSION
+            or levels < 0 or n < 1 or dim != grid.dim
+            or tuple(shape) != grid.shape):
+        raise IOFailure(f"history {path!r}: header {line[:80]!r} is not "
+                        f"{_HISTORY_MAGIC} {_HISTORY_VERSION} of n >= 1 "
+                        f"modes on the grid {grid.shape}")
+    width = 1 + n * dim + math.prod(grid.shape)
+    if len(payload) != 8 * levels * width:
+        raise IOFailure(f"history {path!r}: {len(payload)} bytes, "
+                        f"{levels} levels need {8 * levels * width}")
+    rows = np.frombuffer(payload, dtype="<f8").reshape(levels, width)
+    if not np.isfinite(rows).all():
+        raise IOFailure(f"history {path!r} holds a non-finite value")
+    return tuple((float(row[0]), row[1:1 + n * dim].reshape(n, dim),
+                  row[1 + n * dim:].reshape(grid.shape)) for row in rows)
+
+
 def write_snapshot(path, s):
-    """One state as a plain-text snapshot, its history last when it has
-    one."""
+    """One state as a plain-text snapshot and its history as the binary
+    file :func:`history_path` beside it."""
     arrays = [np.array([[s.t]]), s.rho, s.theta, *s.d, s.U]
     with open(path, "w", encoding="utf-8") as fh:
         for (name, kind), values in zip(_LAYOUT, arrays):
             _write_block(fh, name, kind, values)
-        if s.history:
-            _write_block(fh, "history", GALERKIN, np.array(
-                [np.concatenate(([dt], U.ravel())) for dt, U in s.history]))
+    _write_history(history_path(path), s)
 
 
 def _read_blocks(path, grid):
@@ -126,13 +194,13 @@ def _read_blocks(path, grid):
 
 
 def read_snapshot(path, grid, n_modes):
-    """The State stored by :func:`write_snapshot`, with its history when
-    the file has one.  Each block's stored kind must be the one the layout
-    gives it (ParityMismatch), and the file must hold the velocity either
-    as a table or as nodal blocks.  Nodal velocity is projected onto the
-    ``n_modes`` Galerkin modes of ``grid``.  A table that is not ``dim``
-    columns of at least one mode, or that holds more modes than the grid
-    admits, is an IOFailure."""
+    """The State stored by :func:`write_snapshot`, with the history of the
+    file beside it, if there is one.  Each block's stored kind must be the
+    one the layout gives it (ParityMismatch), and the file must hold the
+    velocity either as a table or as nodal blocks.  Nodal velocity is
+    projected onto the ``n_modes`` Galerkin modes of ``grid``.  A table
+    that is not ``dim`` columns of at least one mode, or that holds more
+    modes than the grid admits, is an IOFailure."""
     blocks = _read_blocks(path, grid)
     dim = grid.dim
     tabled = "velocity" in blocks
@@ -164,14 +232,7 @@ def read_snapshot(path, grid, n_modes):
     else:
         U = sv.galerkin_basis(grid, n_modes).project(
             np.stack([values[name] for name, _ in nodal]))
-    history = ()
-    if "history" in blocks:
-        kind, rows = blocks["history"]
-        if kind != GALERKIN or rows.shape[1] < 1 or (rows.shape[1] - 1) % dim:
-            raise IOFailure(f"snapshot {path!r}: history is not a table of "
-                            f"dt and {dim}-component Galerkin coefficients")
-        history = tuple((float(row[0]), row[1:].reshape(-1, dim))
-                        for row in rows)
+    history = _read_history(history_path(path), grid)
     try:
         return sv.State(grid, float(time.flat[0]), values["rho"], U,
                         values["theta"], [values[f"d{k}"] for k in range(3)],

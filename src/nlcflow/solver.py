@@ -76,8 +76,9 @@ _REJECT_SLACK = 1e-12
 # IterationStall otherwise.
 _INNER_TOL = 1e-13
 
-# Velocity levels a State keeps for the predictor: with five, a step
-# extrapolates the Galerkin coefficients by the quintic through six points.
+# Levels a State keeps for the predictor: with five, a step extrapolates
+# the Galerkin coefficients and the temperature by the quintic through six
+# points.
 _HISTORY_LEVELS = 5
 
 
@@ -93,11 +94,13 @@ class State:
     shape ``(n, dim)``; its nodal sine stack ``u``, ``(dim, *grid.shape)``,
     is ``galerkin_basis(grid, n).reconstruct(U)``, built once here.
 
-    ``history`` holds what the velocity predictor reads from earlier steps:
-    at most ``_HISTORY_LEVELS`` (five) ``(dt, U)`` pairs, newest first,
-    where ``U`` is the Galerkin coefficient table of the state a step
-    started from and ``dt`` the step it took (see :func:`_predicts`).  A
-    state with no past, such as an initial one, has ``()``.
+    ``history`` holds what the predictor reads from earlier steps: at most
+    ``_HISTORY_LEVELS`` (five) ``(dt, U, theta)`` levels, newest first,
+    where ``U`` and ``theta`` are the Galerkin coefficient table and the
+    temperature of the state a step started from and ``dt`` the step it
+    took (see :func:`_predicts`).  A predicted step starts its first sweep
+    from both extrapolated (:func:`_picard_advance`).  A state with no
+    past, such as an initial one, has ``()``.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u")
@@ -148,8 +151,8 @@ class StepRecord:
     accepted sweep was frozen at, the work of its inner solves and the
     residual and gap its accepted sweep reached (each at most _INNER_TOL,
     to which every sweep solves), and whether its first sweep started from
-    the velocity predictor.  The time it reached is the ``t`` of the state
-    it is paired with; the energy ledger is read off the two states (see
+    the predictor.  The time it reached is the ``t`` of the state it is
+    paired with; the energy ledger is read off the two states (see
     ``diagnostics.energy_budget_residual``)."""
 
     dt: float
@@ -503,9 +506,10 @@ def _temperature_update(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     step by :class:`_FrozenHeat`) and :func:`_heat_system` assembles the
     rest.  The conjugate-gradient solve runs to the relative residual
     _INNER_TOL with the diagonally scaled preconditioner and is warm started
-    from ``guess``: theta^n on the first Picard sweep and the previous
-    sweep's temperature after that.  Returns the temperature, the relative
-    residual reached and the number of operator applies.
+    from ``guess``: on the first Picard sweep the extrapolated temperature
+    of a predicted step and theta^n of any other, and the previous sweep's
+    temperature after that.  Returns the temperature, the relative residual
+    reached and the number of operator applies.
     """
     c0, rhs = _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
                            source)
@@ -611,10 +615,10 @@ def _checked_mass_matrix(basis, rho_values):
 # ---------------------------------------------------------------------------
 
 def _predicts(history, dt, shape):
-    """The order k of the velocity predictor that a state's ``history``
-    gives a step of ``dt`` whose Galerkin coefficients have ``shape``: the
-    number of its leading levels, at most ``_HISTORY_LEVELS``, whose dt is
-    this step's and whose table has ``shape``.  A level of another dt
+    """The order k of the predictor that a state's ``history`` gives a
+    step of ``dt`` whose Galerkin coefficients have ``shape``: the number
+    of its leading levels, at most ``_HISTORY_LEVELS``, whose dt is this
+    step's and whose table has ``shape``.  A level of another dt
     (after a dt halving, or for a truncated last step) or of another shape
     (a restart with other Galerkin modes) ends the run.  Any k >= 1
     predicts, k = 1 linearly; k = 0 means the step is not predicted (the
@@ -623,20 +627,21 @@ def _predicts(history, dt, shape):
     t: a last step that lands on t_end a few ulps short of dt is still an
     equal step."""
     k = 0
-    for level_dt, U in history[:_HISTORY_LEVELS]:
+    for level_dt, U, _ in history[:_HISTORY_LEVELS]:
         if abs(level_dt - dt) > 1e-9 * dt or U.shape != shape:
             break
         k += 1
     return k
 
 
-def _extrapolate(U, history, k):
-    """The polynomial in the step index through U^n = ``U`` and the k
-    newest tables of ``history``, evaluated one step ahead:
-    U* = sum_j (-1)^j C(k+1, j+1) U^(n-j): 2 U^n - U^(n-1) at k = 1,
-    3 U^n - 3 U^(n-1) + U^(n-2) at k = 2, and weights 6, -15, 20, -15, 6,
-    -1 at k = 5."""
-    levels = (U,) + tuple(level for _, level in history[:k])
+def _extrapolate(now, past, k):
+    """The polynomial in the step index through the level n array ``now``
+    and the k newest arrays of ``past`` (levels n - 1, n - 2, ...),
+    evaluated one step ahead: X* = sum_j (-1)^j C(k+1, j+1) X^(n-j):
+    2 X^n - X^(n-1) at k = 1, 3 X^n - 3 X^(n-1) + X^(n-2) at k = 2, and
+    weights 6, -15, 20, -15, 6, -1 at k = 5.  The step predicts its
+    Galerkin table and its temperature by this one rule."""
+    levels = (now,) + tuple(past[:k])
     return sum((-1) ** j * math.comb(k + 1, j + 1) * level
                for j, level in enumerate(levels))
 
@@ -658,12 +663,14 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     step, with order k (see :func:`_predicts`), the first sweep starts
     from the extrapolation U* through U^n and those k levels
     (:func:`_extrapolate`), and otherwise from U^n; every sweep takes its
-    velocity gradient from its coefficients.  The momentum equation's old
-    level stays U^n either way: the prediction only moves the first
-    sweep's frozen coefficients closer to the converged ones.  On the
-    benchmark workloads the quintic (k = 5) cuts the first increment from
-    about 2e-3 to at most about 1e-10, so a step predicted from five levels
-    is accepted after one sweep.
+    velocity gradient from its coefficients.  The first sweep's heat CG
+    starts from the same order-k extrapolation of theta through theta^n
+    and the k levels, and otherwise from theta^n.  The old levels stay U^n
+    and theta^n either way: the prediction only moves the first sweep's
+    frozen coefficients and its CG's start closer to the converged ones.
+    On the benchmark workloads the quintic (k = 5) cuts the first
+    increment from about 2e-3 to at most about 1e-10, so a step predicted
+    from five levels is accepted after one sweep.
 
     Every sweep solves its heat and director problems to _INNER_TOL, and
     a sweep is accepted when its velocity increment meets ``picard_tol``.
@@ -671,8 +678,9 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     the stiffness, so they are built once per step
     (:func:`_momentum_system`).
 
-    The new state's history is ``((dt, U^n),)`` followed by the newest
-    ``_HISTORY_LEVELS - 1`` levels of ``s`` that have the shape of U^n.
+    The new state's history is ``((dt, U^n, theta^n),)`` followed by the
+    newest ``_HISTORY_LEVELS - 1`` levels of ``s`` whose table has the
+    shape of U^n.
     The step reads nothing but ``s``, so a restart from a snapshot that
     stores the history repeats the run exactly."""
     grid = s.grid
@@ -689,13 +697,14 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
                                 basis.stiffness(p), U0, dt)
     grad_d_prev = plan.grad(d, neumann(grid.dim))
     u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
+    heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
+    theta_new, d_new = heat.theta, d
     order = _predicts(s.history, dt, U0.shape)
     if order:
-        U_minus = _extrapolate(U0, s.history, order)
+        U_minus = _extrapolate(U0, [U for _, U, _ in s.history], order)
         u_minus = basis.reconstruct(U_minus)
-    heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
-
-    theta_new, d_new = heat.theta, d
+        theta_new = _extrapolate(s.theta, [th for _, _, th in s.history],
+                                 order)
     heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
         grad_u = basis.gradient(U_minus)
@@ -723,7 +732,7 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
                         heat_applies=heat_applies,
                         director_iters=director_iters, heat_residual=heat_res,
                         director_gap=gap, predicted=order > 0)
-    history = ((dt, U0),) + tuple(
+    history = ((dt, U0, s.theta),) + tuple(
         level for level in s.history[:_HISTORY_LEVELS - 1]
         if level[1].shape == U0.shape)
     return State(grid, t1, rho_new, U_new, theta_new, d_new, history), record

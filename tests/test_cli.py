@@ -58,10 +58,13 @@ def test_run_success(tmp_path):
     out = tmp_path / "out"
     assert (out / "diagnostics.csv").exists()
     assert (out / "config.resolved").exists()
-    snaps = sorted(out.glob("snap_*.dat"))
+    snaps = sorted(out.glob("snap_*"))
     assert [s.name for s in snaps] == [
         "snap_000000.dat", "snap_000002.dat", "snap_000004.dat",
         "snap_000005.dat"]
+    assert [s.name for s in sorted(out.glob("hist_*"))] == [
+        "hist_000000.bin", "hist_000002.bin", "hist_000004.bin",
+        "hist_000005.bin"]
 
 
 @pytest.mark.parametrize("text", [
@@ -239,7 +242,7 @@ def test_rerun_outputs_byte_identical(tmp_path):
                   RUN_CFG.format(out=tmp_path / "two"))
     assert cli.main(["run", cfg1]) == 0
     assert cli.main(["run", cfg2]) == 0
-    for name in ("diagnostics.csv", "snap_000005.dat"):
+    for name in ("diagnostics.csv", "snap_000005.dat", "hist_000005.bin"):
         a = (tmp_path / "one" / name).read_bytes()
         b = (tmp_path / "two" / name).read_bytes()
         assert a == b
@@ -263,7 +266,7 @@ output.cadence = 1
 
 def test_restart_from_snapshot_continues_the_run(tmp_path):
     """Ten steps in one run and 5 + 5 with a restart from the fifth
-    snapshot end on byte-identical snapshots."""
+    snapshot end on byte-identical snapshots and history files."""
     whole = _write(tmp_path, "whole.cfg",
                    RESTART_CFG.format(out=tmp_path / "whole"))
     assert cli.main(["run", whole]) == 0
@@ -274,9 +277,10 @@ def test_restart_from_snapshot_continues_the_run(tmp_path):
     assert cli.main(["run", restart]) == 0
     second = sorted(os.listdir(tmp_path / "second"))
     assert second[-1] == "snap_000005.dat"
-    a = (tmp_path / "whole" / "snap_000010.dat").read_bytes()
-    b = (tmp_path / "second" / "snap_000005.dat").read_bytes()
-    assert a == b
+    for a, b in (("snap_000010.dat", "snap_000005.dat"),
+                 ("hist_000010.bin", "hist_000005.bin")):
+        assert (tmp_path / "whole" / a).read_bytes() \
+            == (tmp_path / "second" / b).read_bytes()
 
 
 def test_mid_run_failure_keeps_what_was_written(tmp_path, capsys,
@@ -317,7 +321,7 @@ def test_mid_run_failure_keeps_what_was_written(tmp_path, capsys,
     snaps = sorted(n for n in os.listdir(tmp_path / "broken")
                    if n.startswith("snap_"))
     assert snaps == ["snap_%06d.dat" % i for i in range(k)]
-    for name in snaps:
+    for name in snaps + [cli.history_path(name) for name in snaps]:
         assert (tmp_path / "broken" / name).read_bytes() \
             == (tmp_path / "whole" / name).read_bytes()
 
@@ -352,7 +356,10 @@ def test_run_keeps_at_most_three_states(tmp_path, monkeypatch):
                      "solver.t_end = 0.01", "solver.t_end = 0.02")
                  + "output.residuals = identity,T2\n")
     assert cli.main(["run", cfg]) == 0
-    assert len(os.listdir(tmp_path / "long")) == 21 + 2
+    assert sorted(os.listdir(tmp_path / "long")) == sorted(
+        ["config.resolved", "diagnostics.csv"]
+        + [f"{kind}_{k:06d}.{ext}" for k in range(21)
+           for kind, ext in (("snap", "dat"), ("hist", "bin"))])
     assert len(made) >= 21 and max(made) <= 3
 
 
@@ -399,9 +406,10 @@ def _per_row_snapshot(s, v1=True):
     """The snapshot a writer that formats one value at a time and one row
     per line writes.  By default it is the reference for the bytes of the
     v1 format: a ``time`` block holding t at every node, the nodal blocks
-    with the velocity as ``u<c>``, the history.  With ``v1`` false it
-    writes the current layout: t as a 1x1 table, ``rho``, ``theta``, the
-    director, the ``velocity`` table, the history."""
+    with the velocity as ``u<c>``.  With ``v1`` false it writes the
+    current layout: t as a 1x1 table, ``rho``, ``theta``, the director,
+    the ``velocity`` table.  Neither holds the history, which goes to its
+    own file."""
     lines = []
 
     def block(name, kind, values):
@@ -423,9 +431,6 @@ def _per_row_snapshot(s, v1=True):
         block(f"d{k}", "neumann", comp)
     if not v1:
         block("velocity", "galerkin", s.U)
-    if s.history:
-        block("history", "galerkin", np.array(
-            [np.concatenate(([dt], U.ravel())) for dt, U in s.history]))
     return "\n".join(lines) + "\n"
 
 
@@ -439,8 +444,9 @@ def _assert_same_state(back, s, fields=("rho", "theta", "d", "U", "u")):
     for name in fields:
         assert _same_bits(getattr(back, name), getattr(s, name)), name
     assert len(back.history) == len(s.history)
-    for (dt_back, U_back), (dt, U) in zip(back.history, s.history):
-        assert _same_bits(dt_back, dt) and _same_bits(U_back, U)
+    for level_back, level in zip(back.history, s.history):
+        assert len(level_back) == len(level) == 3
+        assert all(_same_bits(a, b) for a, b in zip(level_back, level))
 
 
 def _assert_projected_state(back, s):
@@ -457,7 +463,9 @@ def test_snapshot_round_trip(tmp_path):
     """Every value of every array comes back bit for bit, signed zeros
     included, and each block's header names its kind: t is a 1x1
     ``galerkin`` table, the scalars and the director are ``neumann``, and
-    the velocity is its n x dim ``galerkin`` coefficient table."""
+    the velocity is its n x dim ``galerkin`` coefficient table.  Beside
+    the snapshot is its history file, which for a state without history
+    is a header of no levels."""
     grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
     path = tmp_path / "state.dat"
     nodal = [[name, "neumann", "16", "32"]
@@ -470,6 +478,10 @@ def test_snapshot_round_trip(tmp_path):
                  if ln.startswith("FIELD ")]
         assert heads == ([["time", "galerkin", "1", "1"]] + nodal
                          + [["velocity", "galerkin", str(n), "2"]])
+        assert sorted(os.listdir(tmp_path)) == ["hist_state.bin",
+                                                "state.dat"]
+        assert (tmp_path / "hist_state.bin").read_bytes() \
+            == f"nlcflow-history 1 0 {n} 2 16 32\n".encode()
 
 
 def test_snapshot_lines_are_headers_or_numbers(tmp_path):
@@ -478,7 +490,8 @@ def test_snapshot_lines_are_headers_or_numbers(tmp_path):
     the text line by line, such as the benchmark's field minima, keep
     working."""
     grid = Grid((8, 16), (2.0, 2.0))
-    s = _random_state(grid, history=((1e-3, np.ones((3, 2))),))
+    s = _random_state(grid, history=((1e-3, np.ones((3, 2)),
+                                      np.ones(grid.shape)),))
     path = tmp_path / "state.dat"
     cli.write_snapshot(str(path), s)
     for line in path.read_text().splitlines():
@@ -488,20 +501,26 @@ def test_snapshot_lines_are_headers_or_numbers(tmp_path):
 
 
 def test_snapshot_table_round_trip(tmp_path):
-    """The history is a ``galerkin`` table: it keeps its own row and column
-    counts, and only its header kind exempts it from the grid-shape check.
-    A nodal block whose shape is not the grid's is rejected."""
+    """The velocity is a ``galerkin`` table: it keeps its own row and
+    column counts, and only its header kind exempts it from the grid-shape
+    check.  A nodal block whose shape is not the grid's is rejected.  The
+    history, two levels of 8-mode tables and nodal temperatures, one with
+    a dt that needs 17 digits, comes back bit for bit from its file."""
     grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
     rng = np.random.default_rng(5)
-    levels = ((SPECIAL_VALUES[7], rng.standard_normal((8, 2))),
-              (1e-3, rng.standard_normal((8, 2))))
-    s = _random_state(grid, history=levels)
+    levels = ((SPECIAL_VALUES[7], rng.standard_normal((8, 2)),
+               rng.standard_normal(grid.shape)),
+              (1e-3, rng.standard_normal((8, 2)),
+               rng.standard_normal(grid.shape)))
+    s = _random_state(grid, history=levels, n_modes=8)
     path = tmp_path / "state.dat"
     cli.write_snapshot(str(path), s)
     text = path.read_text()
-    assert "FIELD history galerkin 2 17\n" in text
+    assert "FIELD velocity galerkin 8 2\n" in text
+    assert (tmp_path / "hist_state.bin").read_bytes().startswith(
+        b"nlcflow-history 1 2 8 2 16 32\n")
     _assert_same_state(cli.read_snapshot(str(path), grid, 3), s)
-    for old, new in [("history galerkin 2 17", "history neumann 2 17"),
+    for old, new in [("velocity galerkin 8 2", "velocity neumann 8 2"),
                      ("rho neumann 16 32", "rho neumann 32 16")]:
         path.write_text(text.replace(old, new))
         with pytest.raises(IOFailure, match="neither a nodal block"):
@@ -527,38 +546,57 @@ def test_snapshot_corruption_raises(tmp_path):
 
 
 def test_snapshot_history_of_another_width_raises(tmp_path):
-    """A history whose rows are not a dt and whole ``dim``-component
-    Galerkin coefficients, or that is not a table, is an IOFailure."""
+    """A history level whose table is not n x ``dim`` Galerkin
+    coefficients, whose temperature is not on the grid, or whose table has
+    another mode count than the newest level's is refused by the writer.
+    A history file whose header is not this format's, or gives another
+    ``dim``, another grid, no modes or a negative level count, is an
+    IOFailure naming the history."""
     grid = Grid((8, 16), (2.0, 2.0))
     path = tmp_path / "state.dat"
+    theta = np.ones(grid.shape)
+    for levels in [((1e-3, np.arange(3.0), theta),),
+                   ((1e-3, np.ones((3, 1)), theta),),
+                   ((1e-3, np.ones((3, 2)), np.ones((16, 8))),),
+                   ((1e-3, np.ones((3, 2)), theta),
+                    (1e-3, np.ones((4, 2)), theta))]:
+        with pytest.raises(ValueError, match="history"):
+            cli.write_snapshot(str(path),
+                               _random_state(grid, history=levels))
     cli.write_snapshot(str(path), _random_state(
-        grid, history=((1e-3, np.arange(3.0)),)))
-    assert "FIELD history galerkin 1 4\n" in path.read_text()
-    with pytest.raises(IOFailure, match="history"):
-        cli.read_snapshot(str(path), grid, 3)
-    s = _random_state(grid)
-    cli.write_snapshot(str(path), s)
-    text = path.read_text()
-    for table in ["FIELD history galerkin 1 0\n",
-                  "FIELD history galerkin -1 3\n1e-3 0 0\n",
-                  text[text.index("FIELD rho "):text.index("FIELD theta ")]
-                  .replace("FIELD rho ", "FIELD history ")]:
-        path.write_text(text + table)
+        grid, history=((1e-3, np.ones((3, 2)), theta),)))
+    hist = tmp_path / "hist_state.bin"
+    header, payload = hist.read_bytes().split(b"\n", 1)
+    assert header == b"nlcflow-history 1 1 3 2 8 16"
+    assert len(payload) == 8 * (1 + 3 * 2 + 8 * 16)
+    for bad in [b"1 1 3 3 8 16", b"1 1 3 2 16 8", b"1 1 3 2 8",
+                b"1 1 3 2 8 16 1", b"1 1 0 2 8 16", b"1 -1 3 2 8 16",
+                b"2 1 3 2 8 16", b"1 1 3 2 8 1x", b"1 1 3 2 8 \xff"]:
+        hist.write_bytes(b"nlcflow-history " + bad + b"\n" + payload)
         with pytest.raises(IOFailure, match="history"):
             cli.read_snapshot(str(path), grid, 3)
+    for bad in [b"history 1 1 3 2 8 16", b"", b"\xff"]:
+        hist.write_bytes(bad + b"\n" + payload)
+        with pytest.raises(IOFailure, match="history"):
+            cli.read_snapshot(str(path), grid, 3)
+    hist.write_bytes(payload)
+    with pytest.raises(IOFailure, match="history"):
+        cli.read_snapshot(str(path), grid, 3)
 
 
 @pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
 def test_snapshot_matches_per_row_writer(tmp_path, shape):
     """One ``%`` per block writes the bytes of the per-row writer's current
     layout, for random values of every magnitude, the special values, both
-    kinds, the velocity table and the history, with each special value of
-    t.  Every file reads back bit for bit.  The v1 file the per-row writer
-    builds from the same state, with its velocity nodal, reads back with
-    that velocity projected onto the state's modes."""
+    kinds and the velocity table, with each special value of t.  Every
+    file reads back bit for bit, with the history from its own file.  The
+    v1 file the per-row writer builds from the same state, with its
+    velocity nodal, reads back with that velocity projected onto the
+    state's modes."""
     grid = Grid(shape, (2.0,) * len(shape))
+    s = _random_state(grid)
     history = ((1e-3, np.array(SPECIAL_VALUES[:len(shape) * 4])
-                .reshape(-1, len(shape))),)
+                .reshape(-1, len(shape)), s.rho),)
     s = _random_state(grid, history=history)
     path = tmp_path / "state.dat"
     for t in SPECIAL_VALUES + list(s.rho.flat[-5:]):
@@ -584,9 +622,12 @@ def test_snapshot_round_trip_exact(tmp_path):
 
 
 def test_snapshot_history_round_trip_exact(tmp_path):
-    """The solver history, two (dt, U) levels after two steps, goes after
-    the nodal fields and the velocity table and comes back bit for bit; a
-    state with no history writes no history block."""
+    """The solver history, two (dt, U, theta) levels after two steps, goes
+    to the binary file beside the snapshot, not into its text: a header
+    line, then per level its dt, table and temperature as little-endian
+    float64.  It comes back bit for bit, and rewriting the state read
+    gives the same bytes of both files.  A state with no history writes a
+    file of no levels."""
     from nlcflow import solver as sv
     from nlcflow.params import PhysParams, RegParams
     grid = Grid((16, 16), (2.0, 2.0))
@@ -597,26 +638,37 @@ def test_snapshot_history_round_trip_exact(tmp_path):
                                    PhysParams())]
     cli.write_snapshot(str(tmp_path / "s0.dat"), states[0])
     assert "history" not in (tmp_path / "s0.dat").read_text()
+    assert (tmp_path / "hist_s0.bin").read_bytes() \
+        == b"nlcflow-history 1 0 6 2 16 16\n"
     path = str(tmp_path / "s2.dat")
     cli.write_snapshot(path, states[-1])
     text = (tmp_path / "s2.dat").read_text()
-    lines = text.splitlines()
-    assert text.count("FIELD ") == 8
-    assert lines[-3] == "FIELD history galerkin 2 13"
+    assert text.count("FIELD ") == 7 and "history" not in text
+    raw = (tmp_path / "hist_s2.bin").read_bytes()
+    header = b"nlcflow-history 1 2 6 2 16 16\n"
+    assert raw[:len(header)] == header
+    assert len(raw) == len(header) + 8 * 2 * (1 + 6 * 2 + 16 * 16)
+    assert raw[len(header):] == np.concatenate(
+        [np.concatenate(([dt], U.ravel(), th.ravel()))
+         for dt, U, th in states[-1].history]).astype("<f8").tobytes()
     back = cli.read_snapshot(path, grid, 6)
     assert len(back.history) == 2
-    for (dt, U), (dt_back, U_back) in zip(states[-1].history, back.history):
+    for (dt, U, th), (dt_back, U_back, th_back), old in zip(
+            states[-1].history, back.history, states[1::-1]):
         assert dt_back == dt and U_back.shape == U.shape == (6, 2)
-        assert np.array_equal(U_back, U)
+        assert np.array_equal(U_back, U) and np.array_equal(U, old.U)
+        assert np.array_equal(th_back, th) and np.array_equal(th, old.theta)
     cli.write_snapshot(str(tmp_path / "again.dat"), back)
     assert (tmp_path / "again.dat").read_text() == text
+    assert (tmp_path / "hist_again.bin").read_bytes() == raw
 
 
 def test_snapshot_stepped_state_round_trip(tmp_path):
     """Regularized initial data and every stepped state carry their
     Galerkin velocity: the snapshot stores it as the ``velocity`` table,
     and reading it back rebuilds ``u`` bit for bit through the cached
-    basis.  Rewriting the state read gives the same bytes."""
+    basis.  Rewriting the state read gives the same bytes of the snapshot
+    and of its history file."""
     from nlcflow import solver as sv
     from nlcflow.params import PhysParams, RegParams
     grid = Grid((16, 16), (2.0, 2.0))
@@ -638,6 +690,8 @@ def test_snapshot_stepped_state_round_trip(tmp_path):
         _assert_same_state(back, s)
         cli.write_snapshot(str(tmp_path / "again.dat"), back)
         assert (tmp_path / "again.dat").read_text() == text
+        assert (tmp_path / "hist_again.bin").read_bytes() \
+            == (tmp_path / f"hist_s{k}.bin").read_bytes()
     assert k == 3
 
 
@@ -692,10 +746,11 @@ def _block_text(text, name):
 
 def test_restart_from_v1_snapshot_continues_the_run(tmp_path):
     """A v1 snapshot, as the per-row writer builds it with the velocity
-    nodal and t at every node, reads back with its nodal velocity
-    projected onto the run's modes, and a restart from it continues the
-    continuous run to round-off: it steps from the projection of the
-    reconstructed table, not from the table itself."""
+    nodal and t at every node, beside the continuous run's history file,
+    reads back with its nodal velocity projected onto the run's modes, and
+    a restart from it continues the continuous run to round-off: it steps
+    from the projection of the reconstructed table, not from the table
+    itself."""
     whole = _write(tmp_path, "whole.cfg",
                    RESTART_CFG.format(out=tmp_path / "whole"))
     assert cli.main(["run", whole]) == 0
@@ -704,6 +759,8 @@ def test_restart_from_v1_snapshot_continues_the_run(tmp_path):
                           8)
     old = tmp_path / "v1.dat"
     old.write_text(_per_row_snapshot(s))
+    shutil.copy(tmp_path / "whole" / "hist_000005.bin",
+                tmp_path / "hist_v1.bin")
     _assert_projected_state(cli.read_snapshot(str(old), grid, 8), s)
     restart = _write(tmp_path, "restart.cfg",
                      RESTART_CFG.format(out=tmp_path / "second")
@@ -720,16 +777,16 @@ def test_restart_from_v1_snapshot_continues_the_run(tmp_path):
 
 
 def test_restart_from_snapshot_without_history(tmp_path, monkeypatch):
-    """A snapshot without the history block, as written before the solver
-    kept one, still restarts; its first step starts from u^n and the later
-    ones from the predictor, the second from its one level."""
+    """A snapshot without its history file, as written before the solver
+    kept a history, still restarts; its first step starts from u^n and
+    the later ones from the predictor, the second from its one level."""
     from nlcflow import solver as sv
     whole = _write(tmp_path, "whole.cfg",
                    RESTART_CFG.format(out=tmp_path / "whole"))
     assert cli.main(["run", whole]) == 0
-    text = (tmp_path / "whole" / "snap_000005.dat").read_text()
     old = tmp_path / "old.dat"
-    old.write_text(text[:text.index("FIELD history ")])
+    shutil.copy(tmp_path / "whole" / "snap_000005.dat", old)
+    assert not (tmp_path / "hist_old.bin").exists()
     records = []
     step = sv.step_coupled
 
@@ -745,6 +802,41 @@ def test_restart_from_snapshot_without_history(tmp_path, monkeypatch):
     assert cli.main(["run", restart]) == 0
     assert [rec.predicted for rec in records] == [False, True, True, True,
                                                   True]
+
+
+def test_restart_skips_a_text_history_block(tmp_path):
+    """Older writers ended a snapshot with its history as the text table
+    ``FIELD history galerkin <levels> <1+n*dim>``, one row of dt and
+    coefficients per level.  The reader checks that block as any other
+    and does not use it: with no history file beside it, the state has no
+    history, and its restart is the restart from the file without the
+    block, byte for byte."""
+    whole = _write(tmp_path, "whole.cfg",
+                   RESTART_CFG.format(out=tmp_path / "whole"))
+    assert cli.main(["run", whole]) == 0
+    snap = tmp_path / "whole" / "snap_000005.dat"
+    s = cli.read_snapshot(str(snap), Grid((32, 32), (2.0, 2.0)), 8)
+    assert len(s.history) == 5
+    rows = [" ".join("%.17g" % v for v in np.concatenate(([dt], U.ravel())))
+            for dt, U, _ in s.history]
+    text = snap.read_text()
+    outs = {}
+    for name, body in (("old", text + "FIELD history galerkin 5 17\n"
+                        + "\n".join(rows) + "\n"), ("plain", text)):
+        path = tmp_path / f"{name}.dat"
+        path.write_text(body)
+        assert cli.read_snapshot(str(path), s.grid, 8).history == ()
+        cfg = _write(tmp_path, f"{name}.cfg",
+                     RESTART_CFG.format(out=tmp_path / name)
+                     + f"init.snapshot = {path}\n")
+        assert cli.main(["run", cfg]) == 0
+        outs[name] = (tmp_path / name / "snap_000005.dat").read_bytes()
+    assert outs["old"] == outs["plain"]
+    nan = tmp_path / "nan.dat"
+    nan.write_text(text + "FIELD history galerkin 1 17\nnan"
+                   + " 0" * 16 + "\n")
+    with pytest.raises(IOFailure, match="'history' holds a non-finite"):
+        cli.read_snapshot(str(nan), s.grid, 8)
 
 
 @pytest.mark.parametrize("field,stored,wrong", [("u0", "dirichlet", "neumann"),
@@ -776,7 +868,8 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
     ("FIELD theta neumann 32\n", "FIELD rho neumann 32\n"),
     (r"(FIELD rho neumann 32\n)[^\n]+", r"\1nan"),
     ("FIELD time galerkin 1 1\n0.002\n", "FIELD time galerkin 1 1\ninf\n"),
-    (r"(FIELD history galerkin 2 7\n)0\.001 ", r"\1nan "),
+    (rb"(?<=\n)" + re.escape(np.float64(1e-3).tobytes()),
+     lambda m: np.float64(np.nan).tobytes()),
     ("FIELD theta neumann 32\n",
      "FIELD rho neumann 32\n" + "2 " * 31 + "2\nFIELD theta neumann 32\n"),
     ("FIELD theta neumann 32\n", "FIELD zeta neumann 32\n"),
@@ -785,19 +878,55 @@ def test_restart_from_snapshot_with_wrong_parity_exits_2(tmp_path, capsys,
 def test_restart_from_malformed_snapshot_exits_4(tmp_path, capsys, old,
                                                  new):
     """A snapshot whose header dims are not integers, whose kind is
-    unknown, that lacks a field, that holds a non-finite value or that
-    repeats a block (here a second, altered ``rho``) is an input failure:
+    unknown, that lacks a field, that holds a non-finite value (in the
+    ``nan-history`` case the first dt of its history file) or that repeats
+    a block (here a second, altered ``rho``) is an input failure:
     ``solve run`` exits 4 with an ``i/o error`` line and writes nothing."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
-    text = (tmp_path / "out" / "snap_000002.dat").read_text()
-    text, count = re.subn(old, new, text)
-    assert count == 1
+    snap = tmp_path / "out" / "snap_000002.dat"
     bad = tmp_path / "bad.dat"
-    bad.write_text(text)
+    if isinstance(old, bytes):      # an edit of the history file
+        shutil.copy(snap, bad)
+        data, count = re.subn(old, new, (tmp_path / "out" /
+                                         "hist_000002.bin").read_bytes())
+        (tmp_path / "hist_bad.bin").write_bytes(data)
+    else:
+        text, count = re.subn(old, new, snap.read_text())
+        bad.write_text(text)
+    assert count == 1
     cfg = _run_cfg(tmp_path, out="again", extra=f"init.snapshot = {bad}\n")
     capsys.readouterr()
     assert cli.main(["run", cfg]) == 4
     assert "i/o error" in capsys.readouterr().err
+    assert not any((tmp_path / "again").iterdir())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw[:-8],
+    lambda raw: raw + bytes(8),
+    lambda raw: raw[:-8] + np.float64(np.inf).tobytes(),
+    lambda raw: raw.replace(b" 6 1 32\n", b" 6 1 16\n", 1),
+    lambda raw: raw.replace(b" 6 1 32\n", b" 3 2 32\n", 1),
+    lambda raw: raw.split(b"\n", 1)[1],
+], ids=["truncated", "too-long", "inf-theta", "other-grid", "other-dim",
+        "headless"])
+def test_restart_from_malformed_history_exits_4(tmp_path, capsys, edit):
+    """A history file shorter or longer than its header says, holding a
+    non-finite value, written on another grid or in another dim, or
+    without its header is an input failure: ``solve run`` exits 4 with an
+    ``i/o error`` line naming the history file and writes nothing."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    raw = (tmp_path / "out" / "hist_000002.bin").read_bytes()
+    assert raw.startswith(b"nlcflow-history 1 2 6 1 32\n")
+    shutil.copy(tmp_path / "out" / "snap_000002.dat", tmp_path / "bad.dat")
+    (tmp_path / "hist_bad.bin").write_bytes(edit(raw))
+    cfg = _run_cfg(tmp_path, out="again",
+                   extra=f"init.snapshot = {tmp_path / 'bad.dat'}\n")
+    capsys.readouterr()
+    assert cli.main(["run", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "hist_bad.bin" in err
+    assert not any((tmp_path / "again").iterdir())
     assert not any((tmp_path / "again").iterdir())
 
 

@@ -734,8 +734,9 @@ def _same_state(a, b):
 
 
 def test_history_keeps_five_levels_newest_first(grid2d):
-    """Each step hands its new state the Galerkin coefficients of the
-    state it started from and keeps the newest four levels of the old
+    """Each step hands its new state the Galerkin coefficients and the
+    temperature of the state it started from, the temperature as that
+    state's own array, and keeps the newest four levels of the old
     history, so after k steps a state holds min(k, 5) levels, 40 steps
     into a run too."""
     s0, reg = _twist_start(grid2d)
@@ -746,9 +747,10 @@ def test_history_keeps_five_levels_newest_first(grid2d):
     for k in range(1, 41):
         levels = states[k].history
         assert len(levels) == min(k, sv._HISTORY_LEVELS) == min(k, 5)
-        for j, (dt, U) in enumerate(levels):
+        for j, (dt, U, theta) in enumerate(levels):
             assert dt == records[k - j].dt
             assert np.array_equal(U, states[k - 1 - j].U)
+            assert theta is states[k - 1 - j].theta
 
 
 def test_predicted_steps_take_one_sweep(grid2d):
@@ -811,29 +813,65 @@ def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, levels):
 
 def test_predictor_reproduces_polynomials_in_t():
     """From k equal-dt levels the predictor is the polynomial of degree k
-    through U^n and those levels: it reproduces every coefficient table
-    that is a polynomial of degree k in t to round-off, at k = 2 to 5, and
-    misses a degree-6 one from five levels by its leading error
-    6! dt^6 c_6."""
+    through level n and those levels, for the Galerkin table and the nodal
+    temperature of a history alike: it reproduces every table and
+    temperature that is a polynomial of degree k in t to round-off, at
+    k = 1 to 5, and misses a degree-6 one from five levels by its leading
+    error 6! dt^6 c_6."""
     rng = np.random.default_rng(5)
     dt, t_n, scale = 1e-3, 0.05, 0.1
-    coeffs = rng.standard_normal((7, 8, 2))
+    coeffs = (rng.standard_normal((7, 8, 2)),
+              rng.standard_normal((7, 16, 16)))
 
-    def table(t, degree):
-        return sum(c * (t / scale) ** q
-                   for q, c in enumerate(coeffs[:degree + 1]))
+    def level(t, degree):
+        """The (table, temperature) pair at t, each of ``degree``."""
+        return tuple(sum(c * (t / scale) ** q
+                         for q, c in enumerate(cs[:degree + 1]))
+                     for cs in coeffs)
 
-    for k in (2, 3, 4, 5):
-        history = tuple((dt, table(t_n - j * dt, k)) for j in range(1, 6))
-        assert sv._predicts(history[:k], dt, (8, 2)) == k
-        got = sv._extrapolate(table(t_n, k), history, k)
-        want = table(t_n + dt, k)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
-    history = tuple((dt, table(t_n - j * dt, 6)) for j in range(1, 6))
-    assert sv._predicts(history, dt, (8, 2)) == 5
-    miss = sv._extrapolate(table(t_n, 6), history, 5) - table(t_n + dt, 6)
-    lead = -math.factorial(6) * (dt / scale) ** 6 * coeffs[6]
-    assert np.abs(miss - lead).max() <= 1e-3 * np.abs(lead).max()
+    for k in (1, 2, 3, 4, 5, 6):
+        history = tuple((dt,) + level(t_n - j * dt, k) for j in range(1, 6))
+        order = min(k, 5)
+        assert sv._predicts(history[:order], dt, (8, 2)) == order
+        for f, (now, want) in enumerate(zip(level(t_n, k),
+                                            level(t_n + dt, k))):
+            got = sv._extrapolate(now, [lv[1 + f] for lv in history], order)
+            if k <= 5:
+                assert np.abs(got - want).max() \
+                    <= 1e-13 * np.abs(want).max(), (k, f)
+            else:
+                lead = -math.factorial(6) * (dt / scale) ** 6 * coeffs[f][6]
+                assert np.abs(got - want - lead).max() \
+                    <= 1e-3 * np.abs(lead).max(), f
+
+
+def test_predicted_heat_solve_starts_from_the_extrapolated_temperature(
+        grid2d, monkeypatch):
+    """A step predicted from five levels starts its first heat CG from the
+    quintic extrapolation of theta through theta^n and the five levels,
+    not from theta^n, and so takes fewer heat-operator applies than the
+    same step with its history dropped, which starts from theta^n.  Both
+    take one sweep and reach the inner tolerance."""
+    s, reg = _stepped_state(grid2d, 6)
+    assert len(s.history) == 5
+    starts = []
+    pcg = sv._pcg
+
+    def spy_pcg(apply_op, precond, b, x0, *args, **kwargs):
+        starts.append(x0)
+        return pcg(apply_op, precond, b, x0, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "_pcg", spy_pcg)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    _, rec = sv.step_coupled(s, reg, cfg, PhysParams())
+    _, plain = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
+    assert rec.predicted and not plain.predicted
+    assert rec.picard_iters == 1 and len(starts) == 1 + plain.picard_iters
+    assert np.array_equal(starts[0], sv._extrapolate(
+        s.theta, [th for _, _, th in s.history], 5))
+    assert starts[1] is s.theta
+    assert rec.heat_applies < plain.heat_applies
+    assert rec.heat_residual <= 1e-13 and plain.heat_residual <= 1e-13
 
 
 def test_level_of_another_dt_cuts_the_order(grid2d):
@@ -842,24 +880,24 @@ def test_level_of_another_dt_cuts_the_order(grid2d):
     ends it, and a run of one level predicts linearly.  A step from five
     levels whose fourth has another dt is the step from the first three,
     bit for bit."""
-    dt, shape = 1e-3, (8, 2)
-    same = (dt, np.zeros(shape))
+    dt, shape, theta = 1e-3, (8, 2), np.ones(grid2d.shape)
+    same = (dt, np.zeros(shape), theta)
     assert sv._predicts((same,) * 6, dt, shape) == 5
-    assert sv._predicts((same,) * 3 + ((2 * dt, np.zeros(shape)),)
+    assert sv._predicts((same,) * 3 + ((2 * dt, np.zeros(shape), theta),)
                         + (same,) * 2, dt, shape) == 3
-    assert sv._predicts((same, same, (dt, np.zeros((6, 2))), same), dt,
-                        shape) == 2
-    assert sv._predicts((same, (dt / 2, np.zeros(shape))) + (same,) * 4, dt,
-                        shape) == 1
-    assert sv._predicts(((dt / 2, np.zeros(shape)),) + (same,) * 4, dt,
-                        shape) == 0
-    assert sv._predicts(((dt * (1 + 1e-12), np.zeros(shape)),) * 4, dt,
-                        shape) == 4
+    assert sv._predicts((same, same, (dt, np.zeros((6, 2)), theta), same),
+                        dt, shape) == 2
+    assert sv._predicts((same, (dt / 2, np.zeros(shape), theta))
+                        + (same,) * 4, dt, shape) == 1
+    assert sv._predicts(((dt / 2, np.zeros(shape), theta),) + (same,) * 4,
+                        dt, shape) == 0
+    assert sv._predicts(((dt * (1 + 1e-12), np.zeros(shape), theta),) * 4,
+                        dt, shape) == 4
 
     s, reg = _stepped_state(grid2d, 5)
     levels = list(s.history)
     assert len(levels) == 5
-    levels[3] = (2 * dt, levels[3][1])
+    levels[3] = (2 * dt,) + levels[3][1:]
     cfg = sv.SolverConfig(dt=dt, t_end=1.0)
     cut, rec = sv.step_coupled(
         sv.State(grid2d, s.t, s.rho, s.U, s.theta, s.d, levels), reg, cfg,
@@ -897,8 +935,8 @@ def test_history_of_another_shape_is_ignored(grid2d):
     (n, dim) shape, as after a restart with other Galerkin modes, predict
     nothing and are not carried forward."""
     s, reg = _stepped_state(grid2d)
-    wide = tuple((dt, np.zeros((reg.n_modes + 1, grid2d.dim)))
-                 for dt, _ in s.history)
+    wide = tuple((dt, np.zeros((reg.n_modes + 1, grid2d.dim)), theta)
+                 for dt, _, theta in s.history)
     odd = sv.State(grid2d, s.t, s.rho, s.U, s.theta, s.d, wide)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     s1, rec = sv.step_coupled(odd, reg, cfg, PhysParams())
