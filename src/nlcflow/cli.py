@@ -293,49 +293,29 @@ def _finite_or_null(obj):
 # ---------------------------------------------------------------------------
 
 def cmd_run(config_path):
-    """``solve run``: as each state arrives, append and flush its CSV row
-    (with the step's residuals) and write its snapshot on the cadence; the
-    last accepted state is always written.  Keeping only the previous state
-    holds memory flat, and a failed run keeps every state before it."""
+    """``solve run``: :func:`diagnostics.stream` writes the CSV rows; each
+    state's snapshot is written on the cadence, and the last accepted one
+    always, also when a step fails; no state is kept past the next."""
     cfg = cf.parse_config(config_path)
     out = _out_dir(cfg)
-    res_ids = list(dict.fromkeys(cfg.output.residuals))
     cadence = cfg.output.cadence
-    csv = battery = prev = None
-    k = snapped = -1        # indices of ``prev`` and of the last snapshot
+    k = snapped = -1        # indices of ``last`` and of the last snapshot
     try:
-        for s, rec in sv.run(_prepared_state(cfg), cfg.reg, cfg.solver,
-                             cfg.phys):
-            der = dg.derivatives(s, cfg.phys)
+        for last, rec, _, diag in dg.stream(
+                _prepared_state(cfg), cfg.reg, cfg.solver, cfg.phys,
+                os.path.join(out, "diagnostics.csv"), cfg.output.residuals):
             if rec is None:
                 _write_text(os.path.join(out, "config.resolved"),
                             cf.serialize(cfg))
-                csv = open(os.path.join(out, "diagnostics.csv"), "w",
-                           encoding="utf-8")
-                csv.write(dg.csv_header(res_ids))
-                if res_ids:
-                    battery = dg.cosine_battery(s.grid)
-                residuals = [0.0] * len(res_ids)
-            elif res_ids:
-                rows = dg.renormalized_continuity_residual(
-                    prev, s, der, rec, cfg.reg.eps, res_ids, battery)
-                residuals = [max(abs(v) for v in rows[b].values())
-                             for b in res_ids]
-            last = dg.make_record(s, der, cfg.reg, cfg.phys,
-                                  dt=None if rec is None else rec.dt)
-            csv.write(dg.csv_line(last, residuals))
-            csv.flush()
-            prev, k = s, k + 1
+            k += 1
             if cadence > 0 and k % cadence == 0:
-                write_snapshot(os.path.join(out, "snap_%06d.dat" % k), s)
+                write_snapshot(os.path.join(out, "snap_%06d.dat" % k), last)
                 snapped = k
     finally:
-        if csv is not None:
-            csv.close()
         if k > snapped:
-            write_snapshot(os.path.join(out, "snap_%06d.dat" % k), prev)
-    print(f"run complete: steps={k} t={prev.t:.6g} "
-          f"mass={last.mass:.12g} energy={last.energy_total:.12g}")
+            write_snapshot(os.path.join(out, "snap_%06d.dat" % k), last)
+    print(f"run complete: steps={k} t={last.t:.6g} "
+          f"mass={diag.mass:.12g} energy={diag.energy_total:.12g}")
     print(f"outputs in {out}")
     return 0
 
@@ -349,7 +329,7 @@ def cmd_continuation(config_path):
     out = _out_dir(cfg)
     raw = _initial_state(cfg)
     _write_text(os.path.join(out, "config.resolved"), cf.serialize(cfg))
-    report = ct.run_study(cfg, raw, csv_dir=out)
+    report = ct.run_study(cfg, raw, out)
     _write_text(os.path.join(out, "report.json"),
                 json.dumps(report, indent=2, sort_keys=True) + "\n")
     for line in summarize_report(report):

@@ -66,11 +66,10 @@ def _prepare_state(cfg, raw, reg):
         theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
 
 
-def _execute(cfg, s0, reg, csv_path=None):
-    """One schedule entry, from its prepared initial state ``s0``: run it,
-    folding the time-integrated functionals and the nearest-time snapshots
-    as each state arrives, and appending each state's diagnostics row to
-    ``csv_path`` if given."""
+def _execute(cfg, s0, reg, csv_path):
+    """One schedule entry from its prepared state ``s0``, its rows streamed
+    to ``csv_path``: fold the time-integrated functionals and the
+    nearest-time snapshots as each state arrives."""
     grid = s0.grid
     plan = spectral_plan(grid)
     p = cfg.phys
@@ -82,39 +81,25 @@ def _execute(cfg, s0, reg, csv_path=None):
     snaps = [None] * len(wanted)
     gaps = [math.inf] * len(wanted)
     steps = -1
-    csv = None if csv_path is None else open(csv_path, "w", encoding="utf-8")
-    try:
-        if csv is not None:
-            csv.write(dg.csv_header())
-        for s, rec in sv.run(s0, reg, cfg.solver, p):
-            der = dg.derivatives(s, p)
-            diag = dg.make_record(s, der, reg, p,
-                                  dt=None if rec is None else rec.dt)
-            if csv is not None:
-                csv.write(dg.csv_line(diag))
-                csv.flush()
-            steps += 1
-            # a strictly smaller gap replaces, so ties go to the earlier state
-            for i, t_req in enumerate(wanted):
-                if abs(s.t - t_req) < gaps[i]:
-                    snaps[i], gaps[i] = s, abs(s.t - t_req)
-            if rec is None:
-                energy_initial = diag.energy_total
-                continue
-            dt = rec.dt
-            emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
-            acc["grad_rho_sq"] += dt * integrate_values(
-                grid, der.grad_rho_sq)
-            acc["lap_rho_sq"] += dt * integrate_values(
-                grid, plan.div(der.rho, dirichlet(grid.dim)) ** 2)
-            acc["rho_beta"] += dt * integrate_values(
-                grid, np.maximum(s.rho, 0.0) ** reg.beta)
-            acc["theta_pow"] += dt * integrate_values(
-                grid, np.maximum(s.theta, 0.0) ** alpha1)
-            acc["pressure_weight"] += diag.pressure_weight_increment
-    finally:
-        if csv is not None:
-            csv.close()
+    for s, rec, der, diag in dg.stream(s0, reg, cfg.solver, p, csv_path):
+        steps += 1
+        # a strictly smaller gap replaces, so ties go to the earlier state
+        for i, t_req in enumerate(wanted):
+            if abs(s.t - t_req) < gaps[i]:
+                snaps[i], gaps[i] = s, abs(s.t - t_req)
+        if rec is None:
+            energy_initial = diag.energy_total
+            continue
+        dt = rec.dt
+        emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
+        acc["grad_rho_sq"] += dt * integrate_values(grid, der.grad_rho_sq)
+        acc["lap_rho_sq"] += dt * integrate_values(
+            grid, plan.div(der.rho, dirichlet(grid.dim)) ** 2)
+        acc["rho_beta"] += dt * integrate_values(
+            grid, np.maximum(s.rho, 0.0) ** reg.beta)
+        acc["theta_pow"] += dt * integrate_values(
+            grid, np.maximum(s.theta, 0.0) ** alpha1)
+        acc["pressure_weight"] += diag.pressure_weight_increment
 
     summary = {
         "n_modes": reg.n_modes,
@@ -197,25 +182,23 @@ def _uniform(summaries, keys):
     return out
 
 
-def run_study(cfg, raw, csv_dir=None):
+def run_study(cfg, raw, out):
     """Run the study of ``cfg.cont`` from the raw initial state ``raw``,
-    regularized afresh for each schedule entry.  Each run's snapshots are
-    compared with the previous run's as soon as it ends, and only the
-    latest are kept.  With ``csv_dir``, the runs stream their rows to
-    ``run_00.csv``, ``run_01.csv``, ... there; each entry's initial state
-    is prepared before its CSV is opened, so an entry whose mode count the
-    grid cannot hold leaves no file."""
+    regularized afresh for each schedule entry, streaming the runs' rows
+    to ``run_00.csv``, ``run_01.csv``, ... in the directory ``out``.  Each
+    run's snapshots are compared with the previous run's as soon as it
+    ends, and only the latest are kept.  An entry's CSV is opened when its
+    first state arrives, so an entry whose mode count the grid cannot hold
+    leaves no file."""
     study = STUDIES[cfg.cont.study]
     gamma = cfg.phys.gamma if study.oscillation else None
     runs, distances, prev = [], [], None
     for i, reg in enumerate(cfg.cont.schedule):
-        csv_path = None if csv_dir is None else os.path.join(
-            csv_dir, "run_%02d.csv" % i)
         entry = (f"schedule entry {i} (n={reg.n_modes}, eps={reg.eps!r}, "
                  f"delta={reg.delta!r})")
         try:
-            summary, snaps = _execute(cfg, _prepare_state(cfg, raw, reg),
-                                      reg, csv_path)
+            summary, snaps = _execute(cfg, _prepare_state(cfg, raw, reg), reg,
+                                      os.path.join(out, "run_%02d.csv" % i))
         except TooManyModes as exc:
             exc.key, exc.entry = "continuation.n", entry
             raise

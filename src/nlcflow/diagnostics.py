@@ -1,7 +1,7 @@
-"""Monitored functionals, budget audits and renormalized residuals, and the
-CSV row format of the records.
+"""Monitored functionals, budget audits and renormalized residuals, the
+CSV rows of the records, and :func:`stream`, the one run loop.
 
-Everything here is read-only over solver states, each differentiated once
+Everything else is read-only over solver states, each differentiated once
 by :func:`derivatives`.  The energy budget residual of a step is read off
 its two states and their passes alone: its dissipation is the one the
 scheme's ledger exchanges, evaluated with the step's own kernels, so the
@@ -41,8 +41,7 @@ class DiagRecord:
 
 
 # ---------------------------------------------------------------------------
-# CSV rows: one per record, written by ``solve run`` and by every run of
-# ``solve continuation``
+# the run loop and its CSV rows, one per record
 # ---------------------------------------------------------------------------
 
 CSV_VERSION = 1
@@ -87,6 +86,41 @@ def csv_line(rec, residuals=()):
     """The row of one record, followed by its residual values."""
     return ",".join(format_float(v)
                     for v in _record_row(rec) + list(residuals)) + "\n"
+
+
+def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
+           res_ids=()):
+    """``solver.run`` from ``s0`` as ``(s, rec, der, diag)``: each state,
+    its StepRecord, derivative pass and record.  Each row, with the largest
+    renormalized residual per id of ``res_ids`` (0 for ``s0``), is appended
+    to ``csv_path`` and flushed before its state is yielded; the file opens
+    when the first state arrives and closes on exit or failure."""
+    res_ids = list(dict.fromkeys(res_ids))
+    states = sv.run(s0, reg, solver_cfg, phys)
+    del s0      # ``solver.run`` hands it out and lets it go
+    csv = prev = None
+    try:
+        for s, rec in states:
+            der = derivatives(s, phys)
+            if rec is None:
+                csv = open(csv_path, "w", encoding="utf-8")
+                csv.write(csv_header(res_ids))
+                battery = cosine_battery(s.grid) if res_ids else None
+                residuals = [0.0] * len(res_ids)
+            elif res_ids:
+                rows = renormalized_continuity_residual(
+                    prev, s, der, rec, reg.eps, res_ids, battery)
+                residuals = [max(abs(v) for v in rows[b].values())
+                             for b in res_ids]
+            diag = make_record(s, der, reg, phys,
+                               dt=None if rec is None else rec.dt)
+            csv.write(csv_line(diag, residuals))
+            csv.flush()
+            prev = s
+            yield s, rec, der, diag
+    finally:
+        if csv is not None:
+            csv.close()
 
 
 # ---------------------------------------------------------------------------

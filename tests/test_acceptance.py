@@ -301,7 +301,7 @@ def test_criterion_07_mms_convergence(capsys):
 # 8. uniform bounds along the regularization families
 # ---------------------------------------------------------------------------
 
-def test_criterion_08_continuation_bounds(capsys):
+def test_criterion_08_continuation_bounds(capsys, tmp_path):
     t0 = time.perf_counter()
 
     def study(name, eps, delta):
@@ -312,7 +312,7 @@ def test_criterion_08_continuation_bounds(capsys):
             f"continuation.n = 8\ncontinuation.eps = {eps}\n"
             f"continuation.delta = {delta}\n")
         raw = presets.build("density-bump", cfg.grid, amplitude=0.4)
-        return ct.run_study(cfg, raw)
+        return ct.run_study(cfg, raw, tmp_path)
 
     visc = study("viscosity", "1e-1,5e-2,2.5e-2", "1e-3")
     grad_spread = visc["uniform_bounds"]["eps_grad_rho_sq_spread"]

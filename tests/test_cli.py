@@ -1147,7 +1147,9 @@ def test_continuation_failure_names_its_entry(tmp_path, capsys,
     """A solver failure on the first step of schedule entry 1 exits 3 with
     a message that names the entry and its delta besides the step, t and
     dt.  The files written before it, ``config.resolved`` and
-    ``run_00.csv``, are the unfailed study's, and no report is written."""
+    ``run_00.csv``, are the unfailed study's, ``run_01.csv`` holds the
+    unfailed study's header and state-0 row, flushed before the step
+    failed, and no report is written."""
     from nlcflow import solver as sv
     from nlcflow.errors import NonFiniteState
     cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
@@ -1171,7 +1173,30 @@ def test_continuation_failure_names_its_entry(tmp_path, capsys,
     for name in ("config.resolved", "run_00.csv"):
         assert (tmp_path / "broken" / name).read_bytes() \
             == (tmp_path / "whole" / name).read_bytes()
+    whole = (tmp_path / "whole" / "run_01.csv").read_text()
+    head = "".join(whole.splitlines(keepends=True)[:3])
+    assert head.startswith("# nlcflow-csv v1\nt,") and len(head) < len(whole)
+    assert (tmp_path / "broken" / "run_01.csv").read_text() == head
     assert not (tmp_path / "broken" / "report.json").exists()
+
+
+def test_continuation_entry_is_the_run_of_its_regularization(tmp_path):
+    """A continuation entry is the run ``solve run`` makes with the entry's
+    ``reg.n_modes``, ``reg.eps`` and ``reg.delta``: entry 1's
+    ``run_01.csv`` is, header and every row, the run's ``diagnostics.csv``
+    with its trailing ``res_*`` column dropped."""
+    cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
+    assert cli.main(["continuation", cfg]) == 0
+    cfg = _write(tmp_path, "run.cfg", CONT_CFG.format(out=tmp_path / "r")
+                 + "reg.n_modes = 6\nreg.eps = 1e-3\nreg.delta = 1e-3\n")
+    assert cli.main(["run", cfg]) == 0
+    width = len(dg.CSV_COLUMNS)
+    lines = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()
+    assert lines[1].split(",")[width:] == ["res_identity"]
+    cut = [lines[0]] + [",".join(ln.split(",")[:width]) for ln in lines[1:]]
+    assert len(cut) == 2 + 6
+    assert (tmp_path / "c" / "run_01.csv").read_text() \
+        == "\n".join(cut) + "\n"
 
 
 def test_mms_command_spatial_order(tmp_path):

@@ -17,12 +17,11 @@ from nlcflow.fields import Grid
 from conftest import equilibrium_state, read_csv
 
 
-def _study(study, schedule, t_end=0.01, preset="density-bump",
-           amplitude=0.4, dt=1e-3, shape=(32, 32), snapshot_times=(),
-           csv_dir=None):
+def _study(out, study, schedule, t_end=0.01, preset="density-bump",
+           amplitude=0.4, dt=1e-3, shape=(32, 32), snapshot_times=()):
     """The report of ``study`` along ``schedule``, run the way
     ``solve continuation`` runs it: from a parsed config and a raw
-    preset."""
+    preset, its ``run_XX.csv`` files written to the directory ``out``."""
     def listed(values):
         return ",".join(repr(v) for v in values)
 
@@ -38,7 +37,7 @@ def _study(study, schedule, t_end=0.01, preset="density-bump",
         text += f"continuation.snapshots = {listed(snapshot_times)}\n"
     cfg = cf.parse_config_text(text)
     raw = presets.build(preset, cfg.grid, amplitude=amplitude)
-    return ct.run_study(cfg, raw, csv_dir)
+    return ct.run_study(cfg, raw, out)
 
 
 def _assert_finite(obj):
@@ -56,9 +55,9 @@ def _assert_finite(obj):
 # study reports
 # ---------------------------------------------------------------------------
 
-def test_repeated_schedule_identical_runs():
-    report = _study("galerkin", [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)],
-                    t_end=5e-3)
+def test_repeated_schedule_identical_runs(tmp_path):
+    report = _study(tmp_path, "galerkin",
+                    [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)], t_end=5e-3)
     a, b = report["runs"]
     assert a == b
     for row in report["distances"]:
@@ -69,10 +68,9 @@ def test_repeated_schedule_identical_runs():
 
 
 def test_galerkin_refinement_self_convergence(tmp_path):
-    report = _study("galerkin",
+    report = _study(tmp_path, "galerkin",
                     [(4, 1e-2, 1e-3), (8, 1e-2, 1e-3), (16, 1e-2, 1e-3)],
-                    t_end=0.02, preset="director-twist", amplitude=0.6,
-                    csv_dir=str(tmp_path))
+                    t_end=0.02, preset="director-twist", amplitude=0.6)
     gaps = [row["u_l2"] for row in report["distances"]]
     assert gaps[1] < gaps[0]
     assert report["uniform_bounds"]["energy_max_ratio"] <= 1.0 + 1e-6
@@ -86,8 +84,8 @@ def test_galerkin_refinement_self_convergence(tmp_path):
         assert rows[-1][0] == run["final_time"]
 
 
-def test_viscosity_family_bounds_and_decay():
-    report = _study("viscosity",
+def test_viscosity_family_bounds_and_decay(tmp_path):
+    report = _study(tmp_path, "viscosity",
                     [(8, 1e-1, 1e-3), (8, 5e-2, 1e-3), (8, 2.5e-2, 1e-3)])
     assert report["uniform_bounds"]["eps_grad_rho_sq_spread"] < 10.0
     assert report["decay"]["eps_lap_rho"]["nonincreasing_5pct"]
@@ -96,8 +94,8 @@ def test_viscosity_family_bounds_and_decay():
     assert all(r["pressure_weight"] > 0 for r in report["runs"])
 
 
-def test_viscosity_eps_zero_terms_vanish():
-    report = _study("viscosity", [(6, 0.0, 1e-3)], t_end=2e-3,
+def test_viscosity_eps_zero_terms_vanish(tmp_path):
+    report = _study(tmp_path, "viscosity", [(6, 0.0, 1e-3)], t_end=2e-3,
                     shape=(16, 16))
     (run,) = report["runs"]
     assert run["eps_grad_rho_sq"] == 0.0
@@ -105,8 +103,8 @@ def test_viscosity_eps_zero_terms_vanish():
     assert math.isfinite(report["uniform_bounds"]["eps_grad_rho_sq_spread"])
 
 
-def test_pressure_family_decay():
-    report = _study("pressure",
+def test_pressure_family_decay(tmp_path):
+    report = _study(tmp_path, "pressure",
                     [(8, 1e-3, 1e-2), (8, 1e-3, 1e-3), (8, 1e-3, 1e-4)])
     vals = report["decay"]["delta_rho_beta"]["values"]
     assert vals[0] > vals[1] > vals[2] > 0
@@ -116,17 +114,17 @@ def test_pressure_family_decay():
         assert row["rho_oscillation"] >= 0.0
 
 
-def test_pressure_delta_zero_terms_vanish():
-    report = _study("pressure", [(6, 1e-3, 0.0)], t_end=2e-3,
+def test_pressure_delta_zero_terms_vanish(tmp_path):
+    report = _study(tmp_path, "pressure", [(6, 1e-3, 0.0)], t_end=2e-3,
                     shape=(16, 16))
     (run,) = report["runs"]
     assert run["delta_rho_beta"] == 0.0
     assert run["delta_theta_pow"] == 0.0
 
 
-def test_report_json_shape_and_finiteness():
-    doc = _study("viscosity", [(8, 1e-1, 1e-3), (8, 5e-2, 1e-3)],
-                 t_end=5e-3)
+def test_report_json_shape_and_finiteness(tmp_path):
+    doc = _study(tmp_path, "viscosity",
+                 [(8, 1e-1, 1e-3), (8, 5e-2, 1e-3)], t_end=5e-3)
     assert set(doc) == {"study", "runs", "uniform_bounds", "decay",
                         "distances"}
     _assert_finite(doc)
@@ -135,15 +133,24 @@ def test_report_json_shape_and_finiteness():
     assert len(entry["rates"]) == len(entry["values"]) - 1
 
 
-def test_reports_are_deterministic():
-    a = _study("galerkin", [(8, 1e-2, 1e-3)], t_end=5e-3)
-    b = _study("galerkin", [(8, 1e-2, 1e-3)], t_end=5e-3)
+def test_reports_are_deterministic(tmp_path):
+    """Two studies of one config report the same and write the same
+    ``run_00.csv``."""
+    docs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        docs.append(_study(tmp_path / name, "galerkin", [(8, 1e-2, 1e-3)],
+                           t_end=5e-3))
+    a, b = docs
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert (tmp_path / "a" / "run_00.csv").read_bytes() \
+        == (tmp_path / "b" / "run_00.csv").read_bytes()
 
 
-def test_snapshot_times_selected():
-    report = _study("galerkin", [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)],
-                    t_end=0.01, snapshot_times=(0.005, 0.01))
+def test_snapshot_times_selected(tmp_path):
+    report = _study(tmp_path, "galerkin",
+                    [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)], t_end=0.01,
+                    snapshot_times=(0.005, 0.01))
     times = sorted({row["t"] for row in report["distances"]})
     assert times == pytest.approx([0.005, 0.01])
 
@@ -154,8 +161,8 @@ def test_too_many_modes_names_the_schedule_key_and_entry(tmp_path):
     config never set.  Its state is prepared before its CSV is opened, so
     the entries before it keep their CSVs and it leaves none."""
     with pytest.raises(TooManyModes) as info:
-        _study("pressure", [(6, 1e-3, 1e-2), (60, 1e-3, 1e-3)],
-               t_end=2e-3, shape=(16, 16), csv_dir=str(tmp_path))
+        _study(tmp_path, "pressure", [(6, 1e-3, 1e-2), (60, 1e-3, 1e-3)],
+               t_end=2e-3, shape=(16, 16))
     msg = str(info.value)
     assert msg == ("continuation.n = 60 exceeds the 49 admissible modes on "
                    "a 16x16-node grid, in schedule entry 1 (n=60, "
