@@ -378,14 +378,10 @@ def cmd_mms(case_name, config_path):
         summary = {"orders": {"total": list(study["orders"])}}
         shown = study["orders"]
 
-    lines = [f"# nlcflow-csv v{dg.CSV_VERSION}",
-             ",".join([label] + list(_ERR_KEYS))]
-    for val, errs in rows:
-        lines.append(",".join(
-            [dg.format_float(val)]
-            + [dg.format_float(errs[k]) for k in _ERR_KEYS]))
     _write_text(os.path.join(out, f"mms_{case.name}.csv"),
-                "\n".join(lines) + "\n")
+                dg.csv_header([label, *_ERR_KEYS]) + "".join(
+                    dg.csv_line([val] + [errs[k] for k in _ERR_KEYS])
+                    for val, errs in rows))
     _write_text(os.path.join(out, f"mms_{case.name}_orders.json"),
                 json.dumps(_finite_or_null(summary), indent=2,
                            sort_keys=True) + "\n")
@@ -410,15 +406,15 @@ def cmd_diagnose(directory):
         raise IOFailure(f"cannot list {directory!r}: {exc}") from None
     if not names:
         raise IOFailure(f"no snapshots in {directory!r}")
+    # no version line: readers take the first line printed as the header
     print("t,mass,energy_total,entropy_total,director_sup")
     for name in names:
         s = read_snapshot(os.path.join(directory, name), cfg.grid,
                           cfg.reg.n_modes)
         rec = dg.make_record(s, dg.derivatives(s, cfg.phys), cfg.reg,
                              cfg.phys)
-        print(",".join(dg.format_float(v) for v in (
-            rec.t, rec.mass, rec.energy_total, rec.entropy_total,
-            rec.director_sup)))
+        print(dg.csv_line((rec.t, rec.mass, rec.energy_total,
+                           rec.entropy_total, rec.director_sup)), end="")
     print(f"diagnosed {len(names)} snapshots")
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedSnapshots, SolverFailure, TooManyModes
-from .fields import dirichlet, integrate_values, neumann, spectral_plan
+from .fields import integrate_values, spectral_plan
 from . import diagnostics as dg
 from . import solver as sv
 
@@ -94,7 +94,7 @@ def _execute(cfg, s0, reg, csv_path):
         emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
         acc["grad_rho_sq"] += dt * integrate_values(grid, der.grad_rho_sq)
         acc["lap_rho_sq"] += dt * integrate_values(
-            grid, plan.div(der.rho, dirichlet(grid.dim)) ** 2)
+            grid, plan.div(der.rho) ** 2)
         acc["rho_beta"] += dt * integrate_values(
             grid, np.maximum(s.rho, 0.0) ** reg.beta)
         acc["theta_pow"] += dt * integrate_values(
@@ -129,7 +129,7 @@ def _state_distances(a, b):
         u_sq += integrate_values(grid, (a.u[c] - b.u[c]) ** 2)
     th_sq = integrate_values(grid, (a.theta - b.theta) ** 2)
     diff = a.d - b.d
-    grad = spectral_plan(grid).grad(diff, neumann(grid.dim))
+    grad = spectral_plan(grid).grad(diff)
     d_sq = 0.0
     for k in range(3):
         d_sq += integrate_values(grid, diff[k] ** 2)

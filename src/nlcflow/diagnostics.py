@@ -19,7 +19,7 @@ import numpy as np
 from . import constitutive as cst
 from . import solver as sv
 from .errors import GridMismatch, NonPositiveTemperature
-from .fields import dirichlet, integrate_values, neumann, spectral_plan
+from .fields import integrate_values, spectral_plan
 from .params import PhysParams, RegParams
 
 
@@ -75,17 +75,15 @@ def _record_row(rec):
     return vals
 
 
-def csv_header(res_ids=()):
-    """Version line and column names, with one ``res_<id>`` column per
-    renormalization id."""
-    names = list(CSV_COLUMNS) + [f"res_{b}" for b in res_ids]
+def csv_header(names):
+    """The version line and the line of column ``names`` that open every
+    CSV the package writes."""
     return f"# nlcflow-csv v{CSV_VERSION}\n" + ",".join(names) + "\n"
 
 
-def csv_line(rec, residuals=()):
-    """The row of one record, followed by its residual values."""
-    return ",".join(format_float(v)
-                    for v in _record_row(rec) + list(residuals)) + "\n"
+def csv_line(values):
+    """One CSV row of ``values``, each :func:`format_float`."""
+    return ",".join(map(format_float, values)) + "\n"
 
 
 def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
@@ -104,7 +102,8 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
             der = derivatives(s, phys)
             if rec is None:
                 csv = open(csv_path, "w", encoding="utf-8")
-                csv.write(csv_header(res_ids))
+                csv.write(csv_header(
+                    list(CSV_COLUMNS) + [f"res_{b}" for b in res_ids]))
                 battery = cosine_battery(s.grid) if res_ids else None
                 residuals = [0.0] * len(res_ids)
             elif res_ids:
@@ -114,7 +113,7 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
                              for b in res_ids]
             diag = make_record(s, der, reg, phys,
                                dt=None if rec is None else rec.dt)
-            csv.write(csv_line(diag, residuals))
+            csv.write(csv_line(_record_row(diag) + residuals))
             csv.flush()
             prev = s
             yield s, rec, der, diag
@@ -138,12 +137,11 @@ def derivatives(s, p: PhysParams):
     taken once; laplace d is the divergence of that same grad d, and grad u
     is taken from the Galerkin coefficients, as the step takes it."""
     plan = spectral_plan(s.grid)
-    cos, sin = neumann(s.grid.dim), dirichlet(s.grid.dim)
-    grad_rho, grad_d = plan.grad(s.rho, cos), plan.grad(s.d, cos)
-    relax = plan.div(grad_d, sin) - cst.gl_force(s.d, p.penalty_scale)
+    grad_rho, grad_d = plan.grad(s.rho), plan.grad(s.d)
+    relax = plan.div(grad_d) - cst.gl_force(s.d, p.penalty_scale)
     grad_u = sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U)
     return Derivatives(
-        grad_rho, plan.grad(s.theta, cos), grad_d, _sum_sq(s.grid, grad_rho),
+        grad_rho, plan.grad(s.theta), grad_d, _sum_sq(s.grid, grad_rho),
         cst.stress_power(grad_u, p), np.sum(relax * relax, axis=0))
 
 
@@ -158,7 +156,7 @@ def _sum_sq(grid, stack):
 
 def total_energy(s, grad_d, reg: RegParams, p: PhysParams):
     """Total energy and its named parts, ``grad_d`` being the director's
-    gradient stack ``plan.grad(s.d, neumann(dim))``; the total is the exact
+    gradient stack ``plan.grad(s.d)``; the total is the exact
     float sum of the parts."""
     grid = s.grid
     rho = s.rho
@@ -210,11 +208,13 @@ def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
     }
 
 
-def energy_budget_residual(s_prev, der_prev, s_next, der_next,
+def energy_budget_residual(s_prev, diag_prev, s_next, der_next, diag_next,
                            reg: RegParams, p: PhysParams, dt):
     """Defect r = [E(next) - E(prev)]/dt + D of the discrete energy balance
-    of the step of size dt from s_prev to s_next, ``der_prev`` and
-    ``der_next`` being their :func:`derivatives`.
+    of the step of size dt from s_prev to s_next, ``diag_prev`` and
+    ``diag_next`` being their records (:func:`make_record`), whose
+    ``energy_total`` are E(prev) and E(next), and ``der_next`` the
+    :func:`derivatives` of s_next.
 
     D is the dissipation the scheme's ledger exchanges,
 
@@ -228,17 +228,15 @@ def energy_budget_residual(s_prev, der_prev, s_next, der_next,
     """
     grid = s_next.grid
     plan = spectral_plan(grid)
-    e_next, _ = total_energy(s_next, der_next.d, reg, p)
-    e_prev, _ = total_energy(s_prev, der_prev.d, reg, p)
     visc = integrate_values(grid, der_next.stress_power)
     sink = integrate_values(
         grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
     grad_bp = plan.grad(sv._pressure_enthalpy(np.maximum(s_next.rho, 0.0),
-                                              reg, p), neumann(grid.dim))
+                                              reg, p))
     interp = sum(integrate_values(grid, grad_bp[b] * der_next.rho[b])
                  for b in range(grid.dim))
     d_net = reg.delta * visc + reg.delta * sink + reg.eps * interp
-    return (e_next - e_prev) / dt + d_net
+    return (diag_next.energy_total - diag_prev.energy_total) / dt + d_net
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +345,7 @@ def cosine_battery(grid):
         for ax, k in enumerate(tpl):
             psi = psi * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
         out.append((f"cos{''.join(str(k) for k in tpl)}", psi,
-                    spectral_plan(grid).grad(psi, neumann(grid.dim))))
+                    spectral_plan(grid).grad(psi)))
     return out
 
 
@@ -440,8 +438,7 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
         db = (b_p - b_n) / dt
         flux = sv._mass_flux(plan, b_n, u_lag)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
-        grad_b = der_next.rho if b_id == "identity" \
-            else plan.grad(b_p, neumann(dim))
+        grad_b = der_next.rho if b_id == "identity" else plan.grad(b_p)
         burn = bpp(rho_p) * der_next.grad_rho_sq
         row = {}
         for name, psi, grad in battery:

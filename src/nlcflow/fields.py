@@ -7,10 +7,20 @@ per axis is fixed by where it sits in the solver's layout: ``COS`` (even
 reflection at the walls, Neumann data, cosine basis) or ``SIN`` (odd
 reflection, Dirichlet data, sine basis).  The density, the temperature and
 the director are all-cosine, the velocity is all-sine.  Every spectral
-operator (transform, derivative, 2/3-rule projection, Laplacian and
-Helmholtz solve) is a small dense matrix applied along one axis, built once
-per grid from the orthonormal type-II DCT/DST matrices; differentiation,
-Laplacian inversion and Helmholtz solves are exact for the stored band.
+operator (transform, derivative, 2/3-rule projection and Helmholtz solve)
+is a small dense matrix applied along one axis, built once per grid from
+the orthonormal type-II DCT/DST matrices; differentiation and Helmholtz
+solves are exact for the stored band.
+
+The density, the temperature and the director are cosine fields, and the
+velocity's gradient is taken from its Galerkin table, so every gradient the
+step, the audits and the manufactured sources take is that of a cosine
+field.  A kernel that only ever acts on cosine fields therefore takes no
+parity: the transforms, :func:`smooth`, the Helmholtz solve and ``grad``;
+``div`` takes stacks like the ones ``grad`` makes, entry a sine along axis
+a.  Only :meth:`SpectralPlan.deriv`, :meth:`SpectralPlan.project` and the
+mms restriction (:func:`coeffs`, :func:`evaluate`) see both parities, and
+take one.
 
 Conventions that the rest of the package relies on:
 
@@ -28,15 +38,16 @@ Conventions that the rest of the package relies on:
 * :meth:`SpectralPlan.project` projects in the declared parity basis;
   pairing any nodal array against a projected one reads only the kept band,
   so the projection can be moved across a nodal inner product exactly;
-* the operator matrices and Laplace symbols are built once per grid into a
+* the operator matrices and the Laplace symbol are built once per grid into a
   read-only :class:`SpectralPlan`, whose raw-array kernels are the one entry
   point of each operator; every kernel takes a nodal array or a stack of
   them, and an operator costs one matrix product, O(N^3) flops per
   component, per axis pass;
 * :meth:`SpectralPlan.grad` and :meth:`SpectralPlan.div` are the one
   gradient and the one divergence: ``grad`` stacks the per-axis derivatives
-  as ``(dim, ...)``, ``div`` sums d_a of entry a over the axes in order, and
-  the Laplacian is ``div`` of ``grad``.
+  of a cosine field as ``(dim, ...)``, ``div`` sums d_a of entry a, sine
+  along axis a, over the axes in order, and the Laplacian of a cosine field
+  is ``div`` of ``grad``.
 
 The module holds operators only; the snapshot file format is defined in
 :mod:`nlcflow.cli`.
@@ -114,14 +125,11 @@ class Grid:
         return f"Grid(shape={self.shape}, extents={self.extents})"
 
 
-def _strip_sine_nyquist(values, parity, grid):
-    """Remove the alternating-sign (frequency N) component along sine axes
-    of a nodal array or of a stack of them."""
+def _strip_sine_nyquist(values, grid):
+    """Remove the alternating-sign (frequency N) component along every axis
+    of an all-sine nodal array or of a stack of them."""
     out = values
-    for ax, par in enumerate(parity):
-        if par != SIN:
-            continue
-        n = grid.shape[ax]
+    for ax, n in enumerate(grid.shape):
         sign = np.ones(n)
         sign[1::2] = -1.0
         shape = [1] * grid.dim
@@ -155,14 +163,13 @@ def _readonly(a):
 class AxisOperators:
     """Read-only dense operators along one axis of ``n`` nodes on [0, L].
 
-    Each dict is keyed by the parity of its input:
+    Each table but ``inverse`` is a dict keyed by the parity of its input:
 
     * ``forward`` holds the orthonormal type-II DCT and DST matrices C and
       S, which map nodal values to coefficients: row k of C samples
       cos(k pi x / L) and row k of S samples sin((k+1) pi x / L), so the
-      slots follow :func:`coeffs`; ``inverse`` maps coefficients back, and
-      the sine inverse ignores the Nyquist slot, so its output is always a
-      stored sine field;
+      slots follow :func:`coeffs`; ``inverse`` is C.T alone, which maps
+      cosine coefficients back to the nodal fields a state holds;
     * ``deriv`` is the exact derivative, ``S.T @ shift(-k pi / L) @ C``
       from cosine to sine values and its negative transpose, stored bit for
       bit, from sine to cosine values, so nodal summation by parts holds for
@@ -188,15 +195,13 @@ class AxisOperators:
         d_sc = np.ascontiguousarray(-d_cs.T)
         proj_cos = dct[:cut].T @ dct[:cut]
         proj_sin = dst[:cut - 1].T @ dst[:cut - 1]
-        dst_band = dst.copy()
-        dst_band[-1] = 0.0
         amp_cos = np.full(n, norm)
         amp_cos[0] = math.sqrt(1.0 / n)
         amp_sin = np.full(n, norm)
         amp_sin[-1] = 0.0
 
         self.forward = {COS: _readonly(dct), SIN: _readonly(dst)}
-        self.inverse = {COS: dct.T, SIN: _readonly(dst_band).T}
+        self.inverse = dct.T
         self.deriv = {COS: _readonly(d_cs), SIN: _readonly(d_sc)}
         # (P + P.T) / 2 is symmetric bit for bit
         self.project = {COS: _readonly(0.5 * (proj_cos + proj_cos.T)),
@@ -220,10 +225,13 @@ def _along(mat, values, axis, dim):
 
 class SpectralPlan:
     """Read-only operators of one grid: an :class:`AxisOperators` per axis
-    (``axes``) and the Laplace symbol of each parity (:meth:`symbol`).
+    (``axes``) and ``symbol``, the Laplace symbol of cosine coefficients.
 
     Every spectral kernel is one small matrix product per axis pass on a
-    raw nodal array or on a stack of them, shape ``(k, *grid.shape)``.
+    raw nodal array or on a stack of them, shape ``(k, *grid.shape)``.  The
+    kernels that only ever see the state's cosine fields (transforms,
+    ``grad``, ``div`` and ``helmholtz``) take no parity; ``deriv`` and
+    ``project`` see both parities and take it.
     """
 
     def __init__(self, grid):
@@ -239,32 +247,25 @@ class SpectralPlan:
             for ax in range(grid.dim)
         )
         self._corner = (Ellipsis,) + (slice(0, 1),) * grid.dim
-        self._symbols = {}
+        # Laplacian eigenvalues sum_a (k_a pi / L_a)^2 in coefficient order
+        sym = np.zeros(grid.shape)
+        for ax in range(grid.dim):
+            shape = [1] * grid.dim
+            shape[ax] = grid.shape[ax]
+            sym = sym + (_freqs(grid, ax, COS) ** 2).reshape(shape)
+        self.symbol = _readonly(sym)
 
-    def symbol(self, parity):
-        """Laplacian eigenvalues sum_a (k_a pi / L_a)^2 in coefficient order."""
-        sym = self._symbols.get(parity)
-        if sym is None:
-            grid = self.grid
-            sym = np.zeros(grid.shape)
-            for ax, par in enumerate(parity):
-                shape = [1] * grid.dim
-                shape[ax] = grid.shape[ax]
-                sym = sym + (_freqs(grid, ax, par) ** 2).reshape(shape)
-            sym = self._symbols[parity] = _readonly(sym)
-        return sym
-
-    def forward(self, values, parity):
-        """Orthonormal coefficients of a nodal array (or stack)."""
-        for ax, par in enumerate(parity):
-            values = _along(self.axes[ax].forward[par], values, ax, self.dim)
+    def forward(self, values):
+        """Orthonormal cosine coefficients of a nodal array (or stack)."""
+        for ax, ops in enumerate(self.axes):
+            values = _along(ops.forward[COS], values, ax, self.dim)
         return values
 
-    def inverse(self, c, parity):
-        """Nodal values of orthonormal coefficients; inverse of
-        :meth:`forward` on stored fields."""
-        for ax, par in enumerate(parity):
-            c = _along(self.axes[ax].inverse[par], c, ax, self.dim)
+    def inverse(self, c):
+        """Nodal values of orthonormal cosine coefficients; inverse of
+        :meth:`forward`."""
+        for ax, ops in enumerate(self.axes):
+            c = _along(ops.inverse, c, ax, self.dim)
         return c
 
     def deriv(self, values, axis, par):
@@ -279,41 +280,33 @@ class SpectralPlan:
             values = values - values[self._first[axis]]
         return _along(self.axes[axis].deriv[par], values, axis, self.dim)
 
-    def grad(self, values, parity):
-        """Gradient stack ``(dim, *values.shape)`` of an array (or stack) of
-        the given parity: entry a is :meth:`deriv` along axis a."""
+    def grad(self, values):
+        """Gradient stack ``(dim, *values.shape)`` of a cosine array (or
+        stack): entry a is :meth:`deriv` along axis a, sine there."""
         out = np.empty((self.dim,) + values.shape)
-        for ax, par in enumerate(parity):
-            out[ax] = self.deriv(values, ax, par)
+        for ax in range(self.dim):
+            out[ax] = self.deriv(values, ax, COS)
         return out
 
-    def div(self, stack, parity):
+    def div(self, stack):
         """Divergence sum_a d_a stack[a] of a ``(dim, ...)`` stack whose entry
-        a has parity ``parity[a]`` along axis a, the axes summed in order."""
+        a is sine along axis a, the axes summed in order; the Laplacian of a
+        cosine array f is ``div(grad(f))``."""
         out = np.zeros(stack.shape[1:])
-        for ax, par in enumerate(parity):
-            out += self.deriv(stack[ax], ax, par)
+        for ax in range(self.dim):
+            out += self.deriv(stack[ax], ax, SIN)
         return out
 
-    def laplacian(self, values, parity):
-        """Laplacian of an array (or stack), the divergence of its
-        gradient; parity preserved."""
-        return self.div(self.grad(values, parity),
-                        tuple(COS if par == SIN else SIN for par in parity))
+    def helmholtz(self, values, a, c):
+        """Solve ``(a - c * Laplacian) phi = values`` for a cosine array (or
+        stack).
 
-    def helmholtz(self, values, parity, a, c):
-        """Solve ``(a - c * Laplacian) phi = values`` for an array (or stack)
-        in the given parity basis.
-
-        All-cosine data is first shifted by its first nodal value, whose
-        solution is that value over ``a``, so a constant solves exactly.
+        The data is first shifted by its first nodal value, whose solution
+        is that value over ``a``, so a constant solves exactly.
         """
-        denom = a + c * self.symbol(parity)
-        if SIN in parity:
-            return self.inverse(self.forward(values, parity) / denom, parity)
         shift = values[self._corner]
-        out = self.inverse(self.forward(values - shift, parity) / denom,
-                           parity)
+        out = self.inverse(self.forward(values - shift)
+                           / (a + c * self.symbol))
         return out + shift / a
 
     def project(self, values, parity):
@@ -352,7 +345,9 @@ def coeffs(grid, values, parity):
     slot (frequency N) is identically zero for stored arrays.
     """
     plan = spectral_plan(grid)
-    return plan.forward(values, parity) * plan.amplitude(parity)
+    for ax, par in enumerate(parity):
+        values = _along(plan.axes[ax].forward[par], values, ax, grid.dim)
+    return values * plan.amplitude(parity)
 
 
 def integrate_values(grid, values):
@@ -369,15 +364,14 @@ def integrate_values(grid, values):
 # smoothing
 # ---------------------------------------------------------------------------
 
-def smooth(grid, values, parity, width):
+def smooth(grid, values, width):
     """Gaussian spectral low-pass exp(-(width^2/2) * |k|^2) (mollifier) of
-    an array in its parity basis; a copy when ``width <= 0``."""
+    a cosine array; a copy when ``width <= 0``."""
     if width <= 0.0:
         return np.array(values, dtype=np.float64)
     plan = spectral_plan(grid)
-    c = plan.forward(values, parity) * np.exp(
-        -0.5 * width * width * plan.symbol(parity))
-    return plan.inverse(c, parity)
+    return plan.inverse(plan.forward(values)
+                        * np.exp(-0.5 * width * width * plan.symbol))
 
 
 # ---------------------------------------------------------------------------

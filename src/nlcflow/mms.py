@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (COS, SIN, Grid, dirichlet, evaluate, integrate_values,
-                     neumann, spectral_plan)
+from .fields import COS, SIN, Grid, evaluate, integrate_values, spectral_plan
 from . import constitutive as cst
 from . import solver as sv
 
@@ -174,8 +173,7 @@ def _density_terms(case, s, plan, reg):
         terms.append((plan.deriv(m[b], b, SIN),
                       _term_parity(grid, frozenset(range(grid.dim)) - {b})))
     if reg.eps > 0:
-        terms.append((-reg.eps * plan.laplacian(s.rho, neumann(grid.dim)),
-                      cos_par))
+        terms.append((-reg.eps * plan.div(plan.grad(s.rho)), cos_par))
     return terms
 
 
@@ -214,8 +212,7 @@ def _temperature_terms(case, s, plan, reg, p):
 def _director_terms(s, plan, p):
     par = _term_parity(s.grid, frozenset())
     force = cst.gl_force(s.d, p.penalty_scale)
-    return [[(-p.relax_rate
-              * (plan.laplacian(s.d[k], neumann(s.grid.dim)) - force[k]),
+    return [[(-p.relax_rate * (plan.div(plan.grad(s.d[k])) - force[k]),
               par)] for k in range(3)]
 
 
@@ -233,12 +230,13 @@ def _momentum_terms(case, s, plan, reg, p):
         m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
         force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
-                                    plan.grad(s.d, neumann(dim)),
-                                    gtilde, reg, p)
+                                    plan.grad(s.d), gtilde, reg, p)
         div_u = sum(grad_u[a, a] for a in range(dim))
         for c in range(dim):
             arr = rho * case.du_dt[c](mesh, t)
-            arr -= p.mu * plan.laplacian(u[c], dirichlet(dim))
+            # the sine Laplacian, d_a of d_a u_c summed over the axes
+            arr -= p.mu * sum(plan.deriv(plan.deriv(u[c], a, SIN), a, COS)
+                              for a in range(dim))
             arr -= (p.mu + p.lam) * plan.deriv(div_u, c, COS)
             arr -= force[c]
             out.append([(arr, None)])

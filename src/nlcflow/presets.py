@@ -20,7 +20,7 @@ thermal-spot    rho = base, u = 0, d = e1,
 
 import numpy as np
 
-from .fields import neumann, smooth
+from .fields import smooth
 from .solver import State
 
 
@@ -54,7 +54,7 @@ def density_bump(grid, base=1.0, amplitude=0.5, width=0.0):
     bump = np.ones_like(xs[0])
     for a, x in enumerate(xs):
         bump = bump * np.cos(np.pi * x / ext[a])
-    rho = smooth(grid, base + amplitude * bump, neumann(grid.dim), width)
+    rho = smooth(grid, base + amplitude * bump, width)
     theta = 1.0 + 0.5 * amplitude * np.cos(np.pi * xs[-1] / ext[-1])
     coeffs = {(0, 0): 0.1 * amplitude}
     if grid.dim == 2:
@@ -65,7 +65,7 @@ def density_bump(grid, base=1.0, amplitude=0.5, width=0.0):
 
 def director_twist(grid, base=1.0, amplitude=0.3, width=0.0):
     angle = smooth(grid, amplitude * np.cos(
-        np.pi * grid.mesh()[0] / grid.extents[0]), neumann(grid.dim), width)
+        np.pi * grid.mesh()[0] / grid.extents[0]), width)
     d = np.stack([np.cos(angle), np.sin(angle), np.zeros(grid.shape)])
     U = _mode_velocity(grid, {(0, 0): 0.1 * amplitude})
     return State(grid, 0.0, np.full(grid.shape, float(base)), U,

@@ -314,11 +314,10 @@ def _mass_flux(plan, rho, u):
 
 def _density_update(plan, rho, u, eps, dt, source=None):
     m = _mass_flux(plan, rho, u)
-    rhs = rho - dt * plan.div(m, dirichlet(plan.dim))
+    rhs = rho - dt * plan.div(m)
     if source is not None:
         rhs = rhs + dt * source
-    rho_new = plan.helmholtz(rhs, neumann(plan.dim), 1.0, eps * dt) \
-        if eps > 0 else rhs
+    rho_new = plan.helmholtz(rhs, 1.0, eps * dt) if eps > 0 else rhs
     lo = float(rho_new.min())
     if not math.isfinite(lo):
         raise NonFiniteState("density")
@@ -345,7 +344,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
     """Implicit-diffusion director step with a two-point penalty force.
 
     ``d`` is the director stack and ``grad_d`` its gradient stack
-    ``plan.grad(d, neumann(dim))``.  The fixed point starts from ``lag``
+    ``plan.grad(d)``.  The fixed point starts from ``lag``
     (the previous Picard sweep's director; ``d`` when None) and stops once
     one application moves the iterate by at most _INNER_TOL times its
     scale.  Each iteration solves the three Helmholtz problems as one
@@ -355,7 +354,6 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
     scale.
     """
     kappa = p.relax_rate
-    parity = neumann(plan.dim)
     w = _director_transport(plan, u, grad_d)
 
     lag = d if lag is None else lag
@@ -365,7 +363,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
         rhs = d - dt * (w + kappa * force)
         if source is not None:
             rhs = rhs + dt * source
-        d_new = plan.helmholtz(rhs, parity, 1.0, kappa * dt)
+        d_new = plan.helmholtz(rhs, 1.0, kappa * dt)
         gap = float(np.abs(d_new - lag).max())
         if not math.isfinite(gap):
             raise NonFiniteState("director")
@@ -389,9 +387,9 @@ def _conduction_apply(plan, theta, kappa):
     """
     # scaled in place: every CG iteration applies this, and a fresh
     # (dim, N, N) product per apply made it about 1.5 times as slow at 128^2
-    flux = plan.grad(theta, neumann(plan.dim))
+    flux = plan.grad(theta)
     flux *= kappa
-    return -plan.div(flux, dirichlet(plan.dim))
+    return -plan.div(flux)
 
 
 def _pcg(apply_op, precond, b, x0, max_iter=400):
@@ -443,15 +441,12 @@ class _FrozenHeat:
         self.rhs = (reg.delta + rho_prev) * theta / dt
         cbar = ((reg.delta + float(rho_prev.mean())) / dt
                 + reg.delta * float(self.th_alpha.mean()))
-        self.parity = neumann(plan.dim)
-        self.symbol = cbar + float(self.kappa.mean()) * plan.symbol(
-            self.parity)
+        self.symbol = cbar + float(self.kappa.mean()) * plan.symbol
 
     def precondition(self, vals):
         """Solve (cbar - kbar * Laplacian) z = vals with Neumann data."""
         plan = self.plan
-        return plan.inverse(plan.forward(vals, self.parity) / self.symbol,
-                            self.parity)
+        return plan.inverse(plan.forward(vals) / self.symbol)
 
     def scaled_preconditioner(self, c0):
         """The symmetric preconditioner r -> s * precondition(s * r) for
@@ -559,15 +554,15 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
     # compensation for the nonconservative discrete time derivative
     if eps > 0:
-        grad_rho = plan.grad(rho_new, neumann(dim))
-        force -= eps * plan.div(grad_rho, dirichlet(dim)) * u_minus
+        grad_rho = plan.grad(rho_new)
+        force -= eps * plan.div(grad_rho) * u_minus
         for b in range(dim):
             force -= eps * grad_rho[b] * grad_u[b]
 
     # elastic + artificial pressure via the convex enthalpy, and the thermal
     # pressure: both gradients in one product per axis
     pot = np.stack([_pressure_enthalpy(rho_new, reg, p), rho_new * theta_new])
-    grad_bp, grad_q = plan.grad(pot, neumann(dim)).swapaxes(0, 1)
+    grad_bp, grad_q = plan.grad(pot).swapaxes(0, 1)
     force -= rho_prev * plan.project(grad_bp, dirichlet(dim))
     force -= p.gas_const * grad_q
 
@@ -695,7 +690,7 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     U0 = U_minus = _with_modes(s.U, basis.n)
     momentum = _momentum_system(_checked_mass_matrix(basis, rho),
                                 basis.stiffness(p), U0, dt)
-    grad_d_prev = plan.grad(d, neumann(grid.dim))
+    grad_d_prev = plan.grad(d)
     u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
     heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
     theta_new, d_new = heat.theta, d
@@ -817,7 +812,7 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
 # ---------------------------------------------------------------------------
 
 def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
-                            theta_bounds=(0.1, 10.0)):
+                            theta_bounds):
     """Build an admissible starting state from raw nodal data on ``grid``:
     the density ``rho0``, the momentum stack ``m0`` (dim sine components,
     such as ``rho0 * u0``), the temperature ``theta0`` and the director
@@ -827,7 +822,8 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     to [delta, delta^(-1/(2 beta))], zero the momentum wherever
     the clamp pulled the density below its raw value, divide by the clamped
     density, project the velocity onto the retained modes, and clamp the
-    temperature to the given bounds.  Raw momentum must vanish on the
+    temperature to ``theta_bounds``, the pair (``init.theta_floor``,
+    ``init.theta_cap``) of a run's config.  Raw momentum must vanish on the
     vacuum set of the raw density.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
@@ -839,8 +835,7 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     hi = reg.delta ** (-1.0 / (2.0 * reg.beta)) if reg.delta > 0 else np.inf
     clamped = np.clip(rho0, lo, hi)
 
-    m_vals = _strip_sine_nyquist(np.asarray(m0, dtype=np.float64),
-                                 dirichlet(grid.dim), grid)
+    m_vals = _strip_sine_nyquist(np.asarray(m0, dtype=np.float64), grid)
     vac = raw <= 1e-12 * max(1.0, float(raw.max()))
     for mv in m_vals:
         if np.any(np.abs(mv[vac]) > 1e-12 * max(1.0, float(np.abs(mv).max()))):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nlcflow import constitutive as cst
-from nlcflow.fields import (Grid, dirichlet, integrate_values, neumann,
-                            spectral_plan)
+from nlcflow.fields import SIN, Grid, integrate_values, spectral_plan
 from nlcflow import diagnostics as dg
 from nlcflow import solver as sv
 
@@ -18,7 +17,13 @@ def grid2d():
 def director_gradient(s):
     """The gradient stack of the director of ``s``, the one derivative
     ``diagnostics.total_energy`` reads."""
-    return spectral_plan(s.grid).grad(s.d, neumann(s.grid.dim))
+    return spectral_plan(s.grid).grad(s.d)
+
+
+def sine_gradient(plan, values):
+    """Gradient stack ``(dim, ...)`` of an all-sine array (or stack), such
+    as a nodal velocity: entry a is its derivative along axis a."""
+    return np.stack([plan.deriv(values, a, SIN) for a in range(plan.dim)])
 
 
 def unit_director(grid, first=1.0):
@@ -128,13 +133,12 @@ def inverse_laplacian_neumann(grid, values):
     if abs(total) > mean_tol:
         raise NonZeroMean(f"right-hand side has mean {total / measure:.3e}")
     plan = spectral_plan(grid)
-    parity = neumann(grid.dim)
-    c = plan.forward(values, parity)
+    c = plan.forward(values)
     flat = c.reshape(-1)
-    symf = plan.symbol(parity).reshape(-1)
+    symf = plan.symbol.reshape(-1)
     out = np.zeros_like(flat)
     np.divide(flat[1:], -symf[1:], out=out[1:])  # zero-frequency slot stays 0
-    return plan.inverse(out.reshape(c.shape), parity)
+    return plan.inverse(out.reshape(c.shape))
 
 
 def truncation_companion(z, k=1.0):
@@ -233,15 +237,15 @@ def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     u_lag = sv.galerkin_basis(grid, len(rec.U_lag)).reconstruct(rec.U_lag)
 
     # --- momentum against retained sine modes, one residual per mode
-    grad_u_p = plan.grad(s_next.u, dirichlet(dim))
+    grad_u_p = sine_gradient(plan, s_next.u)
     stress = viscous_stress(grad_u_p, p)
     press = pressure(rho_p, th_p, p) \
         + artificial_pressure(rho_p, reg.delta, reg.beta)
     d_vals = s_next.d
-    grad_d = plan.grad(d_vals, neumann(dim))
+    grad_d = plan.grad(d_vals)
     erick = ericksen_stress(
         grad_d, cst.gl_potential(d_vals, p.penalty_scale))
-    grad_rho_p = plan.grad(rho_p, neumann(dim))
+    grad_rho_p = plan.grad(rho_p)
     for name, phi, gphi in sin_tests:
         worst = 0.0
         for c in range(dim):
@@ -264,10 +268,10 @@ def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     heat = sv._FrozenHeat(plan, s_prev.theta, rho_n, reg, p, dt)
     m = sv._mass_flux(plan, rho_n, u_lag)
     d_prev = s_prev.d
-    w = sv._director_transport(plan, u_lag, plan.grad(d_prev, neumann(dim)))
+    w = sv._director_transport(plan, u_lag, plan.grad(d_prev))
     gtilde = sv._director_relaxation(d_vals, d_prev, w, dt, p)
     c0, rhs = sv._heat_system(heat, rho_p,
-                              plan.grad(u_lag, dirichlet(dim)), m,
+                              sine_gradient(plan, u_lag), m,
                               np.sum(gtilde * gtilde, axis=0), reg, p,
                               dt)
     defect = rhs - heat.apply(c0, th_p)

@@ -675,7 +675,7 @@ def test_snapshot_stepped_state_round_trip(tmp_path):
     reg = RegParams(eps=1e-2, delta=1e-3, n_modes=6)
     raw = bump_state(grid, n_modes=6)
     s0 = sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                    raw.theta, raw.d, reg)
+                                    raw.theta, raw.d, reg, (0.1, 10.0))
     basis = sv.GalerkinBasis(grid, 6)
     for k, (s, _) in enumerate(sv.run(s0, reg, sv.SolverConfig(
             dt=1e-3, t_end=3e-3), PhysParams())):

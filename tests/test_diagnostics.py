@@ -1,5 +1,7 @@
 """Monitored functionals: energy, entropy, budgets, residual batteries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -69,15 +71,22 @@ def test_frank_energy_gauge_invariance(grid2d):
 # energy budget
 # ---------------------------------------------------------------------------
 
+def _budget(s_prev, s_next, reg, p, dt):
+    """The audit's defect of one step, each state's record made from its
+    derivative pass, as a run loop makes them."""
+    der = dg.derivatives(s_next, p)
+    return dg.energy_budget_residual(
+        s_prev, dg.make_record(s_prev, dg.derivatives(s_prev, p), reg, p),
+        s_next, der, dg.make_record(s_next, der, reg, p, dt=dt), reg, p, dt)
+
+
 def test_budget_equilibrium_exact_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
-    assert dg.energy_budget_residual(s, dg.derivatives(s, p), s1,
-                                     dg.derivatives(s1, p), reg, p,
-                                     rec.dt) == 0.0
+    assert _budget(s, s1, reg, p, rec.dt) == 0.0
 
 
 def test_budget_equilibrium_with_sink(grid2d):
@@ -89,9 +98,7 @@ def test_budget_equilibrium_with_sink(grid2d):
     cfg = sv.SolverConfig(dt=1e-3, t_end=1e-3)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
     assert float(s1.theta.max()) < 1.0
-    r = dg.energy_budget_residual(s, dg.derivatives(s, p), s1,
-                                  dg.derivatives(s1, p), reg, p, rec.dt)
-    assert abs(r) <= 5e-12
+    assert abs(_budget(s, s1, reg, p, rec.dt)) <= 5e-12
 
 
 def test_budget_one_sided_on_bump_run(grid2d):
@@ -101,11 +108,31 @@ def test_budget_one_sided_on_bump_run(grid2d):
     e0, _ = dg.total_energy(s0, director_gradient(s0), reg, p)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
-    ders = [dg.derivatives(s, p) for s in states]
     for k in range(1, len(states)):
-        r = dg.energy_budget_residual(states[k - 1], ders[k - 1], states[k],
-                                      ders[k], reg, p, records[k].dt)
+        r = _budget(states[k - 1], states[k], reg, p, records[k].dt)
         assert r <= 1e-8 * e0
+
+
+def test_budget_reads_the_records_energies(grid2d):
+    """On a stepped pair, the defect read off the records' energies is
+    bit for bit the one whose energies ``total_energy`` takes afresh."""
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    s0 = bump_state(grid2d)
+    s1, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0),
+                              p)
+    der0, der1 = dg.derivatives(s0, p), dg.derivatives(s1, p)
+    diag0 = dg.make_record(s0, der0, reg, p)
+    diag1 = dg.make_record(s1, der1, reg, p, dt=rec.dt)
+    fresh0 = replace(diag0, energy_total=dg.total_energy(
+        s0, dg.derivatives(s0, p).d, reg, p)[0])
+    fresh1 = replace(diag1, energy_total=dg.total_energy(
+        s1, dg.derivatives(s1, p).d, reg, p)[0])
+    got = dg.energy_budget_residual(s0, diag0, s1, der1, diag1, reg, p,
+                                    rec.dt)
+    want = dg.energy_budget_residual(s0, fresh0, s1, der1, fresh1, reg, p,
+                                     rec.dt)
+    assert got == want and got != 0.0
 
 
 def _ledger_budget(s_prev, s_next, reg, p, dt, basis):
@@ -144,8 +171,7 @@ def test_budget_from_states_matches_galerkin_ledger(grid2d, eps, delta):
                                 sv.SolverConfig(dt=1e-3, t_end=1e-2), p)
     assert len(states) == 11
     for a, b, rec in zip(states, states[1:], records[1:]):
-        got = dg.energy_budget_residual(a, dg.derivatives(a, p), b,
-                                        dg.derivatives(b, p), reg, p, rec.dt)
+        got = _budget(a, b, reg, p, rec.dt)
         want = _ledger_budget(a, b, reg, p, rec.dt, basis)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -411,7 +437,7 @@ def test_weak_residuals_scheme_consistent_families(grid2d):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("director-twist", grid2d, amplitude=0.6)
     s0 = sv.regularize_initial_data(grid2d, raw.rho, raw.rho * raw.u,
-                                    raw.theta, raw.d, reg)
+                                    raw.theta, raw.d, reg, (0.1, 10.0))
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
     series = weak_series(states, records, reg, p)

@@ -17,12 +17,15 @@ RNG = np.random.default_rng(1234)
 
 def field_from_coeffs(grid, parity, c):
     """The nodal array whose amplitude array in its parity basis is ``c``:
-    the inverse of :func:`fields.coeffs`.  The sine Nyquist slot, whose
-    amplitude scaling is zero, stays zero."""
-    plan = fields.spectral_plan(grid)
-    amp = plan.amplitude(parity)
-    c = np.divide(c, amp, out=np.zeros(grid.shape), where=amp != 0.0)
-    return plan.inverse(c, parity)
+    the inverse of :func:`fields.coeffs`, each axis's basis modes sampled
+    at its nodes by :func:`fields.basis_matrix`.  The sine Nyquist slot,
+    which no stored field carries, is left out."""
+    for ax, par in enumerate(parity):
+        mat = fields.basis_matrix(grid, ax, par, grid.axis_nodes[ax])
+        if par == fields.SIN:
+            mat[:, -1] = 0.0
+        c = np.moveaxis(mat @ np.moveaxis(c, ax, 0), 0, ax)
+    return c
 
 
 def random_field(grid, parity, decay=0.3, keep=None):
@@ -100,7 +103,7 @@ def test_sine_nyquist_projected_at_construction():
     g = grid1()
     n = g.shape[0]
     alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    f = fields._strip_sine_nyquist(alternating, fields.dirichlet(1), g)
+    f = fields._strip_sine_nyquist(alternating, g)
     assert np.abs(f).max() <= 1e-12
 
 
@@ -173,16 +176,15 @@ def test_divergence_analytic_and_composition():
     g = grid2()
     plan = fields.spectral_plan(g)
     Lx = g.extents[0]
-    vx = fields._strip_sine_nyquist(np.sin(np.pi * g.mesh()[0] / Lx),
-                                    fields.dirichlet(2), g)
-    div = plan.div(np.stack([vx, np.zeros(g.shape)]), fields.dirichlet(2))
+    vx = fields._strip_sine_nyquist(np.sin(np.pi * g.mesh()[0] / Lx), g)
+    div = plan.div(np.stack([vx, np.zeros(g.shape)]))
     exact = (np.pi / Lx) * np.cos(np.pi * g.mesh()[0] / Lx)
     assert np.abs(div - exact).max() <= 1e-12
 
     f = random_field(g, fields.neumann(2))
     lap1 = sum(plan.deriv(plan.deriv(f, a, fields.COS), a, fields.SIN)
                for a in range(g.dim))
-    lap2 = plan.laplacian(f, fields.neumann(2))
+    lap2 = plan.div(plan.grad(f))
     assert np.abs(lap1 - lap2).max() <= 1e-11 * max(
         1.0, np.abs(lap2).max()
     )
@@ -190,7 +192,7 @@ def test_divergence_analytic_and_composition():
 
 def test_laplacian_eigenmodes():
     g = grid2()
-    sym = fields.spectral_plan(g).symbol(fields.neumann(2))
+    sym = fields.spectral_plan(g).symbol
     for kx in range(g.shape[0]):
         for ky in range(0, g.shape[1], 5):
             c = np.zeros(g.shape)
@@ -198,7 +200,7 @@ def test_laplacian_eigenmodes():
             f = field_from_coeffs(g, fields.neumann(2), c)
             lam = sym[kx, ky]
             plan = fields.spectral_plan(g)
-            out = fields.coeffs(g, plan.laplacian(f, fields.neumann(2)),
+            out = fields.coeffs(g, plan.div(plan.grad(f)),
                                 fields.neumann(2))
             assert abs(out[kx, ky] + lam) <= 1e-12 * max(lam, 1.0)
             out[kx, ky] = 0.0
@@ -214,7 +216,7 @@ def test_operator_linearity():
     plan = fields.spectral_plan(g)
 
     def lap(f):
-        return plan.laplacian(f, fields.neumann(2))
+        return plan.div(plan.grad(f))
 
     lhs = lap(combo)
     rhs = a * lap(f1) + b * lap(f2)
@@ -273,7 +275,8 @@ def test_inverse_laplacian_round_trip():
     c.flat[0] = 0.0  # drop the mean
     f = field_from_coeffs(g, cos, c)
     phi = inverse_laplacian_neumann(g, f)
-    back = fields.spectral_plan(g).laplacian(phi, cos)
+    plan = fields.spectral_plan(g)
+    back = plan.div(plan.grad(phi))
     assert np.abs(back - f).max() <= 1e-11 * max(1.0, np.abs(f).max())
     assert abs(fields.integrate_values(g, phi)) <= 1e-12 * max(
         1.0, np.abs(phi).max())
@@ -291,8 +294,8 @@ def test_helmholtz_solve():
     plan = fields.spectral_plan(g)
     rhs = random_field(g, cos)
     a, c = 1.0, 2.5e-3
-    phi = plan.helmholtz(rhs, cos, a, c)
-    residual = a * phi - c * plan.laplacian(phi, cos) - rhs
+    phi = plan.helmholtz(rhs, a, c)
+    residual = a * phi - c * plan.div(plan.grad(phi)) - rhs
     assert np.abs(residual).max() <= 1e-11 * max(1.0, np.abs(rhs).max())
 
 
@@ -302,19 +305,18 @@ def test_helmholtz_solve():
 
 def _plan_matrices(plan):
     for ops in plan.axes:
-        for table in (ops.forward, ops.inverse, ops.deriv, ops.project,
-                      ops.amplitude):
+        yield ops.inverse
+        for table in (ops.forward, ops.deriv, ops.project, ops.amplitude):
             yield from table.values()
 
 
 def test_laplace_symbol_cached_and_read_only():
     grid = fields.Grid((32, 16), (2.0, 1.0))
-    for parity in ((fields.COS, fields.COS), (fields.SIN, fields.COS)):
-        sym = fields.spectral_plan(grid).symbol(parity)
-        assert sym is fields.spectral_plan(
-            fields.Grid((32, 16), (2.0, 1.0))).symbol(parity)
-        with pytest.raises(ValueError):
-            sym[0, 0] = 1.0
+    sym = fields.spectral_plan(grid).symbol
+    assert sym is fields.spectral_plan(
+        fields.Grid((32, 16), (2.0, 1.0))).symbol
+    with pytest.raises(ValueError):
+        sym[0, 0] = 1.0
     for mat in _plan_matrices(fields.spectral_plan(grid)):
         with pytest.raises(ValueError):
             mat.flat[0] = 1.0
@@ -330,9 +332,10 @@ def test_axis_operators_shared_by_equal_axes():
 
 @pytest.mark.parametrize("grid", [grid1(), grid2()])
 def test_r2r_round_trip_and_slot_layout(grid):
-    """The per-axis DCT-II and DST-II matrices are orthonormal, invert
-    stored fields exactly, and differ from :func:`coeffs` by the diagonal
-    amplitude scaling, so the plan's symbols apply to both."""
+    """The per-axis DCT-II and DST-II matrices are orthonormal, the
+    plan's cosine transforms invert nodal values exactly, and they differ
+    from :func:`coeffs` by the diagonal amplitude scaling, so the plan's
+    symbol applies to both."""
     plan = fields.spectral_plan(grid)
     for ops in plan.axes:
         for mat in ops.forward.values():
@@ -340,14 +343,13 @@ def test_r2r_round_trip_and_slot_layout(grid):
             assert np.abs(mat @ mat.T - eye).max() <= 1e-14
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(grid.shape)
-    for par in _parities(grid.dim):
-        stored = fields._strip_sine_nyquist(vals, par, grid)
-        back = plan.inverse(plan.forward(stored, par), par)
-        assert np.allclose(back, stored, rtol=0, atol=1e-14)
-        f = random_field(grid, par)
-        assert np.allclose(plan.forward(f, par) * plan.amplitude(par),
-                           fields.coeffs(grid, f, par), rtol=0,
-                           atol=1e-15 * np.abs(f).max())
+    back = plan.inverse(plan.forward(vals))
+    assert np.allclose(back, vals, rtol=0, atol=1e-14)
+    cos = fields.neumann(grid.dim)
+    f = random_field(grid, cos)
+    assert np.allclose(plan.forward(f) * plan.amplitude(cos),
+                       fields.coeffs(grid, f, cos), rtol=0,
+                       atol=1e-15 * np.abs(f).max())
 
 
 def _boundary_max_abs(grid, f, parity):
@@ -395,18 +397,14 @@ def test_summation_by_parts_exact():
         rhs = -fields.integrate_values(g, plan.deriv(f, ax, fields.COS) * v)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) <= 1e-12 * scale
-    # <h, div G> = -<grad h, G> when entry a of G has the opposite parity
-    # to h along axis a, for every parity of h
-    for par in _parities(2):
-        flip = tuple(fields.COS if p == fields.SIN else fields.SIN
-                     for p in par)
-        h = random_field(g, par)
-        G = np.stack([random_field(g, par[:a] + flip[a:a + 1] + par[a + 1:])
-                      for a in range(2)])
-        lhs = fields.integrate_values(g, h * plan.div(G, flip))
-        rhs = -fields.integrate_values(g, np.sum(plan.grad(h, par) * G,
-                                                 axis=0))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+    # <h, div G> = -<grad h, G> for a cosine h and a stack G whose entry a
+    # is sine along axis a and cosine along the other
+    h = random_field(g, fields.neumann(2))
+    G = np.stack([random_field(g, (fields.SIN, fields.COS)),
+                  random_field(g, (fields.COS, fields.SIN))])
+    lhs = fields.integrate_values(g, h * plan.div(G))
+    rhs = -fields.integrate_values(g, np.sum(plan.grad(h) * G, axis=0))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
 def test_dealias_projection_moves_across_pairing():
@@ -516,16 +514,25 @@ def test_dealias_values_matches_fft_oracle(grid):
 
 @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
 def test_laplacian_and_helmholtz_match_fft_oracle(grid):
-    for par in _parities(grid.dim):
-        f = random_field(grid, par, decay=0.1)
-        plan = fields.spectral_plan(grid)
-        sym = plan.symbol(par)
-        c = _oracle_forward(f, par)
-        lap = _oracle_inverse(-sym * c, par)
-        assert _max_err(plan.laplacian(f, par), lap) <= 1e-13
-        helm = _oracle_inverse(c / (0.7 + 2.5e-3 * sym), par)
-        got = plan.helmholtz(f, par, 0.7, 2.5e-3)
-        assert _max_err(got, helm) <= 1e-13
+    """The cosine Laplacian ``div(grad f)`` and Helmholtz solve, and the
+    sine Laplacian of the manufactured momentum source, d_a of d_a u
+    summed over the axes."""
+    plan = fields.spectral_plan(grid)
+    cos, sin = fields.neumann(grid.dim), fields.dirichlet(grid.dim)
+    f = random_field(grid, cos, decay=0.1)
+    c = _oracle_forward(f, cos)
+    lap = _oracle_inverse(-plan.symbol * c, cos)
+    assert _max_err(plan.div(plan.grad(f)), lap) <= 1e-13
+    helm = _oracle_inverse(c / (0.7 + 2.5e-3 * plan.symbol), cos)
+    assert _max_err(plan.helmholtz(f, 0.7, 2.5e-3), helm) <= 1e-13
+    u = random_field(grid, sin, decay=0.1)
+    sym = sum(np.meshgrid(*[(np.arange(1, n + 1) * np.pi / length) ** 2
+                            for n, length in zip(grid.shape, grid.extents)],
+                          indexing="ij"))
+    lap = _oracle_inverse(-sym * _oracle_forward(u, sin), sin)
+    got = sum(plan.deriv(plan.deriv(u, a, fields.SIN), a, fields.COS)
+              for a in range(grid.dim))
+    assert _max_err(got, lap) <= 1e-13
 
 
 @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
@@ -582,27 +589,24 @@ def test_plan_kernels_on_stacks_match_per_slice(grid):
         assert got.shape == stack.shape
         assert _max_err(got, ref) <= 1e-14
 
+    check(plan.forward)
+    check(plan.inverse)
+    check(lambda v: plan.div(plan.grad(v)))
+    check(lambda v: plan.helmholtz(v, 0.7, 2.5e-3))
+    check(lambda v: fields._strip_sine_nyquist(v, grid))
     for par in _parities(grid.dim):
-        check(lambda v: plan.forward(v, par))
-        check(lambda v: plan.inverse(v, par))
         check(lambda v: plan.project(v, par))
-        check(lambda v: plan.laplacian(v, par))
-        check(lambda v: plan.helmholtz(v, par, 0.7, 2.5e-3))
-        check(lambda v: fields._strip_sine_nyquist(v, par, grid))
         for ax in range(grid.dim):
             check(lambda v: plan.deriv(v, ax, par[ax]))
-        # grad stacks the per-axis derivatives and div sums them over the
-        # axes in order, bit for bit, so the Laplacian is div of grad
-        grad = plan.grad(stack, par)
-        assert np.array_equal(grad, np.stack(
-            [plan.deriv(stack, ax, p) for ax, p in enumerate(par)]))
-        flip = tuple(fields.COS if p == fields.SIN else fields.SIN
-                     for p in par)
-        div = np.zeros(stack.shape)
-        for ax, p in enumerate(flip):
-            div += plan.deriv(grad[ax], ax, p)
-        assert np.array_equal(plan.div(grad, flip), div)
-        assert np.array_equal(plan.laplacian(stack, par), div)
+    # grad stacks the per-axis cosine derivatives and div sums the sine
+    # derivatives of its entries over the axes in order, bit for bit
+    grad = plan.grad(stack)
+    assert np.array_equal(grad, np.stack(
+        [plan.deriv(stack, ax, fields.COS) for ax in range(grid.dim)]))
+    div = np.zeros(stack.shape)
+    for ax in range(grid.dim):
+        div += plan.deriv(grad[ax], ax, fields.SIN)
+    assert np.array_equal(plan.div(grad), div)
 
 
 def test_runtime_imports_no_scipy():

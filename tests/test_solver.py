@@ -12,12 +12,13 @@ from nlcflow.errors import (GridMismatch, InvalidInitialData, IterationStall,
                             NonFiniteState, PicardDivergence,
                             PositivityLoss, SingularMassMatrix,
                             StepUnderflow, ValidationError)
-from nlcflow.fields import (COS, SIN, Grid, coeffs, dirichlet, neumann,
-                            integrate_values, spectral_plan)
+from nlcflow.fields import (COS, SIN, Grid, coeffs, integrate_values,
+                            neumann, spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
-from conftest import bump_state, equilibrium_state, run_lists, unit_director
+from conftest import (bump_state, equilibrium_state, run_lists,
+                      sine_gradient, unit_director)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_velocity_gradient_from_coefficients_matches_nodal(grid2d):
     the reconstructed velocity, to round-off."""
     basis = sv.GalerkinBasis(grid2d, 8)
     U = np.random.default_rng(9).standard_normal((8, 2))
-    want = spectral_plan(grid2d).grad(basis.reconstruct(U), dirichlet(2))
+    want = sine_gradient(spectral_plan(grid2d), basis.reconstruct(U))
     got = basis.gradient(U)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -222,8 +223,7 @@ def test_density_positivity_rejection():
 
 def _director_step(grid, d, u, dt, p=PhysParams()):
     plan = spectral_plan(grid)
-    d_new, *_ = sv._director_update(plan, d, u,
-                                    plan.grad(d, neumann(grid.dim)), dt, p)
+    d_new, *_ = sv._director_update(plan, d, u, plan.grad(d), dt, p)
     return d_new
 
 
@@ -264,21 +264,20 @@ def _director_update_per_component(grid, d, u, dt, p, tol=1e-13,
     dealiased transport and one Helmholtz solve per component and
     fixed-point iteration, each kernel applied to a single nodal array."""
     plan = spectral_plan(grid)
-    cos = neumann(grid.dim)
     kappa = p.relax_rate
     w = []
     for dk in d:
         adv = np.zeros(grid.shape)
         for b, ub in enumerate(u):
             adv += ub * plan.deriv(dk, b, COS)
-        w.append(plan.project(adv, cos))
+        w.append(plan.project(adv, neumann(grid.dim)))
     dn = d
     lag = dn.copy()
     scale = max(1.0, float(np.abs(dn).max()))
     for _ in range(max_iter):
         force = cst.gl_force_two_point(dn, lag, p.penalty_scale)
         new = np.stack([
-            plan.helmholtz(dn[k] - dt * (w[k] + kappa * force[k]), cos, 1.0,
+            plan.helmholtz(dn[k] - dt * (w[k] + kappa * force[k]), 1.0,
                            kappa * dt)
             for k in range(3)])
         gap = float(np.abs(new - lag).max())
@@ -296,7 +295,7 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
     d = s.d
     for dt in (1e-3, 1e-2):
         got, *_ = sv._director_update(plan, d, s.u,
-                                      plan.grad(d, neumann(2)), dt, p)
+                                      plan.grad(d), dt, p)
         ref = _director_update_per_component(grid2d, s.d, s.u, dt, p)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -312,9 +311,8 @@ def _heat_step(s, u, reg, dt, p):
     rho = s.rho
     frozen = sv._FrozenHeat(plan, s.theta, rho, reg, p, dt)
     m = sv._mass_flux(plan, rho, u)
-    return sv._temperature_update(frozen, rho,
-                                  plan.grad(u, dirichlet(s.grid.dim)),
-                                  m, np.zeros(s.grid.shape), reg, p, dt,
+    return sv._temperature_update(frozen, rho, sine_gradient(plan, u), m,
+                                  np.zeros(s.grid.shape), reg, p, dt,
                                   s.theta)[0]
 
 
@@ -385,10 +383,13 @@ def test_conduction_apply_matches_composed_operator(grid):
     composed = np.zeros(grid.shape)
     for b in range(grid.dim):
         # the flux kappa * d_b theta is a stored field with parity sin on
-        # axis b, cos elsewhere: stripped of its sine Nyquist mode
-        flux_parity = tuple(SIN if a == b else COS for a in range(grid.dim))
-        flux = sv._strip_sine_nyquist(kappa * plan.deriv(theta, b, COS),
-                                      flux_parity, grid)
+        # axis b, cos elsewhere: stripped of its sine Nyquist mode, the
+        # alternating-sign vector along axis b
+        n = grid.shape[b]
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0).reshape(
+            (n,) + (1,) * (grid.dim - 1 - b))
+        flux = kappa * plan.deriv(theta, b, COS)
+        flux = flux - np.sum(flux * sign, axis=b, keepdims=True) / n * sign
         composed -= plan.deriv(flux, b, SIN)
     fused = sv._conduction_apply(plan, theta, kappa)
     assert np.abs(fused - composed).max() <= 1e-13 * np.abs(composed).max()
@@ -421,7 +422,7 @@ def test_heat_preconditioner_matches_helmholtz(grid):
     frozen = sv._FrozenHeat(plan, theta, rho, reg, PhysParams(), 1e-3)
     cbar = (reg.delta + rho.mean()) / 1e-3 \
         + reg.delta * frozen.th_alpha.mean()
-    ref = plan.helmholtz(r, neumann(grid.dim), cbar, frozen.kappa.mean())
+    ref = plan.helmholtz(r, cbar, frozen.kappa.mean())
     got = frozen.precondition(r)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -464,8 +465,8 @@ def test_scaled_preconditioner_agrees_and_saves_applies(grid2d):
     rho, u = s0.rho, s0.u
     frozen = sv._FrozenHeat(plan, s0.theta, rho, reg, p, dt)
     rho_new, m = sv._density_update(plan, rho, u, reg.eps, dt)
-    c0, rhs = sv._heat_system(frozen, rho_new, plan.grad(u, dirichlet(2)),
-                              m, np.zeros(grid2d.shape), reg, p, dt)
+    c0, rhs = sv._heat_system(frozen, rho_new, sine_gradient(plan, u), m,
+                              np.zeros(grid2d.shape), reg, p, dt)
 
     def apply_op(v):
         return frozen.apply(c0, v)
@@ -629,7 +630,7 @@ def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
                                  basis.stiffness(p), U, dt)
     U_new = sv._momentum_update(
         plan, u, basis.gradient(U), rho, rho, m, theta,
-        plan.grad(d, neumann(plan.dim)), np.zeros((3,) + rho.shape), reg,
+        plan.grad(d), np.zeros((3,) + rho.shape), reg,
         basis, p, system)
     return basis.reconstruct(U_new)
 
@@ -711,7 +712,8 @@ def _twist_start(grid):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("director-twist", grid, amplitude=0.6)
     return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                      raw.theta, raw.d, reg), reg
+                                      raw.theta, raw.d, reg,
+                                      (0.1, 10.0)), reg
 
 
 def _stepped_state(grid, steps=2):
@@ -1017,7 +1019,8 @@ def _density_bump_start(grid):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("density-bump", grid, amplitude=0.4)
     return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                      raw.theta, raw.d, reg), reg
+                                      raw.theta, raw.d, reg,
+                                      (0.1, 10.0)), reg
 
 
 def _counted(monkeypatch, owner, name, calls):
@@ -1138,7 +1141,8 @@ def test_regularize_identity_when_clamp_inactive(grid2d):
     theta0 = np.ones(grid2d.shape)
     d0 = unit_director(grid2d)
     m0 = [np.zeros(grid2d.shape), np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg)
+    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg,
+                                   (0.1, 10.0))
     # upper clamp delta^(-1/(2 beta)) = 0.01^(-0.1) ~ 1.585 > 1: inactive
     assert np.allclose(s.rho, 1.0)
     assert np.abs(s.u).max() == 0.0
@@ -1152,7 +1156,8 @@ def test_regularize_clamps_density_and_masks_momentum(grid2d):
     theta0 = np.full(grid2d.shape, 20.0)  # above the theta clamp
     d0 = unit_director(grid2d)
     m0 = [np.full(grid2d.shape, 0.4), np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg)
+    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg,
+                                   (0.1, 10.0))
     assert np.allclose(s.rho, hi)
     # clamp lowered the density, so the momentum is zeroed
     assert np.abs(s.u).max() <= 1e-14
@@ -1166,10 +1171,12 @@ def test_regularize_vacuum_compatibility(grid2d):
     d0 = unit_director(grid2d)
     bad = [np.full(grid2d.shape, 0.1), np.zeros(grid2d.shape)]
     with pytest.raises(InvalidInitialData):
-        sv.regularize_initial_data(grid2d, rho0, bad, theta0, d0, reg)
+        sv.regularize_initial_data(grid2d, rho0, bad, theta0, d0, reg,
+                                   (0.1, 10.0))
     ok = [np.where(grid2d.mesh()[0] < 1.0, 0.0, 0.1),
           np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(grid2d, rho0, ok, theta0, d0, reg)
+    s = sv.regularize_initial_data(grid2d, rho0, ok, theta0, d0, reg,
+                                   (0.1, 10.0))
     assert float(s.rho.min()) >= reg.delta - 1e-15
 
 
@@ -1180,7 +1187,8 @@ def test_regularize_rejects_negative_density(grid2d):
     d0 = unit_director(grid2d)
     with pytest.raises(InvalidInitialData):
         sv.regularize_initial_data(
-            grid2d, rho0, [np.zeros(grid2d.shape)] * 2, theta0, d0, reg)
+            grid2d, rho0, [np.zeros(grid2d.shape)] * 2, theta0, d0, reg,
+            (0.1, 10.0))
 
 
 def test_state_checks_layout_shapes(grid2d):
