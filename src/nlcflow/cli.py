@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,48 +22,47 @@ from . import diagnostics as dg
 from . import mms as mm
 from . import presets
 from . import solver as sv
-from .errors import FlowError, IOFailure, ParityMismatch, ParseError, \
-    SolverFailure, TooManyModes, ValidationError
+from .errors import FlowError, IOFailure, ParseError, SolverFailure, \
+    TooManyModes, ValidationError
 
 
 # ---------------------------------------------------------------------------
 # snapshots
 #
-# A snapshot is plain text: a sequence of blocks, each a header line
-# ``FIELD <name> <kind> <dims...>`` followed by rows of ``%.17g`` values, one
-# row per index along the first dimension, so every float round-trips
-# exactly.  ``<kind>`` is the parity of a nodal block, ``neumann``
-# (all-cosine) or ``dirichlet`` (all-sine), whose dims are the grid's shape;
-# or ``galerkin`` for a table that lives off the grid, whose two dims are its
-# row and column counts.  Each unknown is stored once, in the order of
-# ``_LAYOUT``: ``time``, t as a 1x1 table; the nodal blocks ``rho``,
-# ``theta`` and ``d0``-``d2``; then ``velocity``, the n x dim table of the
-# state's Galerkin coefficients.
+# A snapshot is plain text: the blocks of ``_LAYOUT`` in its order, each a
+# header line ``FIELD <name> <kind> <dims...>`` followed by rows of
+# ``%.17g`` values, one row per index along the first dimension, so every
+# float round-trips exactly.  ``time`` holds t as a 1x1 ``galerkin``
+# table; the ``neumann`` (all-cosine) nodal blocks ``rho``, ``theta`` and
+# ``d0``-``d2`` have the grid's shape; ``velocity`` is the n x dim
+# ``galerkin`` table of the state's Galerkin coefficients, n >= 1.  The
+# reader takes exactly these blocks under exactly these headers, and
+# nothing else: this layout is the whole contract of the format.
 #
 # The solver history goes to a binary file beside the snapshot
 # (:func:`history_path`: ``hist_000006.bin`` beside ``snap_000006.dat``):
 # one ASCII header line ``nlcflow-history 1 <levels> <n> <dim> <grid
 # shape...>``, then per level, newest first, its dt, its n x dim table
 # and its nodal theta as little-endian float64.  Every snapshot has one,
-# with no levels for a state without history.
-#
-# The reader also takes older files, whose velocity is nodal, as
-# ``dirichlet`` blocks ``u<c>``, and projects it onto the run's Galerkin
-# modes; in the v1 format ``time`` is a nodal block holding t at every
-# node.  A snapshot without its history file has no history, and a
-# ``history`` block that older files end with is read and not used: such
-# a restart's first step is not predicted.
+# with no levels for a state without history; a snapshot read without
+# its history file has no history, so its restart's first step is not
+# predicted.
 # ---------------------------------------------------------------------------
-
-GALERKIN = "galerkin"
 
 _HISTORY_MAGIC = "nlcflow-history"
 _HISTORY_VERSION = 1
 
 # ``(name, kind)`` of each block of a snapshot, in file order
-_LAYOUT = ((("time", GALERKIN), ("rho", "neumann"), ("theta", "neumann"))
+_LAYOUT = ((("time", "galerkin"), ("rho", "neumann"), ("theta", "neumann"))
            + tuple((f"d{k}", "neumann") for k in range(3))
-           + (("velocity", GALERKIN),))
+           + (("velocity", "galerkin"),))
+
+_ROWS = re.compile(r"[1-9][0-9]*")      # a velocity table's row count
+
+
+def _header(name, kind, shape):
+    """The header line, without its newline, of a block of ``shape``."""
+    return f"FIELD {name} {kind} {' '.join(map(str, shape))}"
 
 
 def _write_block(fh, name, kind, values):
@@ -70,7 +70,7 @@ def _write_block(fh, name, kind, values):
     along the first axis, the whole body formatted by a single ``%``."""
     shape = values.shape
     row = " ".join(["%.17g"] * (values.size // shape[0])) + "\n"
-    fh.write(f"FIELD {name} {kind} {' '.join(map(str, shape))}\n")
+    fh.write(_header(name, kind, shape) + "\n")
     fh.write((row * shape[0]) % tuple(values.ravel().tolist()))
 
 
@@ -145,12 +145,28 @@ def write_snapshot(path, s):
     _write_history(history_path(path), s)
 
 
-def _read_blocks(path, grid):
-    """Every block of a snapshot as ``{name: (kind, array)}``: a nodal
-    block's array has the grid's shape, a ``galerkin`` table the row and
-    column counts of its header.  Any malformed block, one holding nan or
-    an infinity, or a second block of a name, is an IOFailure: no accepted
-    state holds either, and no writer repeats a block."""
+def _layout_shape(name, grid, header):
+    """The dims the writer gives block ``name`` on ``grid``: 1x1 for t,
+    n x dim for the velocity table, with the row count n >= 1 read from
+    its ``header`` (``n`` where that gives none), and the grid's shape for
+    a nodal block."""
+    if name == "time":
+        return (1, 1)
+    if name == "velocity":
+        rows = header.split()[3:4]
+        return (int(rows[0]) if rows and _ROWS.fullmatch(rows[0]) else "n",
+                grid.dim)
+    return grid.shape
+
+
+def read_snapshot(path, grid):
+    """The State stored by :func:`write_snapshot`, with the history of the
+    file beside it, if there is one.  The file is read block by block in
+    the order of ``_LAYOUT``, and each header must be the one the writer
+    writes (see :func:`_layout_shape`).  A block that is missing, extra or
+    under another header, a malformed or non-finite value, or a velocity
+    table of more modes than the grid admits is an IOFailure: no accepted
+    state holds any of these, and no writer writes them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -159,84 +175,41 @@ def _read_blocks(path, grid):
     lead, *chunks = ("\n" + text).split("\nFIELD ")
     if lead.strip():
         raise IOFailure(f"snapshot {path!r}: values before any FIELD header")
-    blocks = {}
-    for chunk in chunks:
+    values = []
+    for i, chunk in enumerate(chunks):
         header, _, body = chunk.partition("\n")
-        try:
-            name, kind, *dims = header.split()
-            shape = tuple(int(n) for n in dims)
-            known = (kind in ("neumann", "dirichlet") and shape == grid.shape
-                     or kind == GALERKIN and len(shape) == 2
-                     and min(shape) >= 0)
-        except ValueError:
-            known = False
-        if not known:
-            raise IOFailure(
-                f"snapshot {path!r}: header {'FIELD ' + header.strip()!r} "
-                f"is neither a nodal block on the grid {grid.shape} nor a "
-                f"{GALERKIN} table")
+        header = "FIELD " + header
+        if i == len(_LAYOUT):
+            raise IOFailure(f"snapshot {path!r}: header {header!r} follows "
+                            f"the last block, {_LAYOUT[-1][0]!r}")
+        name, kind = _LAYOUT[i]
+        shape = _layout_shape(name, grid, header)
+        want = _header(name, kind, shape)
+        if header != want:
+            raise IOFailure(f"snapshot {path!r}: header {header!r} is not "
+                            f"{want!r}" + (", n >= 1" if name == "velocity"
+                                           else ""))
         cells = body.split()
         try:    # a non-numeric value, or a count other than the header's
             if len(cells) != math.prod(shape):
                 raise ValueError(f"{len(cells)} values for the shape {shape}")
-            values = np.fromiter(map(float, cells), np.float64,
-                                 len(cells)).reshape(shape)
+            block = np.fromiter(map(float, cells), np.float64,
+                                len(cells)).reshape(shape)
         except ValueError as exc:
             raise IOFailure(f"snapshot {path!r}: block {name!r}: {exc}") \
                 from None
-        if not np.isfinite(values).all():
+        if not np.isfinite(block).all():
             raise IOFailure(f"snapshot {path!r}: block {name!r} holds a "
                             f"non-finite value")
-        if name in blocks:
-            raise IOFailure(f"snapshot {path!r}: block {name!r} repeats")
-        blocks[name] = (kind, values)
-    return blocks
-
-
-def read_snapshot(path, grid, n_modes):
-    """The State stored by :func:`write_snapshot`, with the history of the
-    file beside it, if there is one.  Each block's stored kind must be the
-    one the layout gives it (ParityMismatch), and the file must hold the
-    velocity either as a table or as nodal blocks.  Nodal velocity is
-    projected onto the ``n_modes`` Galerkin modes of ``grid``.  A table
-    that is not ``dim`` columns of at least one mode, or that holds more
-    modes than the grid admits, is an IOFailure."""
-    blocks = _read_blocks(path, grid)
-    dim = grid.dim
-    tabled = "velocity" in blocks
-    nodal = [(f"u{c}", "dirichlet") for c in range(dim)]
-    if tabled == any(name in blocks for name, _ in nodal):
-        raise IOFailure(f"snapshot {path!r} holds "
-                        + ("both a velocity table and nodal u blocks"
-                           if tabled else "no velocity"))
-    layout = list(_LAYOUT) if tabled else list(_LAYOUT[:-1]) + nodal
-    missing = [name for name, _ in layout if name not in blocks]
-    if missing:
-        raise IOFailure(f"snapshot {path!r} lacks fields {missing}")
-    time_kind, time = blocks["time"]
-    if time_kind == GALERKIN and time.shape != (1, 1):
-        raise IOFailure(f"snapshot {path!r}: time is not a 1x1 table")
-    # a v1 file stores t at every node, in a neumann block
-    for name, kind in layout[1:] if time_kind == "neumann" else layout:
-        if blocks[name][0] != kind:
-            raise ParityMismatch(
-                f"snapshot {path!r} stores {name} as {blocks[name][0]}, "
-                f"the state needs {kind}")
-    values = {name: blocks[name][1] for name, _ in layout}
-    if tabled:
-        U = values["velocity"]
-        if len(U) < 1 or U.shape[1] != dim:
-            raise IOFailure(f"snapshot {path!r}: the velocity table is "
-                            f"{U.shape[0]} x {U.shape[1]}, not n x {dim} "
-                            f"with n >= 1")
-    else:
-        U = sv.galerkin_basis(grid, n_modes).project(
-            np.stack([values[name] for name, _ in nodal]))
+        values.append(block)
+    if len(values) < len(_LAYOUT):
+        name, kind = _LAYOUT[len(values)]
+        want = _header(name, kind, _layout_shape(name, grid, ""))
+        raise IOFailure(f"snapshot {path!r} ends before the header {want!r}")
+    time, rho, theta, *d, U = values
     history = _read_history(history_path(path), grid)
     try:
-        return sv.State(grid, float(time.flat[0]), values["rho"], U,
-                        values["theta"], [values[f"d{k}"] for k in range(3)],
-                        history)
+        return sv.State(grid, float(time[0, 0]), rho, U, theta, d, history)
     except TooManyModes as exc:
         raise IOFailure(f"snapshot {path!r}: the velocity table holds "
                         f"{exc.n_modes} modes, the grid {grid.shape} admits "
@@ -255,7 +228,7 @@ def _out_dir(cfg):
 
 def _initial_state(cfg):
     if cfg.init.snapshot is not None:
-        return read_snapshot(cfg.init.snapshot, cfg.grid, cfg.reg.n_modes)
+        return read_snapshot(cfg.init.snapshot, cfg.grid)
     return presets.build(cfg.init.preset, cfg.grid, base=cfg.init.base,
                          amplitude=cfg.init.amplitude, width=cfg.init.width)
 
@@ -409,8 +382,7 @@ def cmd_diagnose(directory):
     # no version line: readers take the first line printed as the header
     print("t,mass,energy_total,entropy_total,director_sup")
     for name in names:
-        s = read_snapshot(os.path.join(directory, name), cfg.grid,
-                          cfg.reg.n_modes)
+        s = read_snapshot(os.path.join(directory, name), cfg.grid)
         rec = dg.make_record(s, dg.derivatives(s, cfg.phys), cfg.reg,
                              cfg.phys)
         print(dg.csv_line((rec.t, rec.mass, rec.energy_total,

@@ -11,14 +11,12 @@ The format is a diff-friendly text file of dotted keys:
 ``phys``, ``reg``, ``solver``, ``init``, ``output`` and ``mms`` are their
 dataclasses with each field read from the key ``section.field``.
 
-Unknown keys are rejected with the offending line number.  A retired key
-(one that older versions wrote to ``config.resolved``, see ``RETIRED``) is
-logged and ignored when its value asks for what the current code does, so
-those files still parse; any other value of it is rejected with its line
-number, since ignoring it would misreport the run.  Every key left to its
-default is logged once at parse time.  ``serialize(parse(path))``
-followed by another parse reproduces the same RunConfig (idempotent after
-the first normalization).
+Unknown keys, among them the keys that older versions wrote to
+``config.resolved`` and this one reads no more, are rejected with the
+offending line number.  Every key left to its default is logged once at
+parse time.  ``serialize(parse(path))`` followed by another parse
+reproduces the same RunConfig (idempotent after the first
+normalization).
 """
 
 import logging
@@ -32,9 +30,6 @@ from .presets import PRESETS
 from .solver import SolverConfig
 
 log = logging.getLogger("nlcflow.config")
-
-
-_TRUE = ("true", "yes", "on", "1")
 
 
 def _parse_int_list(text):
@@ -99,15 +94,6 @@ SCHEMA = {
     "mms.shape": (int, 32),
 }
 
-# retired key -> (why it is ignored, test of the values that may be ignored)
-RETIRED = {
-    "phys.cond_cap": ("no conductivity law reads it", lambda text: True),
-    "solver.dealias": ("the 2/3 rule is the only scheme",
-                       lambda text: text.lower() in _TRUE),
-    "output.csv": ("every run writes its diagnostics CSV",
-                   lambda text: text.lower() in _TRUE),
-}
-
 _SERIALIZE_VERSION = 1
 
 
@@ -168,15 +154,6 @@ def _read_pairs(lines):
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in RETIRED:
-            why, ignorable = RETIRED[key]
-            if not ignorable(value):
-                raise ParseError(
-                    f"line {lineno}: retired key {key!r} cannot be "
-                    f"{value!r}: {why}")
-            log.info("line %d: ignoring retired key %s (%s)", lineno, key,
-                     why)
-            continue
         if key not in SCHEMA:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
@@ -321,10 +298,11 @@ def _build(values):
     dts = values["mms.dts"]
     if any(dt <= 0 for dt in dts):
         raise ValidationError("mms.dts entries must be positive")
-    if any(a == b for a, b in zip(dts, dts[1:])):
+    if len(dts) < 2 or any(a == b for a, b in zip(dts, dts[1:])):
         raise ValidationError(
-            f"mms.dts = {_format_value(dts)}: neighbouring entries must "
-            "differ: each observed order compares two of them")
+            f"mms.dts = {_format_value(dts)}: needs at least two entries, "
+            "neighbouring ones different: each observed order compares two "
+            "of them")
 
     return RunConfig(grid=grid, phys=phys, reg=reg, solver=solver,
                      init=init, output=output, cont=cont,
@@ -346,8 +324,10 @@ def parse_config(path):
 
 
 def _format_value(val):
+    """The config text of ``val``; an empty list is ``,``, which every list
+    key reads back as empty."""
     if isinstance(val, tuple):
-        return ",".join(_format_value(v) for v in val)
+        return ",".join(_format_value(v) for v in val) or ","
     if isinstance(val, float):
         return repr(val)
     return str(val)
@@ -358,7 +338,7 @@ def serialize(cfg: RunConfig):
     lines = [f"# nlcflow run config (format v{_SERIALIZE_VERSION})"]
     for key in SCHEMA:
         val = cfg.raw.get(key, SCHEMA[key][1])
-        if val is None or val == ():
+        if val is None:
             continue
         lines.append(f"{key} = {_format_value(val)}")
     return "\n".join(lines) + "\n"

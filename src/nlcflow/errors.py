@@ -15,10 +15,6 @@ class GridMismatch(FlowError):
     """Operands live on different grids."""
 
 
-class ParityMismatch(FlowError):
-    """Operands carry incompatible boundary parities."""
-
-
 # --- constitutive layer -----------------------------------------------------
 
 class NegativeInput(FlowError):

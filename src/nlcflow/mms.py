@@ -289,7 +289,7 @@ def _l2(grid, a, b):
     return float(np.sqrt(integrate_values(grid, (a - b) ** 2)))
 
 
-def solution_errors(case, state, reference):
+def solution_errors(state, reference):
     """L2 errors of a computed state against the manufactured fields."""
     grid = state.grid
     errs = {
@@ -312,8 +312,8 @@ def run_case(case, n, reg, p, cfg):
     for last, _ in sv.run(analytic_state(case, grid, 0.0, reg.n_modes), reg,
                           cfg, p, sources=sources):
         pass
-    return solution_errors(case, last,
-                           analytic_state(case, grid, last.t, reg.n_modes))
+    return solution_errors(last, analytic_state(case, grid, last.t,
+                                                reg.n_modes))
 
 
 def spatial_study(case, reg, p, resolutions, cfg):

@@ -1,6 +1,7 @@
 """Structure guard over the package source, read with ``ast`` and never
 imported: every function and class is referenced by name somewhere in the
-package, and every imported name is read by the module that imports it."""
+package, every parameter of a function is read in its body, and every
+imported name is read by the module that imports it."""
 
 import ast
 import os
@@ -14,6 +15,18 @@ UNREFERENCED = {
     # README library API: the per-step energy-ledger audit has no caller in
     # the package until the run loop records it (ROADMAP item 2)
     "diagnostics.energy_budget_residual",
+}
+
+# ``module.function.parameter`` parameters that may go unread, each with its
+# reason
+UNREAD = {
+    # the preset signature: ``presets.build`` hands every preset the
+    # amplitude and width knobs, which the constant equilibrium has no use for
+    "presets.equilibrium.amplitude",
+    "presets.equilibrium.width",
+    # the analytic-field signature f(mesh, t) of the manufactured solutions,
+    # which a field constant in time does not read
+    "mms._zero.t",
 }
 
 
@@ -47,6 +60,34 @@ def test_every_definition_is_referenced():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read)
     assert set(unreferenced) == UNREFERENCED, unreferenced
+
+
+def _loads(node):
+    """Every name the body of function ``node`` reads, with its first
+    parameter where the body calls ``super()`` without arguments, which
+    reads that parameter implicitly."""
+    inner = [n for stmt in node.body for n in ast.walk(stmt)]
+    read = {n.id for n in inner
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+           and n.func.id == "super" and not n.args for n in inner):
+        read.add(node.args.args[0].arg)
+    return read
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            read = _loads(node)
+            unread += [f"{module}.{node.name}.{a.arg}"
+                       for a in (args.posonlyargs + args.args + args.kwonlyargs
+                                 + [args.vararg, args.kwarg])
+                       if a is not None and a.arg not in read]
+    assert set(unread) == UNREAD, unread
 
 
 def test_every_import_is_read():
