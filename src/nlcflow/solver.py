@@ -426,8 +426,9 @@ class _FrozenHeat:
     """The parts of the heat operator that stay fixed over one step.
 
     kappa(theta^n), theta^n^alpha, the old-time part of the right-hand side
-    and the preconditioner symbol ``cbar + kbar * lambda``.  ``cbar`` is the
-    mean of the step-fixed part of the diagonal coefficient c0,
+    and the preconditioner's constants ``cbar`` and ``kbar``, the mean of
+    kappa.  ``cbar`` is the mean of the step-fixed part of the diagonal
+    coefficient c0,
     (delta + rho^n) / dt + delta * theta^n^alpha; the swept part,
     R rho div u, has nearly zero mean, and mass conservation keeps the mean
     of the new density equal to that of rho^n.
@@ -439,14 +440,13 @@ class _FrozenHeat:
         self.th_alpha = np.maximum(theta, 0.0) ** p.cond_growth
         self.kappa = cst.heat_conductivity(theta, p)
         self.rhs = (reg.delta + rho_prev) * theta / dt
-        cbar = ((reg.delta + float(rho_prev.mean())) / dt
-                + reg.delta * float(self.th_alpha.mean()))
-        self.symbol = cbar + float(self.kappa.mean()) * plan.symbol
+        self.cbar = ((reg.delta + float(rho_prev.mean())) / dt
+                     + reg.delta * float(self.th_alpha.mean()))
+        self.kbar = float(self.kappa.mean())
 
     def precondition(self, vals):
         """Solve (cbar - kbar * Laplacian) z = vals with Neumann data."""
-        plan = self.plan
-        return plan.inverse(plan.forward(vals) / self.symbol)
+        return self.plan.helmholtz(vals, self.cbar, self.kbar)
 
     def scaled_preconditioner(self, c0):
         """The symmetric preconditioner r -> s * precondition(s * r) for

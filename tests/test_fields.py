@@ -541,10 +541,12 @@ def test_heat_preconditioner_matches_fft_oracle(grid):
     rng = np.random.default_rng(11)
     theta = 1.0 + 0.1 * rng.random(grid.shape)
     rho = np.ones(grid.shape)
-    frozen = sv._FrozenHeat(fields.spectral_plan(grid), theta, rho,
-                                RegParams(), PhysParams(), 1e-3)
+    plan = fields.spectral_plan(grid)
+    frozen = sv._FrozenHeat(plan, theta, rho, RegParams(), PhysParams(),
+                            1e-3)
     r = rng.standard_normal(grid.shape)
-    ref = sfft.idctn(sfft.dctn(r, type=2) / frozen.symbol, type=2)
+    ref = sfft.idctn(sfft.dctn(r, type=2)
+                     / (frozen.cbar + frozen.kbar * plan.symbol), type=2)
     assert _max_err(frozen.precondition(r), ref) <= 1e-13
 
 
