@@ -411,7 +411,7 @@ def _per_row_block(name, kind, values):
     return "\n".join(lines) + "\n"
 
 
-def _per_row_director(s):
+def _per_row_theta_d(s):
     """The per-row blocks ``theta`` and ``d0``-``d2`` of ``s``."""
     return _per_row_block("theta", "neumann", s.theta) + "".join(
         _per_row_block(f"d{k}", "neumann", comp) for k, comp in enumerate(s.d))
@@ -423,7 +423,7 @@ def _per_row_snapshot(s):
     director, the ``velocity`` table.  It does not hold the history, which
     goes to its own file."""
     return (_per_row_block("time", "galerkin", np.array([[s.t]]))
-            + _per_row_block("rho", "neumann", s.rho) + _per_row_director(s)
+            + _per_row_block("rho", "neumann", s.rho) + _per_row_theta_d(s)
             + _per_row_block("velocity", "galerkin", s.U))
 
 
@@ -487,9 +487,9 @@ def test_snapshot_table_round_trip(tmp_path):
     """The velocity is a ``galerkin`` table: it keeps its own row and
     column counts, and only its header kind exempts it from the grid-shape
     check.  A nodal block whose shape is not the grid's, and a velocity
-    table under a nodal kind, are rejected.  The
-    history, two levels of 8-mode tables and nodal temperatures, one with
-    a dt that needs 17 digits, comes back bit for bit from its file."""
+    table under a nodal kind, are rejected.  The history, two levels of
+    8-mode tables and nodal temperatures, one with a dt that needs 17
+    digits, comes back bit for bit from its file."""
     grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
     rng = np.random.default_rng(5)
     levels = ((SPECIAL_VALUES[7], rng.standard_normal((8, 2)),
@@ -781,10 +781,10 @@ def test_restart_from_legacy_snapshot_exits_4(tmp_path, capsys, layout,
     old = tmp_path / "old.dat"
     old.write_text({
         "v1": _per_row_block("time", "neumann", np.full(s.grid.shape, s.t))
-        + rho + u + _per_row_director(s),
+        + rho + u + _per_row_theta_d(s),
         "nodal-velocity": _per_row_block("time", "galerkin",
                                          np.array([[s.t]]))
-        + rho + _per_row_director(s) + u,
+        + rho + _per_row_theta_d(s) + u,
         "text-history": _per_row_snapshot(s)
         + _per_row_block("history", "galerkin", history),
     }[layout])
