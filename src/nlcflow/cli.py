@@ -329,39 +329,31 @@ _ERR_KEYS = ("rho", "theta", "u", "d", "total")
 
 
 def cmd_mms(case_name, config_path):
+    """``solve mms``: append each run's row to ``mms_<case>.csv``, flushed,
+    and print its line as the run ends; write ``mms_<case>_orders.json``
+    once the study has ended.  A failed study keeps the rows of its
+    finished runs and writes no orders file."""
     cfg = cf.parse_config(config_path)
     out = _out_dir(cfg)
     case = mm.get_case(case_name)
-    if case.kind == "spatial":
-        study = mm.spatial_study(case, cfg.reg, cfg.phys,
-                                 cfg.mms.resolutions, cfg.solver)
-        rows = study["rows"]
-        label = "resolution"
-        doublings = math.log2(rows[-1][0] / rows[0][0])
-        summary = {"ratios": study["ratios"],
-                   "orders": {k: (math.log2(v) / doublings
-                                  if 0 < v < math.inf else v)
-                              for k, v in study["ratios"].items()}}
-        shown = [summary["orders"]["total"]]
-    else:
-        study = mm.temporal_study(case, cfg.reg, cfg.phys, cfg.mms.dts,
-                                  cfg.mms.shape, cfg.solver)
-        rows = study["rows"]
-        label = "dt"
-        summary = {"orders": {"total": list(study["orders"])}}
-        shown = study["orders"]
-
-    _write_text(os.path.join(out, f"mms_{case.name}.csv"),
-                dg.csv_header([label, *_ERR_KEYS]) + "".join(
-                    dg.csv_line([val] + [errs[k] for k in _ERR_KEYS])
-                    for val, errs in rows))
+    label = "resolution" if case.kind == "spatial" else "dt"
+    spec = cfg.mms
+    print(f"mms case {case.name} ({case.kind})")
+    rows = []
+    with open(os.path.join(out, f"mms_{case.name}.csv"), "w",
+              encoding="utf-8") as csv:
+        csv.write(dg.csv_header([label, *_ERR_KEYS]))
+        csv.flush()
+        for val, errs in mm.study(case, cfg.reg, cfg.phys, cfg.solver,
+                                  spec.resolutions, spec.dts, spec.shape):
+            csv.write(dg.csv_line([val] + [errs[k] for k in _ERR_KEYS]))
+            csv.flush()
+            print("  %s=%-10g total_error=%.6e" % (label, val, errs["total"]))
+            rows.append((val, errs))
+    summary, shown = mm.summarize(case, rows)
     _write_text(os.path.join(out, f"mms_{case.name}_orders.json"),
                 json.dumps(_finite_or_null(summary), indent=2,
                            sort_keys=True) + "\n")
-
-    print(f"mms case {case.name} ({case.kind})")
-    for val, errs in rows:
-        print("  %s=%-10g total_error=%.6e" % (label, val, errs["total"]))
     print("observed order(s): " + ", ".join("%.3f" % o for o in shown))
     print(f"outputs in {out}")
     return 0

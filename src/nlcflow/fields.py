@@ -19,8 +19,9 @@ field.  A kernel that only ever acts on cosine fields therefore takes no
 parity: the transforms, :func:`smooth`, the Helmholtz solve and ``grad``;
 ``div`` takes stacks like the ones ``grad`` makes, entry a sine along axis
 a.  Only :meth:`SpectralPlan.deriv`, :meth:`SpectralPlan.project` and the
-mms restriction (:func:`coeffs`, :func:`evaluate`) see both parities, and
-take one.
+mms restriction (:func:`coeffs`, :func:`evaluate`), which restricts each
+equation's source with that equation's parity, a momentum component's
+being sine along its own axis, see both parities, and take one.
 
 Conventions that the rest of the package relies on:
 

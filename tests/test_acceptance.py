@@ -284,14 +284,15 @@ def test_criterion_07_mms_convergence(capsys):
     # 16-point axes admit at most 7 one-dimensional modes, so the spatial
     # pair runs with a reduced span.
     reg_coarse = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=6)
-    spatial = mms.spatial_study(mms.get_case("bump-2d"), reg_coarse, P,
-                                resolutions=(16, 32),
-                                cfg=sv.SolverConfig(dt=5e-4, t_end=2e-2))
+    bump, trig = mms.get_case("bump-2d"), mms.get_case("trig-2d")
+    spatial, _ = mms.summarize(bump, list(mms.study(
+        bump, reg_coarse, P, sv.SolverConfig(dt=5e-4, t_end=2e-2),
+        resolutions=(16, 32))))
     ratio = spatial["ratios"]["total"]
-    temporal = mms.temporal_study(mms.get_case("trig-2d"), REG, P,
-                                  dts=(4e-3, 2e-3, 1e-3), shape=32,
-                                  cfg=sv.SolverConfig(dt=4e-3, t_end=4e-2))
-    orders = [float(o) for o in temporal["orders"]]
+    _, temporal = mms.summarize(trig, list(mms.study(
+        trig, REG, P, sv.SolverConfig(dt=4e-3, t_end=4e-2),
+        dts=(4e-3, 2e-3, 1e-3), shape=32)))
+    orders = [float(o) for o in temporal]
     elapsed = time.perf_counter() - t0
     ok = (ratio > 16.0 and all(0.7 <= o <= 1.3 for o in orders)
           and elapsed < 300.0)

@@ -1141,6 +1141,24 @@ def test_mms_command_spatial_order(tmp_path):
     assert len(rows) == 2
 
 
+def test_failed_mms_study_keeps_its_finished_rows(tmp_path, capsys):
+    """The 8-node run of a 16,8 study admits only 3 modes: the study exits
+    2 there, and its CSV keeps the row of the 16-node run, which ended
+    first, while no orders file is written."""
+    cfg = _write(tmp_path, "mms.cfg", (
+        "grid.dim = 1\nsolver.dt = 5e-4\nsolver.t_end = 2e-3\n"
+        "reg.eps = 1e-2\nreg.delta = 1e-3\nreg.n_modes = 6\n"
+        "mms.resolutions = 16,8\n"
+        f"output.dir = {tmp_path / 'mms'}\n"))
+    assert cli.main(["mms", "bump-1d", cfg]) == 2
+    assert "8-node grid" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "mms")) == ["mms_bump-1d.csv"]
+    lines = (tmp_path / "mms" / "mms_bump-1d.csv").read_text().splitlines()
+    assert lines[:2] == dg.csv_header(
+        ["resolution", *cli._ERR_KEYS]).splitlines()
+    assert len(lines) == 3 and lines[2].split(",")[0] == "16"
+
+
 def test_finite_or_null_scrubs_nonfinite():
     doc = {"a": [1.0, math.inf], "b": {"c": math.nan, "d": 2.0}}
     clean = cli._finite_or_null(doc)
