@@ -332,12 +332,16 @@ def cmd_mms(case_name, config_path):
     """``solve mms``: append each run's row to ``mms_<case>.csv``, flushed,
     and print its line as the run ends; write ``mms_<case>_orders.json``
     once the study has ended.  A failed study keeps the rows of its
-    finished runs and writes no orders file."""
+    finished runs and writes no orders file.  A ``reg.n_modes`` that one
+    of the study's grids cannot hold ends it before any file is written."""
     cfg = cf.parse_config(config_path)
-    out = _out_dir(cfg)
     case = mm.get_case(case_name)
     label = "resolution" if case.kind == "spatial" else "dt"
     spec = cfg.mms
+    # each grid's basis, cached for its run, raises TooManyModes here
+    for n in spec.resolutions if case.kind == "spatial" else (spec.shape,):
+        sv.galerkin_basis(mm.case_grid(case, n), cfg.reg.n_modes)
+    out = _out_dir(cfg)
     print(f"mms case {case.name} ({case.kind})")
     rows = []
     with open(os.path.join(out, f"mms_{case.name}.csv"), "w",

@@ -292,11 +292,16 @@ def solution_errors(state, reference):
     return errs
 
 
+def case_grid(case, n):
+    """The grid of a run of ``case`` on n nodes per axis."""
+    return Grid((n,) * case.dim, (2.0,) * case.dim)
+
+
 def run_case(case, n, reg, p, cfg):
     """Run the manufactured problem on n nodes per axis under the solver
     settings ``cfg`` (a SolverConfig: dt, t_end and the Picard controls)
     and return the error table entry (sources from :func:`build_sources`)."""
-    grid = Grid((n,) * case.dim, (2.0,) * case.dim)
+    grid = case_grid(case, n)
     sources = build_sources(case, grid, reg, p)
     for last, _ in sv.run(analytic_state(case, grid, 0.0, reg.n_modes), reg,
                           cfg, p, sources=sources):

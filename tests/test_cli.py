@@ -13,6 +13,7 @@ import pytest
 
 from nlcflow import cli
 from nlcflow import diagnostics as dg
+from nlcflow import mms as mm
 from nlcflow.errors import IOFailure
 from nlcflow.fields import Grid
 from nlcflow import solver as sv
@@ -178,25 +179,31 @@ def test_unknown_mms_case_exits_2(tmp_path):
 
 def test_mms_too_many_modes_names_key_and_grid(tmp_path, capsys):
     """The default reg.n_modes (8) exceeds the 7 sine modes of the 16-node
-    axis a 1-D spatial study starts on: exit 2 naming the key and grid."""
+    axis a 1-D spatial study starts on: exit 2 naming the key and grid,
+    before any file is written."""
     cfg = _write(tmp_path, "mms.cfg",
                  f"grid.dim = 1\noutput.dir = {tmp_path / 'out'}\n")
     assert cli.main(["mms", "bump-1d", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     assert "reg.n_modes = 8" in err and "16-node grid" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mms_runs_on_the_config_solver_section(tmp_path, capsys):
     """``solve mms`` steps with the config's Picard controls: a tolerance
     no single sweep can meet ends the study with exit 3, as it ends
-    ``solve run``."""
+    ``solve run``.  Its CSV keeps the version and column lines, and no
+    orders file is written."""
     cfg = _write(tmp_path, "mms.cfg", (
         "grid.dim = 1\nsolver.picard_tol = 1e-300\nsolver.picard_max = 1\n"
         f"output.dir = {tmp_path / 'out'}\n"))
     assert cli.main(["mms", "trig-1d", cfg]) == 3
     err = capsys.readouterr().err
     assert "solver failure" in err and "PicardDivergence" in err
+    assert sorted(os.listdir(tmp_path / "out")) == ["mms_trig-1d.csv"]
+    assert (tmp_path / "out" / "mms_trig-1d.csv").read_text() \
+        == "# nlcflow-csv v1\ndt,rho,theta,u,d,total\n"
 
 
 def test_usage_error_raises_system_exit():
@@ -236,16 +243,21 @@ def test_csv_columns_and_lossless_round_trip(tmp_path):
             assert dg.format_float(float(cell)) == cell
 
 
-def test_rerun_outputs_byte_identical(tmp_path):
-    cfg1 = _run_cfg(tmp_path, out="one")
-    cfg2 = _write(tmp_path, "run2.cfg",
-                  RUN_CFG.format(out=tmp_path / "two"))
-    assert cli.main(["run", cfg1]) == 0
-    assert cli.main(["run", cfg2]) == 0
-    for name in ("diagnostics.csv", "snap_000005.dat", "hist_000005.bin"):
-        a = (tmp_path / "one" / name).read_bytes()
-        b = (tmp_path / "two" / name).read_bytes()
-        assert a == b
+def test_rerun_outputs_byte_identical(tmp_path, monkeypatch):
+    """A config run twice writes the same files, every one byte for byte:
+    a 1-D bump with residual columns and a 2-D twist."""
+    twist = RESTART_CFG.format(out=tmp_path / "twist").replace(
+        "grid.shape = 32", "grid.shape = 16").replace(
+        "solver.t_end = 0.01", "solver.t_end = 4e-3")
+    for cfg in (_run_cfg(tmp_path), _write(tmp_path, "twist.cfg", twist)):
+        trees = []
+        for out in ("one", "two"):
+            monkeypatch.setenv("SOLVE_OUT", str(tmp_path / out))
+            assert cli.main(["run", cfg]) == 0
+            trees.append(_tree_bytes(tmp_path / out))
+            shutil.rmtree(tmp_path / out)
+        assert "diagnostics.csv" in trees[0] and "hist_000004.bin" in trees[0]
+        assert trees[0] == trees[1]
 
 
 RESTART_CFG = """\
@@ -264,23 +276,80 @@ output.cadence = 1
 """
 
 
-def test_restart_from_snapshot_continues_the_run(tmp_path):
-    """Ten steps in one run and 5 + 5 with a restart from the fifth
-    snapshot end on byte-identical snapshots and history files."""
+def _restarted(tmp_path, k, n_modes=8):
+    """The ten-step twist run in ``whole`` and its restart from snapshot k
+    in ``second``, the restart on ``n_modes`` velocity modes."""
     whole = _write(tmp_path, "whole.cfg",
                    RESTART_CFG.format(out=tmp_path / "whole"))
     assert cli.main(["run", whole]) == 0
     restart = _write(tmp_path, "restart.cfg",
-                     RESTART_CFG.format(out=tmp_path / "second")
+                     RESTART_CFG.format(out=tmp_path / "second").replace(
+                         "reg.n_modes = 8", f"reg.n_modes = {n_modes}")
                      + f"init.snapshot = {tmp_path / 'whole'}"
-                       "/snap_000005.dat\n")
+                       f"/snap_{k:06d}.dat\n")
     assert cli.main(["run", restart]) == 0
-    second = sorted(os.listdir(tmp_path / "second"))
-    assert second[-1] == "snap_000005.dat"
-    for a, b in (("snap_000010.dat", "snap_000005.dat"),
-                 ("hist_000010.bin", "hist_000005.bin")):
-        assert (tmp_path / "whole" / a).read_bytes() \
-            == (tmp_path / "second" / b).read_bytes()
+    return tmp_path / "whole", tmp_path / "second"
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_restart_from_snapshot_continues_the_run(tmp_path, k):
+    """Ten steps in one run and k + (10 - k) with a restart from the k-th
+    snapshot end on byte-identical snapshots and history files.  Snapshot
+    k holds min(k, 5) history levels: from 5 the restart's first step is
+    the quintic's, from 2 its history predicts the first step, and from 1
+    its one level predicts it linearly, so the restart climbs the
+    predictor's orders."""
+    whole, second = _restarted(tmp_path, k)
+    assert (whole / f"hist_{k:06d}.bin").read_bytes().startswith(
+        f"nlcflow-history 1 {min(k, 5)} 8 2 32 32\n".encode())
+    last = 10 - k
+    assert sorted(os.listdir(second))[-1] == f"snap_{last:06d}.dat"
+    for kind, ext in (("snap", "dat"), ("hist", "bin")):
+        assert (whole / f"{kind}_000010.{ext}").read_bytes() \
+            == (second / f"{kind}_{last:06d}.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_restart_with_another_mode_count(tmp_path, n):
+    """A restart with another ``reg.n_modes`` steps from the stored 8-mode
+    table truncated (6) or zero-padded (12), and its snapshots hold the
+    table of its own count."""
+    _, second = _restarted(tmp_path, 8, n_modes=n)
+    assert f"FIELD velocity galerkin {n} 2\n" \
+        in (second / "snap_000001.dat").read_text()
+
+
+def test_diagnose_of_a_restart_prints_the_continuous_rows(tmp_path, capsys):
+    """Replaying a run restarted from snapshot 2 prints, row for row, the
+    replay of the continuous run at the same t."""
+    whole, second = _restarted(tmp_path, 2)
+    rows = []
+    for out in (whole, second):
+        capsys.readouterr()
+        assert cli.main(["diagnose", str(out)]) == 0
+        rows.append([ln for ln in capsys.readouterr().out.splitlines()
+                     if ln and ln[0].isdigit()])
+    by_t = {ln.split(",")[0]: ln for ln in rows[0]}
+    assert len(rows[0]) == 11 and len(rows[1]) == 9
+    assert [by_t.get(ln.split(",")[0]) for ln in rows[1]] == rows[1]
+
+
+@pytest.mark.parametrize("residuals", ["identity,T2", ","],
+                         ids=["residuals", "no-residuals"])
+def test_rerun_from_config_resolved_reproduces_the_run(tmp_path, monkeypatch,
+                                                       residuals):
+    """A run reproduces from its output directory alone: ``solve run`` of
+    its ``config.resolved`` writes the same files byte for byte, also when
+    the config asks for no residual columns."""
+    cfg = _write(tmp_path, "first.cfg", RUN_CFG.format(
+        out=tmp_path / "first").replace("identity,T2", residuals))
+    assert cli.main(["run", cfg]) == 0
+    monkeypatch.setenv("SOLVE_OUT", str(tmp_path / "again"))
+    assert cli.main(["run", str(tmp_path / "first" / "config.resolved")]) == 0
+    first = _tree_bytes(tmp_path / "first")
+    assert f"output.residuals = {residuals}\n".encode() \
+        in first["config.resolved"]
+    assert first == _tree_bytes(tmp_path / "again")
 
 
 def test_mid_run_failure_keeps_what_was_written(tmp_path, capsys,
@@ -468,19 +537,19 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_lines_are_headers_or_numbers(tmp_path):
-    """Every line of a snapshot is a ``FIELD`` header or a row of tokens
-    that ``float()`` accepts, for a state with history: readers that scan
-    the text line by line, such as the benchmark's field minima, keep
-    working."""
+    """Every line of a snapshot is a ``FIELD`` header or a row of plain
+    decimal numbers, single-spaced, with an optional lower-case exponent,
+    for a state with history: readers that scan the text line by line,
+    such as the benchmark's field minima, keep working."""
     grid = Grid((8, 16), (2.0, 2.0))
     s = _random_state(grid, history=((1e-3, np.ones((3, 2)),
                                       np.ones(grid.shape)),))
     path = tmp_path / "state.dat"
     cli.write_snapshot(str(path), s)
+    num = r"-?[0-9]+(\.[0-9]*)?(e[-+][0-9]+)?"
     for line in path.read_text().splitlines():
         if not line.startswith("FIELD "):
-            assert line.split() and all(
-                math.isfinite(float(tok)) for tok in line.split())
+            assert re.fullmatch(rf"{num}( {num})*", line), line
 
 
 def test_snapshot_table_round_trip(tmp_path):
@@ -877,7 +946,6 @@ def test_restart_from_malformed_history_exits_4(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert "i/o error" in err and "hist_bad.bin" in err
     assert not any((tmp_path / "again").iterdir())
-    assert not any((tmp_path / "again").iterdir())
 
 
 def test_one_galerkin_basis_per_grid_and_mode_count(tmp_path,
@@ -1141,22 +1209,75 @@ def test_mms_command_spatial_order(tmp_path):
     assert len(rows) == 2
 
 
-def test_failed_mms_study_keeps_its_finished_rows(tmp_path, capsys):
-    """The 8-node run of a 16,8 study admits only 3 modes: the study exits
-    2 there, and its CSV keeps the row of the 16-node run, which ended
-    first, while no orders file is written."""
-    cfg = _write(tmp_path, "mms.cfg", (
-        "grid.dim = 1\nsolver.dt = 5e-4\nsolver.t_end = 2e-3\n"
-        "reg.eps = 1e-2\nreg.delta = 1e-3\nreg.n_modes = 6\n"
-        "mms.resolutions = 16,8\n"
-        f"output.dir = {tmp_path / 'mms'}\n"))
-    assert cli.main(["mms", "bump-1d", cfg]) == 2
-    assert "8-node grid" in capsys.readouterr().err
+@pytest.mark.parametrize("case,text", [
+    ("bump-1d", "grid.dim = 1\nreg.n_modes = 6\n"),
+    ("trig-2d", "grid.dim = 2\nmms.shape = 16\n"),
+], ids=["spatial", "temporal"])
+def test_mms_rerun_outputs_byte_identical(tmp_path, capsys, case, text):
+    """An mms study run twice writes the same CSV, orders file and stdout:
+    a spatial study in 1-D and a temporal one in 2-D."""
+    cfg = _write(tmp_path, "mms.cfg",
+                 text + f"output.dir = {tmp_path / 'm'}\n")
+    seen = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert cli.main(["mms", case, cfg]) == 0
+        seen.append((_tree_bytes(tmp_path / "m"), capsys.readouterr().out))
+        shutil.rmtree(tmp_path / "m")
+    assert sorted(seen[0][0]) == [f"mms_{case}.csv",
+                                  f"mms_{case}_orders.json"]
+    assert seen[0] == seen[1]
+
+
+MMS_STUDY_CFG = """\
+grid.dim = 1
+solver.dt = 5e-4
+solver.t_end = 2e-3
+reg.eps = 1e-2
+reg.delta = 1e-3
+reg.n_modes = 6
+output.dir = {out}
+"""
+
+
+def test_failed_mms_study_keeps_its_finished_rows(tmp_path, capsys,
+                                                  monkeypatch):
+    """A solver failure in the 32-node run of a 16,32 study exits 3 there,
+    and its CSV keeps the row of the 16-node run, which ended first, while
+    no orders file is written."""
+    from nlcflow.errors import NonFiniteState
+    run_case = mm.run_case
+
+    def failing(case, n, *args):
+        if n == 32:
+            raise NonFiniteState("director")
+        return run_case(case, n, *args)
+
+    monkeypatch.setattr(mm, "run_case", failing)
+    cfg = _write(tmp_path, "mms.cfg", MMS_STUDY_CFG.format(
+        out=tmp_path / "mms") + "mms.resolutions = 16,32\n")
+    assert cli.main(["mms", "bump-1d", cfg]) == 3
+    assert "solver failure: NonFiniteState" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path / "mms")) == ["mms_bump-1d.csv"]
     lines = (tmp_path / "mms" / "mms_bump-1d.csv").read_text().splitlines()
     assert lines[:2] == dg.csv_header(
         ["resolution", *cli._ERR_KEYS]).splitlines()
     assert len(lines) == 3 and lines[2].split(",")[0] == "16"
+
+
+def test_mms_mode_count_checked_before_any_run(tmp_path, capsys,
+                                               monkeypatch):
+    """The 8-node grid of a 16,8 study admits only 3 modes: the study exits
+    2 naming ``reg.n_modes`` and that grid before its first run, and writes
+    no file."""
+    monkeypatch.setattr(mm, "run_case",
+                        lambda *args: pytest.fail("a run started"))
+    cfg = _write(tmp_path, "mms.cfg", MMS_STUDY_CFG.format(
+        out=tmp_path / "mms") + "mms.resolutions = 16,8\n")
+    assert cli.main(["mms", "bump-1d", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "reg.n_modes = 6" in err and "8-node grid" in err
+    assert not (tmp_path / "mms").exists()
 
 
 def test_finite_or_null_scrubs_nonfinite():
