@@ -41,16 +41,19 @@ from .errors import FlowError, IOFailure, ParseError, SolverFailure, \
 #
 # The solver history goes to a binary file beside the snapshot
 # (:func:`history_path`: ``hist_000006.bin`` beside ``snap_000006.dat``):
-# one ASCII header line ``nlcflow-history 1 <levels> <n> <dim> <grid
-# shape...>``, then per level, newest first, its dt, its n x dim table
-# and its nodal theta as little-endian float64.  Every snapshot has one,
-# with no levels for a state without history; a snapshot read without
-# its history file has no history, so its restart's first step is not
-# predicted.
+# one ASCII header line ``nlcflow-history 2 <levels> <n> <dim> <grid
+# shape...>``, then per level, newest first, its dt, its n x dim table,
+# its nodal theta and its nodal director stack (3 x grid shape) as
+# little-endian float64.  Every snapshot has one, with no levels for a
+# state without history.  Only a restart reads it (:func:`read_restart`),
+# and only this version: a restart from a snapshot without its history
+# file is not predicted on its first step, and one whose history file has
+# another version, such as the version-1 files without the director, is
+# an input failure.
 # ---------------------------------------------------------------------------
 
 _HISTORY_MAGIC = "nlcflow-history"
-_HISTORY_VERSION = 1
+_HISTORY_VERSION = 2
 
 # ``(name, kind)`` of each block of a snapshot, in file order
 _LAYOUT = ((("time", "galerkin"), ("rho", "neumann"), ("theta", "neumann"))
@@ -85,25 +88,27 @@ def history_path(path):
 
 def _write_history(path, s):
     """The history of ``s`` as the binary file ``path``, written as raw
-    bytes so that a rerun writes the same ones.  Its levels must share one
-    table shape, as every history a step builds does."""
+    bytes so that a rerun writes the same ones, each array straight from
+    its level: the file is about four grids per level, and no copy of it
+    is held.  Its levels must share one table shape, as every history a
+    step builds does."""
     grid, levels = s.grid, s.history
     n = len(levels[0][1]) if levels else len(s.U)
     if any(U.shape != (n, grid.dim) or th.shape != grid.shape
-           for _, U, th in levels):
+           or d.shape != (3,) + grid.shape for _, U, th, d in levels):
         raise ValueError("history levels of more than one shape")
     header = " ".join(map(str, (_HISTORY_MAGIC, _HISTORY_VERSION,
                                 len(levels), n, grid.dim, *grid.shape)))
-    body = [np.concatenate(([dt], U.ravel(), th.ravel()))
-            for dt, U, th in levels]
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(np.asarray(body, dtype="<f8").tobytes())
+        for level in levels:
+            for part in level:
+                np.asarray(part, dtype="<f8").tofile(fh)
 
 
 def _read_history(path, grid):
     """The history stored by :func:`_write_history`, ``()`` when there is
-    no file.  A header that is not this format's for ``grid``, a payload
+    no file.  A header that is not this version's for ``grid``, a payload
     of another size, or a non-finite value is an IOFailure."""
     try:
         with open(path, "rb") as fh:
@@ -124,15 +129,19 @@ def _read_history(path, grid):
         raise IOFailure(f"history {path!r}: header {line[:80]!r} is not "
                         f"{_HISTORY_MAGIC} {_HISTORY_VERSION} of n >= 1 "
                         f"modes on the grid {grid.shape}")
-    width = 1 + n * dim + math.prod(grid.shape)
+    nodes = math.prod(grid.shape)
+    width = 1 + n * dim + 4 * nodes
     if len(payload) != 8 * levels * width:
         raise IOFailure(f"history {path!r}: {len(payload)} bytes, "
                         f"{levels} levels need {8 * levels * width}")
     rows = np.frombuffer(payload, dtype="<f8").reshape(levels, width)
     if not np.isfinite(rows).all():
         raise IOFailure(f"history {path!r} holds a non-finite value")
-    return tuple((float(row[0]), row[1:1 + n * dim].reshape(n, dim),
-                  row[1 + n * dim:].reshape(grid.shape)) for row in rows)
+    theta = 1 + n * dim
+    return tuple((float(row[0]), row[1:theta].reshape(n, dim),
+                  row[theta:theta + nodes].reshape(grid.shape),
+                  row[theta + nodes:].reshape((3,) + grid.shape))
+                 for row in rows)
 
 
 def write_snapshot(path, s):
@@ -160,8 +169,8 @@ def _layout_shape(name, grid, header):
 
 
 def read_snapshot(path, grid):
-    """The State stored by :func:`write_snapshot`, with the history of the
-    file beside it, if there is one.  The file is read block by block in
+    """The State stored by :func:`write_snapshot`, without its history
+    (:func:`read_restart` adds it).  The file is read block by block in
     the order of ``_LAYOUT``, and each header must be the one the writer
     writes (see :func:`_layout_shape`).  A block that is missing, extra or
     under another header, a malformed or non-finite value, or a velocity
@@ -207,13 +216,21 @@ def read_snapshot(path, grid):
         want = _header(name, kind, _layout_shape(name, grid, ""))
         raise IOFailure(f"snapshot {path!r} ends before the header {want!r}")
     time, rho, theta, *d, U = values
-    history = _read_history(history_path(path), grid)
     try:
-        return sv.State(grid, float(time[0, 0]), rho, U, theta, d, history)
+        return sv.State(grid, float(time[0, 0]), rho, U, theta, d)
     except TooManyModes as exc:
         raise IOFailure(f"snapshot {path!r}: the velocity table holds "
                         f"{exc.n_modes} modes, the grid {grid.shape} admits "
                         f"{exc.admissible}") from None
+
+
+def read_restart(path, grid):
+    """The state a restart from the snapshot ``path`` continues from: the
+    snapshot (:func:`read_snapshot`) with the history of the file beside
+    it (:func:`history_path`), no history when there is no such file."""
+    s = read_snapshot(path, grid)
+    return sv.State(grid, s.t, s.rho, s.U, s.theta, s.d,
+                    _read_history(history_path(path), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +244,9 @@ def _out_dir(cfg):
 
 
 def _initial_state(cfg):
+    """The raw initial data of a study: the snapshot ``init.snapshot``
+    without its history, which a regularized start does not read, or the
+    preset."""
     if cfg.init.snapshot is not None:
         return read_snapshot(cfg.init.snapshot, cfg.grid)
     return presets.build(cfg.init.preset, cfg.grid, base=cfg.init.base,
@@ -235,11 +255,11 @@ def _initial_state(cfg):
 
 def _prepared_state(cfg):
     """The run's starting state.  A snapshot restart continues the run it
-    came from: its state and its t are used as stored, not regularized."""
-    raw = _initial_state(cfg)
+    came from: its state, its t and its history are used as stored, not
+    regularized."""
     if cfg.init.snapshot is not None:
-        return raw
-    return ct._prepare_state(cfg, raw, cfg.reg)
+        return read_restart(cfg.init.snapshot, cfg.grid)
+    return ct._prepare_state(cfg, _initial_state(cfg), cfg.reg)
 
 
 def _write_text(path, text):
@@ -268,11 +288,15 @@ def _finite_or_null(obj):
 def cmd_run(config_path):
     """``solve run``: :func:`diagnostics.stream` writes the CSV rows; each
     state's snapshot is written on the cadence, and the last accepted one
-    always, also when a step fails; no state is kept past the next."""
+    always, also when a step fails; no state is kept past the next.  The
+    closing line ends with the run's work counts, summed over its
+    StepRecords: Picard sweeps per step, director fixed-point iterations
+    per sweep and heat-operator applies per step."""
     cfg = cf.parse_config(config_path)
     out = _out_dir(cfg)
     cadence = cfg.output.cadence
     k = snapped = -1        # indices of ``last`` and of the last snapshot
+    sweeps = iters = applies = 0
     try:
         for last, rec, _, diag in dg.stream(
                 _prepared_state(cfg), cfg.reg, cfg.solver, cfg.phys,
@@ -280,6 +304,10 @@ def cmd_run(config_path):
             if rec is None:
                 _write_text(os.path.join(out, "config.resolved"),
                             cf.serialize(cfg))
+            else:
+                sweeps += rec.picard_iters
+                iters += rec.director_iters
+                applies += rec.heat_applies
             k += 1
             if cadence > 0 and k % cadence == 0:
                 write_snapshot(os.path.join(out, "snap_%06d.dat" % k), last)
@@ -288,7 +316,10 @@ def cmd_run(config_path):
         if k > snapped:
             write_snapshot(os.path.join(out, "snap_%06d.dat" % k), last)
     print(f"run complete: steps={k} t={last.t:.6g} "
-          f"mass={diag.mass:.12g} energy={diag.energy_total:.12g}")
+          f"mass={diag.mass:.12g} energy={diag.energy_total:.12g} "
+          f"sweeps/step={sweeps / max(k, 1):.4f} "
+          f"director_iters/sweep={iters / max(sweeps, 1):.4f} "
+          f"heat_applies/step={applies / max(k, 1):.4f}")
     print(f"outputs in {out}")
     return 0
 

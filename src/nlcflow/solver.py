@@ -37,7 +37,6 @@ Key discrete facts this file relies on (established in fields.py):
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +76,8 @@ _REJECT_SLACK = 1e-12
 _INNER_TOL = 1e-13
 
 # Levels a State keeps for the predictor: with five, a step extrapolates
-# the Galerkin coefficients and the temperature by the quintic through six
-# points.
+# the Galerkin coefficients, the temperature and the director by the
+# quintic through six points.
 _HISTORY_LEVELS = 5
 
 
@@ -95,12 +94,13 @@ class State:
     is ``galerkin_basis(grid, n).reconstruct(U)``, built once here.
 
     ``history`` holds what the predictor reads from earlier steps: at most
-    ``_HISTORY_LEVELS`` (five) ``(dt, U, theta)`` levels, newest first,
-    where ``U`` and ``theta`` are the Galerkin coefficient table and the
-    temperature of the state a step started from and ``dt`` the step it
-    took (see :func:`_predicts`).  A predicted step starts its first sweep
-    from both extrapolated (:func:`_picard_advance`).  A state with no
-    past, such as an initial one, has ``()``.
+    ``_HISTORY_LEVELS`` (five) ``(dt, U, theta, d)`` levels, newest first,
+    where ``U``, ``theta`` and ``d`` are the Galerkin coefficient table,
+    the temperature and the director of the state a step started from and
+    ``dt`` the step it took (see :func:`_predicts`).  A predicted step
+    starts its first sweep from all three extrapolated
+    (:func:`_picard_advance`).  A state with no past, such as an initial
+    one, has ``()``.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u")
@@ -199,12 +199,17 @@ class GalerkinBasis:
         self.grid = grid
         caps = [min((n - 1) // 2, cut - 1)
                 for n, cut in zip(grid.shape, grid.dealias_cut)]
-        cand = sorted(
-            (sum((np.pi * m / L) ** 2 for m, L in zip(tpl, grid.extents)), tpl)
-            for tpl in itertools.product(*[range(1, c + 1) for c in caps]))
+        # every candidate tuple, one column per axis, and its eigenvalue
+        # summed over the axes in order; np.lexsort sorts by its last key
+        # first, so by the eigenvalue and then by m_0, m_1, ...
+        axes = np.meshgrid(*[np.arange(1, c + 1) for c in caps],
+                           indexing="ij")
+        cand = np.stack([m.ravel() for m in axes], axis=1)
+        eig = sum((np.pi * m / L) ** 2 for m, L in zip(cand.T, grid.extents))
         if n_modes > len(cand):
             raise TooManyModes(n_modes, len(cand), grid.shape)
-        self.modes = tuple(tpl for _, tpl in cand[:n_modes])
+        order = np.lexsort(tuple(cand.T[::-1]) + (eig,))
+        self.modes = tuple(map(tuple, cand[order[:n_modes]].tolist()))
         self.n = n_modes
         self.gram = float(np.prod([L / 2.0 for L in grid.extents]))
 
@@ -622,7 +627,7 @@ def _predicts(history, dt, shape):
     t: a last step that lands on t_end a few ulps short of dt is still an
     equal step."""
     k = 0
-    for level_dt, U, _ in history[:_HISTORY_LEVELS]:
+    for level_dt, U, *_ in history[:_HISTORY_LEVELS]:
         if abs(level_dt - dt) > 1e-9 * dt or U.shape != shape:
             break
         k += 1
@@ -635,7 +640,7 @@ def _extrapolate(now, past, k):
     evaluated one step ahead: X* = sum_j (-1)^j C(k+1, j+1) X^(n-j):
     2 X^n - X^(n-1) at k = 1, 3 X^n - 3 X^(n-1) + X^(n-2) at k = 2, and
     weights 6, -15, 20, -15, 6, -1 at k = 5.  The step predicts its
-    Galerkin table and its temperature by this one rule."""
+    Galerkin table, its temperature and its director by this one rule."""
     levels = (now,) + tuple(past[:k])
     return sum((-1) ** j * math.comb(k + 1, j + 1) * level
                for j, level in enumerate(levels))
@@ -660,12 +665,16 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     (:func:`_extrapolate`), and otherwise from U^n; every sweep takes its
     velocity gradient from its coefficients.  The first sweep's heat CG
     starts from the same order-k extrapolation of theta through theta^n
-    and the k levels, and otherwise from theta^n.  The old levels stay U^n
-    and theta^n either way: the prediction only moves the first sweep's
-    frozen coefficients and its CG's start closer to the converged ones.
-    On the benchmark workloads the quintic (k = 5) cuts the first
-    increment from about 2e-3 to at most about 1e-10, so a step predicted
-    from five levels is accepted after one sweep.
+    and the k levels, and its director fixed point (the ``lag`` of
+    :func:`_director_update`) from that of d through d^n and the k levels;
+    otherwise they start from theta^n and d^n.  The old levels stay U^n,
+    theta^n and d^n either way, and so do the director's transport term
+    and the energy ledger: the prediction only moves the first sweep's
+    frozen coefficients and its inner solves' starts closer to the
+    converged ones.  On the benchmark workloads the quintic (k = 5) cuts
+    the first increment from about 2e-3 to at most about 1e-10, so a step
+    predicted from five levels is accepted after one sweep, and its
+    director takes about two fixed-point iterations instead of five.
 
     Every sweep solves its heat and director problems to _INNER_TOL, and
     a sweep is accepted when its velocity increment meets ``picard_tol``.
@@ -673,8 +682,8 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     the stiffness, so they are built once per step
     (:func:`_momentum_system`).
 
-    The new state's history is ``((dt, U^n, theta^n),)`` followed by the
-    newest ``_HISTORY_LEVELS - 1`` levels of ``s`` whose table has the
+    The new state's history is ``((dt, U^n, theta^n, d^n),)`` followed by
+    the newest ``_HISTORY_LEVELS - 1`` levels of ``s`` whose table has the
     shape of U^n.
     The step reads nothing but ``s``, so a restart from a snapshot that
     stores the history repeats the run exactly."""
@@ -696,10 +705,11 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     theta_new, d_new = heat.theta, d
     order = _predicts(s.history, dt, U0.shape)
     if order:
-        U_minus = _extrapolate(U0, [U for _, U, _ in s.history], order)
+        _, tables, thetas, directors = zip(*s.history)
+        U_minus = _extrapolate(U0, tables, order)
         u_minus = basis.reconstruct(U_minus)
-        theta_new = _extrapolate(s.theta, [th for _, _, th in s.history],
-                                 order)
+        theta_new = _extrapolate(s.theta, thetas, order)
+        d_new = _extrapolate(d, directors, order)
     heat_applies = director_iters = 0
     for it in range(1, cfg.picard_max + 1):
         grad_u = basis.gradient(U_minus)
@@ -727,7 +737,7 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
                         heat_applies=heat_applies,
                         director_iters=director_iters, heat_residual=heat_res,
                         director_gap=gap, predicted=order > 0)
-    history = ((dt, U0, s.theta),) + tuple(
+    history = ((dt, U0, s.theta, d),) + tuple(
         level for level in s.history[:_HISTORY_LEVELS - 1]
         if level[1].shape == U0.shape)
     return State(grid, t1, rho_new, U_new, theta_new, d_new, history), record

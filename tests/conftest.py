@@ -6,6 +6,7 @@ import pytest
 from nlcflow import constitutive as cst
 from nlcflow.fields import SIN, Grid, integrate_values, spectral_plan
 from nlcflow import diagnostics as dg
+from nlcflow.params import PhysParams
 from nlcflow import solver as sv
 
 
@@ -24,6 +25,25 @@ def sine_gradient(plan, values):
     """Gradient stack ``(dim, ...)`` of an all-sine array (or stack), such
     as a nodal velocity: entry a is its derivative along axis a."""
     return np.stack([plan.deriv(values, a, SIN) for a in range(plan.dim)])
+
+
+def director_step(grid, d, u, dt, p=PhysParams()):
+    """The director substep from ``d`` with lagged velocity ``u``."""
+    plan = spectral_plan(grid)
+    d_new, *_ = sv._director_update(plan, d, u, plan.grad(d), dt, p)
+    return d_new
+
+
+def heat_step(s, u, reg, dt, p):
+    """One heat substep from ``s`` with lagged velocity ``u``; the director
+    of every state used here is a unit constant, so it heats nothing."""
+    plan = spectral_plan(s.grid)
+    rho = s.rho
+    frozen = sv._FrozenHeat(plan, s.theta, rho, reg, p, dt)
+    m = sv._mass_flux(plan, rho, u)
+    return sv._temperature_update(frozen, rho, sine_gradient(plan, u), m,
+                                  np.zeros(s.grid.shape), reg, p, dt,
+                                  s.theta)[0]
 
 
 def unit_director(grid, first=1.0):

@@ -301,7 +301,7 @@ def test_restart_from_snapshot_continues_the_run(tmp_path, k):
     predictor's orders."""
     whole, second = _restarted(tmp_path, k)
     assert (whole / f"hist_{k:06d}.bin").read_bytes().startswith(
-        f"nlcflow-history 1 {min(k, 5)} 8 2 32 32\n".encode())
+        f"nlcflow-history 2 {min(k, 5)} 8 2 32 32\n".encode())
     last = 10 - k
     assert sorted(os.listdir(second))[-1] == f"snap_{last:06d}.dat"
     for kind, ext in (("snap", "dat"), ("hist", "bin")):
@@ -432,6 +432,35 @@ def test_run_keeps_at_most_three_states(tmp_path, monkeypatch):
     assert len(made) >= 21 and max(made) <= 3
 
 
+def test_run_closing_line_counts_the_work(tmp_path, capsys, monkeypatch):
+    """The closing line of ``solve run`` ends with the Picard sweeps per
+    step, the director iterations per sweep and the heat applies per step
+    of the StepRecords of its steps, and a rerun prints the same line."""
+    records = []
+    step = sv.step_coupled
+
+    def recorded(*args, **kwargs):
+        out = step(*args, **kwargs)
+        records.append(out[1])
+        return out
+
+    monkeypatch.setattr(sv, "step_coupled", recorded)
+    cfg = _write(tmp_path, "twist.cfg",
+                 RESTART_CFG.format(out=tmp_path / "twist"))
+    capsys.readouterr()
+    assert cli.main(["run", cfg]) == 0
+    closing = capsys.readouterr().out.splitlines()[0]
+    sweeps = sum(rec.picard_iters for rec in records)
+    assert len(records) == 10
+    assert closing.startswith("run complete: steps=10 t=0.01 ")
+    assert closing.endswith(
+        " sweeps/step=%.4f director_iters/sweep=%.4f heat_applies/step=%.4f"
+        % (sweeps / 10, sum(rec.director_iters for rec in records) / sweeps,
+           sum(rec.heat_applies for rec in records) / 10))
+    assert cli.main(["run", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == closing
+
+
 def test_solve_out_overrides_output_dir(tmp_path, monkeypatch):
     cfg = _run_cfg(tmp_path)
     override = tmp_path / "elsewhere"
@@ -507,7 +536,7 @@ def _assert_same_state(back, s):
         assert _same_bits(getattr(back, name), getattr(s, name)), name
     assert len(back.history) == len(s.history)
     for level_back, level in zip(back.history, s.history):
-        assert len(level_back) == len(level) == 3
+        assert len(level_back) == len(level) == 4
         assert all(_same_bits(a, b) for a, b in zip(level_back, level))
 
 
@@ -533,7 +562,7 @@ def test_snapshot_round_trip(tmp_path):
         assert sorted(os.listdir(tmp_path)) == ["hist_state.bin",
                                                 "state.dat"]
         assert (tmp_path / "hist_state.bin").read_bytes() \
-            == f"nlcflow-history 1 0 {n} 2 16 32\n".encode()
+            == f"nlcflow-history 2 0 {n} 2 16 32\n".encode()
 
 
 def test_snapshot_lines_are_headers_or_numbers(tmp_path):
@@ -543,7 +572,8 @@ def test_snapshot_lines_are_headers_or_numbers(tmp_path):
     such as the benchmark's field minima, keep working."""
     grid = Grid((8, 16), (2.0, 2.0))
     s = _random_state(grid, history=((1e-3, np.ones((3, 2)),
-                                      np.ones(grid.shape)),))
+                                      np.ones(grid.shape),
+                                      np.ones((3,) + grid.shape)),))
     path = tmp_path / "state.dat"
     cli.write_snapshot(str(path), s)
     num = r"-?[0-9]+(\.[0-9]*)?(e[-+][0-9]+)?"
@@ -557,22 +587,22 @@ def test_snapshot_table_round_trip(tmp_path):
     column counts, and only its header kind exempts it from the grid-shape
     check.  A nodal block whose shape is not the grid's, and a velocity
     table under a nodal kind, are rejected.  The history, two levels of
-    8-mode tables and nodal temperatures, one with a dt that needs 17
-    digits, comes back bit for bit from its file."""
+    8-mode tables, nodal temperatures and directors, one with a dt that
+    needs 17 digits, comes back bit for bit from its file."""
     grid = Grid((16, 32), (2 * np.pi, 1.5 * np.pi))
     rng = np.random.default_rng(5)
-    levels = ((SPECIAL_VALUES[7], rng.standard_normal((8, 2)),
-               rng.standard_normal(grid.shape)),
-              (1e-3, rng.standard_normal((8, 2)),
-               rng.standard_normal(grid.shape)))
+    levels = tuple((dt, rng.standard_normal((8, 2)),
+                    rng.standard_normal(grid.shape),
+                    rng.standard_normal((3,) + grid.shape))
+                   for dt in (SPECIAL_VALUES[7], 1e-3))
     s = _random_state(grid, history=levels, n_modes=8)
     path = tmp_path / "state.dat"
     cli.write_snapshot(str(path), s)
     text = path.read_text()
     assert "FIELD velocity galerkin 8 2\n" in text
     assert (tmp_path / "hist_state.bin").read_bytes().startswith(
-        b"nlcflow-history 1 2 8 2 16 32\n")
-    _assert_same_state(cli.read_snapshot(str(path), grid), s)
+        b"nlcflow-history 2 2 8 2 16 32\n")
+    _assert_same_state(cli.read_restart(str(path), grid), s)
     for old, new in [("velocity galerkin 8 2", "velocity neumann 8 2"),
                      ("rho neumann 16 32", "rho neumann 32 16")]:
         path.write_text(text.replace(old, new))
@@ -601,41 +631,43 @@ def test_snapshot_corruption_raises(tmp_path):
 
 def test_snapshot_history_of_another_width_raises(tmp_path):
     """A history level whose table is not n x ``dim`` Galerkin
-    coefficients, whose temperature is not on the grid, or whose table has
-    another mode count than the newest level's is refused by the writer.
-    A history file whose header is not this format's, or gives another
-    ``dim``, another grid, no modes or a negative level count, is an
-    IOFailure naming the history."""
+    coefficients, whose temperature or director is not on the grid, or
+    whose table has another mode count than the newest level's is refused
+    by the writer.  A history file whose header is not this version's, or
+    gives another ``dim``, another grid, no modes or a negative level
+    count, is an IOFailure naming the history."""
     grid = Grid((8, 16), (2.0, 2.0))
     path = tmp_path / "state.dat"
-    theta = np.ones(grid.shape)
-    for levels in [((1e-3, np.arange(3.0), theta),),
-                   ((1e-3, np.ones((3, 1)), theta),),
-                   ((1e-3, np.ones((3, 2)), np.ones((16, 8))),),
-                   ((1e-3, np.ones((3, 2)), theta),
-                    (1e-3, np.ones((4, 2)), theta))]:
+    theta, d = np.ones(grid.shape), np.ones((3,) + grid.shape)
+    for levels in [((1e-3, np.arange(3.0), theta, d),),
+                   ((1e-3, np.ones((3, 1)), theta, d),),
+                   ((1e-3, np.ones((3, 2)), np.ones((16, 8)), d),),
+                   ((1e-3, np.ones((3, 2)), theta, np.ones((3, 16, 8))),),
+                   ((1e-3, np.ones((3, 2)), theta, d),
+                    (1e-3, np.ones((4, 2)), theta, d))]:
         with pytest.raises(ValueError, match="history"):
             cli.write_snapshot(str(path),
                                _random_state(grid, history=levels))
     cli.write_snapshot(str(path), _random_state(
-        grid, history=((1e-3, np.ones((3, 2)), theta),)))
+        grid, history=((1e-3, np.ones((3, 2)), theta, d),)))
     hist = tmp_path / "hist_state.bin"
     header, payload = hist.read_bytes().split(b"\n", 1)
-    assert header == b"nlcflow-history 1 1 3 2 8 16"
-    assert len(payload) == 8 * (1 + 3 * 2 + 8 * 16)
-    for bad in [b"1 1 3 3 8 16", b"1 1 3 2 16 8", b"1 1 3 2 8",
-                b"1 1 3 2 8 16 1", b"1 1 0 2 8 16", b"1 -1 3 2 8 16",
-                b"2 1 3 2 8 16", b"1 1 3 2 8 1x", b"1 1 3 2 8 \xff"]:
+    assert header == b"nlcflow-history 2 1 3 2 8 16"
+    assert len(payload) == 8 * (1 + 3 * 2 + 4 * 8 * 16)
+    for bad in [b"2 1 3 3 8 16", b"2 1 3 2 16 8", b"2 1 3 2 8",
+                b"2 1 3 2 8 16 1", b"2 1 0 2 8 16", b"2 -1 3 2 8 16",
+                b"1 1 3 2 8 16", b"3 1 3 2 8 16", b"2 1 3 2 8 1x",
+                b"2 1 3 2 8 \xff"]:
         hist.write_bytes(b"nlcflow-history " + bad + b"\n" + payload)
         with pytest.raises(IOFailure, match="history"):
-            cli.read_snapshot(str(path), grid)
-    for bad in [b"history 1 1 3 2 8 16", b"", b"\xff"]:
+            cli.read_restart(str(path), grid)
+    for bad in [b"history 2 1 3 2 8 16", b"", b"\xff"]:
         hist.write_bytes(bad + b"\n" + payload)
         with pytest.raises(IOFailure, match="history"):
-            cli.read_snapshot(str(path), grid)
+            cli.read_restart(str(path), grid)
     hist.write_bytes(payload)
     with pytest.raises(IOFailure, match="history"):
-        cli.read_snapshot(str(path), grid)
+        cli.read_restart(str(path), grid)
 
 
 @pytest.mark.parametrize("shape", [(8,), (8, 16), (32, 32)])
@@ -647,14 +679,14 @@ def test_snapshot_matches_per_row_writer(tmp_path, shape):
     grid = Grid(shape, (2.0,) * len(shape))
     s = _random_state(grid)
     history = ((1e-3, np.array(SPECIAL_VALUES[:len(shape) * 4])
-                .reshape(-1, len(shape)), s.rho),)
+                .reshape(-1, len(shape)), s.rho, s.d),)
     s = _random_state(grid, history=history)
     path = tmp_path / "state.dat"
     for t in SPECIAL_VALUES + list(s.rho.flat[-5:]):
         s = State(grid, t, s.rho, s.U, s.theta, s.d, s.history)
         cli.write_snapshot(str(path), s)
         assert path.read_text() == _per_row_snapshot(s)
-        _assert_same_state(cli.read_snapshot(str(path), grid), s)
+        _assert_same_state(cli.read_restart(str(path), grid), s)
 
 
 def test_snapshot_round_trip_exact(tmp_path):
@@ -671,12 +703,13 @@ def test_snapshot_round_trip_exact(tmp_path):
 
 
 def test_snapshot_history_round_trip_exact(tmp_path):
-    """The solver history, two (dt, U, theta) levels after two steps, goes
-    to the binary file beside the snapshot, not into its text: a header
-    line, then per level its dt, table and temperature as little-endian
-    float64.  It comes back bit for bit, and rewriting the state read
-    gives the same bytes of both files.  A state with no history writes a
-    file of no levels."""
+    """The solver history, two (dt, U, theta, d) levels after two steps,
+    goes to the binary file beside the snapshot, not into its text: a
+    header line, then per level its dt, table, temperature and director as
+    little-endian float64.  It comes back bit for bit, and rewriting the
+    state read gives the same bytes of both files.  A state with no
+    history writes a file of no levels, and the snapshot alone reads back
+    without history."""
     from nlcflow import solver as sv
     from nlcflow.params import PhysParams, RegParams
     grid = Grid((16, 16), (2.0, 2.0))
@@ -688,25 +721,27 @@ def test_snapshot_history_round_trip_exact(tmp_path):
     cli.write_snapshot(str(tmp_path / "s0.dat"), states[0])
     assert "history" not in (tmp_path / "s0.dat").read_text()
     assert (tmp_path / "hist_s0.bin").read_bytes() \
-        == b"nlcflow-history 1 0 6 2 16 16\n"
+        == b"nlcflow-history 2 0 6 2 16 16\n"
     path = str(tmp_path / "s2.dat")
     cli.write_snapshot(path, states[-1])
     text = (tmp_path / "s2.dat").read_text()
     assert text.count("FIELD ") == 7 and "history" not in text
     raw = (tmp_path / "hist_s2.bin").read_bytes()
-    header = b"nlcflow-history 1 2 6 2 16 16\n"
+    header = b"nlcflow-history 2 2 6 2 16 16\n"
     assert raw[:len(header)] == header
-    assert len(raw) == len(header) + 8 * 2 * (1 + 6 * 2 + 16 * 16)
+    assert len(raw) == len(header) + 8 * 2 * (1 + 6 * 2 + 4 * 16 * 16)
     assert raw[len(header):] == np.concatenate(
-        [np.concatenate(([dt], U.ravel(), th.ravel()))
-         for dt, U, th in states[-1].history]).astype("<f8").tobytes()
-    back = cli.read_snapshot(path, grid)
+        [np.concatenate(([dt], U.ravel(), th.ravel(), d.ravel()))
+         for dt, U, th, d in states[-1].history]).astype("<f8").tobytes()
+    assert cli.read_snapshot(path, grid).history == ()
+    back = cli.read_restart(path, grid)
     assert len(back.history) == 2
-    for (dt, U, th), (dt_back, U_back, th_back), old in zip(
+    for (dt, U, th, d), (dt_back, U_back, th_back, d_back), old in zip(
             states[-1].history, back.history, states[1::-1]):
         assert dt_back == dt and U_back.shape == U.shape == (6, 2)
         assert np.array_equal(U_back, U) and np.array_equal(U, old.U)
         assert np.array_equal(th_back, th) and np.array_equal(th, old.theta)
+        assert np.array_equal(d_back, d) and np.array_equal(d, old.d)
     cli.write_snapshot(str(tmp_path / "again.dat"), back)
     assert (tmp_path / "again.dat").read_text() == text
     assert (tmp_path / "hist_again.bin").read_bytes() == raw
@@ -735,7 +770,7 @@ def test_snapshot_stepped_state_round_trip(tmp_path):
         text = path.read_text()
         assert "FIELD velocity galerkin 6 2\n" in text
         assert "FIELD u0 " not in text
-        back = cli.read_snapshot(str(path), grid)
+        back = cli.read_restart(str(path), grid)
         _assert_same_state(back, s)
         cli.write_snapshot(str(tmp_path / "again.dat"), back)
         assert (tmp_path / "again.dat").read_text() == text
@@ -840,13 +875,13 @@ def test_restart_from_legacy_snapshot_exits_4(tmp_path, capsys, layout,
     and coefficients per level.  A restart from such a file exits 4 with
     an ``i/o error`` line and writes nothing."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
-    s = cli.read_snapshot(str(tmp_path / "out" / "snap_000002.dat"),
-                          Grid((32,), (2.0,)))
+    s = cli.read_restart(str(tmp_path / "out" / "snap_000002.dat"),
+                         Grid((32,), (2.0,)))
     rho = _per_row_block("rho", "neumann", s.rho)
     u = "".join(_per_row_block(f"u{c}", "dirichlet", comp)
                 for c, comp in enumerate(s.u))
     history = np.array([np.concatenate(([dt], U.ravel()))
-                        for dt, U, _ in s.history])
+                        for dt, U, _, _ in s.history])
     old = tmp_path / "old.dat"
     old.write_text({
         "v1": _per_row_block("time", "neumann", np.full(s.grid.shape, s.t))
@@ -920,23 +955,44 @@ def test_restart_from_malformed_snapshot_exits_4(tmp_path, capsys, old,
     assert not any((tmp_path / "again").iterdir())
 
 
+# the last 8-byte value of the last level's temperature in the history
+# file of snapshot 2 of RUN_CFG: after it come the level's 3 x 32 director
+# values
+_LAST_THETA = slice(-8 * (1 + 3 * 32), -8 * 3 * 32)
+
+
+def _version_1(raw):
+    """The version-1 file of the history of snapshot 2 of RUN_CFG: its two
+    levels of dt, 6 x 1 table and 32 temperatures, without the director."""
+    line, payload = raw.split(b"\n", 1)
+    rows = np.frombuffer(payload, dtype="<f8").reshape(2, 1 + 6 + 4 * 32)
+    return (line.replace(b"history 2 ", b"history 1 ") + b"\n"
+            + rows[:, :1 + 6 + 32].tobytes())
+
+
 @pytest.mark.parametrize("edit", [
     lambda raw: raw[:-8],
     lambda raw: raw + bytes(8),
-    lambda raw: raw[:-8] + np.float64(np.inf).tobytes(),
+    lambda raw: (raw[:_LAST_THETA.start] + np.float64(np.inf).tobytes()
+                 + raw[_LAST_THETA.stop:]),
     lambda raw: raw.replace(b" 6 1 32\n", b" 6 1 16\n", 1),
     lambda raw: raw.replace(b" 6 1 32\n", b" 3 2 32\n", 1),
     lambda raw: raw.split(b"\n", 1)[1],
+    lambda raw: raw[:-8] + np.float64(np.inf).tobytes(),
+    _version_1,
 ], ids=["truncated", "too-long", "inf-theta", "other-grid", "other-dim",
-        "headless"])
+        "headless", "inf-director", "version-1"])
 def test_restart_from_malformed_history_exits_4(tmp_path, capsys, edit):
     """A history file shorter or longer than its header says, holding a
-    non-finite value, written on another grid or in another dim, or
-    without its header is an input failure: ``solve run`` exits 4 with an
-    ``i/o error`` line naming the history file and writes nothing."""
+    non-finite value, written on another grid or in another dim, without
+    its header, or in version 1, without director levels, is an input
+    failure: ``solve run`` exits 4 with an ``i/o error`` line naming the
+    history file and writes nothing."""
     assert cli.main(["run", _run_cfg(tmp_path)]) == 0
     raw = (tmp_path / "out" / "hist_000002.bin").read_bytes()
-    assert raw.startswith(b"nlcflow-history 1 2 6 1 32\n")
+    assert raw.startswith(b"nlcflow-history 2 2 6 1 32\n")
+    assert len(raw) == len(b"nlcflow-history 2 2 6 1 32\n") \
+        + 8 * 2 * (1 + 6 + 4 * 32)
     shutil.copy(tmp_path / "out" / "snap_000002.dat", tmp_path / "bad.dat")
     (tmp_path / "hist_bad.bin").write_bytes(edit(raw))
     cfg = _run_cfg(tmp_path, out="again",
@@ -945,7 +1001,36 @@ def test_restart_from_malformed_history_exits_4(tmp_path, capsys, edit):
     assert cli.main(["run", cfg]) == 4
     err = capsys.readouterr().err
     assert "i/o error" in err and "hist_bad.bin" in err
+    if edit is _version_1:
+        assert "header b'nlcflow-history 1 2 6 1 32' is not " \
+            "nlcflow-history 2" in err
     assert not any((tmp_path / "again").iterdir())
+
+
+def test_diagnose_reads_no_history(tmp_path, capsys, monkeypatch):
+    """``solve diagnose`` replays the snapshots alone: with every history
+    file of the run deleted it prints the same rows, and it opens none."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(out)]) == 0
+    printed = capsys.readouterr().out
+    opened = []
+    real_open = open
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy_open)
+    for hist in out.glob("hist_*.bin"):
+        hist.unlink()
+    assert cli.main(["diagnose", str(out)]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out == printed
+    assert "diagnosed 4 snapshots" in printed
+    assert not any(name.startswith("hist_") for name in opened)
+    assert sum(name.startswith("snap_") for name in opened) == 4
 
 
 def test_one_galerkin_basis_per_grid_and_mode_count(tmp_path,
@@ -1026,6 +1111,32 @@ def test_continuation_command_outputs(tmp_path):
     assert len(doc["runs"]) == 2
     assert (tmp_path / "cont" / "run_00.csv").exists()
     assert (tmp_path / "cont" / "run_01.csv").exists()
+
+
+def test_continuation_from_a_snapshot_reads_no_history(tmp_path):
+    """A continuation from a snapshot regularizes the stored state afresh
+    for each entry and reads none of its history: beside a truncated
+    history file it writes, report and every run file, what it writes from
+    a copy of the snapshot without one."""
+    assert cli.main(["run", _run_cfg(tmp_path)]) == 0
+    snap = tmp_path / "out" / "snap_000002.dat"
+    hist = tmp_path / "out" / "hist_000002.bin"
+    hist.write_bytes(hist.read_bytes()[:-8])
+    shutil.copy(snap, tmp_path / "alone.dat")
+    trees = []
+    for source in (snap, tmp_path / "alone.dat"):
+        out = tmp_path / f"cont_{source.stem}"
+        cfg = _write(tmp_path, "cont.cfg", (
+            "grid.dim = 1\ngrid.shape = 32\nsolver.t_end = 3e-3\n"
+            "continuation.study = pressure\ncontinuation.n = 6\n"
+            "continuation.eps = 1e-3\ncontinuation.delta = 1e-2,1e-3\n"
+            f"init.snapshot = {source}\noutput.dir = {out}\n"))
+        assert cli.main(["continuation", cfg]) == 0
+        tree = _tree_bytes(out)
+        del tree["config.resolved"]     # names its snapshot
+        trees.append(tree)
+    assert sorted(trees[0]) == ["report.json", "run_00.csv", "run_01.csv"]
+    assert trees[0] == trees[1]
 
 
 CONT_CFG = """\
@@ -1190,6 +1301,32 @@ def test_continuation_entry_is_the_run_of_its_regularization(tmp_path):
     cut = [lines[0]] + [",".join(ln.split(",")[:width]) for ln in lines[1:]]
     assert len(cut) == 2 + 6
     assert (tmp_path / "c" / "run_01.csv").read_text() \
+        == "\n".join(cut) + "\n"
+
+
+def test_continuation_entry_is_regularized_with_its_own_delta(tmp_path):
+    """An entry's initial data are clamped with the entry's delta, not
+    with ``reg.delta``: at delta = 0.1 the upper clamp
+    0.1^(-1/10) ~ 1.259 cuts the 0.4-amplitude bump's peak of 1.4, which
+    the config's ``reg.delta = 1e-3`` (clamp ~ 1.995) and entry 1's
+    delta = 1e-2 (~ 1.585) leave whole.  So entry 0 starts with less mass
+    than entry 1, and its ``run_00.csv`` is, header and every row, the
+    ``diagnostics.csv`` of ``solve run`` with ``reg.delta = 0.1`` with its
+    trailing ``res_*`` column dropped."""
+    cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c")
+                 .replace("1e-2,1e-3", "0.1,1e-2") + "reg.delta = 1e-3\n")
+    assert cli.main(["continuation", cfg]) == 0
+    names, rows = read_csv(str(tmp_path / "c" / "run_00.csv"))
+    _, next_rows = read_csv(str(tmp_path / "c" / "run_01.csv"))
+    mass = names.index("mass")
+    assert rows[0][mass] < next_rows[0][mass]
+    cfg = _write(tmp_path, "run.cfg", CONT_CFG.format(out=tmp_path / "r")
+                 + "reg.n_modes = 6\nreg.eps = 1e-3\nreg.delta = 0.1\n")
+    assert cli.main(["run", cfg]) == 0
+    width = len(dg.CSV_COLUMNS)
+    lines = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()
+    cut = [lines[0]] + [",".join(ln.split(",")[:width]) for ln in lines[1:]]
+    assert (tmp_path / "c" / "run_00.csv").read_text() \
         == "\n".join(cut) + "\n"
 
 

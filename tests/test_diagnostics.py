@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from nlcflow.errors import GridMismatch, NonPositiveTemperature
 from nlcflow import constitutive as cst
@@ -219,24 +218,6 @@ def test_entropy_total_constant_pin(grid2d):
 def test_entropy_total_vacuum_convention(grid2d):
     s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
     assert dg.entropy_total(s) == 0.0
-
-
-def test_entropy_production_quadrature_oracle():
-    grid = Grid((64,), (2.0,))
-    p = PhysParams(cond_floor=0.5, cond_growth=2)
-    theta = 1.0 + 0.5 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
-    s = sv.State(grid, 0.0, np.ones(grid.shape), np.zeros((1, 1)), theta,
-                 unit_director(grid))
-    total, mn = dg.entropy_production(s, dg.derivatives(s, p), p)
-
-    def integrand(x):
-        th = 1.0 + 0.5 * np.cos(np.pi * x / 2.0)
-        dth = -0.5 * (np.pi / 2.0) * np.sin(np.pi * x / 2.0)
-        return 0.5 * (1.0 + th ** 2) * dth ** 2 / th ** 2
-
-    oracle, _ = quad(integrand, 0.0, 2.0, epsabs=1e-13, epsrel=1e-13)
-    assert total == pytest.approx(oracle, abs=1e-9)
-    assert mn >= 0.0
 
 
 def test_entropy_production_requires_positive_theta(grid2d):

@@ -1,11 +1,11 @@
 """Time stepper: substep oracles, conservation, fixed points, rejection."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from nlcflow import constitutive as cst
 from nlcflow.errors import (GridMismatch, InvalidInitialData, IterationStall,
@@ -17,21 +17,40 @@ from nlcflow.fields import (COS, SIN, Grid, coeffs, integrate_values,
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
-from conftest import (bump_state, equilibrium_state, run_lists,
-                      sine_gradient, unit_director)
+from conftest import (bump_state, director_step, equilibrium_state,
+                      heat_step, run_lists, sine_gradient, unit_director)
 
 
 # ---------------------------------------------------------------------------
 # Galerkin basis
 # ---------------------------------------------------------------------------
 
+def _sorted_candidates(grid):
+    """Every admissible mode tuple, sorted as (eigenvalue, tuple) pairs
+    over all tuples with the eigenvalue summed over the axes in Python."""
+    caps = [min((n - 1) // 2, cut - 1)
+            for n, cut in zip(grid.shape, grid.dealias_cut)]
+    return tuple(tpl for _, tpl in sorted(
+        (sum((np.pi * m / L) ** 2 for m, L in zip(tpl, grid.extents)), tpl)
+        for tpl in itertools.product(*[range(1, c + 1) for c in caps])))
+
+
 def test_mode_ordering_square_box():
+    """The lowest modes of a square box, ties broken lexicographically,
+    and the full order of every admissible mode on 1-D, square and
+    non-square grids and extents: the order of the sorted candidates."""
     grid = Grid((32, 32), (2 * np.pi, 2 * np.pi))
     basis = sv.GalerkinBasis(grid, 4)
     assert basis.modes == ((1, 1), (1, 2), (2, 1), (2, 2))
     eigenvalues = [sum((np.pi * m / L) ** 2 for m, L in zip(tpl, grid.extents))
                    for tpl in basis.modes]
     assert np.all(np.diff(eigenvalues) >= 0)
+    for grid in (Grid((32,), (2.0,)), Grid((32, 32), (2 * np.pi, 2 * np.pi)),
+                 Grid((128, 128), (2.0, 2.0)),
+                 Grid((16, 32), (2 * np.pi, 1.5 * np.pi)),
+                 Grid((64, 8), (3.0, 0.5))):
+        every = _sorted_candidates(grid)
+        assert sv.GalerkinBasis(grid, len(every)).modes == every, grid.shape
 
 
 def test_mode_count_validation():
@@ -221,16 +240,10 @@ def test_density_positivity_rejection():
 # director substep
 # ---------------------------------------------------------------------------
 
-def _director_step(grid, d, u, dt, p=PhysParams()):
-    plan = spectral_plan(grid)
-    d_new, *_ = sv._director_update(plan, d, u, plan.grad(d), dt, p)
-    return d_new
-
-
 def test_director_unit_constant_fixed_point(grid2d):
     d = unit_director(grid2d)
     u = np.zeros((2,) + grid2d.shape)
-    d1 = _director_step(grid2d, d, u, 1e-2)
+    d1 = director_step(grid2d, d, u, 1e-2)
     for c1, c0 in zip(d1, d):
         assert np.array_equal(c1, c0)
 
@@ -238,24 +251,8 @@ def test_director_unit_constant_fixed_point(grid2d):
 def test_director_zero_fixed_point(grid2d):
     d = np.zeros((3,) + grid2d.shape)
     u = np.zeros((2,) + grid2d.shape)
-    d1 = _director_step(grid2d, d, u, 1e-2)
+    d1 = director_step(grid2d, d, u, 1e-2)
     assert np.abs(d1).max() == 0.0
-
-
-def test_director_relaxation_ode_oracle(grid2d):
-    """Spatially uniform director against the scalar relaxation equation."""
-    sigma0 = 1.0
-    eta0 = 1e-3
-    dt, T = 1e-3, 0.1
-    u = np.zeros((2,) + grid2d.shape)
-    d = unit_director(grid2d, eta0)
-    steps = int(round(T / dt))
-    for _ in range(steps):
-        d = _director_step(grid2d, d, u, dt, PhysParams(penalty_scale=sigma0))
-    eta_num = float(d[0].flat[0])
-    sol = solve_ivp(lambda t, y: -(y ** 2 - 1.0) * y / sigma0 ** 2,
-                    (0.0, T), [eta0], rtol=1e-12, atol=1e-14)
-    assert abs(eta_num - sol.y[0, -1]) < 1e-6
 
 
 def _director_update_per_component(grid, d, u, dt, p, tol=1e-13,
@@ -304,18 +301,6 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
 # temperature substep
 # ---------------------------------------------------------------------------
 
-def _heat_step(s, u, reg, dt, p):
-    """One heat substep from ``s`` with lagged velocity ``u``; the director
-    of every state used here is a unit constant, so it heats nothing."""
-    plan = spectral_plan(s.grid)
-    rho = s.rho
-    frozen = sv._FrozenHeat(plan, s.theta, rho, reg, p, dt)
-    m = sv._mass_flux(plan, rho, u)
-    return sv._temperature_update(frozen, rho, sine_gradient(plan, u), m,
-                                  np.zeros(s.grid.shape), reg, p, dt,
-                                  s.theta)[0]
-
-
 def test_temperature_scalar_sink_oracle(grid2d):
     """Constant state: the update has the closed form
     theta' = (delta+rho) theta / (delta+rho+dt*delta*theta^alpha)."""
@@ -324,23 +309,11 @@ def test_temperature_scalar_sink_oracle(grid2d):
     dt = 1e-3
     theta0 = 2.0
     s = equilibrium_state(grid2d, rho=1.0, theta=theta0)
-    th1 = _heat_step(s, s.u, reg, dt, p)
+    th1 = heat_step(s, s.u, reg, dt, p)
     expect = (reg.delta + 1.0) * theta0 / (
         (reg.delta + 1.0) + dt * reg.delta * theta0 ** 2)
     assert abs(float(th1.flat[0]) - expect) < 1e-12 * expect
     assert float(np.ptp(th1)) < 1e-12
-
-
-def test_temperature_sink_vs_ode(grid2d):
-    reg = RegParams(eps=0.0, delta=0.05, beta=5.0, n_modes=4)
-    p = PhysParams(cond_growth=2)
-    dt = 1e-4
-    s = equilibrium_state(grid2d, rho=1.0, theta=2.0)
-    th1 = _heat_step(s, s.u, reg, dt, p)
-    sol = solve_ivp(
-        lambda t, y: -reg.delta * y ** 3 / (reg.delta + 1.0),
-        (0.0, dt), [2.0], rtol=1e-12, atol=1e-14)
-    assert abs(float(th1.flat[0]) - sol.y[0, -1]) < 1e-8
 
 
 def test_temperature_operator_positivity_guard(grid2d):
@@ -354,7 +327,7 @@ def test_temperature_operator_positivity_guard(grid2d):
     u = basis.reconstruct(U)
     s = equilibrium_state(grid2d)
     with pytest.raises(PositivityLoss):
-        _heat_step(s, u, reg, 1e-2, p)
+        heat_step(s, u, reg, 1e-2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +709,11 @@ def _same_state(a, b):
 
 
 def test_history_keeps_five_levels_newest_first(grid2d):
-    """Each step hands its new state the Galerkin coefficients and the
-    temperature of the state it started from, the temperature as that
-    state's own array, and keeps the newest four levels of the old
-    history, so after k steps a state holds min(k, 5) levels, 40 steps
-    into a run too."""
+    """Each step hands its new state the Galerkin coefficients, the
+    temperature and the director of the state it started from, the
+    temperature and the director as that state's own arrays, and keeps the
+    newest four levels of the old history, so after k steps a state holds
+    min(k, 5) levels, 40 steps into a run too."""
     s0, reg = _twist_start(grid2d)
     states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
                                                          t_end=4e-2),
@@ -749,10 +722,11 @@ def test_history_keeps_five_levels_newest_first(grid2d):
     for k in range(1, 41):
         levels = states[k].history
         assert len(levels) == min(k, sv._HISTORY_LEVELS) == min(k, 5)
-        for j, (dt, U, theta) in enumerate(levels):
+        for j, (dt, U, theta, d) in enumerate(levels):
             assert dt == records[k - j].dt
             assert np.array_equal(U, states[k - 1 - j].U)
             assert theta is states[k - 1 - j].theta
+            assert d is states[k - 1 - j].d
 
 
 def test_predicted_steps_take_one_sweep(grid2d):
@@ -815,18 +789,19 @@ def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, levels):
 
 def test_predictor_reproduces_polynomials_in_t():
     """From k equal-dt levels the predictor is the polynomial of degree k
-    through level n and those levels, for the Galerkin table and the nodal
-    temperature of a history alike: it reproduces every table and
-    temperature that is a polynomial of degree k in t to round-off, at
-    k = 1 to 5, and misses a degree-6 one from five levels by its leading
-    error 6! dt^6 c_6."""
+    through level n and those levels, for the Galerkin table, the nodal
+    temperature and the director stack of a history alike: it reproduces
+    every table, temperature and director that is a polynomial of degree k
+    in t to round-off, at k = 1 to 5, and misses a degree-6 one from five
+    levels by its leading error 6! dt^6 c_6."""
     rng = np.random.default_rng(5)
     dt, t_n, scale = 1e-3, 0.05, 0.1
     coeffs = (rng.standard_normal((7, 8, 2)),
-              rng.standard_normal((7, 16, 16)))
+              rng.standard_normal((7, 16, 16)),
+              rng.standard_normal((7, 3, 16, 16)))
 
     def level(t, degree):
-        """The (table, temperature) pair at t, each of ``degree``."""
+        """The (table, temperature, director) at t, each of ``degree``."""
         return tuple(sum(c * (t / scale) ** q
                          for q, c in enumerate(cs[:degree + 1]))
                      for cs in coeffs)
@@ -870,10 +845,55 @@ def test_predicted_heat_solve_starts_from_the_extrapolated_temperature(
     assert rec.predicted and not plain.predicted
     assert rec.picard_iters == 1 and len(starts) == 1 + plain.picard_iters
     assert np.array_equal(starts[0], sv._extrapolate(
-        s.theta, [th for _, _, th in s.history], 5))
+        s.theta, [theta for _, _, theta, _ in s.history], 5))
     assert starts[1] is s.theta
     assert rec.heat_applies < plain.heat_applies
     assert rec.heat_residual <= 1e-13 and plain.heat_residual <= 1e-13
+
+
+def test_predicted_director_starts_from_the_extrapolated_director(
+        grid2d, monkeypatch):
+    """A step predicted from five levels starts its first director fixed
+    point (its ``lag``) from the quintic extrapolation of d through d^n and
+    the five levels, not from d^n, and so takes fewer fixed-point
+    iterations than the same step with its history dropped, which starts
+    from d^n.  Both keep d^n as the old level of the director equation,
+    and both reach the inner tolerance."""
+    s, reg = _stepped_state(grid2d, 6)
+    assert len(s.history) == 5
+    calls = []
+    update = sv._director_update
+
+    def spy_update(plan, d, *args, lag=None, **kwargs):
+        calls.append((d, lag))
+        return update(plan, d, *args, lag=lag, **kwargs)
+
+    monkeypatch.setattr(sv, "_director_update", spy_update)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    _, rec = sv.step_coupled(s, reg, cfg, PhysParams())
+    _, plain = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
+    assert rec.predicted and not plain.predicted
+    assert rec.picard_iters == 1 and len(calls) == 1 + plain.picard_iters
+    assert all(d is s.d for d, _ in calls)
+    assert np.array_equal(calls[0][1], sv._extrapolate(
+        s.d, [d for _, _, _, d in s.history], 5))
+    assert calls[1][1] is s.d
+    assert rec.director_iters < plain.director_iters
+    assert rec.director_gap <= 1e-13 and plain.director_gap <= 1e-13
+
+
+def test_quintic_predicted_director_takes_two_iterations(grid2d):
+    """Twelve steps of a 32^2 ``director-twist`` run: every step predicted
+    from five levels, from the sixth on, takes one sweep, and its director
+    fixed point at most two iterations (five when it started from d^n)."""
+    s0, reg = _twist_start(grid2d)
+    _, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.2e-2),
+                           PhysParams())
+    quintic = records[6:]
+    assert len(quintic) == 7 and all(rec.predicted for rec in quintic)
+    for rec in quintic:
+        assert rec.picard_iters == 1
+        assert rec.director_iters <= 2 * rec.picard_iters
 
 
 def test_level_of_another_dt_cuts_the_order(grid2d):
@@ -882,18 +902,19 @@ def test_level_of_another_dt_cuts_the_order(grid2d):
     ends it, and a run of one level predicts linearly.  A step from five
     levels whose fourth has another dt is the step from the first three,
     bit for bit."""
-    dt, shape, theta = 1e-3, (8, 2), np.ones(grid2d.shape)
-    same = (dt, np.zeros(shape), theta)
+    dt, shape = 1e-3, (8, 2)
+    fields = (np.ones(grid2d.shape), np.ones((3,) + grid2d.shape))
+    same = (dt, np.zeros(shape)) + fields
     assert sv._predicts((same,) * 6, dt, shape) == 5
-    assert sv._predicts((same,) * 3 + ((2 * dt, np.zeros(shape), theta),)
+    assert sv._predicts((same,) * 3 + ((2 * dt, np.zeros(shape)) + fields,)
                         + (same,) * 2, dt, shape) == 3
-    assert sv._predicts((same, same, (dt, np.zeros((6, 2)), theta), same),
+    assert sv._predicts((same, same, (dt, np.zeros((6, 2))) + fields, same),
                         dt, shape) == 2
-    assert sv._predicts((same, (dt / 2, np.zeros(shape), theta))
+    assert sv._predicts((same, (dt / 2, np.zeros(shape)) + fields)
                         + (same,) * 4, dt, shape) == 1
-    assert sv._predicts(((dt / 2, np.zeros(shape), theta),) + (same,) * 4,
+    assert sv._predicts(((dt / 2, np.zeros(shape)) + fields,) + (same,) * 4,
                         dt, shape) == 0
-    assert sv._predicts(((dt * (1 + 1e-12), np.zeros(shape), theta),) * 4,
+    assert sv._predicts(((dt * (1 + 1e-12), np.zeros(shape)) + fields,) * 4,
                         dt, shape) == 4
 
     s, reg = _stepped_state(grid2d, 5)
@@ -937,8 +958,8 @@ def test_history_of_another_shape_is_ignored(grid2d):
     (n, dim) shape, as after a restart with other Galerkin modes, predict
     nothing and are not carried forward."""
     s, reg = _stepped_state(grid2d)
-    wide = tuple((dt, np.zeros((reg.n_modes + 1, grid2d.dim)), theta)
-                 for dt, _, theta in s.history)
+    wide = tuple((dt, np.zeros((reg.n_modes + 1, grid2d.dim)), theta, d)
+                 for dt, _, theta, d in s.history)
     odd = sv.State(grid2d, s.t, s.rho, s.U, s.theta, s.d, wide)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     s1, rec = sv.step_coupled(odd, reg, cfg, PhysParams())
