@@ -250,7 +250,7 @@ def _initial_state(cfg):
     if cfg.init.snapshot is not None:
         return read_snapshot(cfg.init.snapshot, cfg.grid)
     return presets.build(cfg.init.preset, cfg.grid, base=cfg.init.base,
-                         amplitude=cfg.init.amplitude, width=cfg.init.width)
+                         amplitude=cfg.init.amplitude)
 
 
 def _prepared_state(cfg):
@@ -259,7 +259,7 @@ def _prepared_state(cfg):
     regularized."""
     if cfg.init.snapshot is not None:
         return read_restart(cfg.init.snapshot, cfg.grid)
-    return ct._prepare_state(cfg, _initial_state(cfg), cfg.reg)
+    return ct._prepare_state(_initial_state(cfg), cfg.reg)
 
 
 def _write_text(path, text):

@@ -72,15 +72,10 @@ SCHEMA = {
     "reg.n_modes": (int, RegParams.n_modes),
     "solver.dt": (_finite_float, 1e-3),
     "solver.t_end": (_finite_float, 0.05),
-    "solver.picard_tol": (_finite_float, SolverConfig.picard_tol),
-    "solver.picard_max": (int, SolverConfig.picard_max),
     "init.preset": (str, "equilibrium"),
     "init.base": (_finite_float, 1.0),
     "init.amplitude": (_finite_float, None),
-    "init.width": (_finite_float, None),
     "init.snapshot": (str, None),
-    "init.theta_floor": (_finite_float, 0.1),
-    "init.theta_cap": (_finite_float, 10.0),
     "output.dir": (str, "out"),
     "output.cadence": (int, 0),
     "output.residuals": (_parse_str_list, ("identity",)),
@@ -88,7 +83,6 @@ SCHEMA = {
     "continuation.n": (_parse_int_list, (8,)),
     "continuation.eps": (_parse_float_list, (1e-1, 5e-2, 2.5e-2)),
     "continuation.delta": (_parse_float_list, (1e-3,)),
-    "continuation.snapshots": (_parse_float_list, ()),
     "mms.resolutions": (_parse_int_list, (16, 32)),
     "mms.dts": (_parse_float_list, (4e-3, 2e-3, 1e-3)),
     "mms.shape": (int, 32),
@@ -103,10 +97,7 @@ class InitSpec:
     preset: str
     base: float
     amplitude: float
-    width: float
     snapshot: str
-    theta_floor: float
-    theta_cap: float
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,6 @@ class OutputSpec:
 class ContinuationSpec:
     study: str
     schedule: tuple                # the validated RegParams of each entry
-    snapshots: tuple               # empty -> final time only
 
 
 @dataclass(frozen=True)
@@ -224,10 +214,6 @@ def _build(values):
         known = ", ".join(sorted(PRESETS))
         raise ValidationError(
             f"init.preset {preset!r} is not one of: {known}")
-    if not values["init.theta_floor"] > 0:
-        raise ValidationError("init.theta_floor must be positive")
-    if not values["init.theta_cap"] >= values["init.theta_floor"]:
-        raise ValidationError("init.theta_cap must be >= init.theta_floor")
     init = _section(InitSpec, "init", values)
 
     if values["output.cadence"] < 0:
@@ -281,8 +267,7 @@ def _build(values):
                 f"continuation schedule entry {i} (continuation.n = {n}, "
                 f"continuation.eps = {eps!r}, continuation.delta = "
                 f"{delta!r}): {exc}") from None
-    cont = ContinuationSpec(study=study, schedule=tuple(schedule),
-                            snapshots=tuple(values["continuation.snapshots"]))
+    cont = ContinuationSpec(study=study, schedule=tuple(schedule))
 
     for key, sizes in (("mms.resolutions", values["mms.resolutions"]),
                        ("mms.shape", (values["mms.shape"],))):

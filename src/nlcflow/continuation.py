@@ -13,7 +13,7 @@ and returns a report of
 * uniform bounds (sup over the family of each monitored functional),
 * decay quantities expected to vanish along the schedule, with a
   nonincreasing-within-5% flag,
-* pairwise distances between consecutive runs at matched snapshot times
+* distances between the final states of consecutive runs
   (self-convergence surrogates: rho in L1, u and theta in L2, d in a
   first-order Sobolev surrogate).
 
@@ -22,7 +22,6 @@ dict, deterministic given the config and the initial state.  A solver
 failure names the schedule entry it ended.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -58,18 +57,17 @@ STUDIES = {
 }
 
 
-def _prepare_state(cfg, raw, reg):
+def _prepare_state(raw, reg):
     """The regularized starting state of a run with ``reg``; ``solve run``
     starts from it too."""
     return sv.regularize_initial_data(
-        raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, reg,
-        theta_bounds=(cfg.init.theta_floor, cfg.init.theta_cap))
+        raw.grid, raw.rho, raw.rho * raw.u, raw.theta, raw.d, reg)
 
 
 def _execute(cfg, s0, reg, csv_path):
     """One schedule entry from its prepared state ``s0``, its rows streamed
-    to ``csv_path``: fold the time-integrated functionals and the
-    nearest-time snapshots as each state arrives."""
+    to ``csv_path``: fold the time-integrated functionals as each state
+    arrives, and return them with the final state."""
     grid = s0.grid
     plan = spectral_plan(grid)
     p = cfg.phys
@@ -77,16 +75,9 @@ def _execute(cfg, s0, reg, csv_path):
     acc = {"grad_rho_sq": 0.0, "lap_rho_sq": 0.0, "rho_beta": 0.0,
            "theta_pow": 0.0, "pressure_weight": 0.0}
     emax_ratio = 1.0
-    wanted = cfg.cont.snapshots or (cfg.solver.t_end,)
-    snaps = [None] * len(wanted)
-    gaps = [math.inf] * len(wanted)
     steps = -1
     for s, rec, der, diag in dg.stream(s0, reg, cfg.solver, p, csv_path):
         steps += 1
-        # a strictly smaller gap replaces, so ties go to the earlier state
-        for i, t_req in enumerate(wanted):
-            if abs(s.t - t_req) < gaps[i]:
-                snaps[i], gaps[i] = s, abs(s.t - t_req)
         if rec is None:
             energy_initial = diag.energy_total
             continue
@@ -116,7 +107,7 @@ def _execute(cfg, s0, reg, csv_path):
         "pressure_weight": acc["pressure_weight"],
         "final_time": diag.t,
     }
-    return summary, snaps
+    return summary, s
 
 
 def _state_distances(a, b):
@@ -142,22 +133,17 @@ def _state_distances(a, b):
     }
 
 
-def _pair_distances(i, left, right, gamma=None):
-    """Distance rows between the matched snapshots of runs i and i + 1."""
-    if len(left) != len(right):
-        raise MismatchedSnapshots("snapshot counts differ between runs")
-    rows = []
-    for sa, sb in zip(left, right):
-        if abs(sa.t - sb.t) > 1e-9 * max(1.0, abs(sa.t)):
-            raise MismatchedSnapshots(
-                f"snapshot times differ: {sa.t} vs {sb.t}")
-        row = {"pair": [i, i + 1], "t": sa.t}
-        row.update(_state_distances(sa, sb))
-        if gamma is not None:
-            row["rho_oscillation"] = dg.oscillation_defect(
-                sa.grid, sb.rho, sa.rho, gamma)
-        rows.append(row)
-    return rows
+def _pair_distances(i, sa, sb, gamma=None):
+    """The distance row between the final states ``sa`` and ``sb`` of runs
+    i and i + 1."""
+    if abs(sa.t - sb.t) > 1e-9 * max(1.0, abs(sa.t)):
+        raise MismatchedSnapshots(f"snapshot times differ: {sa.t} vs {sb.t}")
+    row = {"pair": [i, i + 1], "t": sa.t}
+    row.update(_state_distances(sa, sb))
+    if gamma is not None:
+        row["rho_oscillation"] = dg.oscillation_defect(
+            sa.grid, sb.rho, sa.rho, gamma)
+    return row
 
 
 def _decay_entry(values):
@@ -186,8 +172,8 @@ def run_study(cfg, raw, out):
     """Run the study of ``cfg.cont`` from the raw initial state ``raw``,
     regularized afresh for each schedule entry, streaming the runs' rows
     to ``run_00.csv``, ``run_01.csv``, ... in the directory ``out``.  Each
-    run's snapshots are compared with the previous run's as soon as it
-    ends, and only the latest are kept.  An entry's CSV is opened when its
+    run's final state is compared with the previous run's as soon as it
+    ends, and only the latest is kept.  An entry's CSV is opened when its
     first state arrives, so an entry whose mode count the grid cannot hold
     leaves no file."""
     study = STUDIES[cfg.cont.study]
@@ -197,7 +183,7 @@ def run_study(cfg, raw, out):
         entry = (f"schedule entry {i} (n={reg.n_modes}, eps={reg.eps!r}, "
                  f"delta={reg.delta!r})")
         try:
-            summary, snaps = _execute(cfg, _prepare_state(cfg, raw, reg), reg,
+            summary, final = _execute(cfg, _prepare_state(raw, reg), reg,
                                       os.path.join(out, "run_%02d.csv" % i))
         except TooManyModes as exc:
             exc.key, exc.entry = "continuation.n", entry
@@ -206,8 +192,8 @@ def run_study(cfg, raw, out):
             exc.entry = entry
             raise
         if prev is not None:
-            distances += _pair_distances(i - 1, prev, snaps, gamma)
-        prev = snaps
+            distances.append(_pair_distances(i - 1, prev, final, gamma))
+        prev = final
         runs.append(summary)
     rows = {"runs": runs, "distances": distances}
     decay = {}

@@ -16,10 +16,10 @@ The density, the temperature and the director are cosine fields, and the
 velocity's gradient is taken from its Galerkin table, so every gradient the
 step, the audits and the manufactured sources take is that of a cosine
 field.  A kernel that only ever acts on cosine fields therefore takes no
-parity: the transforms, :func:`smooth`, the Helmholtz solve and ``grad``;
-``div`` takes stacks like the ones ``grad`` makes, entry a sine along axis
-a.  Only :meth:`SpectralPlan.deriv`, :meth:`SpectralPlan.project` and the
-mms restriction (:func:`coeffs`, :func:`evaluate`), which restricts each
+parity: the transforms, the Helmholtz solve and ``grad``; ``div`` takes
+stacks like the ones ``grad`` makes, entry a sine along axis a.  Only
+:meth:`SpectralPlan.deriv`, :meth:`SpectralPlan.project` and the mms
+restriction (:func:`coeffs`, :func:`evaluate`), which restricts each
 equation's source with that equation's parity, a momentum component's
 being sine along its own axis, see both parities, and take one.
 
@@ -359,20 +359,6 @@ def integrate_values(grid, values):
     exact only for its even-frequency content).
     """
     return grid.weight * float(np.asarray(values).sum())
-
-
-# ---------------------------------------------------------------------------
-# smoothing
-# ---------------------------------------------------------------------------
-
-def smooth(grid, values, width):
-    """Gaussian spectral low-pass exp(-(width^2/2) * |k|^2) (mollifier) of
-    a cosine array; a copy when ``width <= 0``."""
-    if width <= 0.0:
-        return np.array(values, dtype=np.float64)
-    plan = spectral_plan(grid)
-    return plan.inverse(plan.forward(values)
-                        * np.exp(-0.5 * width * width * plan.symbol))
 
 
 # ---------------------------------------------------------------------------

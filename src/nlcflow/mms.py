@@ -299,8 +299,8 @@ def case_grid(case, n):
 
 def run_case(case, n, reg, p, cfg):
     """Run the manufactured problem on n nodes per axis under the solver
-    settings ``cfg`` (a SolverConfig: dt, t_end and the Picard controls)
-    and return the error table entry (sources from :func:`build_sources`)."""
+    settings ``cfg`` (a SolverConfig: dt and t_end) and return the error
+    table entry (sources from :func:`build_sources`)."""
     grid = case_grid(case, n)
     sources = build_sources(case, grid, reg, p)
     for last, _ in sv.run(analytic_state(case, grid, 0.0, reg.n_modes), reg,

@@ -20,10 +20,10 @@ these same kernels, so an audit cannot drift from the step it audits.
 There is one scheme, the 2/3 rule: each nodal product that becomes a stored
 field or is paired against the velocity (the mass and heat fluxes, the
 director transport, the pressure-gradient and Ericksen forces) is projected
-onto the retained band of its parity.  Besides the time step and the
-Picard controls of SolverConfig, its only knobs are the paper's
-regularization levels in RegParams: the Galerkin modes n, the artificial
-diffusion eps and the artificial pressure delta (with its exponent beta).
+onto the retained band of its parity.  Besides the time step and end time
+of SolverConfig, its only knobs are the paper's regularization levels in
+RegParams: the Galerkin modes n, the artificial diffusion eps and the
+artificial pressure delta (with its exponent beta).
 
 Key discrete facts this file relies on (established in fields.py):
 
@@ -71,9 +71,20 @@ _REJECT_SLACK = 1e-12
 
 # Inner-solve tolerance of every Picard sweep: the relative residual of the
 # heat conjugate gradients and the director fixed-point gap relative to its
-# scale.  Both solves return only once they reach it, and raise
-# IterationStall otherwise.
+# scale.  Both solves return only once they reach it within their caps, and
+# raise IterationStall otherwise.
 _INNER_TOL = 1e-13
+_DIRECTOR_MAX_ITER = 100
+_CG_MAX_ITER = 400
+
+# A sweep is accepted once its velocity increment is at most _PICARD_TOL
+# relative to the new table; a step with no accepted sweep within
+# _PICARD_MAX raises PicardDivergence.
+_PICARD_TOL = 1e-9
+_PICARD_MAX = 50
+
+# The temperature clamp of a regularized initial state.
+_THETA_BOUNDS = (0.1, 10.0)
 
 # Levels a State keeps for the predictor: with five, a step extrapolates
 # the Galerkin coefficients, the temperature and the director by the
@@ -97,10 +108,10 @@ class State:
     ``_HISTORY_LEVELS`` (five) ``(dt, U, theta, d)`` levels, newest first,
     where ``U``, ``theta`` and ``d`` are the Galerkin coefficient table,
     the temperature and the director of the state a step started from and
-    ``dt`` the step it took (see :func:`_predicts`).  A predicted step
-    starts its first sweep from all three extrapolated
-    (:func:`_picard_advance`).  A state with no past, such as an initial
-    one, has ``()``.
+    ``dt`` the step it took (see :func:`_predicts`); a step keeps only
+    levels of one dt and one table shape.  A predicted step starts its
+    first sweep from all three extrapolated (:func:`_picard_advance`).  A
+    state with no past, such as an initial one, has ``()``.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u")
@@ -129,18 +140,12 @@ class State:
 class SolverConfig:
     dt: float
     t_end: float
-    picard_tol: float = 1e-9
-    picard_max: int = 50
 
     def validate(self):
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
         if self.t_end < 0:
             raise ValidationError("t_end must be nonnegative")
-        if not self.picard_tol > 0:
-            raise ValidationError("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise ValidationError("picard_max must be at least 1")
         return self
 
 
@@ -345,7 +350,7 @@ def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
 
 
 def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
-                     lag=None, max_iter=100):
+                     lag=None):
     """Implicit-diffusion director step with a two-point penalty force.
 
     ``d`` is the director stack and ``grad_d`` its gradient stack
@@ -363,7 +368,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
 
     lag = d if lag is None else lag
     scale = max(1.0, float(np.abs(d).max()))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _DIRECTOR_MAX_ITER + 1):
         force = cst.gl_force_two_point(d, lag, p.penalty_scale)
         rhs = d - dt * (w + kappa * force)
         if source is not None:
@@ -376,7 +381,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
         if gap <= _INNER_TOL * scale:
             break
     else:
-        raise IterationStall("director", max_iter, gap, "increment")
+        raise IterationStall("director", _DIRECTOR_MAX_ITER, gap, "increment")
 
     return d_new, _director_relaxation(d_new, d, w, dt, p), it, gap / scale
 
@@ -397,9 +402,9 @@ def _conduction_apply(plan, theta, kappa):
     return -plan.div(flux)
 
 
-def _pcg(apply_op, precond, b, x0, max_iter=400):
+def _pcg(apply_op, precond, b, x0):
     """Preconditioned conjugate gradients from ``x0`` to the relative
-    residual _INNER_TOL.  Returns the solution, the relative residual it
+    residual _INNER_TOL in at most _CG_MAX_ITER iterations.  Returns the solution, the relative residual it
     reached and the number of operator applies."""
     bnorm = math.sqrt(float(np.sum(b * b)))
     if bnorm == 0.0:
@@ -407,13 +412,13 @@ def _pcg(apply_op, precond, b, x0, max_iter=400):
     x = x0.copy()
     r = b - apply_op(x)
     pvec = rz = None
-    for it in range(max_iter + 1):
+    for it in range(_CG_MAX_ITER + 1):
         rnorm = math.sqrt(float(np.sum(r * r)))
         if not math.isfinite(rnorm):
             raise NonFiniteState("temperature")
         if rnorm <= _INNER_TOL * bnorm:
             return x, rnorm / bnorm, it + 1
-        if it == max_iter:
+        if it == _CG_MAX_ITER:
             break
         z = precond(r)
         rz_new = float(np.sum(r * z))
@@ -423,7 +428,7 @@ def _pcg(apply_op, precond, b, x0, max_iter=400):
         alpha = rz / float(np.sum(pvec * ap))
         x += alpha * pvec
         r -= alpha * ap
-    raise IterationStall("temperature", max_iter, rnorm / bnorm,
+    raise IterationStall("temperature", _CG_MAX_ITER, rnorm / bnorm,
                          "relative residual")
 
 
@@ -653,7 +658,7 @@ def _with_modes(U, n):
                                                 (0, 0)))
 
 
-def _picard_advance(s, reg, cfg, p, dt, sources):
+def _picard_advance(s, reg, p, dt, sources):
     """One Picard-coupled step on the raw arrays of ``s``; the accepted
     iterates make the new State.
 
@@ -677,15 +682,15 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
     director takes about two fixed-point iterations instead of five.
 
     Every sweep solves its heat and director problems to _INNER_TOL, and
-    a sweep is accepted when its velocity increment meets ``picard_tol``.
+    a sweep is accepted when its velocity increment meets _PICARD_TOL.
     The momentum matrix and old-level term depend only on rho^n, dt and
     the stiffness, so they are built once per step
     (:func:`_momentum_system`).
 
     The new state's history is ``((dt, U^n, theta^n, d^n),)`` followed by
-    the newest ``_HISTORY_LEVELS - 1`` levels of ``s`` whose table has the
-    shape of U^n.
-    The step reads nothing but ``s``, so a restart from a snapshot that
+    the k levels of ``s`` that predicted the step, at most
+    ``_HISTORY_LEVELS - 1`` of them, so every history holds levels of one
+    dt and one table shape.  The step reads nothing but ``s``, so a restart from a snapshot that
     stores the history repeats the run exactly."""
     grid = s.grid
     plan = spectral_plan(grid)
@@ -711,7 +716,7 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
         theta_new = _extrapolate(s.theta, thetas, order)
         d_new = _extrapolate(d, directors, order)
     heat_applies = director_iters = 0
-    for it in range(1, cfg.picard_max + 1):
+    for it in range(1, _PICARD_MAX + 1):
         grad_u = basis.gradient(U_minus)
         rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
         d_new, gtilde, iters, gap = _director_update(
@@ -726,20 +731,19 @@ def _picard_advance(s, reg, cfg, p, dt, sources):
                                  p, momentum, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
-        if diff <= cfg.picard_tol * size:
+        if diff <= _PICARD_TOL * size:
             break
         U_minus = U_new
         u_minus = basis.reconstruct(U_new)
     else:
-        raise PicardDivergence(cfg.picard_max, diff / size)
+        raise PicardDivergence(_PICARD_MAX, diff / size)
 
     record = StepRecord(dt=dt, picard_iters=it, halvings=0, U_lag=U_minus,
                         heat_applies=heat_applies,
                         director_iters=director_iters, heat_residual=heat_res,
                         director_gap=gap, predicted=order > 0)
-    history = ((dt, U0, s.theta, d),) + tuple(
-        level for level in s.history[:_HISTORY_LEVELS - 1]
-        if level[1].shape == U0.shape)
+    history = ((dt, U0, s.theta, d),) + s.history[
+        :min(order, _HISTORY_LEVELS - 1)]
     return State(grid, t1, rho_new, U_new, theta_new, d_new, history), record
 
 
@@ -768,7 +772,7 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
     halving = 0
     while True:
         try:
-            state, record = _picard_advance(start, reg, cfg, p, dt, sources)
+            state, record = _picard_advance(start, reg, p, dt, sources)
             record.halvings = halving
             return state, record
         except PositivityLoss as exc:
@@ -821,8 +825,7 @@ def run(s0: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
 # initial data
 # ---------------------------------------------------------------------------
 
-def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
-                            theta_bounds):
+def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams):
     """Build an admissible starting state from raw nodal data on ``grid``:
     the density ``rho0``, the momentum stack ``m0`` (dim sine components,
     such as ``rho0 * u0``), the temperature ``theta0`` and the director
@@ -832,9 +835,8 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     to [delta, delta^(-1/(2 beta))], zero the momentum wherever
     the clamp pulled the density below its raw value, divide by the clamped
     density, project the velocity onto the retained modes, and clamp the
-    temperature to ``theta_bounds``, the pair (``init.theta_floor``,
-    ``init.theta_cap``) of a run's config.  Raw momentum must vanish on the
-    vacuum set of the raw density.
+    temperature to _THETA_BOUNDS.  Raw momentum must vanish on the vacuum
+    set of the raw density.
     """
     rho0 = np.asarray(rho0, dtype=np.float64)
     if float(rho0.min()) < -_REJECT_SLACK * max(float(np.abs(rho0).max()),
@@ -854,6 +856,6 @@ def regularize_initial_data(grid, rho0, m0, theta0, d0, reg: RegParams,
     masked = [np.where(clamped >= raw, mv, 0.0) for mv in m_vals]
     u_vals = [np.where(clamped > 0.0, mv / np.maximum(clamped, 1e-300), 0.0)
               for mv in masked]
-    th = np.clip(theta0, theta_bounds[0], theta_bounds[1])
+    th = np.clip(theta0, *_THETA_BOUNDS)
     return State(grid, 0.0, clamped,
                  galerkin_basis(grid, reg.n_modes).project(u_vals), th, d0)

@@ -51,7 +51,7 @@ def _prepared(name, grid, reg, amplitude=None, base=1.0):
         kwargs["amplitude"] = amplitude
     raw = presets.build(name, grid, **kwargs)
     return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                      raw.theta, raw.d, reg, (0.1, 10.0))
+                                      raw.theta, raw.d, reg)
 
 
 def _nerr(got, want):

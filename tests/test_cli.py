@@ -1,6 +1,5 @@
 """Command dispatch, exit codes, and output formats."""
 
-import functools
 import json
 import math
 import os
@@ -14,7 +13,7 @@ import pytest
 from nlcflow import cli
 from nlcflow import diagnostics as dg
 from nlcflow import mms as mm
-from nlcflow.errors import IOFailure
+from nlcflow.errors import IOFailure, PositivityLoss
 from nlcflow.fields import Grid
 from nlcflow import solver as sv
 from nlcflow.solver import State
@@ -80,6 +79,12 @@ def test_run_success(tmp_path):
     "solver.dealias = off\n",
     "solver.dealias = 0\n",
     "output.csv = false\n",
+    "solver.picard_tol = 1e-300\n",
+    "solver.picard_max = 1\n",
+    "init.width = 0.2\n",
+    "init.theta_floor = 0.1\n",
+    "init.theta_cap = 10.0\n",
+    "continuation.snapshots = 0.005,0.01\n",
     pytest.param("continuation.study = viscosity\n"
                  "continuation.eps = 1e-2,1e-1\n",
                  id="viscosity-eps-increasing"),
@@ -111,9 +116,10 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.cfg")]) == 2
 
 
-def test_solver_failure_exits_3(tmp_path, capsys):
-    cfg = _run_cfg(tmp_path, extra="solver.picard_tol = 1e-300\n"
-                                   "solver.picard_max = 2\n")
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sv, "_PICARD_TOL", 1e-300)
+    monkeypatch.setattr(sv, "_PICARD_MAX", 2)
+    cfg = _run_cfg(tmp_path)
     assert cli.main(["run", cfg]) == 3
     assert "solver failure" in capsys.readouterr().err
 
@@ -127,14 +133,13 @@ def test_stalled_iteration_exits_3_and_says_where(tmp_path, capsys,
     from nlcflow import solver as sv
     text = RUN_CFG.format(out=tmp_path / "out")
     if failure == "picard":
-        text += "solver.picard_tol = 1e-300\nsolver.picard_max = 1\n"
+        monkeypatch.setattr(sv, "_PICARD_TOL", 1e-300)
+        monkeypatch.setattr(sv, "_PICARD_MAX", 1)
     elif failure == "director":
         text = text.replace("density-bump", "director-twist")
-        monkeypatch.setattr(sv, "_director_update", functools.partial(
-            sv._director_update, max_iter=1))
+        monkeypatch.setattr(sv, "_DIRECTOR_MAX_ITER", 1)
     else:
-        monkeypatch.setattr(sv, "_pcg", functools.partial(sv._pcg,
-                                                          max_iter=1))
+        monkeypatch.setattr(sv, "_CG_MAX_ITER", 1)
     cfg = _write(tmp_path, "run.cfg", text)
     assert cli.main(["run", cfg]) == 3
     err = capsys.readouterr().err
@@ -190,14 +195,16 @@ def test_mms_too_many_modes_names_key_and_grid(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_mms_runs_on_the_config_solver_section(tmp_path, capsys):
-    """``solve mms`` steps with the config's Picard controls: a tolerance
+def test_mms_runs_on_the_config_solver_section(tmp_path, capsys,
+                                               monkeypatch):
+    """``solve mms`` steps through the solver's Picard loop: a tolerance
     no single sweep can meet ends the study with exit 3, as it ends
     ``solve run``.  Its CSV keeps the version and column lines, and no
     orders file is written."""
+    monkeypatch.setattr(sv, "_PICARD_TOL", 1e-300)
+    monkeypatch.setattr(sv, "_PICARD_MAX", 1)
     cfg = _write(tmp_path, "mms.cfg", (
-        "grid.dim = 1\nsolver.picard_tol = 1e-300\nsolver.picard_max = 1\n"
-        f"output.dir = {tmp_path / 'out'}\n"))
+        f"grid.dim = 1\noutput.dir = {tmp_path / 'out'}\n"))
     assert cli.main(["mms", "trig-1d", cfg]) == 3
     err = capsys.readouterr().err
     assert "solver failure" in err and "PicardDivergence" in err
@@ -309,6 +316,35 @@ def test_restart_from_snapshot_continues_the_run(tmp_path, k):
             == (second / f"{kind}_{last:06d}.{ext}").read_bytes()
 
 
+def test_restart_after_a_halved_step_continues_the_run(tmp_path,
+                                                       monkeypatch):
+    """A step from t = 3e-3 that loses positivity at the full dt, predicted
+    or not, is taken halved.  Its state and the next keep one history
+    level each, their own step's: the levels before are of another dt and
+    predict nothing.  A restart from the next state's snapshot ends on the
+    continuous run's bytes."""
+    advance = sv._picard_advance
+
+    def losing(s, reg, p, dt, sources):
+        if abs(s.t - 3e-3) < 1e-9 and dt > 6e-4:
+            raise PositivityLoss("density", "density undershoot -1")
+        return advance(s, reg, p, dt, sources)
+
+    monkeypatch.setattr(sv, "_picard_advance", losing)
+    whole, second = _restarted(tmp_path, 5)
+    assert cli.read_snapshot(str(whole / "snap_000004.dat"),
+                             Grid((32, 32), (2.0, 2.0))).t \
+        == pytest.approx(3.5e-3, abs=1e-15)
+    for k in (4, 5):
+        assert (whole / f"hist_{k:06d}.bin").read_bytes().startswith(
+            b"nlcflow-history 2 1 8 2 32 32\n")
+    ends = [sorted(os.listdir(out))[-1] for out in (whole, second)]
+    assert ends == ["snap_000011.dat", "snap_000006.dat"]
+    for kind, ext in (("snap", "dat"), ("hist", "bin")):
+        assert (whole / f"{kind}_000011.{ext}").read_bytes() \
+            == (second / f"{kind}_000006.{ext}").read_bytes()
+
+
 @pytest.mark.parametrize("n", [6, 12])
 def test_restart_with_another_mode_count(tmp_path, n):
     """A restart with another ``reg.n_modes`` steps from the stored 8-mode
@@ -350,6 +386,41 @@ def test_rerun_from_config_resolved_reproduces_the_run(tmp_path, monkeypatch,
     assert f"output.residuals = {residuals}\n".encode() \
         in first["config.resolved"]
     assert first == _tree_bytes(tmp_path / "again")
+
+
+# the lines that older versions wrote to config.resolved after the key
+# before them, with those versions' defaults, and that this one refuses
+RETIRED_LINES = {
+    "solver.t_end": ["solver.picard_tol = 1e-09", "solver.picard_max = 50"],
+    "init.amplitude": ["init.theta_floor = 0.1", "init.theta_cap = 10.0"],
+    "continuation.delta": ["continuation.snapshots = ,"],
+}
+
+
+def test_old_config_resolved_exits_2_until_its_retired_lines_go(
+        tmp_path, monkeypatch, capsys):
+    """A ``config.resolved`` written in the former format, every key
+    serialized, exits 2 naming the line of ``solver.picard_tol``, its
+    first retired key.  With those lines deleted it reruns the run byte
+    for byte."""
+    assert cli.main(["run", _run_cfg(tmp_path, out="first")]) == 0
+    lines = []
+    for line in (tmp_path / "first" / "config.resolved").read_text() \
+            .splitlines():
+        lines.append(line)
+        lines += RETIRED_LINES.get(line.split(" = ")[0], [])
+    old = _write(tmp_path, "old.resolved", "\n".join(lines) + "\n")
+    monkeypatch.setenv("SOLVE_OUT", str(tmp_path / "again"))
+    capsys.readouterr()
+    assert cli.main(["run", old]) == 2
+    lineno = lines.index("solver.picard_tol = 1e-09") + 1
+    assert f"line {lineno}: unknown key 'solver.picard_tol'" \
+        in capsys.readouterr().err
+    retired = {ln for group in RETIRED_LINES.values() for ln in group}
+    kept = _write(tmp_path, "kept.resolved", "".join(
+        ln + "\n" for ln in lines if ln not in retired))
+    assert cli.main(["run", kept]) == 0
+    assert _tree_bytes(tmp_path / "first") == _tree_bytes(tmp_path / "again")
 
 
 def test_mid_run_failure_keeps_what_was_written(tmp_path, capsys,
@@ -759,7 +830,7 @@ def test_snapshot_stepped_state_round_trip(tmp_path):
     reg = RegParams(eps=1e-2, delta=1e-3, n_modes=6)
     raw = bump_state(grid, n_modes=6)
     s0 = sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                    raw.theta, raw.d, reg, (0.1, 10.0))
+                                    raw.theta, raw.d, reg)
     basis = sv.GalerkinBasis(grid, 6)
     for k, (s, _) in enumerate(sv.run(s0, reg, sv.SolverConfig(
             dt=1e-3, t_end=3e-3), PhysParams())):

@@ -18,7 +18,7 @@ from conftest import equilibrium_state, read_csv
 
 
 def _study(out, study, schedule, t_end=0.01, preset="density-bump",
-           amplitude=0.4, dt=1e-3, shape=(32, 32), snapshot_times=()):
+           amplitude=0.4, dt=1e-3, shape=(32, 32)):
     """The report of ``study`` along ``schedule``, run the way
     ``solve continuation`` runs it: from a parsed config and a raw
     preset, its ``run_XX.csv`` files written to the directory ``out``."""
@@ -33,8 +33,6 @@ def _study(out, study, schedule, t_end=0.01, preset="density-bump",
             f"continuation.n = {listed(n)}\n"
             f"continuation.eps = {listed(eps)}\n"
             f"continuation.delta = {listed(delta)}\n")
-    if snapshot_times:
-        text += f"continuation.snapshots = {listed(snapshot_times)}\n"
     cfg = cf.parse_config_text(text)
     raw = presets.build(preset, cfg.grid, amplitude=amplitude)
     return ct.run_study(cfg, raw, out)
@@ -73,6 +71,9 @@ def test_galerkin_refinement_self_convergence(tmp_path):
                     t_end=0.02, preset="director-twist", amplitude=0.6)
     gaps = [row["u_l2"] for row in report["distances"]]
     assert gaps[1] < gaps[0]
+    # each pair is compared at the final states of its runs
+    assert [row["t"] for row in report["distances"]] \
+        == [run["final_time"] for run in report["runs"][:-1]]
     assert report["uniform_bounds"]["energy_max_ratio"] <= 1.0 + 1e-6
     # each run streamed its rows: the initial state and 20 steps
     assert sorted(os.listdir(tmp_path)) == [
@@ -147,14 +148,6 @@ def test_reports_are_deterministic(tmp_path):
         == (tmp_path / "b" / "run_00.csv").read_bytes()
 
 
-def test_snapshot_times_selected(tmp_path):
-    report = _study(tmp_path, "galerkin",
-                    [(8, 1e-2, 1e-3), (8, 1e-2, 1e-3)], t_end=0.01,
-                    snapshot_times=(0.005, 0.01))
-    times = sorted({row["t"] for row in report["distances"]})
-    assert times == pytest.approx([0.005, 0.01])
-
-
 def test_too_many_modes_names_the_schedule_key_and_entry(tmp_path):
     """A schedule entry asking for more modes than the grid admits names
     ``continuation.n`` and the entry, not ``reg.n_modes``, which the
@@ -187,22 +180,21 @@ def test_too_many_modes_command_exits_2_without_a_run_file(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# distances between the matched snapshots of two runs
+# distances between the final states of two runs
 # ---------------------------------------------------------------------------
 
-def convergence_report(runs_snapshots):
+def convergence_report(finals):
     """Distance rows between consecutive members of a run family, folded
     over the per-pair kernel the studies call as each run ends."""
-    return [row for i, (a, b) in enumerate(zip(runs_snapshots,
-                                               runs_snapshots[1:]))
-            for row in ct._pair_distances(i, a, b)]
+    return [ct._pair_distances(i, a, b)
+            for i, (a, b) in enumerate(zip(finals, finals[1:]))]
 
 
 def test_convergence_report_identical_runs_zero(grid2d):
     s = equilibrium_state(grid2d)
     twin = sv.State(grid2d, s.t, s.rho.copy(), s.U.copy(), s.theta.copy(),
                     s.d.copy())
-    (row,) = convergence_report([[s], [twin]])
+    (row,) = convergence_report([s, twin])
     assert row["rho_l1"] == 0.0 and row["d_h1"] == 0.0
 
 
@@ -211,19 +203,19 @@ def test_convergence_report_mismatched_times(grid2d):
     b = equilibrium_state(grid2d)
     b = sv.State(grid2d, 1.0, b.rho, b.U, b.theta, b.d)
     with pytest.raises(MismatchedSnapshots):
-        convergence_report([[a], [b]])
+        convergence_report([a, b])
 
 
 def test_convergence_report_mismatched_grids(grid2d):
     a = equilibrium_state(grid2d)
     b = equilibrium_state(Grid((16, 16), (2.0, 2.0)))
     with pytest.raises(MismatchedSnapshots):
-        convergence_report([[a], [b]])
+        convergence_report([a, b])
 
 
 def test_convergence_report_perturbed_pair_positive(grid2d):
     a = equilibrium_state(grid2d, rho=1.0)
     b = equilibrium_state(grid2d, rho=1.1)
-    (row,) = convergence_report([[a], [b]])
+    (row,) = convergence_report([a, b])
     assert row["rho_l1"] == pytest.approx(0.1 * 4.0, rel=1e-12)
     assert row["u_l2"] == 0.0

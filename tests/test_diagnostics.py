@@ -418,7 +418,7 @@ def test_weak_residuals_scheme_consistent_families(grid2d):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("director-twist", grid2d, amplitude=0.6)
     s0 = sv.regularize_initial_data(grid2d, raw.rho, raw.rho * raw.u,
-                                    raw.theta, raw.d, reg, (0.1, 10.0))
+                                    raw.theta, raw.d, reg)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
     series = weak_series(states, records, reg, p)

@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its key table is
+the config schema."""
 
 import math
 import os
@@ -6,9 +7,35 @@ import subprocess
 import sys
 
 import nlcflow
+from nlcflow import config as cf
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "README.md")
+
+
+def _key_table():
+    """The ``(key, default)`` rows of the README's key table, the one whose
+    header row starts ``| key | default |``, backticks dropped."""
+    rows, table = [], False
+    with open(README, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("| key | default |"):
+                table = True
+            elif table and not line.startswith("|"):
+                break
+            elif table and not line.startswith("| ---"):
+                key, default = (cell.strip().strip("`")
+                                for cell in line.split("|")[1:3])
+                rows.append((key, default))
+    return rows
+
+
+def test_readme_key_table_is_the_schema():
+    """The key table lists every config key once, in schema order, with
+    its default as ``config.resolved`` writes it, or ``unset``."""
+    assert _key_table() == [
+        (key, "unset" if default is None else cf._format_value(default))
+        for key, (_, default) in cf.SCHEMA.items()]
 
 
 def _library_example():

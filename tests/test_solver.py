@@ -1,6 +1,5 @@
 """Time stepper: substep oracles, conservation, fixed points, rejection."""
 
-import functools
 import itertools
 import math
 
@@ -500,15 +499,13 @@ def test_step_failure_names_substep_time_and_residual(grid2d, monkeypatch,
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     kind = IterationStall
     if failure == "picard":
-        cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-300,
-                              picard_max=1)
+        monkeypatch.setattr(sv, "_PICARD_TOL", 1e-300)
+        monkeypatch.setattr(sv, "_PICARD_MAX", 1)
         kind = PicardDivergence
     elif failure == "director":
-        monkeypatch.setattr(sv, "_director_update", functools.partial(
-            sv._director_update, max_iter=1))
+        monkeypatch.setattr(sv, "_DIRECTOR_MAX_ITER", 1)
     else:
-        monkeypatch.setattr(sv, "_pcg", functools.partial(sv._pcg,
-                                                          max_iter=1))
+        monkeypatch.setattr(sv, "_CG_MAX_ITER", 1)
     with pytest.raises(kind) as info:
         sv.step_coupled(bump_state(grid2d), reg, cfg, p)
     exc = info.value
@@ -685,8 +682,7 @@ def _twist_start(grid):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("director-twist", grid, amplitude=0.6)
     return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                      raw.theta, raw.d, reg,
-                                      (0.1, 10.0)), reg
+                                      raw.theta, raw.d, reg), reg
 
 
 def _stepped_state(grid, steps=2):
@@ -755,9 +751,9 @@ def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, levels):
     """Every sweep of a step solves its inner problems to _INNER_TOL,
     however many history levels predict it: the unpredicted and the
     linearly predicted step take 3 sweeps, the quadratic's first increment
-    misses picard_tol so its step takes 2, and the quintic's step is
-    accepted after its first.  With picard_tol = 1e-2 each step is
-    accepted after its first sweep, and with picard_max = 1 as well: the
+    misses _PICARD_TOL so its step takes 2, and the quintic's step is
+    accepted after its first.  With _PICARD_TOL = 1e-2 each step is
+    accepted after its first sweep, and with _PICARD_MAX = 1 as well: the
     last sweep the cap allows is the same sweep."""
     s, reg = _stepped_state(grid2d, levels)
     assert len(s.history) == levels
@@ -776,10 +772,11 @@ def test_predicted_step_solves_every_sweep_full(grid2d, monkeypatch, levels):
     assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
 
     states = []
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    monkeypatch.setattr(sv, "_PICARD_TOL", 1e-2)
     for cap in (50, 1):
         calls.clear()
-        cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, picard_tol=1e-2,
-                              picard_max=cap)
+        monkeypatch.setattr(sv, "_PICARD_MAX", cap)
         s1, rec = sv.step_coupled(s, reg, cfg, p)
         assert rec.picard_iters == 1 and len(calls) == 1
         assert rec.heat_residual <= 1e-13 and rec.director_gap <= 1e-13
@@ -1040,8 +1037,7 @@ def _density_bump_start(grid):
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     raw = presets.build("density-bump", grid, amplitude=0.4)
     return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
-                                      raw.theta, raw.d, reg,
-                                      (0.1, 10.0)), reg
+                                      raw.theta, raw.d, reg), reg
 
 
 def _counted(monkeypatch, owner, name, calls):
@@ -1162,8 +1158,7 @@ def test_regularize_identity_when_clamp_inactive(grid2d):
     theta0 = np.ones(grid2d.shape)
     d0 = unit_director(grid2d)
     m0 = [np.zeros(grid2d.shape), np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg,
-                                   (0.1, 10.0))
+    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg)
     # upper clamp delta^(-1/(2 beta)) = 0.01^(-0.1) ~ 1.585 > 1: inactive
     assert np.allclose(s.rho, 1.0)
     assert np.abs(s.u).max() == 0.0
@@ -1177,8 +1172,7 @@ def test_regularize_clamps_density_and_masks_momentum(grid2d):
     theta0 = np.full(grid2d.shape, 20.0)  # above the theta clamp
     d0 = unit_director(grid2d)
     m0 = [np.full(grid2d.shape, 0.4), np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg,
-                                   (0.1, 10.0))
+    s = sv.regularize_initial_data(grid2d, rho0, m0, theta0, d0, reg)
     assert np.allclose(s.rho, hi)
     # clamp lowered the density, so the momentum is zeroed
     assert np.abs(s.u).max() <= 1e-14
@@ -1192,12 +1186,10 @@ def test_regularize_vacuum_compatibility(grid2d):
     d0 = unit_director(grid2d)
     bad = [np.full(grid2d.shape, 0.1), np.zeros(grid2d.shape)]
     with pytest.raises(InvalidInitialData):
-        sv.regularize_initial_data(grid2d, rho0, bad, theta0, d0, reg,
-                                   (0.1, 10.0))
+        sv.regularize_initial_data(grid2d, rho0, bad, theta0, d0, reg)
     ok = [np.where(grid2d.mesh()[0] < 1.0, 0.0, 0.1),
           np.zeros(grid2d.shape)]
-    s = sv.regularize_initial_data(grid2d, rho0, ok, theta0, d0, reg,
-                                   (0.1, 10.0))
+    s = sv.regularize_initial_data(grid2d, rho0, ok, theta0, d0, reg)
     assert float(s.rho.min()) >= reg.delta - 1e-15
 
 
@@ -1208,8 +1200,7 @@ def test_regularize_rejects_negative_density(grid2d):
     d0 = unit_director(grid2d)
     with pytest.raises(InvalidInitialData):
         sv.regularize_initial_data(
-            grid2d, rho0, [np.zeros(grid2d.shape)] * 2, theta0, d0, reg,
-            (0.1, 10.0))
+            grid2d, rho0, [np.zeros(grid2d.shape)] * 2, theta0, d0, reg)
 
 
 def test_state_checks_layout_shapes(grid2d):
@@ -1240,5 +1231,3 @@ def test_solver_config_validation():
         sv.SolverConfig(dt=0.0, t_end=1.0).validate()
     with pytest.raises(ValidationError):
         sv.SolverConfig(dt=1e-3, t_end=-1.0).validate()
-    with pytest.raises(ValidationError):
-        sv.SolverConfig(dt=1e-3, t_end=1.0, picard_max=0).validate()
