@@ -134,10 +134,12 @@ def derivatives(s, p: PhysParams):
     """The one derivative pass of a state ``s``, read by its record and its
     audits: the gradient stacks ``(dim, ...)`` of rho, theta and d, and the
     pointwise |grad rho|^2, S(grad u):grad u and |laplace d - f(d)|^2, each
-    taken once; laplace d is the divergence of that same grad d, and grad u
-    is taken from the Galerkin coefficients, as the step takes it."""
+    taken once; grad d is the state's own (``State.grad_d``), which the
+    step from ``s`` shares, laplace d is the divergence of that same
+    grad d, and grad u is taken from the Galerkin coefficients, as the step
+    takes it."""
     plan = spectral_plan(s.grid)
-    grad_rho, grad_d = plan.grad(s.rho), plan.grad(s.d)
+    grad_rho, grad_d = plan.grad(s.rho), s.grad_d
     relax = plan.div(grad_d) - cst.gl_force(s.d, p.penalty_scale)
     grad_u = sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U)
     return Derivatives(

@@ -17,7 +17,8 @@ velocity's gradient is taken from its Galerkin table, so every gradient the
 step, the audits and the manufactured sources take is that of a cosine
 field.  A kernel that only ever acts on cosine fields therefore takes no
 parity: the transforms, the Helmholtz solve and ``grad``; ``div`` takes
-stacks like the ones ``grad`` makes, entry a sine along axis a.  Only
+stacks like the ones ``grad`` makes, entry a sine along axis a, and
+:meth:`SpectralPlan.projected_deriv` all-sine arrays, the heat fluxes.  Only
 :meth:`SpectralPlan.deriv`, :meth:`SpectralPlan.project` and the mms
 restriction (:func:`coeffs`, :func:`evaluate`), which restricts each
 equation's source with that equation's parity, a momentum component's
@@ -177,6 +178,8 @@ class AxisOperators:
       the matrices themselves;
     * ``project`` is the symmetric 2/3-rule projector, which keeps
       frequencies below ``cut`` (and drops the sine Nyquist mode);
+    * ``deriv_project`` is ``deriv[SIN] @ project[SIN]``, the derivative
+      of the sine projection as one matrix;
     * ``amplitude`` maps orthonormal coefficients to basis amplitudes
       (zero in the sine Nyquist slot).
     """
@@ -207,6 +210,7 @@ class AxisOperators:
         # (P + P.T) / 2 is symmetric bit for bit
         self.project = {COS: _readonly(0.5 * (proj_cos + proj_cos.T)),
                         SIN: _readonly(0.5 * (proj_sin + proj_sin.T))}
+        self.deriv_project = _readonly(d_sc @ self.project[SIN])
         self.amplitude = {COS: _readonly(amp_cos), SIN: _readonly(amp_sin)}
 
 
@@ -231,8 +235,9 @@ class SpectralPlan:
     Every spectral kernel is one small matrix product per axis pass on a
     raw nodal array or on a stack of them, shape ``(k, *grid.shape)``.  The
     kernels that only ever see the state's cosine fields (transforms,
-    ``grad``, ``div`` and ``helmholtz``) take no parity; ``deriv`` and
-    ``project`` see both parities and take it.
+    ``grad``, ``div`` and ``helmholtz``), and ``projected_deriv``, which
+    only sees all-sine arrays, take no parity; ``deriv`` and ``project``
+    see both parities and take it.
     """
 
     def __init__(self, grid):
@@ -298,23 +303,42 @@ class SpectralPlan:
             out += self.deriv(stack[ax], ax, SIN)
         return out
 
-    def helmholtz(self, values, a, c):
-        """Solve ``(a - c * Laplacian) phi = values`` for a cosine array (or
-        stack).
+    def helmholtz(self, a, c):
+        """The solve of ``(a - c * Laplacian) phi = values`` for a cosine
+        array (or stack), as a function of ``values``; its denominator
+        ``a + c * symbol`` is built here, once for every call of the
+        function.
 
         The data is first shifted by its first nodal value, whose solution
         is that value over ``a``, so a constant solves exactly.
         """
-        shift = values[self._corner]
-        out = self.inverse(self.forward(values - shift)
-                           / (a + c * self.symbol))
-        return out + shift / a
+        denominator = a + c * self.symbol
+
+        def solve(values):
+            shift = values[self._corner]
+            coef = self.forward(values - shift)
+            coef /= denominator
+            out = self.inverse(coef)
+            out += shift / a
+            return out
+
+        return solve
 
     def project(self, values, parity):
         """2/3-rule projection of a nodal array (or stack) in the given
         parity basis."""
         for ax, par in enumerate(parity):
             values = _along(self.axes[ax].project[par], values, ax, self.dim)
+        return values
+
+    def projected_deriv(self, values, axis):
+        """Derivative along ``axis`` of the 2/3-rule sine projection of an
+        all-sine array: the projection along every other axis, and along
+        ``axis`` the derivative and projection as one product
+        (``AxisOperators.deriv_project``)."""
+        for ax, ops in enumerate(self.axes):
+            mat = ops.deriv_project if ax == axis else ops.project[SIN]
+            values = _along(mat, values, ax, self.dim)
         return values
 
     def amplitude(self, parity):

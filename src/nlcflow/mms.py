@@ -210,7 +210,7 @@ def _momentum_terms(case, s, plan, reg, p):
         m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
         force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
-                                    plan.grad(s.d), gtilde, reg, p)
+                                    s.grad_d, gtilde, reg, p)
         div_u = sum(grad_u[a, a] for a in range(dim))
         out = []
         for c in range(dim):

@@ -58,7 +58,6 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    SIN,
     _readonly,
     _strip_sine_nyquist,
     dirichlet,
@@ -112,9 +111,14 @@ class State:
     levels of one dt and one table shape.  A predicted step starts its
     first sweep from all three extrapolated (:func:`_picard_advance`).  A
     state with no past, such as an initial one, has ``()``.
+
+    ``grad_d``, the director's gradient stack ``plan.grad(d)``, is taken
+    on first use and kept, so the step from this state and its derivative
+    pass (``diagnostics.derivatives``) share it, whichever asks first.
     """
 
-    __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u")
+    __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u",
+                 "_grad_d")
 
     def __init__(self, grid, t, rho, U, theta, d, history=()):
         self.grid = grid
@@ -134,6 +138,14 @@ class State:
                 f"state field U has shape {U.shape}, the grid "
                 f"{grid.shape} needs (n, {grid.dim}) with n >= 1")
         self.u = galerkin_basis(grid, len(U)).reconstruct(U)
+        self._grad_d = None
+
+    @property
+    def grad_d(self):
+        """``plan.grad(d)``, taken on first use and kept (read-only)."""
+        if self._grad_d is None:
+            self._grad_d = _readonly(spectral_plan(self.grid).grad(self.d))
+        return self._grad_d
 
 
 @dataclass(frozen=True)
@@ -322,12 +334,15 @@ def _mass_flux(plan, rho, u):
     return plan.project(rho * u, dirichlet(plan.dim))
 
 
-def _density_update(plan, rho, u, eps, dt, source=None):
+def _density_update(plan, rho, u, diffuse, dt, source=None):
+    """The new density and the mass flux of one sweep; ``diffuse`` is the
+    step's artificial-diffusion solve ``plan.helmholtz(1, eps dt)``, or None
+    when eps is 0."""
     m = _mass_flux(plan, rho, u)
     rhs = rho - dt * plan.div(m)
     if source is not None:
         rhs = rhs + dt * source
-    rho_new = plan.helmholtz(rhs, 1.0, eps * dt) if eps > 0 else rhs
+    rho_new = rhs if diffuse is None else diffuse(rhs)
     lo = float(rho_new.min())
     if not math.isfinite(lo):
         raise NonFiniteState("density")
@@ -349,12 +364,13 @@ def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
     return ((d_new - d_prev) / dt + w) / p.relax_rate
 
 
-def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
-                     lag=None):
+def _director_update(plan, d, u, grad_d, relax, dt, p: PhysParams,
+                     source=None, lag=None):
     """Implicit-diffusion director step with a two-point penalty force.
 
-    ``d`` is the director stack and ``grad_d`` its gradient stack
-    ``plan.grad(d)``.  The fixed point starts from ``lag``
+    ``d`` is the director stack, ``grad_d`` its gradient stack
+    ``plan.grad(d)`` and ``relax`` the step's solve
+    ``plan.helmholtz(1, relax_rate dt)``.  The fixed point starts from ``lag``
     (the previous Picard sweep's director; ``d`` when None) and stops once
     one application moves the iterate by at most _INNER_TOL times its
     scale.  Each iteration solves the three Helmholtz problems as one
@@ -373,7 +389,7 @@ def _director_update(plan, d, u, grad_d, dt, p: PhysParams, source=None,
         rhs = d - dt * (w + kappa * force)
         if source is not None:
             rhs = rhs + dt * source
-        d_new = plan.helmholtz(rhs, 1.0, kappa * dt)
+        d_new = relax(rhs)
         gap = float(np.abs(d_new - lag).max())
         if not math.isfinite(gap):
             raise NonFiniteState("director")
@@ -399,21 +415,30 @@ def _conduction_apply(plan, theta, kappa):
     # (dim, N, N) product per apply made it about 1.5 times as slow at 128^2
     flux = plan.grad(theta)
     flux *= kappa
-    return -plan.div(flux)
+    out = plan.div(flux)
+    return np.negative(out, out=out)
 
 
 def _pcg(apply_op, precond, b, x0):
     """Preconditioned conjugate gradients from ``x0`` to the relative
-    residual _INNER_TOL in at most _CG_MAX_ITER iterations.  Returns the solution, the relative residual it
-    reached and the number of operator applies."""
-    bnorm = math.sqrt(float(np.sum(b * b)))
+    residual _INNER_TOL in at most _CG_MAX_ITER iterations.  Returns the
+    solution, the relative residual it reached and the number of operator
+    applies.
+
+    Each inner product is one pass (``np.vdot``) and the updates are made
+    in place through one work array.  The search direction has its own
+    array, so ``precond`` may return ``r`` itself or any array of its own.
+    """
+    bnorm = math.sqrt(np.vdot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = x0.copy()
     r = b - apply_op(x)
-    pvec = rz = None
+    pvec = np.empty_like(b)
+    work = np.empty_like(b)
+    rz = None
     for it in range(_CG_MAX_ITER + 1):
-        rnorm = math.sqrt(float(np.sum(r * r)))
+        rnorm = math.sqrt(np.vdot(r, r))
         if not math.isfinite(rnorm):
             raise NonFiniteState("temperature")
         if rnorm <= _INNER_TOL * bnorm:
@@ -421,13 +446,17 @@ def _pcg(apply_op, precond, b, x0):
         if it == _CG_MAX_ITER:
             break
         z = precond(r)
-        rz_new = float(np.sum(r * z))
-        pvec = z if pvec is None else z + (rz_new / rz) * pvec
+        rz_new = float(np.vdot(r, z))
+        if rz is None:
+            np.copyto(pvec, z)
+        else:
+            pvec *= rz_new / rz
+            pvec += z
         rz = rz_new
         ap = apply_op(pvec)
-        alpha = rz / float(np.sum(pvec * ap))
-        x += alpha * pvec
-        r -= alpha * ap
+        alpha = rz / float(np.vdot(pvec, ap))
+        x += np.multiply(pvec, alpha, out=work)
+        r -= np.multiply(ap, alpha, out=work)
     raise IterationStall("temperature", _CG_MAX_ITER, rnorm / bnorm,
                          "relative residual")
 
@@ -441,7 +470,9 @@ class _FrozenHeat:
     coefficient c0,
     (delta + rho^n) / dt + delta * theta^n^alpha; the swept part,
     R rho div u, has nearly zero mean, and mass conservation keeps the mean
-    of the new density equal to that of rho^n.
+    of the new density equal to that of rho^n.  ``precondition`` solves
+    (cbar - kbar * Laplacian) z = vals with Neumann data, its denominator
+    built once per step.
     """
 
     def __init__(self, plan, theta, rho_prev, reg, p, dt):
@@ -453,29 +484,44 @@ class _FrozenHeat:
         self.cbar = ((reg.delta + float(rho_prev.mean())) / dt
                      + reg.delta * float(self.th_alpha.mean()))
         self.kbar = float(self.kappa.mean())
-
-    def precondition(self, vals):
-        """Solve (cbar - kbar * Laplacian) z = vals with Neumann data."""
-        return self.plan.helmholtz(vals, self.cbar, self.kbar)
+        self.precondition = plan.helmholtz(self.cbar, self.kbar)
+        # kappa * Lambda with Lambda = cbar / kbar, so that kbar * Lambda
+        # is cbar (see scaled_preconditioner)
+        self._kappa_lambda = self.kappa * (self.cbar / self.kbar)
 
     def scaled_preconditioner(self, c0):
         """The symmetric preconditioner r -> s * precondition(s * r) for
         the operator with diagonal coefficient c0, where
-        s = (c0 / mean c0)^(-1/2): a diagonal scaling around the
-        constant-coefficient solve that takes out the spatial variation of
-        c0, which dominates the low modes.  It costs no matrix product."""
-        s = np.sqrt(float(c0.mean()) / c0)
-        return lambda vals: s * self.precondition(s * vals)
+        s = ((mean c0 + kbar Lambda) / (c0 + kappa Lambda))^(1/2) and
+        Lambda = cbar / kbar: the diagonal of the operator at the squared
+        wavenumber Lambda, where the mean diagonal and the mean conduction
+        balance, over its mean.  Below Lambda, where c0 dominates, it takes
+        out c0's variation, and above it kappa's, so near-vacuum density
+        contrast in c0 does not reach the conduction-dominated modes.  It
+        costs no matrix product."""
+        s = np.sqrt((float(c0.mean()) + self.cbar)
+                    / (c0 + self._kappa_lambda))
+
+        def apply(vals):
+            out = self.precondition(s * vals)
+            out *= s
+            return out
+
+        return apply
 
     def apply(self, c0, vals):
         """The heat operator c0 * theta - div(kappa(theta^n) grad theta)."""
-        return c0 * vals + _conduction_apply(self.plan, vals, self.kappa)
+        out = _conduction_apply(self.plan, vals, self.kappa)
+        out += c0 * vals
+        return out
 
 
 def _heat_convection(plan, theta, m):
-    """Per-axis divergence terms d_b P[theta m_b] of the convective flux."""
-    flux = plan.project(theta * m, dirichlet(plan.dim))
-    return [plan.deriv(flux[b], b, SIN) for b in range(plan.dim)]
+    """Per-axis divergence terms d_b P[theta m_b] of the convective flux,
+    each projected and differentiated in one product per axis
+    (:meth:`~nlcflow.fields.SpectralPlan.projected_deriv`)."""
+    flux = theta * m
+    return [plan.projected_deriv(flux[b], b) for b in range(plan.dim)]
 
 
 def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
@@ -645,10 +691,15 @@ def _extrapolate(now, past, k):
     evaluated one step ahead: X* = sum_j (-1)^j C(k+1, j+1) X^(n-j):
     2 X^n - X^(n-1) at k = 1, 3 X^n - 3 X^(n-1) + X^(n-2) at k = 2, and
     weights 6, -15, 20, -15, 6, -1 at k = 5.  The step predicts its
-    Galerkin table, its temperature and its director by this one rule."""
-    levels = (now,) + tuple(past[:k])
-    return sum((-1) ** j * math.comb(k + 1, j + 1) * level
-               for j, level in enumerate(levels))
+    Galerkin table, its temperature and its director by this one rule.
+    The terms are formed and summed in the order of the levels, in place
+    in one result and one work array."""
+    out = (k + 1) * now
+    work = np.empty_like(out)
+    for j, level in enumerate(past[:k], start=1):
+        out += np.multiply((-1) ** j * math.comb(k + 1, j + 1), level,
+                           out=work)
+    return out
 
 
 def _with_modes(U, n):
@@ -685,7 +736,10 @@ def _picard_advance(s, reg, p, dt, sources):
     a sweep is accepted when its velocity increment meets _PICARD_TOL.
     The momentum matrix and old-level term depend only on rho^n, dt and
     the stiffness, so they are built once per step
-    (:func:`_momentum_system`).
+    (:func:`_momentum_system`), and so are the denominators of the step's
+    three Helmholtz solves (density diffusion, director, heat
+    preconditioner).  The old director's gradient is ``s.grad_d``, which
+    the derivative pass of ``s`` may already have taken.
 
     The new state's history is ``((dt, U^n, theta^n, d^n),)`` followed by
     the k levels of ``s`` that predicted the step, at most
@@ -704,7 +758,9 @@ def _picard_advance(s, reg, p, dt, sources):
     U0 = U_minus = _with_modes(s.U, basis.n)
     momentum = _momentum_system(_checked_mass_matrix(basis, rho),
                                 basis.stiffness(p), U0, dt)
-    grad_d_prev = plan.grad(d)
+    grad_d_prev = s.grad_d
+    diffuse = plan.helmholtz(1.0, reg.eps * dt) if reg.eps > 0 else None
+    relax = plan.helmholtz(1.0, p.relax_rate * dt)
     u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
     heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
     theta_new, d_new = heat.theta, d
@@ -718,9 +774,9 @@ def _picard_advance(s, reg, p, dt, sources):
     heat_applies = director_iters = 0
     for it in range(1, _PICARD_MAX + 1):
         grad_u = basis.gradient(U_minus)
-        rho_new, m = _density_update(plan, rho, u_minus, reg.eps, dt, src_rho)
+        rho_new, m = _density_update(plan, rho, u_minus, diffuse, dt, src_rho)
         d_new, gtilde, iters, gap = _director_update(
-            plan, d, u_minus, grad_d_prev, dt, p, src_dir, lag=d_new)
+            plan, d, u_minus, grad_d_prev, relax, dt, p, src_dir, lag=d_new)
         gsq = np.sum(gtilde * gtilde, axis=0)
         theta_new, heat_res, applies = _temperature_update(
             heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, src_th)

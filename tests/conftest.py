@@ -30,7 +30,9 @@ def sine_gradient(plan, values):
 def director_step(grid, d, u, dt, p=PhysParams()):
     """The director substep from ``d`` with lagged velocity ``u``."""
     plan = spectral_plan(grid)
-    d_new, *_ = sv._director_update(plan, d, u, plan.grad(d), dt, p)
+    d_new, *_ = sv._director_update(plan, d, u, plan.grad(d),
+                                    plan.helmholtz(1.0, p.relax_rate * dt),
+                                    dt, p)
     return d_new
 
 

@@ -213,6 +213,20 @@ def test_mms_runs_on_the_config_solver_section(tmp_path, capsys,
         == "# nlcflow-csv v1\ndt,rho,theta,u,d,total\n"
 
 
+def test_near_vacuum_run_at_128_exits_0(tmp_path, capsys):
+    """Density 0.003 with a vacuum corner (clamped to delta = 1e-6) at
+    128^2: the heat conjugate gradients settle within their 400
+    iterations in every sweep, so the run exits 0.  A preconditioner
+    scaled by the diagonal alone stalled here in step 1 (exit 3)."""
+    cfg = _write(tmp_path, "vacuum.cfg", (
+        "grid.dim = 2\ngrid.shape = 128\nsolver.dt = 1e-3\n"
+        "solver.t_end = 3e-3\nreg.eps = 1e-4\nreg.delta = 1e-6\n"
+        "reg.n_modes = 8\ninit.preset = density-bump\ninit.base = 0.003\n"
+        f"init.amplitude = 0.003\noutput.dir = {tmp_path / 'out'}\n"))
+    assert cli.main(["run", cfg]) == 0
+    assert "run complete: steps=3 " in capsys.readouterr().out
+
+
 def test_usage_error_raises_system_exit():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
@@ -1294,8 +1308,10 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     pass's, 2 (m - 1): 6 + 2 m (8 + 2 m when the audit took div u of the
     nodal velocity); a continuation entry adds
     laplace rho as the divergence of the pass's grad rho, 2: 10 (12 when
-    the tally took its own grad rho).  The stress power is evaluated once
-    per record."""
+    the tally took its own grad rho).  The initial state is handed out
+    only after the first step, which took its grad d (``State.grad_d``),
+    so its pass takes 6, not 8.  The stress power is evaluated once per
+    record."""
     m = len(residuals.split(","))
     per_state = _post_processing_counts(monkeypatch)
     cfg = _write(tmp_path, "run.cfg",
@@ -1305,7 +1321,7 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
                  + f"output.residuals = {residuals}\n")
     assert cli.main(["run", cfg]) == 0
     stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
-    assert per_state[0] == (False, 8 + 6, 1)   # with the battery's 6
+    assert per_state[0] == (False, 6 + 6, 1)   # with the battery's 6
     assert stepped == [(6 + 2 * m, 1)] * 3
 
     per_state.clear()
@@ -1315,7 +1331,7 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     assert len(per_state) == 2 * 6 and len(stepped) == 2 * 5
     assert stepped == [(10, 1)] * 10
     assert [(d, w) for was_stepped, d, w in per_state
-            if not was_stepped] == [(8, 1)] * 2
+            if not was_stepped] == [(6, 1)] * 2
 
 
 def test_continuation_failure_names_its_entry(tmp_path, capsys,

@@ -294,7 +294,7 @@ def test_helmholtz_solve():
     plan = fields.spectral_plan(g)
     rhs = random_field(g, cos)
     a, c = 1.0, 2.5e-3
-    phi = plan.helmholtz(rhs, a, c)
+    phi = plan.helmholtz(a, c)(rhs)
     residual = a * phi - c * plan.div(plan.grad(phi)) - rhs
     assert np.abs(residual).max() <= 1e-11 * max(1.0, np.abs(rhs).max())
 
@@ -524,7 +524,7 @@ def test_laplacian_and_helmholtz_match_fft_oracle(grid):
     lap = _oracle_inverse(-plan.symbol * c, cos)
     assert _max_err(plan.div(plan.grad(f)), lap) <= 1e-13
     helm = _oracle_inverse(c / (0.7 + 2.5e-3 * plan.symbol), cos)
-    assert _max_err(plan.helmholtz(f, 0.7, 2.5e-3), helm) <= 1e-13
+    assert _max_err(plan.helmholtz(0.7, 2.5e-3)(f), helm) <= 1e-13
     u = random_field(grid, sin, decay=0.1)
     sym = sum(np.meshgrid(*[(np.arange(1, n + 1) * np.pi / length) ** 2
                             for n, length in zip(grid.shape, grid.extents)],
@@ -594,7 +594,7 @@ def test_plan_kernels_on_stacks_match_per_slice(grid):
     check(plan.forward)
     check(plan.inverse)
     check(lambda v: plan.div(plan.grad(v)))
-    check(lambda v: plan.helmholtz(v, 0.7, 2.5e-3))
+    check(plan.helmholtz(0.7, 2.5e-3))
     check(lambda v: fields._strip_sine_nyquist(v, grid))
     for par in _parities(grid.dim):
         check(lambda v: plan.project(v, par))

@@ -200,7 +200,9 @@ def test_density_diffusion_mode_decay():
     cos = neumann(1)
     rho = 1.0 + 0.3 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
     u = np.zeros((1,) + grid.shape)
-    rho1, _ = sv._density_update(spectral_plan(grid), rho, u, eps, dt)
+    plan = spectral_plan(grid)
+    rho1, _ = sv._density_update(plan, rho, u, plan.helmholtz(1.0, eps * dt),
+                                 dt)
     lam = (np.pi / 2.0) ** 2
     expect = 0.3 / (1.0 + eps * dt * lam)
     # compare the first cosine coefficient directly
@@ -219,8 +221,10 @@ def test_density_transport_conserves_mass(grid2d):
     x, y = grid2d.mesh()
     r = 1.0 + 0.4 * np.cos(np.pi * x / 2.0) * np.cos(np.pi * y / 2.0)
     m0 = integrate_values(grid2d, r)
+    plan = spectral_plan(grid2d)
+    diffuse = plan.helmholtz(1.0, 0.02 * 1e-3)
     for _ in range(5):
-        r, _ = sv._density_update(spectral_plan(grid2d), r, u, 0.02, 1e-3)
+        r, _ = sv._density_update(plan, r, u, diffuse, 1e-3)
     assert abs(integrate_values(grid2d, r) - m0) <= 1e-13 * abs(m0)
 
 
@@ -232,7 +236,7 @@ def test_density_positivity_rejection():
     U[0, 0] = 20.0
     u = basis.reconstruct(U)
     with pytest.raises(PositivityLoss):
-        sv._density_update(spectral_plan(grid), rho, u, 0.0, 0.05)
+        sv._density_update(spectral_plan(grid), rho, u, None, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +277,8 @@ def _director_update_per_component(grid, d, u, dt, p, tol=1e-13,
     for _ in range(max_iter):
         force = cst.gl_force_two_point(dn, lag, p.penalty_scale)
         new = np.stack([
-            plan.helmholtz(dn[k] - dt * (w[k] + kappa * force[k]), 1.0,
-                           kappa * dt)
+            plan.helmholtz(1.0, kappa * dt)(
+                dn[k] - dt * (w[k] + kappa * force[k]))
             for k in range(3)])
         gap = float(np.abs(new - lag).max())
         lag = new
@@ -290,8 +294,9 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
     plan = spectral_plan(grid2d)
     d = s.d
     for dt in (1e-3, 1e-2):
-        got, *_ = sv._director_update(plan, d, s.u,
-                                      plan.grad(d), dt, p)
+        got, *_ = sv._director_update(
+            plan, d, s.u, plan.grad(d),
+            plan.helmholtz(1.0, p.relax_rate * dt), dt, p)
         ref = _director_update_per_component(grid2d, s.d, s.u, dt, p)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -394,7 +399,7 @@ def test_heat_preconditioner_matches_helmholtz(grid):
     frozen = sv._FrozenHeat(plan, theta, rho, reg, PhysParams(), 1e-3)
     cbar = (reg.delta + rho.mean()) / 1e-3 \
         + reg.delta * frozen.th_alpha.mean()
-    ref = plan.helmholtz(r, cbar, frozen.kappa.mean())
+    ref = plan.helmholtz(cbar, frozen.kappa.mean())(r)
     got = frozen.precondition(r)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -436,7 +441,8 @@ def test_scaled_preconditioner_agrees_and_saves_applies(grid2d):
     plan, dt = spectral_plan(grid2d), 1e-3
     rho, u = s0.rho, s0.u
     frozen = sv._FrozenHeat(plan, s0.theta, rho, reg, p, dt)
-    rho_new, m = sv._density_update(plan, rho, u, reg.eps, dt)
+    rho_new, m = sv._density_update(plan, rho, u,
+                                    plan.helmholtz(1.0, reg.eps * dt), dt)
     c0, rhs = sv._heat_system(frozen, rho_new, sine_gradient(plan, u), m,
                               np.zeros(grid2d.shape), reg, p, dt)
 
@@ -581,8 +587,10 @@ def test_step_underflow_names_time_dt_and_step(grid2d, monkeypatch):
 def test_density_guard_catches_nonfinite(grid2d):
     s = bump_state(grid2d)
     s.rho[2, 2] = np.nan
+    plan = spectral_plan(grid2d)
+    diffuse = plan.helmholtz(1.0, 1e-2 * 1e-3)
     with pytest.raises(NonFiniteState, match="density"):
-        sv._density_update(spectral_plan(grid2d), s.rho, s.u, 1e-2, 1e-3)
+        sv._density_update(plan, s.rho, s.u, diffuse, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,10 +1069,18 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     iterations, A heat-operator applies (k conjugate-gradient solves, each
     with one more apply than preconditioner calls), eps > 0 and delta > 0,
     the step takes
-      2       director gradient of d^n (3-component stack), once per step
+      2       director gradient of d^n (3-component stack): the state keeps
+              it (``State.grad_d``), and this fresh state has not been
+              differentiated, so the step takes it; a state whose
+              derivative pass took it first costs the step 0 here
       20 k    per sweep: density: flux projection
               2, flux divergence 2, Helmholtz 4; director transport
-              projection 2; heat convection: projection 2, divergence 2;
+              projection 2; heat convection, per flux component, the
+              projection along the other axis and the derivative and
+              projection along its own as one product
+              (``AxisOperators.deriv_project``), 2 + 2 (as many
+              products as a stacked projection and two derivatives, on 4
+              N x N slices instead of 6);
               momentum: grad rho' 2, Laplacian of rho' 2 (from grad rho'),
               enthalpy and thermal-pressure gradients 2 (one 2-array
               stack), their projections 2 + 2 (force stack and relaxation
@@ -1086,6 +1102,70 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
     k, J, A = rec.picard_iters, len(iters), len(applies)
     assert k == 3 and J == 3 and A > 2 * k
     assert len(products) == 2 + 20 * k + 4 * J + 8 * A
+
+
+@pytest.mark.parametrize("first", ["pass", "step"])
+def test_stepped_state_takes_its_director_gradient_once(grid2d, monkeypatch,
+                                                        first):
+    """A stepped state's director gradient is taken once across its
+    derivative pass and the step from it, whichever comes first: both read
+    ``State.grad_d``."""
+    from nlcflow import diagnostics as dg
+    from nlcflow.fields import SpectralPlan
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid2d)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    s1, _ = sv.step_coupled(s0, reg, cfg, p)
+    taken = []
+    grad = SpectralPlan.grad
+
+    def counting(plan, values):
+        if values.shape == s1.d.shape:
+            taken.append(values)
+        return grad(plan, values)
+
+    monkeypatch.setattr(SpectralPlan, "grad", counting)
+    if first == "step":
+        sv.step_coupled(s1, reg, cfg, p)
+    der = dg.derivatives(s1, p)
+    if first == "pass":
+        sv.step_coupled(s1, reg, cfg, p)
+    assert len(taken) == 1 and taken[0] is s1.d
+    assert der.d is s1.grad_d
+
+
+def test_pcg_search_direction_never_aliases_the_residual():
+    """With an identity preconditioner ``z`` is ``r`` itself; the search
+    direction, updated in place, has its own array, so the solve matches
+    the one whose preconditioner returns a copy, bit for bit."""
+    grid = KERNEL_GRIDS[2]
+    apply_op, _, theta, _ = _heat_system(grid)
+    b, x0 = apply_op(theta), np.zeros(grid.shape)
+    same, res_s, applies_s = sv._pcg(apply_op, lambda r: r, b, x0)
+    copied, res_c, applies_c = sv._pcg(apply_op, lambda r: r.copy(), b, x0)
+    assert np.array_equal(same, copied)
+    assert res_s == res_c <= 1e-13 and applies_s == applies_c
+
+
+def test_near_vacuum_heat_solve_does_not_stall():
+    """Near-vacuum density puts orders of magnitude of contrast in the heat
+    operator's diagonal c0.  The preconditioner's scaling, taken from the
+    operator at the wavenumber where the mean diagonal and the mean
+    conduction balance, keeps its conjugate gradients short: a 64^2
+    density-bump run from base = amplitude = 0.01 with eps = 1e-4 and
+    delta = 1e-5 takes at most 60 heat applies per step (about 34; a
+    scaling by c0 alone took about 370)."""
+    from nlcflow import presets
+    grid = Grid((64, 64), (2.0, 2.0))
+    reg = RegParams(eps=1e-4, delta=1e-5, beta=5.0, n_modes=8)
+    raw = presets.build("density-bump", grid, base=0.01, amplitude=0.01)
+    s = sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
+                                   raw.theta, raw.d, reg)
+    records = [rec for _, rec in sv.run(
+        s, reg, sv.SolverConfig(dt=1e-3, t_end=5e-3), PhysParams()) if rec]
+    assert len(records) == 5
+    assert all(rec.heat_applies <= 60 for rec in records)
+    assert all(rec.heat_residual <= 1e-13 for rec in records)
 
 
 def test_step_projects_sine_products_without_strip(grid2d, monkeypatch):
