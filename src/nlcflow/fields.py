@@ -298,8 +298,8 @@ class SpectralPlan:
         """Divergence sum_a d_a stack[a] of a ``(dim, ...)`` stack whose entry
         a is sine along axis a, the axes summed in order; the Laplacian of a
         cosine array f is ``div(grad(f))``."""
-        out = np.zeros(stack.shape[1:])
-        for ax in range(self.dim):
+        out = self.deriv(stack[0], 0, SIN)
+        for ax in range(1, self.dim):
             out += self.deriv(stack[ax], ax, SIN)
         return out
 

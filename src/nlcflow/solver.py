@@ -114,7 +114,10 @@ class State:
 
     ``grad_d``, the director's gradient stack ``plan.grad(d)``, is taken
     on first use and kept, so the step from this state and its derivative
-    pass (``diagnostics.derivatives``) share it, whichever asks first.
+    pass (``diagnostics.derivatives``) share it, whichever asks first.  The
+    step reads it only for a live director: an inert one
+    (:func:`_inert_director`) has a zero gradient, which the step never
+    takes.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u",
@@ -351,6 +354,22 @@ def _density_update(plan, rho, u, diffuse, dt, source=None):
     return rho_new, m
 
 
+def _inert_director(d, source, p: PhysParams):
+    """Whether the director ``d`` is inert over a step: it has no
+    ``source``, every node equals the first, compared exactly (so NaN data
+    is never inert), and the penalty force of that value is exactly zero,
+    that is |d|^2 == 1 in floating point, or d = 0.  Such a d solves the
+    discrete director map exactly for any velocity: its gradient, transport
+    and penalty force are zero, and a constant solves the Helmholtz problem
+    exactly, so the step's new director is d itself and its relaxation,
+    director heating and Ericksen force are zero."""
+    if source is not None:
+        return False
+    first = d[(slice(None),) + (slice(0, 1),) * (d.ndim - 1)]
+    return bool(np.all(d == first)) and not np.any(
+        cst.gl_force(first, p.penalty_scale))
+
+
 def _director_transport(plan, u, grad_d):
     """Transport stack w_k = P_cos[u . grad d_k]."""
     adv = np.zeros(grad_d[0].shape)
@@ -532,8 +551,9 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
 
     ``grad_u`` is the gradient stack of the lagged velocity, entry [a, c]
     being d u_c / d x_a, and ``m`` the step's mass flux.  source_sq holds
-    the nodal director heating |relaxation|^2 (coefficient applied here);
-    the sink is lagged-coefficient implicit so positivity holds.
+    the nodal director heating |relaxation|^2 (coefficient applied here),
+    or None for an inert director (:func:`_inert_director`), which heats
+    nothing; the sink is lagged-coefficient implicit so positivity holds.
     """
     delta = reg.delta
     div_u = sum(grad_u[a, a] for a in range(frozen.plan.dim))
@@ -543,7 +563,8 @@ def _heat_system(frozen, rho_new, grad_u, m, source_sq, reg, p, dt,
     for term in _heat_convection(frozen.plan, frozen.theta, m):
         rhs -= term
     rhs += (1.0 - delta) * cst.stress_power(grad_u, p)
-    rhs += p.elastic_coupling * p.relax_rate * source_sq
+    if source_sq is not None:
+        rhs += p.elastic_coupling * p.relax_rate * source_sq
     if source is not None:
         rhs = rhs + source
     return c0, rhs
@@ -598,7 +619,9 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
     ``grad_u`` and ``grad_d_prev`` are the gradient stacks
     (:meth:`~nlcflow.fields.SpectralPlan.grad`) of ``u_minus`` and of the
-    old director."""
+    old director.  The step of an inert director (:func:`_inert_director`)
+    passes None for both ``grad_d_prev`` and ``gtilde``: its Ericksen force
+    is zero."""
     dim = plan.dim
     eps = reg.eps
 
@@ -623,10 +646,11 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     force -= p.gas_const * grad_q
 
     # director (Ericksen) force
-    nu = p.elastic_coupling
-    gk = plan.project(gtilde, neumann(dim))
-    for k in range(3):
-        force -= nu * grad_d_prev[:, k] * gk[k]
+    if gtilde is not None:
+        nu = p.elastic_coupling
+        gk = plan.project(gtilde, neumann(dim))
+        for k in range(3):
+            force -= nu * grad_d_prev[:, k] * gk[k]
     return force
 
 
@@ -741,6 +765,15 @@ def _picard_advance(s, reg, p, dt, sources):
     preconditioner).  The old director's gradient is ``s.grad_d``, which
     the derivative pass of ``s`` may already have taken.
 
+    A director that is inert over the step (:func:`_inert_director`: no
+    director source and d^n a uniform field of exactly unit length, or
+    zero) is the fixed point of the discrete director map, so the step
+    does none of the director work: no fixed point and no extrapolation
+    of d, d' is d^n itself, no Ericksen force and no director heating, and
+    it never reads ``s.grad_d``.  Its record reports ``director_iters`` 0
+    and ``director_gap`` 0.0.  The outputs are the same bits as with the
+    fixed point run, which returns d^n after one iteration.
+
     The new state's history is ``((dt, U^n, theta^n, d^n),)`` followed by
     the k levels of ``s`` that predicted the step, at most
     ``_HISTORY_LEVELS - 1`` of them, so every history holds levels of one
@@ -755,12 +788,16 @@ def _picard_advance(s, reg, p, dt, sources):
         (None,) * 4 if sources is None else sources(t1))
 
     rho, d = s.rho, s.d
+    inert = _inert_director(d, src_dir, p)
     U0 = U_minus = _with_modes(s.U, basis.n)
     momentum = _momentum_system(_checked_mass_matrix(basis, rho),
                                 basis.stiffness(p), U0, dt)
-    grad_d_prev = s.grad_d
     diffuse = plan.helmholtz(1.0, reg.eps * dt) if reg.eps > 0 else None
-    relax = plan.helmholtz(1.0, p.relax_rate * dt)
+    grad_d_prev = gtilde = gsq = None
+    gap = 0.0
+    if not inert:
+        grad_d_prev = s.grad_d
+        relax = plan.helmholtz(1.0, p.relax_rate * dt)
     u_minus = s.u if U0 is s.U else basis.reconstruct(U0)
     heat = _FrozenHeat(plan, s.theta, rho, reg, p, dt)
     theta_new, d_new = heat.theta, d
@@ -770,18 +807,21 @@ def _picard_advance(s, reg, p, dt, sources):
         U_minus = _extrapolate(U0, tables, order)
         u_minus = basis.reconstruct(U_minus)
         theta_new = _extrapolate(s.theta, thetas, order)
-        d_new = _extrapolate(d, directors, order)
+        if not inert:
+            d_new = _extrapolate(d, directors, order)
     heat_applies = director_iters = 0
     for it in range(1, _PICARD_MAX + 1):
         grad_u = basis.gradient(U_minus)
         rho_new, m = _density_update(plan, rho, u_minus, diffuse, dt, src_rho)
-        d_new, gtilde, iters, gap = _director_update(
-            plan, d, u_minus, grad_d_prev, relax, dt, p, src_dir, lag=d_new)
-        gsq = np.sum(gtilde * gtilde, axis=0)
+        if not inert:
+            d_new, gtilde, iters, gap = _director_update(
+                plan, d, u_minus, grad_d_prev, relax, dt, p, src_dir,
+                lag=d_new)
+            director_iters += iters
+            gsq = np.sum(gtilde * gtilde, axis=0)
         theta_new, heat_res, applies = _temperature_update(
             heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, src_th)
         heat_applies += applies
-        director_iters += iters
         U_new = _momentum_update(plan, u_minus, grad_u, rho, rho_new, m,
                                  theta_new, grad_d_prev, gtilde, reg, basis,
                                  p, momentum, src_mom)

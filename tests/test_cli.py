@@ -1309,9 +1309,11 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     nodal velocity); a continuation entry adds
     laplace rho as the divergence of the pass's grad rho, 2: 10 (12 when
     the tally took its own grad rho).  The initial state is handed out
-    only after the first step, which took its grad d (``State.grad_d``),
-    so its pass takes 6, not 8.  The stress power is evaluated once per
-    record."""
+    only after the first step.  The ``director-twist`` step of ``solve
+    run`` took its grad d (``State.grad_d``), so that pass takes 6, not 8;
+    the ``density-bump`` director of the continuation is inert, its step
+    takes no grad d, and that pass takes all 8.  The stress power is
+    evaluated once per record."""
     m = len(residuals.split(","))
     per_state = _post_processing_counts(monkeypatch)
     cfg = _write(tmp_path, "run.cfg",
@@ -1331,7 +1333,7 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     assert len(per_state) == 2 * 6 and len(stepped) == 2 * 5
     assert stepped == [(10, 1)] * 10
     assert [(d, w) for was_stepped, d, w in per_state
-            if not was_stepped] == [(6, 1)] * 2
+            if not was_stepped] == [(8, 1)] * 2
 
 
 def test_continuation_failure_names_its_entry(tmp_path, capsys,

@@ -478,13 +478,21 @@ def test_pcg_nonfinite_residual_raises():
 
 
 @pytest.mark.parametrize("target,substep", [("theta", "temperature"),
-                                            ("d", "director")])
+                                            ("d", "director"),
+                                            ("all d", "director")])
 def test_nonfinite_state_named_and_not_halved(grid2d, target, substep):
+    """A NaN node of theta or of d, or a director that is NaN everywhere,
+    ends the step with the substep named.  An all-NaN director is uniform
+    in shape but never inert, as NaN equals no node, so it still reaches
+    the director's guard."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
-    field_ = s.theta if target == "theta" else s.d[1]
-    field_[5, 7] = np.nan
+    if target == "all d":
+        s.d[...] = np.nan
+    else:
+        field_ = s.theta if target == "theta" else s.d[1]
+        field_[5, 7] = np.nan
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     with pytest.raises(NonFiniteState, match=substep) as info:
         sv.step_coupled(s, reg, cfg, p)
@@ -663,21 +671,98 @@ def test_accepted_sweep_reaches_full_inner_tolerance(grid2d, monkeypatch,
                                                      preset):
     """The StepRecord of a step shows what the accepted sweep's heat and
     director solves reached, not what was asked of them, and counts the
-    step's heat applies and director iterations over all its sweeps."""
+    step's heat applies and director iterations over all its sweeps.  The
+    uniform unit director of ``density-bump`` is inert: no sweep enters
+    the director fixed point, so the record reports no iteration and a
+    zero gap."""
     from nlcflow import presets
     p = PhysParams()
     s0, reg = _density_bump_start(grid2d)
     if preset == "director-twist":
         s0 = presets.build(preset, grid2d, amplitude=0.6)
-    applies, iters = [], []
+    applies, iters, updates = [], [], []
     _counted(monkeypatch, sv, "_conduction_apply", applies)
     _counted(monkeypatch, cst, "gl_force_two_point", iters)
+    _counted(monkeypatch, sv, "_director_update", updates)
     _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
     assert rec.picard_iters >= 2
     assert 0.0 <= rec.heat_residual <= 1e-13
-    assert 0.0 <= rec.director_gap <= 1e-13
     assert rec.heat_applies == len(applies)
-    assert rec.director_iters == len(iters) >= rec.picard_iters
+    if preset == "density-bump":
+        assert len(updates) == 0
+        assert rec.director_iters == len(iters) == 0
+        assert rec.director_gap == 0.0
+    else:
+        assert len(updates) == rec.picard_iters
+        assert 0.0 <= rec.director_gap <= 1e-13
+        assert rec.director_iters == len(iters) >= rec.picard_iters
+
+
+def _uniform_director_start(grid, director):
+    """The regularized ``density-bump`` start with its director replaced by
+    the uniform stack of the 3-vector ``director``."""
+    s, reg = _density_bump_start(grid)
+    d = np.broadcast_to(np.reshape(director, (3,) + (1,) * grid.dim),
+                        s.d.shape)
+    return sv.State(grid, s.t, s.rho, s.U, s.theta, d), reg
+
+
+@pytest.mark.parametrize("director", [(0.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
+def test_inert_director_comes_back_unchanged(grid2d, monkeypatch, director):
+    """A uniform director of exactly unit length off e_1, or zero, is the
+    fixed point of the director map for any velocity: the step does no
+    director work, never takes the old director's gradient, and hands d^n
+    back exactly, over predicted steps too."""
+    from nlcflow.fields import SpectralPlan
+    p = PhysParams()
+    s, reg = _uniform_director_start(grid2d, director)
+    d0 = s.d.copy()
+    updates, grads = [], []
+    _counted(monkeypatch, sv, "_director_update", updates)
+    grad = SpectralPlan.grad
+
+    def counting(plan, values):
+        if values.shape == d0.shape:
+            grads.append(values)
+        return grad(plan, values)
+
+    monkeypatch.setattr(SpectralPlan, "grad", counting)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    for _ in range(3):
+        s, rec = sv.step_coupled(s, reg, cfg, p)
+        assert np.array_equal(s.d, d0)
+        assert rec.director_iters == 0 and rec.director_gap == 0.0
+    assert rec.predicted
+    assert updates == [] and grads == []
+
+
+def test_director_off_the_fixed_point_takes_the_full_substep(grid2d,
+                                                             monkeypatch):
+    """Each uniform director that is not an exact fixed point runs the
+    director fixed point on every sweep: one of length 0.5, which relaxes
+    toward unit length, and a unit one with a director source, which the
+    source moves."""
+    p = PhysParams()
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    updates = []
+    _counted(monkeypatch, sv, "_director_update", updates)
+
+    s, reg = _uniform_director_start(grid2d, (0.5, 0.0, 0.0))
+    assert not sv._inert_director(s.d, None, p)
+    s1, rec = sv.step_coupled(s, reg, cfg, p)
+    assert len(updates) == rec.picard_iters and rec.director_iters > 0
+    assert float(s1.d[0].min()) > 0.5
+    assert np.array_equal(s1.d[1:], s.d[1:])
+
+    updates.clear()
+    s, reg = _uniform_director_start(grid2d, (1.0, 0.0, 0.0))
+    assert sv._inert_director(s.d, None, p)
+    push = np.zeros(s.d.shape)
+    push[1] = 0.1
+    s1, rec = sv.step_coupled(s, reg, cfg, p,
+                              sources=lambda t: (None, None, None, push))
+    assert len(updates) == rec.picard_iters and rec.director_iters > 0
+    assert float(s1.d[1].min()) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1143,9 @@ def _counted(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, wrapper)
 
 
-def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
+@pytest.mark.parametrize("preset", ["density-bump", "director-twist"])
+def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch,
+                                                 preset):
     """Every spectral operator a step needs is applied once, to all the
     components it acts on at the same time, and shared by the substeps.
     The step computes no energy-ledger terms: the budget audit reads those
@@ -1089,19 +1176,31 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch):
       4 J     director fixed point: one stacked Helmholtz solve per
               iteration
       8 A     heat: conduction apply 4 and preconditioner 4
-    which is 2 + 20 k + 4 J + 8 A.  This step has k = 3 and J = 3 (the
-    director is a unit constant), so 74 + 8 A."""
+    which is 2 + 20 k + 4 J + 8 A; the ``director-twist`` step has k = 3
+    and J = 10.  The uniform unit director of ``density-bump`` is inert
+    (``solver._inert_director``), so its step takes no director gradient
+    (2), no transport projection (2 per sweep), no fixed point (4 J) and
+    no Ericksen projection of the relaxation stack (2 per sweep): it takes
+    16 k + 8 A, with k = 3.  This case fails if the skip ever fires on the
+    live director of the twist."""
+    from nlcflow import fields, presets
     p = PhysParams()
     s0, reg = _density_bump_start(grid2d)
-    from nlcflow import fields
+    if preset == "director-twist":
+        s0 = presets.build(preset, grid2d, amplitude=0.6)
     products, applies, iters = [], [], []
     _counted(monkeypatch, fields, "_along", products)
     _counted(monkeypatch, sv, "_conduction_apply", applies)
     _counted(monkeypatch, cst, "gl_force_two_point", iters)
     _, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
     k, J, A = rec.picard_iters, len(iters), len(applies)
-    assert k == 3 and J == 3 and A > 2 * k
-    assert len(products) == 2 + 20 * k + 4 * J + 8 * A
+    assert k == 3 and A > 2 * k
+    if preset == "density-bump":
+        assert J == 0
+        assert len(products) == 16 * k + 8 * A
+    else:
+        assert J == 10
+        assert len(products) == 2 + 20 * k + 4 * J + 8 * A
 
 
 @pytest.mark.parametrize("first", ["pass", "step"])
@@ -1109,11 +1208,12 @@ def test_stepped_state_takes_its_director_gradient_once(grid2d, monkeypatch,
                                                         first):
     """A stepped state's director gradient is taken once across its
     derivative pass and the step from it, whichever comes first: both read
-    ``State.grad_d``."""
+    ``State.grad_d``.  The director is the live one of ``director-twist``;
+    an inert director's step takes no gradient at all."""
     from nlcflow import diagnostics as dg
     from nlcflow.fields import SpectralPlan
     p = PhysParams()
-    s0, reg = _density_bump_start(grid2d)
+    s0, reg = _twist_start(grid2d)
     cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
     s1, _ = sv.step_coupled(s0, reg, cfg, p)
     taken = []
