@@ -134,13 +134,18 @@ def derivatives(s, p: PhysParams):
     """The one derivative pass of a state ``s``, read by its record and its
     audits: the gradient stacks ``(dim, ...)`` of rho, theta and d, and the
     pointwise |grad rho|^2, S(grad u):grad u and |laplace d - f(d)|^2, each
-    taken once; grad d is the state's own (``State.grad_d``), which the
-    step from ``s`` shares, laplace d is the divergence of that same
-    grad d, and grad u is taken from the Galerkin coefficients, as the step
-    takes it."""
+    taken once.  grad rho and grad d are the state's own (``State.grad_rho``,
+    which the step that made ``s`` hands over when eps > 0, and
+    ``State.grad_d``, which the step from ``s`` shares); laplace d is the
+    divergence of that same grad d, or zero for a uniform d
+    (``State.uniform_d``), whose gradient is zero; and grad u is taken from
+    the Galerkin coefficients, as the step takes it.  So the pass of a
+    stepped state with eps > 0 and a uniform director takes grad theta
+    alone."""
     plan = spectral_plan(s.grid)
-    grad_rho, grad_d = plan.grad(s.rho), s.grad_d
-    relax = plan.div(grad_d) - cst.gl_force(s.d, p.penalty_scale)
+    grad_rho, grad_d = s.grad_rho, s.grad_d
+    force = cst.gl_force(s.d, p.penalty_scale)
+    relax = -force if s.uniform_d else plan.div(grad_d) - force
     grad_u = sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U)
     return Derivatives(
         grad_rho, plan.grad(s.theta), grad_d, _sum_sq(s.grid, grad_rho),
@@ -191,10 +196,8 @@ def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
     rho = np.maximum(s.rho, 0.0)
 
     def power(expo):
-        out = np.zeros_like(rho)
-        mask = rho > 0
-        out[mask] = rho[mask] ** (expo - 2.0)
-        return out
+        return np.power(rho, expo - 2.0, out=np.zeros_like(rho),
+                        where=rho > 0)
 
     density_term = reg.eps * p.gamma * integrate_values(
         grid, power(p.gamma) * der.grad_rho_sq)
@@ -252,8 +255,11 @@ def entropy_total(s):
     mask = rho > 0.0
     if np.any(mask & (theta <= 0.0)):
         raise NonPositiveTemperature("entropy needs theta > 0 where rho > 0")
-    out = np.zeros_like(rho)
-    out[mask] = rho[mask] * (np.log(theta[mask]) - np.log(rho[mask]))
+    # node by node where rho > 0; the other nodes stay zero, unevaluated
+    log_rho = np.log(rho, out=np.empty_like(rho), where=mask)
+    out = np.log(theta, out=np.zeros_like(rho), where=mask)
+    np.subtract(out, log_rho, out=out, where=mask)
+    np.multiply(rho, out, out=out, where=mask)
     return integrate_values(s.grid, out)
 
 

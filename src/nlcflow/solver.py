@@ -114,16 +114,25 @@ class State:
 
     ``grad_d``, the director's gradient stack ``plan.grad(d)``, is taken
     on first use and kept, so the step from this state and its derivative
-    pass (``diagnostics.derivatives``) share it, whichever asks first.  The
-    step reads it only for a live director: an inert one
-    (:func:`_inert_director`) has a zero gradient, which the step never
-    takes.
+    pass (``diagnostics.derivatives``) share it, whichever asks first.  A
+    uniform director (``uniform_d``: every node equals the first, compared
+    exactly, checked once and kept) has an exactly zero gradient, which is
+    a zero stack with no product.  The step reads ``grad_d`` only for a
+    live director: an inert one (:func:`_inert_director`) is uniform, and
+    the step never reads its gradient.
+
+    ``grad_rho``, the density's gradient ``plan.grad(rho)``, is likewise
+    kept once taken.  A step with eps > 0 takes it on every sweep and hands
+    the accepted sweep's to the new state (``grad_rho`` here), so the
+    derivative pass of that state does not take it again; any other state
+    takes it on first use.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u",
-                 "_grad_d")
+                 "_grad_d", "_grad_rho", "_uniform_d")
 
-    def __init__(self, grid, t, rho, U, theta, d, history=()):
+    def __init__(self, grid, t, rho, U, theta, d, history=(),
+                 grad_rho=None):
         self.grid = grid
         self.t = float(t)
         self.history = tuple(history)
@@ -141,14 +150,35 @@ class State:
                 f"state field U has shape {U.shape}, the grid "
                 f"{grid.shape} needs (n, {grid.dim}) with n >= 1")
         self.u = galerkin_basis(grid, len(U)).reconstruct(U)
-        self._grad_d = None
+        self._grad_d = self._uniform_d = None
+        self._grad_rho = None if grad_rho is None else _readonly(grad_rho)
+
+    @property
+    def uniform_d(self):
+        """Whether every node of d equals its first node, compared exactly
+        (so NaN data never is), checked on first use and kept."""
+        if self._uniform_d is None:
+            d = self.d
+            self._uniform_d = bool(np.all(d == d[_first_node(d)]))
+        return self._uniform_d
 
     @property
     def grad_d(self):
-        """``plan.grad(d)``, taken on first use and kept (read-only)."""
+        """``plan.grad(d)``, taken on first use and kept (read-only); for a
+        uniform d, a zero stack with no product."""
         if self._grad_d is None:
-            self._grad_d = _readonly(spectral_plan(self.grid).grad(self.d))
+            self._grad_d = _readonly(
+                np.zeros((self.grid.dim,) + self.d.shape) if self.uniform_d
+                else spectral_plan(self.grid).grad(self.d))
         return self._grad_d
+
+    @property
+    def grad_rho(self):
+        """``plan.grad(rho)``, handed over by the step or taken on first
+        use, and kept (read-only)."""
+        if self._grad_rho is None:
+            self._grad_rho = _readonly(spectral_plan(self.grid).grad(self.rho))
+        return self._grad_rho
 
 
 @dataclass(frozen=True)
@@ -354,20 +384,25 @@ def _density_update(plan, rho, u, diffuse, dt, source=None):
     return rho_new, m
 
 
-def _inert_director(d, source, p: PhysParams):
-    """Whether the director ``d`` is inert over a step: it has no
-    ``source``, every node equals the first, compared exactly (so NaN data
-    is never inert), and the penalty force of that value is exactly zero,
-    that is |d|^2 == 1 in floating point, or d = 0.  Such a d solves the
-    discrete director map exactly for any velocity: its gradient, transport
-    and penalty force are zero, and a constant solves the Helmholtz problem
-    exactly, so the step's new director is d itself and its relaxation,
-    director heating and Ericksen force are zero."""
-    if source is not None:
+def _first_node(stack):
+    """Index of the first node of every array of a stack (3, *grid.shape),
+    keeping the axes so that it broadcasts against the stack."""
+    return (slice(None),) + (slice(0, 1),) * (stack.ndim - 1)
+
+
+def _inert_director(s, source, p: PhysParams):
+    """Whether the director of state ``s`` is inert over a step: it has no
+    ``source``, it is uniform (``State.uniform_d``: every node equals the
+    first, compared exactly, so NaN data is never inert), and the penalty
+    force of that value is exactly zero, that is |d|^2 == 1 in floating
+    point, or d = 0.  Such a d solves the discrete director map exactly for
+    any velocity: its gradient, transport and penalty force are zero, and a
+    constant solves the Helmholtz problem exactly, so the step's new
+    director is d itself and its relaxation, director heating and Ericksen
+    force are zero."""
+    if source is not None or not s.uniform_d:
         return False
-    first = d[(slice(None),) + (slice(0, 1),) * (d.ndim - 1)]
-    return bool(np.all(d == first)) and not np.any(
-        cst.gl_force(first, p.penalty_scale))
+    return not np.any(cst.gl_force(s.d[_first_node(s.d)], p.penalty_scale))
 
 
 def _director_transport(plan, u, grad_d):
@@ -613,7 +648,7 @@ def _pressure_enthalpy(rho, reg, p):
 
 
 def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
-                     grad_d_prev, gtilde, reg, p):
+                     grad_d_prev, gtilde, reg, p, grad_rho=None):
     """Nodal force stack G_c whose pairings with the velocity are the exact
     summation-by-parts partners of the scalar-equation fluxes.
 
@@ -621,7 +656,8 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     (:meth:`~nlcflow.fields.SpectralPlan.grad`) of ``u_minus`` and of the
     old director.  The step of an inert director (:func:`_inert_director`)
     passes None for both ``grad_d_prev`` and ``gtilde``: its Ericksen force
-    is zero."""
+    is zero.  ``grad_rho`` is ``plan.grad(rho_new)`` where the caller has
+    taken it; with eps > 0 and None it is taken here."""
     dim = plan.dim
     eps = reg.eps
 
@@ -633,7 +669,8 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
     # compensation for the nonconservative discrete time derivative
     if eps > 0:
-        grad_rho = plan.grad(rho_new)
+        if grad_rho is None:
+            grad_rho = plan.grad(rho_new)
         force -= eps * plan.div(grad_rho) * u_minus
         for b in range(dim):
             force -= eps * grad_rho[b] * grad_u[b]
@@ -665,11 +702,12 @@ def _momentum_system(mass_mat, stiff, U_prev, dt):
 
 
 def _momentum_update(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
-                     grad_d_prev, gtilde, reg, basis, p, system, source=None):
+                     grad_d_prev, gtilde, reg, basis, p, system, source=None,
+                     grad_rho=None):
     """The new coefficient table U' of one sweep, solving ``system``
     (:func:`_momentum_system`) with the pairings of the sweep's forces."""
     force = _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m,
-                             theta_new, grad_d_prev, gtilde, reg, p)
+                             theta_new, grad_d_prev, gtilde, reg, p, grad_rho)
     if source is not None:
         force = force + source
     F = basis.pair(force)
@@ -774,6 +812,10 @@ def _picard_advance(s, reg, p, dt, sources):
     and ``director_gap`` 0.0.  The outputs are the same bits as with the
     fixed point run, which returns d^n after one iteration.
 
+    With eps > 0 each sweep takes grad rho' once, for its momentum forces,
+    and the accepted sweep's is the new state's ``grad_rho``, so the
+    derivative pass of that state reads it instead of taking it again.
+
     The new state's history is ``((dt, U^n, theta^n, d^n),)`` followed by
     the k levels of ``s`` that predicted the step, at most
     ``_HISTORY_LEVELS - 1`` of them, so every history holds levels of one
@@ -788,7 +830,7 @@ def _picard_advance(s, reg, p, dt, sources):
         (None,) * 4 if sources is None else sources(t1))
 
     rho, d = s.rho, s.d
-    inert = _inert_director(d, src_dir, p)
+    inert = _inert_director(s, src_dir, p)
     U0 = U_minus = _with_modes(s.U, basis.n)
     momentum = _momentum_system(_checked_mass_matrix(basis, rho),
                                 basis.stiffness(p), U0, dt)
@@ -813,6 +855,7 @@ def _picard_advance(s, reg, p, dt, sources):
     for it in range(1, _PICARD_MAX + 1):
         grad_u = basis.gradient(U_minus)
         rho_new, m = _density_update(plan, rho, u_minus, diffuse, dt, src_rho)
+        grad_rho = plan.grad(rho_new) if reg.eps > 0 else None
         if not inert:
             d_new, gtilde, iters, gap = _director_update(
                 plan, d, u_minus, grad_d_prev, relax, dt, p, src_dir,
@@ -824,7 +867,7 @@ def _picard_advance(s, reg, p, dt, sources):
         heat_applies += applies
         U_new = _momentum_update(plan, u_minus, grad_u, rho, rho_new, m,
                                  theta_new, grad_d_prev, gtilde, reg, basis,
-                                 p, momentum, src_mom)
+                                 p, momentum, src_mom, grad_rho)
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
         if diff <= _PICARD_TOL * size:
@@ -840,7 +883,8 @@ def _picard_advance(s, reg, p, dt, sources):
                         director_gap=gap, predicted=order > 0)
     history = ((dt, U0, s.theta, d),) + s.history[
         :min(order, _HISTORY_LEVELS - 1)]
-    return State(grid, t1, rho_new, U_new, theta_new, d_new, history), record
+    return State(grid, t1, rho_new, U_new, theta_new, d_new, history,
+                 grad_rho), record
 
 
 def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,

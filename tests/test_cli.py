@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nlcflow import cli
+from nlcflow import config as cf
 from nlcflow import diagnostics as dg
 from nlcflow import mms as mm
 from nlcflow.errors import IOFailure, PositivityLoss
@@ -382,6 +383,29 @@ def test_diagnose_of_a_restart_prints_the_continuous_rows(tmp_path, capsys):
     by_t = {ln.split(",")[0]: ln for ln in rows[0]}
     assert len(rows[0]) == 11 and len(rows[1]) == 9
     assert [by_t.get(ln.split(",")[0]) for ln in rows[1]] == rows[1]
+
+
+def test_state_from_its_snapshot_gives_the_streamed_row(tmp_path):
+    """A stepped state of ``solve run`` (eps > 0) holds the grad rho' its
+    step handed over; the state rebuilt from its snapshot holds none and
+    takes grad rho itself.  Every rebuilt state's record gives, to the last
+    digit, the row the run streamed for it, residual columns aside; the
+    dt of its pressure-weight increment is that of the step that made it,
+    the newest level of its history (the last step is a few ulps short of
+    ``solver.dt``)."""
+    cfg = _write(tmp_path, "run.cfg", RESTART_CFG.format(out=tmp_path / "r"))
+    assert cli.main(["run", cfg]) == 0
+    conf = cf.parse_config(str(tmp_path / "r" / "config.resolved"))
+    width = len(dg.CSV_COLUMNS)
+    streamed = (tmp_path / "r" / "diagnostics.csv").read_text().splitlines()
+    assert len(streamed) == 2 + 11 and conf.reg.eps > 0
+    for k, line in enumerate(streamed[2:]):
+        s = cli.read_restart(str(tmp_path / "r" / f"snap_{k:06d}.dat"),
+                             conf.grid)
+        rec = dg.make_record(s, dg.derivatives(s, conf.phys), conf.reg,
+                             conf.phys, dt=s.history[0][0] if k else None)
+        assert dg.csv_line(dg._record_row(rec)) \
+            == ",".join(line.split(",")[:width]) + "\n"
 
 
 @pytest.mark.parametrize("residuals", ["identity,T2", ","],
@@ -1299,41 +1323,53 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
                                                         residuals):
     """One derivative pass per state feeds its record, its residual audit
     and the continuation tallies.  At 2-D, counted in per-axis ``deriv``
-    calls: the pass takes grad rho, grad theta and grad d, 2 each, and
-    laplace d as the divergence of that grad d, 2, so 8; grad u comes from
-    the Galerkin coefficients, with no ``deriv``, and so does the div u of
-    the step's velocity table that the residual audit reads.  Per stepped
-    state, ``solve run`` with m residual ids, ``identity`` among them,
-    adds grad b(rho') per id but ``identity``, whose grad rho' is the
-    pass's, 2 (m - 1): 6 + 2 m (8 + 2 m when the audit took div u of the
-    nodal velocity); a continuation entry adds
-    laplace rho as the divergence of the pass's grad rho, 2: 10 (12 when
-    the tally took its own grad rho).  The initial state is handed out
-    only after the first step.  The ``director-twist`` step of ``solve
-    run`` took its grad d (``State.grad_d``), so that pass takes 6, not 8;
-    the ``density-bump`` director of the continuation is inert, its step
-    takes no grad d, and that pass takes all 8.  The stress power is
-    evaluated once per record."""
+    calls, a pass that takes every derivative takes grad rho, grad theta
+    and grad d, 2 each, and laplace d as the divergence of that grad d, 2,
+    so 8; grad u comes from the Galerkin coefficients, with no ``deriv``,
+    and so does the div u of the step's velocity table that the residual
+    audit reads.  A pass does not take what its state already holds:
+    grad rho' when the step that made the state had eps > 0, which hands
+    over its accepted sweep's (``State.grad_rho``); grad d when the step
+    from the state took it first (``State.grad_d``); and grad d and
+    laplace d when the director is uniform (``State.uniform_d``), whose
+    derivatives are zero.
+
+    ``solve run`` on ``director-twist``, with m residual ids, ``identity``
+    among them: per stepped state the pass takes grad theta, grad d and
+    laplace d, 6, and the audit adds grad b(rho') per id but
+    ``identity``, whose grad rho' is the pass's, 2 (m - 1): 4 + 2 m.  With
+    eps = 0 no step takes grad rho', and the pass takes it: 6 + 2 m.  The
+    initial state is handed out only after the first step, which took its
+    grad d, so its pass takes 6 either way.
+
+    The continuation on ``density-bump`` (eps > 0), whose uniform unit
+    director stays uniform: per stepped state the pass takes grad theta,
+    2, and the tally adds laplace rho as the divergence of the pass's
+    grad rho, 2: 4; the initial state's pass takes grad rho and
+    grad theta, 4.  The stress power is evaluated once per record."""
     m = len(residuals.split(","))
     per_state = _post_processing_counts(monkeypatch)
-    cfg = _write(tmp_path, "run.cfg",
-                 RESTART_CFG.format(out=tmp_path / "run").replace(
-                     "grid.shape = 32", "grid.shape = 16").replace(
-                     "solver.t_end = 0.01", "solver.t_end = 3e-3")
-                 + f"output.residuals = {residuals}\n")
-    assert cli.main(["run", cfg]) == 0
-    stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
-    assert per_state[0] == (False, 6 + 6, 1)   # with the battery's 6
-    assert stepped == [(6 + 2 * m, 1)] * 3
+    for eps, stepped_pass in (("1e-2", 4), ("0", 6)):
+        per_state.clear()
+        cfg = _write(tmp_path, "run.cfg",
+                     RESTART_CFG.format(out=tmp_path / "run").replace(
+                         "grid.shape = 32", "grid.shape = 16").replace(
+                         "solver.t_end = 0.01", "solver.t_end = 3e-3")
+                     .replace("reg.eps = 1e-2", f"reg.eps = {eps}")
+                     + f"output.residuals = {residuals}\n")
+        assert cli.main(["run", cfg]) == 0
+        stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
+        assert per_state[0] == (False, 6 + 6, 1)   # with the battery's 6
+        assert stepped == [(stepped_pass + 2 * m, 1)] * 3
 
     per_state.clear()
     cfg = _write(tmp_path, "cont.cfg", CONT_CFG.format(out=tmp_path / "c"))
     assert cli.main(["continuation", cfg]) == 0
     stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
     assert len(per_state) == 2 * 6 and len(stepped) == 2 * 5
-    assert stepped == [(10, 1)] * 10
+    assert stepped == [(4, 1)] * 10
     assert [(d, w) for was_stepped, d, w in per_state
-            if not was_stepped] == [(8, 1)] * 2
+            if not was_stepped] == [(4, 1)] * 2
 
 
 def test_continuation_failure_names_its_entry(tmp_path, capsys,

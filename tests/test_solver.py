@@ -748,7 +748,7 @@ def test_director_off_the_fixed_point_takes_the_full_substep(grid2d,
     _counted(monkeypatch, sv, "_director_update", updates)
 
     s, reg = _uniform_director_start(grid2d, (0.5, 0.0, 0.0))
-    assert not sv._inert_director(s.d, None, p)
+    assert not sv._inert_director(s, None, p)
     s1, rec = sv.step_coupled(s, reg, cfg, p)
     assert len(updates) == rec.picard_iters and rec.director_iters > 0
     assert float(s1.d[0].min()) > 0.5
@@ -756,7 +756,7 @@ def test_director_off_the_fixed_point_takes_the_full_substep(grid2d,
 
     updates.clear()
     s, reg = _uniform_director_start(grid2d, (1.0, 0.0, 0.0))
-    assert sv._inert_director(s.d, None, p)
+    assert sv._inert_director(s, None, p)
     push = np.zeros(s.d.shape)
     push[1] = 0.1
     s1, rec = sv.step_coupled(s, reg, cfg, p,
@@ -1084,11 +1084,9 @@ def test_step_reads_the_table_on_the_run_modes(grid2d):
         assert np.array_equal(rec.U_lag, ref.U_lag)
 
 
-def test_predicted_positivity_loss_retries_at_the_same_dt(grid2d,
-                                                         monkeypatch):
-    """A predicted step whose first sweep loses positivity is retried once
-    from u^n at the same dt, so the prediction costs no halving."""
-    s, reg = _stepped_state(grid2d)
+def _retried_step(monkeypatch, s, reg, cfg, p):
+    """The step from the predicting state ``s`` whose first sweep loses
+    positivity, so that it is retried unpredicted at the same dt."""
     update = sv._density_update
     calls = []
 
@@ -1099,9 +1097,18 @@ def test_predicted_positivity_loss_retries_at_the_same_dt(grid2d,
         return update(*args, **kwargs)
 
     monkeypatch.setattr(sv, "_density_update", failing_once)
-    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
-    s1, rec = sv.step_coupled(s, reg, cfg, PhysParams())
+    out = sv.step_coupled(s, reg, cfg, p)
     monkeypatch.undo()
+    return out
+
+
+def test_predicted_positivity_loss_retries_at_the_same_dt(grid2d,
+                                                         monkeypatch):
+    """A predicted step whose first sweep loses positivity is retried once
+    from u^n at the same dt, so the prediction costs no halving."""
+    s, reg = _stepped_state(grid2d)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    s1, rec = _retried_step(monkeypatch, s, reg, cfg, PhysParams())
     assert rec.halvings == 0 and rec.dt == cfg.dt and not rec.predicted
     ref, _ = sv.step_coupled(_plain(s), reg, cfg, PhysParams())
     assert _same_state(s1, ref)
@@ -1232,6 +1239,100 @@ def test_stepped_state_takes_its_director_gradient_once(grid2d, monkeypatch,
         sv.step_coupled(s1, reg, cfg, p)
     assert len(taken) == 1 and taken[0] is s1.d
     assert der.d is s1.grad_d
+
+
+def _slices(monkeypatch, grid):
+    """A list that gets, for each per-axis product (``fields._along``),
+    the number of N x N slices it acts on."""
+    from nlcflow import fields
+    units = []
+    inner = fields._along
+
+    def counted(mat, values, axis, dim):
+        units.append(values.size // math.prod(grid.shape))
+        return inner(mat, values, axis, dim)
+
+    monkeypatch.setattr(fields, "_along", counted)
+    return units
+
+
+def test_pass_of_a_stepped_bump_state_takes_grad_theta_alone(monkeypatch):
+    """On the configuration of the ``run-bump-128`` benchmark (128^2
+    ``density-bump``, eps = 1e-2), the derivative pass of a stepped state
+    takes only grad theta, 2 N x N slices, where it took 16 (grad rho 2,
+    grad theta 2, grad d 6, laplace d 6): the step hands over its accepted
+    sweep's grad rho' (``State.grad_rho``), and the uniform unit director
+    has a zero gradient and Laplacian, taken with no product.  The initial
+    state has no step behind it and takes grad rho too, 4."""
+    from nlcflow import diagnostics as dg
+    grid = Grid((128, 128), (2.0, 2.0))
+    p = PhysParams()
+    s0, reg = _density_bump_start(grid)
+    s1, _ = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
+    units = _slices(monkeypatch, grid)
+    dg.derivatives(s0, p)
+    assert sum(units) == 4
+    units.clear()
+    dg.derivatives(s1, p)
+    assert sum(units) == 2
+
+
+@pytest.mark.parametrize("kind", ["unpredicted", "predicted", "retried"])
+def test_step_hands_over_the_density_gradient(grid2d, monkeypatch, kind):
+    """With eps > 0 the new state holds the grad rho' of the step's
+    accepted sweep, bit for bit ``plan.grad(rho')``, and reading it takes
+    no product: after a first step (unpredicted, three sweeps), a step
+    predicted from five levels (one sweep) and a predicted step whose
+    first sweep lost positivity and was retried unpredicted."""
+    p = PhysParams()
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    if kind == "unpredicted":
+        s, reg = _twist_start(grid2d)
+        s1, rec = sv.step_coupled(s, reg, cfg, p)
+        assert not rec.predicted and rec.picard_iters == 3
+    elif kind == "predicted":
+        s, reg = _stepped_state(grid2d, steps=5)
+        s1, rec = sv.step_coupled(s, reg, cfg, p)
+        assert rec.predicted and rec.picard_iters == 1
+    else:
+        s, reg = _stepped_state(grid2d)
+        s1, rec = _retried_step(monkeypatch, s, reg, cfg, p)
+        assert not rec.predicted and rec.picard_iters > 1
+    units = _slices(monkeypatch, grid2d)
+    grad_rho = s1.grad_rho
+    assert units == [] and not grad_rho.flags.writeable
+    monkeypatch.undo()
+    assert np.array_equal(grad_rho, spectral_plan(grid2d).grad(s1.rho))
+
+
+def test_uniform_director_off_unit_length_has_a_free_zero_gradient(
+        grid2d, monkeypatch):
+    """A uniform director of length 0.5 is not inert, so its step runs the
+    fixed point (``test_director_off_the_fixed_point_takes_the_full_substep``),
+    and the new director is uniform again.  Each state's ``grad_d`` is a
+    read-only zero stack taken with no product, and its record is the one
+    its pass makes from ``plan.grad(d)`` and its divergence, the pass of a
+    state not known to be uniform, to the last bit."""
+    from nlcflow import diagnostics as dg
+    p = PhysParams()
+    s0, reg = _uniform_director_start(grid2d, (0.5, 0.0, 0.0))
+    s1, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0),
+                              p)
+    assert rec.director_iters > 0
+    for s, dt in ((s0, None), (s1, 1e-3)):
+        assert s.uniform_d
+        units = _slices(monkeypatch, grid2d)
+        grad_d = s.grad_d
+        assert units == [] and not grad_d.flags.writeable
+        monkeypatch.undo()
+        assert grad_d.shape == (2, 3) + grid2d.shape and not grad_d.any()
+        full = sv.State(grid2d, s.t, s.rho, s.U, s.theta, s.d)
+        full._uniform_d = False     # as if unchecked: grad d is taken
+        assert np.array_equal(full.grad_d, grad_d)
+        rows = [dg.csv_line(dg._record_row(dg.make_record(
+            state, dg.derivatives(state, p), reg, p, dt)))
+            for state in (s, full)]
+        assert rows[0] == rows[1]
 
 
 def test_pcg_search_direction_never_aliases_the_residual():
