@@ -252,7 +252,7 @@ class SpectralPlan:
             (Ellipsis, slice(0, 1)) + (slice(None),) * (grid.dim - 1 - ax)
             for ax in range(grid.dim)
         )
-        self._corner = (Ellipsis,) + (slice(0, 1),) * grid.dim
+        self.corner = (Ellipsis,) + (slice(0, 1),) * grid.dim
         # Laplacian eigenvalues sum_a (k_a pi / L_a)^2 in coefficient order
         sym = np.zeros(grid.shape)
         for ax in range(grid.dim):
@@ -315,7 +315,7 @@ class SpectralPlan:
         denominator = a + c * self.symbol
 
         def solve(values):
-            shift = values[self._corner]
+            shift = values[self.corner]
             coef = self.forward(values - shift)
             coef /= denominator
             out = self.inverse(coef)

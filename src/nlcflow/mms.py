@@ -209,8 +209,9 @@ def _momentum_terms(case, s, plan, reg, p):
         grad_u = sv.galerkin_basis(grid, len(s.U)).gradient(s.U)
         m = sv._mass_flux(plan, rho, u)
         gtilde = np.zeros((3,) + grid.shape)
-        force = sv._momentum_forces(plan, u, grad_u, rho, rho, m, s.theta,
-                                    s.grad_d, gtilde, reg, p)
+        force = sv._momentum_forces(
+            plan, u, grad_u, rho, rho, m, s.theta, s.grad_d, gtilde,
+            s.grad_rho if reg.eps > 0 else None, reg, p)
         div_u = sum(grad_u[a, a] for a in range(dim))
         out = []
         for c in range(dim):

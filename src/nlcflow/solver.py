@@ -159,7 +159,8 @@ class State:
         (so NaN data never is), checked on first use and kept."""
         if self._uniform_d is None:
             d = self.d
-            self._uniform_d = bool(np.all(d == d[_first_node(d)]))
+            corner = spectral_plan(self.grid).corner
+            self._uniform_d = bool(np.all(d == d[corner]))
         return self._uniform_d
 
     @property
@@ -384,12 +385,6 @@ def _density_update(plan, rho, u, diffuse, dt, source=None):
     return rho_new, m
 
 
-def _first_node(stack):
-    """Index of the first node of every array of a stack (3, *grid.shape),
-    keeping the axes so that it broadcasts against the stack."""
-    return (slice(None),) + (slice(0, 1),) * (stack.ndim - 1)
-
-
 def _inert_director(s, source, p: PhysParams):
     """Whether the director of state ``s`` is inert over a step: it has no
     ``source``, it is uniform (``State.uniform_d``: every node equals the
@@ -402,7 +397,8 @@ def _inert_director(s, source, p: PhysParams):
     force are zero."""
     if source is not None or not s.uniform_d:
         return False
-    return not np.any(cst.gl_force(s.d[_first_node(s.d)], p.penalty_scale))
+    d0 = s.d[spectral_plan(s.grid).corner]
+    return not np.any(cst.gl_force(d0, p.penalty_scale))
 
 
 def _director_transport(plan, u, grad_d):
@@ -648,7 +644,7 @@ def _pressure_enthalpy(rho, reg, p):
 
 
 def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
-                     grad_d_prev, gtilde, reg, p, grad_rho=None):
+                     grad_d_prev, gtilde, grad_rho, reg, p):
     """Nodal force stack G_c whose pairings with the velocity are the exact
     summation-by-parts partners of the scalar-equation fluxes.
 
@@ -656,8 +652,8 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
     (:meth:`~nlcflow.fields.SpectralPlan.grad`) of ``u_minus`` and of the
     old director.  The step of an inert director (:func:`_inert_director`)
     passes None for both ``grad_d_prev`` and ``gtilde``: its Ericksen force
-    is zero.  ``grad_rho`` is ``plan.grad(rho_new)`` where the caller has
-    taken it; with eps > 0 and None it is taken here."""
+    is zero.  ``grad_rho`` is ``plan.grad(rho_new)``, which the caller
+    takes and passes when eps > 0, and None when eps = 0."""
     dim = plan.dim
     eps = reg.eps
 
@@ -669,8 +665,6 @@ def _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
 
     # compensation for the nonconservative discrete time derivative
     if eps > 0:
-        if grad_rho is None:
-            grad_rho = plan.grad(rho_new)
         force -= eps * plan.div(grad_rho) * u_minus
         for b in range(dim):
             force -= eps * grad_rho[b] * grad_u[b]
@@ -702,12 +696,12 @@ def _momentum_system(mass_mat, stiff, U_prev, dt):
 
 
 def _momentum_update(plan, u_minus, grad_u, rho_prev, rho_new, m, theta_new,
-                     grad_d_prev, gtilde, reg, basis, p, system, source=None,
-                     grad_rho=None):
+                     grad_d_prev, gtilde, grad_rho, reg, basis, p, system,
+                     source=None):
     """The new coefficient table U' of one sweep, solving ``system``
     (:func:`_momentum_system`) with the pairings of the sweep's forces."""
     force = _momentum_forces(plan, u_minus, grad_u, rho_prev, rho_new, m,
-                             theta_new, grad_d_prev, gtilde, reg, p, grad_rho)
+                             theta_new, grad_d_prev, gtilde, grad_rho, reg, p)
     if source is not None:
         force = force + source
     F = basis.pair(force)
@@ -866,8 +860,8 @@ def _picard_advance(s, reg, p, dt, sources):
             heat, rho_new, grad_u, m, gsq, reg, p, dt, theta_new, src_th)
         heat_applies += applies
         U_new = _momentum_update(plan, u_minus, grad_u, rho, rho_new, m,
-                                 theta_new, grad_d_prev, gtilde, reg, basis,
-                                 p, momentum, src_mom, grad_rho)
+                                 theta_new, grad_d_prev, gtilde, grad_rho,
+                                 reg, basis, p, momentum, src_mom)
         diff = float(np.linalg.norm(U_new - U_minus))
         size = max(float(np.linalg.norm(U_new)), 1.0)
         if diff <= _PICARD_TOL * size:

@@ -616,8 +616,8 @@ def _momentum_step(u, rho, theta, d, reg, basis, dt, p):
                                  basis.stiffness(p), U, dt)
     U_new = sv._momentum_update(
         plan, u, basis.gradient(U), rho, rho, m, theta,
-        plan.grad(d), np.zeros((3,) + rho.shape), reg,
-        basis, p, system)
+        plan.grad(d), np.zeros((3,) + rho.shape),
+        plan.grad(rho) if reg.eps > 0 else None, reg, basis, p, system)
     return basis.reconstruct(U_new)
 
 
