@@ -298,7 +298,7 @@ def cmd_run(config_path):
     k = snapped = -1        # indices of ``last`` and of the last snapshot
     sweeps = iters = applies = 0
     try:
-        for last, rec, _, diag in dg.stream(
+        for last, rec, diag in dg.stream(
                 _prepared_state(cfg), cfg.reg, cfg.solver, cfg.phys,
                 os.path.join(out, "diagnostics.csv"), cfg.output.residuals):
             if rec is None:
@@ -410,8 +410,7 @@ def cmd_diagnose(directory):
     print("t,mass,energy_total,entropy_total,director_sup")
     for name in names:
         s = read_snapshot(os.path.join(directory, name), cfg.grid)
-        rec = dg.make_record(s, dg.derivatives(s, cfg.phys), cfg.reg,
-                             cfg.phys)
+        rec = dg.make_record(s, cfg.reg, cfg.phys)
         print(dg.csv_line((rec.t, rec.mass, rec.energy_total,
                            rec.entropy_total, rec.director_sup)), end="")
     print(f"diagnosed {len(names)} snapshots")

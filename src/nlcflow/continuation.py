@@ -76,16 +76,17 @@ def _execute(cfg, s0, reg, csv_path):
            "theta_pow": 0.0, "pressure_weight": 0.0}
     emax_ratio = 1.0
     steps = -1
-    for s, rec, der, diag in dg.stream(s0, reg, cfg.solver, p, csv_path):
+    for s, rec, diag in dg.stream(s0, reg, cfg.solver, p, csv_path):
         steps += 1
         if rec is None:
             energy_initial = diag.energy_total
             continue
         dt = rec.dt
         emax_ratio = max(emax_ratio, diag.energy_total / energy_initial)
-        acc["grad_rho_sq"] += dt * integrate_values(grid, der.grad_rho_sq)
+        acc["grad_rho_sq"] += dt * integrate_values(
+            grid, dg._sum_sq(grid, s.grad_rho))
         acc["lap_rho_sq"] += dt * integrate_values(
-            grid, plan.div(der.rho) ** 2)
+            grid, plan.div(s.grad_rho) ** 2)
         acc["rho_beta"] += dt * integrate_values(
             grid, np.maximum(s.rho, 0.0) ** reg.beta)
         acc["theta_pow"] += dt * integrate_values(

@@ -1,9 +1,11 @@
 """Monitored functionals, budget audits and renormalized residuals, the
 CSV rows of the records, and :func:`stream`, the one run loop.
 
-Everything else is read-only over solver states, each differentiated once
-by :func:`derivatives`.  The energy budget residual of a step is read off
-its two states and their passes alone: its dissipation is the one the
+Everything else is read-only over solver states.  A record differentiates
+its state once (:func:`derivatives`); the audits and the records read the
+gradients of rho and d that the state keeps (``State.grad_rho``,
+``State.grad_d``).  The energy budget residual of a step is read off its
+two states and their records alone: its dissipation is the one the
 scheme's ledger exchanges, evaluated with the step's own kernels, so the
 residual is a genuine audit of the discrete inequality, small and one-sided.
 """
@@ -88,8 +90,8 @@ def csv_line(values):
 
 def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
            res_ids=()):
-    """``solver.run`` from ``s0`` as ``(s, rec, der, diag)``: each state,
-    its StepRecord, derivative pass and record.  Each row, with the largest
+    """``solver.run`` from ``s0`` as ``(s, rec, diag)``: each state, its
+    StepRecord and its record.  Each row, with the largest
     renormalized residual per id of ``res_ids`` (0 for ``s0``), is appended
     to ``csv_path`` and flushed before its state is yielded; the file opens
     when the first state arrives and closes on exit or failure."""
@@ -99,7 +101,6 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
     csv = prev = None
     try:
         for s, rec in states:
-            der = derivatives(s, phys)
             if rec is None:
                 csv = open(csv_path, "w", encoding="utf-8")
                 csv.write(csv_header(
@@ -108,15 +109,15 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
                 residuals = [0.0] * len(res_ids)
             elif res_ids:
                 rows = renormalized_continuity_residual(
-                    prev, s, der, rec, reg.eps, res_ids, battery)
+                    prev, s, rec, reg.eps, res_ids, battery)
                 residuals = [max(abs(v) for v in rows[b].values())
                              for b in res_ids]
-            diag = make_record(s, der, reg, phys,
+            diag = make_record(s, reg, phys,
                                dt=None if rec is None else rec.dt)
             csv.write(csv_line(_record_row(diag) + residuals))
             csv.flush()
             prev = s
-            yield s, rec, der, diag
+            yield s, rec, diag
     finally:
         if csv is not None:
             csv.close()
@@ -127,29 +128,31 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
 # ---------------------------------------------------------------------------
 
 Derivatives = namedtuple("Derivatives",
-                         "rho theta d grad_rho_sq stress_power relax_sq")
+                         "theta grad_rho_sq stress_power relax_sq")
 
 
 def derivatives(s, p: PhysParams):
-    """The one derivative pass of a state ``s``, read by its record and its
-    audits: the gradient stacks ``(dim, ...)`` of rho, theta and d, and the
-    pointwise |grad rho|^2, S(grad u):grad u and |laplace d - f(d)|^2, each
-    taken once.  grad rho and grad d are the state's own (``State.grad_rho``,
-    which the step that made ``s`` hands over when eps > 0, and
-    ``State.grad_d``, which the step from ``s`` shares); laplace d is the
-    divergence of that same grad d, or zero for a uniform d
-    (``State.uniform_d``), whose gradient is zero; and grad u is taken from
-    the Galerkin coefficients, as the step takes it.  So the pass of a
-    stepped state with eps > 0 and a uniform director takes grad theta
-    alone."""
+    """The derivative pass of a state ``s`` that its record reads: the
+    gradient stack ``(dim, ...)`` of theta and the pointwise |grad rho|^2,
+    S(grad u):grad u and |laplace d - f(d)|^2, each taken once.  grad rho
+    and grad d are the state's own (``State.grad_rho``, which the step that
+    made ``s`` hands over when eps > 0, and ``State.grad_d``, which the
+    step from ``s`` shares); laplace d is the divergence of that same
+    grad d, or zero for a uniform d (``State.uniform_d``), whose gradient
+    is zero.  So the pass of a stepped state with eps > 0 and a uniform
+    director takes grad theta alone."""
     plan = spectral_plan(s.grid)
-    grad_rho, grad_d = s.grad_rho, s.grad_d
     force = cst.gl_force(s.d, p.penalty_scale)
-    relax = -force if s.uniform_d else plan.div(grad_d) - force
-    grad_u = sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U)
-    return Derivatives(
-        grad_rho, plan.grad(s.theta), grad_d, _sum_sq(s.grid, grad_rho),
-        cst.stress_power(grad_u, p), np.sum(relax * relax, axis=0))
+    relax = -force if s.uniform_d else plan.div(s.grad_d) - force
+    return Derivatives(plan.grad(s.theta), _sum_sq(s.grid, s.grad_rho),
+                       _stress_power(s, p), np.sum(relax * relax, axis=0))
+
+
+def _stress_power(s, p: PhysParams):
+    """Pointwise S(grad u):grad u of ``s``, grad u taken from the Galerkin
+    coefficients, as the step takes it."""
+    return cst.stress_power(
+        sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U), p)
 
 
 def _sum_sq(grid, stack):
@@ -161,16 +164,16 @@ def _sum_sq(grid, stack):
     return out
 
 
-def total_energy(s, grad_d, reg: RegParams, p: PhysParams):
-    """Total energy and its named parts, ``grad_d`` being the director's
-    gradient stack ``plan.grad(s.d)``; the total is the exact
+def total_energy(s, reg: RegParams, p: PhysParams):
+    """Total energy and its named parts, the Frank part read off the
+    state's director gradient (``State.grad_d``); the total is the exact
     float sum of the parts."""
     grid = s.grid
     rho = s.rho
     speed2 = _sum_sq(grid, s.u)
     d_vals = s.d
     # component by component, each over the axes
-    grad_d2 = _sum_sq(grid, grad_d.swapaxes(0, 1))
+    grad_d2 = _sum_sq(grid, s.grad_d.swapaxes(0, 1))
     nu = p.elastic_coupling
     parts = {
         "kinetic": 0.5 * integrate_values(grid, rho * speed2),
@@ -213,13 +216,12 @@ def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
     }
 
 
-def energy_budget_residual(s_prev, diag_prev, s_next, der_next, diag_next,
+def energy_budget_residual(s_prev, diag_prev, s_next, diag_next,
                            reg: RegParams, p: PhysParams, dt):
     """Defect r = [E(next) - E(prev)]/dt + D of the discrete energy balance
     of the step of size dt from s_prev to s_next, ``diag_prev`` and
     ``diag_next`` being their records (:func:`make_record`), whose
-    ``energy_total`` are E(prev) and E(next), and ``der_next`` the
-    :func:`derivatives` of s_next.
+    ``energy_total`` are E(prev) and E(next).
 
     D is the dissipation the scheme's ledger exchanges,
 
@@ -233,12 +235,12 @@ def energy_budget_residual(s_prev, diag_prev, s_next, der_next, diag_next,
     """
     grid = s_next.grid
     plan = spectral_plan(grid)
-    visc = integrate_values(grid, der_next.stress_power)
+    visc = integrate_values(grid, _stress_power(s_next, p))
     sink = integrate_values(
         grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
     grad_bp = plan.grad(sv._pressure_enthalpy(np.maximum(s_next.rho, 0.0),
                                               reg, p))
-    interp = sum(integrate_values(grid, grad_bp[b] * der_next.rho[b])
+    interp = sum(integrate_values(grid, grad_bp[b] * s_next.grad_rho[b])
                  for b in range(grid.dim))
     d_net = reg.delta * visc + reg.delta * sink + reg.eps * interp
     return (diag_next.energy_total - diag_prev.energy_total) / dt + d_net
@@ -297,10 +299,11 @@ def pressure_weight_density(s, reg: RegParams, p: PhysParams):
     return integrate_values(s.grid, integ)
 
 
-def make_record(s, der, reg: RegParams, p: PhysParams, dt=None):
-    """The diagnostics record of one state, ``der`` being its derivative
+def make_record(s, reg: RegParams, p: PhysParams, dt=None):
+    """The diagnostics record of one state, read off its one derivative
     pass (:func:`derivatives`)."""
-    e_total, parts = total_energy(s, der.d, reg, p)
+    der = derivatives(s, p)
+    e_total, parts = total_energy(s, reg, p)
     incr = 0.0
     if dt is not None:
         incr = dt * pressure_weight_density(s, reg, p)
@@ -409,8 +412,8 @@ def _truncation_triple(kind):
     raise KeyError(f"unknown renormalization id {kind!r}")
 
 
-def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
-                                     b_ids, battery):
+def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
+                                     battery):
     """Weak residuals of the renormalized mass balance over one step.
 
     The discrete form pairs, for the step n -> n+1 and test function psi:
@@ -424,10 +427,10 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
     where u is the lagged velocity the step actually used (its Galerkin
     table is read off the StepRecord ``rec``) and P_sin the 2/3 rule of the
     mass flux.  For b = identity this telescopes against the scheme to
-    roundoff.  ``battery`` is :func:`cosine_battery`; |grad rho'|^2, and
-    grad rho' for ``identity``, are read off ``der_next``, the
-    :func:`derivatives` of ``s_next``, and the nodal u and its divergence
-    come from the table once for all the ids ``b_ids``.  Returns
+    roundoff.  ``battery`` is :func:`cosine_battery`; grad rho' is the
+    state's own (``State.grad_rho``), read as grad b(rho') for
+    ``identity``, and |grad rho'|^2, the nodal u and its divergence are
+    taken once for all the ids ``b_ids``.  Returns
     {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
@@ -439,6 +442,8 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
     grad_u = basis.gradient(rec.U_lag)
     div_u = sum(grad_u[a, a] for a in range(dim))
     rho_n, rho_p = s_prev.rho, s_next.rho
+    grad_rho = s_next.grad_rho
+    grad_rho_sq = _sum_sq(grid, grad_rho)
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)
@@ -446,8 +451,8 @@ def renormalized_continuity_residual(s_prev, s_next, der_next, rec, eps,
         db = (b_p - b_n) / dt
         flux = sv._mass_flux(plan, b_n, u_lag)
         dil = (bp(rho_n) * rho_n - b_n) * div_u
-        grad_b = der_next.rho if b_id == "identity" else plan.grad(b_p)
-        burn = bpp(rho_p) * der_next.grad_rho_sq
+        grad_b = grad_rho if b_id == "identity" else plan.grad(b_p)
+        burn = bpp(rho_p) * grad_rho_sq
         row = {}
         for name, psi, grad in battery:
             val = integrate_values(grid, db * psi)

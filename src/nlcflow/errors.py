@@ -60,12 +60,13 @@ class StepFailure(SolverFailure):
 
     It names the ``substep`` it stopped in, the last increment or residual
     (``residual``) where an iteration ran out, and the ``t`` and ``dt`` of
-    the step, which the time stepper fills in once known.
+    the step, which the time stepper sets once known.
     """
 
-    def __init__(self, substep, what, residual=None, t=None, dt=None):
+    t = dt = None
+
+    def __init__(self, substep, what, residual=None):
         self.substep, self.what, self.residual = substep, what, residual
-        self.t, self.dt = t, dt
         super().__init__(what)
 
     def _what(self):
@@ -79,20 +80,20 @@ class StepFailure(SolverFailure):
 class NonFiniteState(StepFailure):
     """A substep met NaN or infinite values."""
 
-    def __init__(self, substep, t=None, dt=None):
-        super().__init__(substep, f"non-finite values in the {substep} substep",
-                         None, t, dt)
+    def __init__(self, substep):
+        super().__init__(
+            substep, f"non-finite values in the {substep} substep")
 
 
 class PicardDivergence(StepFailure):
     """The per-step Picard coupling loop did not reach tolerance; the
     residual is the last relative velocity increment."""
 
-    def __init__(self, sweeps, increment, t=None, dt=None):
+    def __init__(self, sweeps, increment):
         super().__init__(
             "picard", f"the picard velocity iterates did not settle in "
             f"{sweeps} sweeps (last relative increment {increment:.3e})",
-            increment, t, dt)
+            increment)
 
 
 class IterationStall(StepFailure):
@@ -100,10 +101,10 @@ class IterationStall(StepFailure):
     conjugate gradients) used up its iterations; ``measure`` names what
     the residual is."""
 
-    def __init__(self, substep, iters, residual, measure, t=None, dt=None):
+    def __init__(self, substep, iters, residual, measure):
         super().__init__(
             substep, f"the {substep} iteration did not settle in {iters} "
-            f"iterations (last {measure} {residual:.3e})", residual, t, dt)
+            f"iterations (last {measure} {residual:.3e})", residual)
 
 
 class StepUnderflow(StepFailure):
@@ -111,19 +112,19 @@ class StepUnderflow(StepFailure):
     substep is the one whose positivity check rejected the last try, and
     ``dt`` the step size of that try."""
 
-    def __init__(self, substep, halvings, last, t=None, dt=None):
+    def __init__(self, substep, halvings, last):
         super().__init__(
             substep, f"the step was rejected after {halvings} dt halvings "
-            f"(last: {last})", None, t, dt)
+            f"(last: {last})")
 
 
 class SingularMassMatrix(StepFailure):
     """Galerkin mass matrix lost definiteness (density floor breach)."""
 
-    def __init__(self, min_eig, t=None, dt=None):
+    def __init__(self, min_eig):
         super().__init__(
             "momentum", f"the velocity mass matrix is near-singular (min "
-            f"eig {min_eig:.3e})", None, t, dt)
+            f"eig {min_eig:.3e})")
 
 
 class InvalidInitialData(FlowError):

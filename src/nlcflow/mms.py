@@ -150,19 +150,18 @@ def analytic_state(case, grid, t, n_modes):
                     np.stack([fc(mesh, t) for fc in case.d]))
 
 
-def _density_terms(case, s, plan, reg):
+def _density_terms(case, s, plan, reg, m):
     grid = s.grid
     terms = []
     if case.drho_dt is not None:
         terms.append(case.drho_dt(grid.mesh(), s.t))
-    m = sv._mass_flux(plan, s.rho, s.u)
     terms += [plan.deriv(m[b], b, SIN) for b in range(grid.dim)]
     if reg.eps > 0:
-        terms.append(-reg.eps * plan.div(plan.grad(s.rho)))
+        terms.append(-reg.eps * plan.div(s.grad_rho))
     return sum(terms)
 
 
-def _temperature_terms(case, s, plan, reg, p):
+def _temperature_terms(case, s, plan, reg, p, m, grad_u):
     grid, t = s.grid, s.t
     mesh = grid.mesh()
     terms = []
@@ -170,13 +169,10 @@ def _temperature_terms(case, s, plan, reg, p):
         terms.append((reg.delta + s.rho) * case.dtheta_dt(mesh, t))
     if case.drho_dt is not None:
         terms.append(case.drho_dt(mesh, t) * s.theta)
-    m = sv._mass_flux(plan, s.rho, s.u)
     terms += sv._heat_convection(plan, s.theta, m)
     if reg.delta > 0:
         terms.append(reg.delta * np.maximum(s.theta, 0.0)
                      ** (p.cond_growth + 1.0))
-    # grad u as the step takes it
-    grad_u = sv.galerkin_basis(grid, len(s.U)).gradient(s.U)
     q = s.rho * s.theta
     terms += [p.gas_const * q * grad_u[b, b] for b in range(grid.dim)]
     kappa = cst.heat_conductivity(s.theta, p)
@@ -186,31 +182,29 @@ def _temperature_terms(case, s, plan, reg, p):
 
 
 def _director_terms(s, plan, p):
-    force = cst.gl_force(s.d, p.penalty_scale)
-    return np.stack([-p.relax_rate * (plan.div(plan.grad(s.d[k])) - force[k])
-                     for k in range(3)])
+    return -p.relax_rate * (plan.div(s.grad_d)
+                            - cst.gl_force(s.d, p.penalty_scale))
 
 
-def _momentum_terms(case, s, plan, reg, p):
+def _momentum_terms(case, s, plan, reg, p, m, grad_u):
     """The momentum source stack.  A temporal case takes the step's own
-    forces (:func:`solver._momentum_forces`).  A steady, quiescent spatial
-    case keeps only the pressure forces, and must write them out here: the
-    step's force is only ever paired with the sine Galerkin modes, so it
-    projects grad bp onto the all-sine band along every axis.  That is not
-    a nodal field of component c's parity (sine along axis c, cosine
-    elsewhere), the one :func:`_restrict` interpolates, and through it
-    acceptance criterion 07's spatial ratio falls from 8e5 to about 3."""
+    forces (:func:`solver._momentum_forces`), with no Ericksen force, as
+    the step of an inert director: every registered temporal director is
+    the constant e_1.  A steady, quiescent spatial case keeps only the
+    pressure forces, and must write them out here: the step's force is
+    only ever paired with the sine Galerkin modes, so it projects grad bp
+    onto the all-sine band along every axis.  That is not a nodal field of
+    component c's parity (sine along axis c, cosine elsewhere), the one
+    :func:`_restrict` interpolates, and through it acceptance criterion
+    07's spatial ratio falls from 8e5 to about 3."""
     grid, t = s.grid, s.t
     dim = grid.dim
     rho = s.rho
     if case.kind == "temporal":
         u = s.u
         mesh = grid.mesh()
-        grad_u = sv.galerkin_basis(grid, len(s.U)).gradient(s.U)
-        m = sv._mass_flux(plan, rho, u)
-        gtilde = np.zeros((3,) + grid.shape)
         force = sv._momentum_forces(
-            plan, u, grad_u, rho, rho, m, s.theta, s.grad_d, gtilde,
+            plan, u, grad_u, rho, rho, m, s.theta, None, None,
             s.grad_rho if reg.eps > 0 else None, reg, p)
         div_u = sum(grad_u[a, a] for a in range(dim))
         out = []
@@ -233,12 +227,16 @@ def _momentum_terms(case, s, plan, reg, p):
 def _assemble(case, grid, reg, p, t):
     """The sources ``(rho, momentum stack, theta, director stack)`` at
     ``t``, every equation's terms composed from one analytic state on
-    ``grid`` and summed in one fixed order."""
+    ``grid`` and summed in one fixed order.  The mass flux and grad u
+    (from the Galerkin coefficients, as the step takes it) are taken once
+    and shared by the equations that read them."""
     s = analytic_state(case, grid, t, reg.n_modes)
     plan = spectral_plan(grid)
-    return (_density_terms(case, s, plan, reg),
-            _momentum_terms(case, s, plan, reg, p),
-            _temperature_terms(case, s, plan, reg, p),
+    m = sv._mass_flux(plan, s.rho, s.u)
+    grad_u = sv.galerkin_basis(grid, len(s.U)).gradient(s.U)
+    return (_density_terms(case, s, plan, reg, m),
+            _momentum_terms(case, s, plan, reg, p, m, grad_u),
+            _temperature_terms(case, s, plan, reg, p, m, grad_u),
             _director_terms(s, plan, p))
 
 

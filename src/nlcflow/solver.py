@@ -113,8 +113,8 @@ class State:
     state with no past, such as an initial one, has ``()``.
 
     ``grad_d``, the director's gradient stack ``plan.grad(d)``, is taken
-    on first use and kept, so the step from this state and its derivative
-    pass (``diagnostics.derivatives``) share it, whichever asks first.  A
+    on first use and kept, so the step from this state and its record
+    (``diagnostics.make_record``) share it, whichever asks first.  A
     uniform director (``uniform_d``: every node equals the first, compared
     exactly, checked once and kept) has an exactly zero gradient, which is
     a zero stack with no product.  The step reads ``grad_d`` only for a
@@ -124,8 +124,8 @@ class State:
     ``grad_rho``, the density's gradient ``plan.grad(rho)``, is likewise
     kept once taken.  A step with eps > 0 takes it on every sweep and hands
     the accepted sweep's to the new state (``grad_rho`` here), so the
-    derivative pass of that state does not take it again; any other state
-    takes it on first use.
+    record and the audits of that state do not take it again; any other
+    state takes it on first use.
     """
 
     __slots__ = ("grid", "t", "rho", "U", "theta", "d", "history", "u",
@@ -795,7 +795,7 @@ def _picard_advance(s, reg, p, dt, sources):
     (:func:`_momentum_system`), and so are the denominators of the step's
     three Helmholtz solves (density diffusion, director, heat
     preconditioner).  The old director's gradient is ``s.grad_d``, which
-    the derivative pass of ``s`` may already have taken.
+    the record of ``s`` may already have taken.
 
     A director that is inert over the step (:func:`_inert_director`: no
     director source and d^n a uniform field of exactly unit length, or
@@ -808,7 +808,8 @@ def _picard_advance(s, reg, p, dt, sources):
 
     With eps > 0 each sweep takes grad rho' once, for its momentum forces,
     and the accepted sweep's is the new state's ``grad_rho``, so the
-    derivative pass of that state reads it instead of taking it again.
+    record and the audits of that state read it instead of taking it
+    again.
 
     The new state's history is ``((dt, U^n, theta^n, d^n),)`` followed by
     the k levels of ``s`` that predicted the step, at most
@@ -914,8 +915,9 @@ def step_coupled(s: State, reg: RegParams, cfg: SolverConfig, p: PhysParams,
                 start = State(s.grid, s.t, s.rho, s.U, s.theta, s.d)
                 continue
             if halving == 10:
-                raise StepUnderflow(exc.substep, halving, exc, s.t, dt) \
-                    from exc
+                underflow = StepUnderflow(exc.substep, halving, exc)
+                underflow.t, underflow.dt = s.t, dt
+                raise underflow from exc
             halving += 1
             dt *= 0.5
         except StepFailure as exc:

@@ -15,12 +15,6 @@ def grid2d():
     return Grid((32, 32), (2.0, 2.0))
 
 
-def director_gradient(s):
-    """The gradient stack of the director of ``s``, the one derivative
-    ``diagnostics.total_energy`` reads."""
-    return spectral_plan(s.grid).grad(s.d)
-
-
 def sine_gradient(plan, values):
     """Gradient stack ``(dim, ...)`` of an all-sine array (or stack), such
     as a nodal velocity: entry a is its derivative along axis a."""
@@ -79,8 +73,7 @@ def bump_state(grid, n_modes=8, rho_base=1.0, rho_amp=0.5, u_amp=0.05):
 
 def trajectory_records(pairs, reg, p):
     """DiagRecords of the ``(state, record)`` pairs of a run."""
-    return [dg.make_record(s, dg.derivatives(s, p), reg, p,
-                           dt=None if rec is None else rec.dt)
+    return [dg.make_record(s, reg, p, dt=None if rec is None else rec.dt)
             for s, rec in pairs]
 
 
@@ -107,12 +100,11 @@ def run_lists(s0, reg, cfg, p, **kwargs):
     return states, records
 
 
-def renorm_rows(states, records, eps, b_id, p):
+def renorm_rows(states, records, eps, b_id):
     """Per-step renormalized-residual rows of one id over a trajectory."""
     battery = dg.cosine_battery(states[0].grid)
     return [dg.renormalized_continuity_residual(
-                a, b, dg.derivatives(b, p), rec, eps, (b_id,),
-                battery)[b_id]
+                a, b, rec, eps, (b_id,), battery)[b_id]
             for a, b, rec in zip(states, states[1:], records[1:])]
 
 

@@ -23,8 +23,7 @@ from nlcflow.fields import (COS, Grid, _strip_sine_nyquist,
                             integrate_values, spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 
-from conftest import (bump_state, director_gradient,
-                      inverse_laplacian_neumann, renorm_rows,
+from conftest import (bump_state, inverse_laplacian_neumann, renorm_rows,
                       residual_series_max, run_lists, truncation_companion,
                       viscous_stress)
 
@@ -206,17 +205,14 @@ def test_criterion_04_energy_inequality(capsys):
 
     def defects(dt):
         states, records = _run(bump_state(grid), REG, dt, 0.02)
-        ders = [dg.derivatives(s, P) for s in states]
-        diags = [dg.make_record(s, der, REG, P)
-                 for s, der in zip(states, ders)]
-        vals = [dg.energy_budget_residual(a, ra, b, db, rb, REG, P, rec.dt)
-                for a, ra, b, db, rb, rec in zip(
-                    states, diags, states[1:], ders[1:], diags[1:],
-                    records[1:])]
+        diags = [dg.make_record(s, REG, P) for s in states]
+        vals = [dg.energy_budget_residual(a, ra, b, rb, REG, P, rec.dt)
+                for a, ra, b, rb, rec in zip(
+                    states, diags, states[1:], diags[1:], records[1:])]
         return states, vals
 
     states, base = defects(1e-3)
-    e0, _ = dg.total_energy(states[0], director_gradient(states[0]), REG, P)
+    e0, _ = dg.total_energy(states[0], REG, P)
     worst = max(base)
     maxima = [max(abs(v) for v in base)]
     for dt in (5e-4, 2.5e-4):
@@ -344,7 +340,7 @@ def test_criterion_09_renormalized_continuity(capsys):
     grid = Grid((32, 32), (2.0, 2.0))
     states, records = _run(bump_state(grid), REG, 1e-3, 0.02)
     _, ident = residual_series_max(
-        renorm_rows(states, records, REG.eps, "identity", P))
+        renorm_rows(states, records, REG.eps, "identity"))
 
     grid64 = Grid((64, 64), (2.0, 2.0))
     reg0 = RegParams(eps=0.0, delta=1e-3, beta=5.0, n_modes=8)
@@ -354,7 +350,7 @@ def test_criterion_09_renormalized_continuity(capsys):
                          reg0, dt, 0.02)
         for b in maxima:
             _, overall = residual_series_max(
-                renorm_rows(sts, recs, reg0.eps, b, P))
+                renorm_rows(sts, recs, reg0.eps, b))
             maxima[b].append(overall)
     monotone = all(v[0] > v[1] > v[2] for v in maxima.values())
     factors = {b: v[0] / v[2] for b, v in maxima.items()}

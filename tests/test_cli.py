@@ -402,8 +402,8 @@ def test_state_from_its_snapshot_gives_the_streamed_row(tmp_path):
     for k, line in enumerate(streamed[2:]):
         s = cli.read_restart(str(tmp_path / "r" / f"snap_{k:06d}.dat"),
                              conf.grid)
-        rec = dg.make_record(s, dg.derivatives(s, conf.phys), conf.reg,
-                             conf.phys, dt=s.history[0][0] if k else None)
+        rec = dg.make_record(s, conf.reg, conf.phys,
+                             dt=s.history[0][0] if k else None)
         assert dg.csv_line(dg._record_row(rec)) \
             == ",".join(line.split(",")[:width]) + "\n"
 
@@ -1321,8 +1321,8 @@ def _post_processing_counts(monkeypatch):
 def test_post_processing_differentiates_each_state_once(tmp_path,
                                                         monkeypatch,
                                                         residuals):
-    """One derivative pass per state feeds its record, its residual audit
-    and the continuation tallies.  At 2-D, counted in per-axis ``deriv``
+    """Each state is differentiated once across its record, its residual
+    audit and the continuation tallies.  At 2-D, counted in per-axis ``deriv``
     calls, a pass that takes every derivative takes grad rho, grad theta
     and grad d, 2 each, and laplace d as the divergence of that grad d, 2,
     so 8; grad u comes from the Galerkin coefficients, with no ``deriv``,
@@ -1337,14 +1337,15 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     ``solve run`` on ``director-twist``, with m residual ids, ``identity``
     among them: per stepped state the pass takes grad theta, grad d and
     laplace d, 6, and the audit adds grad b(rho') per id but
-    ``identity``, whose grad rho' is the pass's, 2 (m - 1): 4 + 2 m.  With
-    eps = 0 no step takes grad rho', and the pass takes it: 6 + 2 m.  The
+    ``identity``, whose grad rho' is the state's, 2 (m - 1): 4 + 2 m.  With
+    eps = 0 no step takes grad rho', and the state takes it on first use,
+    in its audit or its record: 6 + 2 m.  The
     initial state is handed out only after the first step, which took its
     grad d, so its pass takes 6 either way.
 
     The continuation on ``density-bump`` (eps > 0), whose uniform unit
     director stays uniform: per stepped state the pass takes grad theta,
-    2, and the tally adds laplace rho as the divergence of the pass's
+    2, and the tally adds laplace rho as the divergence of the state's
     grad rho, 2: 4; the initial state's pass takes grad rho and
     grad theta, 4.  The stress power is evaluated once per record."""
     m = len(residuals.split(","))
@@ -1389,7 +1390,9 @@ def test_continuation_failure_names_its_entry(tmp_path, capsys,
 
     def failing(s, reg, cfg, p, *args):
         if reg.delta == 1e-3:
-            raise NonFiniteState("director", t=s.t, dt=cfg.dt)
+            exc = NonFiniteState("director")
+            exc.t, exc.dt = s.t, cfg.dt
+            raise exc
         return step(s, reg, cfg, p, *args)
 
     monkeypatch.setattr(sv, "step_coupled", failing)

@@ -13,9 +13,9 @@ from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
 
-from conftest import (bump_state, director_gradient, equilibrium_state,
-                      renorm_rows, residual_series_max, run_lists,
-                      trajectory_records, unit_director, weak_series)
+from conftest import (bump_state, equilibrium_state, renorm_rows,
+                      residual_series_max, run_lists, trajectory_records,
+                      unit_director, weak_series)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def test_total_energy_constant_state_pin(grid2d):
     p = PhysParams(gamma=2.0)
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    total, parts = dg.total_energy(s, director_gradient(s), reg, p)
+    total, parts = dg.total_energy(s, reg, p)
     area = 4.0
     assert total == pytest.approx(2.0 * area, rel=1e-14)
     assert parts["elastic"] == pytest.approx(area, rel=1e-14)
@@ -38,7 +38,7 @@ def test_total_energy_vacuum_is_zero(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
-    total, parts = dg.total_energy(s, director_gradient(s), reg, p)
+    total, parts = dg.total_energy(s, reg, p)
     assert total == 0.0
     assert all(v == 0.0 for v in parts.values())
 
@@ -47,7 +47,7 @@ def test_total_energy_parts_sum_exactly(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
-    total, parts = dg.total_energy(s, director_gradient(s), reg, p)
+    total, parts = dg.total_energy(s, reg, p)
     assert total == sum(parts.values())
     assert all(v >= 0.0 for v in parts.values())
 
@@ -57,11 +57,11 @@ def test_frank_energy_gauge_invariance(grid2d):
     p = PhysParams()
     reg = RegParams(n_modes=4)
     s = bump_state(grid2d)
-    _, parts = dg.total_energy(s, director_gradient(s), reg, p)
+    _, parts = dg.total_energy(s, reg, p)
     shifted = s.d.copy()
     shifted[0] += 0.7
     s2 = sv.State(grid2d, s.t, s.rho, s.U, s.theta, shifted)
-    _, parts2 = dg.total_energy(s2, director_gradient(s2), reg, p)
+    _, parts2 = dg.total_energy(s2, reg, p)
     assert parts2["frank"] == pytest.approx(parts["frank"], rel=1e-12)
     assert parts2["penalty"] != pytest.approx(parts["penalty"], rel=1e-3)
 
@@ -71,12 +71,11 @@ def test_frank_energy_gauge_invariance(grid2d):
 # ---------------------------------------------------------------------------
 
 def _budget(s_prev, s_next, reg, p, dt):
-    """The audit's defect of one step, each state's record made from its
-    derivative pass, as a run loop makes them."""
-    der = dg.derivatives(s_next, p)
+    """The audit's defect of one step, read off its two states and their
+    records, as a run loop makes them."""
     return dg.energy_budget_residual(
-        s_prev, dg.make_record(s_prev, dg.derivatives(s_prev, p), reg, p),
-        s_next, der, dg.make_record(s_next, der, reg, p, dt=dt), reg, p, dt)
+        s_prev, dg.make_record(s_prev, reg, p),
+        s_next, dg.make_record(s_next, reg, p, dt=dt), reg, p, dt)
 
 
 def test_budget_equilibrium_exact_zero(grid2d):
@@ -104,7 +103,7 @@ def test_budget_one_sided_on_bump_run(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d)
-    e0, _ = dg.total_energy(s0, director_gradient(s0), reg, p)
+    e0, _ = dg.total_energy(s0, reg, p)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
     for k in range(1, len(states)):
@@ -120,17 +119,12 @@ def test_budget_reads_the_records_energies(grid2d):
     s0 = bump_state(grid2d)
     s1, rec = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0),
                               p)
-    der0, der1 = dg.derivatives(s0, p), dg.derivatives(s1, p)
-    diag0 = dg.make_record(s0, der0, reg, p)
-    diag1 = dg.make_record(s1, der1, reg, p, dt=rec.dt)
-    fresh0 = replace(diag0, energy_total=dg.total_energy(
-        s0, dg.derivatives(s0, p).d, reg, p)[0])
-    fresh1 = replace(diag1, energy_total=dg.total_energy(
-        s1, dg.derivatives(s1, p).d, reg, p)[0])
-    got = dg.energy_budget_residual(s0, diag0, s1, der1, diag1, reg, p,
-                                    rec.dt)
-    want = dg.energy_budget_residual(s0, fresh0, s1, der1, fresh1, reg, p,
-                                     rec.dt)
+    diag0 = dg.make_record(s0, reg, p)
+    diag1 = dg.make_record(s1, reg, p, dt=rec.dt)
+    fresh0 = replace(diag0, energy_total=dg.total_energy(s0, reg, p)[0])
+    fresh1 = replace(diag1, energy_total=dg.total_energy(s1, reg, p)[0])
+    got = dg.energy_budget_residual(s0, diag0, s1, diag1, reg, p, rec.dt)
+    want = dg.energy_budget_residual(s0, fresh0, s1, fresh1, reg, p, rec.dt)
     assert got == want and got != 0.0
 
 
@@ -154,8 +148,8 @@ def _ledger_budget(s_prev, s_next, reg, p, dt, basis):
     eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
     d_net = (reg.delta * visc + reg.delta * sink
              + reg.eps * interp_form(p.gamma) + reg.eps * reg.delta * eps_beta)
-    e_next, _ = dg.total_energy(s_next, director_gradient(s_next), reg, p)
-    e_prev, _ = dg.total_energy(s_prev, director_gradient(s_prev), reg, p)
+    e_next, _ = dg.total_energy(s_next, reg, p)
+    e_prev, _ = dg.total_energy(s_prev, reg, p)
     return (e_next - e_prev) / dt + d_net
 
 
@@ -202,7 +196,7 @@ def test_record_differentiates_its_state_once(grid2d, monkeypatch):
 
     monkeypatch.setattr(fields, "_along", counted)
     p = PhysParams()
-    dg.make_record(s, dg.derivatives(s, p), RegParams(), p, dt=1e-3)
+    dg.make_record(s, RegParams(), p, dt=1e-3)
     assert len(units) == 8 and sum(units) == 16
 
 
@@ -314,7 +308,7 @@ def test_renorm_identity_machine_zero(grid2d):
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
-    rows = renorm_rows(states, records, reg.eps, "identity", p)
+    rows = renorm_rows(states, records, reg.eps, "identity")
     _, worst = residual_series_max(rows)
     assert worst <= 1e-10
 
@@ -326,7 +320,7 @@ def test_renorm_constant_state_zero(grid2d):
     cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
     states, records = run_lists(s, reg, cfg, p)
     for b_id in ("identity", "T1", "T4", "zlog"):
-        rows = renorm_rows(states, records, reg.eps, b_id, p)
+        rows = renorm_rows(states, records, reg.eps, b_id)
         _, worst = residual_series_max(rows)
         assert worst <= 1e-12
 
@@ -340,7 +334,7 @@ def test_renorm_smooth_kernel_first_order(grid2d):
         s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
         states, records = run_lists(s0, reg,
                                     sv.SolverConfig(dt=dt, t_end=1e-2), p)
-        rows = renorm_rows(states, records, reg.eps, "zlog", p)
+        rows = renorm_rows(states, records, reg.eps, "zlog")
         worst.append(residual_series_max(rows)[1])
     ratio = worst[0] / worst[1]
     assert 1.6 <= ratio <= 2.4
@@ -350,8 +344,9 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
     """The test functions' gradients are taken once per run, grad rho'
     not at all, and div u with no ``deriv``: the audit reads
     |grad rho'|^2, and grad b(rho') = grad rho' of the ``identity`` id,
-    off the derivative pass of the new state, computed before the count,
-    and div u off the Galerkin gradient of the step's velocity table.  At
+    off the grad rho' the step handed to the new state
+    (``State.grad_rho``), and div u off the Galerkin gradient of the
+    step's velocity table.  At
     2-D with the three-function cosine battery, m ids other than
     ``identity`` and k steps the audit takes
       6       battery gradients, once per run (3 functions x 2 axes)
@@ -365,7 +360,6 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
     s0 = bump_state(grid2d, rho_base=3.0, rho_amp=2.2)
     cfg = sv.SolverConfig(dt=1e-3, t_end=2e-3)
     states, records = run_lists(s0, reg, cfg, p)
-    ders = [dg.derivatives(s, p) for s in states]
     calls = []
     plan = spectral_plan(grid2d)
     deriv = plan.deriv
@@ -376,17 +370,16 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
 
     monkeypatch.setattr(plan, "deriv", counted)
     battery = dg.cosine_battery(grid2d)
-    rows = [dg.renormalized_continuity_residual(a, b, der, rec, reg.eps,
+    rows = [dg.renormalized_continuity_residual(a, b, rec, reg.eps,
                                                 ("T1", "identity"), battery)
-            for a, b, der, rec in zip(states, states[1:], ders[1:],
-                                      records[1:])]
+            for a, b, rec in zip(states, states[1:], records[1:])]
     steps = len(rows)
     assert steps == 2 and all(list(r) == ["T1", "identity"] for r in rows)
     assert len(calls) == 6 + steps * 2 * 1 == 10
     monkeypatch.undo()
     for b_id in ("T1", "identity"):
         assert [r[b_id] for r in rows] == renorm_rows(states, records,
-                                                      reg.eps, b_id, p)
+                                                      reg.eps, b_id)
 
 
 def test_renorm_unknown_kernel_rejected():

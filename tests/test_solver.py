@@ -1214,7 +1214,8 @@ def test_coupled_step_takes_each_derivative_once(grid2d, monkeypatch,
 def test_stepped_state_takes_its_director_gradient_once(grid2d, monkeypatch,
                                                         first):
     """A stepped state's director gradient is taken once across its
-    derivative pass and the step from it, whichever comes first: both read
+    record and the step from it, whichever comes first: the record's
+    derivative pass, its Frank energy and the step all read
     ``State.grad_d``.  The director is the live one of ``director-twist``;
     an inert director's step takes no gradient at all."""
     from nlcflow import diagnostics as dg
@@ -1234,11 +1235,10 @@ def test_stepped_state_takes_its_director_gradient_once(grid2d, monkeypatch,
     monkeypatch.setattr(SpectralPlan, "grad", counting)
     if first == "step":
         sv.step_coupled(s1, reg, cfg, p)
-    der = dg.derivatives(s1, p)
+    dg.make_record(s1, reg, p)
     if first == "pass":
         sv.step_coupled(s1, reg, cfg, p)
     assert len(taken) == 1 and taken[0] is s1.d
-    assert der.d is s1.grad_d
 
 
 def _slices(monkeypatch, grid):
@@ -1258,22 +1258,23 @@ def _slices(monkeypatch, grid):
 
 def test_pass_of_a_stepped_bump_state_takes_grad_theta_alone(monkeypatch):
     """On the configuration of the ``run-bump-128`` benchmark (128^2
-    ``density-bump``, eps = 1e-2), the derivative pass of a stepped state
-    takes only grad theta, 2 N x N slices, where it took 16 (grad rho 2,
-    grad theta 2, grad d 6, laplace d 6): the step hands over its accepted
-    sweep's grad rho' (``State.grad_rho``), and the uniform unit director
-    has a zero gradient and Laplacian, taken with no product.  The initial
-    state has no step behind it and takes grad rho too, 4."""
+    ``density-bump``, eps = 1e-2), the record of a stepped state, whose
+    derivative pass is its only spectral work, takes only grad theta,
+    2 N x N slices, where it took 16 (grad rho 2, grad theta 2, grad d 6,
+    laplace d 6): the step hands over its accepted sweep's grad rho'
+    (``State.grad_rho``), and the uniform unit director has a zero
+    gradient and Laplacian, taken with no product.  The initial state has
+    no step behind it and takes grad rho too, 4."""
     from nlcflow import diagnostics as dg
     grid = Grid((128, 128), (2.0, 2.0))
     p = PhysParams()
     s0, reg = _density_bump_start(grid)
     s1, _ = sv.step_coupled(s0, reg, sv.SolverConfig(dt=1e-3, t_end=1.0), p)
     units = _slices(monkeypatch, grid)
-    dg.derivatives(s0, p)
+    dg.make_record(s0, reg, p)
     assert sum(units) == 4
     units.clear()
-    dg.derivatives(s1, p)
+    dg.make_record(s1, reg, p, dt=1e-3)
     assert sum(units) == 2
 
 
@@ -1311,8 +1312,8 @@ def test_uniform_director_off_unit_length_has_a_free_zero_gradient(
     fixed point (``test_director_off_the_fixed_point_takes_the_full_substep``),
     and the new director is uniform again.  Each state's ``grad_d`` is a
     read-only zero stack taken with no product, and its record is the one
-    its pass makes from ``plan.grad(d)`` and its divergence, the pass of a
-    state not known to be uniform, to the last bit."""
+    made from ``plan.grad(d)`` and its divergence, the record of a state
+    not known to be uniform, to the last bit."""
     from nlcflow import diagnostics as dg
     p = PhysParams()
     s0, reg = _uniform_director_start(grid2d, (0.5, 0.0, 0.0))
@@ -1329,9 +1330,8 @@ def test_uniform_director_off_unit_length_has_a_free_zero_gradient(
         full = sv.State(grid2d, s.t, s.rho, s.U, s.theta, s.d)
         full._uniform_d = False     # as if unchecked: grad d is taken
         assert np.array_equal(full.grad_d, grad_d)
-        rows = [dg.csv_line(dg._record_row(dg.make_record(
-            state, dg.derivatives(state, p), reg, p, dt)))
-            for state in (s, full)]
+        rows = [dg.csv_line(dg._record_row(dg.make_record(state, reg, p, dt)))
+                for state in (s, full)]
         assert rows[0] == rows[1]
 
 
