@@ -389,7 +389,8 @@ def cmd_mms(case_name, config_path):
     _write_text(os.path.join(out, f"mms_{case.name}_orders.json"),
                 json.dumps(_finite_or_null(summary), indent=2,
                            sort_keys=True) + "\n")
-    print("observed order(s): " + ", ".join("%.3f" % o for o in shown))
+    print("observed order(s): " + ", ".join(
+        "at round-off" if o is None else "%.3f" % o for o in shown))
     print(f"outputs in {out}")
     return 0
 

@@ -1,11 +1,16 @@
 """Monitored functionals, budget audits and renormalized residuals, the
 CSV rows of the records, and :func:`stream`, the one run loop.
 
-Everything else is read-only over solver states.  A record differentiates
-its state once (:func:`derivatives`); the audits and the records read the
-gradients of rho and d that the state keeps (``State.grad_rho``,
-``State.grad_d``).  The energy budget residual of a step is read off its
-two states and their records alone: its dissipation is the one the
+Everything else is read-only over solver states.  A record
+(:func:`make_record`) takes each pointwise array of its state once, grad
+theta its one derivative, and every integral of its energy, dissipation and
+entropy ledgers reads those arrays; a uniform director's terms are taken at
+one node.  The audits and the records read the gradients of rho and d that
+the state keeps (``State.grad_rho``, ``State.grad_d``).  A renormalized
+residual audit is one contraction per id of its integrand stack with the
+test-function battery, which is one stack built once per run
+(:func:`cosine_battery`).  The energy budget residual of a step is read off
+its two states and their records alone: its dissipation is the one the
 scheme's ledger exchanges, evaluated with the step's own kernels, so the
 residual is a genuine audit of the discrete inequality, small and one-sided.
 """
@@ -13,7 +18,7 @@ residual is a genuine audit of the discrete inequality, small and one-sided.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,7 @@ import numpy as np
 from . import constitutive as cst
 from . import solver as sv
 from .errors import GridMismatch, NonPositiveTemperature
-from .fields import integrate_values, spectral_plan
+from .fields import _readonly, integrate_values, spectral_plan
 from .params import PhysParams, RegParams
 
 
@@ -99,6 +104,7 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
     states = sv.run(s0, reg, solver_cfg, phys)
     del s0      # ``solver.run`` hands it out and lets it go
     csv = prev = None
+    carry = {}
     try:
         for s, rec in states:
             if rec is None:
@@ -109,11 +115,11 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
                 residuals = [0.0] * len(res_ids)
             elif res_ids:
                 rows = renormalized_continuity_residual(
-                    prev, s, rec, reg.eps, res_ids, battery)
+                    prev, s, rec, reg.eps, res_ids, battery, carry)
                 residuals = [max(abs(v) for v in rows[b].values())
                              for b in res_ids]
             diag = make_record(s, reg, phys,
-                               dt=None if rec is None else rec.dt)
+                               None if rec is None else rec.dt, carry)
             csv.write(csv_line(_record_row(diag) + residuals))
             csv.flush()
             prev = s
@@ -124,28 +130,28 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
 
 
 # ---------------------------------------------------------------------------
-# the derivative pass of a state, and energy
+# the record of a state
 # ---------------------------------------------------------------------------
 
-Derivatives = namedtuple("Derivatives",
-                         "theta grad_rho_sq stress_power relax_sq")
+def _sum_sq(grid, stack):
+    """Pointwise sum of the squares of a stack's arrays, taken in the
+    order of its leading indices."""
+    arrays = stack.reshape((-1,) + grid.shape)
+    out = arrays[0] * arrays[0]
+    for values in arrays[1:]:
+        out += values * values
+    return out
 
 
-def derivatives(s, p: PhysParams):
-    """The derivative pass of a state ``s`` that its record reads: the
-    gradient stack ``(dim, ...)`` of theta and the pointwise |grad rho|^2,
-    S(grad u):grad u and |laplace d - f(d)|^2, each taken once.  grad rho
-    and grad d are the state's own (``State.grad_rho``, which the step that
-    made ``s`` hands over when eps > 0, and ``State.grad_d``, which the
-    step from ``s`` shares); laplace d is the divergence of that same
-    grad d, or zero for a uniform d (``State.uniform_d``), whose gradient
-    is zero.  So the pass of a stepped state with eps > 0 and a uniform
-    director takes grad theta alone."""
-    plan = spectral_plan(s.grid)
-    force = cst.gl_force(s.d, p.penalty_scale)
-    relax = -force if s.uniform_d else plan.div(s.grad_d) - force
-    return Derivatives(plan.grad(s.theta), _sum_sq(s.grid, s.grad_rho),
-                       _stress_power(s, p), np.sum(relax * relax, axis=0))
+def _carried(carry, key, source, take):
+    """``take(source)``, read from the dict ``carry`` when its entry under
+    ``key`` was taken of this same array, else taken and left there: the
+    run loop's carry hands a state's |grad rho|^2 from its residual audit
+    to its record, and each id's b(rho') to the next step's audit."""
+    kept = carry.get(key)
+    if kept is None or kept[0] is not source:
+        kept = carry[key] = source, take(source)
+    return kept[1]
 
 
 def _stress_power(s, p: PhysParams):
@@ -155,65 +161,123 @@ def _stress_power(s, p: PhysParams):
         sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U), p)
 
 
-def _sum_sq(grid, stack):
-    """Pointwise sum of the squares of a stack's arrays, taken in the
-    order of its leading indices."""
-    out = np.zeros(grid.shape)
-    for index in np.ndindex(stack.shape[:stack.ndim - grid.dim]):
-        out += stack[index] ** 2
-    return out
+# the integrands a record forms itself, one row each of the stack that
+# :func:`make_record` sums in one reduction
+_FORMED = ("kinetic", "thermal", "thermal_sink", "density_gamma",
+           "density_beta", "entropy", "pressure_weight")
 
 
-def total_energy(s, reg: RegParams, p: PhysParams):
-    """Total energy and its named parts, the Frank part read off the
-    state's director gradient (``State.grad_d``); the total is the exact
-    float sum of the parts."""
+def make_record(s, reg: RegParams, p: PhysParams, dt=None, carry=None):
+    """The diagnostics record of one state.  Each pointwise array is taken
+    once and read by every integral that needs it: the clipped density
+    rho+, its powers rho+^e = (e - 1) P_e read off the convex potentials
+    P_e(rho) = rho^e / (e - 1) for e = gamma and beta, theta^alpha,
+    |grad rho|^2 (read from ``carry``, the run loop's dict, when the
+    residual audit of the step that made ``s`` took it), S(grad u):grad u, |d|^2 and the director relaxation
+    laplace d - f(d); each law of ``constitutive`` is evaluated once, on
+    the state's arrays.  A uniform director (``State.uniform_d``) has an
+    exactly zero Frank term, and its penalty and relaxation are taken at
+    one node.  The integrands the record forms itself are the rows of one
+    stack (``_FORMED``), summed in one reduction; the arrays the laws
+    return are integrated as they are.
+
+    Energy: kinetic, elastic, artificial, Frank, penalty and thermal parts
+    and their exact float sum.  Dissipation: viscous, director relaxation,
+    thermal sink delta theta^(alpha+1) and density eps (gamma
+    rho^(gamma-2) + delta beta rho^(beta-2)) |grad rho|^2.  Entropy: the
+    integral of rho (log theta - log rho), rho log rho -> 0 in vacuum, and
+    the pointwise minimum of the production kappa(theta)|grad theta|^2 /
+    theta^2 + S:grad u / theta + nu relax_rate |laplace d - f(d)|^2 /
+    theta, which needs theta > 0.  With ``dt``, the pressure weight
+    increment dt * integral of (rho^gamma + R rho theta + delta rho^beta)
+    rho."""
     grid = s.grid
-    rho = s.rho
-    speed2 = _sum_sq(grid, s.u)
-    d_vals = s.d
-    # component by component, each over the axes
-    grad_d2 = _sum_sq(grid, s.grad_d.swapaxes(0, 1))
+    plan = spectral_plan(grid)
     nu = p.elastic_coupling
+    rho, theta, d = s.rho, s.theta, s.d
+    pot_g = cst.convex_pressure_potential(rho, p.gamma)
+    pot_b = cst.convex_pressure_potential(rho, reg.beta) \
+        if reg.delta > 0 else np.zeros_like(rho)
+    if float(theta.min()) <= 0.0:
+        raise NonPositiveTemperature("entropy production needs theta > 0")
+    rho_c = np.maximum(rho, 0.0)
+    positive = rho_c > 0
+    stress = _stress_power(s, p)
+
+    # a uniform director's penalty and relaxation are taken at its first
+    # node and integrated as the uniform fields they are, bit for bit the
+    # sums over every node
+    if s.uniform_d:
+        d = d[plan.corner]
+        frank = 0.0
+        relax = -cst.gl_force(d, p.penalty_scale)
+    else:
+        # component by component, each over the axes
+        frank = 0.5 * nu * integrate_values(
+            grid, _sum_sq(grid, s.grad_d.swapaxes(0, 1)))
+        relax = plan.div(s.grad_d) - cst.gl_force(d, p.penalty_scale)
+    relax_sq = np.sum(relax * relax, axis=0)
+    penalty, relax_int = (
+        integrate_values(grid, np.broadcast_to(values, grid.shape))
+        for values in (cst.gl_potential(d, p.penalty_scale), relax_sq))
+
+    stack = np.empty((len(_FORMED),) + grid.shape)
+    row = dict(zip(_FORMED, stack))
+    np.multiply(rho, _sum_sq(grid, s.u), out=row["kinetic"])
+    np.multiply(rho + reg.delta, theta, out=row["thermal"])
+    np.multiply(theta ** p.cond_growth, theta, out=row["thermal_sink"])
+    # rho^e / rho^2 |grad rho|^2 where rho > 0, and zero in vacuum
+    rho_sq = rho_c * rho_c
+    grad_rho_sq = _carried({} if carry is None else carry, "grad_rho_sq",
+                           s.grad_rho, lambda g: _sum_sq(grid, g))
+    pres_g, pres_b = (p.gamma - 1.0) * pot_g, (reg.beta - 1.0) * pot_b
+    for key, pres in (("density_gamma", pres_g), ("density_beta", pres_b)):
+        row[key].fill(0.0)
+        np.divide(pres, rho_sq, out=row[key], where=positive)
+        row[key] *= grad_rho_sq
+    # node by node where rho > 0; the other nodes stay zero, unevaluated
+    log_rho = np.log(rho, out=np.empty_like(rho), where=positive)
+    entropy = row["entropy"]
+    entropy.fill(0.0)
+    np.log(theta, out=entropy, where=positive)
+    np.subtract(entropy, log_rho, out=entropy, where=positive)
+    np.multiply(rho, entropy, out=entropy, where=positive)
+    np.multiply(pres_g + p.gas_const * rho_c * theta, rho_c,
+                out=row["pressure_weight"])
+    row["pressure_weight"] += reg.delta * pres_b * rho_c
+    q = dict(zip(_FORMED, (
+        grid.weight * stack.reshape(len(stack), -1).sum(axis=1)).tolist()))
+
+    production = (
+        cst.heat_conductivity(theta, p) * _sum_sq(grid, plan.grad(theta))
+        / theta ** 2
+        + stress / theta + nu * p.relax_rate * relax_sq / theta)
     parts = {
-        "kinetic": 0.5 * integrate_values(grid, rho * speed2),
-        "elastic": integrate_values(
-            grid, cst.convex_pressure_potential(rho, p.gamma)),
-        "artificial": reg.delta * integrate_values(
-            grid, cst.convex_pressure_potential(rho, reg.beta))
-        if reg.delta > 0 else 0.0,
-        "frank": 0.5 * nu * integrate_values(grid, grad_d2),
-        "penalty": nu * integrate_values(
-            grid, cst.gl_potential(d_vals, p.penalty_scale)),
-        "thermal": integrate_values(
-            grid, (rho + reg.delta) * s.theta),
+        "kinetic": 0.5 * q["kinetic"],
+        "elastic": integrate_values(grid, pot_g),
+        "artificial": reg.delta * integrate_values(grid, pot_b),
+        "frank": frank,
+        "penalty": nu * penalty,
+        "thermal": q["thermal"],
     }
-    return sum(parts.values()), parts
-
-
-def dissipation_parts(s, der, reg: RegParams, p: PhysParams):
-    """Instantaneous nonnegative dissipation functionals of one state,
-    ``der`` being :func:`derivatives` of it."""
-    grid = s.grid
-    theta = np.maximum(s.theta, 0.0)
-    rho = np.maximum(s.rho, 0.0)
-
-    def power(expo):
-        return np.power(rho, expo - 2.0, out=np.zeros_like(rho),
-                        where=rho > 0)
-
-    density_term = reg.eps * p.gamma * integrate_values(
-        grid, power(p.gamma) * der.grad_rho_sq)
-    if reg.delta > 0:
-        density_term += reg.eps * reg.delta * reg.beta * integrate_values(
-            grid, power(reg.beta) * der.grad_rho_sq)
-    return {
-        "viscous": integrate_values(grid, der.stress_power),
-        "director": integrate_values(grid, der.relax_sq),
-        "thermal_sink": reg.delta * integrate_values(
-            grid, theta ** (p.cond_growth + 1.0)),
-        "density": density_term,
-    }
+    return DiagRecord(
+        t=s.t,
+        mass=integrate_values(grid, rho),
+        energy_total=sum(parts.values()),
+        energy_parts=parts,
+        dissipation_parts={
+            "viscous": integrate_values(grid, stress),
+            "director": relax_int,
+            "thermal_sink": reg.delta * q["thermal_sink"],
+            "density": reg.eps * p.gamma * q["density_gamma"]
+            + reg.eps * reg.delta * reg.beta * q["density_beta"],
+        },
+        entropy_total=q["entropy"],
+        entropy_production_min=float(production.min()),
+        director_sup=float(np.sqrt(np.sum(d * d, axis=0).max())),
+        pressure_weight_increment=0.0 if dt is None
+        else dt * q["pressure_weight"],
+    )
 
 
 def energy_budget_residual(s_prev, diag_prev, s_next, diag_next,
@@ -247,81 +311,6 @@ def energy_budget_residual(s_prev, diag_prev, s_next, diag_next,
 
 
 # ---------------------------------------------------------------------------
-# entropy
-# ---------------------------------------------------------------------------
-
-def entropy_total(s):
-    """Integral of rho * (log theta - log rho), with the vacuum convention
-    rho log rho -> 0."""
-    rho, theta = s.rho, s.theta
-    mask = rho > 0.0
-    if np.any(mask & (theta <= 0.0)):
-        raise NonPositiveTemperature("entropy needs theta > 0 where rho > 0")
-    # node by node where rho > 0; the other nodes stay zero, unevaluated
-    log_rho = np.log(rho, out=np.empty_like(rho), where=mask)
-    out = np.log(theta, out=np.zeros_like(rho), where=mask)
-    np.subtract(out, log_rho, out=out, where=mask)
-    np.multiply(rho, out, out=out, where=mask)
-    return integrate_values(s.grid, out)
-
-
-def entropy_production(s, der, p: PhysParams):
-    """Quadrature and pointwise minimum of the production integrand
-    kappa(theta)|grad theta|^2/theta^2 + S:grad u / theta + coupled director
-    relaxation |laplace d - f(d)|^2 / theta, ``der`` being
-    :func:`derivatives` of ``s``."""
-    grid = s.grid
-    theta = s.theta
-    if float(theta.min()) <= 0.0:
-        raise NonPositiveTemperature("entropy production needs theta > 0")
-    grad_t2 = _sum_sq(grid, der.theta)
-    integrand = (cst.heat_conductivity(theta, p) * grad_t2 / theta ** 2
-                 + der.stress_power / theta
-                 + p.elastic_coupling * p.relax_rate * der.relax_sq / theta)
-    return integrate_values(grid, integrand), float(integrand.min())
-
-
-# ---------------------------------------------------------------------------
-# record assembly
-# ---------------------------------------------------------------------------
-
-def director_sup(s):
-    return float(np.sqrt(_sum_sq(s.grid, s.d).max()))
-
-
-def pressure_weight_density(s, reg: RegParams, p: PhysParams):
-    """Instantaneous integral of (rho^gamma + R rho theta + delta rho^beta) rho."""
-    rho = np.maximum(s.rho, 0.0)
-    theta = np.maximum(s.theta, 0.0)
-    integ = (rho ** p.gamma + p.gas_const * rho * theta) * rho
-    if reg.delta > 0:
-        integ = integ + reg.delta * rho ** reg.beta * rho
-    return integrate_values(s.grid, integ)
-
-
-def make_record(s, reg: RegParams, p: PhysParams, dt=None):
-    """The diagnostics record of one state, read off its one derivative
-    pass (:func:`derivatives`)."""
-    der = derivatives(s, p)
-    e_total, parts = total_energy(s, reg, p)
-    incr = 0.0
-    if dt is not None:
-        incr = dt * pressure_weight_density(s, reg, p)
-    _, prod_min = entropy_production(s, der, p)
-    return DiagRecord(
-        t=s.t,
-        mass=integrate_values(s.grid, s.rho),
-        energy_total=e_total,
-        energy_parts=parts,
-        dissipation_parts=dissipation_parts(s, der, reg, p),
-        entropy_total=entropy_total(s),
-        entropy_production_min=prod_min,
-        director_sup=director_sup(s),
-        pressure_weight_increment=incr,
-    )
-
-
-# ---------------------------------------------------------------------------
 # auxiliary operators
 # ---------------------------------------------------------------------------
 
@@ -345,19 +334,24 @@ def oscillation_defect(grid, rho, rho_ref, gamma):
 
 def cosine_battery(grid):
     """The three lowest all-cosine tensor modes (constant first), fixed
-    ordering: by total frequency then lexicographic, as (name, psi,
-    [d_a psi]) with nodal arrays; an audit builds it once per run."""
+    ordering: by total frequency then lexicographic, as ``(names, stack)``
+    with ``stack[i]`` the ``(1 + 2 dim, *grid.shape)`` stack of mode i's
+    nodal values psi, its gradient d_a psi and the 2/3-rule sine
+    projections P_sin[d_a psi] of the gradient (the projection of the mass
+    flux, ``solver._mass_flux``), the layout of an audit's integrand; an
+    audit builds it once per run."""
     cand = sorted(itertools.product(range(4), repeat=grid.dim),
-                  key=lambda t: (sum(t), t))
+                  key=lambda t: (sum(t), t))[:3]
     mesh = grid.mesh()
-    out = []
-    for tpl in cand[:3]:
-        psi = np.ones(grid.shape)
+    plan = spectral_plan(grid)
+    stack = np.ones((len(cand), 1 + 2 * grid.dim) + grid.shape)
+    for row, tpl in zip(stack, cand):
         for ax, k in enumerate(tpl):
-            psi = psi * np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
-        out.append((f"cos{''.join(str(k) for k in tpl)}", psi,
-                    spectral_plan(grid).grad(psi)))
-    return out
+            row[0] *= np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
+        row[1:1 + grid.dim] = plan.grad(row[0])
+        row[1 + grid.dim:] = sv._mass_flux(plan, 1.0, row[1:1 + grid.dim])
+    return (tuple(f"cos{''.join(str(k) for k in tpl)}" for tpl in cand),
+            _readonly(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -365,47 +359,43 @@ def cosine_battery(grid):
 # ---------------------------------------------------------------------------
 
 def _truncation_triple(kind):
-    """(b, b', b'') callables for a registered renormalization id."""
+    """(b, b', b'') callables of a density array for a registered
+    renormalization id; for ``identity`` b' and b'' are None, its dilation
+    b'(z) z - b(z) and b''(z) being exactly zero."""
     if kind.startswith("T"):
         try:
             k = float(kind[1:])
         except ValueError:
             raise KeyError(f"unknown renormalization id {kind!r}") from None
-        if not k > 0:
+        if not (k > 0 and math.isfinite(k)):
             raise KeyError(f"unknown renormalization id {kind!r}")
 
         def b(z):
             return cst.soft_truncation(z, k)
 
         def bp(z):
-            s = np.asarray(z, dtype=float) / k
+            s = z / k
             return np.where(s <= 1.0, 1.0,
                             np.where(s >= 3.0, 0.0, 1.0 - 0.5 * (s - 1.0)))
 
         def bpp(z):
-            s = np.asarray(z, dtype=float) / k
+            s = z / k
             return np.where((s > 1.0) & (s < 3.0), -0.5 / k, 0.0)
 
         return b, bp, bpp
     if kind == "identity":
-        return (lambda z: np.asarray(z, dtype=float),
-                lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                lambda z: np.zeros_like(np.asarray(z, dtype=float)))
+        return (lambda z: z), None, None
     if kind == "zlog":
         floor = 1e-8
 
         def b(z):
-            z = np.asarray(z, dtype=float)
             return z * np.log(np.maximum(z, floor))
 
         def bp(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z >= floor,
-                            np.log(np.maximum(z, floor)) + 1.0,
+            return np.where(z >= floor, np.log(np.maximum(z, floor)) + 1.0,
                             np.log(floor))
 
         def bpp(z):
-            z = np.asarray(z, dtype=float)
             return np.where(z >= floor, 1.0 / np.maximum(z, floor), 0.0)
 
         return b, bp, bpp
@@ -413,7 +403,7 @@ def _truncation_triple(kind):
 
 
 def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
-                                     battery):
+                                     battery, carry=None):
     """Weak residuals of the renormalized mass balance over one step.
 
     The discrete form pairs, for the step n -> n+1 and test function psi:
@@ -426,41 +416,52 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
 
     where u is the lagged velocity the step actually used (its Galerkin
     table is read off the StepRecord ``rec``) and P_sin the 2/3 rule of the
-    mass flux.  For b = identity this telescopes against the scheme to
-    roundoff.  ``battery`` is :func:`cosine_battery`; grad rho' is the
-    state's own (``State.grad_rho``), read as grad b(rho') for
-    ``identity``, and |grad rho'|^2, the nodal u and its divergence are
-    taken once for all the ids ``b_ids``.  Returns
+    mass flux, a symmetric operator, so the transport is read as
+    <b(rho) u_a, P_sin[d_a psi]>.  For b = identity this telescopes against
+    the scheme to roundoff, and its dilation and burn are exactly zero and
+    skipped.
+
+    Per id, the terms paired with psi, d_a psi and P_sin[d_a psi] fill one
+    ``(1 + 2 dim, *grid.shape)`` integrand stack, contracted in one
+    product against the stack of ``battery`` (:func:`cosine_battery`),
+    which holds P_sin[d_a psi] once per run.  grad rho' is the state's
+    own (``State.grad_rho``), read as grad b(rho') for ``identity``, and
+    |grad rho'|^2 is left in ``carry``, a dict the run loop keeps across
+    steps, for the record of ``s_next``, as is b(rho') of each id for the
+    next step's audit, which reads it as its b(rho).  Returns
     {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
     dim = grid.dim
     plan = spectral_plan(grid)
-    dt = rec.dt
+    names, tests = battery
+    tests = tests.reshape(len(names), -1)
     basis = sv.galerkin_basis(grid, len(rec.U_lag))
     u_lag = basis.reconstruct(rec.U_lag)
-    grad_u = basis.gradient(rec.U_lag)
-    div_u = sum(grad_u[a, a] for a in range(dim))
     rho_n, rho_p = s_prev.rho, s_next.rho
-    grad_rho = s_next.grad_rho
-    grad_rho_sq = _sum_sq(grid, grad_rho)
+    div_u = None
+    carry = {} if carry is None else carry
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)
-        b_n, b_p = b(rho_n), b(rho_p)
-        db = (b_p - b_n) / dt
-        flux = sv._mass_flux(plan, b_n, u_lag)
-        dil = (bp(rho_n) * rho_n - b_n) * div_u
-        grad_b = grad_rho if b_id == "identity" else plan.grad(b_p)
-        burn = bpp(rho_p) * grad_rho_sq
-        row = {}
-        for name, psi, grad in battery:
-            val = integrate_values(grid, db * psi)
-            for a in range(dim):
-                val -= integrate_values(grid, flux[a] * grad[a])
-                val += eps * integrate_values(grid, grad_b[a] * grad[a])
-            val += integrate_values(grid, dil * psi)
-            val += eps * integrate_values(grid, burn * psi)
-            row[name] = val
-        out[b_id] = row
+        b_n = _carried(carry, b_id, rho_n, b)
+        b_p = _carried(carry, b_id, rho_p, b)
+        integrand = np.empty((1 + 2 * dim,) + grid.shape)
+        lead = integrand[0]
+        np.divide(b_p - b_n, rec.dt, out=lead)
+        if bp is None:
+            grad_b = s_next.grad_rho
+        else:
+            if div_u is None:
+                grad_u = basis.gradient(rec.U_lag)
+                div_u = sum(grad_u[a, a] for a in range(dim))
+            lead += (bp(rho_n) * rho_n - b_n) * div_u
+            lead += eps * (bpp(rho_p) * _carried(
+                carry, "grad_rho_sq", s_next.grad_rho,
+                lambda g: _sum_sq(grid, g)))
+            grad_b = plan.grad(b_p)
+        np.multiply(eps, grad_b, out=integrand[1:1 + dim])
+        np.multiply(-b_n, u_lag, out=integrand[1 + dim:])
+        vals = grid.weight * (tests @ integrand.reshape(-1))
+        out[b_id] = dict(zip(names, map(float, vals)))
     return out

@@ -108,6 +108,114 @@ def renorm_rows(states, records, eps, b_id):
             for a, b, rec in zip(states, states[1:], records[1:])]
 
 
+def reference_record(s, reg, p, dt=None):
+    """The values of a state's record taken law by law, each column from
+    its own evaluation of the ``constitutive`` functions on full nodal
+    arrays (no array shared between columns, grad d and laplace d taken
+    afresh), as {CSV column: value}, plus ``entropy_production``, the
+    quadrature of the production integrand whose minimum the record
+    reports."""
+    grid = s.grid
+    plan = spectral_plan(grid)
+    nu = p.elastic_coupling
+    rho, theta, d = s.rho, s.theta, s.d
+    rho_c = np.maximum(rho, 0.0)
+    grad_rho = plan.grad(rho)
+    grad_rho_sq = sum(g * g for g in grad_rho)
+    grad_d = plan.grad(d)
+    basis = sv.galerkin_basis(grid, len(s.U))
+    stress = cst.stress_power(basis.gradient(s.U), p)
+    relax = plan.div(grad_d) - cst.gl_force(d, p.penalty_scale)
+    relax_sq = np.einsum("k...,k...->...", relax, relax)
+
+    def power(expo):
+        return np.power(rho_c, expo, out=np.zeros_like(rho_c),
+                        where=rho_c > 0)
+
+    out = {
+        "mass": integrate_values(grid, rho),
+        "energy_kinetic": 0.5 * integrate_values(
+            grid, rho * sum(c * c for c in s.u)),
+        "energy_elastic": integrate_values(
+            grid, cst.convex_pressure_potential(rho, p.gamma)),
+        "energy_artificial": reg.delta * integrate_values(
+            grid, cst.convex_pressure_potential(rho, reg.beta)),
+        "energy_frank": 0.5 * nu * integrate_values(
+            grid, np.einsum("akij,akij->ij", grad_d, grad_d)
+            if grid.dim == 2 else np.einsum("aki,aki->i", grad_d, grad_d)),
+        "energy_penalty": nu * integrate_values(
+            grid, cst.gl_potential(d, p.penalty_scale)),
+        "energy_thermal": integrate_values(grid, (rho + reg.delta) * theta),
+        "dissip_viscous": integrate_values(grid, stress),
+        "dissip_director": integrate_values(grid, relax_sq),
+        "dissip_thermal_sink": reg.delta * integrate_values(
+            grid, theta ** (p.cond_growth + 1.0)),
+        "dissip_density": reg.eps * integrate_values(
+            grid, (p.gamma * power(p.gamma - 2.0)
+                   + reg.delta * reg.beta * power(reg.beta - 2.0))
+            * grad_rho_sq),
+        "director_sup": float(np.sqrt(np.max(np.einsum(
+            "k...,k...->...", d, d)))),
+        "pressure_weight_increment": 0.0 if dt is None else dt * (
+            integrate_values(grid, (power(p.gamma)
+                                    + p.gas_const * rho_c * theta) * rho_c)
+            + reg.delta * integrate_values(grid, power(reg.beta + 1.0))),
+    }
+    out["energy_total"] = sum(out[k] for k in out
+                              if k.startswith("energy_"))
+    positive = rho > 0
+    ratio = np.divide(theta, rho, out=np.ones_like(rho), where=positive)
+    out["entropy_total"] = integrate_values(grid, rho * np.log(ratio))
+    grad_theta = plan.grad(theta)
+    production = (cst.heat_conductivity(theta, p)
+                  * sum(g * g for g in grad_theta) / theta ** 2
+                  + (stress + nu * p.relax_rate * relax_sq) / theta)
+    out["entropy_production"] = integrate_values(grid, production)
+    out["entropy_production_min"] = float(production.min())
+    return out
+
+
+def reference_renorm_terms(s_prev, s_next, rec, eps, b_id):
+    """The renormalized residual of one step and id term by term: for each
+    cosine test function, the list of ``(value, scale)`` of its separate
+    quadratures (difference quotient, transport and diffusion per axis,
+    dilation, burn), each taken on full nodal arrays; the values sum to
+    the residual, and ``scale`` is the quadrature of the term's absolute
+    integrand, the size of its round-off."""
+    grid = s_prev.grid
+    plan = spectral_plan(grid)
+    b, bp, bpp = dg._truncation_triple(b_id)
+    if bp is None:
+        bp, bpp = np.ones_like, np.zeros_like
+    basis = sv.galerkin_basis(grid, len(rec.U_lag))
+    u_lag = basis.reconstruct(rec.U_lag)
+    grad_u = basis.gradient(rec.U_lag)
+    div_u = sum(grad_u[a, a] for a in range(grid.dim))
+    rho_n, rho_p = s_prev.rho, s_next.rho
+    b_n, b_p = b(rho_n), b(rho_p)
+    flux = sv._mass_flux(plan, b_n, u_lag)
+    grad_b = plan.grad(b_p)
+    grad_rho = plan.grad(rho_p)
+    burn = bpp(rho_p) * sum(g * g for g in grad_rho)
+    names, tests = dg.cosine_battery(grid)
+
+    def term(weight, integrand):
+        return (weight * integrate_values(grid, integrand),
+                abs(weight) * integrate_values(grid, np.abs(integrand)))
+
+    out = {}
+    for name, row in zip(names, tests):
+        psi, grad_psi = row[0], row[1:1 + grid.dim]
+        terms = [term(1.0, (b_p - b_n) / rec.dt * psi)]
+        for a in range(grid.dim):
+            terms.append(term(-1.0, flux[a] * grad_psi[a]))
+            terms.append(term(eps, grad_b[a] * grad_psi[a]))
+        terms.append(term(1.0, (bp(rho_n) * rho_n - b_n) * div_u * psi))
+        terms.append(term(eps, burn * psi))
+        out[name] = terms
+    return out
+
+
 def residual_series_max(rows):
     """Max |residual| over tests for each step, and the overall max."""
     per_step = [max(abs(v) for v in row.values()) for row in rows]
@@ -117,7 +225,9 @@ def residual_series_max(rows):
 def weak_series(states, records, reg, p):
     """Per-step weak-form residuals over a trajectory, as {id: series}."""
     grid = states[0].grid
-    battery = (_sine_battery(grid), dg.cosine_battery(grid))
+    names, tests = dg.cosine_battery(grid)
+    battery = (_sine_battery(grid), [(name, row[0], row[1:1 + grid.dim])
+                                     for name, row in zip(names, tests)])
     series = {}
     for a, b, rec in zip(states, states[1:], records[1:]):
         for key, val in weak_form_residuals(a, b, rec, reg, p,
@@ -228,7 +338,8 @@ def _sine_battery(grid, count=3):
 def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     """Weak residuals of one step against the fixed test battery, as
     {residual id: value}; ``battery`` is the pair (:func:`_sine_battery`,
-    ``diagnostics.cosine_battery``) of the grid, built once per run.
+    the modes of ``diagnostics.cosine_battery`` as (name, psi, [d_a psi]))
+    of the grid, built once per run.
 
     Momentum residuals use the standalone conservative placements, so they
     decay first order in dt.  Heat and director residuals evaluate the

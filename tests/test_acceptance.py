@@ -23,9 +23,9 @@ from nlcflow.fields import (COS, Grid, _strip_sine_nyquist,
                             integrate_values, spectral_plan)
 from nlcflow.params import PhysParams, RegParams
 
-from conftest import (bump_state, inverse_laplacian_neumann, renorm_rows,
-                      residual_series_max, run_lists, truncation_companion,
-                      viscous_stress)
+from conftest import (bump_state, inverse_laplacian_neumann,
+                      reference_record, renorm_rows, residual_series_max,
+                      run_lists, truncation_companion, viscous_stress)
 
 P = PhysParams()
 REG = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
@@ -212,7 +212,7 @@ def test_criterion_04_energy_inequality(capsys):
         return states, vals
 
     states, base = defects(1e-3)
-    e0, _ = dg.total_energy(states[0], REG, P)
+    e0 = dg.make_record(states[0], REG, P).energy_total
     worst = max(base)
     maxima = [max(abs(v) for v in base)]
     for dt in (5e-4, 2.5e-4):
@@ -243,7 +243,8 @@ def test_criterion_05_entropy_production(capsys):
     margin, where = np.inf, ""
     for name, states in runs:
         for s in states[1:]:
-            quad, low = dg.entropy_production(s, dg.derivatives(s, P), P)
+            low = dg.make_record(s, REG, P).entropy_production_min
+            quad = reference_record(s, REG, P)["entropy_production"]
             gap = low + 1e-12 * (1.0 + abs(quad))
             if gap < margin:
                 margin, where = gap, name
@@ -263,8 +264,9 @@ def test_criterion_06_director_bound(capsys):
     grid = Grid((32, 32), (2.0, 2.0))
     s0 = _prepared("director-twist", grid, REG, amplitude=0.6)
     states, _ = _run(s0, REG, 1e-3, 0.05)
-    bound = max(1.0, dg.director_sup(states[0])) + 1e-8
-    sup = max(dg.director_sup(s) for s in states)
+    sups = [dg.make_record(s, REG, P).director_sup for s in states]
+    bound = max(1.0, sups[0]) + 1e-8
+    sup = max(sups)
     elapsed = time.perf_counter() - t0
     ok = sup <= bound
     _verdict(capsys, 6, "director-bound", ok,

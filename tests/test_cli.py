@@ -1474,6 +1474,25 @@ def test_mms_command_spatial_order(tmp_path):
     assert len(rows) == 2
 
 
+def test_mms_order_at_round_off_is_not_printed(tmp_path, capsys):
+    """``bump-1d`` at 32, 64 and 128 nodes (four modes, ten steps) has
+    total errors of a few 1e-14, round-off of fields of size one, whose
+    ratio once printed an order of -0.316: the command says "at round-off"
+    and the orders file holds null, while the ratio stays reported."""
+    cfg = _write(tmp_path, "mms.cfg", (
+        "grid.dim = 1\nsolver.dt = 1e-3\nsolver.t_end = 1e-2\n"
+        "reg.n_modes = 4\nmms.resolutions = 32,64,128\n"
+        f"output.dir = {tmp_path / 'mms'}\n"))
+    assert cli.main(["mms", "bump-1d", cfg]) == 0
+    _, rows = read_csv(str(tmp_path / "mms" / "mms_bump-1d.csv"))
+    assert all(0.0 < row[-1] < 1e-13 for row in rows)
+    assert "observed order(s): at round-off\n" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "mms" / "mms_bump-1d_orders.json")
+                     .read_text())
+    assert doc["orders"]["total"] is None
+    assert doc["ratios"]["total"] == rows[0][-1] / rows[-1][-1]
+
+
 @pytest.mark.parametrize("case,text", [
     ("bump-1d", "grid.dim = 1\nreg.n_modes = 6\n"),
     ("trig-2d", "grid.dim = 2\nmms.shape = 16\n"),

@@ -97,6 +97,16 @@ def test_parameter_errors_name_their_config_key(line):
     assert str(err.value).startswith(key + " ")
 
 
+@pytest.mark.parametrize("level", ["inf", "1e999", "nan"])
+def test_non_finite_truncation_level_rejected(level):
+    """A truncation id needs a finite level k > 0: ``Tinf`` and ``T1e999``
+    (k = inf) are rejected at parsing, with their entry named, instead of
+    auditing a run whose residual column reads nan from the first step."""
+    with pytest.raises(ValidationError) as err:
+        cf.parse_config_text(f"output.residuals = identity,T{level}\n")
+    assert f"'T{level}'" in str(err.value)
+
+
 @pytest.mark.parametrize("text", [
     "grid.dim = 3\n",
     "grid.dim = 2\ngrid.shape = 48\n",

@@ -7,13 +7,14 @@ import pytest
 
 from nlcflow.errors import GridMismatch, NonPositiveTemperature
 from nlcflow import constitutive as cst
-from nlcflow.fields import COS, Grid, integrate_values, spectral_plan
+from nlcflow.fields import COS, SIN, Grid, integrate_values, spectral_plan
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
 
-from conftest import (bump_state, equilibrium_state, renorm_rows,
+from conftest import (bump_state, equilibrium_state, reference_record,
+                      reference_renorm_terms, renorm_rows,
                       residual_series_max, run_lists, trajectory_records,
                       unit_director, weak_series)
 
@@ -22,11 +23,16 @@ from conftest import (bump_state, equilibrium_state, renorm_rows,
 # energy
 # ---------------------------------------------------------------------------
 
+def _energy(s, reg, p):
+    rec = dg.make_record(s, reg, p)
+    return rec.energy_total, rec.energy_parts
+
+
 def test_total_energy_constant_state_pin(grid2d):
     p = PhysParams(gamma=2.0)
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
     s = equilibrium_state(grid2d)
-    total, parts = dg.total_energy(s, reg, p)
+    total, parts = _energy(s, reg, p)
     area = 4.0
     assert total == pytest.approx(2.0 * area, rel=1e-14)
     assert parts["elastic"] == pytest.approx(area, rel=1e-14)
@@ -35,10 +41,12 @@ def test_total_energy_constant_state_pin(grid2d):
 
 
 def test_total_energy_vacuum_is_zero(grid2d):
+    """Vacuum (rho = 0) at theta = 1, the record needing theta > 0 for
+    its entropy production."""
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=0.0, beta=5.0, n_modes=4)
-    s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
-    total, parts = dg.total_energy(s, reg, p)
+    s = equilibrium_state(grid2d, rho=0.0, theta=1.0)
+    total, parts = _energy(s, reg, p)
     assert total == 0.0
     assert all(v == 0.0 for v in parts.values())
 
@@ -47,7 +55,7 @@ def test_total_energy_parts_sum_exactly(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
-    total, parts = dg.total_energy(s, reg, p)
+    total, parts = _energy(s, reg, p)
     assert total == sum(parts.values())
     assert all(v >= 0.0 for v in parts.values())
 
@@ -57,11 +65,11 @@ def test_frank_energy_gauge_invariance(grid2d):
     p = PhysParams()
     reg = RegParams(n_modes=4)
     s = bump_state(grid2d)
-    _, parts = dg.total_energy(s, reg, p)
+    _, parts = _energy(s, reg, p)
     shifted = s.d.copy()
     shifted[0] += 0.7
     s2 = sv.State(grid2d, s.t, s.rho, s.U, s.theta, shifted)
-    _, parts2 = dg.total_energy(s2, reg, p)
+    _, parts2 = _energy(s2, reg, p)
     assert parts2["frank"] == pytest.approx(parts["frank"], rel=1e-12)
     assert parts2["penalty"] != pytest.approx(parts["penalty"], rel=1e-3)
 
@@ -103,7 +111,7 @@ def test_budget_one_sided_on_bump_run(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d)
-    e0, _ = dg.total_energy(s0, reg, p)
+    e0, _ = _energy(s0, reg, p)
     cfg = sv.SolverConfig(dt=1e-3, t_end=5e-3)
     states, records = run_lists(s0, reg, cfg, p)
     for k in range(1, len(states)):
@@ -112,8 +120,10 @@ def test_budget_one_sided_on_bump_run(grid2d):
 
 
 def test_budget_reads_the_records_energies(grid2d):
-    """On a stepped pair, the defect read off the records' energies is
-    bit for bit the one whose energies ``total_energy`` takes afresh."""
+    """On a stepped pair, the defect reads E(prev) and E(next) off the two
+    records and nothing else: raising the later record's energy by dt
+    raises the defect by 1, and the records' energies are those taken law
+    by law (``reference_record``)."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s0 = bump_state(grid2d)
@@ -121,11 +131,15 @@ def test_budget_reads_the_records_energies(grid2d):
                               p)
     diag0 = dg.make_record(s0, reg, p)
     diag1 = dg.make_record(s1, reg, p, dt=rec.dt)
-    fresh0 = replace(diag0, energy_total=dg.total_energy(s0, reg, p)[0])
-    fresh1 = replace(diag1, energy_total=dg.total_energy(s1, reg, p)[0])
     got = dg.energy_budget_residual(s0, diag0, s1, diag1, reg, p, rec.dt)
-    want = dg.energy_budget_residual(s0, fresh0, s1, fresh1, reg, p, rec.dt)
-    assert got == want and got != 0.0
+    raised = replace(diag1, energy_total=diag1.energy_total + rec.dt)
+    assert dg.energy_budget_residual(
+        s0, diag0, s1, raised, reg, p, rec.dt) - got == pytest.approx(
+            1.0, rel=1e-9)
+    for s, diag in ((s0, diag0), (s1, diag1)):
+        want = reference_record(s, reg, p)["energy_total"]
+        assert diag.energy_total == pytest.approx(want, rel=1e-13)
+    assert got != 0.0
 
 
 def _ledger_budget(s_prev, s_next, reg, p, dt, basis):
@@ -148,8 +162,8 @@ def _ledger_budget(s_prev, s_next, reg, p, dt, basis):
     eps_beta = interp_form(reg.beta) if reg.delta > 0 else 0.0
     d_net = (reg.delta * visc + reg.delta * sink
              + reg.eps * interp_form(p.gamma) + reg.eps * reg.delta * eps_beta)
-    e_next, _ = dg.total_energy(s_next, reg, p)
-    e_prev, _ = dg.total_energy(s_prev, reg, p)
+    e_next, _ = _energy(s_next, reg, p)
+    e_prev, _ = _energy(s_prev, reg, p)
     return (e_next - e_prev) / dt + d_net
 
 
@@ -173,7 +187,7 @@ def test_dissipation_parts_nonnegative(grid2d):
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
     s = bump_state(grid2d)
-    parts = dg.dissipation_parts(s, dg.derivatives(s, p), reg, p)
+    parts = dg.make_record(s, reg, p).dissipation_parts
     assert set(parts) == {"viscous", "director", "thermal_sink", "density"}
     assert all(v >= 0.0 for v in parts.values())
 
@@ -200,24 +214,109 @@ def test_record_differentiates_its_state_once(grid2d, monkeypatch):
     assert len(units) == 8 and sum(units) == 16
 
 
+def _prepared(preset, grid, reg, amplitude):
+    raw = presets.build(preset, grid, amplitude=amplitude)
+    return sv.regularize_initial_data(grid, raw.rho, raw.rho * raw.u,
+                                      raw.theta, raw.d, reg)
+
+
+def _record_cases(grid):
+    """(name, state, reg, dt) of the three record oracles: a stepped
+    ``density-bump`` state (uniform unit director, eps > 0, the density
+    gradient handed over by the step), a stepped ``director-twist`` state
+    (live director) and a state whose density vanishes on part of the
+    grid."""
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
+    bump, _ = sv.step_coupled(
+        _prepared("density-bump", grid, reg, 0.4), reg, cfg, PhysParams())
+    twist, _ = sv.step_coupled(
+        _prepared("director-twist", grid, reg, 0.6), reg, cfg, PhysParams())
+    s = bump_state(grid)
+    vacuum = sv.State(grid, 0.0, np.maximum(s.rho - 1.2, 0.0), s.U,
+                      s.theta, s.d)
+    return [("bump", bump, reg, 1e-3), ("twist", twist, reg, 1e-3),
+            ("vacuum", vacuum, reg, None)]
+
+
+@pytest.mark.parametrize("case", ["bump", "twist", "vacuum"])
+def test_record_matches_the_laws_one_by_one(grid2d, case):
+    """Every column of a record is the sum its laws give when each is
+    evaluated on its own from the ``constitutive`` functions on full nodal
+    arrays (``reference_record``), within 1e-13 relative; the production
+    minimum, which may sit near zero, within 1e-13 of the production's
+    quadrature."""
+    (_, s, reg, dt), = [c for c in _record_cases(grid2d) if c[0] == case]
+    p = PhysParams()
+    if case == "bump":
+        assert s.uniform_d
+    elif case == "vacuum":
+        assert (s.rho == 0.0).any() and (s.rho > 0.0).any()
+    row = dict(zip(dg.CSV_COLUMNS, dg._record_row(
+        dg.make_record(s, reg, p, dt=dt))))
+    want = reference_record(s, reg, p, dt=dt)
+    for key in dg.CSV_COLUMNS[1:]:
+        if key == "entropy_production_min":
+            scale = 1.0 + abs(want["entropy_production"])
+            assert abs(row[key] - want[key]) <= 1e-13 * scale, key
+        else:
+            assert row[key] == pytest.approx(want[key], rel=1e-13,
+                                             abs=0.0), key
+
+
+def test_uniform_director_costs_the_record_one_node(monkeypatch):
+    """The record of a stepped ``density-bump`` state, whose unit
+    director is uniform, evaluates the director laws at one node: every
+    array passed to ``gl_force`` and ``gl_potential`` holds 3 values, on
+    the 128^2 grid of the ``run-bump-128`` benchmark."""
+    grid = Grid((128, 128), (2.0, 2.0))
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    s, _ = sv.step_coupled(_prepared("density-bump", grid, reg, 0.4), reg,
+                           sv.SolverConfig(dt=1e-3, t_end=1.0), p)
+    sizes = {"gl_force": [], "gl_potential": []}
+    for name, seen in sizes.items():
+        inner = getattr(cst, name)
+
+        def counted(d, sigma0, inner=inner, seen=seen):
+            seen.append(np.size(d))
+            return inner(d, sigma0)
+
+        monkeypatch.setattr(cst, name, counted)
+    rec = dg.make_record(s, reg, p, dt=1e-3)
+    assert sizes == {"gl_force": [3], "gl_potential": [3]}
+    assert rec.energy_parts["frank"] == 0.0
+    assert rec.energy_parts["penalty"] == 0.0
+    assert rec.dissipation_parts["director"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # entropy
 # ---------------------------------------------------------------------------
 
+def _entropy_total(s):
+    return dg.make_record(s, RegParams(n_modes=1), PhysParams()).entropy_total
+
+
 def test_entropy_total_constant_pin(grid2d):
     s = equilibrium_state(grid2d, rho=np.e, theta=1.0)
-    assert dg.entropy_total(s) == pytest.approx(-np.e * 4.0, rel=1e-13)
+    assert _entropy_total(s) == pytest.approx(-np.e * 4.0, rel=1e-13)
 
 
 def test_entropy_total_vacuum_convention(grid2d):
-    s = equilibrium_state(grid2d, rho=0.0, theta=0.0)
-    assert dg.entropy_total(s) == 0.0
+    """rho log rho -> 0: a density vanishing on half the nodes adds
+    nothing there, at theta = 1 (the record needs theta > 0)."""
+    s = equilibrium_state(grid2d, rho=0.0, theta=1.0)
+    assert _entropy_total(s) == 0.0
+    rho = np.where(grid2d.mesh()[0] < 1.0, np.e, 0.0)
+    half = sv.State(grid2d, 0.0, rho, s.U, s.theta, s.d)
+    assert _entropy_total(half) == pytest.approx(-np.e * 2.0, rel=1e-13)
 
 
 def test_entropy_production_requires_positive_theta(grid2d):
     s, p = equilibrium_state(grid2d, theta=0.0), PhysParams()
     with pytest.raises(NonPositiveTemperature):
-        dg.entropy_production(s, dg.derivatives(s, p), p)
+        dg.make_record(s, RegParams(n_modes=1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +336,9 @@ def test_pressure_weight_constant_run(grid2d):
 def test_pressure_weight_monotone_in_density(grid2d):
     p = PhysParams()
     reg = RegParams(eps=0.0, delta=1e-2, beta=5.0, n_modes=4)
-    lo = dg.pressure_weight_density(equilibrium_state(grid2d, rho=1.0), reg, p)
-    hi = dg.pressure_weight_density(equilibrium_state(grid2d, rho=1.5), reg, p)
+    lo, hi = (dg.make_record(equilibrium_state(grid2d, rho=rho), reg, p,
+                             dt=1.0).pressure_weight_increment
+              for rho in (1.0, 1.5))
     assert hi > lo
 
 
@@ -261,10 +361,17 @@ def test_oscillation_defect_mismatch_errors(grid2d):
 
 
 def test_cosine_battery_fixed_order(grid2d):
-    names = [name for name, _, _ in dg.cosine_battery(grid2d)]
-    assert names == ["cos00", "cos01", "cos10"]
-    const = dg.cosine_battery(grid2d)[0][1]
-    assert np.allclose(const, 1.0)
+    """Names in order, and one read-only (modes, 1 + 2 dim, *grid.shape)
+    stack of each mode's values, gradient and the mass flux's sine
+    projection of the gradient, the constant first."""
+    names, stack = dg.cosine_battery(grid2d)
+    assert names == ("cos00", "cos01", "cos10")
+    assert stack.shape == (3, 5) + grid2d.shape and not stack.flags.writeable
+    assert np.all(stack[0, 0] == 1.0) and not stack[0, 1:].any()
+    plan = spectral_plan(grid2d)
+    for row in stack:
+        assert np.array_equal(row[1:3], plan.grad(row[0]))
+        assert np.array_equal(row[3:], plan.project(row[1:3], (SIN, SIN)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +489,78 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
                                                       reg.eps, b_id)
 
 
+@pytest.mark.parametrize("b_id", ["identity", "T1"])
+def test_renorm_contraction_matches_the_terms(grid2d, b_id):
+    """Each residual, one contraction of the id's integrand stack with the
+    battery, is the sum of its separate quadratures
+    (``reference_renorm_terms``) within 1e-15 of the largest of them,
+    measured as the quadrature of its absolute integrand, on a bump run
+    whose density crosses the truncation level of ``T1``."""
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    s0 = bump_state(grid2d, rho_base=1.5, rho_amp=1.0)
+    states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
+                                                         t_end=3e-3), p)
+    battery = dg.cosine_battery(grid2d)
+    for a, b, rec in zip(states, states[1:], records[1:]):
+        got = dg.renormalized_continuity_residual(
+            a, b, rec, reg.eps, (b_id,), battery)[b_id]
+        terms = reference_renorm_terms(a, b, rec, reg.eps, b_id)
+        assert list(got) == list(terms)
+        for name, parts in terms.items():
+            want = sum(value for value, _ in parts)
+            largest = max(scale for _, scale in parts)
+            assert abs(got[name] - want) <= 1e-15 * largest, name
+
+
+def test_renorm_carry_hands_b_of_the_new_density_to_the_next_step(
+        grid2d, monkeypatch):
+    """With the run loop's ``carry`` each step's audit takes b(rho') of
+    its own new density only, its b(rho) being the previous step's
+    b(rho'), and |grad rho'|^2 once for the audit and the record of the
+    new state together; the residuals are bit for bit those of audits
+    without a carry, and so are the records.  Over k steps with ``T1``:
+    k + 1 truncations instead of 2 k."""
+    p = PhysParams()
+    reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
+    s0 = bump_state(grid2d, rho_base=1.5, rho_amp=1.0)
+    states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
+                                                         t_end=3e-3), p)
+    battery = dg.cosine_battery(grid2d)
+    plain = [dg.renormalized_continuity_residual(
+                 a, b, rec, reg.eps, ("T1", "identity"), battery)
+             for a, b, rec in zip(states, states[1:], records[1:])]
+    truncations, squares = [], []
+    inner_b, inner_sq = cst.soft_truncation, dg._sum_sq
+
+    def truncation(z, k=1.0):
+        truncations.append(k)
+        return inner_b(z, k)
+
+    def sum_sq(grid, stack):
+        squares.append(stack)
+        return inner_sq(grid, stack)
+
+    monkeypatch.setattr(cst, "soft_truncation", truncation)
+    monkeypatch.setattr(dg, "_sum_sq", sum_sq)
+    carry, carried = {}, []
+    for a, b, rec in zip(states, states[1:], records[1:]):
+        squares.clear()
+        carried.append(dg.renormalized_continuity_residual(
+            a, b, rec, reg.eps, ("T1", "identity"), battery, carry))
+        diag = dg.make_record(b, reg, p, dt=rec.dt, carry=carry)
+        assert sum(stack is b.grad_rho for stack in squares) == 1
+        assert diag == dg.make_record(b, reg, p, dt=rec.dt)
+    steps = len(carried)
+    assert steps == 3 and len(truncations) == steps + 1
+    assert carried == plain
+
+
 def test_renorm_unknown_kernel_rejected():
-    with pytest.raises(KeyError):
-        dg._truncation_triple("T3x")
+    """Only a finite truncation level k > 0 makes a truncation id."""
+    for kind in ("T3x", "T0", "T-1", "Tinf", "T1e999", "Tnan"):
+        with pytest.raises(KeyError):
+            dg._truncation_triple(kind)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from nlcflow.params import PhysParams, RegParams
 from nlcflow import solver as sv
 
 from conftest import (director_step, equilibrium_state, heat_step,
-                      unit_director)
+                      reference_record, unit_director)
 
 
 def test_director_relaxation_ode_oracle(grid2d):
@@ -49,7 +49,9 @@ def test_entropy_production_quadrature_oracle():
     theta = 1.0 + 0.5 * np.cos(np.pi * grid.axis_nodes[0] / 2.0)
     s = sv.State(grid, 0.0, np.ones(grid.shape), np.zeros((1, 1)), theta,
                  unit_director(grid))
-    total, mn = dg.entropy_production(s, dg.derivatives(s, p), p)
+    reg = RegParams(n_modes=1)
+    mn = dg.make_record(s, reg, p).entropy_production_min
+    total = reference_record(s, reg, p)["entropy_production"]
 
     def integrand(x):
         th = 1.0 + 0.5 * np.cos(np.pi * x / 2.0)
@@ -59,3 +61,5 @@ def test_entropy_production_quadrature_oracle():
     oracle, _ = quad(integrand, 0.0, 2.0, epsabs=1e-13, epsrel=1e-13)
     assert total == pytest.approx(oracle, abs=1e-9)
     assert mn >= 0.0
+    assert mn == pytest.approx(float(integrand(grid.axis_nodes[0]).min()),
+                               abs=1e-12)
