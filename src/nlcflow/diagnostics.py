@@ -137,10 +137,7 @@ def _sum_sq(grid, stack):
     """Pointwise sum of the squares of a stack's arrays, taken in the
     order of its leading indices."""
     arrays = stack.reshape((-1,) + grid.shape)
-    out = arrays[0] * arrays[0]
-    for values in arrays[1:]:
-        out += values * values
-    return out
+    return np.sum(arrays * arrays, axis=0)
 
 
 def _carried(carry, key, source, take):
@@ -172,14 +169,15 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None, carry=None):
     once and read by every integral that needs it: the clipped density
     rho+, its powers rho+^e = (e - 1) P_e read off the convex potentials
     P_e(rho) = rho^e / (e - 1) for e = gamma and beta, theta^alpha,
-    |grad rho|^2 (read from ``carry``, the run loop's dict, when the
-    residual audit of the step that made ``s`` took it), S(grad u):grad u, |d|^2 and the director relaxation
+    |grad rho|^2, S(grad u):grad u, |d|^2 and the director relaxation
     laplace d - f(d); each law of ``constitutive`` is evaluated once, on
-    the state's arrays.  A uniform director (``State.uniform_d``) has an
-    exactly zero Frank term, and its penalty and relaxation are taken at
-    one node.  The integrands the record forms itself are the rows of one
-    stack (``_FORMED``), summed in one reduction; the arrays the laws
-    return are integrated as they are.
+    the state's arrays.  |grad rho|^2 is read from ``carry``, the run
+    loop's dict, when the residual audit of the step that made ``s`` took
+    it.  A uniform director (``State.uniform_d``) has an exactly zero Frank
+    term, and its penalty and relaxation are taken at one node.  The
+    integrands the record forms itself are the rows of one stack
+    (``_FORMED``), summed in one reduction; the arrays the laws return are
+    integrated as they are.
 
     Energy: kinetic, elastic, artificial, Frank, penalty and thermal parts
     and their exact float sum.  Dissipation: viscous, director relaxation,
