@@ -220,23 +220,21 @@ def _prepared(preset, grid, reg, amplitude):
                                       raw.theta, raw.d, reg)
 
 
-def _record_cases(grid):
-    """(name, state, reg, dt) of the three record oracles: a stepped
-    ``density-bump`` state (uniform unit director, eps > 0, the density
-    gradient handed over by the step), a stepped ``director-twist`` state
-    (live director) and a state whose density vanishes on part of the
-    grid."""
+def _record_case(case, grid):
+    """(state, reg, dt) of a record oracle: a stepped ``density-bump``
+    state (uniform unit director, eps > 0, the density gradient handed over
+    by the step), a stepped ``director-twist`` state (live director) or a
+    state whose density vanishes on part of the grid."""
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
-    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0)
-    bump, _ = sv.step_coupled(
-        _prepared("density-bump", grid, reg, 0.4), reg, cfg, PhysParams())
-    twist, _ = sv.step_coupled(
-        _prepared("director-twist", grid, reg, 0.6), reg, cfg, PhysParams())
-    s = bump_state(grid)
-    vacuum = sv.State(grid, 0.0, np.maximum(s.rho - 1.2, 0.0), s.U,
-                      s.theta, s.d)
-    return [("bump", bump, reg, 1e-3), ("twist", twist, reg, 1e-3),
-            ("vacuum", vacuum, reg, None)]
+    if case == "vacuum":
+        s = bump_state(grid)
+        return sv.State(grid, 0.0, np.maximum(s.rho - 1.2, 0.0), s.U,
+                        s.theta, s.d), reg, None
+    preset, amplitude = {"bump": ("density-bump", 0.4),
+                         "twist": ("director-twist", 0.6)}[case]
+    s, _ = sv.step_coupled(_prepared(preset, grid, reg, amplitude), reg,
+                           sv.SolverConfig(dt=1e-3, t_end=1.0), PhysParams())
+    return s, reg, 1e-3
 
 
 @pytest.mark.parametrize("case", ["bump", "twist", "vacuum"])
@@ -246,7 +244,7 @@ def test_record_matches_the_laws_one_by_one(grid2d, case):
     arrays (``reference_record``), within 1e-13 relative; the production
     minimum, which may sit near zero, within 1e-13 of the production's
     quadrature."""
-    (_, s, reg, dt), = [c for c in _record_cases(grid2d) if c[0] == case]
+    s, reg, dt = _record_case(case, grid2d)
     p = PhysParams()
     if case == "bump":
         assert s.uniform_d
