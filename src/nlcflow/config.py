@@ -248,13 +248,16 @@ def _build(values):
         raise ValidationError(
             "continuation.n, continuation.eps and continuation.delta are "
             "all empty: the schedule needs at least one entry")
-    shrinking = {"viscosity": "continuation.eps",
-                 "pressure": "continuation.delta"}.get(study)
-    if shrinking and any(b > a for a, b in zip(lists[shrinking],
-                                               lists[shrinking][1:])):
+    # the parameter a study moves, and the sign of its moves
+    moved, sign = {"galerkin": ("continuation.n", 1),
+                   "viscosity": ("continuation.eps", -1),
+                   "pressure": ("continuation.delta", -1)}[study]
+    seq = lists[moved]
+    if any(sign * (b - a) < 0 for a, b in zip(seq, seq[1:])):
+        order = "nondecreasing" if sign > 0 else "nonincreasing"
         raise ValidationError(
-            f"{shrinking} = {_format_value(lists[shrinking])}: a {study} "
-            "study needs nonincreasing entries")
+            f"{moved} = {_format_value(seq)}: a {study} study needs {order} "
+            "entries")
     schedule = []
     for i, (n, eps, delta) in enumerate(zip(
             lists["continuation.n"], lists["continuation.eps"],
@@ -276,10 +279,12 @@ def _build(values):
                 f"{key} = {_format_value(sizes)}: each entry must be a "
                 "power of two >= 8")
     resolutions = values["mms.resolutions"]
-    if len(resolutions) < 2 or resolutions[0] == resolutions[-1]:
+    if len(resolutions) < 2 or any(
+            b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValidationError(
-            "mms.resolutions needs at least two entries, the first and "
-            "last different: the study compares them")
+            f"mms.resolutions = {_format_value(resolutions)}: needs two or "
+            "more strictly increasing entries: the study compares the first, "
+            "coarsest grid with the last, finest one")
     dts = values["mms.dts"]
     if any(dt <= 0 for dt in dts):
         raise ValidationError("mms.dts entries must be positive")

@@ -101,7 +101,7 @@ def gl_force_two_point(d_a, d_b, sigma0):
 # ---------------------------------------------------------------------------
 # soft truncation
 
-def soft_truncation(z, k=1.0):
+def soft_truncation(z, k):
     """C^1 concave truncation T_k: identity below k, constant 2k above 3k,
     glued by a parabola in between.  Nondecreasing with 0 <= T_k <= min(z, 2k)
     for z >= 0."""

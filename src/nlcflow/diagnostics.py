@@ -1,18 +1,20 @@
 """Monitored functionals, budget audits and renormalized residuals, the
 CSV rows of the records, and :func:`stream`, the one run loop.
 
-Everything else is read-only over solver states.  A record
-(:func:`make_record`) takes each pointwise array of its state once, grad
-theta its one derivative, and every integral of its energy, dissipation and
-entropy ledgers reads those arrays; a uniform director's terms are taken at
-one node.  The audits and the records read the gradients of rho and d that
-the state keeps (``State.grad_rho``, ``State.grad_d``).  A renormalized
-residual audit is one contraction per id of its integrand stack with the
-test-function battery, which is one stack built once per run
-(:func:`cosine_battery`).  The energy budget residual of a step is read off
-its two states and their records alone: its dissipation is the one the
-scheme's ledger exchanges, evaluated with the step's own kernels, so the
-residual is a genuine audit of the discrete inequality, small and one-sided.
+Everything else is read-only over solver states and keeps nothing from
+one call to the next.  A record (:func:`make_record`) takes each pointwise
+array of its state once, grad theta its one derivative, and every integral
+of its energy, dissipation and entropy ledgers reads those arrays; a
+uniform director's terms are taken at one node.  The audits and the
+records read the gradients of rho and d that the state keeps
+(``State.grad_rho``, ``State.grad_d``).  A renormalized residual audit is
+one contraction per id of its integrand stack with the test-function
+battery, which is one stack built once per run (:func:`cosine_battery`).
+The energy budget residual of a step is read off its two states and their
+records alone, its viscous dissipation the later record's: its dissipation
+is the one the scheme's ledger exchanges, evaluated with the step's own
+kernels, so the residual is a genuine audit of the discrete inequality,
+small and one-sided.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
     states = sv.run(s0, reg, solver_cfg, phys)
     del s0      # ``solver.run`` hands it out and lets it go
     csv = prev = None
-    carry = {}
     try:
         for s, rec in states:
             if rec is None:
@@ -115,11 +116,10 @@ def stream(s0, reg: RegParams, solver_cfg, phys: PhysParams, csv_path,
                 residuals = [0.0] * len(res_ids)
             elif res_ids:
                 rows = renormalized_continuity_residual(
-                    prev, s, rec, reg.eps, res_ids, battery, carry)
+                    prev, s, rec, reg.eps, res_ids, battery)
                 residuals = [max(abs(v) for v in rows[b].values())
                              for b in res_ids]
-            diag = make_record(s, reg, phys,
-                               None if rec is None else rec.dt, carry)
+            diag = make_record(s, reg, phys, None if rec is None else rec.dt)
             csv.write(csv_line(_record_row(diag) + residuals))
             csv.flush()
             prev = s
@@ -140,42 +140,23 @@ def _sum_sq(grid, stack):
     return np.sum(arrays * arrays, axis=0)
 
 
-def _carried(carry, key, source, take):
-    """``take(source)``, read from the dict ``carry`` when its entry under
-    ``key`` was taken of this same array, else taken and left there: the
-    run loop's carry hands a state's |grad rho|^2 from its residual audit
-    to its record, and each id's b(rho') to the next step's audit."""
-    kept = carry.get(key)
-    if kept is None or kept[0] is not source:
-        kept = carry[key] = source, take(source)
-    return kept[1]
-
-
-def _stress_power(s, p: PhysParams):
-    """Pointwise S(grad u):grad u of ``s``, grad u taken from the Galerkin
-    coefficients, as the step takes it."""
-    return cst.stress_power(
-        sv.galerkin_basis(s.grid, len(s.U)).gradient(s.U), p)
-
-
 # the integrands a record forms itself, one row each of the stack that
 # :func:`make_record` sums in one reduction
 _FORMED = ("kinetic", "thermal", "thermal_sink", "density_gamma",
            "density_beta", "entropy", "pressure_weight")
 
 
-def make_record(s, reg: RegParams, p: PhysParams, dt=None, carry=None):
+def make_record(s, reg: RegParams, p: PhysParams, dt=None):
     """The diagnostics record of one state.  Each pointwise array is taken
     once and read by every integral that needs it: the clipped density
     rho+, its powers rho+^e = (e - 1) P_e read off the convex potentials
     P_e(rho) = rho^e / (e - 1) for e = gamma and beta, theta^alpha,
     |grad rho|^2, S(grad u):grad u, |d|^2 and the director relaxation
     laplace d - f(d); each law of ``constitutive`` is evaluated once, on
-    the state's arrays.  |grad rho|^2 is read from ``carry``, the run
-    loop's dict, when the residual audit of the step that made ``s`` took
-    it.  A uniform director (``State.uniform_d``) has an exactly zero Frank
-    term, and its penalty and relaxation are taken at one node.  The
-    integrands the record forms itself are the rows of one stack
+    the state's arrays, grad u taken from the Galerkin coefficients, as the
+    step takes it.  A uniform director (``State.uniform_d``) has an exactly
+    zero Frank term, and its penalty and relaxation are taken at one node.
+    The integrands the record forms itself are the rows of one stack
     (``_FORMED``), summed in one reduction; the arrays the laws return are
     integrated as they are.
 
@@ -200,7 +181,8 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None, carry=None):
         raise NonPositiveTemperature("entropy production needs theta > 0")
     rho_c = np.maximum(rho, 0.0)
     positive = rho_c > 0
-    stress = _stress_power(s, p)
+    stress = cst.stress_power(
+        sv.galerkin_basis(grid, len(s.U)).gradient(s.U), p)
 
     # a uniform director's penalty and relaxation are taken at its first
     # node and integrated as the uniform fields they are, bit for bit the
@@ -226,8 +208,7 @@ def make_record(s, reg: RegParams, p: PhysParams, dt=None, carry=None):
     np.multiply(theta ** p.cond_growth, theta, out=row["thermal_sink"])
     # rho^e / rho^2 |grad rho|^2 where rho > 0, and zero in vacuum
     rho_sq = rho_c * rho_c
-    grad_rho_sq = _carried({} if carry is None else carry, "grad_rho_sq",
-                           s.grad_rho, lambda g: _sum_sq(grid, g))
+    grad_rho_sq = _sum_sq(grid, s.grad_rho)
     pres_g, pres_b = (p.gamma - 1.0) * pot_g, (reg.beta - 1.0) * pot_b
     for key, pres in (("density_gamma", pres_g), ("density_beta", pres_b)):
         row[key].fill(0.0)
@@ -294,10 +275,11 @@ def energy_budget_residual(s_prev, diag_prev, s_next, diag_next,
     h_beta the convex pressure enthalpy the step takes
     (``solver._pressure_enthalpy``), so r collects only the nonnegative
     numerical defects (and must stay below a small one-sided tolerance).
+    <S(u'):grad u'> is the viscous dissipation of ``diag_next``.
     """
     grid = s_next.grid
     plan = spectral_plan(grid)
-    visc = integrate_values(grid, _stress_power(s_next, p))
+    visc = diag_next.dissipation_parts["viscous"]
     sink = integrate_values(
         grid, np.maximum(s_prev.theta, 0.0) ** p.cond_growth * s_next.theta)
     grad_bp = plan.grad(sv._pressure_enthalpy(np.maximum(s_next.rho, 0.0),
@@ -401,7 +383,7 @@ def _truncation_triple(kind):
 
 
 def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
-                                     battery, carry=None):
+                                     battery):
     """Weak residuals of the renormalized mass balance over one step.
 
     The discrete form pairs, for the step n -> n+1 and test function psi:
@@ -423,11 +405,8 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     ``(1 + 2 dim, *grid.shape)`` integrand stack, contracted in one
     product against the stack of ``battery`` (:func:`cosine_battery`),
     which holds P_sin[d_a psi] once per run.  grad rho' is the state's
-    own (``State.grad_rho``), read as grad b(rho') for ``identity``, and
-    |grad rho'|^2 is left in ``carry``, a dict the run loop keeps across
-    steps, for the record of ``s_next``, as is b(rho') of each id for the
-    next step's audit, which reads it as its b(rho).  Returns
-    {b_id: {test id: residual}}.
+    own (``State.grad_rho``), read as grad b(rho') for ``identity``.
+    Returns {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
     dim = grid.dim
@@ -437,13 +416,11 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     basis = sv.galerkin_basis(grid, len(rec.U_lag))
     u_lag = basis.reconstruct(rec.U_lag)
     rho_n, rho_p = s_prev.rho, s_next.rho
-    div_u = None
-    carry = {} if carry is None else carry
+    div_u = grad_rho_sq = None
     out = {}
     for b_id in b_ids:
         b, bp, bpp = _truncation_triple(b_id)
-        b_n = _carried(carry, b_id, rho_n, b)
-        b_p = _carried(carry, b_id, rho_p, b)
+        b_n, b_p = b(rho_n), b(rho_p)
         integrand = np.empty((1 + 2 * dim,) + grid.shape)
         lead = integrand[0]
         np.divide(b_p - b_n, rec.dt, out=lead)
@@ -453,10 +430,9 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
             if div_u is None:
                 grad_u = basis.gradient(rec.U_lag)
                 div_u = sum(grad_u[a, a] for a in range(dim))
+                grad_rho_sq = _sum_sq(grid, s_next.grad_rho)
             lead += (bp(rho_n) * rho_n - b_n) * div_u
-            lead += eps * (bpp(rho_p) * _carried(
-                carry, "grad_rho_sq", s_next.grad_rho,
-                lambda g: _sum_sq(grid, g)))
+            lead += eps * (bpp(rho_p) * grad_rho_sq)
             grad_b = plan.grad(b_p)
         np.multiply(eps, grad_b, out=integrand[1:1 + dim])
         np.multiply(-b_n, u_lag, out=integrand[1 + dim:])

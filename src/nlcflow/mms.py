@@ -105,11 +105,11 @@ def _make_trig_case(name, dim):
                    dtheta_dt=dtheta)
 
 
-def _make_bump_case(name, dim, width=4.0):
+def _make_bump_case(name, dim):
     def bump(mesh):
         out = np.ones_like(mesh[0])
         for x in mesh:
-            out = out * np.exp(width * (np.cos(np.pi * x / 2.0) - 1.0))
+            out = out * np.exp(4.0 * (np.cos(np.pi * x / 2.0) - 1.0))
         return out
 
     rho = lambda mesh, t: 1.0 + 0.3 * bump(mesh)

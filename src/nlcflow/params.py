@@ -64,12 +64,12 @@ class RegParams:
     beta: float = 5.0
     n_modes: int = 8
 
-    def validate(self, gamma=None):
+    def validate(self, gamma):
         if self.eps < 0:
             raise ValidationError("eps must be nonnegative")
         if not 0 <= self.delta <= 1:
             raise ValidationError("delta must lie in [0, 1]")
-        floor = max(4.0, gamma) if gamma is not None else 4.0
+        floor = max(4.0, gamma)
         if not self.beta > floor:
             raise ValidationError(f"beta must exceed max(4, gamma) = {floor}")
         if self.n_modes < 1:

@@ -415,24 +415,23 @@ def _director_relaxation(d_new, d_prev, w, dt, p: PhysParams):
 
 
 def _director_update(plan, d, u, grad_d, relax, dt, p: PhysParams,
-                     source=None, lag=None):
+                     source, lag):
     """Implicit-diffusion director step with a two-point penalty force.
 
     ``d`` is the director stack, ``grad_d`` its gradient stack
-    ``plan.grad(d)`` and ``relax`` the step's solve
-    ``plan.helmholtz(1, relax_rate dt)``.  The fixed point starts from ``lag``
-    (the previous Picard sweep's director; ``d`` when None) and stops once
-    one application moves the iterate by at most _INNER_TOL times its
-    scale.  Each iteration solves the three Helmholtz problems as one
-    stack.  Returns (d_new, gtilde, iterations, gap) where gtilde is the
-    nodal relaxation stack (diffusion minus penalty force, exact by
-    construction of the solve) and gap the last move relative to the
-    scale.
+    ``plan.grad(d)``, ``relax`` the step's solve
+    ``plan.helmholtz(1, relax_rate dt)`` and ``source`` the manufactured
+    director forcing or None.  The fixed point starts from ``lag`` (the
+    previous Picard sweep's director) and stops once one application moves
+    the iterate by at most _INNER_TOL times its scale.  Each iteration
+    solves the three Helmholtz problems as one stack.  Returns (d_new,
+    gtilde, iterations, gap) where gtilde is the nodal relaxation stack
+    (diffusion minus penalty force, exact by construction of the solve)
+    and gap the last move relative to the scale.
     """
     kappa = p.relax_rate
     w = _director_transport(plan, u, grad_d)
 
-    lag = d if lag is None else lag
     scale = max(1.0, float(np.abs(d).max()))
     for it in range(1, _DIRECTOR_MAX_ITER + 1):
         force = cst.gl_force_two_point(d, lag, p.penalty_scale)

@@ -26,7 +26,7 @@ def director_step(grid, d, u, dt, p=PhysParams()):
     plan = spectral_plan(grid)
     d_new, *_ = sv._director_update(plan, d, u, plan.grad(d),
                                     plan.helmholtz(1.0, p.relax_rate * dt),
-                                    dt, p)
+                                    dt, p, None, d)
     return d_new
 
 

@@ -1551,13 +1551,13 @@ def test_failed_mms_study_keeps_its_finished_rows(tmp_path, capsys,
 
 def test_mms_mode_count_checked_before_any_run(tmp_path, capsys,
                                                monkeypatch):
-    """The 8-node grid of a 16,8 study admits only 3 modes: the study exits
+    """The 8-node grid of an 8,16 study admits only 3 modes: the study exits
     2 naming ``reg.n_modes`` and that grid before its first run, and writes
     no file."""
     monkeypatch.setattr(mm, "run_case",
                         lambda *args: pytest.fail("a run started"))
     cfg = _write(tmp_path, "mms.cfg", MMS_STUDY_CFG.format(
-        out=tmp_path / "mms") + "mms.resolutions = 16,8\n")
+        out=tmp_path / "mms") + "mms.resolutions = 8,16\n")
     assert cli.main(["mms", "bump-1d", cfg]) == 2
     err = capsys.readouterr().err
     assert "reg.n_modes = 6" in err and "8-node grid" in err

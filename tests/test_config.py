@@ -120,8 +120,10 @@ def test_non_finite_truncation_level_rejected(level):
                  "continuation.eps = 1e-2,1e-1\n",
                  id="viscosity-eps-increasing"),
     pytest.param("continuation.study = pressure\n"
-                 "continuation.delta = 1e-4,1e-2\n",
+                 "continuation.delta = 1e-4,1e-2\ncontinuation.eps = 1e-2\n",
                  id="pressure-delta-increasing"),
+    pytest.param("continuation.study = galerkin\ncontinuation.n = 16,8\n"
+                 "continuation.eps = 1e-2\n", id="galerkin-n-decreasing"),
     pytest.param("continuation.n = ,\ncontinuation.eps = ,\n"
                  "continuation.delta = ,\n", id="empty-schedule"),
     "continuation.eps = -1e-2\n",
@@ -133,6 +135,7 @@ def test_non_finite_truncation_level_rejected(level):
     "mms.resolutions = 24,48\n",
     "mms.resolutions = 16\n",
     "mms.resolutions = 16,16\n",
+    pytest.param("mms.resolutions = 32,16\n", id="mms-resolutions-decreasing"),
     "mms.shape = 24\n",
     "mms.shape = 4\n",
 ])

@@ -236,12 +236,12 @@ def test_params_validation():
     with pytest.raises(ValidationError):
         PhysParams(cond_growth=1.5).validate()
     with pytest.raises(ValidationError):
-        RegParams(eps=-1e-3).validate()
+        RegParams(eps=-1e-3).validate(gamma=2.0)
     with pytest.raises(ValidationError):
-        RegParams(delta=1.5).validate()
+        RegParams(delta=1.5).validate(gamma=2.0)
     with pytest.raises(ValidationError):
-        RegParams(beta=3.0).validate()
+        RegParams(beta=3.0).validate(gamma=2.0)
     with pytest.raises(ValidationError):
         RegParams(beta=4.5).validate(gamma=5.0)
     with pytest.raises(ValidationError):
-        RegParams(n_modes=0).validate()
+        RegParams(n_modes=0).validate(gamma=2.0)

@@ -120,9 +120,10 @@ def test_budget_one_sided_on_bump_run(grid2d):
 
 
 def test_budget_reads_the_records_energies(grid2d):
-    """On a stepped pair, the defect reads E(prev) and E(next) off the two
-    records and nothing else: raising the later record's energy by dt
-    raises the defect by 1, and the records' energies are those taken law
+    """On a stepped pair, the defect reads E(prev), E(next) and the
+    viscous dissipation off the two records: raising the later record's
+    energy by dt raises the defect by 1, raising its viscous dissipation
+    by 1 raises it by delta, and the records' energies are those taken law
     by law (``reference_record``)."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
@@ -136,6 +137,12 @@ def test_budget_reads_the_records_energies(grid2d):
     assert dg.energy_budget_residual(
         s0, diag0, s1, raised, reg, p, rec.dt) - got == pytest.approx(
             1.0, rel=1e-9)
+    viscous = dict(diag1.dissipation_parts,
+                   viscous=diag1.dissipation_parts["viscous"] + 1.0)
+    raised = replace(diag1, dissipation_parts=viscous)
+    assert dg.energy_budget_residual(
+        s0, diag0, s1, raised, reg, p, rec.dt) - got == pytest.approx(
+            reg.delta, rel=1e-9)
     for s, diag in ((s0, diag0), (s1, diag1)):
         want = reference_record(s, reg, p)["energy_total"]
         assert diag.energy_total == pytest.approx(want, rel=1e-13)
@@ -511,47 +518,31 @@ def test_renorm_contraction_matches_the_terms(grid2d, b_id):
             assert abs(got[name] - want) <= 1e-15 * largest, name
 
 
-def test_renorm_carry_hands_b_of_the_new_density_to_the_next_step(
-        grid2d, monkeypatch):
-    """With the run loop's ``carry`` each step's audit takes b(rho') of
-    its own new density only, its b(rho) being the previous step's
-    b(rho'), and |grad rho'|^2 once for the audit and the record of the
-    new state together; the residuals are bit for bit those of audits
-    without a carry, and so are the records.  Over k steps with ``T1``:
-    k + 1 truncations instead of 2 k."""
+def test_stream_residual_columns_are_the_audits(grid2d, tmp_path):
+    """The run loop writes one ``res_*`` column per distinct id, 0 for the
+    first state; every later row's are the largest |residual| of a direct
+    audit of its step's pair of states against one battery, bit for bit."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
-    s0 = bump_state(grid2d, rho_base=1.5, rho_amp=1.0)
-    states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
-                                                         t_end=3e-3), p)
+    raw = presets.build("director-twist", grid2d, amplitude=0.6)
+    s0 = sv.regularize_initial_data(grid2d, raw.rho, raw.rho * raw.u,
+                                    raw.theta, raw.d, reg)
+    ids = ("identity", "T1", "T2", "T4", "T1")
+    path = tmp_path / "diagnostics.csv"
+    pairs = [(s, rec) for s, rec, _ in dg.stream(
+        s0, reg, sv.SolverConfig(dt=1e-3, t_end=3e-3), p, path, ids)]
+    distinct = list(dict.fromkeys(ids))
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[len(dg.CSV_COLUMNS):] == [f"res_{b}" for b in distinct]
+    rows = [line.split(",")[len(dg.CSV_COLUMNS):] for line in lines[2:]]
+    assert len(rows) == 4 and rows[0] == ["0"] * len(distinct)
     battery = dg.cosine_battery(grid2d)
-    plain = [dg.renormalized_continuity_residual(
-                 a, b, rec, reg.eps, ("T1", "identity"), battery)
-             for a, b, rec in zip(states, states[1:], records[1:])]
-    truncations, squares = [], []
-    inner_b, inner_sq = cst.soft_truncation, dg._sum_sq
-
-    def truncation(z, k=1.0):
-        truncations.append(k)
-        return inner_b(z, k)
-
-    def sum_sq(grid, stack):
-        squares.append(stack)
-        return inner_sq(grid, stack)
-
-    monkeypatch.setattr(cst, "soft_truncation", truncation)
-    monkeypatch.setattr(dg, "_sum_sq", sum_sq)
-    carry, carried = {}, []
-    for a, b, rec in zip(states, states[1:], records[1:]):
-        squares.clear()
-        carried.append(dg.renormalized_continuity_residual(
-            a, b, rec, reg.eps, ("T1", "identity"), battery, carry))
-        diag = dg.make_record(b, reg, p, dt=rec.dt, carry=carry)
-        assert sum(stack is b.grad_rho for stack in squares) == 1
-        assert diag == dg.make_record(b, reg, p, dt=rec.dt)
-    steps = len(carried)
-    assert steps == 3 and len(truncations) == steps + 1
-    assert carried == plain
+    for (a, _), (b, rec), row in zip(pairs, pairs[1:], rows[1:]):
+        audit = dg.renormalized_continuity_residual(
+            a, b, rec, reg.eps, distinct, battery)
+        assert row == [dg.format_float(max(abs(v) for v in audit[i].values()))
+                       for i in distinct]
 
 
 def test_renorm_unknown_kernel_rejected():

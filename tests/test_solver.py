@@ -296,7 +296,7 @@ def test_stacked_director_update_matches_per_component_reference(grid2d):
     for dt in (1e-3, 1e-2):
         got, *_ = sv._director_update(
             plan, d, s.u, plan.grad(d),
-            plan.helmholtz(1.0, p.relax_rate * dt), dt, p)
+            plan.helmholtz(1.0, p.relax_rate * dt), dt, p, None, d)
         ref = _director_update_per_component(grid2d, s.d, s.u, dt, p)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
