@@ -9,7 +9,8 @@ uniform director's terms are taken at one node.  The audits and the
 records read the gradients of rho and d that the state keeps
 (``State.grad_rho``, ``State.grad_d``).  A renormalized residual audit is
 one contraction per id of its integrand stack with the test-function
-battery, which is one stack built once per run (:func:`cosine_battery`).
+battery, whose entries are outer products of per-axis factors built once
+per run (:func:`cosine_battery`).
 The energy budget residual of a step is read off its two states and their
 records alone, its viscous dissipation the later record's: its dissipation
 is the one the scheme's ledger exchanges, evaluated with the step's own
@@ -28,7 +29,7 @@ import numpy as np
 from . import constitutive as cst
 from . import solver as sv
 from .errors import GridMismatch, NonPositiveTemperature
-from .fields import _readonly, integrate_values, spectral_plan
+from .fields import COS, SIN, _readonly, integrate_values, spectral_plan
 from .params import PhysParams, RegParams
 
 
@@ -313,25 +314,35 @@ def oscillation_defect(grid, rho, rho_ref, gamma):
 # ---------------------------------------------------------------------------
 
 def cosine_battery(grid):
-    """The three lowest all-cosine tensor modes (constant first), fixed
-    ordering: by total frequency then lexicographic, as ``(names, stack)``
-    with ``stack[i]`` the ``(1 + 2 dim, *grid.shape)`` stack of mode i's
-    nodal values psi, its gradient d_a psi and the 2/3-rule sine
-    projections P_sin[d_a psi] of the gradient (the projection of the mass
-    flux, ``solver._mass_flux``), the layout of an audit's integrand; an
-    audit builds it once per run."""
-    cand = sorted(itertools.product(range(4), repeat=grid.dim),
+    """The three lowest all-cosine tensor modes (constant first), ordered
+    by total frequency then lexicographically, as ``(names, factors)``.
+
+    A mode's stack of nodal values psi, gradient d_b psi and 2/3-rule sine
+    projections P_sin[d_b psi] of the gradient (the projection of the mass
+    flux, ``solver._mass_flux``), the layout of an audit's integrand, is
+    separable: each entry is the outer product of one factor per axis.
+    ``factors[a]`` is the read-only ``(modes, 1 + 2 dim, N_a)`` array of
+    axis a's factors, taken with the matrices the step applies along that
+    axis: the cosine derivative, after the first-node shift of
+    ``SpectralPlan.deriv``, and the sine projector.  An audit builds it
+    once per run, 3 (1 + 2 dim) sum_a N_a floats."""
+    dim = grid.dim
+    cand = sorted(itertools.product(range(4), repeat=dim),
                   key=lambda t: (sum(t), t))[:3]
-    mesh = grid.mesh()
     plan = spectral_plan(grid)
-    stack = np.ones((len(cand), 1 + 2 * grid.dim) + grid.shape)
-    for row, tpl in zip(stack, cand):
-        for ax, k in enumerate(tpl):
-            row[0] *= np.cos(k * np.pi * mesh[ax] / grid.extents[ax])
-        row[1:1 + grid.dim] = plan.grad(row[0])
-        row[1 + grid.dim:] = sv._mass_flux(plan, 1.0, row[1:1 + grid.dim])
+    factors = []
+    for ax, (ops, x, length) in enumerate(
+            zip(plan.axes, grid.axis_nodes, grid.extents)):
+        cos = np.array([np.cos(tpl[ax] * np.pi * x / length)
+                        for tpl in cand])
+        factor = np.empty((len(cand), 1 + 2 * dim, grid.shape[ax]))
+        # psi and each d_b psi but d_a psi are cosines along axis a
+        factor[:, :1 + dim] = cos[:, None]
+        factor[:, 1 + ax] = (cos - cos[:, :1]) @ ops.deriv[COS].T
+        factor[:, 1 + dim:] = factor[:, 1:1 + dim] @ ops.project[SIN].T
+        factors.append(_readonly(factor))
     return (tuple(f"cos{''.join(str(k) for k in tpl)}" for tpl in cand),
-            _readonly(stack))
+            tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +413,17 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
     skipped.
 
     Per id, the terms paired with psi, d_a psi and P_sin[d_a psi] fill one
-    ``(1 + 2 dim, *grid.shape)`` integrand stack, contracted in one
-    product against the stack of ``battery`` (:func:`cosine_battery`),
-    which holds P_sin[d_a psi] once per run.  grad rho' is the state's
+    ``(1 + 2 dim, *grid.shape)`` integrand stack, contracted against the
+    per-axis factors of ``battery`` (:func:`cosine_battery`), which hold
+    P_sin[d_a psi] once per run: at 2-D one batched product along the
+    last axis and one ``einsum`` along the first.  grad rho' is the state's
     own (``State.grad_rho``), read as grad b(rho') for ``identity``.
     Returns {b_id: {test id: residual}}.
     """
     grid = s_prev.grid
     dim = grid.dim
     plan = spectral_plan(grid)
-    names, tests = battery
-    tests = tests.reshape(len(names), -1)
+    names, factors = battery
     basis = sv.galerkin_basis(grid, len(rec.U_lag))
     u_lag = basis.reconstruct(rec.U_lag)
     rho_n, rho_p = s_prev.rho, s_next.rho
@@ -436,6 +447,12 @@ def renormalized_continuity_residual(s_prev, s_next, rec, eps, b_ids,
             grad_b = plan.grad(b_p)
         np.multiply(eps, grad_b, out=integrand[1:1 + dim])
         np.multiply(-b_n, u_lag, out=integrand[1 + dim:])
-        vals = grid.weight * (tests @ integrand.reshape(-1))
+        if dim == 2:
+            # along axis 1 one batched product, (1 + 2 dim, N_0, tests)
+            part = integrand @ factors[1].transpose(1, 2, 0)
+            vals = np.einsum("jxi,ijx->i", part, factors[0])
+        else:
+            vals = np.einsum("jx,ijx->i", integrand, factors[0])
+        vals *= grid.weight
         out[b_id] = dict(zip(names, map(float, vals)))
     return out

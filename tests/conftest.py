@@ -100,6 +100,26 @@ def run_lists(s0, reg, cfg, p, **kwargs):
     return states, records
 
 
+# the modes of ``diagnostics.cosine_battery`` per grid dimension
+_COSINE_MODES = {1: ((0,), (1,), (2,)), 2: ((0, 0), (0, 1), (1, 0))}
+
+
+def cosine_modes(grid):
+    """The test functions of ``diagnostics.cosine_battery`` as nodal
+    arrays (name, psi, grad psi): psi sampled on the mesh and
+    differentiated by ``plan.grad``, not multiplied out of the battery's
+    factors."""
+    plan = spectral_plan(grid)
+    mesh = grid.mesh()
+    out = []
+    for tpl in _COSINE_MODES[grid.dim]:
+        psi = np.prod([np.cos(k * np.pi * x / length)
+                       for k, x, length in zip(tpl, mesh, grid.extents)],
+                      axis=0)
+        out.append(("cos" + "".join(map(str, tpl)), psi, plan.grad(psi)))
+    return out
+
+
 def renorm_rows(states, records, eps, b_id):
     """Per-step renormalized-residual rows of one id over a trajectory."""
     battery = dg.cosine_battery(states[0].grid)
@@ -197,15 +217,13 @@ def reference_renorm_terms(s_prev, s_next, rec, eps, b_id):
     grad_b = plan.grad(b_p)
     grad_rho = plan.grad(rho_p)
     burn = bpp(rho_p) * sum(g * g for g in grad_rho)
-    names, tests = dg.cosine_battery(grid)
 
     def term(weight, integrand):
         return (weight * integrate_values(grid, integrand),
                 abs(weight) * integrate_values(grid, np.abs(integrand)))
 
     out = {}
-    for name, row in zip(names, tests):
-        psi, grad_psi = row[0], row[1:1 + grid.dim]
+    for name, psi, grad_psi in cosine_modes(grid):
         terms = [term(1.0, (b_p - b_n) / rec.dt * psi)]
         for a in range(grid.dim):
             terms.append(term(-1.0, flux[a] * grad_psi[a]))
@@ -225,9 +243,7 @@ def residual_series_max(rows):
 def weak_series(states, records, reg, p):
     """Per-step weak-form residuals over a trajectory, as {id: series}."""
     grid = states[0].grid
-    names, tests = dg.cosine_battery(grid)
-    battery = (_sine_battery(grid), [(name, row[0], row[1:1 + grid.dim])
-                                     for name, row in zip(names, tests)])
+    battery = (_sine_battery(grid), cosine_modes(grid))
     series = {}
     for a, b, rec in zip(states, states[1:], records[1:]):
         for key, val in weak_form_residuals(a, b, rec, reg, p,
@@ -338,8 +354,7 @@ def _sine_battery(grid, count=3):
 def weak_form_residuals(s_prev, s_next, rec, reg, p, battery):
     """Weak residuals of one step against the fixed test battery, as
     {residual id: value}; ``battery`` is the pair (:func:`_sine_battery`,
-    the modes of ``diagnostics.cosine_battery`` as (name, psi, [d_a psi]))
-    of the grid, built once per run.
+    :func:`cosine_modes`) of the grid, built once per run.
 
     Momentum residuals use the standalone conservative placements, so they
     decay first order in dt.  Heat and director residuals evaluate the

@@ -1341,7 +1341,9 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
     eps = 0 no step takes grad rho', and the state takes it on first use,
     in its audit or its record: 6 + 2 m.  The
     initial state is handed out only after the first step, which took its
-    grad d, so its pass takes 6 either way.
+    grad d, so its pass takes 6 either way; the audit's battery, built
+    while it is held, takes none, its derivatives being per-axis matrix
+    products of each mode's factors.
 
     The continuation on ``density-bump`` (eps > 0), whose uniform unit
     director stays uniform: per stepped state the pass takes grad theta,
@@ -1360,7 +1362,7 @@ def test_post_processing_differentiates_each_state_once(tmp_path,
                      + f"output.residuals = {residuals}\n")
         assert cli.main(["run", cfg]) == 0
         stepped = [(d, w) for was_stepped, d, w in per_state if was_stepped]
-        assert per_state[0] == (False, 6 + 6, 1)   # with the battery's 6
+        assert per_state[0] == (False, 6, 1)
         assert stepped == [(stepped_pass + 2 * m, 1)] * 3
 
     per_state.clear()

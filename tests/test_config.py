@@ -107,41 +107,67 @@ def test_non_finite_truncation_level_rejected(level):
     assert f"'T{level}'" in str(err.value)
 
 
-@pytest.mark.parametrize("text", [
-    "grid.dim = 3\n",
-    "grid.dim = 2\ngrid.shape = 48\n",
-    "grid.dim = 2\ngrid.shape = 16,16,16\n",
-    "init.preset = no-such-preset\n",
-    "output.cadence = -1\n",
-    "output.residuals = identity,T0\n",
-    "continuation.study = unknown\n",
-    "continuation.eps = 1e-1,1e-2\ncontinuation.delta = 1,2,3\n",
-    pytest.param("continuation.study = viscosity\n"
-                 "continuation.eps = 1e-2,1e-1\n",
-                 id="viscosity-eps-increasing"),
-    pytest.param("continuation.study = pressure\n"
-                 "continuation.delta = 1e-4,1e-2\ncontinuation.eps = 1e-2\n",
-                 id="pressure-delta-increasing"),
-    pytest.param("continuation.study = galerkin\ncontinuation.n = 16,8\n"
-                 "continuation.eps = 1e-2\n", id="galerkin-n-decreasing"),
-    pytest.param("continuation.n = ,\ncontinuation.eps = ,\n"
-                 "continuation.delta = ,\n", id="empty-schedule"),
-    "continuation.eps = -1e-2\n",
-    "mms.resolutions = 4,8\n",
-    "mms.dts = 0\n",
-    "mms.dts = 1e-3\n",
-    "mms.dts = ,\n",
-    "mms.dts = 2e-3,2e-3\n",
-    "mms.resolutions = 24,48\n",
-    "mms.resolutions = 16\n",
-    "mms.resolutions = 16,16\n",
-    pytest.param("mms.resolutions = 32,16\n", id="mms-resolutions-decreasing"),
-    "mms.shape = 24\n",
-    "mms.shape = 4\n",
+def _case(text, needle, name=None):
+    """A rejected config and the phrase its message must hold, its test id
+    the text itself unless ``name`` is given."""
+    return pytest.param(text, needle, id=name or text)
+
+
+@pytest.mark.parametrize("text,needle", [
+    _case("grid.dim = 3\n", "grid.dim must be 1 or 2"),
+    _case("grid.dim = 2\ngrid.shape = 48\n",
+          "resolution 48 is not a power of two"),
+    _case("grid.dim = 2\ngrid.shape = 16,16,16\n",
+          "grid.shape/grid.extents must have 2 entries"),
+    _case("init.preset = no-such-preset\n", "init.preset 'no-such-preset'"),
+    _case("output.cadence = -1\n", "output.cadence must be >= 0"),
+    _case("output.residuals = identity,T0\n",
+          "output.residuals entry 'T0'"),
+    _case("continuation.study = unknown\n", "continuation.study 'unknown'"),
+    _case("continuation.eps = 1e-1,1e-2\ncontinuation.delta = 1,2,3\n",
+          "continuation.eps has 2 entries"),
+    _case("continuation.study = viscosity\ncontinuation.eps = 1e-2,1e-1\n",
+          "continuation.eps = 0.01,0.1: a viscosity study needs "
+          "nonincreasing", "viscosity-eps-increasing"),
+    _case("continuation.study = pressure\n"
+          "continuation.delta = 1e-4,1e-2\ncontinuation.eps = 1e-2\n",
+          "continuation.delta = 0.0001,0.01: a pressure study needs "
+          "nonincreasing", "pressure-delta-increasing"),
+    _case("continuation.study = galerkin\ncontinuation.n = 16,8\n"
+          "continuation.eps = 1e-2\n",
+          "continuation.n = 16,8: a galerkin study needs nondecreasing",
+          "galerkin-n-decreasing"),
+    _case("continuation.n = ,\ncontinuation.eps = ,\n"
+          "continuation.delta = ,\n", "are all empty", "empty-schedule"),
+    _case("continuation.eps = -1e-2\n", "eps must be nonnegative"),
+    _case("mms.resolutions = 4,8\n",
+          "mms.resolutions = 4,8: each entry must be a power of two"),
+    _case("mms.dts = 0\n", "mms.dts entries must be positive"),
+    _case("mms.dts = 1e-3\n", "mms.dts = 0.001: needs at least two"),
+    _case("mms.dts = ,\n", "mms.dts = ,: needs at least two"),
+    _case("mms.dts = 2e-3,2e-3\n",
+          "mms.dts = 0.002,0.002: needs at least two"),
+    _case("mms.resolutions = 24,48\n",
+          "mms.resolutions = 24,48: each entry must be a power of two"),
+    _case("mms.resolutions = 16\n",
+          "mms.resolutions = 16: needs two or more strictly increasing"),
+    _case("mms.resolutions = 16,16\n",
+          "mms.resolutions = 16,16: needs two or more strictly increasing"),
+    _case("mms.resolutions = 32,16\n",
+          "mms.resolutions = 32,16: needs two or more strictly increasing",
+          "mms-resolutions-decreasing"),
+    _case("mms.shape = 24\n",
+          "mms.shape = 24: each entry must be a power of two"),
+    _case("mms.shape = 4\n",
+          "mms.shape = 4: each entry must be a power of two"),
 ])
-def test_invalid_configs_rejected(text):
-    with pytest.raises(ValidationError):
+def test_invalid_configs_rejected(text, needle):
+    """Each bad config is rejected by the rule its case is listed for:
+    its message holds that rule's key or phrase, so no case passes by
+    tripping another rule."""
+    with pytest.raises(ValidationError) as err:
         cf.parse_config_text(text)
+    assert needle in str(err.value)
 
 
 def test_grid_blocks_expand_per_dim():

@@ -7,14 +7,14 @@ import pytest
 
 from nlcflow.errors import GridMismatch, NonPositiveTemperature
 from nlcflow import constitutive as cst
-from nlcflow.fields import COS, SIN, Grid, integrate_values, spectral_plan
+from nlcflow.fields import COS, Grid, integrate_values, spectral_plan
 from nlcflow.params import PhysParams, RegParams
 from nlcflow import diagnostics as dg
 from nlcflow import presets
 from nlcflow import solver as sv
 
-from conftest import (bump_state, equilibrium_state, reference_record,
-                      reference_renorm_terms, renorm_rows,
+from conftest import (bump_state, cosine_modes, equilibrium_state,
+                      reference_record, reference_renorm_terms, renorm_rows,
                       residual_series_max, run_lists, trajectory_records,
                       unit_director, weak_series)
 
@@ -366,17 +366,40 @@ def test_oscillation_defect_mismatch_errors(grid2d):
 
 
 def test_cosine_battery_fixed_order(grid2d):
-    """Names in order, and one read-only (modes, 1 + 2 dim, *grid.shape)
-    stack of each mode's values, gradient and the mass flux's sine
-    projection of the gradient, the constant first."""
-    names, stack = dg.cosine_battery(grid2d)
-    assert names == ("cos00", "cos01", "cos10")
-    assert stack.shape == (3, 5) + grid2d.shape and not stack.flags.writeable
-    assert np.all(stack[0, 0] == 1.0) and not stack[0, 1:].any()
-    plan = spectral_plan(grid2d)
-    for row in stack:
-        assert np.array_equal(row[1:3], plan.grad(row[0]))
-        assert np.array_equal(row[3:], plan.project(row[1:3], (SIN, SIN)))
+    """Names in order, the constant first, and per axis a one read-only
+    (modes, 1 + 2 dim, N_a) factor stack, 3 (1 + 2 dim) sum_a N_a floats
+    in all, on a square, a non-square and a 1-D grid.  Each entry's outer
+    product over the axes is the mode's psi sampled on the mesh,
+    ``plan.grad(psi)`` and the mass flux's sine projection of that
+    gradient (``solver._mass_flux``), within 4 N ulps of the entry's
+    largest value: the round-off of an N-term matrix product summed in
+    another order."""
+    two = ("cos00", "cos01", "cos10")
+    for grid, want_names in ((grid2d, two),
+                             (Grid((32, 16), (2.0, 1.0)), two),
+                             (Grid((32,), (2.0,)), ("cos0", "cos1", "cos2"))):
+        dim = grid.dim
+        names, factors = dg.cosine_battery(grid)
+        assert names == want_names
+        assert [f.shape for f in factors] == [(3, 1 + 2 * dim, n)
+                                              for n in grid.shape]
+        assert not any(f.flags.writeable for f in factors)
+        assert sum(f.nbytes for f in factors) \
+            <= 8 * 3 * (1 + 2 * dim) * sum(grid.shape)
+        for ax, f in enumerate(factors):
+            assert np.all(f[0, 0] == 1.0) and not f[0, 1 + ax].any()
+        plan = spectral_plan(grid)
+        ulps = 4 * max(grid.shape) * np.finfo(float).eps
+        for i, (name, psi, grad) in enumerate(cosine_modes(grid)):
+            assert name == names[i]
+            want = np.concatenate(
+                [psi[None], grad, sv._mass_flux(plan, 1.0, grad)])
+            entry = factors[0][i]
+            for f in factors[1:]:
+                entry = entry[:, :, None] * f[i][:, None, :]
+            for got_j, want_j in zip(entry, want):
+                largest = np.abs(want_j).max()
+                assert np.abs(got_j - want_j).max() <= ulps * largest, name
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +476,18 @@ def test_renorm_smooth_kernel_first_order(grid2d):
 
 
 def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
-    """The test functions' gradients are taken once per run, grad rho'
-    not at all, and div u with no ``deriv``: the audit reads
+    """The test functions' gradients take no ``deriv`` (the battery applies
+    the per-axis derivative matrix to each mode's factor once per run),
+    grad rho' none either, and div u none: the audit reads
     |grad rho'|^2, and grad b(rho') = grad rho' of the ``identity`` id,
     off the grad rho' the step handed to the new state
     (``State.grad_rho``), and div u off the Galerkin gradient of the
-    step's velocity table.  At
-    2-D with the three-function cosine battery, m ids other than
-    ``identity`` and k steps the audit takes
-      6       battery gradients, once per run (3 functions x 2 axes)
+    step's velocity table.  At 2-D with m ids other than ``identity`` and
+    k steps the audit takes
       2 m k   per step and id: grad b(rho') 2
-    which is 6 + 2 * 2 = 10 for two steps with ``T1`` and ``identity``
-    (14 when div u was taken of the nodal velocity, 18 when ``identity``
+    which is 2 * 2 = 4 for two steps with ``T1`` and ``identity``
+    (10 when the battery took its 3 functions x 2 axes by ``plan.grad``,
+    8 when div u was taken of the nodal velocity, 8 when ``identity``
     took its own grad b(rho') too).  The ``identity`` rows are those of
     its own gradient, bit for bit."""
     p = PhysParams()
@@ -487,7 +510,7 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
             for a, b, rec in zip(states, states[1:], records[1:])]
     steps = len(rows)
     assert steps == 2 and all(list(r) == ["T1", "identity"] for r in rows)
-    assert len(calls) == 6 + steps * 2 * 1 == 10
+    assert len(calls) == steps * 2 * 1 == 4
     monkeypatch.undo()
     for b_id in ("T1", "identity"):
         assert [r[b_id] for r in rows] == renorm_rows(states, records,
@@ -497,25 +520,33 @@ def test_renorm_residual_takes_battery_gradients_once(grid2d, monkeypatch):
 @pytest.mark.parametrize("b_id", ["identity", "T1"])
 def test_renorm_contraction_matches_the_terms(grid2d, b_id):
     """Each residual, one contraction of the id's integrand stack with the
-    battery, is the sum of its separate quadratures
-    (``reference_renorm_terms``) within 1e-15 of the largest of them,
+    battery's factors, is the sum of its separate quadratures
+    (``reference_renorm_terms``) within N ulps of the largest of them,
     measured as the quadrature of its absolute integrand, on a bump run
-    whose density crosses the truncation level of ``T1``."""
+    whose density crosses the truncation level of ``T1``: on the square
+    grid, on a non-square one, whose two axes' factors differ in length,
+    and on a 1-D grid.  The reference takes its own nodal psi and
+    ``plan.grad(psi)``, whose round-off grows with N (see
+    ``test_cosine_battery_fixed_order``); the largest gap seen is about 5
+    ulps at N = 32 and 64."""
     p = PhysParams()
     reg = RegParams(eps=1e-2, delta=1e-3, beta=5.0, n_modes=8)
-    s0 = bump_state(grid2d, rho_base=1.5, rho_amp=1.0)
-    states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
-                                                         t_end=3e-3), p)
-    battery = dg.cosine_battery(grid2d)
-    for a, b, rec in zip(states, states[1:], records[1:]):
-        got = dg.renormalized_continuity_residual(
-            a, b, rec, reg.eps, (b_id,), battery)[b_id]
-        terms = reference_renorm_terms(a, b, rec, reg.eps, b_id)
-        assert list(got) == list(terms)
-        for name, parts in terms.items():
-            want = sum(value for value, _ in parts)
-            largest = max(scale for _, scale in parts)
-            assert abs(got[name] - want) <= 1e-15 * largest, name
+    for grid in (grid2d, Grid((32, 16), (2.0, 1.0)), Grid((32,), (2.0,))):
+        s0 = bump_state(grid, rho_base=1.5, rho_amp=1.0)
+        states, records = run_lists(s0, reg, sv.SolverConfig(dt=1e-3,
+                                                             t_end=3e-3), p)
+        battery = dg.cosine_battery(grid)
+        ulps = max(grid.shape) * np.finfo(float).eps
+        for a, b, rec in zip(states, states[1:], records[1:]):
+            got = dg.renormalized_continuity_residual(
+                a, b, rec, reg.eps, (b_id,), battery)[b_id]
+            terms = reference_renorm_terms(a, b, rec, reg.eps, b_id)
+            assert list(got) == list(terms)
+            for name, parts in terms.items():
+                want = sum(value for value, _ in parts)
+                largest = max(scale for _, scale in parts)
+                assert abs(got[name] - want) <= ulps * largest, \
+                    (grid, name)
 
 
 def test_stream_residual_columns_are_the_audits(grid2d, tmp_path):
